@@ -50,6 +50,15 @@ func TestTypedErrorsSurviveWrapping(t *testing.T) {
 			is: io.ErrUnexpectedEOF,
 		},
 		{
+			name: "FrameLimitError is not retryable",
+			err:  &netsim.FrameLimitError{From: 0, To: 1, Field: "attempt", Got: 1 << 16, Limit: 1<<16 - 1},
+			as: func(err error) bool {
+				var e *netsim.FrameLimitError
+				return errors.As(err, &e) && e.Field == "attempt"
+			},
+			is: netsim.ErrUnsendable,
+		},
+		{
 			name: "SizeError short payload is a truncation",
 			err:  &compress.SizeError{Algo: "onebit", Got: 3, Want: 8},
 			as: func(err error) bool {

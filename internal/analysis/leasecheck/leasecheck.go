@@ -9,6 +9,14 @@
 // branches are explored separately, loops are treated as straight-line, and
 // any use that lets the lease escape the function (stored, passed, captured
 // by a closure) conservatively counts as settled.
+//
+// One store is followed instead of trusted: a lease placed in the Lease
+// field of a local netsim.Message. That is the socket plane's hand-off —
+// the read loop leases a payload buffer and ownership travels with the
+// delivered message — so the lease stays open until the message itself is
+// handed on (sent on a channel, returned, passed along) or settled through
+// (msg.Lease.Release(), Adopt(&msg.Lease)). A path that drops such a
+// message leaks its buffer exactly like a path that drops the lease.
 package leasecheck
 
 import (
@@ -29,7 +37,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:     run,
 }
 
-const leasePkg = "hipress/internal/kernels"
+const (
+	leasePkg   = "hipress/internal/kernels"
+	messagePkg = "hipress/internal/netsim"
+)
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
@@ -54,27 +65,37 @@ type leaseInfo struct {
 	// captured); we stop reasoning about it.
 	escaped  bool
 	reported bool
+	// carrier is the local netsim.Message the lease was stored into, if
+	// any: handing that message on settles the lease.
+	carrier types.Object
 }
 
 type walker struct {
 	pass   *analysis.Pass
 	leases map[types.Object]*leaseInfo
+	// messages are the local netsim.Message variables, the only places a
+	// stored lease is followed rather than written off as escaped.
+	messages map[types.Object]bool
 }
 
 func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
-	w := &walker{pass: pass, leases: map[types.Object]*leaseInfo{}}
-	// Collect local lease declarations (params belong to the caller).
+	w := &walker{pass: pass, leases: map[types.Object]*leaseInfo{}, messages: map[types.Object]bool{}}
+	// Collect local lease and message declarations (params belong to the
+	// caller).
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		obj := pass.TypesInfo.Defs[id]
-		if obj == nil || !isLeaseType(obj.Type()) {
+		obj, ok := pass.TypesInfo.Defs[id].(*types.Var)
+		if !ok {
 			return true
 		}
-		if _, ok := obj.(*types.Var); ok {
+		switch {
+		case isNamed(obj.Type(), leasePkg, "Lease"):
 			w.leases[obj] = &leaseInfo{obj: obj}
+		case isNamed(obj.Type(), messagePkg, "Message"):
+			w.messages[obj] = true
 		}
 		return true
 	})
@@ -88,8 +109,8 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 	}
 }
 
-// isLeaseType reports whether t is kernels.Lease or *kernels.Lease.
-func isLeaseType(t types.Type) bool {
+// isNamed reports whether t is the named type pkg.name or a pointer to it.
+func isNamed(t types.Type, pkg, name string) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -98,20 +119,24 @@ func isLeaseType(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Lease" && obj.Pkg() != nil && obj.Pkg().Path() == leasePkg
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkg
 }
 
-// event is one positional action on a tracked lease.
+// event is one positional action on a tracked lease, or (evHandOff) on a
+// message that may be carrying one.
 type event struct {
-	pos  token.Pos
-	obj  types.Object
-	kind int // 0 checkout, 1 settle, 2 escape
+	pos     token.Pos
+	obj     types.Object
+	kind    int
+	carrier types.Object // evCarry: the message the lease was stored into
 }
 
 const (
 	evCheckout = iota
 	evSettle
 	evEscape
+	evCarry   // lease stored into a local message's Lease field
+	evHandOff // obj is a message: sent, returned, passed on, or settled through
 )
 
 // events extracts the ordered lease actions inside one expression subtree.
@@ -123,6 +148,36 @@ func (w *walker) events(n ast.Node) []event {
 	var out []event
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.AssignStmt:
+			// msg.Lease = l, or msg := netsim.Message{..., Lease: l}.
+			for i, lhs := range n.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && w.messages[w.objOf(id)] {
+					consumed[id] = true // overwriting a message hands nothing on
+				}
+				if len(n.Rhs) != len(n.Lhs) {
+					continue
+				}
+				msg, lease := w.storedLease(lhs, n.Rhs[i])
+				if lease == nil {
+					continue
+				}
+				out = append(out, event{pos: lease.Pos(), obj: w.pass.TypesInfo.Uses[lease],
+					kind: evCarry, carrier: msg})
+				consumed[lease] = true
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					consumed[sel.X.(*ast.Ident)] = true // the store itself settles nothing
+				}
+			}
+		case *ast.SelectorExpr:
+			// A field access on a message is not a hand-off, except the
+			// ones that settle its lease: msg.Lease.Release() and
+			// other.Adopt(&msg.Lease) both spell msg.Lease.
+			if id, ok := n.X.(*ast.Ident); ok && w.messages[w.objOf(id)] {
+				if n.Sel.Name == "Lease" && !consumed[id] {
+					out = append(out, event{pos: id.Pos(), obj: w.objOf(id), kind: evHandOff})
+				}
+				consumed[id] = true
+			}
 		case *ast.CallExpr:
 			sel, ok := n.Fun.(*ast.SelectorExpr)
 			if !ok {
@@ -138,10 +193,10 @@ func (w *walker) events(n ast.Node) []event {
 			}
 			switch sel.Sel.Name {
 			case "Bytes", "F32":
-				out = append(out, event{id.Pos(), obj, evCheckout})
+				out = append(out, event{pos: id.Pos(), obj: obj, kind: evCheckout})
 				consumed[id] = true
 			case "Release":
-				out = append(out, event{id.Pos(), obj, evSettle})
+				out = append(out, event{pos: id.Pos(), obj: obj, kind: evSettle})
 				consumed[id] = true
 			case "Adopt":
 				// The receiver absorbs other leases; its own lifetime is
@@ -150,8 +205,15 @@ func (w *walker) events(n ast.Node) []event {
 			}
 		case *ast.Ident:
 			obj := w.pass.TypesInfo.Uses[n]
-			if w.leases[obj] != nil && !consumed[n] {
-				out = append(out, event{n.Pos(), obj, evEscape})
+			if consumed[n] {
+				break
+			}
+			if w.leases[obj] != nil {
+				out = append(out, event{pos: n.Pos(), obj: obj, kind: evEscape})
+			} else if w.messages[obj] {
+				// A bare use — channel send, return value, call argument,
+				// copy — hands the message, and any lease in it, on.
+				out = append(out, event{pos: n.Pos(), obj: obj, kind: evHandOff})
 			}
 		}
 		return true
@@ -160,9 +222,59 @@ func (w *walker) events(n ast.Node) []event {
 	return out
 }
 
+// objOf resolves an identifier to the object it uses or defines.
+func (w *walker) objOf(id *ast.Ident) types.Object {
+	if obj := w.pass.TypesInfo.Uses[id]; obj != nil {
+		return obj
+	}
+	return w.pass.TypesInfo.Defs[id]
+}
+
+// storedLease matches one assignment pair that stores a tracked lease into
+// a local message — lhs msg.Lease with rhs l, or lhs msg with rhs a Message
+// literal whose Lease field is l — returning the message and the lease
+// identifier, or nil.
+func (w *walker) storedLease(lhs, rhs ast.Expr) (types.Object, *ast.Ident) {
+	tracked := func(e ast.Expr) *ast.Ident {
+		if id, ok := e.(*ast.Ident); ok && w.leases[w.pass.TypesInfo.Uses[id]] != nil {
+			return id
+		}
+		return nil
+	}
+	switch lhs := lhs.(type) {
+	case *ast.SelectorExpr:
+		if id, ok := lhs.X.(*ast.Ident); ok && lhs.Sel.Name == "Lease" && w.messages[w.objOf(id)] {
+			return w.objOf(id), tracked(rhs)
+		}
+	case *ast.Ident:
+		lit, ok := rhs.(*ast.CompositeLit)
+		if !ok || !w.messages[w.objOf(lhs)] {
+			break
+		}
+		for _, elt := range lit.Elts {
+			kv, ok := elt.(*ast.KeyValueExpr)
+			if !ok {
+				continue
+			}
+			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Lease" {
+				return w.objOf(lhs), tracked(kv.Value)
+			}
+		}
+	}
+	return nil, nil
+}
+
 // apply folds events into the live set.
 func (w *walker) apply(evs []event, live map[types.Object]token.Pos, inDefer bool) {
 	for _, e := range evs {
+		if e.kind == evHandOff {
+			for _, info := range w.leases {
+				if info.carrier == e.obj {
+					delete(live, info.obj)
+				}
+			}
+			continue
+		}
 		info := w.leases[e.obj]
 		if info.escaped || info.reported {
 			continue
@@ -183,6 +295,8 @@ func (w *walker) apply(evs []event, live map[types.Object]token.Pos, inDefer boo
 		case evEscape:
 			delete(live, e.obj)
 			info.escaped = true
+		case evCarry:
+			info.carrier = e.carrier
 		}
 	}
 }
@@ -321,6 +435,9 @@ func (w *walker) branches(s ast.Stmt, live map[types.Object]token.Pos) bool {
 		w.apply(w.events(s.Assign), live, false)
 		clauses = s.Body.List
 	case *ast.SelectStmt:
+		// A select runs exactly one of its clauses: without a default it
+		// blocks, it does not fall through.
+		hasDefault = true
 		clauses = s.Body.List
 	}
 	before := copyLive(live)

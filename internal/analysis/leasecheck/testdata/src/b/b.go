@@ -6,6 +6,7 @@ import (
 	"errors"
 
 	"hipress/internal/kernels"
+	"hipress/internal/netsim"
 )
 
 func deferred() {
@@ -50,4 +51,41 @@ func bothBranches(fail bool) {
 	} else {
 		l.Release()
 	}
+}
+
+// delivers is the socket plane's hand-off: the lease travels in the
+// message's Lease field, and every path either hands the message on or
+// settles the lease through it.
+func delivers(inbox chan netsim.Message, done chan struct{}, node int) {
+	var l kernels.Lease
+	payload := l.Bytes(64)
+	msg := netsim.Message{To: 1, Payload: payload, Lease: l}
+	if msg.To != node {
+		msg.Lease.Release()
+		return
+	}
+	select {
+	case inbox <- msg:
+	case <-done:
+		msg.Lease.Release()
+	}
+}
+
+func returnsMessage(fail bool) (netsim.Message, error) {
+	var l kernels.Lease
+	payload := l.Bytes(16)
+	if fail {
+		l.Release()
+		return netsim.Message{}, errors.New("boom")
+	}
+	var msg netsim.Message
+	msg.Payload, msg.Lease = payload, l
+	return msg, nil
+}
+
+func adoptsThroughMessage(round *kernels.Lease) []byte {
+	var l kernels.Lease
+	msg := netsim.Message{Payload: l.Bytes(16), Lease: l}
+	round.Adopt(&msg.Lease)
+	return msg.Payload
 }

@@ -154,6 +154,13 @@ type LiveCluster struct {
 	ef     []*compress.ErrorFeedback
 	meters []*compress.Instrumented
 
+	// efKeys interns the error-feedback residual keys: every encode names
+	// its residual by pipeline position, the positions repeat every round,
+	// and formatting the name each time was the hot path's largest source
+	// of small allocations.
+	efKeyMu sync.Mutex
+	efKeys  map[efPos]string
+
 	// mem is the elastic membership plane (nil unless LiveConfig.Elastic);
 	// chaosMu guards cfg.Chaos, which SetChaos may replace between rounds.
 	mem     *membership
@@ -290,6 +297,30 @@ func (lc *LiveCluster) WireStats() compress.Stats {
 		total.DecodeElems += s.DecodeElems
 	}
 	return total
+}
+
+// efPos is a compression point's position in the synchronization pipeline,
+// stable across rounds.
+type efPos struct {
+	grad              string
+	part, phase, step int
+}
+
+// efKey returns the residual key for a compression point. Checkpointed
+// residuals are stored under these strings, so the format is frozen.
+func (lc *LiveCluster) efKey(t *Task) string {
+	pos := efPos{t.Grad, t.Part, int(t.Phase), t.Step}
+	lc.efKeyMu.Lock()
+	defer lc.efKeyMu.Unlock()
+	key, ok := lc.efKeys[pos]
+	if !ok {
+		key = fmt.Sprintf("%s/p%d/ph%d/s%d", t.Grad, t.Part, t.Phase, t.Step)
+		if lc.efKeys == nil {
+			lc.efKeys = map[efPos]string{}
+		}
+		lc.efKeys[pos] = key
+	}
+	return key
 }
 
 // pkey identifies one gradient partition's buffers at one node.
@@ -870,6 +901,13 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 	wg.Wait()
 	r.pipe.wait()
 	r.ackWG.Wait()
+	// Frames that landed after their dispatcher stopped still own their
+	// payload buffers; the closed transport hands them over without blocking.
+	for v := 0; v < n; v++ {
+		for msg, ok := tr.Recv(v); ok; msg, ok = tr.Recv(v) {
+			msg.Lease.Release()
+		}
+	}
 
 	health := r.rs.health(r.reliable, time.Since(started)) //hipress:wallclock round-duration telemetry for RoundHealth
 	health.EpochVersion = ep.Version
@@ -942,91 +980,106 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 	return out, health, nil
 }
 
-// dispatch is the per-node receive loop: it routes acks to waiting
-// senders, verifies checksums, deduplicates idempotently (keyed by
-// gradient/partition/step/peer), acknowledges, and executes the matched
-// recv task.
+// dispatch is the per-node receive loop. A TCP message arrives owning the
+// arena buffer its payload was read into (msg.Lease): execRecv adopts that
+// buffer into the round lease when it keeps the payload, and every other
+// outcome — duplicate, late frame, corrupt drop — hands it back to the
+// arena at once.
 func (r *liveRound) dispatch(rt *nodeRT) {
 	for {
 		msg, ok := r.tr.Recv(rt.id)
 		if !ok {
 			return
 		}
-		if msg.Heartbeat {
-			// Heartbeats live outside the ack/dedup machinery: a probe is
-			// echoed back (Step carries the probe's send timestamp), an
-			// echo yields one RTT sample plus an arrival observation.
-			if msg.Ack {
-				if hp := r.hp; hp != nil {
-					hp.observeRTT(rt.id, msg.From, hp.clock()-time.Duration(msg.Step))
-					hp.arrival(msg.From)
-				}
-			} else {
-				r.replyHeartbeat(rt.id, msg)
-			}
-			continue
-		}
-		if msg.Ack {
-			// The ack flows receiver→sender: the original transfer ran
-			// msg.To → msg.From. A batched frame settles several transfers
-			// of the same directed link at once, each by its own key.
-			r.hp.arrival(msg.From)
-			if len(msg.AckBatch) > 0 {
-				for _, ref := range msg.AckBatch {
-					r.rs.ackArrived(ackKey{src: msg.To, dst: msg.From, grad: ref.Gradient, step: ref.Step})
-				}
-				continue
-			}
-			r.rs.ackArrived(ackKey{src: msg.To, dst: msg.From, grad: msg.Gradient, step: msg.Step})
-			continue
-		}
-		if sum := crc32.ChecksumIEEE(msg.Payload); sum != msg.Sum {
-			if r.reliable {
-				// Drop silently: no ack means the sender retransmits.
-				atomic.AddInt64(&r.rs.corruptDrops, 1)
-				if r.trc.Enabled() {
-					r.traceEvent(fmt.Sprintf("corrupt-drop %s←%d", msg.Gradient, msg.From), "chaos", rt.id)
-				}
-				continue
-			}
-			r.fail(fmt.Errorf("core: node %d received corrupted payload for %q from %d (checksum %08x != header %08x, %d bytes)",
-				rt.id, msg.Gradient, msg.From, sum, msg.Sum, len(msg.Payload)))
+		more := r.dispatchMsg(rt, &msg)
+		msg.Lease.Release() // no-op once adopted
+		if !more {
 			return
 		}
-		// A checksum-valid data message is as good as an ack for liveness.
-		r.hp.arrival(msg.From)
-		step, part := unpackStep(msg.Step)
-		key := mkey{msg.Gradient, part, step, msg.From}
-		if r.reliable && rt.seen[key] {
-			// Duplicate (retransmission or injected dup): re-ack, discard.
-			atomic.AddInt64(&r.rs.duplicates, 1)
-			if r.trc.Enabled() {
-				r.traceEvent(fmt.Sprintf("dup-drop %s←%d", msg.Gradient, msg.From), "dedup", rt.id)
-			}
-			r.sendAck(rt.id, msg)
-			continue
-		}
-		id, armed := rt.recvIdx[key]
-		if !armed {
-			r.fail(fmt.Errorf("core: node %d got unexpected message %+v", rt.id, key))
-			return
-		}
-		if r.reliable {
-			rt.seen[key] = true
-			r.sendAck(rt.id, msg)
-		}
-		if r.isCompleted(id) {
-			continue // force-completed by degradation; too late to matter
-		}
-		t := r.g.Tasks[id]
-		start := r.trc.Now()
-		if err := r.execRecv(rt, t, msg.Payload); err != nil {
-			r.fail(err)
-			return
-		}
-		r.traceTask(t, start)
-		r.completeTask(id)
 	}
+}
+
+// dispatchMsg handles one received message: it routes acks to waiting
+// senders, verifies checksums, deduplicates idempotently (keyed by
+// gradient/partition/step/peer), acknowledges, and executes the matched
+// recv task. It returns false when the round has failed and the dispatcher
+// should stop.
+func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
+	if msg.Heartbeat {
+		// Heartbeats live outside the ack/dedup machinery: a probe is
+		// echoed back (Step carries the probe's send timestamp), an
+		// echo yields one RTT sample plus an arrival observation.
+		if msg.Ack {
+			if hp := r.hp; hp != nil {
+				hp.observeRTT(rt.id, msg.From, hp.clock()-time.Duration(msg.Step))
+				hp.arrival(msg.From)
+			}
+		} else {
+			r.replyHeartbeat(rt.id, *msg)
+		}
+		return true
+	}
+	if msg.Ack {
+		// The ack flows receiver→sender: the original transfer ran
+		// msg.To → msg.From. A batched frame settles several transfers
+		// of the same directed link at once, each by its own key.
+		r.hp.arrival(msg.From)
+		if len(msg.AckBatch) > 0 {
+			for _, ref := range msg.AckBatch {
+				r.rs.ackArrived(ackKey{src: msg.To, dst: msg.From, grad: ref.Gradient, step: ref.Step})
+			}
+			return true
+		}
+		r.rs.ackArrived(ackKey{src: msg.To, dst: msg.From, grad: msg.Gradient, step: msg.Step})
+		return true
+	}
+	if sum := crc32.ChecksumIEEE(msg.Payload); sum != msg.Sum {
+		if r.reliable {
+			// Drop silently: no ack means the sender retransmits.
+			atomic.AddInt64(&r.rs.corruptDrops, 1)
+			if r.trc.Enabled() {
+				r.traceEvent(fmt.Sprintf("corrupt-drop %s←%d", msg.Gradient, msg.From), "chaos", rt.id)
+			}
+			return true
+		}
+		r.fail(fmt.Errorf("core: node %d received corrupted payload for %q from %d (checksum %08x != header %08x, %d bytes)",
+			rt.id, msg.Gradient, msg.From, sum, msg.Sum, len(msg.Payload)))
+		return false
+	}
+	// A checksum-valid data message is as good as an ack for liveness.
+	r.hp.arrival(msg.From)
+	step, part := unpackStep(msg.Step)
+	key := mkey{msg.Gradient, part, step, msg.From}
+	if r.reliable && rt.seen[key] {
+		// Duplicate (retransmission or injected dup): re-ack, discard.
+		atomic.AddInt64(&r.rs.duplicates, 1)
+		if r.trc.Enabled() {
+			r.traceEvent(fmt.Sprintf("dup-drop %s←%d", msg.Gradient, msg.From), "dedup", rt.id)
+		}
+		r.sendAck(rt.id, *msg)
+		return true
+	}
+	id, armed := rt.recvIdx[key]
+	if !armed {
+		r.fail(fmt.Errorf("core: node %d got unexpected message %+v", rt.id, key))
+		return false
+	}
+	if r.reliable {
+		rt.seen[key] = true
+		r.sendAck(rt.id, *msg)
+	}
+	if r.isCompleted(id) {
+		return true // force-completed by degradation; too late to matter
+	}
+	t := r.g.Tasks[id]
+	start := r.trc.Now()
+	if err := r.execRecv(rt, t, msg); err != nil {
+		r.fail(err)
+		return false
+	}
+	r.traceTask(t, start)
+	r.completeTask(id)
+	return true
 }
 
 // sendAck acknowledges a transfer asynchronously (a blocked ack must not
@@ -1130,9 +1183,15 @@ func (r *liveRound) reliableSend(msg netsim.Message) error {
 // noteSendError classifies a transport Send failure. The socket plane's
 // typed *netsim.ConnError — a connection lifecycle that exhausted its
 // redial budget — is surfaced as reconnect evidence to the health plane
-// (detector-grade signal against the peer) and counted in RoundHealth;
-// everything else stays an anonymous failed attempt for the retry loop.
+// (detector-grade signal against the peer) and counted in RoundHealth. A
+// message the wire format cannot carry (netsim.ErrUnsendable) fails the
+// round at once: retransmitting it can only time the round out. Everything
+// else stays an anonymous failed attempt for the retry loop.
 func (r *liveRound) noteSendError(msg netsim.Message, err error) {
+	if errors.Is(err, netsim.ErrUnsendable) {
+		r.fail(fmt.Errorf("core: node %d cannot send %q to %d: %w", msg.From, msg.Gradient, msg.To, err))
+		return
+	}
 	var cerr *netsim.ConnError
 	if !errors.As(err, &cerr) {
 		return
@@ -1381,9 +1440,8 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 			// residual-add+encode writes straight into a leased payload
 			// buffer (fresh per encode; the previous step's payload may
 			// still be in flight, so in-round reuse would race).
-			key := fmt.Sprintf("%s/p%d/ph%d/s%d", t.Grad, t.Part, t.Phase, t.Step)
 			dst := rt.lease.Bytes(lc.ef[rt.id].MaxEncodedSize(len(acc)))
-			payload, err = lc.ef[rt.id].EncodeWithFeedbackInto(key, dst, acc)
+			payload, err = lc.ef[rt.id].EncodeWithFeedbackInto(lc.efKey(t), dst, acc)
 		} else {
 			dst := rt.lease.Bytes(compress.MaxEncodedSize(lc.comp[rt.id], len(acc)))
 			payload, err = compress.EncodeInto(lc.comp[rt.id], dst, acc)
@@ -1620,14 +1678,18 @@ func (r *liveRound) execSend(rt *nodeRT, t *Task) error {
 }
 
 // execRecv stores a received payload and, for uncompressed dissemination,
-// writes the result directly.
-func (r *liveRound) execRecv(rt *nodeRT, t *Task, payload []byte) error {
+// writes the result directly. The stored payload is referenced until the
+// round tears down (decode, merge, ring forwarding), so the buffer the
+// transport leased for it joins the round lease here.
+func (r *liveRound) execRecv(rt *nodeRT, t *Task, msg *netsim.Message) error {
 	if t.Exec != nil {
 		return t.Exec()
 	}
+	payload := msg.Payload
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.in[bkey{t.Grad, t.Part, t.Peer}] = payload
+	rt.lease.Adopt(&msg.Lease)
 	if r.algos[t.Grad] == "" {
 		// Raw payloads must reinterpret exactly: reject truncated or
 		// padded frames up front with a descriptive error.

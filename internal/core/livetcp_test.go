@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"hash/fnv"
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"hipress/internal/kernels"
 	"hipress/internal/netsim"
 )
 
@@ -48,6 +51,50 @@ func tcpParityConfig() LiveConfig {
 		Strategy: StrategyPS, Parts: 2, Algo: "onebit", ErrorFeedback: true,
 		Reliable: true,
 		Retry:    RetryPolicy{MaxAttempts: 8, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
+	}
+}
+
+// wireChaosParityConfig is tcpParityConfig over loopback TCP with mid-stream
+// resets and byte corruption injected on (nearly) every connection.
+func wireChaosParityConfig() LiveConfig {
+	chaos := tcpParityConfig()
+	chaos.Transport = "tcp"
+	chaos.TCP = &netsim.TCPOptions{
+		RedialAttempts: 6,
+		// A corrupted length prefix can wedge a receiver mid-bogus-frame,
+		// silently eating every subsequent ack on that stream while the
+		// sender's writes keep landing in kernel buffers. A short idle read
+		// deadline kills the desynced stream fast enough for redial +
+		// generation resync to restore ack flow inside the retry budget.
+		IdleReadTimeout: 40 * time.Millisecond,
+		Chaos: &netsim.WireChaosConfig{
+			Seed:    77,
+			CutProb: 0.9, // mid-stream RST, truncating a frame
+			// Default cut offsets reach ~4 KiB into a stream, beyond what a
+			// small round writes per link; keep the cut inside real traffic.
+			CutAfterMax: 600,
+			// Corrupt one byte on every connection, inside the first frame:
+			// header hits kill the stream (resync path), payload hits trip
+			// the live plane's CRC (retry path).
+			CorruptProb:   1,
+			CorruptWindow: 64,
+		},
+	}
+	return chaos
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// baseline: the per-round transports and workers must all have exited.
+func waitGoroutines(t *testing.T, baseline int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked after %s: %d > %d\n%s",
+				after, runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -110,30 +157,7 @@ func TestLiveTCPWireChaosBitIdentical(t *testing.T) {
 	clean := tcpParityConfig()
 	cleanDigests, _ := runDigests(t, clean, n, rounds)
 
-	chaos := tcpParityConfig()
-	chaos.Transport = "tcp"
-	chaos.TCP = &netsim.TCPOptions{
-		RedialAttempts: 6,
-		// A corrupted length prefix can wedge a receiver mid-bogus-frame,
-		// silently eating every subsequent ack on that stream while the
-		// sender's writes keep landing in kernel buffers. A short idle read
-		// deadline kills the desynced stream fast enough for redial +
-		// generation resync to restore ack flow inside the retry budget.
-		IdleReadTimeout: 40 * time.Millisecond,
-		Chaos: &netsim.WireChaosConfig{
-			Seed:    77,
-			CutProb: 0.9, // mid-stream RST, truncating a frame
-			// Default cut offsets reach ~4 KiB into a stream, beyond what a
-			// small round writes per link; keep the cut inside real traffic.
-			CutAfterMax: 600,
-			// Corrupt one byte on every connection, inside the first frame:
-			// header hits kill the stream (resync path), payload hits trip
-			// the live plane's CRC (retry path).
-			CorruptProb:   1,
-			CorruptWindow: 64,
-		},
-	}
-	chaosDigests, health := runDigests(t, chaos, n, rounds)
+	chaosDigests, health := runDigests(t, wireChaosParityConfig(), n, rounds)
 
 	for i := range cleanDigests {
 		if cleanDigests[i] != chaosDigests[i] {
@@ -156,15 +180,43 @@ func TestLiveTCPWireChaosBitIdentical(t *testing.T) {
 		t.Fatalf("wire faults escalated to exclusions: %+v", health.ExcludedPeers)
 	}
 	// Zero leaked goroutines once the per-round transports are closed.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked after chaos rounds: %d > %d\n%s",
-				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+	waitGoroutines(t, baseline, "chaos rounds")
+}
+
+// TestLiveTCPSettlesEveryLease is the round half of the lease accounting:
+// the read loops check a payload buffer out of the arena for every gradient
+// frame and hand it to the round with the message. After rounds over clean
+// and fault-injected TCP — adopted payloads, duplicates and late frames
+// released on the spot, frames stranded in an inbox at teardown — every
+// buffer checked out during the rounds is back in the arena, and no
+// goroutine outlives them.
+func TestLiveTCPSettlesEveryLease(t *testing.T) {
+	const n, rounds = 3, 3
+	checkedOut := func(cfg LiveConfig) (gets int64) {
+		t.Helper()
+		baseline := runtime.NumGoroutine()
+		before := kernels.DefaultArenaStats()
+		runDigests(t, cfg, n, rounds)
+		after := kernels.DefaultArenaStats()
+		gets = after.Gets - before.Gets
+		if puts := after.Puts - before.Puts; puts != gets {
+			t.Errorf("transport %q: %d arena buffers checked out, %d returned", cfg.Transport, gets, puts)
 		}
-		time.Sleep(2 * time.Millisecond)
+		waitGoroutines(t, baseline, "rounds over "+cfg.Transport)
+		return gets
 	}
+	viaChan := checkedOut(tcpParityConfig())
+	clean := tcpParityConfig()
+	clean.Transport = "tcp"
+	if viaTCP := checkedOut(clean); viaTCP <= viaChan {
+		t.Errorf("tcp rounds checked out %d buffers, chan rounds %d: receive frames are not leased", viaTCP, viaChan)
+	}
+	checkedOut(wireChaosParityConfig())
+	// The windowed engine keeps several leased frames per link in flight,
+	// and a raw ring forwards received buffers onward.
+	ring := LiveConfig{Strategy: StrategyRing, Parts: 2, Reliable: true, Transport: "tcp",
+		Pipeline: PipelineConfig{Window: 4, AckBatch: 4, OverlapEncode: true}}
+	checkedOut(ring)
 }
 
 // TestLiveTCPReconnectEvidence: an accept-time blackout makes the victim
@@ -248,5 +300,46 @@ func TestLiveTCPHalfOpenPeerPhiConviction(t *testing.T) {
 	}
 	if health.Wire == nil || health.Wire.BlackholedWrites == 0 {
 		t.Fatalf("one-way partition never swallowed a write: %+v", health.Wire)
+	}
+}
+
+// TestLiveTCPUnsendableFailsFast: a gradient whose name overflows the
+// frame's u16 length field can never be delivered, so the round must fail
+// with the transport's typed error at the first send — in reliable mode
+// too, where an ordinary send failure is retried until the round times out.
+func TestLiveTCPUnsendableFailsFast(t *testing.T) {
+	for _, reliable := range []bool{false, true} {
+		lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, Parts: 1, Transport: "tcp",
+			Reliable: reliable, RoundTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grads, _ := makeGrads(3, 3, map[string]int{strings.Repeat("n", 1<<16): 32})
+		start := time.Now()
+		_, _, err = lc.SyncRoundContext(context.Background(), grads)
+		var lim *netsim.FrameLimitError
+		if !errors.As(err, &lim) || !errors.Is(err, netsim.ErrUnsendable) {
+			t.Fatalf("reliable=%v: round error = %v, want a wrapped *netsim.FrameLimitError", reliable, err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("reliable=%v: unsendable message took %v to fail the round", reliable, d)
+		}
+	}
+}
+
+// TestEFKeyFormatFrozen pins the error-feedback residual key: checkpoints
+// store residuals under these strings, so the interned key must stay
+// byte-identical to the formatted one, and a repeat lookup must be free.
+func TestEFKeyFormatFrozen(t *testing.T) {
+	lc, err := NewLiveCluster(2, LiveConfig{Strategy: StrategyPS, Parts: 2, Algo: "onebit", ErrorFeedback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := &Task{Grad: "fc6.weight", Part: 1, Phase: 2, Step: 13}
+	if got, want := lc.efKey(task), "fc6.weight/p1/ph2/s13"; got != want {
+		t.Fatalf("efKey = %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = lc.efKey(task) }); allocs != 0 {
+		t.Fatalf("interned efKey lookup allocates %v objects, want 0", allocs)
 	}
 }

@@ -40,6 +40,7 @@ type arena struct {
 
 	gets atomic.Int64
 	hits atomic.Int64
+	puts atomic.Int64
 
 	met atomic.Pointer[arenaMetrics]
 }
@@ -164,6 +165,7 @@ func (a *arena) get(n int, kind int8) *buf {
 }
 
 func (a *arena) put(w *buf) {
+	a.puts.Add(1)
 	if w.class < 0 {
 		w.b = nil // drop oversize backing, recycle only the wrapper
 		a.wrappers.Put(w)
@@ -181,9 +183,10 @@ func (a *arena) put(w *buf) {
 type ArenaStats struct {
 	Gets int64 // total checkouts
 	Hits int64 // checkouts served from a pool (no allocation)
+	Puts int64 // buffers handed back by Release; Gets-Puts are still checked out (or were left to the GC)
 }
 
 // DefaultArenaStats snapshots the default arena.
 func DefaultArenaStats() ArenaStats {
-	return ArenaStats{Gets: defaultArena.gets.Load(), Hits: defaultArena.hits.Load()}
+	return ArenaStats{Gets: defaultArena.gets.Load(), Hits: defaultArena.hits.Load(), Puts: defaultArena.puts.Load()}
 }

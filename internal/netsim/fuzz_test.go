@@ -8,21 +8,27 @@ import (
 	"testing"
 )
 
-// FuzzFrameDecode drives decodeFrame — the TCP transport's wire-format
+// FuzzFrameDecode drives frameReader.next — the TCP transport's wire-format
 // parser, the first code that touches bytes off the network — with arbitrary
-// frame bodies. The contract under fuzzing:
+// whole-frame bodies, split into header, gradient name and payload exactly
+// as the read loop splits them off a socket. The contract under fuzzing:
 //
-//  1. decodeFrame never panics, whatever the bytes (the read loop feeds it
+//  1. the reader never panics, whatever the bytes (the read loop feeds it
 //     attacker-shaped data whenever chaos corrupts a stream);
 //  2. any frame it accepts round-trips: re-encoding the decoded Message
-//     under the decoded generation reproduces the input bytes exactly, so
-//     decode is a true inverse of encodeFrame and no accepted frame is
-//     ambiguous.
+//     under the decoded generation (frame head + payload, as writeFrame
+//     sends them) reproduces the input bytes exactly, so the split decoder
+//     is a true inverse of the encoder over whole-frame bytes and no
+//     accepted frame is ambiguous;
+//  3. a reader that has already decoded another frame — warm scratch buffer
+//     and name table — decodes the same bytes to the same message.
 func FuzzFrameDecode(f *testing.F) {
 	// Well-formed seeds: a data frame, an ack, a negative From (int32
-	// casts), an empty-everything frame — plus malformed ones (empty,
-	// truncated header, bad version, bad flags, gradient length past the
-	// body).
+	// casts), an empty-everything frame, the shapes where the split falls
+	// differently (payload without a name, name without a payload, a
+	// size-class-exact payload, a batch carrying a name of its own) — plus
+	// malformed ones (empty, truncated header, bad version, bad flags,
+	// gradient length past the body, a data frame with the batch bit forced).
 	seeds := []struct {
 		msg Message
 		gen uint32
@@ -36,6 +42,10 @@ func FuzzFrameDecode(f *testing.F) {
 		{Message{From: 2, To: 1, Ack: true, Step: 5, Attempt: 2, AckBatch: []AckRef{
 			{Gradient: "g/p0", Step: 7, Attempt: 1}, {Gradient: "g/p1", Step: 9}}}, 4},
 		{Message{}, 0},
+		{Message{From: 1, To: 0, Step: 3, Sum: 7, Payload: []byte("payload, no name")}, 5},
+		{Message{From: 1, To: 0, Gradient: "name, no payload", Step: 3}, 5},
+		{Message{From: 0, To: 1, Gradient: "g/p1", Step: 1 | 1<<20, Payload: bytes.Repeat([]byte{0xa5}, 1024)}, 6},
+		{Message{From: 2, To: 1, Gradient: "seq", Ack: true, AckBatch: []AckRef{{Gradient: "seq", Step: 1}}}, 7},
 	}
 	for _, s := range seeds {
 		f.Add(encodeFrame(s.msg, s.gen)[4:]) // strip the u32 length prefix
@@ -61,17 +71,26 @@ func FuzzFrameDecode(f *testing.F) {
 	flip := encodeFrame(seeds[0].msg, 1)[4:]
 	flip[21] ^= 0x20 // in-header bit flip: must fail the frame checksum
 	f.Add(flip)
+	batchBit := encodeFrame(seeds[0].msg, 1)[4:]
+	batchBit[31] |= 4 // gradient payload parsed as an ack batch
+	f.Add(restamp(batchBit))
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		msg, gen, err := decodeFrame(frame)
 		if err != nil {
 			return // rejected is fine; not panicking is the point
 		}
-		re := encodeFrame(msg, gen)[4:]
-		if !bytes.Equal(re, frame) {
-			t.Fatalf("accepted frame does not round-trip:\n in: %x\nout: %x", frame, re)
+		re := encodeFrame(msg, gen)
+		if !bytes.Equal(re[4:], frame) {
+			t.Fatalf("accepted frame does not round-trip:\n in: %x\nout: %x", frame, re[4:])
 		}
-		msg2, gen2, err := decodeFrame(re)
+		// Decode it again behind another frame on one stream.
+		warm := encodeFrame(Message{From: 9, To: 8, Gradient: "warm", Payload: []byte("warm-up")}, 1)
+		fr := frameReader{r: bytes.NewReader(append(warm, re...)), maxLen: defaultMaxFrameLen}
+		if _, _, err := fr.next(); err != nil {
+			t.Fatalf("warm-up frame rejected: %v", err)
+		}
+		msg2, gen2, err := fr.next()
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}

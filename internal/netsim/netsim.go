@@ -13,6 +13,8 @@ package netsim
 import (
 	"fmt"
 	"sync"
+
+	"hipress/internal/kernels"
 )
 
 // Gbps converts a link rate in gigabits/second to effective bytes/second.
@@ -102,6 +104,15 @@ type Message struct {
 	// transport the batch is carried in the payload region under a
 	// dedicated frame flag.
 	AckBatch []AckRef
+	// Lease, when it holds a buffer, owns Payload's backing array: the TCP
+	// transport reads each payload off the socket straight into an arena
+	// buffer, and ownership travels with the delivered message. The
+	// receiver either splices it into a longer-lived lease (Lease.Adopt) to
+	// keep Payload valid, or calls Lease.Release once it is done with the
+	// bytes; a receiver that does neither just leaves the buffer to the GC.
+	// Senders leave it zero — Send never reads it. Do not settle the lease
+	// through more than one copy of the message.
+	Lease kernels.Lease
 }
 
 // AckRef identifies one transfer inside a batched acknowledgement, mirroring

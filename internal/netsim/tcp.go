@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hipress/internal/kernels"
 	"hipress/internal/telemetry"
 )
 
@@ -104,6 +106,7 @@ const (
 	MetricTCPCorruptFrames    = "hipress_tcp_corrupt_frames_total"
 	MetricTCPDroppedFrames    = "hipress_tcp_dropped_frames_total"
 	MetricTCPStaleConns       = "hipress_tcp_stale_conns_total"
+	MetricTCPStaleFrames      = "hipress_tcp_stale_frames_total"
 	MetricTCPIdleDrops        = "hipress_tcp_idle_drops_total"
 	MetricTCPAcceptDrops      = "hipress_tcp_accept_drops_total"
 	MetricTCPHandshakeRejects = "hipress_tcp_handshake_rejects_total"
@@ -186,6 +189,68 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	return o
 }
 
+// ErrUnsendable marks a message the frame format cannot carry. Retrying it
+// cannot succeed: callers must not treat it as a transient send failure.
+var ErrUnsendable = errors.New("netsim: message does not fit the frame format")
+
+// FrameLimitError is Send's typed rejection of a message that would
+// overflow a frame v2 field — a u16 gradient-name length, attempt counter
+// or ack-batch count, or the transport's MaxFrameLen. Send returns it
+// before any byte is written or any connection dialed; it unwraps to
+// ErrUnsendable.
+type FrameLimitError struct {
+	// From, To name the directed link.
+	From, To int
+	// Field names the overflowing quantity: "gradient name length",
+	// "attempt", "ack batch count", "frame length".
+	Field string
+	// Got is the offending value and Limit the largest the field carries.
+	Got, Limit int
+}
+
+// Error implements error.
+func (e *FrameLimitError) Error() string {
+	return fmt.Sprintf("netsim: tcp send %d→%d: %s %d outside [0, %d]", e.From, e.To, e.Field, e.Got, e.Limit)
+}
+
+// Unwrap exposes the non-retryable sentinel.
+func (e *FrameLimitError) Unwrap() error { return ErrUnsendable }
+
+// checkSendable validates msg against the frame format's field widths and
+// the frame length cap, so an unrepresentable message fails at its sender
+// instead of being truncated on the wire or killing the receiving stream.
+func checkSendable(msg Message, maxFrameLen int) error {
+	limit := func(field string, got, max int) error {
+		if got < 0 || got > max {
+			return &FrameLimitError{From: msg.From, To: msg.To, Field: field, Got: got, Limit: max}
+		}
+		return nil
+	}
+	if err := limit("gradient name length", len(msg.Gradient), math.MaxUint16); err != nil {
+		return err
+	}
+	if err := limit("attempt", msg.Attempt, math.MaxUint16); err != nil {
+		return err
+	}
+	body := len(msg.Payload)
+	if len(msg.AckBatch) > 0 {
+		if err := limit("ack batch count", len(msg.AckBatch), math.MaxUint16); err != nil {
+			return err
+		}
+		body = 2
+		for _, ref := range msg.AckBatch {
+			if err := limit("gradient name length", len(ref.Gradient), math.MaxUint16); err != nil {
+				return err
+			}
+			if err := limit("attempt", ref.Attempt, math.MaxUint16); err != nil {
+				return err
+			}
+			body += 12 + len(ref.Gradient)
+		}
+	}
+	return limit("frame length", frameHdrLen+len(msg.Gradient)+body, maxFrameLen)
+}
+
 // ConnError is Send's typed failure: the connection lifecycle exhausted its
 // redial budget on one directed link. The live plane surfaces it as
 // reconnect evidence for the health plane; Unwrap exposes the final
@@ -233,11 +298,17 @@ type TCPStats struct {
 }
 
 // tcpConn is one dial-side connection: the socket, its session generation,
-// and the write lock that keeps frames from interleaving.
+// and the write lock that keeps frames from interleaving. The lock also
+// guards the reused frame head and the two-element vector handed to the
+// vectored write, so a steady-state send allocates nothing.
 type tcpConn struct {
 	c   net.Conn
 	gen uint32
 	wmu sync.Mutex
+
+	head []byte
+	vec  [2][]byte
+	bufs net.Buffers
 }
 
 // TCPTransport implements Transport over real loopback TCP sockets: each
@@ -430,7 +501,7 @@ func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 			"connection generations accepted over a superseded stream")
 	}
 
-	var hdr [4]byte
+	fr := frameReader{r: conn, maxLen: t.opts.MaxFrameLen}
 	corrupt := 0 // consecutive undecodable frame bodies on this stream
 	for {
 		if d := t.opts.IdleReadTimeout; d > 0 {
@@ -438,36 +509,25 @@ func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 		} else {
 			conn.SetReadDeadline(time.Time{})
 		}
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			var nerr net.Error
-			if isNetTimeout(err, &nerr) {
-				// Half-open peer: the socket is alive but nothing arrives.
-				t.count(&t.stats.IdleDrops, MetricTCPIdleDrops,
-					"half-open connections killed by the idle read deadline")
-			}
-			return
-		}
-		frameLen := int(binary.LittleEndian.Uint32(hdr[:]))
-		// Validate the claimed length BEFORE allocating: a corrupt prefix
-		// may claim gigabytes.
-		if frameLen < frameHdrLen || frameLen > t.opts.MaxFrameLen {
-			t.count(&t.stats.CorruptFrames, MetricTCPCorruptFrames,
-				"frames rejected by length/format validation")
-			return
-		}
-		frame := make([]byte, frameLen)
-		if _, err := io.ReadFull(conn, frame); err != nil {
-			return
-		}
-		msg, fgen, err := decodeFrame(frame)
+		msg, fgen, err := fr.next()
 		if err != nil {
+			var ferr *frameError
+			if !errors.As(err, &ferr) {
+				var nerr net.Error
+				if isNetTimeout(err, &nerr) {
+					// Half-open peer: the socket is alive but nothing arrives.
+					t.count(&t.stats.IdleDrops, MetricTCPIdleDrops,
+						"half-open connections killed by the idle read deadline")
+				}
+				return
+			}
 			t.count(&t.stats.CorruptFrames, MetricTCPCorruptFrames,
 				"frames rejected by length/format validation")
-			// The length prefix was consistent, so framing still holds:
-			// drop the bad body in place and let the reliable layer
-			// retransmit on this connection. Only consecutive failures —
-			// the signature of a desynced stream — kill it.
-			if corrupt++; corrupt > corruptFrameTolerance {
+			// A consumed body means the length prefix was consistent, so
+			// framing still holds: drop the bad frame in place and let the
+			// reliable layer retransmit on this connection. Only consecutive
+			// failures — the signature of a desynced stream — kill it.
+			if corrupt++; !ferr.framed || corrupt > corruptFrameTolerance {
 				return
 			}
 			continue
@@ -476,13 +536,15 @@ func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 		if fgen != gen {
 			// A frame from another generation on this stream means the
 			// sender state-machine is broken; kill the connection.
-			t.count(&t.stats.StaleFrames, MetricTCPStaleConns,
-				"handshakes rejected for a non-advancing generation")
+			t.count(&t.stats.StaleFrames, MetricTCPStaleFrames,
+				"frames rejected for a session-generation mismatch")
+			msg.Lease.Release()
 			return
 		}
 		if msg.To != node {
 			t.count(&t.stats.DroppedFrames, MetricTCPDroppedFrames,
 				"decoded frames discarded (drain or misrouted)")
+			msg.Lease.Release()
 			continue
 		}
 		// Graceful drain: prefer a non-blocking delivery so frames already
@@ -496,6 +558,7 @@ func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 		case <-t.done:
 			t.count(&t.stats.DroppedFrames, MetricTCPDroppedFrames,
 				"decoded frames discarded (drain or misrouted)")
+			msg.Lease.Release()
 			return
 		case t.inboxes[node] <- msg:
 		}
@@ -534,65 +597,62 @@ func decodeHello(b []byte) (int, uint32, error) {
 	return src, gen, nil
 }
 
-// encodeFrame builds one length-prefixed v2 frame carrying the connection's
-// session generation, stamping the frame checksum over everything after it.
-func encodeFrame(msg Message, gen uint32) []byte {
-	grad := []byte(msg.Gradient)
-	payload := msg.Payload
-	if len(msg.AckBatch) > 0 {
-		payload = encodeAckBatch(msg.AckBatch)
-	}
-	frameLen := frameHdrLen + len(grad) + len(payload)
-	out := make([]byte, 4+frameLen)
-	binary.LittleEndian.PutUint32(out[0:], uint32(frameLen))
-	out[8] = frameVersion
-	binary.LittleEndian.PutUint32(out[9:], gen)
-	binary.LittleEndian.PutUint32(out[13:], uint32(int32(msg.From)))
-	binary.LittleEndian.PutUint32(out[17:], uint32(int32(msg.To)))
-	binary.LittleEndian.PutUint64(out[21:], uint64(int64(msg.Step)))
-	binary.LittleEndian.PutUint32(out[29:], msg.Sum)
-	binary.LittleEndian.PutUint16(out[33:], uint16(msg.Attempt))
+// appendFrameHead builds everything of msg's frame except the gradient
+// payload into dst[:0] — the u32 length prefix, the fixed v2 header, the
+// gradient name and, for a batched acknowledgement, the batch — and stamps
+// the frame checksum incrementally over the head and then the payload, so
+// the payload bytes are read once and never copied. The caller transmits
+// the head followed by the returned payload (nil for a batched ack).
+func appendFrameHead(dst []byte, msg Message, gen uint32) (head, payload []byte) {
+	var h [4 + frameHdrLen]byte
+	h[8] = frameVersion
+	binary.LittleEndian.PutUint32(h[9:], gen)
+	binary.LittleEndian.PutUint32(h[13:], uint32(int32(msg.From)))
+	binary.LittleEndian.PutUint32(h[17:], uint32(int32(msg.To)))
+	binary.LittleEndian.PutUint64(h[21:], uint64(int64(msg.Step)))
+	binary.LittleEndian.PutUint32(h[29:], msg.Sum)
+	binary.LittleEndian.PutUint16(h[33:], uint16(msg.Attempt))
 	if msg.Ack {
-		out[35] |= 1
+		h[35] |= 1
 	}
 	if msg.Heartbeat {
-		out[35] |= 2
+		h[35] |= 2
 	}
 	if len(msg.AckBatch) > 0 {
-		out[35] |= 4
+		h[35] |= 4
 	}
-	binary.LittleEndian.PutUint16(out[36:], uint16(len(grad)))
-	copy(out[38:], grad)
-	copy(out[38+len(grad):], payload)
-	binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(out[8:]))
-	return out
+	binary.LittleEndian.PutUint16(h[36:], uint16(len(msg.Gradient)))
+	head = append(dst[:0], h[:]...)
+	head = append(head, msg.Gradient...)
+	if len(msg.AckBatch) > 0 {
+		head = appendAckBatch(head, msg.AckBatch)
+	} else {
+		payload = msg.Payload
+	}
+	binary.LittleEndian.PutUint32(head[0:], uint32(len(head)-4+len(payload)))
+	fsum := crc32.Update(crc32.Update(0, crc32.IEEETable, head[8:]), crc32.IEEETable, payload)
+	binary.LittleEndian.PutUint32(head[4:], fsum)
+	return head, payload
 }
 
-// encodeAckBatch serializes batched-ack entries into the frame payload
+// appendAckBatch serializes batched-ack entries into the frame payload
 // region: u16 count, then per entry u64 step | u16 attempt | u16 gradLen |
 // grad.
-func encodeAckBatch(refs []AckRef) []byte {
-	size := 2
+func appendAckBatch(dst []byte, refs []AckRef) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(refs)))
 	for _, ref := range refs {
-		size += 8 + 2 + 2 + len(ref.Gradient)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(ref.Step)))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(ref.Attempt))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ref.Gradient)))
+		dst = append(dst, ref.Gradient...)
 	}
-	out := make([]byte, size)
-	binary.LittleEndian.PutUint16(out[0:], uint16(len(refs)))
-	off := 2
-	for _, ref := range refs {
-		binary.LittleEndian.PutUint64(out[off:], uint64(int64(ref.Step)))
-		binary.LittleEndian.PutUint16(out[off+8:], uint16(ref.Attempt))
-		binary.LittleEndian.PutUint16(out[off+10:], uint16(len(ref.Gradient)))
-		copy(out[off+12:], ref.Gradient)
-		off += 12 + len(ref.Gradient)
-	}
-	return out
+	return dst
 }
 
 // decodeAckBatch parses a batched-ack payload, rejecting non-canonical
 // encodings (zero entries, truncation, trailing bytes) so accepted batch
-// frames round-trip exactly.
-func decodeAckBatch(b []byte) ([]AckRef, error) {
+// frames round-trip exactly. Gradient names go through intern.
+func decodeAckBatch(b []byte, intern func([]byte) string) ([]AckRef, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("netsim: ack batch truncated: %d bytes", len(b))
 	}
@@ -612,7 +672,7 @@ func decodeAckBatch(b []byte) ([]AckRef, error) {
 		if off+12+gradLen > len(b) {
 			return nil, fmt.Errorf("netsim: ack batch entry %d/%d gradient length %d exceeds payload", i, count, gradLen)
 		}
-		refs = append(refs, AckRef{Gradient: string(b[off+12 : off+12+gradLen]), Step: step, Attempt: attempt})
+		refs = append(refs, AckRef{Gradient: intern(b[off+12 : off+12+gradLen]), Step: step, Attempt: attempt})
 		off += 12 + gradLen
 	}
 	if off != len(b) {
@@ -621,50 +681,154 @@ func decodeAckBatch(b []byte) ([]AckRef, error) {
 	return refs, nil
 }
 
-// decodeFrame validates and decodes one v2 frame body (without the u32
-// length prefix), returning the message and the generation it was encoded
-// under. Truncated or inconsistent frames yield a descriptive error so
-// chaos-corrupted wire bytes fail loudly instead of decoding garbage.
-func decodeFrame(frame []byte) (Message, uint32, error) {
-	if len(frame) < frameHdrLen {
-		return Message{}, 0, fmt.Errorf("netsim: truncated frame: %d bytes < %d-byte header", len(frame), frameHdrLen)
+// frameError is a frame rejected by validation (as opposed to an I/O error
+// on the stream). framed records whether the whole claimed body was
+// consumed, i.e. whether the stream still stands at a frame boundary.
+type frameError struct {
+	framed bool
+	err    error
+}
+
+func (e *frameError) Error() string { return e.err.Error() }
+func (e *frameError) Unwrap() error { return e.err }
+
+// frameReader decodes v2 frames off one accepted stream without copying
+// payload bytes: the length prefix, fixed header, gradient name and any
+// batched ack land in a scratch buffer reused from frame to frame, and a
+// gradient payload is read straight into an arena buffer that holds payload
+// bytes only (so a power-of-two payload stays in its own size class) and
+// that the returned Message owns through its Lease. Ack, heartbeat and
+// ack-batch frames lease nothing.
+type frameReader struct {
+	r       io.Reader
+	maxLen  int               // MaxFrameLen: cap on the claimed length, checked before any read
+	scratch []byte            // prefix + header + name (+ ack batch) of the current frame
+	names   map[string]string // gradient names seen on this stream, interned
+}
+
+// intern returns b as a string, allocating only the first time a name is
+// seen on this stream.
+func (fr *frameReader) intern(b []byte) string {
+	if s, ok := fr.names[string(b)]; ok {
+		return s
+	}
+	if fr.names == nil {
+		fr.names = map[string]string{}
+	}
+	s := string(b)
+	fr.names[s] = s
+	return s
+}
+
+// next reads and validates one frame, returning the message and the session
+// generation it was encoded under. A *frameError reports a frame rejected
+// by validation — truncated or inconsistent frames fail loudly instead of
+// decoding garbage; any other error is the stream's own. On every error
+// path the payload buffer has already gone back to the arena.
+func (fr *frameReader) next() (Message, uint32, error) {
+	const fixed = 4 + frameHdrLen
+	if cap(fr.scratch) < fixed {
+		fr.scratch = make([]byte, fixed, 256)
+	}
+	// One read normally brings the prefix and the fixed header together (the
+	// sender writes them in one piece), but the prefix alone is enough to
+	// judge the claimed length — BEFORE waiting on, or reserving anything
+	// for, the body: a corrupt prefix may claim gigabytes.
+	b := fr.scratch[:fixed]
+	n, err := io.ReadAtLeast(fr.r, b, 4)
+	if err != nil {
+		return Message{}, 0, err
+	}
+	frameLen := int(binary.LittleEndian.Uint32(b[0:]))
+	if frameLen < frameHdrLen || frameLen > fr.maxLen {
+		return Message{}, 0, &frameError{err: fmt.Errorf("netsim: frame length %d outside [%d, %d]", frameLen, frameHdrLen, fr.maxLen)}
+	}
+	if _, err := io.ReadFull(fr.r, b[n:]); err != nil {
+		return Message{}, 0, err
+	}
+	rest := frameLen - frameHdrLen
+	gradLen := int(binary.LittleEndian.Uint16(b[36:]))
+	if gradLen > rest {
+		// Consume the body so the stream stays at a frame boundary.
+		if _, err := io.CopyN(io.Discard, fr.r, int64(rest)); err != nil {
+			return Message{}, 0, err
+		}
+		return Message{}, 0, &frameError{framed: true,
+			err: fmt.Errorf("netsim: frame gradient length %d exceeds frame body %d", gradLen, rest)}
+	}
+	// The flags are not yet checksum-verified; a flipped batch bit only
+	// misdirects where the bytes land before the checksum rejects them.
+	tail := gradLen
+	if b[35]&4 != 0 {
+		tail = rest
+	}
+	if cap(b) < fixed+tail {
+		b = append(b, make([]byte, tail)...)
+		fr.scratch = b
+	}
+	b = b[:fixed+tail]
+	if _, err := io.ReadFull(fr.r, b[fixed:]); err != nil {
+		return Message{}, 0, err
+	}
+	var lease kernels.Lease
+	var payload []byte
+	if n := rest - tail; n > 0 {
+		payload = lease.Bytes(n)
+		if _, err := io.ReadFull(fr.r, payload); err != nil {
+			lease.Release()
+			return Message{}, 0, err
+		}
 	}
 	// Frame checksum first: it covers every byte after itself, so any wire
 	// bit flip — header fields included — is rejected before field decoding.
-	if fsum, got := binary.LittleEndian.Uint32(frame[0:]), crc32.ChecksumIEEE(frame[4:]); fsum != got {
-		return Message{}, 0, fmt.Errorf("netsim: frame checksum %08x != computed %08x", fsum, got)
+	fsum := binary.LittleEndian.Uint32(b[4:])
+	if got := crc32.Update(crc32.Update(0, crc32.IEEETable, b[8:]), crc32.IEEETable, payload); fsum != got {
+		lease.Release()
+		return Message{}, 0, &frameError{framed: true, err: fmt.Errorf("netsim: frame checksum %08x != computed %08x", fsum, got)}
 	}
-	if frame[4] != frameVersion {
-		return Message{}, 0, fmt.Errorf("netsim: frame version %d != %d", frame[4], frameVersion)
+	msg, gen, err := decodeFrameHead(b, gradLen, fr.intern)
+	if err != nil {
+		lease.Release()
+		return Message{}, 0, &frameError{framed: true, err: err}
 	}
-	gen := binary.LittleEndian.Uint32(frame[5:])
-	from := int(int32(binary.LittleEndian.Uint32(frame[9:])))
-	to := int(int32(binary.LittleEndian.Uint32(frame[13:])))
-	step := int(int64(binary.LittleEndian.Uint64(frame[17:])))
-	sum := binary.LittleEndian.Uint32(frame[25:])
-	attempt := int(binary.LittleEndian.Uint16(frame[29:]))
-	flags := frame[31]
+	msg.Payload, msg.Lease = payload, lease
+	return msg, gen, nil
+}
+
+// decodeFrameHead decodes a checksum-verified frame head — length prefix,
+// fixed header, gradLen bytes of gradient name and, under the batch flag,
+// the batched acknowledgement — into a Message without its payload, plus
+// the session generation the frame was encoded under.
+func decodeFrameHead(b []byte, gradLen int, intern func([]byte) string) (Message, uint32, error) {
+	const fixed = 4 + frameHdrLen
+	if len(b) < fixed+gradLen {
+		return Message{}, 0, fmt.Errorf("netsim: truncated frame head: %d bytes < %d", len(b), fixed+gradLen)
+	}
+	if b[8] != frameVersion {
+		return Message{}, 0, fmt.Errorf("netsim: frame version %d != %d", b[8], frameVersion)
+	}
+	flags := b[35]
 	if flags&^7 != 0 {
 		return Message{}, 0, fmt.Errorf("netsim: frame with unknown flags 0x%02x", flags)
 	}
-	gradLen := int(binary.LittleEndian.Uint16(frame[32:]))
-	if frameHdrLen+gradLen > len(frame) {
-		return Message{}, 0, fmt.Errorf("netsim: frame gradient length %d exceeds frame body %d",
-			gradLen, len(frame)-frameHdrLen)
+	msg := Message{
+		From:      int(int32(binary.LittleEndian.Uint32(b[13:]))),
+		To:        int(int32(binary.LittleEndian.Uint32(b[17:]))),
+		Gradient:  intern(b[fixed : fixed+gradLen]),
+		Step:      int(int64(binary.LittleEndian.Uint64(b[21:]))),
+		Attempt:   int(binary.LittleEndian.Uint16(b[33:])),
+		Ack:       flags&1 != 0,
+		Heartbeat: flags&2 != 0,
+		Sum:       binary.LittleEndian.Uint32(b[29:]),
 	}
-	grad := string(frame[frameHdrLen : frameHdrLen+gradLen])
-	msg := Message{From: from, To: to, Gradient: grad, Step: step,
-		Attempt: attempt, Ack: flags&1 != 0, Heartbeat: flags&2 != 0, Sum: sum}
 	if flags&4 != 0 {
-		refs, err := decodeAckBatch(frame[frameHdrLen+gradLen:])
+		refs, err := decodeAckBatch(b[fixed+gradLen:], intern)
 		if err != nil {
 			return Message{}, 0, err
 		}
 		msg.AckBatch = refs
-		return msg, gen, nil
 	}
-	msg.Payload = append([]byte(nil), frame[frameHdrLen+gradLen:]...)
-	return msg, gen, nil
+	return msg, binary.LittleEndian.Uint32(b[9:]), nil
 }
 
 // Send implements Transport. A write failure (stalled peer, mid-stream cut,
@@ -673,7 +837,12 @@ func decodeFrame(frame []byte) (Message, uint32, error) {
 // receiver's generation admission guarantees the retransmission starts from
 // a clean frame boundary. When the redial budget is exhausted Send returns
 // a typed *ConnError (which still unwraps to a net.Error timeout when the
-// final failure was a stall).
+// final failure was a stall). A message the frame format cannot carry is
+// rejected up front with a *FrameLimitError, before any byte is written.
+//
+// The payload is transmitted straight from msg.Payload (a vectored write of
+// frame head + payload); it is only read, never modified, and must stay
+// unchanged until Send returns.
 func (t *TCPTransport) Send(msg Message) error {
 	select {
 	case <-t.done:
@@ -682,6 +851,9 @@ func (t *TCPTransport) Send(msg Message) error {
 	}
 	if msg.To < 0 || msg.To >= len(t.listeners) {
 		return fmt.Errorf("netsim: tcp send to invalid node %d", msg.To)
+	}
+	if err := checkSendable(msg, t.opts.MaxFrameLen); err != nil {
+		return err
 	}
 	var lastErr error
 	var lastGen uint32
@@ -747,15 +919,25 @@ func (t *TCPTransport) redialBackoff(i int) time.Duration {
 }
 
 // writeFrame transmits one frame under the connection's write lock and
-// deadline.
+// deadline: the frame head is built in the connection's reused buffer and
+// goes out with the caller's payload in one vectored write (a single writev
+// on a TCP socket; a wire-chaos wrapper sees the same bytes as two writes).
 func (t *TCPTransport) writeFrame(tc *tcpConn, msg Message) error {
-	frame := encodeFrame(msg, tc.gen)
 	tc.wmu.Lock()
 	defer tc.wmu.Unlock()
+	var payload []byte
+	tc.head, payload = appendFrameHead(tc.head, msg, tc.gen)
+	tc.vec = [2][]byte{tc.head, payload}
+	tc.bufs = tc.vec[:]
+	if len(payload) == 0 {
+		tc.bufs = tc.vec[:1]
+	}
 	if d := time.Duration(atomic.LoadInt64(&t.writeTimeout)); d > 0 {
 		tc.c.SetWriteDeadline(time.Now().Add(d)) //hipress:wallclock socket deadline arithmetic
 	}
-	if _, err := tc.c.Write(frame); err != nil {
+	// WriteTo clears each entry of vec as it is written out, so a completed
+	// write leaves nothing pinning the caller's payload.
+	if _, err := tc.bufs.WriteTo(tc.c); err != nil {
 		var nerr net.Error
 		if isNetTimeout(err, &nerr) {
 			return fmt.Errorf("netsim: tcp write %d→%d timed out (peer stalled): %w", msg.From, msg.To, nerr)

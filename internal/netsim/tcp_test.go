@@ -13,6 +13,21 @@ import (
 	"time"
 )
 
+// encodeFrame renders msg's whole frame — length prefix, head, payload — as
+// the contiguous bytes writeFrame's vectored write puts on the wire.
+func encodeFrame(msg Message, gen uint32) []byte {
+	head, payload := appendFrameHead(nil, msg, gen)
+	return append(head, payload...)
+}
+
+// decodeFrame runs one whole frame body (no length prefix) through the read
+// loop's split decoder, exactly as it would come off a socket.
+func decodeFrame(body []byte) (Message, uint32, error) {
+	wire := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+	fr := frameReader{r: bytes.NewReader(wire), maxLen: defaultMaxFrameLen}
+	return fr.next()
+}
+
 func TestTCPTransportRoundTrip(t *testing.T) {
 	tr, err := NewTCPTransport(3, 8)
 	if err != nil {
