@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fuzz check bench clean
+.PHONY: all build test race vet lint fuzz check bench loc clean
 
 all: build
 
@@ -49,6 +49,13 @@ check: vet lint race fuzz
 
 bench:
 	$(GO) run ./cmd/hipress-bench all
+
+# Non-test source lines per internal package — the unit ROADMAP states its
+# design-quality gates in.
+loc:
+	@for d in internal/*/; do \
+		printf '%-22s %6d\n' "$$d" "$$(find "$$d" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"; \
+	done
 
 clean:
 	$(GO) clean ./...

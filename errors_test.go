@@ -41,6 +41,14 @@ func TestTypedErrorsSurviveWrapping(t *testing.T) {
 			},
 		},
 		{
+			name: "ConfigError",
+			err:  &core.ConfigError{Field: "Chaos", Reason: "requires Reliable"},
+			as: func(err error) bool {
+				var e *core.ConfigError
+				return errors.As(err, &e) && e.Field == "Chaos"
+			},
+		},
+		{
 			name: "ConnError unwraps to its cause",
 			err:  &netsim.ConnError{From: 0, To: 1, Err: io.ErrUnexpectedEOF},
 			as: func(err error) bool {

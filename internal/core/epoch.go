@@ -181,20 +181,18 @@ func topoFor(s Strategy, n int) *Topology {
 }
 
 // validateEpoch checks a candidate epoch against the cluster's invariants:
-// the degradation and membership machinery constrain which strategies are
-// reachable at runtime exactly as they constrain the initial config.
+// the strategies reachable at runtime are exactly those LiveConfig.Validate
+// accepts for this cluster's degradation and membership settings.
 func (lc *LiveCluster) validateEpoch(ep PlanEpoch) error {
 	if ep.Parts < 1 || ep.Parts > maxEpochParts {
 		return fmt.Errorf("core: %v: partition count outside [1, %d]", ep, maxEpochParts)
 	}
-	switch ep.Strategy {
-	case StrategyRing:
-		if lc.cfg.OnPeerFail == DegradeExclude || lc.cfg.Elastic {
-			return fmt.Errorf("core: %v: the ring strategy is unreachable under DegradeExclude/Elastic (a ring cannot route around a dead hop)", ep)
-		}
-	case StrategyPS:
-	default:
-		return fmt.Errorf("core: %v: not a live-plane strategy", ep)
+	lc.chaosMu.Lock()
+	cfg := lc.cfg
+	lc.chaosMu.Unlock()
+	cfg.Strategy = ep.Strategy
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("core: %v: %w", ep, err)
 	}
 	if ep.CompressMin >= 0 && lc.cfg.Algo == "" {
 		return fmt.Errorf("core: %v: compression requires the cluster to be built with a LiveConfig.Algo", ep)

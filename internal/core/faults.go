@@ -42,8 +42,9 @@ func (p DegradePolicy) String() string {
 	}
 }
 
-// RetryPolicy bounds the acknowledged-or-retried send loop of reliable
-// rounds: capped exponential backoff, then the failure detector.
+// RetryPolicy is the static policy of the acknowledged-or-retried delivery
+// loop (the default; HealthConfig.Adaptive is the other): capped
+// exponential backoff, then the scoreboard failure detector.
 type RetryPolicy struct {
 	// MaxAttempts is the number of transmission attempts before the sender
 	// suspects the link (≥ 1). After suspicion, up to the same number of
@@ -64,7 +65,7 @@ type RetryPolicy struct {
 	JitterSeed uint64
 
 	// jit is the shared draw counter, created by withDefaults so copies
-	// of one policy (liveRound keeps its own copy) share one stream.
+	// of one policy (the health plane keeps its own copy) share one stream.
 	jit *jitterState
 }
 
@@ -132,6 +133,21 @@ func (p RetryPolicy) backoff(i int) time.Duration {
 		return p.jit.next(d)
 	}
 	return d
+}
+
+// ConfigError reports a LiveConfig that breaks one of the live plane's
+// cross-field constraints (see LiveConfig.Validate, the single definition).
+type ConfigError struct {
+	// Field names the offending LiveConfig field ("Health.Adaptive" for the
+	// nested one).
+	Field string
+	// Reason states the constraint that failed.
+	Reason string
+}
+
+// Error implements error.
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("core: invalid LiveConfig.%s: %s", e.Field, e.Reason)
 }
 
 // RoundTimeoutError reports that a live round exceeded its deadline
@@ -255,7 +271,7 @@ type RoundHealth struct {
 	Phi []float64
 	// Reconnects counts socket-plane connection failures surfaced to the
 	// send paths (a TCP Send that exhausted its redial budget); the
-	// reliable/adaptive loops absorb them as failed attempts, so a non-zero
+	// delivery loop absorbs them as failed attempts, so a non-zero
 	// count with a clean round means the lifecycle layer did its job.
 	Reconnects int64
 	// Chaos carries the injector's counters when the round ran over a
@@ -449,10 +465,11 @@ func (rs *roundState) deadList() []int {
 	return out
 }
 
-// suspect is called by a sender that exhausted its retries on from→to. It
-// convicts the endpoint with strictly fewer scoreboard successes and
-// returns the victim, or -1 when the evidence is tied (inconclusive). The
-// onDead hook fires outside the lock, exactly once per conviction.
+// suspect is the scoreboard verdict on an unacknowledged from→to transfer.
+// It convicts the endpoint with strictly fewer scoreboard successes and
+// returns the victim, or -1 when the evidence is tied (inconclusive): both
+// endpoints then enter the suspected set, which the membership plane
+// surfaces as PeerSuspected until a clean round clears it.
 func (rs *roundState) suspect(from, to int) int {
 	rs.mu.Lock()
 	victim := -1
@@ -465,28 +482,11 @@ func (rs *roundState) suspect(from, to int) int {
 		victim = from
 	case rs.succ[to] < rs.succ[from]:
 		victim = to
+	default:
+		rs.suspected[from], rs.suspected[to] = true, true
 	}
-	newly := false
-	if victim >= 0 && !rs.dead[victim] {
-		rs.dead[victim] = true
-		newly = true
-	}
-	if victim < 0 {
-		// Tied evidence: both endpoints enter the suspected set; the
-		// membership plane surfaces them as PeerSuspected until a clean
-		// round clears the suspicion.
-		if from >= 0 && from < len(rs.suspected) {
-			rs.suspected[from] = true
-		}
-		if to >= 0 && to < len(rs.suspected) {
-			rs.suspected[to] = true
-		}
-	}
-	hook := rs.onDead
 	rs.mu.Unlock()
-	if newly && hook != nil {
-		hook(victim)
-	}
+	rs.convict(victim)
 	return victim
 }
 
@@ -510,9 +510,8 @@ func (rs *roundState) markSuspect(v int) {
 	rs.mu.Unlock()
 }
 
-// convict declares v dead directly (the φ detector's verdict, vs the
-// scoreboard inference in suspect). The onDead hook fires outside the
-// lock, exactly once per conviction.
+// convict declares v dead (v < 0: nobody). The onDead hook fires outside
+// the lock, exactly once per conviction.
 func (rs *roundState) convict(v int) {
 	if v < 0 {
 		return

@@ -14,10 +14,11 @@ import (
 // This file is the adaptive health plane: a per-peer φ-accrual failure
 // detector fed by per-link RTT samples harvested from the ack path (plus
 // lightweight idle heartbeats), Jacobson/Karels RTT-adaptive retry
-// deadlines, and the hedged-retransmit budget. It replaces the fixed
-// verdicts of the static RetryPolicy path with a continuous suspicion
-// level and typed Healthy/Slow/Suspect/Probation/Dead transitions that
-// drive the existing Degrade/Convict/Rejoin machinery.
+// deadlines, and the hedged-retransmit budget. It also owns the policy of
+// the live plane's one delivery loop: the fixed deadlines and scoreboard
+// verdicts of the static RetryPolicy, or a continuous suspicion level and
+// typed Healthy/Slow/Suspect/Probation/Dead transitions that drive the
+// existing Degrade/Convict/Rejoin machinery.
 //
 // Peer lifecycle (the health plane's view; the elastic membership plane in
 // rejoin.go keeps its own coarser lifecycle in sync through the
@@ -82,10 +83,11 @@ func (s HealthState) String() string {
 // reports; set Adaptive for φ-accrual convictions, RTT-adaptive deadlines,
 // heartbeats, and hedged retransmits.
 type HealthConfig struct {
-	// Adaptive turns on the adaptive send path: per-link RTO deadlines,
-	// φ-accrual convictions, hedged retransmits, and (when HeartbeatEvery
-	// is set) idle heartbeats. Off, the plane still harvests RTT samples
-	// from the ack path so PeerFailureError carries link evidence.
+	// Adaptive selects the delivery loop's adaptive policy: per-link RTO
+	// deadlines, φ-accrual convictions, hedged retransmits, and (when
+	// HeartbeatEvery is set) idle heartbeats. Off, the loop follows the
+	// static RetryPolicy and the plane still harvests RTT samples from
+	// the ack path so PeerFailureError carries link evidence.
 	Adaptive bool
 	// PhiSuspect is the suspicion threshold (default 4): φ at or above it
 	// moves a peer to HealthSuspect.
@@ -114,7 +116,7 @@ type HealthConfig struct {
 	// SlowFactor × the cluster median srtt at round end (default 3;
 	// negative disables the classification).
 	SlowFactor float64
-	// MaxAttempts bounds the adaptive send loop (default 10). With
+	// MaxAttempts is the adaptive attempt budget (default 10). With
 	// doubling RTOs this is a far larger wall-clock budget than the
 	// static policy's, because the φ detector — not attempt exhaustion —
 	// is the intended conviction path.
@@ -322,7 +324,10 @@ type linkEvidence struct {
 // learned deadlines), and all methods are nil-safe so the static path pays
 // only a nil check.
 type healthPlane struct {
-	cfg     HealthConfig
+	cfg HealthConfig
+	// retry is the static policy the delivery loop falls back on when the
+	// plane is passive (cfg.Adaptive unset).
+	retry   RetryPolicy
 	n       int
 	elastic bool
 	birth   time.Time
@@ -335,7 +340,7 @@ type healthPlane struct {
 	reconn []int64 // per-peer socket-plane reconnect failures (atomic)
 }
 
-func newHealthPlane(n int, cfg *HealthConfig, elastic bool, tel *telemetry.Set) *healthPlane {
+func newHealthPlane(n int, cfg *HealthConfig, retry RetryPolicy, elastic bool, tel *telemetry.Set) *healthPlane {
 	var c HealthConfig
 	if cfg != nil {
 		c = *cfg
@@ -343,6 +348,7 @@ func newHealthPlane(n int, cfg *HealthConfig, elastic bool, tel *telemetry.Set) 
 	c = c.withDefaults()
 	hp := &healthPlane{
 		cfg:     c,
+		retry:   retry,
 		n:       n,
 		elastic: elastic,
 		birth:   time.Now(), //hipress:wallclock phi-detector epoch base; virtual clock injectable via cfg.Now
@@ -444,8 +450,8 @@ func (hp *healthPlane) observeRTT(from, to int, rtt time.Duration) {
 	hp.mu.Unlock()
 }
 
-// rto returns the adaptive retransmission deadline for attempt (0-based)
-// on the from→to link: the Jacobson/Karels RTO doubled per retry (Karn's
+// rto returns the adaptive retransmission deadline of 0-based attempt on
+// the from→to link: the Jacobson/Karels RTO doubled per retry (Karn's
 // backoff), clamped to [MinRTO, MaxRTO]. Virgin links use BootstrapRTO.
 func (hp *healthPlane) rto(from, to, attempt int) time.Duration {
 	base := 0.0
@@ -490,6 +496,72 @@ func (hp *healthPlane) hedgeDelay(from, to int) (time.Duration, bool) {
 	return d, true
 }
 
+// The live plane has one acknowledged-or-retried delivery loop
+// (liveRound.deliver). The static RetryPolicy and the adaptive plane differ
+// only in how they answer the loop's four questions below, each a single
+// branch on cfg.Adaptive:
+//
+//	question           static                             adaptive
+//	attempt budget     2·Retry.MaxAttempts (with grace)   Health.MaxAttempts
+//	attempt deadline   Retry.backoff(attempt)             rto(from, to, attempt)
+//	hedge point        never                              link p99, when below the deadline
+//	verdict on expiry  scoreboard, from MaxAttempts-1 on  φ judge, every expiry
+
+// attemptBudget is how many transmissions one transfer may make before the
+// loop gives up with a *PeerFailureError. The static budget is the retry
+// phase plus an equally long grace phase in which the scoreboard may still
+// break a tie.
+func (hp *healthPlane) attemptBudget() int {
+	if hp.cfg.Adaptive {
+		return hp.cfg.MaxAttempts
+	}
+	return 2 * hp.retry.MaxAttempts
+}
+
+// attemptDeadline is how long 0-based attempt waits for its ack before the
+// verdict is asked: a fixed capped-exponential schedule, or the link's own
+// learned RTO.
+func (hp *healthPlane) attemptDeadline(from, to, attempt int) time.Duration {
+	if hp.cfg.Adaptive {
+		return hp.rto(from, to, attempt)
+	}
+	return hp.retry.backoff(attempt)
+}
+
+// hedgePoint is when, inside an attempt's deadline, a speculative duplicate
+// may go out (negative: never). Only a trusted p99 that undercuts the
+// deadline hedges, so a lost retransmit recovers at p99 speed instead of
+// waiting out its doubled RTO; the round's HedgeBudget is claimed when the
+// point is reached, not here.
+func (hp *healthPlane) hedgePoint(from, to int, deadline time.Duration) time.Duration {
+	if hp.cfg.Adaptive && hp.cfg.HedgeBudget > 0 {
+		if hd, ok := hp.hedgeDelay(from, to); ok && hd < deadline {
+			return hd
+		}
+	}
+	return -1
+}
+
+// verdict is asked when attempt's deadline expired unacknowledged. It returns
+// the endpoint it convicted (through rs, so the onDead hook fires once) or -1
+// to keep retrying. The static policy trusts the attempt counter first and
+// consults the scoreboard from the last regular attempt through the whole
+// grace phase — a conviction that becomes decidable mid-grace must not wait
+// out the remaining attempts. The adaptive policy asks the φ detector on
+// every expiry, so a slow-but-alive peer accrues stretched deadlines rather
+// than a conviction.
+func (hp *healthPlane) verdict(from, to, attempt int, rs *roundState) int {
+	if !hp.cfg.Adaptive {
+		if attempt < hp.retry.MaxAttempts-1 {
+			return -1
+		}
+		return rs.suspect(from, to)
+	}
+	victim := hp.judge(from, to, rs)
+	rs.convict(victim)
+	return victim
+}
+
 // phi returns peer v's current suspicion level.
 func (hp *healthPlane) phi(v int) float64 {
 	if hp == nil || v < 0 || v >= hp.n {
@@ -511,7 +583,7 @@ func (hp *healthPlane) stateOf(v int) HealthState {
 	return hp.state[v]
 }
 
-// judge is consulted when an adaptive send's deadline expires on from→to:
+// judge is the adaptive verdict for an expired deadline on from→to:
 // it convicts the endpoint whose φ has crossed PhiConvict (the higher one
 // when both have), falls back to the success-scoreboard tie-break when the
 // φ evidence alone cannot separate the endpoints, and otherwise records

@@ -11,7 +11,7 @@ import (
 func virtualPlane(n int, cfg HealthConfig) (*healthPlane, func(time.Duration)) {
 	now := time.Duration(0)
 	cfg.Now = func() time.Duration { return now }
-	hp := newHealthPlane(n, &cfg, false, nil)
+	hp := newHealthPlane(n, &cfg, RetryPolicy{}, false, nil)
 	return hp, func(d time.Duration) { now += d }
 }
 
@@ -277,6 +277,108 @@ func TestAdaptiveRTOAndHedge(t *testing.T) {
 	}
 }
 
+// TestDeliveryPolicyAnswers pins the four answers the one delivery loop asks
+// of the health plane, clock-free. The static policy must reproduce the
+// RetryPolicy schedule the dedicated static loop ran — backoff(attempt)
+// deadlines, 2·MaxAttempts budget, never a hedge, no verdict before attempt
+// MaxAttempts-1 and the scoreboard's from then on. The adaptive policy must
+// reproduce the link's doubling RTO, its p99 hedge point (only once trusted
+// and only below the deadline), and a φ verdict on every expiry.
+func TestDeliveryPolicyAnswers(t *testing.T) {
+	retry := RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 9 * time.Millisecond}.withDefaults()
+
+	t.Run("static", func(t *testing.T) {
+		cfg := HealthConfig{Now: func() time.Duration { return 0 }}
+		hp := newHealthPlane(3, &cfg, retry, false, nil)
+		hp.roundStart()
+		for i := 0; i < 8; i++ {
+			hp.observeRTT(0, 1, time.Millisecond) // a trusted p99 must still not hedge
+		}
+		if got := hp.attemptBudget(); got != 6 {
+			t.Fatalf("static budget = %d, want 2·MaxAttempts = 6", got)
+		}
+		for attempt, want := range []time.Duration{2, 4, 8, 9, 9, 9} {
+			want *= time.Millisecond
+			if want != retry.backoff(attempt) {
+				t.Fatalf("test schedule out of step with Retry.backoff(%d) = %v", attempt, retry.backoff(attempt))
+			}
+			got := hp.attemptDeadline(0, 1, attempt)
+			if got != want {
+				t.Fatalf("static deadline(attempt %d) = %v, want %v", attempt, got, want)
+			}
+			if h := hp.hedgePoint(0, 1, got); h >= 0 {
+				t.Fatalf("static policy hedged at %v on attempt %d", h, attempt)
+			}
+		}
+		// Scoreboard: node 1 has acked nothing, nodes 0 and 2 have.
+		rs := newRoundState(3)
+		rs.ackChan(ackKey{src: 0, dst: 2, grad: "g"})
+		rs.ackArrived(ackKey{src: 0, dst: 2, grad: "g"})
+		if v := hp.verdict(0, 1, 0, rs); v != -1 || rs.anyDead() {
+			t.Fatalf("static verdict at attempt 0 = %d (dead %v), want -1: suspicion starts at MaxAttempts-1", v, rs.deadList())
+		}
+		if v := hp.verdict(0, 1, 1, rs); v != -1 || rs.anyDead() {
+			t.Fatalf("static verdict at attempt 1 = %d, want -1", v)
+		}
+		if v := hp.verdict(0, 1, 2, rs); v != 1 || !rs.isDead(1) {
+			t.Fatalf("static verdict at attempt MaxAttempts-1 = %d, want the scoreboard's conviction of node 1", v)
+		}
+		// A tied scoreboard stays inconclusive through the grace phase.
+		tied := newRoundState(3)
+		if v := hp.verdict(0, 2, 4, tied); v != -1 || len(tied.suspectedList()) != 2 {
+			t.Fatalf("static verdict on a tie = %d (suspected %v), want -1 with both endpoints suspected", v, tied.suspectedList())
+		}
+	})
+
+	t.Run("adaptive", func(t *testing.T) {
+		hp, advance := virtualPlane(3, HealthConfig{
+			Adaptive: true, BootstrapRTO: 25 * time.Millisecond, MaxRTO: 800 * time.Millisecond,
+			MaxAttempts: 7,
+		})
+		hp.retry = retry // must be ignored
+		hp.roundStart()
+		if got := hp.attemptBudget(); got != 7 {
+			t.Fatalf("adaptive budget = %d, want Health.MaxAttempts = 7", got)
+		}
+		for attempt, want := range []time.Duration{25, 50, 100, 200, 400, 800, 800} {
+			want *= time.Millisecond
+			if got := hp.attemptDeadline(0, 1, attempt); got != want || got != hp.rto(0, 1, attempt) {
+				t.Fatalf("adaptive deadline(attempt %d) = %v, want rto doubling %v", attempt, got, want)
+			}
+		}
+		if h := hp.hedgePoint(0, 1, 25*time.Millisecond); h >= 0 {
+			t.Fatalf("hedged at %v on a link with no samples", h)
+		}
+		for i := 0; i < 4; i++ {
+			hp.observeRTT(0, 1, 10*time.Millisecond)
+		}
+		p99, ok := hp.hedgeDelay(0, 1)
+		if !ok {
+			t.Fatal("4-sample link has no trusted p99")
+		}
+		if h := hp.hedgePoint(0, 1, hp.attemptDeadline(0, 1, 0)); h != p99 {
+			t.Fatalf("hedge point = %v, want the link p99 %v", h, p99)
+		}
+		if h := hp.hedgePoint(0, 1, p99); h >= 0 {
+			t.Fatalf("hedged at %v with a deadline no later than the p99 %v", h, p99)
+		}
+		// φ verdict, already on the first expiry: peer 1 falls silent while
+		// 0 and 2 keep arriving.
+		rs := newRoundState(3)
+		for i := 0; i < 40; i++ {
+			advance(25 * time.Millisecond)
+			hp.arrival(0)
+			hp.arrival(2)
+		}
+		if v := hp.verdict(0, 1, 0, rs); v != 1 || !rs.isDead(1) {
+			t.Fatalf("adaptive verdict = %d (φ₁=%.1f), want the φ conviction of silent node 1 on attempt 0", v, hp.phi(1))
+		}
+		if v := hp.verdict(0, 2, 0, rs); v != -1 || rs.isDead(0) || rs.isDead(2) {
+			t.Fatalf("adaptive verdict between two live peers = %d, want -1", v)
+		}
+	})
+}
+
 // FuzzPhiDetector drives the health plane with arbitrary interleavings of
 // clock advances, arrivals, convictions, revivals, and round boundaries.
 // Invariants under any input:
@@ -293,7 +395,7 @@ func FuzzPhiDetector(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		now := time.Duration(0)
 		cfg := HealthConfig{Adaptive: true, Now: func() time.Duration { return now }}
-		hp := newHealthPlane(3, &cfg, false, nil)
+		hp := newHealthPlane(3, &cfg, RetryPolicy{}, false, nil)
 		hp.roundStart()
 		rs := newRoundState(3)
 

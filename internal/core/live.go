@@ -33,7 +33,8 @@ import (
 // convicted by a success-scoreboard failure detector and either excluded
 // (renormalized merge) or surfaced as a typed error per policy.
 
-// LiveConfig configures a live cluster.
+// LiveConfig configures a live cluster. Which fields constrain which is
+// defined in one place, Validate.
 type LiveConfig struct {
 	// Strategy selects CaSync-Ring or CaSync-PS.
 	Strategy Strategy
@@ -57,18 +58,17 @@ type LiveConfig struct {
 	// the optional wire-level fault injector. Nil takes the defaults.
 	// TCP.Metrics defaults to Telemetry's metrics registry when unset.
 	TCP *netsim.TCPOptions
-	// Coordinated routes communication tasks through the live global
-	// coordinator (§3.2): per-link queues, non-conflicting link selection
-	// per time slot, batched release. Off, sends transmit as soon as their
-	// dependencies clear.
+	// Coordinated turns on the send engine's admission policy, the live
+	// global coordinator of §3.2: every directed link is a lane, and a lane
+	// transmits only while granted — no other granted lane shares its source
+	// uplink or its destination downlink, heaviest queue first. Off, sends
+	// transmit as soon as their dependencies clear.
 	Coordinated bool
 	// Pipeline tunes the pipelined send engine (pipeline.go): per-link
 	// in-flight windows, receiver-side ack aggregation, and encode/transfer
 	// overlap. The zero value reproduces the classic sequential send loop.
-	// Ignored on the Coordinated path, whose per-slot link schedule is
-	// itself the pipelining policy. Result bytes are identical for every
-	// setting — the window changes when transfers resolve, never what the
-	// ordered merges compute.
+	// Result bytes are identical for every setting — the window changes
+	// when transfers resolve, never what the ordered merges compute.
 	Pipeline PipelineConfig
 	// Instrument wraps each node's compressor with counters; read them with
 	// LiveCluster.WireStats.
@@ -85,7 +85,7 @@ type LiveConfig struct {
 	// --- fault plane ---
 
 	// Reliable turns on acknowledged-or-retried delivery with idempotent
-	// receiver dedup and checksummed payloads. Required to survive lossy
+	// receiver dedup and checksummed payloads — what survives lossy
 	// transports (chaos injection, real networks).
 	Reliable bool
 	// Retry bounds the reliable send loop; zero fields take defaults
@@ -96,21 +96,20 @@ type LiveConfig struct {
 	// deadline beyond the caller's context.
 	RoundTimeout time.Duration
 	// OnPeerFail selects degradation when the failure detector convicts a
-	// peer: abort (default) or exclude (PS only).
+	// peer: abort (default) or exclude.
 	OnPeerFail DegradePolicy
 	// Renormalize rescales surviving aggregates by n/(n-excluded) when
 	// contributions are excluded, keeping the expected gradient magnitude.
 	Renormalize bool
 	// Chaos, when non-nil, wraps the round transport in a fault injector
-	// (netsim.WrapChaos). Requires Reliable or RoundTimeout, otherwise a
-	// dropped message would hang the round. Replaceable between rounds via
+	// (netsim.WrapChaos). Replaceable between rounds via
 	// LiveCluster.SetChaos (e.g. to lift a scripted blackout).
 	Chaos *netsim.ChaosConfig
 	// Health configures the adaptive health plane (health.go): φ-accrual
 	// failure detection, per-link RTT-adaptive retry deadlines, idle
 	// heartbeats, and hedged retransmits. Nil (or Adaptive unset) keeps
 	// the static Retry policy; reliable clusters still harvest RTT
-	// evidence passively for failure reports. Adaptive requires Reliable.
+	// evidence passively for failure reports.
 	Health *HealthConfig
 
 	// --- autotune plane (epoch.go, internal/autotune) ---
@@ -122,7 +121,7 @@ type LiveConfig struct {
 	// compression threshold — which is broadcast, acked by every peer, and
 	// activated at the next round barrier. Setting it forces compressor
 	// instrumentation (the tuner's encode/decode evidence). Link
-	// calibration requires Reliable delivery; without it the tuner only
+	// calibration rides the ack path; an unreliable cluster's tuner only
 	// sees round-level evidence.
 	Autotune Autotuner
 
@@ -131,9 +130,7 @@ type LiveConfig struct {
 	// Elastic enables cross-round membership (see rejoin.go): failure-
 	// detector convictions persist between rounds (the peer is pre-excluded,
 	// not re-detected), and a convicted peer re-enters via
-	// LiveCluster.RequestRejoin → state resync → probation. Requires
-	// Reliable delivery, the PS strategy, and OnPeerFail == DegradeExclude
-	// (the machinery that lets a round complete around a dead peer).
+	// LiveCluster.RequestRejoin → state resync → probation.
 	Elastic bool
 	// ProbationRounds is how many consecutive clean rounds a rejoined peer
 	// must complete before regaining full membership (default 2).
@@ -182,6 +179,36 @@ type LiveCluster struct {
 	epochSwitches int64
 }
 
+// Validate is the single definition of the constraints between LiveConfig
+// fields: NewLiveCluster, SetChaos and the epoch proposal path all answer
+// with its *ConfigError. A zero LiveConfig is valid.
+func (c *LiveConfig) Validate() error {
+	switch c.Transport {
+	case "", "chan", "tcp":
+	default:
+		return &ConfigError{"Transport", fmt.Sprintf("unknown live transport %q (have chan, tcp)", c.Transport)}
+	}
+	if c.Strategy != StrategyRing && c.Strategy != StrategyPS {
+		return &ConfigError{"Strategy", fmt.Sprintf("%v is not a live-plane strategy (the live plane runs ring and ps; halving-doubling is timing-plane only)", c.Strategy)}
+	}
+	if c.Chaos != nil && !c.Reliable && c.RoundTimeout == 0 {
+		return &ConfigError{"Chaos", "chaos injection requires Reliable delivery or a RoundTimeout (a dropped message would hang the round)"}
+	}
+	if c.OnPeerFail == DegradeExclude && c.Strategy == StrategyRing {
+		return &ConfigError{"OnPeerFail", "DegradeExclude requires the PS strategy (a ring cannot route around a dead hop); use DegradeAbort"}
+	}
+	if c.Elastic && !c.Reliable {
+		return &ConfigError{"Elastic", "elastic membership requires Reliable delivery (convictions come from the ack scoreboard)"}
+	}
+	if c.Elastic && c.OnPeerFail != DegradeExclude {
+		return &ConfigError{"Elastic", "elastic membership requires the PS strategy with OnPeerFail=DegradeExclude (rounds must complete around an excluded peer)"}
+	}
+	if c.Health != nil && c.Health.Adaptive && !c.Reliable {
+		return &ConfigError{"Health.Adaptive", "the adaptive health plane requires Reliable delivery (its evidence is the ack path)"}
+	}
+	return nil
+}
+
 // NewLiveCluster builds an n-node live cluster.
 func NewLiveCluster(n int, cfg LiveConfig) (*LiveCluster, error) {
 	if n < 2 {
@@ -190,25 +217,11 @@ func NewLiveCluster(n int, cfg LiveConfig) (*LiveCluster, error) {
 	if cfg.Parts < 1 {
 		cfg.Parts = 1
 	}
-	if cfg.Chaos != nil && !cfg.Reliable && cfg.RoundTimeout == 0 {
-		return nil, fmt.Errorf("core: live chaos injection requires Reliable delivery or a RoundTimeout (a dropped message would hang the round)")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.OnPeerFail == DegradeExclude && cfg.Strategy == StrategyRing {
-		return nil, fmt.Errorf("core: DegradeExclude requires the PS strategy (a ring cannot route around a dead hop); use DegradeAbort")
-	}
-	if cfg.Elastic {
-		if !cfg.Reliable {
-			return nil, fmt.Errorf("core: Elastic membership requires Reliable delivery (convictions come from the ack scoreboard)")
-		}
-		if cfg.Strategy != StrategyPS || cfg.OnPeerFail != DegradeExclude {
-			return nil, fmt.Errorf("core: Elastic membership requires the PS strategy with OnPeerFail=DegradeExclude (rounds must complete around an excluded peer)")
-		}
-		if cfg.ProbationRounds <= 0 {
-			cfg.ProbationRounds = 2
-		}
-	}
-	if cfg.Health != nil && cfg.Health.Adaptive && !cfg.Reliable {
-		return nil, fmt.Errorf("core: the adaptive health plane requires Reliable delivery (its evidence is the ack path)")
+	if cfg.Elastic && cfg.ProbationRounds <= 0 {
+		cfg.ProbationRounds = 2
 	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	lc := &LiveCluster{n: n, cfg: cfg}
@@ -217,18 +230,9 @@ func NewLiveCluster(n int, cfg LiveConfig) (*LiveCluster, error) {
 		lc.mem = newMembership(n, cfg.ProbationRounds)
 	}
 	if cfg.Reliable {
-		lc.health = newHealthPlane(n, cfg.Health, cfg.Elastic, cfg.Telemetry)
+		lc.health = newHealthPlane(n, cfg.Health, cfg.Retry, cfg.Elastic, cfg.Telemetry)
 	}
-	switch cfg.Strategy {
-	case StrategyRing:
-		lc.topo = Ring(n)
-	case StrategyPS:
-		lc.topo = PSBipartite(n)
-	case StrategyHD:
-		return nil, fmt.Errorf("core: halving-doubling is a timing-plane strategy; the live plane supports ring and ps")
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %v", cfg.Strategy)
-	}
+	lc.topo = topoFor(cfg.Strategy, n)
 	if cfg.Algo != "" {
 		lc.comp = make([]compress.Compressor, n)
 		lc.ef = make([]*compress.ErrorFeedback, n)
@@ -479,13 +483,11 @@ type liveRound struct {
 	epoch PlanEpoch
 
 	reliable bool
-	retry    RetryPolicy
 	timeout  time.Duration
 
-	// hp is the cluster's health plane (non-nil whenever reliable);
-	// adaptive selects the RTT-adaptive send path over the static one.
-	hp       *healthPlane
-	adaptive bool
+	// hp is the cluster's health plane (non-nil whenever reliable): it owns
+	// the delivery loop's retry policy, static or adaptive.
+	hp *healthPlane
 
 	gmu       sync.Mutex // guards graph dependency counters + completed
 	remaining int
@@ -496,12 +498,9 @@ type liveRound struct {
 	runErr  error
 	ackWG   sync.WaitGroup
 
-	// pipe is the pipelined send engine and ackp the per-link ack plane
-	// (pipeline.go); linkStreams selects per-link trace tracks when the
-	// engine runs windowed lanes.
-	pipe        *sendEngine
-	ackp        *ackPlane
-	linkStreams bool
+	// pipe is the send engine and ackp the per-link ack plane (pipeline.go).
+	pipe *sendEngine
+	ackp *ackPlane
 
 	// trc/met are the observability plane (both possibly nil). Spans are
 	// stamped with trc.Now() — wall-clock seconds since the tracer's birth —
@@ -525,11 +524,11 @@ func (r *liveRound) traceTask(t *Task, start float64) {
 	flowStart := false
 	switch t.Kind {
 	case KSend:
-		// Windowed lanes get one trace track per directed link, so the
+		// Per-link lanes get one trace track per directed link, so the
 		// exporter renders overlapping in-flight transfers side by side
 		// instead of stacking them into one unreadable "net" row.
 		stream = "net"
-		if r.linkStreams {
+		if r.pipe.perLink {
 			stream = fmt.Sprintf("net→%d", t.Peer)
 		}
 		flow = telemetry.FlowID(t.Node, t.Peer, t.Grad, packStep(t.Step, t.Part))
@@ -652,7 +651,7 @@ func (r *liveRound) onPeerDead(victim int) {
 		r.traceEvent(fmt.Sprintf("peer-dead node%d (%v)", victim, r.lc.cfg.OnPeerFail), "fault", victim)
 	}
 	if r.lc.cfg.OnPeerFail != DegradeExclude || r.epoch.Strategy != StrategyPS {
-		r.fail(&PeerFailureError{Node: -1, Peer: victim, Attempts: r.retry.MaxAttempts,
+		r.fail(&PeerFailureError{Node: -1, Peer: victim, Attempts: r.lc.cfg.Retry.MaxAttempts,
 			Reason: fmt.Sprintf("failure detector convicted node %d (policy %v)", victim, r.lc.cfg.OnPeerFail)})
 		return
 	}
@@ -686,10 +685,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 	}
 	var tr netsim.Transport
 	var tcpTr *netsim.TCPTransport
-	switch lc.cfg.Transport {
-	case "", "chan":
-		tr = netsim.NewChanTransport(n, capacity)
-	case "tcp":
+	if lc.cfg.Transport == "tcp" {
 		var opts netsim.TCPOptions
 		if lc.cfg.TCP != nil {
 			opts = *lc.cfg.TCP
@@ -702,8 +698,8 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 			return nil, nil, err
 		}
 		tr, tcpTr = t, t
-	default:
-		return nil, nil, fmt.Errorf("core: unknown live transport %q (have chan, tcp)", lc.cfg.Transport)
+	} else {
+		tr = netsim.NewChanTransport(n, capacity)
 	}
 	var chaosTr *netsim.ChaosTransport
 	if chaos := lc.chaosCfg(); chaos != nil {
@@ -766,10 +762,8 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 		algos:     algos,
 		epoch:     ep,
 		reliable:  lc.cfg.Reliable,
-		retry:     lc.cfg.Retry.withDefaults(),
 		timeout:   lc.cfg.RoundTimeout,
 		hp:        lc.health,
-		adaptive:  adaptive,
 		remaining: len(g.Tasks),
 		completed: make([]bool, len(g.Tasks)),
 		doneCh:    make(chan struct{}),
@@ -777,9 +771,8 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 		met:       lc.cfg.Telemetry.M(),
 	}
 	r.rs.onDead = r.onPeerDead
-	r.pipe = newSendEngine(r, lc.cfg.Pipeline)
+	r.pipe = newSendEngine(r, lc.cfg.Pipeline, lc.cfg.Coordinated)
 	r.ackp = newAckPlane(r, lc.cfg.Pipeline.AckBatch)
-	r.linkStreams = r.pipe.perLink
 	// Elastic membership: exclude carried convictions up front, so the DAG
 	// routes around a known-dead peer without re-paying detection timeouts.
 	carried := lc.preseedExcluded(r.rs)
@@ -793,19 +786,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 	}
 	roundStart := r.trc.Now()
 
-	var coord *liveCoordinator
-	if lc.cfg.Coordinated {
-		coord = newLiveCoordinator()
-	}
-
 	var wg sync.WaitGroup
-	if coord != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.runCoordinated(coord)
-		}()
-	}
 	// Per-node workers: one compute-queue drainer, one communication-queue
 	// drainer, one receive dispatcher.
 	for v := 0; v < n; v++ {
@@ -849,16 +830,10 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 						r.completeSkipped(id)
 						continue
 					}
-					if coord != nil {
-						// Report metadata to the global coordinator; the
-						// coordinated plan will transmit it (§3.2 steps
-						// ④-⑥).
-						coord.enqueue(liveSend{id: id, rt: rt, t: g.Tasks[id]})
-						continue
-					}
 					// Stage here (drainer order fixes the payload bytes),
 					// resolve on the engine's lane workers — sequentially
-					// per node by default, W-deep per link when windowed.
+					// per node by default, W-deep per link when windowed,
+					// only on granted links when coordinated.
 					if err := r.pipe.submit(rt, id, g.Tasks[id]); err != nil {
 						r.fail(err)
 						return
@@ -870,7 +845,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 			defer wg.Done()
 			r.dispatch(rt)
 		}()
-		if r.adaptive && r.hp.cfg.HeartbeatEvery > 0 {
+		if adaptive && r.hp.cfg.HeartbeatEvery > 0 {
 			wg.Add(1)
 			go func() { // idle liveness probes feeding the φ detectors
 				defer wg.Done()
@@ -888,9 +863,6 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 	case <-ctx.Done():
 		r.fail(&RoundTimeoutError{Timeout: lc.cfg.RoundTimeout})
 		<-r.doneCh
-	}
-	if coord != nil {
-		coord.close()
 	}
 	tr.Close()
 	// Dispatchers drain frames after Close and may still start ack/echo
@@ -1094,23 +1066,22 @@ func (r *liveRound) sendAck(node int, msg netsim.Message) {
 		Step: msg.Step, Attempt: msg.Attempt, Ack: true})
 }
 
-// reliableSend is the acknowledged-or-retried delivery loop: transmit,
-// wait for the ack with capped exponential backoff, retransmit with a
-// fresh attempt number. After MaxAttempts the failure detector is
-// consulted on every further expiry (the grace phase); if it convicts a
-// node the send resolves per policy, if the evidence stays tied the loop
-// ends in a typed *PeerFailureError carrying the link's RTT evidence.
-// Adaptive clusters route through adaptiveSend instead.
-func (r *liveRound) reliableSend(msg netsim.Message) error {
-	if r.adaptive {
-		return r.adaptiveSend(msg)
-	}
+// deliver is the live plane's one acknowledged-or-retried delivery loop:
+// transmit, wait out the attempt's deadline for the ack, retransmit with a
+// fresh attempt number. The health plane's policy (static RetryPolicy or
+// adaptive, see the table in health.go) supplies the attempt budget, each
+// deadline, the point inside it where one budget-gated hedge may go out, and
+// the verdict when it expires. A conviction resolves the send — degradation,
+// or abort via onPeerDead→fail, is then already in motion; an exhausted
+// budget with the detector still inconclusive ends in a typed
+// *PeerFailureError carrying the link's RTT evidence. Deadlines run from the
+// moment the transmit returned.
+func (r *liveRound) deliver(msg netsim.Message) error {
 	hp := r.hp
-	key := ackKey{src: msg.From, dst: msg.To, grad: msg.Gradient, step: msg.Step}
-	ackCh := r.rs.ackChan(key)
-	maxTotal := 2 * r.retry.MaxAttempts
-	var sentAt time.Duration
-	for attempt := 0; attempt < maxTotal; attempt++ {
+	ackCh := r.rs.ackChan(ackKey{src: msg.From, dst: msg.To, grad: msg.Gradient, step: msg.Step})
+	budget := hp.attemptBudget()
+	hedged := 0
+	for attempt := 0; attempt < budget; attempt++ {
 		if r.rs.isDead(msg.To) || r.rs.isDead(msg.From) {
 			return nil // degraded: the merge barrier accounts the exclusion
 		}
@@ -1121,63 +1092,71 @@ func (r *liveRound) reliableSend(msg netsim.Message) error {
 				r.traceEvent(fmt.Sprintf("retry %s→%d #%d", msg.Gradient, msg.To, attempt), "retry", msg.From)
 			}
 		}
-		if hp != nil {
-			sentAt = hp.clock()
-		}
+		sentAt := hp.clock()
 		if err := r.tr.Send(msg); err != nil {
 			select {
 			case <-r.doneCh:
 				return nil // round already unwinding
 			default:
 				// Transient transport error (e.g. TCP write timeout against
-				// a stalled peer): count it as a failed attempt and back off.
+				// a stalled peer): a failed attempt, waited out like any.
 				r.noteSendError(msg, err)
 			}
 		}
-		timer := time.NewTimer(r.retry.backoff(attempt))
-		select {
-		case <-ackCh:
-			timer.Stop()
-			if hp != nil && attempt == 0 {
-				// Karn's rule: only unambiguous first-attempt acks yield
-				// RTT samples (a retransmitted transfer's ack could belong
-				// to any attempt). The autotuner shares the same samples,
-				// paired with the payload size, to fit per-link send curves.
-				rtt := hp.clock() - sentAt
-				hp.observeRTT(msg.From, msg.To, rtt)
-				if at := r.lc.cfg.Autotune; at != nil {
-					at.ObserveLink(msg.From, msg.To, len(msg.Payload), rtt)
+		// The deadline is waited in one leg, or in two around the hedge.
+		wait := hp.attemptDeadline(msg.From, msg.To, attempt)
+		rest := time.Duration(0)
+		if hedgeAt := hp.hedgePoint(msg.From, msg.To, wait); hedgeAt >= 0 {
+			wait, rest = hedgeAt, wait-hedgeAt
+		}
+		for {
+			timer := time.NewTimer(wait)
+			select {
+			case <-ackCh:
+				timer.Stop()
+				if attempt == 0 && hedged == 0 {
+					// Karn's rule: only an unambiguous first-attempt ack
+					// yields an RTT sample (a retransmitted or hedged
+					// transfer's ack could belong to any copy). The
+					// autotuner shares the samples, paired with the payload
+					// size, to fit per-link send curves.
+					rtt := hp.clock() - sentAt
+					hp.observeRTT(msg.From, msg.To, rtt)
+					if at := r.lc.cfg.Autotune; at != nil {
+						at.ObserveLink(msg.From, msg.To, len(msg.Payload), rtt)
+					}
 				}
-			}
-			return nil
-		case <-r.doneCh:
-			timer.Stop()
-			return nil
-		case <-r.ctx.Done():
-			timer.Stop()
-			return &RoundTimeoutError{Timeout: r.timeout}
-		case <-timer.C:
-		}
-		if attempt >= r.retry.MaxAttempts-1 {
-			// Suspicion and the whole grace phase consult the detector: a
-			// conviction that becomes decidable mid-grace (the scoreboard
-			// moved) must not wait out the remaining attempts.
-			if victim := r.rs.suspect(msg.From, msg.To); victim >= 0 {
-				// Conviction: degradation (or abort, via onPeerDead→fail)
-				// is already in motion; this send resolves.
 				return nil
+			case <-r.doneCh:
+				timer.Stop()
+				return nil // round unwinding: the send is moot
+			case <-r.ctx.Done():
+				timer.Stop()
+				return &RoundTimeoutError{Timeout: r.timeout}
+			case <-timer.C:
 			}
-			// Tie: inconclusive evidence, keep retrying through the grace
-			// phase.
+			if rest == 0 {
+				break
+			}
+			if r.rs.takeHedge(hp.cfg.HedgeBudget) {
+				hm := msg
+				hm.Attempt = hedgeAttempt(attempt, hedged)
+				hedged++
+				if r.trc.Enabled() {
+					r.traceEvent(fmt.Sprintf("hedge %s→%d", msg.Gradient, msg.To), "hedge", msg.From)
+				}
+				_ = r.tr.Send(hm) // best-effort: the original is still in flight
+			}
+			wait, rest = rest, 0
+		}
+		if hp.verdict(msg.From, msg.To, attempt, r.rs) >= 0 {
+			return nil
 		}
 	}
-	pf := &PeerFailureError{Node: msg.From, Peer: msg.To, Attempts: maxTotal,
-		Reason: "no acknowledgement after retries and grace phase (failure detector inconclusive)"}
-	if hp != nil {
-		ev := hp.evidence(msg.From, msg.To)
-		pf.LastRTT, pf.SamplesSeen, pf.Phi, pf.Reconnects = ev.LastRTT, ev.Samples, ev.Phi, ev.Reconnects
-	}
-	return pf
+	ev := hp.evidence(msg.From, msg.To)
+	return &PeerFailureError{Node: msg.From, Peer: msg.To, Attempts: budget,
+		LastRTT: ev.LastRTT, SamplesSeen: ev.Samples, Phi: ev.Phi, Reconnects: ev.Reconnects,
+		Reason: "no acknowledgement within the attempt budget and the failure detector stayed inconclusive"}
 }
 
 // noteSendError classifies a transport Send failure. The socket plane's
@@ -1201,123 +1180,6 @@ func (r *liveRound) noteSendError(msg netsim.Message, err error) {
 	if r.trc.Enabled() {
 		r.traceEvent(fmt.Sprintf("reconnect %d→%d failed (gen %d, %d redials)",
 			cerr.From, cerr.To, cerr.Gen, cerr.Redials), "reconnect", msg.From)
-	}
-}
-
-// adaptiveSend is the health plane's delivery loop: each attempt waits out
-// the link's Jacobson/Karels RTO (doubled per retry), a speculative hedge
-// fires at the link's p99 point while an attempt is outstanding (one per
-// attempt, shared round budget — so a lost retransmit recovers at p99
-// speed instead of waiting out its doubled RTO), and an expired deadline
-// consults the φ detector instead of the blunt attempt counter — so a
-// slow-but-alive peer accrues stretched deadlines rather than a
-// conviction.
-func (r *liveRound) adaptiveSend(msg netsim.Message) error {
-	hp := r.hp
-	key := ackKey{src: msg.From, dst: msg.To, grad: msg.Gradient, step: msg.Step}
-	ackCh := r.rs.ackChan(key)
-	maxAttempts := hp.cfg.MaxAttempts
-	hedged := 0
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if r.rs.isDead(msg.To) || r.rs.isDead(msg.From) {
-			return nil // degraded: the merge barrier accounts the exclusion
-		}
-		msg.Attempt = attempt
-		if attempt > 0 {
-			atomic.AddInt64(&r.rs.retries, 1)
-			if r.trc.Enabled() {
-				r.traceEvent(fmt.Sprintf("retry %s→%d #%d", msg.Gradient, msg.To, attempt), "retry", msg.From)
-			}
-		}
-		sentAt := hp.clock()
-		if err := r.tr.Send(msg); err != nil {
-			select {
-			case <-r.doneCh:
-				return nil
-			default:
-				r.noteSendError(msg, err)
-			}
-		}
-		rto := hp.rto(msg.From, msg.To, attempt)
-		hedgeAt := time.Duration(-1)
-		if hp.cfg.HedgeBudget > 0 {
-			if hd, ok := hp.hedgeDelay(msg.From, msg.To); ok && hd < rto {
-				hedgeAt = hd
-			}
-		}
-		acked, err := r.awaitAck(ackCh, msg, sentAt, rto, hedgeAt, &hedged)
-		if err != nil {
-			return err
-		}
-		if acked {
-			if attempt == 0 && hedged == 0 {
-				// Karn's rule, hedge-aware: a hedged transfer's ack is
-				// ambiguous between the original and the hedge.
-				rtt := hp.clock() - sentAt
-				hp.observeRTT(msg.From, msg.To, rtt)
-				if at := r.lc.cfg.Autotune; at != nil {
-					at.ObserveLink(msg.From, msg.To, len(msg.Payload), rtt)
-				}
-			}
-			return nil
-		}
-		// Deadline expired: ask the φ detector. Inconclusive suspicion
-		// keeps retrying with a doubled deadline instead of convicting.
-		if victim := hp.judge(msg.From, msg.To, r.rs); victim >= 0 {
-			r.rs.convict(victim)
-			return nil
-		}
-	}
-	ev := hp.evidence(msg.From, msg.To)
-	return &PeerFailureError{Node: msg.From, Peer: msg.To, Attempts: maxAttempts,
-		LastRTT: ev.LastRTT, SamplesSeen: ev.Samples, Phi: ev.Phi, Reconnects: ev.Reconnects,
-		Reason: fmt.Sprintf("adaptive retries exhausted with φ=%.2f below the conviction threshold %.1f", ev.Phi, hp.cfg.PhiConvict)}
-}
-
-// awaitAck blocks until the transfer acks, the round unwinds, or the RTO
-// expires — firing at most one budget-gated hedge at hedgeAt (< 0
-// disables) along the way. Returns acked=true when the send is settled
-// (ack or round teardown), acked=false on RTO expiry.
-func (r *liveRound) awaitAck(ackCh chan struct{}, msg netsim.Message, sentAt, rto, hedgeAt time.Duration, hedged *int) (bool, error) {
-	hp := r.hp
-	hedgeDone := hedgeAt < 0
-	for {
-		elapsed := hp.clock() - sentAt
-		if elapsed >= rto {
-			return false, nil
-		}
-		next := rto - elapsed
-		if !hedgeDone && hedgeAt-elapsed < next {
-			next = hedgeAt - elapsed
-		}
-		if next < 0 {
-			next = 0
-		}
-		timer := time.NewTimer(next)
-		select {
-		case <-ackCh:
-			timer.Stop()
-			return true, nil
-		case <-r.doneCh:
-			timer.Stop()
-			return true, nil // round unwinding: the send is moot
-		case <-r.ctx.Done():
-			timer.Stop()
-			return false, &RoundTimeoutError{Timeout: r.timeout}
-		case <-timer.C:
-		}
-		if !hedgeDone && hp.clock()-sentAt >= hedgeAt {
-			hedgeDone = true
-			if r.rs.takeHedge(hp.cfg.HedgeBudget) {
-				hm := msg
-				hm.Attempt = hedgeAttempt(msg.Attempt, *hedged)
-				*hedged++
-				if r.trc.Enabled() {
-					r.traceEvent(fmt.Sprintf("hedge %s→%d", msg.Gradient, msg.To), "hedge", msg.From)
-				}
-				_ = r.tr.Send(hm) // best-effort: the original is still in flight
-			}
-		}
 	}
 }
 
@@ -1658,23 +1520,9 @@ func (r *liveRound) stageSend(rt *nodeRT, t *Task) (netsim.Message, error) {
 // in reliable mode, fire-and-forget otherwise.
 func (r *liveRound) resolveSend(msg netsim.Message) error {
 	if r.reliable {
-		return r.reliableSend(msg)
+		return r.deliver(msg)
 	}
 	return r.tr.Send(msg)
-}
-
-// execSend transmits the appropriate payload for a send task synchronously
-// (stage + resolve back to back) — the coordinated path's primitive, whose
-// per-slot link schedule replaces the engine's windows.
-func (r *liveRound) execSend(rt *nodeRT, t *Task) error {
-	if t.Exec != nil {
-		return t.Exec()
-	}
-	msg, err := r.stageSend(rt, t)
-	if err != nil {
-		return err
-	}
-	return r.resolveSend(msg)
 }
 
 // execRecv stores a received payload and, for uncompressed dissemination,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"hipress/internal/compress"
+	"hipress/internal/netsim"
 	"hipress/internal/tensor"
 )
 
@@ -288,14 +291,77 @@ func TestLiveOverTCP(t *testing.T) {
 	}
 }
 
-func TestLiveUnknownTransportRejected(t *testing.T) {
-	lc, err := NewLiveCluster(2, LiveConfig{Strategy: StrategyPS, Transport: "carrier-pigeon"})
+// TestLiveConfigValidate is the constraint table: one row per rule in
+// LiveConfig.Validate, each rejected at construction with a *ConfigError
+// naming the field, plus the configurations that must stay valid. An unknown
+// transport used to construct fine and fail every round.
+func TestLiveConfigValidate(t *testing.T) {
+	chaos := &netsim.ChaosConfig{Seed: 1}
+	cases := []struct {
+		name  string
+		cfg   LiveConfig
+		field string // "" = valid
+	}{
+		{"zero config", LiveConfig{}, ""},
+		{"all planes on", LiveConfig{Strategy: StrategyPS, Transport: "tcp", Reliable: true, Coordinated: true,
+			OnPeerFail: DegradeExclude, Elastic: true, Chaos: chaos, Health: &HealthConfig{Adaptive: true}}, ""},
+		{"chaos under a round timeout only", LiveConfig{Chaos: chaos, RoundTimeout: time.Second}, ""},
+		{"passive health plane unreliable", LiveConfig{Health: &HealthConfig{}}, ""},
+		{"unknown transport", LiveConfig{Transport: "udp"}, "Transport"},
+		{"halving-doubling is not live", LiveConfig{Strategy: StrategyHD}, "Strategy"},
+		{"unknown strategy", LiveConfig{Strategy: Strategy(42)}, "Strategy"},
+		{"chaos without reliable or timeout", LiveConfig{Chaos: chaos}, "Chaos"},
+		{"exclude on a ring", LiveConfig{Strategy: StrategyRing, Reliable: true, OnPeerFail: DegradeExclude}, "OnPeerFail"},
+		{"elastic unreliable", LiveConfig{Strategy: StrategyPS, OnPeerFail: DegradeExclude, Elastic: true}, "Elastic"},
+		{"elastic with abort", LiveConfig{Strategy: StrategyPS, Reliable: true, Elastic: true}, "Elastic"},
+		{"elastic on a ring", LiveConfig{Strategy: StrategyRing, Reliable: true, OnPeerFail: DegradeExclude, Elastic: true}, "OnPeerFail"},
+		{"adaptive unreliable", LiveConfig{Health: &HealthConfig{Adaptive: true}}, "Health.Adaptive"},
+	}
+	for _, c := range cases {
+		_, err := NewLiveCluster(3, c.cfg)
+		var ce *ConfigError
+		switch {
+		case c.field == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.field != "" && !errors.As(err, &ce):
+			t.Errorf("%s: err = %v, want a *ConfigError on %s", c.name, err, c.field)
+		case c.field != "" && ce.Field != c.field:
+			t.Errorf("%s: ConfigError names %q (%v), want %q", c.name, ce.Field, err, c.field)
+		}
+	}
+
+	// The runtime entry points answer with the same definition.
+	lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, Reliable: true, OnPeerFail: DegradeExclude})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grads := []map[string][]float32{{"w": {1}}, {"w": {2}}}
-	if _, err := lc.SyncRound(grads); err == nil {
-		t.Fatal("unknown transport accepted")
+	ring := PlanEpoch{Version: 1, Strategy: StrategyRing, Parts: 1, CompressMin: -1}
+	plain, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime := []struct {
+		name  string
+		err   error
+		field string
+	}{
+		{"SetChaos on an unreliable cluster", plain.SetChaos(chaos), "Chaos"},
+		{"RestoreEpoch to a ring under exclude", lc.RestoreEpoch(ring, 0), "OnPeerFail"},
+		{"ProposeEpoch of a ring under exclude", lc.ProposeEpoch(context.Background(), ring), "OnPeerFail"},
+		{"ProposeEpoch of halving-doubling", lc.ProposeEpoch(context.Background(),
+			PlanEpoch{Version: 1, Strategy: StrategyHD, Parts: 1, CompressMin: -1}), "Strategy"},
+	}
+	for _, c := range runtime {
+		var ce *ConfigError
+		if !errors.As(c.err, &ce) || ce.Field != c.field {
+			t.Errorf("%s: err = %v, want a *ConfigError on %s", c.name, c.err, c.field)
+		}
+	}
+	if err := plain.SetChaos(nil); err != nil {
+		t.Errorf("SetChaos(nil): %v", err)
+	}
+	if err := lc.SetChaos(chaos); err != nil {
+		t.Errorf("SetChaos on a reliable cluster: %v", err)
 	}
 }
 

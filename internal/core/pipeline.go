@@ -23,9 +23,9 @@ import (
 // a pure function of the DAG state at the moment the send's dependencies
 // cleared, exactly as in the sequential loop — a ring accumulator is
 // serialized before any later merge can touch it, regardless of how long
-// the transfer then sits in a window. Resolution reuses the existing
-// reliable paths unchanged (scoreboard, RTO, φ-accrual, hedges), so health
-// semantics are identical; only the concurrency of waiting changed. The
+// the transfer then sits in a window. Resolution is the one delivery loop
+// (scoreboard, RTO, φ-accrual, hedges), so health semantics are identical
+// on every lane shape; only the concurrency of waiting differs. The
 // ordered barrier merge on the receive side already makes result bytes
 // independent of arrival order, which is why completion order across a
 // window cannot affect them.
@@ -72,32 +72,44 @@ type pendingSend struct {
 }
 
 // sendLane is one directed link's (or, sequentially, one node's) send
-// queue: staged transfers plus the count of workers currently resolving.
+// queue. Everything but sem is guarded by the engine mutex.
 type sendLane struct {
-	mu       sync.Mutex
-	queue    []pendingSend
-	inflight int
+	queue   []pendingSend
+	bytes   int64 // queued Task.Bytes: the metadata the coordinator weighs
+	workers int   // goroutines currently resolving this lane, ≤ window
 	// sem holds the window slots when OverlapEncode is off: submit acquires
 	// a slot before staging, the worker releases it after resolution. Nil
 	// when staging is allowed to run ahead of the window.
 	sem chan struct{}
 }
 
-// sendEngine owns every lane of one round. Lanes are keyed per directed
-// link when Window ≥ 2, per node otherwise (Dst = -1), so the sequential
-// configuration keeps exactly the old one-send-at-a-time-per-node shape.
+// sendEngine owns every lane of one round and is the only route from a
+// ready send task to the wire. Lanes are keyed per directed link when
+// Window ≥ 2 or the round is coordinated, per node otherwise (Dst = -1), so
+// the sequential configuration keeps exactly the old one-send-at-a-time-
+// per-node shape.
+//
+// Coordinated rounds (§3.2's global coordinator) add an admission policy on
+// top: a lane's workers run only while its link is granted, and no two
+// granted links share a source uplink or a destination downlink. A lane
+// holds its grant exactly while it has workers. Grants go
+// heaviest-queue-first (SelectNonConflicting) over the lanes with work,
+// last until the lane drains, and are re-evaluated then. The coordinator
+// reads task metadata only; staging, windows, retries and acks are the same
+// code as on every other path.
 type sendEngine struct {
-	r       *liveRound
-	window  int
-	perLink bool
-	overlap bool
+	r           *liveRound
+	window      int
+	perLink     bool
+	coordinated bool
+	overlap     bool
 
-	mu    sync.Mutex
+	mu    sync.Mutex // guards lanes and every lane's queue/bytes/workers
 	lanes map[LinkKey]*sendLane
 	wg    sync.WaitGroup
 
 	inflight atomic.Int64 // transfers currently resolving, across all lanes
-	maxDepth atomic.Int64 // high-water mark of queued+inflight on one lane
+	maxDepth atomic.Int64 // high-water mark of queued+resolving on one lane
 	startNs  atomic.Int64 // engine-relative ns of the first staged send
 	endNs    atomic.Int64 // engine-relative ns of the last resolution
 	began    time.Time
@@ -105,14 +117,15 @@ type sendEngine struct {
 	gauge *telemetry.Gauge
 }
 
-func newSendEngine(r *liveRound, cfg PipelineConfig) *sendEngine {
+func newSendEngine(r *liveRound, cfg PipelineConfig, coordinated bool) *sendEngine {
 	e := &sendEngine{
-		r:       r,
-		window:  cfg.Window,
-		perLink: cfg.Window > 1,
-		overlap: cfg.OverlapEncode,
-		lanes:   map[LinkKey]*sendLane{},
-		began:   time.Now(), //hipress:wallclock engine-relative monotonic base for ack latencies
+		r:           r,
+		window:      cfg.Window,
+		perLink:     cfg.Window > 1 || coordinated,
+		coordinated: coordinated,
+		overlap:     cfg.OverlapEncode,
+		lanes:       map[LinkKey]*sendLane{},
+		began:       time.Now(), //hipress:wallclock engine-relative monotonic base for ack latencies
 	}
 	if e.window < 1 {
 		e.window = 1
@@ -144,10 +157,10 @@ func (e *sendEngine) lane(t *Task) *sendLane {
 }
 
 // submit stages a ready send task on the drainer goroutine and queues it on
-// its lane, spawning a lane worker when the window has a free slot. Staging
-// here — not on the worker — is load-bearing for bit-identity: payload
-// bytes are fixed in dependency-clearing order, before any concurrently
-// resolving transfer can advance the DAG past them.
+// its lane, starting a lane worker when the lane is granted and its window
+// has a free slot. Staging here — not on the worker — is load-bearing for
+// bit-identity: payload bytes are fixed in dependency-clearing order, before
+// any concurrently resolving transfer can advance the DAG past them.
 func (e *sendEngine) submit(rt *nodeRT, id int, t *Task) error {
 	r := e.r
 	if t.Exec != nil {
@@ -175,52 +188,99 @@ func (e *sendEngine) submit(rt *nodeRT, id int, t *Task) error {
 		return err
 	}
 	e.startNs.CompareAndSwap(0, e.sinceNs())
-	l.mu.Lock()
+	e.mu.Lock()
 	l.queue = append(l.queue, pendingSend{id: id, t: t, msg: msg, start: start})
-	depth := int64(len(l.queue) + l.inflight)
-	spawn := l.inflight < e.window
-	if spawn {
-		l.inflight++
+	l.bytes += t.Bytes
+	depth := int64(len(l.queue) + l.workers)
+	if e.coordinated && l.workers == 0 {
+		e.grant()
+	} else {
+		e.start(l)
 	}
-	l.mu.Unlock()
+	e.mu.Unlock()
 	for {
 		cur := e.maxDepth.Load()
 		if depth <= cur || e.maxDepth.CompareAndSwap(cur, depth) {
 			break
 		}
 	}
-	if spawn {
+	return nil
+}
+
+// start brings a lane (granted, when coordinated) up to one worker per queued
+// transfer, at most window of them. Called with e.mu held.
+func (e *sendEngine) start(l *sendLane) {
+	for idle := len(l.queue); idle > 0 && l.workers < e.window; idle-- {
+		l.workers++
 		e.wg.Add(1)
 		go e.drain(l)
 	}
-	return nil
+}
+
+// grant is the coordinator's time slot: every lane with queued work and no
+// grant competes, and the winners start transmitting. Called with e.mu held,
+// when a transfer lands on an ungranted lane and when a granted lane drains.
+func (e *sendEngine) grant() {
+	pending := map[LinkKey]int64{}
+	var granted []LinkKey
+	for link, l := range e.lanes {
+		switch {
+		case l.workers > 0:
+			granted = append(granted, link)
+		case len(l.queue) > 0:
+			pending[link] = l.bytes
+		}
+	}
+	for _, link := range grantLinks(pending, granted) {
+		e.start(e.lanes[link])
+	}
+}
+
+// grantLinks picks which pending links (→ queued bytes) may start next to
+// the already granted ones: links whose source uplink and destination
+// downlink are both free, chosen among themselves by SelectNonConflicting.
+func grantLinks(pending map[LinkKey]int64, granted []LinkKey) []LinkKey {
+	srcBusy, dstBusy := map[int]bool{}, map[int]bool{}
+	for _, g := range granted {
+		srcBusy[g.Src], dstBusy[g.Dst] = true, true
+	}
+	free := make(map[LinkKey]int64, len(pending))
+	for link, bytes := range pending {
+		if !srcBusy[link.Src] && !dstBusy[link.Dst] {
+			free[link] = bytes
+		}
+	}
+	return SelectNonConflicting(free)
 }
 
 // drain is one window slot's worker: it resolves staged transfers in lane
 // FIFO order and exits when the lane empties or the round unwinds. Workers
 // per lane never exceed the window, so at most Window transfers of one lane
-// are between transmit and ack at any moment.
+// are between transmit and ack at any moment. The last worker to leave a
+// coordinated lane hands its grant back.
 func (e *sendEngine) drain(l *sendLane) {
 	defer e.wg.Done()
 	r := e.r
 	for {
+		unwinding := false
 		select {
 		case <-r.doneCh:
-			l.mu.Lock()
-			l.inflight--
-			l.mu.Unlock()
-			return
+			unwinding = true
 		default:
 		}
-		l.mu.Lock()
-		if len(l.queue) == 0 {
-			l.inflight--
-			l.mu.Unlock()
+		e.mu.Lock()
+		if unwinding || len(l.queue) == 0 {
+			l.workers--
+			if e.coordinated && l.workers == 0 && !unwinding {
+				e.grant() // this lane's slots are free again
+			}
+			e.mu.Unlock()
 			return
 		}
 		p := l.queue[0]
 		l.queue = l.queue[1:]
-		l.mu.Unlock()
+		l.bytes -= p.t.Bytes
+		e.mu.Unlock()
 
 		in := e.inflight.Add(1)
 		if e.gauge != nil {
@@ -236,11 +296,8 @@ func (e *sendEngine) drain(l *sendLane) {
 			<-l.sem
 		}
 		if err != nil {
-			r.fail(err)
-			l.mu.Lock()
-			l.inflight--
-			l.mu.Unlock()
-			return
+			r.fail(err) // closes doneCh: the next iteration unwinds
+			continue
 		}
 		r.traceTask(p.t, p.start)
 		r.completeTask(p.id)
@@ -346,7 +403,7 @@ func (a *ackPlane) enqueue(msg netsim.Message) {
 
 // run is one link's ack worker: swap out the pending queue, flush it, sleep
 // until woken. It exits when the round unwinds (unflushed acks are then
-// moot — every reliableSend waiter unblocks on doneCh).
+// moot — every deliver waiter unblocks on doneCh).
 func (a *ackPlane) run(l *ackLink) {
 	defer a.r.ackWG.Done()
 	for {

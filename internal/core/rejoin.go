@@ -271,16 +271,17 @@ func (lc *LiveCluster) updateMembership(h *RoundHealth, rs *roundState, carried 
 
 // SetChaos replaces the fault injector configuration applied to subsequent
 // rounds (nil removes it) — how a test or driver lifts a scripted blackout
-// before a peer rejoins. The same safety rule as NewLiveCluster applies:
-// chaos needs Reliable delivery or a RoundTimeout, or a dropped message
-// would hang the round.
+// before a peer rejoins. The configuration with c in place must still pass
+// LiveConfig.Validate.
 func (lc *LiveCluster) SetChaos(c *netsim.ChaosConfig) error {
-	if c != nil && !lc.cfg.Reliable && lc.cfg.RoundTimeout == 0 {
-		return fmt.Errorf("core: live chaos injection requires Reliable delivery or a RoundTimeout (a dropped message would hang the round)")
-	}
 	lc.chaosMu.Lock()
+	defer lc.chaosMu.Unlock()
+	cfg := lc.cfg
+	cfg.Chaos = c
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	lc.cfg.Chaos = c
-	lc.chaosMu.Unlock()
 	return nil
 }
 
