@@ -119,10 +119,12 @@ func BenchmarkCompressors(b *testing.B) {
 				}
 				g := make([]float32, n)
 				tensor.NewRNG(uint64(n)).FillNormal(g, 1)
+				dst := make([]byte, compress.MaxEncodedSize(c, n))
 				b.SetBytes(int64(4 * n))
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := c.Encode(g); err != nil {
+					if _, err := c.EncodeInto(dst, g); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -134,14 +136,16 @@ func BenchmarkCompressors(b *testing.B) {
 				}
 				g := make([]float32, n)
 				tensor.NewRNG(uint64(n)).FillNormal(g, 1)
-				payload, err := c.Encode(g)
+				payload, err := hipress.Encode(c, g)
 				if err != nil {
 					b.Fatal(err)
 				}
+				dec := make([]float32, n)
 				b.SetBytes(int64(4 * n))
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := c.Decode(payload, n); err != nil {
+					if err := c.DecodeInto(dec, payload); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -165,7 +169,7 @@ func BenchmarkDSLvsGenerated(b *testing.B) {
 			b.SetBytes(int64(4 * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Encode(g); err != nil {
+				if _, err := hipress.Encode(c, g); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"hipress/internal/compll"
+	"hipress/internal/compress"
 )
 
 func main() {
@@ -83,11 +84,11 @@ func demo(alg *compll.Algorithm) error {
 	params := map[string]float64{"bitwidth": 2, "ratio": 0.25, "tau": 0.5, "factor": 0.3, "sparsity": 0.2}
 	c := alg.Compressor(params, 42)
 	grad := []float32{1.5, -0.25, 0.75, -2, 0.1, 0, 3, -1}
-	payload, err := c.Encode(grad)
+	payload, err := compress.Encode(c, grad)
 	if err != nil {
 		return fmt.Errorf("encode: %w", err)
 	}
-	dec, err := c.Decode(payload, len(grad))
+	dec, err := compress.Decode(c, payload, len(grad))
 	if err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}

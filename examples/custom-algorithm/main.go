@@ -54,8 +54,8 @@ func main() {
 		log.Fatal(err)
 	}
 	g := []float32{0.7, -1.5, 0.2, -0.1, 3.0}
-	payload, _ := c.Encode(g)
-	dec, _ := c.Decode(payload, len(g))
+	payload, _ := hipress.Encode(c, g)
+	dec, _ := hipress.Decode(c, payload, len(g))
 	fmt.Printf("input:   %v\npayload: %d bytes\ndecoded: %v\n\n", g, len(payload), dec)
 
 	// (b) Live compressed training.

@@ -44,7 +44,7 @@ func main() {
 	for i := range grad {
 		grad[i] = float32(i%7) - 3
 	}
-	payload, err := c.Encode(grad)
+	payload, err := hipress.Encode(c, grad)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -185,7 +185,13 @@ type PeerFailureError = core.PeerFailureError
 
 // --- compression (real data plane) --------------------------------------------
 
-// Compressor is the unified gradient compression abstraction.
+// Compressor is the unified gradient compression abstraction: EncodeInto
+// and DecodeInto write into buffers the caller provides; Encode and Decode
+// below are the allocating forms.
+//
+//	c, _ := hipress.NewCompressor("onebit", nil)
+//	payload, _ := hipress.Encode(c, grad)
+//	back, _ := hipress.Decode(c, payload, len(grad))
 type Compressor = compress.Compressor
 
 // NewCompressor builds a registered compressor by name: "onebit", "tbq",
@@ -193,6 +199,16 @@ type Compressor = compress.Compressor
 // builds ("cll-onebit", ...), and anything registered via RegisterAlgorithm.
 func NewCompressor(name string, params map[string]float64) (Compressor, error) {
 	return compress.New(name, params)
+}
+
+// Encode compresses grad under c into a fresh payload. Code that owns a
+// reusable buffer calls c.EncodeInto directly.
+func Encode(c Compressor, grad []float32) ([]byte, error) { return compress.Encode(c, grad) }
+
+// Decode reconstructs an n-element gradient from payload into a fresh slice
+// (c.DecodeInto writes into one the caller owns).
+func Decode(c Compressor, payload []byte, n int) ([]float32, error) {
+	return compress.Decode(c, payload, n)
 }
 
 // CompressorNames lists every registered compression algorithm.

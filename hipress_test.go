@@ -49,11 +49,11 @@ func TestCompressorRoundTripThroughFacade(t *testing.T) {
 		for i := range g {
 			g[i] = float32(i%13) - 6
 		}
-		payload, err := c.Encode(g)
+		payload, err := Encode(c, g)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		dec, err := c.Decode(payload, len(g))
+		dec, err := Decode(c, payload, len(g))
 		if err != nil || len(dec) != len(g) {
 			t.Fatalf("%s: decode %d, %v", name, len(dec), err)
 		}
@@ -102,11 +102,11 @@ void decode(uint8* compressed, float* gradient) {
 		t.Fatal(err)
 	}
 	g := []float32{2, -3, 0.5, -0.5}
-	payload, err := c.Encode(g)
+	payload, err := Encode(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decode(payload, 4)
+	dec, err := Decode(c, payload, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

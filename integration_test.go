@@ -56,11 +56,11 @@ void decode(uint8* compressed, float* gradient, Params params) {
 		t.Fatal(err)
 	}
 	g := []float32{5, 0.1, -4, 0.2, 3, -0.3, 2, 0.4, -1, 0.5}
-	payload, err := c.Encode(g)
+	payload, err := hipress.Encode(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decode(payload, len(g))
+	dec, err := hipress.Decode(c, payload, len(g))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -332,11 +332,11 @@ func TestDSLRoundTripAllPrograms(t *testing.T) {
 		for _, n := range []int{1, 8, 100, 1000} {
 			g := make([]float32, n)
 			tensor.NewRNG(uint64(n)).FillNormal(g, 1)
-			payload, err := c.Encode(g)
+			payload, err := compress.Encode(c, g)
 			if err != nil {
 				t.Fatalf("%s: encode(n=%d): %v", name, n, err)
 			}
-			dec, err := c.Decode(payload, n)
+			dec, err := compress.Decode(c, payload, n)
 			if err != nil {
 				t.Fatalf("%s: decode(n=%d): %v", name, n, err)
 			}
@@ -352,16 +352,16 @@ func TestDSLOnebitMatchesNative(t *testing.T) {
 	c := algs["onebit"].Compressor(nil, 1)
 	g := make([]float32, 777)
 	tensor.NewRNG(5).FillNormal(g, 2)
-	payload, err := c.Encode(g)
+	payload, err := compress.Encode(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dslDec, err := c.Decode(payload, len(g))
+	dslDec, err := compress.Decode(c, payload, len(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nativePayload, _ := compress.Onebit{}.Encode(g)
-	nativeDec, _ := compress.Onebit{}.Decode(nativePayload, len(g))
+	nativePayload, _ := compress.Encode(compress.Onebit{}, g)
+	nativeDec, _ := compress.Decode(compress.Onebit{}, nativePayload, len(g))
 	for i := range g {
 		if math.Abs(float64(dslDec[i]-nativeDec[i])) > 1e-6 {
 			t.Fatalf("onebit DSL and native diverge at %d: %v vs %v", i, dslDec[i], nativeDec[i])
@@ -374,11 +374,11 @@ func TestDSLTernGradOnGrid(t *testing.T) {
 	c := algs["terngrad"].Compressor(map[string]float64{"bitwidth": 2}, 3)
 	g := make([]float32, 512)
 	tensor.NewRNG(9).FillNormal(g, 1)
-	payload, err := c.Encode(g)
+	payload, err := compress.Encode(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decode(payload, len(g))
+	dec, err := compress.Decode(c, payload, len(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +396,11 @@ func TestDSLDGCKeepsLargest(t *testing.T) {
 	algs := mustBuiltins(t)
 	c := algs["dgc"].Compressor(map[string]float64{"ratio": 0.25}, 1)
 	g := []float32{0.1, -9, 0.2, 7, 0.3, 0.4, -0.5, 0.6}
-	payload, err := c.Encode(g)
+	payload, err := compress.Encode(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decode(payload, len(g))
+	dec, err := compress.Decode(c, payload, len(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,11 +416,11 @@ func TestDSLTBQClampsToTau(t *testing.T) {
 	algs := mustBuiltins(t)
 	c := algs["tbq"].Compressor(map[string]float64{"tau": 0.5}, 1)
 	g := []float32{0.7, -0.9, 0.2, 0.5}
-	payload, err := c.Encode(g)
+	payload, err := compress.Encode(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decode(payload, len(g))
+	dec, err := compress.Decode(c, payload, len(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,11 +440,11 @@ func TestDSLCompressorsRegistered(t *testing.T) {
 		}
 		g := make([]float32, 300)
 		tensor.NewRNG(2).FillNormal(g, 1)
-		payload, err := c.Encode(g)
+		payload, err := compress.Encode(c, g)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := c.Decode(payload, 300); err != nil {
+		if _, err := compress.Decode(c, payload, 300); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if c.CompressedSize(1<<20) <= 0 {
@@ -477,11 +477,11 @@ func TestInterpParamDefaults(t *testing.T) {
 	// Missing ratio defaults to 0 → k clamps to 1: still functional.
 	c := algs["dgc"].Compressor(nil, 1)
 	g := []float32{5, 1, 2}
-	payload, err := c.Encode(g)
+	payload, err := compress.Encode(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decode(payload, 3)
+	dec, err := compress.Decode(c, payload, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,11 +580,11 @@ func TestExpressivenessExtensions(t *testing.T) {
 	// AdaComp keeps exactly the elements above factor×max|g|.
 	ada := algs["adacomp"].Compressor(map[string]float64{"factor": 0.5}, 1)
 	g := []float32{1, -0.2, 0.6, -2, 0.9, 0}
-	payload, err := ada.Encode(g)
+	payload, err := compress.Encode(ada, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ada.Decode(payload, len(g))
+	dec, err := compress.Decode(ada, payload, len(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,11 +598,11 @@ func TestExpressivenessExtensions(t *testing.T) {
 	// 3LC maps onto the {-s, 0, +s} lattice with a sparsity band.
 	tlc := algs["threelc"].Compressor(map[string]float64{"sparsity": 0.25}, 1)
 	g2 := []float32{2, -2, 0.1, -0.1, 1}
-	payload2, err := tlc.Encode(g2)
+	payload2, err := compress.Encode(tlc, g2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec2, err := tlc.Decode(payload2, len(g2))
+	dec2, err := compress.Decode(tlc, payload2, len(g2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func TestExpressivenessExtensions(t *testing.T) {
 	// Dense 2-bit lattice: payload is ~1/16 of fp32 for large inputs.
 	big := make([]float32, 1<<14)
 	tensor.NewRNG(1).FillNormal(big, 1)
-	p3, _ := tlc.Encode(big)
+	p3, _ := compress.Encode(tlc, big)
 	if ratio := float64(len(p3)) / float64(4*len(big)); ratio > 0.08 {
 		t.Errorf("threelc ratio = %.3f, want ~1/16", ratio)
 	}

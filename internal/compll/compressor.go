@@ -72,18 +72,28 @@ type dslCompressor struct {
 // Name implements compress.Compressor.
 func (c *dslCompressor) Name() string { return "cll-" + c.algo.prog.Name }
 
-// Encode implements compress.Compressor.
-func (c *dslCompressor) Encode(grad []float32) ([]byte, error) {
+// EncodeInto implements compress.Compressor. The interpreter builds its
+// payload in fresh memory; it is copied into dst.
+func (c *dslCompressor) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.interp.Encode(grad, c.params)
+	p, err := c.interp.Encode(grad, c.params)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst[:0], p...), nil
 }
 
-// Decode implements compress.Compressor.
-func (c *dslCompressor) Decode(payload []byte, n int) ([]float32, error) {
+// DecodeInto implements compress.Compressor.
+func (c *dslCompressor) DecodeInto(dst []float32, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.interp.Decode(payload, n, c.params)
+	dec, err := c.interp.Decode(payload, len(dst), c.params)
+	if err != nil {
+		return err
+	}
+	copy(dst, dec)
+	return nil
 }
 
 // CompressedSize implements compress.Compressor. DSL programs carry no
@@ -175,22 +185,7 @@ func init() {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		alg := algs[n]
-		base := defaultParams[n]
-		compress.Register("cll-"+n, func(p compress.Params) (compress.Compressor, error) {
-			merged := map[string]float64{}
-			for k, v := range base {
-				merged[k] = v
-			}
-			for k, v := range p {
-				merged[k] = v
-			}
-			seed := uint64(1)
-			if s, ok := merged["seed"]; ok {
-				seed = uint64(s)
-			}
-			return alg.Compressor(merged, seed), nil
-		})
+		RegisterCompressor(algs[n], "cll-"+n, defaultParams[n])
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 //
 // Adaptive is itself a Compressor, so it composes with ErrorFeedback and
 // registers in the registry ("adaptive" wraps DGC at two ratios by
-// default). Decode dispatches on the payload's algorithm id, so receivers
-// need no knowledge of the sender's current regime.
+// default). DecodeInto dispatches on the payload's algorithm id, so
+// receivers need no knowledge of the sender's current regime.
 type Adaptive struct {
 	conservative Compressor // used in critical regimes
 	aggressive   Compressor // used in stable regimes
@@ -70,9 +70,9 @@ func (a *Adaptive) Switches() int {
 	return a.switches
 }
 
-// Encode implements Compressor: detect the regime from the gradient norm,
-// then delegate.
-func (a *Adaptive) Encode(grad []float32) ([]byte, error) {
+// EncodeInto implements Compressor: detect the regime from the gradient
+// norm, then delegate to that regime's kernel.
+func (a *Adaptive) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
 	norm := tensor.Norm2(grad)
 	a.mu.Lock()
 	wasCritical := a.critical
@@ -89,17 +89,18 @@ func (a *Adaptive) Encode(grad []float32) ([]byte, error) {
 		c = a.conservative
 	}
 	a.mu.Unlock()
-	return c.Encode(grad)
+	return c.EncodeInto(dst, grad)
 }
 
-// Decode implements Compressor by dispatching on the payload's embedded
+// DecodeInto implements Compressor by dispatching on the payload's embedded
 // algorithm: it tries the conservative decoder first and falls back to the
-// aggressive one (payload headers reject the wrong decoder loudly).
-func (a *Adaptive) Decode(payload []byte, n int) ([]float32, error) {
-	if dec, err := a.conservative.Decode(payload, n); err == nil {
-		return dec, nil
+// aggressive one (payload headers reject the wrong decoder loudly, and the
+// second decoder rewrites whatever the first left in dst).
+func (a *Adaptive) DecodeInto(dst []float32, payload []byte) error {
+	if a.conservative.DecodeInto(dst, payload) == nil {
+		return nil
 	}
-	return a.aggressive.Decode(payload, n)
+	return a.aggressive.DecodeInto(dst, payload)
 }
 
 // CompressedSize implements Compressor conservatively (the larger of the

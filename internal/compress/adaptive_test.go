@@ -3,6 +3,7 @@ package compress
 import (
 	"testing"
 
+	"hipress/internal/kernels"
 	"hipress/internal/tensor"
 )
 
@@ -31,7 +32,7 @@ func TestAdaptiveRegimeSwitching(t *testing.T) {
 	tensor.NewRNG(1).FillNormal(g, 1)
 	var stableSize int
 	for i := 0; i < 3; i++ {
-		payload, err := a.Encode(g)
+		payload, err := Encode(a, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func TestAdaptiveRegimeSwitching(t *testing.T) {
 	// A norm spike → back to the conservative regime, larger payloads.
 	spike := tensor.Clone(g)
 	tensor.Scale(spike, 10)
-	payload, err := a.Encode(spike)
+	payload, err := Encode(a, spike)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,20 +69,20 @@ func TestAdaptiveDecodeEitherRegime(t *testing.T) {
 	g := make([]float32, 512)
 	tensor.NewRNG(2).FillNormal(g, 1)
 	// First encode: critical → onebit payload.
-	p1, err := a.Encode(g)
+	p1, err := Encode(a, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Decode(p1, 512); err != nil {
+	if _, err := Decode(a, p1, 512); err != nil {
 		t.Fatalf("decode of conservative payload: %v", err)
 	}
 	// Stabilize, then encode with the aggressive compressor.
-	a.Encode(g)
-	p2, err := a.Encode(g)
+	Encode(a, g)
+	p2, err := Encode(a, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Decode(p2, 512); err != nil {
+	if _, err := Decode(a, p2, 512); err != nil {
 		t.Fatalf("decode of aggressive payload: %v", err)
 	}
 	if len(p2) >= len(p1) {
@@ -96,14 +97,50 @@ func TestAdaptiveRegistered(t *testing.T) {
 	}
 	g := make([]float32, 300)
 	tensor.NewRNG(3).FillNormal(g, 1)
-	payload, err := c.Encode(g)
+	payload, err := Encode(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Decode(payload, 300); err != nil {
+	if _, err := Decode(c, payload, 300); err != nil {
 		t.Fatal(err)
 	}
 	if c.CompressedSize(1000) <= 0 {
 		t.Fatal("non-positive size")
+	}
+}
+
+// TestAdaptiveSteadyStateAllocs extends TestSteadyStateAllocs through the
+// adaptive wrapper: EncodeInto and DecodeInto hand the caller's buffers to
+// the chosen regime's kernel, so wrapping allocates nothing. Skipped under
+// the race detector for the same reason.
+func TestAdaptiveSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses its caches under -race; alloc counts are meaningless")
+	}
+	c := newSeeded(t, "adaptive", 5)
+	n := 2*kernels.ChunkElems + 11
+	grad := randGrad(99, n, 1)
+	dst := make([]byte, MaxEncodedSize(c, n))
+	dec := make([]float32, n)
+	var payload []byte
+	for i := 0; i < 3; i++ { // warm the op pools; leaves the stable regime
+		var err error
+		if payload, err = c.EncodeInto(dst, grad); err != nil {
+			t.Fatalf("warmup: %v", err)
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := c.EncodeInto(dst, grad); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("adaptive EncodeInto: %v allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if err := c.DecodeInto(dec, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("adaptive DecodeInto: %v allocs/op, want 0", a)
 	}
 }

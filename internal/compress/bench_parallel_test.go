@@ -34,14 +34,14 @@ func BenchmarkEncodeParallel(b *testing.B) {
 				}
 				g := benchGrad(n)
 				dst := make([]byte, MaxEncodedSize(c, n))
-				if _, err := EncodeInto(c, dst, g); err != nil {
+				if _, err := c.EncodeInto(dst, g); err != nil {
 					b.Fatal(err)
 				}
 				b.SetBytes(int64(4 * n))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := EncodeInto(c, dst, g); err != nil {
+					if _, err := c.EncodeInto(dst, g); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -82,7 +82,7 @@ func BenchmarkDecodeParallel(b *testing.B) {
 					b.Fatal(err)
 				}
 				g := benchGrad(n)
-				payload, err := c.Encode(g)
+				payload, err := Encode(c, g)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -91,7 +91,7 @@ func BenchmarkDecodeParallel(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := DecodeInto(c, dst, payload); err != nil {
+					if err := c.DecodeInto(dst, payload); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -118,7 +118,7 @@ func BenchmarkEncodeSerialBaseline(b *testing.B) {
 			b.SetBytes(int64(4 * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := EncodeInto(c, dst, g); err != nil {
+				if _, err := c.EncodeInto(dst, g); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,16 +2,18 @@
 // paper builds with CompLL (onebit, TBQ, TernGrad, DGC, GradDrop), plus the
 // deliberately naive "OSS" baselines the evaluation compares against.
 //
-// All algorithms operate on real data: Encode turns a []float32 gradient
-// into a compact byte payload and Decode reconstructs the (lossy) gradient.
-// Compressed gradients are NOT directly aggregatable — exactly the property
-// that motivates CaSync — so the package also provides DecodeAdd, the fused
-// decode+merge the paper's §5 describes.
+// All algorithms operate on real data through one interface: EncodeInto
+// turns a []float32 gradient into a compact byte payload written into a
+// caller-provided buffer, and DecodeInto reconstructs the (lossy) gradient
+// into a caller-provided slice. The package functions Encode and Decode are
+// the only allocating forms. Compressed gradients are NOT directly
+// aggregatable — exactly the property that motivates CaSync — so the package
+// also provides DecodeAdd, the fused decode+merge the paper's §5 describes.
 //
-// Compressors are stateless; error-feedback residual state (which the
-// quantization/sparsification convergence proofs rely on) lives in the
-// ErrorFeedback wrapper so one compressor instance can serve many gradients
-// and many workers.
+// Compressors hold no per-gradient state; error-feedback residual state
+// (which the quantization/sparsification convergence proofs rely on) lives
+// in the ErrorFeedback wrapper so one compressor instance can serve many
+// gradients and many workers.
 package compress
 
 import (
@@ -23,24 +25,45 @@ import (
 
 // Compressor is the unified abstraction mirroring CompLL's encode/decode API
 // (paper Fig. 4): an encode that maps a float gradient to bytes and a decode
-// that unfolds it back.
+// that unfolds it back. Both write into memory the caller provides, so the
+// synchronization path (buffers leased from the kernels arena) and one-off
+// callers (Encode, Decode) run the same code.
 type Compressor interface {
 	// Name identifies the algorithm (and its parameterization) in plans,
 	// logs, and benchmark tables.
 	Name() string
 
-	// Encode compresses grad into a fresh payload. The input is not
-	// modified.
-	Encode(grad []float32) ([]byte, error)
+	// EncodeInto compresses grad, which it does not modify. dst supplies
+	// capacity (size it with MaxEncodedSize; nil is allowed): the returned
+	// payload is dst resliced to the exact payload length, or a fresh buffer
+	// when cap(dst) is insufficient. The five native kernels allocate
+	// nothing when dst is large enough.
+	EncodeInto(dst []byte, grad []float32) ([]byte, error)
 
-	// Decode reconstructs an n-element gradient from payload. n must match
-	// the length passed to Encode.
-	Decode(payload []byte, n int) ([]float32, error)
+	// DecodeInto reconstructs the gradient into dst, rewriting every
+	// element. len(dst) must equal the encoded element count.
+	DecodeInto(dst []float32, payload []byte) error
 
-	// CompressedSize returns the exact payload size in bytes that Encode
-	// produces for an n-element gradient. The simulation plane uses this to
-	// size phantom transfers without touching real data.
+	// CompressedSize returns the payload size in bytes that an encode
+	// produces for an n-element gradient (an estimate where the size is
+	// data-dependent). The simulation plane uses this to size phantom
+	// transfers without touching real data.
 	CompressedSize(n int) int
+}
+
+// Encode compresses grad into a fresh payload.
+func Encode(c Compressor, grad []float32) ([]byte, error) {
+	return c.EncodeInto(nil, grad)
+}
+
+// Decode reconstructs an n-element gradient from payload into a fresh
+// slice. n must match the length passed to the encode.
+func Decode(c Compressor, payload []byte, n int) ([]float32, error) {
+	out := make([]float32, n)
+	if err := c.DecodeInto(out, payload); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // DecodeAdder is implemented by compressors that support the fused
@@ -65,7 +88,7 @@ func DecodeAdd(c Compressor, payload []byte, dst []float32) error {
 	if da, ok := c.(DecodeAdder); ok {
 		return da.DecodeAdd(payload, dst)
 	}
-	dec, err := c.Decode(payload, len(dst))
+	dec, err := Decode(c, payload, len(dst))
 	if err != nil {
 		return err
 	}

@@ -77,11 +77,11 @@ func TestRoundTripShape(t *testing.T) {
 	for _, c := range newAll(t) {
 		for _, n := range sizes {
 			g := randGrad(uint64(n)+1, n, 1)
-			payload, err := c.Encode(g)
+			payload, err := Encode(c, g)
 			if err != nil {
 				t.Fatalf("%s: Encode(n=%d): %v", c.Name(), n, err)
 			}
-			dec, err := c.Decode(payload, n)
+			dec, err := Decode(c, payload, n)
 			if err != nil {
 				t.Fatalf("%s: Decode(n=%d): %v", c.Name(), n, err)
 			}
@@ -103,7 +103,7 @@ func TestCompressedSizeExact(t *testing.T) {
 		}
 		for _, n := range []int{0, 1, 5, 100, 4097} {
 			g := randGrad(9, n, 1)
-			payload, err := c.Encode(g)
+			payload, err := Encode(c, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,11 +135,11 @@ func TestCompressionRatios(t *testing.T) {
 
 func TestOnebitReconstruction(t *testing.T) {
 	g := []float32{1, 2, 3, -1, -3}
-	payload, err := Onebit{}.Encode(g)
+	payload, err := Encode(Onebit{}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Onebit{}.Decode(payload, len(g))
+	dec, err := Decode(Onebit{}, payload, len(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,8 @@ func TestOnebitReconstruction(t *testing.T) {
 
 func TestOnebitSignPreservation(t *testing.T) {
 	g := randGrad(4, 999, 2)
-	payload, _ := Onebit{}.Encode(g)
-	dec, _ := Onebit{}.Decode(payload, len(g))
+	payload, _ := Encode(Onebit{}, g)
+	dec, _ := Decode(Onebit{}, payload, len(g))
 	for i := range g {
 		if g[i] > 0 && dec[i] < 0 || g[i] < 0 && dec[i] > 0 {
 			t.Fatalf("onebit flipped sign at %d: %v -> %v", i, g[i], dec[i])
@@ -173,11 +173,11 @@ func TestTernGradUnbiased(t *testing.T) {
 	const trials = 4000
 	acc := make([]float64, len(g))
 	for trial := 0; trial < trials; trial++ {
-		payload, err := tg.Encode(g)
+		payload, err := Encode(tg, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := tg.Decode(payload, len(g))
+		dec, err := Decode(tg, payload, len(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,8 +201,8 @@ func TestTernGradBoundsRespected(t *testing.T) {
 		}
 		g := randGrad(uint64(bw), 2048, 3)
 		mn, mx := tensor.Min(g), tensor.Max(g)
-		payload, _ := tg.Encode(g)
-		dec, _ := tg.Decode(payload, len(g))
+		payload, _ := Encode(tg, g)
+		dec, _ := Decode(tg, payload, len(g))
 		const eps = 1e-4
 		for i, x := range dec {
 			if float64(x) < float64(mn)-eps || float64(x) > float64(mx)+eps {
@@ -217,8 +217,8 @@ func TestTernGradQuantizationErrorShrinksWithBitwidth(t *testing.T) {
 	var prev float64 = math.Inf(1)
 	for _, bw := range []int{2, 4, 8} {
 		tg, _ := NewTernGrad(bw, 3)
-		payload, _ := tg.Encode(g)
-		dec, _ := tg.Decode(payload, len(g))
+		payload, _ := Encode(tg, g)
+		dec, _ := Decode(tg, payload, len(g))
 		err := tensor.L1Diff(g, dec)
 		if err >= prev {
 			t.Fatalf("bitwidth %d error %v did not shrink from %v", bw, err, prev)
@@ -239,11 +239,11 @@ func TestTernGradBitwidthValidation(t *testing.T) {
 func TestTernGradConstantGradient(t *testing.T) {
 	g := []float32{2.5, 2.5, 2.5}
 	tg, _ := NewTernGrad(2, 1)
-	payload, err := tg.Encode(g)
+	payload, err := Encode(tg, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := tg.Decode(payload, 3)
+	dec, err := Decode(tg, payload, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func TestTernGradConstantGradient(t *testing.T) {
 func TestTBQExactValues(t *testing.T) {
 	tbq := NewTBQ(0.5)
 	g := []float32{0.6, -0.7, 0.1, -0.2, 0.5}
-	payload, err := tbq.Encode(g)
+	payload, err := Encode(tbq, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := tbq.Decode(payload, len(g))
+	dec, err := Decode(tbq, payload, len(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestTBQExactValues(t *testing.T) {
 func TestTBQSparsePayloadSmallerWhenCalm(t *testing.T) {
 	tbq := NewTBQ(10) // threshold far above data scale: nothing survives
 	g := randGrad(8, 10000, 1)
-	payload, _ := tbq.Encode(g)
+	payload, _ := Encode(tbq, g)
 	if len(payload) != headerSize+8 {
 		t.Fatalf("calm gradient payload = %d bytes, want header only", len(payload))
 	}
@@ -288,11 +288,11 @@ func TestDGCKeepsExactTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := []float32{0.1, -5, 0.2, 3, -0.3, 0.4, 2, -0.5} // top2 of 8: -5, 3
-	payload, err := d.Encode(g)
+	payload, err := Encode(d, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := d.Decode(payload, len(g))
+	dec, err := Decode(d, payload, len(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +312,11 @@ func TestDGCSurvivorCountExact(t *testing.T) {
 		}
 		n := 4096
 		g := randGrad(2, n, 1)
-		payload, err := d.Encode(g)
+		payload, err := Encode(d, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, _ := d.Decode(payload, n)
+		dec, _ := Decode(d, payload, n)
 		nonzero := 0
 		for _, x := range dec {
 			if x != 0 {
@@ -332,11 +332,11 @@ func TestDGCSurvivorCountExact(t *testing.T) {
 func TestDGCTiesStillExactK(t *testing.T) {
 	d, _ := NewDGC(0.5)
 	g := []float32{1, 1, 1, 1} // all tied: k=2 must still hold
-	payload, err := d.Encode(g)
+	payload, err := Encode(d, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, _ := d.Decode(payload, 4)
+	dec, _ := Decode(d, payload, 4)
 	nonzero := 0
 	for _, x := range dec {
 		if x != 0 {
@@ -364,11 +364,11 @@ func TestGradDropKeepsApproximatelyRatio(t *testing.T) {
 	}
 	n := 50000
 	g := randGrad(3, n, 1)
-	payload, err := gd.Encode(g)
+	payload, err := Encode(gd, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := gd.Decode(payload, n)
+	dec, err := Decode(gd, payload, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +390,11 @@ func TestGradDropKeepsApproximatelyRatio(t *testing.T) {
 func TestGradDropAllZeroGradient(t *testing.T) {
 	gd, _ := NewGradDrop(0.01, 1)
 	g := make([]float32, 100)
-	payload, err := gd.Encode(g)
+	payload, err := Encode(gd, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gd.Decode(payload, 100); err != nil {
+	if _, err := Decode(gd, payload, 100); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -411,7 +411,7 @@ func TestDecodeAddFusion(t *testing.T) {
 	for _, c := range newAll(t) {
 		n := 513
 		g := randGrad(11, n, 1)
-		payload, err := c.Encode(g)
+		payload, err := Encode(c, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +420,7 @@ func TestDecodeAddFusion(t *testing.T) {
 		if err := DecodeAdd(c, payload, viaFused); err != nil {
 			t.Fatalf("%s: DecodeAdd: %v", c.Name(), err)
 		}
-		dec, err := c.Decode(payload, n)
+		dec, err := Decode(c, payload, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,20 +439,20 @@ func TestDecodeAddFusion(t *testing.T) {
 // truncated payload must fail loudly.
 func TestHeaderRejections(t *testing.T) {
 	g := randGrad(1, 64, 1)
-	obPayload, _ := Onebit{}.Encode(g)
+	obPayload, _ := Encode(Onebit{}, g)
 	d, _ := NewDGC(0.01)
-	if _, err := d.Decode(obPayload, 64); err == nil {
+	if _, err := Decode(d, obPayload, 64); err == nil {
 		t.Errorf("dgc decoded an onebit payload")
 	}
-	if _, err := (Onebit{}).Decode(obPayload, 63); err == nil {
+	if _, err := Decode(Onebit{}, obPayload, 63); err == nil {
 		t.Errorf("onebit accepted wrong n")
 	}
-	if _, err := (Onebit{}).Decode(obPayload[:4], 64); err == nil {
+	if _, err := Decode(Onebit{}, obPayload[:4], 64); err == nil {
 		t.Errorf("onebit accepted truncated payload")
 	}
 	corrupt := append([]byte(nil), obPayload...)
 	corrupt[0] ^= 0xFF
-	if _, err := (Onebit{}).Decode(corrupt, 64); err == nil {
+	if _, err := Decode(Onebit{}, corrupt, 64); err == nil {
 		t.Errorf("onebit accepted corrupted magic")
 	}
 }
@@ -460,7 +460,7 @@ func TestHeaderRejections(t *testing.T) {
 func TestTBQIndexOutOfRangeRejected(t *testing.T) {
 	tbq := NewTBQ(0.1)
 	g := []float32{1, 1, 1, 1}
-	payload, _ := tbq.Encode(g)
+	payload, _ := Encode(tbq, g)
 	// Corrupt the first index to point beyond n.
 	payload[headerSize+8] = 0xFF
 	if err := tbq.DecodeAdd(payload, make([]float32, 4)); err == nil {
@@ -473,24 +473,24 @@ func TestTBQIndexOutOfRangeRejected(t *testing.T) {
 func TestOSSPayloadCompatibility(t *testing.T) {
 	g := randGrad(21, 1001, 1)
 
-	opt, _ := Onebit{}.Encode(g)
-	oss, _ := OSSOnebit{}.Encode(g)
+	opt, _ := Encode(Onebit{}, g)
+	oss, _ := Encode(OSSOnebit{}, g)
 	if string(opt) != string(oss) {
 		t.Errorf("oss-onebit payload differs from onebit")
 	}
 
 	tbq := NewTBQ(0.05)
-	optT, _ := tbq.Encode(g)
-	ossT, _ := OSSTBQ{TBQ: tbq}.Encode(g)
+	optT, _ := Encode(tbq, g)
+	ossT, _ := Encode(OSSTBQ{TBQ: tbq}, g)
 	if string(optT) != string(ossT) {
 		t.Errorf("oss-tbq payload differs from tbq")
 	}
 
 	d, _ := NewDGC(0.01)
-	optD, _ := d.Encode(g)
-	ossD, _ := OSSDGC{DGC: d}.Encode(g)
-	decOpt, _ := d.Decode(optD, len(g))
-	decOSS, _ := d.Decode(ossD, len(g))
+	optD, _ := Encode(d, g)
+	ossD, _ := Encode(OSSDGC{DGC: d}, g)
+	decOpt, _ := Decode(d, optD, len(g))
+	decOSS, _ := Decode(d, ossD, len(g))
 	for i := range decOpt {
 		if decOpt[i] != decOSS[i] {
 			t.Fatalf("oss-dgc decodes differently at %d: %v vs %v", i, decOpt[i], decOSS[i])
@@ -504,11 +504,11 @@ func TestErrorFeedbackConservation(t *testing.T) {
 	base, _ := New("dgc", Params{"ratio": 0.1})
 	ef := NewErrorFeedback(base)
 	g := randGrad(31, 256, 1)
-	payload, err := ef.EncodeWithFeedback("layer0", g)
+	payload, err := ef.EncodeWithFeedbackInto("layer0", nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := base.Decode(payload, len(g))
+	dec, err := Decode(base, payload, len(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestErrorFeedbackEventuallyTransmitsEverything(t *testing.T) {
 	total := make([]float32, n)
 	const rounds = 400
 	for r := 0; r < rounds; r++ {
-		payload, err := ef.EncodeWithFeedback("w", g)
+		payload, err := ef.EncodeWithFeedbackInto("w", nil, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,11 +554,11 @@ func TestErrorFeedbackEventuallyTransmitsEverything(t *testing.T) {
 func TestErrorFeedbackResize(t *testing.T) {
 	base, _ := New("onebit", nil)
 	ef := NewErrorFeedback(base)
-	if _, err := ef.EncodeWithFeedback("w", randGrad(1, 10, 1)); err != nil {
+	if _, err := ef.EncodeWithFeedbackInto("w", nil, randGrad(1, 10, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Same key, different size: residual must be re-allocated, not panic.
-	if _, err := ef.EncodeWithFeedback("w", randGrad(2, 20, 1)); err != nil {
+	if _, err := ef.EncodeWithFeedbackInto("w", nil, randGrad(2, 20, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(ef.Residual("w")); got != 20 {
@@ -599,12 +599,12 @@ func TestQuickDecodeDeterministic(t *testing.T) {
 		f := func(seed uint64, nRaw uint16) bool {
 			n := int(nRaw%512) + 1
 			g := randGrad(seed, n, 1)
-			payload, err := c.Encode(g)
+			payload, err := Encode(c, g)
 			if err != nil {
 				return false
 			}
-			d1, err1 := c.Decode(payload, n)
-			d2, err2 := c.Decode(payload, n)
+			d1, err1 := Decode(c, payload, n)
+			d2, err2 := Decode(c, payload, n)
 			if err1 != nil || err2 != nil {
 				return false
 			}
@@ -628,11 +628,11 @@ func TestQuickQuantizerScaleBound(t *testing.T) {
 	f := func(seed uint64, nRaw uint16) bool {
 		n := int(nRaw%256) + 1
 		g := randGrad(seed, n, 2)
-		payload, err := tg.Encode(g)
+		payload, err := Encode(tg, g)
 		if err != nil {
 			return false
 		}
-		dec, err := tg.Decode(payload, n)
+		dec, err := Decode(tg, payload, n)
 		if err != nil {
 			return false
 		}
@@ -681,7 +681,7 @@ func TestQuickDecodersNeverPanic(t *testing.T) {
 		}()
 		c := decoders[int(which)%len(decoders)]
 		n := int(nRaw % 2048)
-		dec, err := c.Decode(raw, n)
+		dec, err := Decode(c, raw, n)
 		if err != nil {
 			return true
 		}
@@ -697,7 +697,7 @@ func TestQuickDecodersNeverPanic(t *testing.T) {
 func TestQuickDecodersRejectTruncation(t *testing.T) {
 	for _, c := range newAll(t) {
 		g := randGrad(3, 257, 1)
-		payload, err := c.Encode(g)
+		payload, err := Encode(c, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -708,7 +708,7 @@ func TestQuickDecodersRejectTruncation(t *testing.T) {
 						t.Errorf("%s: panic on truncation at %d", c.Name(), cut)
 					}
 				}()
-				if _, err := c.Decode(payload[:cut], 257); err == nil {
+				if _, err := Decode(c, payload[:cut], 257); err == nil {
 					t.Errorf("%s: truncated payload (%d of %d bytes) accepted", c.Name(), cut, len(payload))
 				}
 			}()
@@ -723,14 +723,14 @@ func TestInstrumentedCounters(t *testing.T) {
 		t.Fatalf("name passthrough broken")
 	}
 	g := randGrad(1, 1000, 1)
-	payload, err := m.Encode(g)
+	payload, err := Encode(m, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Decode(payload, 1000); err != nil {
+	if _, err := Decode(m, payload, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Decode(payload[:3], 1000); err == nil {
+	if _, err := Decode(m, payload[:3], 1000); err == nil {
 		t.Fatal("truncated decode accepted")
 	}
 	st := m.Stats()

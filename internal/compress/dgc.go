@@ -64,12 +64,7 @@ func (d *DGC) k(n int) int {
 // CompressedSize implements Compressor.
 func (d *DGC) CompressedSize(n int) int { return headerSize + 4 + 8*d.k(n) }
 
-// Encode implements Compressor.
-func (d *DGC) Encode(grad []float32) ([]byte, error) {
-	return d.EncodeInto(nil, grad)
-}
-
-// EncodeInto implements EncoderInto: the chunked kernel. The k-th largest
+// EncodeInto implements Compressor: the chunked kernel. The k-th largest
 // |value| is found by a parallel MSB-first radix select — four rounds of
 // per-chunk 256-bucket histograms over the magnitude bit patterns (for
 // non-negative IEEE-754 floats, bit order equals numeric order), combined by
@@ -179,16 +174,7 @@ func (d *DGC) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Compressor.
-func (d *DGC) Decode(payload []byte, n int) ([]float32, error) {
-	out := make([]float32, n)
-	if err := d.DecodeInto(out, payload); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeInto implements DecoderInto: chunk-parallel zero, serial scatter.
+// DecodeInto implements Compressor: chunk-parallel zero, serial scatter.
 func (d *DGC) DecodeInto(dst []float32, payload []byte) error {
 	k, err := d.validate(payload, len(dst))
 	if err != nil {

@@ -39,19 +39,14 @@ func NewErrorFeedback(c Compressor) *ErrorFeedback {
 // Compressor returns the wrapped compressor.
 func (ef *ErrorFeedback) Compressor() Compressor { return ef.c }
 
-// EncodeWithFeedback compresses grad under key, applying and updating the
-// residual. The input slice is not modified.
-func (ef *ErrorFeedback) EncodeWithFeedback(key string, grad []float32) ([]byte, error) {
-	return ef.EncodeWithFeedbackInto(key, nil, grad)
-}
-
-// EncodeWithFeedbackInto is the zero-alloc variant: the payload is written
-// into dst (sized via MaxEncodedSize; see EncoderInto for the capacity
-// contract) and the residual update is fused into the encode passes when the
-// wrapped compressor supports FusedEncoder — one combined
-// residual-add+encode sweep plus one residual-update sweep instead of four
-// separate passes, halving memory traffic on the hot path. Payload bytes and
-// the resulting residual are bit-identical to the unfused construction.
+// EncodeWithFeedbackInto compresses grad under key, applying and updating
+// the residual; grad is not modified. The payload is written into dst (sized
+// via MaxEncodedSize; Compressor.EncodeInto has the capacity contract) and
+// the residual update is fused into the encode passes when the wrapped
+// compressor supports FusedEncoder — one combined residual-add+encode sweep
+// plus one residual-update sweep instead of four separate passes, halving
+// memory traffic on the hot path. Payload bytes and the resulting residual
+// are bit-identical to the unfused construction.
 //
 // Concurrent encodes under the *same* key race on the residual buffer and
 // are not supported (they never were: the unfused path read the residual

@@ -13,7 +13,7 @@ import (
 var goldenInput = []float32{1.5, -2.25, 0.5, 0, -0.125, 3, -1, 0.75}
 
 func TestGoldenOnebit(t *testing.T) {
-	payload, err := Onebit{}.Encode(goldenInput)
+	payload, err := Encode(Onebit{}, goldenInput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestGoldenLayoutStability(t *testing.T) {
 		{mustDGC(t, 0.25), ""},
 	}
 	for i := range cases {
-		payload, err := cases[i].c.Encode(goldenInput)
+		payload, err := Encode(cases[i].c, goldenInput)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestGoldenLayoutStability(t *testing.T) {
 	}
 	// Deterministic: encoding the same input twice yields identical bytes.
 	for _, cse := range cases {
-		payload, err := cse.c.Encode(goldenInput)
+		payload, err := Encode(cse.c, goldenInput)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestGoldenExactBytes(t *testing.T) {
 		"dgc-0.25": {mustDGC(t, 0.25), "11c504000800000002000000050000000100000000004040000010c0"},
 	}
 	for name, cse := range cases {
-		payload, err := cse.c.Encode(goldenInput)
+		payload, err := Encode(cse.c, goldenInput)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -109,12 +109,7 @@ func (g *GradDrop) threshold(grad []float32) float32 {
 // survives the sampled threshold) — the capacity to lease for EncodeInto.
 func (g *GradDrop) MaxEncodedSize(n int) int { return headerSize + 4 + 8*n }
 
-// Encode implements Compressor.
-func (g *GradDrop) Encode(grad []float32) ([]byte, error) {
-	return g.EncodeInto(nil, grad)
-}
-
-// EncodeInto implements EncoderInto: threshold estimation stays sequential
+// EncodeInto implements Compressor: threshold estimation stays sequential
 // (it samples ≤ sampleSize elements and defines the RNG stream), while the
 // count and write passes over the full gradient run chunk-parallel with the
 // same count/prefix/write scheme as TBQ. Byte-identical to serial for any
@@ -188,16 +183,7 @@ func (g *GradDrop) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Compressor.
-func (g *GradDrop) Decode(payload []byte, n int) ([]float32, error) {
-	out := make([]float32, n)
-	if err := g.DecodeInto(out, payload); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeInto implements DecoderInto: chunk-parallel zero, serial scatter.
+// DecodeInto implements Compressor: chunk-parallel zero, serial scatter.
 func (g *GradDrop) DecodeInto(dst []float32, payload []byte) error {
 	k, err := g.validate(payload, len(dst))
 	if err != nil {

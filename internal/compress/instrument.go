@@ -72,22 +72,10 @@ func NodeLabel(v int) string { return strconv.Itoa(v) }
 // Name implements Compressor.
 func (m *Instrumented) Name() string { return m.inner.Name() }
 
-// Encode implements Compressor.
-func (m *Instrumented) Encode(grad []float32) ([]byte, error) {
-	start := time.Now() //hipress:wallclock codec latency telemetry; never serialized
-	payload, err := m.inner.Encode(grad)
-	m.noteEncode(len(grad), payload, err, start)
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-// EncodeInto implements EncoderInto, forwarding to the wrapped compressor's
-// chunked kernel (or the allocating fallback).
+// EncodeInto implements Compressor.
 func (m *Instrumented) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
 	start := time.Now() //hipress:wallclock codec latency telemetry; never serialized
-	payload, err := EncodeInto(m.inner, dst, grad)
+	payload, err := m.inner.EncodeInto(dst, grad)
 	m.noteEncode(len(grad), payload, err, start)
 	if err != nil {
 		return nil, err
@@ -119,22 +107,10 @@ func (m *Instrumented) noteEncode(n int, payload []byte, err error, start time.T
 	m.wireBytes.Add(float64(len(payload)))
 }
 
-// Decode implements Compressor.
-func (m *Instrumented) Decode(payload []byte, n int) ([]float32, error) {
-	start := time.Now() //hipress:wallclock codec latency telemetry; never serialized
-	out, err := m.inner.Decode(payload, n)
-	if err != nil {
-		m.errors.Inc()
-		return nil, err
-	}
-	m.noteDecode(n, start)
-	return out, nil
-}
-
-// DecodeInto implements DecoderInto, forwarding to the wrapped compressor.
+// DecodeInto implements Compressor.
 func (m *Instrumented) DecodeInto(dst []float32, payload []byte) error {
 	start := time.Now() //hipress:wallclock codec latency telemetry; never serialized
-	if err := DecodeInto(m.inner, dst, payload); err != nil {
+	if err := m.inner.DecodeInto(dst, payload); err != nil {
 		m.errors.Inc()
 		return err
 	}

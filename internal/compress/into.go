@@ -7,13 +7,11 @@ import (
 	"hipress/internal/kernels"
 )
 
-// This file is the zero-alloc face of the package: EncodeInto/DecodeInto
-// variants that write into caller-provided buffers (typically leased from
-// the kernels buffer arena) instead of allocating per call, plus the fused
-// error-feedback encode. The five in-tree algorithms implement all three
-// optional interfaces with chunked kernels on the shared worker pool; the
-// package-level helpers below fall back to the allocating paths for
-// compressors that do not.
+// This file holds what sits beside the Compressor interface on the
+// synchronization path: the optional accelerations a compressor may add
+// (FusedEncoder, a worst-case MaxEncodedSize) with the generic constructions
+// they must match bit for bit, and the buffer helpers the chunked kernels
+// share.
 
 // ErrTruncatedPayload tags decode failures caused by payloads too short for
 // their declared contents (truncated frames, corrupted length fields).
@@ -21,22 +19,6 @@ import (
 // against the algorithm's layout *before* indexing, so malformed input
 // yields this error instead of a panic. Test with errors.Is.
 var ErrTruncatedPayload = errors.New("compress: truncated payload")
-
-// EncoderInto is implemented by compressors whose encode can write into a
-// caller-provided buffer. dst supplies capacity (size it with
-// MaxEncodedSize); the returned slice is dst resliced to the exact payload
-// length, or a fresh buffer when cap(dst) is insufficient. The steady-state
-// path performs no heap allocation.
-type EncoderInto interface {
-	EncodeInto(dst []byte, grad []float32) ([]byte, error)
-}
-
-// DecoderInto is implemented by compressors whose decode can overwrite a
-// caller-provided gradient buffer. len(dst) must equal the encoded element
-// count; every element of dst is (re)written.
-type DecoderInto interface {
-	DecodeInto(dst []float32, payload []byte) error
-}
 
 // FusedEncoder is implemented by compressors that fuse the error-feedback
 // residual update into the encode:
@@ -58,7 +40,7 @@ type FusedEncoder interface {
 // data-dependent (TBQ, GradDrop) to report the worst case.
 type maxSizer interface{ MaxEncodedSize(n int) int }
 
-// MaxEncodedSize returns an upper bound on the payload length Encode can
+// MaxEncodedSize returns an upper bound on the payload length an encode can
 // produce for an n-element gradient — the capacity to lease for EncodeInto.
 // For fixed-size algorithms this equals CompressedSize.
 func MaxEncodedSize(c Compressor, n int) int {
@@ -68,43 +50,14 @@ func MaxEncodedSize(c Compressor, n int) int {
 	return c.CompressedSize(n)
 }
 
-// EncodeInto compresses grad into dst when c supports it, falling back to
-// the allocating Encode otherwise. See EncoderInto for the dst contract.
+// EncodeInto is c.EncodeInto(dst, grad).
 func EncodeInto(c Compressor, dst []byte, grad []float32) ([]byte, error) {
-	if ei, ok := c.(EncoderInto); ok {
-		return ei.EncodeInto(dst, grad)
-	}
-	return fallbackEncodeInto(c, dst, grad)
+	return c.EncodeInto(dst, grad)
 }
 
-// fallbackEncodeInto routes through the allocating Encode and copies into
-// dst when it has capacity. The OSS baselines shadow their embedded
-// optimized types with this so benchmarks keep measuring the naive encode.
-func fallbackEncodeInto(c Compressor, dst []byte, grad []float32) ([]byte, error) {
-	p, err := c.Encode(grad)
-	if err != nil {
-		return nil, err
-	}
-	if cap(dst) >= len(p) {
-		dst = dst[:len(p)]
-		copy(dst, p)
-		return dst, nil
-	}
-	return p, nil
-}
-
-// DecodeInto reconstructs the gradient into dst (overwriting it) when c
-// supports it, falling back to Decode+copy otherwise.
+// DecodeInto is c.DecodeInto(dst, payload).
 func DecodeInto(c Compressor, dst []float32, payload []byte) error {
-	if di, ok := c.(DecoderInto); ok {
-		return di.DecodeInto(dst, payload)
-	}
-	dec, err := c.Decode(payload, len(dst))
-	if err != nil {
-		return err
-	}
-	copy(dst, dec)
-	return nil
+	return c.DecodeInto(dst, payload)
 }
 
 // encodeFused runs the fused error-feedback encode, falling back to the
@@ -125,11 +78,11 @@ func fallbackEncodeFused(c Compressor, dst []byte, grad, residual []float32) ([]
 	for i := range v {
 		v[i] = grad[i] + residual[i]
 	}
-	payload, err := EncodeInto(c, dst, v)
+	payload, err := c.EncodeInto(dst, v)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := c.Decode(payload, len(v))
+	dec, err := Decode(c, payload, len(v))
 	if err != nil {
 		return nil, err
 	}

@@ -31,12 +31,7 @@ func (Onebit) Name() string { return "onebit" }
 // CompressedSize implements Compressor.
 func (Onebit) CompressedSize(n int) int { return headerSize + 8 + (n+7)/8 }
 
-// Encode implements Compressor.
-func (o Onebit) Encode(grad []float32) ([]byte, error) {
-	return o.EncodeInto(nil, grad)
-}
-
-// EncodeInto implements EncoderInto: the chunked kernel. Sign bits and the
+// EncodeInto implements Compressor: the chunked kernel. Sign bits and the
 // per-chunk (sumPos, nPos, sumNeg, nNeg) partials are produced in parallel
 // over fixed chunk boundaries; the partials are then combined in ascending
 // chunk order, so the payload is bit-identical for any worker count.
@@ -97,16 +92,7 @@ func (o Onebit) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Compressor.
-func (o Onebit) Decode(payload []byte, n int) ([]float32, error) {
-	out := make([]float32, n)
-	if err := o.DecodeInto(out, payload); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeInto implements DecoderInto: dst = decode(payload), chunk-parallel.
+// DecodeInto implements Compressor: dst = decode(payload), chunk-parallel.
 func (o Onebit) DecodeInto(dst []float32, payload []byte) error {
 	return o.decode(dst, payload, false)
 }

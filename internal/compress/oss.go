@@ -27,9 +27,10 @@ func (OSSOnebit) Name() string { return "oss-onebit" }
 // CompressedSize implements Compressor.
 func (OSSOnebit) CompressedSize(n int) int { return Onebit{}.CompressedSize(n) }
 
-// Encode implements Compressor. The payload is byte-identical to
-// Onebit.Encode; only the construction is wasteful.
-func (OSSOnebit) Encode(grad []float32) ([]byte, error) {
+// EncodeInto implements Compressor. The payload is byte-identical to
+// Onebit's; only the construction is wasteful, and it is built in fresh
+// memory before being copied into dst.
+func (OSSOnebit) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
 	n := len(grad)
 	// Pass 1: positive mean. Pass 2: negative mean. Pass 3: signs.
 	var sumPos float64
@@ -71,35 +72,48 @@ func (OSSOnebit) Encode(grad []float32) ([]byte, error) {
 		}
 	}
 	out = append(out, bits...)
-	return out, nil
+	return append(dst[:0], out...), nil
 }
 
-// Decode implements Compressor by delegating to the optimized decoder (the
-// paper's OSS gap is dominated by encode; decode "achieves a similar
+// DecodeInto implements Compressor by delegating to the optimized decoder
+// (the paper's OSS gap is dominated by encode; decode "achieves a similar
 // speedup" and is modeled on the timing plane).
-func (OSSOnebit) Decode(payload []byte, n int) ([]float32, error) {
-	return Onebit{}.Decode(payload, n)
+func (OSSOnebit) DecodeInto(dst []float32, payload []byte) error {
+	return Onebit{}.DecodeInto(dst, payload)
 }
 
 // OSSTBQ is the naive threshold binary quantizer: it builds an intermediate
-// []int index slice with append and encodes through a second pass.
+// []int index slice with append and encodes through a second pass. TBQ is a
+// named field, not embedded, so none of the optimized kernels (fused encode,
+// fused decode+merge) is promoted onto the baseline.
 type OSSTBQ struct {
-	TBQ
+	TBQ TBQ
 }
 
 // Name implements Compressor.
 func (o OSSTBQ) Name() string { return "oss-" + o.TBQ.Name() }
 
-// Encode implements Compressor with the payload byte-identical to
-// TBQ.Encode.
-func (o OSSTBQ) Encode(grad []float32) ([]byte, error) {
+// CompressedSize implements Compressor.
+func (o OSSTBQ) CompressedSize(n int) int { return o.TBQ.CompressedSize(n) }
+
+// MaxEncodedSize reports the worst-case payload length.
+func (o OSSTBQ) MaxEncodedSize(n int) int { return o.TBQ.MaxEncodedSize(n) }
+
+// DecodeInto implements Compressor by delegating to the optimized decoder.
+func (o OSSTBQ) DecodeInto(dst []float32, payload []byte) error {
+	return o.TBQ.DecodeInto(dst, payload)
+}
+
+// EncodeInto implements Compressor with the payload byte-identical to
+// TBQ's.
+func (o OSSTBQ) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
 	n := len(grad)
 	type hit struct {
 		idx int
 		neg bool
 	}
 	var hits []hit // grown without preallocation, as the OSS code does
-	tau := float32(o.Tau())
+	tau := float32(o.TBQ.Tau())
 	for i, g := range grad {
 		if g >= tau {
 			hits = append(hits, hit{i, false})
@@ -118,42 +132,39 @@ func (o OSSTBQ) Encode(grad []float32) ([]byte, error) {
 		}
 		binary.LittleEndian.PutUint32(out[headerSize+8+4*j:], w)
 	}
-	return out, nil
-}
-
-// EncodeInto shadows the embedded TBQ's chunked kernel so the baseline's
-// encode stays naive; payload bytes are unchanged.
-func (o OSSTBQ) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
-	return fallbackEncodeInto(o, dst, grad)
-}
-
-// EncodeFused shadows the embedded TBQ's fused kernel with the unfused
-// construction for the same reason.
-func (o OSSTBQ) EncodeFused(dst []byte, grad, residual []float32) ([]byte, error) {
-	return fallbackEncodeFused(o, dst, grad, residual)
+	return append(dst[:0], out...), nil
 }
 
 // OSSDGC is the naive top-k sparsifier: it sorts the entire gradient by
 // magnitude (O(n log n)) where the optimized path uses quickselect (O(n)),
 // the dominant cost gap the paper attributes to its hierarchical selection.
+// DGC is a named field for the same reason as OSSTBQ's.
 type OSSDGC struct {
-	*DGC
+	DGC *DGC
 }
 
 // Name implements Compressor.
 func (o OSSDGC) Name() string { return "oss-" + o.DGC.Name() }
 
-// Encode implements Compressor. The selected set matches DGC.Encode (exact
+// CompressedSize implements Compressor.
+func (o OSSDGC) CompressedSize(n int) int { return o.DGC.CompressedSize(n) }
+
+// DecodeInto implements Compressor by delegating to the optimized decoder.
+func (o OSSDGC) DecodeInto(dst []float32, payload []byte) error {
+	return o.DGC.DecodeInto(dst, payload)
+}
+
+// EncodeInto implements Compressor. The selected set matches DGC's (exact
 // top-k with ties broken by index), so payloads decode identically even
 // though byte order of survivors may differ.
-func (o OSSDGC) Encode(grad []float32) ([]byte, error) {
+func (o OSSDGC) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
 	n := len(grad)
 	k := o.DGC.k(n)
 	out := make([]byte, o.DGC.CompressedSize(n))
 	putHeader(out, payloadMagic, algoDGC, n)
 	binary.LittleEndian.PutUint32(out[headerSize:], uint32(k))
 	if k == 0 {
-		return out, nil
+		return append(dst[:0], out...), nil
 	}
 	order := make([]int, n)
 	for i := range order {
@@ -174,17 +185,5 @@ func (o OSSDGC) Encode(grad []float32) ([]byte, error) {
 		binary.LittleEndian.PutUint32(idxBody[4*j:], uint32(idx))
 		putF32(valBody[4*j:], grad[idx])
 	}
-	return out, nil
-}
-
-// EncodeInto shadows the embedded DGC's chunked kernel so the baseline's
-// encode stays naive (full sort); the selected set still matches.
-func (o OSSDGC) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
-	return fallbackEncodeInto(o, dst, grad)
-}
-
-// EncodeFused shadows the embedded DGC's fused kernel with the unfused
-// construction for the same reason.
-func (o OSSDGC) EncodeFused(dst []byte, grad, residual []float32) ([]byte, error) {
-	return fallbackEncodeFused(o, dst, grad, residual)
+	return append(dst[:0], out...), nil
 }

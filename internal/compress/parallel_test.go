@@ -196,7 +196,7 @@ func TestDecodeAddMatchesDecode(t *testing.T) {
 		n := kernels.ChunkElems + 3
 		c := newSeeded(t, name, 11)
 		grad := randGrad(123, n, 1)
-		p, err := c.Encode(grad)
+		p, err := Encode(c, grad)
 		if err != nil {
 			t.Fatalf("%s encode: %v", name, err)
 		}
@@ -205,7 +205,7 @@ func TestDecodeAddMatchesDecode(t *testing.T) {
 		if err := DecodeAdd(c, p, acc); err != nil {
 			t.Fatalf("%s DecodeAdd: %v", name, err)
 		}
-		dec, err := c.Decode(p, n)
+		dec, err := Decode(c, p, n)
 		if err != nil {
 			t.Fatalf("%s decode: %v", name, err)
 		}
@@ -225,7 +225,7 @@ func TestMaxEncodedSizeBounds(t *testing.T) {
 		c := newSeeded(t, name, 13)
 		for _, n := range []int{0, 1, 9, 1000, kernels.ChunkElems + 1} {
 			grad := randGrad(uint64(n)+9, n, 2)
-			p, err := c.Encode(grad)
+			p, err := Encode(c, grad)
 			if err != nil {
 				t.Fatalf("%s encode: %v", name, err)
 			}

@@ -1,0 +1,85 @@
+package compress_test
+
+import (
+	"bytes"
+	"math"
+	"strings"
+	"testing"
+
+	_ "hipress/internal/compll" // registers the cll-* programs
+	"hipress/internal/compress"
+	"hipress/internal/tensor"
+)
+
+// TestRegistryIntoContract holds every registered codec — natives, oss-*,
+// adaptive, cll-* — to the one Compressor contract: the payload does not
+// depend on what dst the caller brought (nil, worst-case sized, or too
+// small), a dst with room is the memory the payload comes back in, and
+// DecodeInto rewrites every element of a dirty dst to what Decode returns.
+// Each encode runs on a fresh same-seed instance, so the stochastic codecs
+// and adaptive's regime detector start from the same state.
+func TestRegistryIntoContract(t *testing.T) {
+	fresh := func(name string) compress.Compressor {
+		c, err := compress.New(name, compress.Params{"seed": 5})
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		return c
+	}
+	for _, name := range compress.Names() {
+		for _, n := range []int{9, 1000, 5000} {
+			g := make([]float32, n)
+			tensor.NewRNG(uint64(n)).FillNormal(g, 1)
+
+			want, err := fresh(name).EncodeInto(nil, g)
+			if err != nil {
+				t.Fatalf("%s n=%d EncodeInto(nil): %v", name, n, err)
+			}
+
+			// Sized on a throwaway instance: a cll-* program's first
+			// CompressedSize runs a probe encode on its own random stream.
+			dst := make([]byte, compress.MaxEncodedSize(fresh(name), n))
+			c := fresh(name)
+			got, err := c.EncodeInto(dst, g)
+			if err != nil {
+				t.Fatalf("%s n=%d EncodeInto(dst): %v", name, n, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s n=%d: payload into a sized dst differs from payload into nil", name, n)
+			}
+			// The interpreted programs only estimate their size; everything
+			// else promises MaxEncodedSize as a bound.
+			if len(got) > len(dst) && !strings.HasPrefix(name, "cll-") {
+				t.Errorf("%s n=%d: payload %d bytes exceeds MaxEncodedSize %d", name, n, len(got), len(dst))
+			}
+			if len(got) <= len(dst) && &got[0] != &dst[0] {
+				t.Errorf("%s n=%d: payload fits dst but was returned in other memory", name, n)
+			}
+
+			small, err := fresh(name).EncodeInto(make([]byte, 3), g)
+			if err != nil {
+				t.Fatalf("%s n=%d EncodeInto(undersized): %v", name, n, err)
+			}
+			if !bytes.Equal(small, want) {
+				t.Errorf("%s n=%d: payload into an undersized dst differs", name, n)
+			}
+
+			ref, err := compress.Decode(c, want, n)
+			if err != nil {
+				t.Fatalf("%s n=%d Decode: %v", name, n, err)
+			}
+			dec := make([]float32, n)
+			for i := range dec {
+				dec[i] = float32(math.NaN())
+			}
+			if err := c.DecodeInto(dec, want); err != nil {
+				t.Fatalf("%s n=%d DecodeInto: %v", name, n, err)
+			}
+			for i := range dec {
+				if math.Float32bits(dec[i]) != math.Float32bits(ref[i]) {
+					t.Fatalf("%s n=%d: DecodeInto[%d]=%v, Decode gives %v", name, n, i, dec[i], ref[i])
+				}
+			}
+		}
+	}
+}

@@ -13,11 +13,11 @@ import (
 // gradient mass element-wise (the EF invariant).
 func efStep(t *testing.T, ef *ErrorFeedback, key string, grad []float32) []float32 {
 	t.Helper()
-	payload, err := ef.EncodeWithFeedback(key, grad)
+	payload, err := ef.EncodeWithFeedbackInto(key, nil, grad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ef.Compressor().Decode(payload, len(grad))
+	dec, err := Decode(ef.Compressor(), payload, len(grad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSetResidualsNilClears(t *testing.T) {
 	ef := NewErrorFeedback(c)
 	g := make([]float32, 32)
 	tensor.NewRNG(3).FillNormal(g, 1)
-	if _, err := ef.EncodeWithFeedback("w", g); err != nil {
+	if _, err := ef.EncodeWithFeedbackInto("w", nil, g); err != nil {
 		t.Fatal(err)
 	}
 	if ef.Residual("w") == nil {
@@ -132,7 +132,7 @@ func TestStatefulCompressorStateRoundTrip(t *testing.T) {
 		}
 		// Advance the stream.
 		for i := 0; i < 3; i++ {
-			if _, err := c.Encode(g); err != nil {
+			if _, err := Encode(c, g); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -140,14 +140,14 @@ func TestStatefulCompressorStateRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: StateOf reported stateless", algo)
 		}
-		want, err := c.Encode(g)
+		want, err := Encode(c, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !RestoreState(c, st) {
 			t.Fatalf("%s: RestoreState reported stateless", algo)
 		}
-		got, err := c.Encode(g)
+		got, err := Encode(c, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,9 +160,9 @@ func TestStatefulCompressorStateRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: StateOf failed through Instrumented", algo)
 		}
-		want2, _ := inst.Encode(g)
+		want2, _ := Encode(inst, g)
 		RestoreState(inst, st2)
-		got2, _ := inst.Encode(g)
+		got2, _ := Encode(inst, g)
 		if !bytes.Equal(got2, want2) {
 			t.Fatalf("%s: instrumented restored stream diverged", algo)
 		}

@@ -53,12 +53,7 @@ func (t TBQ) CompressedSize(n int) int {
 // survives the threshold) — the capacity to lease for EncodeInto.
 func (t TBQ) MaxEncodedSize(n int) int { return headerSize + 8 + 4*n }
 
-// Encode implements Compressor.
-func (t TBQ) Encode(grad []float32) ([]byte, error) {
-	return t.EncodeInto(nil, grad)
-}
-
-// EncodeInto implements EncoderInto: the chunked kernel. Pass 1 counts
+// EncodeInto implements Compressor: the chunked kernel. Pass 1 counts
 // survivors per chunk in parallel; a serial prefix sum over the per-chunk
 // counts assigns each chunk a disjoint output range; pass 2 writes entries
 // in parallel. Because chunks scan in index order and write at their
@@ -105,16 +100,7 @@ func (t TBQ) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Compressor.
-func (t TBQ) Decode(payload []byte, n int) ([]float32, error) {
-	out := make([]float32, n)
-	if err := t.DecodeInto(out, payload); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeInto implements DecoderInto: dst is zeroed chunk-parallel, then the
+// DecodeInto implements Compressor: dst is zeroed chunk-parallel, then the
 // k ≪ n survivors scatter serially.
 func (t TBQ) DecodeInto(dst []float32, payload []byte) error {
 	k, err := t.validate(payload, len(dst))

@@ -51,12 +51,7 @@ func (t *TernGrad) CompressedSize(n int) int {
 	return headerSize + 12 + (n*t.bitwidth+7)/8
 }
 
-// Encode implements Compressor.
-func (t *TernGrad) Encode(grad []float32) ([]byte, error) {
-	return t.EncodeInto(nil, grad)
-}
-
-// EncodeInto implements EncoderInto: the chunked kernel. min/max are found
+// EncodeInto implements Compressor: the chunked kernel. min/max are found
 // by per-chunk partials (min/max reduction is exact under any grouping), and
 // each chunk packs its own disjoint byte range of the body — lo*bitwidth is
 // always byte-aligned because ChunkElems is a multiple of 8. Stochastic
@@ -126,16 +121,7 @@ func (t *TernGrad) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Compressor.
-func (t *TernGrad) Decode(payload []byte, n int) ([]float32, error) {
-	out := make([]float32, n)
-	if err := t.DecodeInto(out, payload); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeInto implements DecoderInto, chunk-parallel.
+// DecodeInto implements Compressor, chunk-parallel.
 func (t *TernGrad) DecodeInto(dst []float32, payload []byte) error {
 	return t.decode(dst, payload, false)
 }

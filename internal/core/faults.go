@@ -54,44 +54,6 @@ type RetryPolicy struct {
 	// subsequent waits double, capped at MaxBackoff.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// FullJitter draws each wait uniformly from (0, d] where d is the
-	// deterministic capped-exponential value — AWS-style full jitter, so
-	// concurrent retries against one congested peer desynchronize instead
-	// of hammering it in lockstep. The cap is unchanged: a jittered wait
-	// never exceeds the deterministic one.
-	FullJitter bool
-	// JitterSeed seeds the jitter stream (0 takes a fixed default), so
-	// jittered runs stay reproducible per seed.
-	JitterSeed uint64
-
-	// jit is the shared draw counter, created by withDefaults so copies
-	// of one policy (the health plane keeps its own copy) share one stream.
-	jit *jitterState
-}
-
-// jitterState is one seeded jitter stream: a counter hashed with
-// splitmix64 per draw, safe for concurrent senders.
-type jitterState struct {
-	seed uint64
-	ctr  atomic.Uint64
-}
-
-// next returns a uniform value in (0, d].
-func (j *jitterState) next(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	h := mix64(j.seed ^ j.ctr.Add(1)*0x9e3779b97f4a7c15)
-	return 1 + time.Duration(h%uint64(d))
-}
-
-// mix64 is the splitmix64 finalizer (same construction the chaos plane
-// uses for deterministic fault rolls).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // withDefaults fills zero fields: 5 attempts, 10ms base, 100ms cap.
@@ -105,18 +67,11 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 100 * time.Millisecond
 	}
-	if p.FullJitter && p.jit == nil {
-		seed := p.JitterSeed
-		if seed == 0 {
-			seed = 0x9e3779b97f4a7c15
-		}
-		p.jit = &jitterState{seed: seed}
-	}
 	return p
 }
 
 // backoff returns the wait after 0-based attempt i failed: deterministic
-// capped exponential, optionally full-jittered to (0, d].
+// capped exponential.
 func (p RetryPolicy) backoff(i int) time.Duration {
 	d := p.BaseBackoff
 	for k := 0; k < i; k++ {
@@ -128,9 +83,6 @@ func (p RetryPolicy) backoff(i int) time.Duration {
 	}
 	if d > p.MaxBackoff {
 		d = p.MaxBackoff
-	}
-	if p.FullJitter && p.jit != nil {
-		return p.jit.next(d)
 	}
 	return d
 }
@@ -249,7 +201,7 @@ type RoundHealth struct {
 	// n/(n-excluded).
 	Renormalized bool
 	// Hedges counts speculative retransmits fired by the adaptive health
-	// plane at the per-link p99 point (bounded by HealthConfig.HedgeBudget).
+	// plane at the per-link p99 point (at most hedgeBudget per round).
 	Hedges int64
 	// SendWallNs is the wall-clock span (ns) from the round's first staged
 	// send to its last resolved one — the measured communication floor the
@@ -264,7 +216,7 @@ type RoundHealth struct {
 	// contributes its member count.
 	AckBatched int64
 	// SlowPeers lists peers the health plane classified Slow at round end
-	// (srtt above SlowFactor × the cluster median), ascending.
+	// (srtt above slowFactor × the cluster median), ascending.
 	SlowPeers []int
 	// Phi is the per-peer φ suspicion level at round end (nil when the
 	// health plane is off).
@@ -530,14 +482,11 @@ func (rs *roundState) convict(v int) {
 }
 
 // takeHedge claims one unit of the round's hedge budget, returning false
-// when the budget is exhausted (or hedging disabled).
-func (rs *roundState) takeHedge(budget int) bool {
-	if budget <= 0 {
-		return false
-	}
+// when the budget is exhausted.
+func (rs *roundState) takeHedge() bool {
 	for {
 		cur := atomic.LoadInt64(&rs.hedges)
-		if cur >= int64(budget) {
+		if cur >= hedgeBudget {
 			return false
 		}
 		if atomic.CompareAndSwapInt64(&rs.hedges, cur, cur+1) {

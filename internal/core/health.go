@@ -25,15 +25,15 @@ import (
 // convicted/revive/promote hooks):
 //
 //	Healthy ◀──────────────┐
-//	   │  φ ≥ PhiSuspect   │ φ < PhiSuspect, or clean round
+//	   │  φ ≥ phiSuspect   │ φ < phiSuspect, or clean round
 //	   ▼                   │
 //	Suspect ───────────────┘
-//	   │  φ ≥ PhiConvict (or scoreboard tie-break)
+//	   │  φ ≥ phiConvict (or scoreboard tie-break)
 //	   ▼
 //	 Dead ──revive/next round──▶ Probation ──clean round──▶ Healthy
 //	                                 │
 //	                                 └──re-conviction──▶ Dead
-//	Healthy ◀──srtt back under the bar── Slow ◀──srtt > SlowFactor·median──
+//	Healthy ◀──srtt back under the bar── Slow ◀──srtt > slowFactor·median──
 //
 // Invariant (enforced by setStateLocked, exercised by FuzzPhiDetector): a
 // Dead peer can only leave through Probation — there is no Dead→Healthy
@@ -46,11 +46,11 @@ const (
 	// HealthHealthy is full trust: φ below the suspicion threshold.
 	HealthHealthy HealthState = iota
 	// HealthSlow marks a live but straggling peer (srtt above
-	// SlowFactor × cluster median at round end). Slow peers participate
+	// slowFactor × cluster median at round end). Slow peers participate
 	// normally — the adaptive deadlines simply stretch for them.
 	HealthSlow
-	// HealthSuspect means φ crossed PhiSuspect without reaching
-	// PhiConvict: suspicion is accruing but evidence is inconclusive.
+	// HealthSuspect means φ crossed phiSuspect without reaching
+	// phiConvict: suspicion is accruing but evidence is inconclusive.
 	HealthSuspect
 	// HealthProbation is the trial state between Dead and Healthy: the
 	// peer participates again, and one clean round (non-elastic) or the
@@ -89,40 +89,21 @@ type HealthConfig struct {
 	// static RetryPolicy and the plane still harvests RTT samples from
 	// the ack path so PeerFailureError carries link evidence.
 	Adaptive bool
-	// PhiSuspect is the suspicion threshold (default 4): φ at or above it
-	// moves a peer to HealthSuspect.
-	PhiSuspect float64
-	// PhiConvict is the conviction threshold (default 10): when a send's
-	// adaptive deadline expires and an endpoint's φ has reached it, that
-	// endpoint is convicted. φ ≈ 10 corresponds to a silence ~23× the
-	// mean arrival interval (exponential accrual).
-	PhiConvict float64
-	// MinRTO / MaxRTO clamp the per-link retransmission timeout
-	// (defaults 1ms / 2s).
-	MinRTO time.Duration
+	// MaxRTO caps the per-link retransmission timeout (default 2s; the
+	// floor is minRTO).
 	MaxRTO time.Duration
 	// BootstrapRTO seeds deadlines and detector intervals before a link
 	// has real samples (default 25ms).
 	BootstrapRTO time.Duration
-	// HedgeBudget bounds speculative retransmits per round (default 64;
-	// negative disables hedging). A hedge fires when a first attempt is
-	// outstanding past the link's p99 estimate.
-	HedgeBudget int
 	// HeartbeatEvery sends idle liveness probes on every live link at
 	// this period so the detector keeps accruing arrivals between data
 	// transfers. Zero disables heartbeats.
 	HeartbeatEvery time.Duration
-	// SlowFactor classifies a peer Slow when its srtt exceeds
-	// SlowFactor × the cluster median srtt at round end (default 3;
-	// negative disables the classification).
-	SlowFactor float64
 	// MaxAttempts is the adaptive attempt budget (default 10). With
 	// doubling RTOs this is a far larger wall-clock budget than the
 	// static policy's, because the φ detector — not attempt exhaustion —
 	// is the intended conviction path.
 	MaxAttempts int
-	// Window is the φ detector's inter-arrival sample window (default 64).
-	Window int
 	// Now, when non-nil, supplies the plane's timestamps (a virtual
 	// clock). Live rounds still wait on wall timers; Now only stamps
 	// detector observations and RTT samples, which is what tests and the
@@ -130,34 +111,39 @@ type HealthConfig struct {
 	Now func() time.Duration
 }
 
+// The health plane's fixed parameters.
+const (
+	// phiSuspect is the suspicion threshold: φ at or above it moves a peer
+	// to HealthSuspect.
+	phiSuspect = 4.0
+	// phiConvict is the conviction threshold: when a send's adaptive
+	// deadline expires and an endpoint's φ has reached it, that endpoint is
+	// convicted. φ ≈ 10 corresponds to a silence ~23× the mean arrival
+	// interval (exponential accrual).
+	phiConvict = 10.0
+	// minRTO is the floor of the per-link retransmission timeout and of
+	// the hedge point.
+	minRTO = time.Millisecond
+	// hedgeBudget bounds speculative retransmits per round. A hedge fires
+	// when a first attempt is outstanding past the link's p99 estimate.
+	hedgeBudget = 64
+	// slowFactor classifies a peer Slow when its srtt exceeds slowFactor ×
+	// the cluster median srtt at round end.
+	slowFactor = 3.0
+	// phiWindow is the φ detector's inter-arrival sample window.
+	phiWindow = 64
+)
+
 // withDefaults fills zero fields.
 func (c HealthConfig) withDefaults() HealthConfig {
-	if c.PhiSuspect <= 0 {
-		c.PhiSuspect = 4
-	}
-	if c.PhiConvict <= 0 {
-		c.PhiConvict = 10
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = time.Millisecond
-	}
 	if c.MaxRTO <= 0 {
 		c.MaxRTO = 2 * time.Second
 	}
 	if c.BootstrapRTO <= 0 {
 		c.BootstrapRTO = 25 * time.Millisecond
 	}
-	if c.HedgeBudget == 0 {
-		c.HedgeBudget = 64
-	}
-	if c.SlowFactor == 0 {
-		c.SlowFactor = 3
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 10
-	}
-	if c.Window <= 0 {
-		c.Window = 64
 	}
 	return c
 }
@@ -363,7 +349,7 @@ func newHealthPlane(n int, cfg *HealthConfig, retry RetryPolicy, elastic bool, t
 		minMean = c.HeartbeatEvery.Seconds()
 	}
 	for v := range hp.det {
-		hp.det[v] = newPhiDetector(c.Window, minMean)
+		hp.det[v] = newPhiDetector(phiWindow, minMean)
 	}
 	return hp
 }
@@ -434,7 +420,7 @@ func (hp *healthPlane) arrival(peer int) {
 		d.prime(now, hp.cfg.BootstrapRTO.Seconds())
 	}
 	d.observe(now)
-	if hp.state[peer] == HealthSuspect && d.phi(now) < hp.cfg.PhiSuspect {
+	if hp.state[peer] == HealthSuspect && d.phi(now) < phiSuspect {
 		hp.setStateLocked(peer, HealthHealthy)
 	}
 	hp.mu.Unlock()
@@ -452,11 +438,11 @@ func (hp *healthPlane) observeRTT(from, to int, rtt time.Duration) {
 
 // rto returns the adaptive retransmission deadline of 0-based attempt on
 // the from→to link: the Jacobson/Karels RTO doubled per retry (Karn's
-// backoff), clamped to [MinRTO, MaxRTO]. Virgin links use BootstrapRTO.
+// backoff), clamped to [minRTO, MaxRTO]. Virgin links use BootstrapRTO.
 func (hp *healthPlane) rto(from, to, attempt int) time.Duration {
 	base := 0.0
 	hp.mu.Lock()
-	base = hp.links[from*hp.n+to].rto(hp.cfg.MinRTO.Seconds(), hp.cfg.MaxRTO.Seconds())
+	base = hp.links[from*hp.n+to].rto(minRTO.Seconds(), hp.cfg.MaxRTO.Seconds())
 	hp.mu.Unlock()
 	if base == 0 {
 		base = hp.cfg.BootstrapRTO.Seconds()
@@ -468,8 +454,8 @@ func (hp *healthPlane) rto(from, to, attempt int) time.Duration {
 			return hp.cfg.MaxRTO
 		}
 	}
-	if d < hp.cfg.MinRTO {
-		d = hp.cfg.MinRTO
+	if d < minRTO {
+		d = minRTO
 	}
 	return d
 }
@@ -490,8 +476,8 @@ func (hp *healthPlane) hedgeDelay(from, to int) (time.Duration, bool) {
 		return 0, false
 	}
 	d := time.Duration(p * float64(time.Second))
-	if d < hp.cfg.MinRTO {
-		d = hp.cfg.MinRTO
+	if d < minRTO {
+		d = minRTO
 	}
 	return d, true
 }
@@ -531,10 +517,10 @@ func (hp *healthPlane) attemptDeadline(from, to, attempt int) time.Duration {
 // hedgePoint is when, inside an attempt's deadline, a speculative duplicate
 // may go out (negative: never). Only a trusted p99 that undercuts the
 // deadline hedges, so a lost retransmit recovers at p99 speed instead of
-// waiting out its doubled RTO; the round's HedgeBudget is claimed when the
+// waiting out its doubled RTO; the round's hedgeBudget is claimed when the
 // point is reached, not here.
 func (hp *healthPlane) hedgePoint(from, to int, deadline time.Duration) time.Duration {
-	if hp.cfg.Adaptive && hp.cfg.HedgeBudget > 0 {
+	if hp.cfg.Adaptive {
 		if hd, ok := hp.hedgeDelay(from, to); ok && hd < deadline {
 			return hd
 		}
@@ -584,7 +570,7 @@ func (hp *healthPlane) stateOf(v int) HealthState {
 }
 
 // judge is the adaptive verdict for an expired deadline on from→to:
-// it convicts the endpoint whose φ has crossed PhiConvict (the higher one
+// it convicts the endpoint whose φ has crossed phiConvict (the higher one
 // when both have), falls back to the success-scoreboard tie-break when the
 // φ evidence alone cannot separate the endpoints, and otherwise records
 // suspicion and returns -1 (keep retrying). The caller performs the actual
@@ -595,7 +581,7 @@ func (hp *healthPlane) judge(from, to int, rs *roundState) int {
 	pf := hp.det[from].phi(now)
 	pt := hp.det[to].phi(now)
 	mark := func(v int, p float64) {
-		if p >= hp.cfg.PhiSuspect && (hp.state[v] == HealthHealthy || hp.state[v] == HealthSlow) {
+		if p >= phiSuspect && (hp.state[v] == HealthHealthy || hp.state[v] == HealthSlow) {
 			hp.setStateLocked(v, HealthSuspect)
 		}
 	}
@@ -603,13 +589,13 @@ func (hp *healthPlane) judge(from, to int, rs *roundState) int {
 	mark(to, pt)
 	hp.mu.Unlock()
 
-	fc, tc := pf >= hp.cfg.PhiConvict, pt >= hp.cfg.PhiConvict
+	fc, tc := pf >= phiConvict, pt >= phiConvict
 	switch {
 	case !fc && !tc:
-		if pf >= hp.cfg.PhiSuspect {
+		if pf >= phiSuspect {
 			rs.markSuspect(from)
 		}
-		if pt >= hp.cfg.PhiSuspect {
+		if pt >= phiSuspect {
 			rs.markSuspect(to)
 		}
 		return -1
@@ -683,19 +669,17 @@ func (hp *healthPlane) roundEnd(h *RoundHealth, clean bool) {
 	hp.mu.Lock()
 	srtts := hp.peerSRTTsLocked()
 	var slow []int
-	if hp.cfg.SlowFactor > 0 {
-		if med := medianPositive(srtts); med > 0 {
-			for v, s := range srtts {
-				straggling := s > hp.cfg.SlowFactor*med
-				switch hp.state[v] {
-				case HealthHealthy:
-					if straggling {
-						hp.setStateLocked(v, HealthSlow)
-					}
-				case HealthSlow:
-					if !straggling {
-						hp.setStateLocked(v, HealthHealthy)
-					}
+	if med := medianPositive(srtts); med > 0 {
+		for v, s := range srtts {
+			straggling := s > slowFactor*med
+			switch hp.state[v] {
+			case HealthHealthy:
+				if straggling {
+					hp.setStateLocked(v, HealthSlow)
+				}
+			case HealthSlow:
+				if !straggling {
+					hp.setStateLocked(v, HealthHealthy)
 				}
 			}
 		}

@@ -44,7 +44,7 @@ func TestRTTEstimator(t *testing.T) {
 	var fast rttEstimator
 	fast.observe(1e-6)
 	if got := fast.rto(1e-3, 2); got != 1e-3 {
-		t.Fatalf("fast-link rto = %v, want MinRTO floor 1e-3", got)
+		t.Fatalf("fast-link rto = %v, want minRTO floor 1e-3", got)
 	}
 	var slow rttEstimator
 	slow.observe(10)
@@ -147,10 +147,10 @@ func TestHealthPlaneLifecycle(t *testing.T) {
 	rs := newRoundState(3)
 	rs.succ[0], rs.succ[1] = 30, 30
 
-	if phi := hp.phi(2); phi < hp.cfg.PhiConvict {
-		t.Fatalf("silent peer φ = %v, want ≥ conviction threshold %v", phi, hp.cfg.PhiConvict)
+	if phi := hp.phi(2); phi < phiConvict {
+		t.Fatalf("silent peer φ = %v, want ≥ conviction threshold %v", phi, phiConvict)
 	}
-	if phi := hp.phi(0); phi > hp.cfg.PhiSuspect {
+	if phi := hp.phi(0); phi > phiSuspect {
 		t.Fatalf("chatty peer φ = %v, want below suspicion threshold", phi)
 	}
 

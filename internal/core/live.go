@@ -1138,7 +1138,7 @@ func (r *liveRound) deliver(msg netsim.Message) error {
 			if rest == 0 {
 				break
 			}
-			if r.rs.takeHedge(hp.cfg.HedgeBudget) {
+			if r.rs.takeHedge() {
 				hm := msg
 				hm.Attempt = hedgeAttempt(attempt, hedged)
 				hedged++
@@ -1276,9 +1276,6 @@ func (rt *nodeRT) accSlice(grad string, ne, parts, p int) []float32 {
 
 // execComp performs encode/decode/merge/compute tasks with real data.
 func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
-	if t.Exec != nil {
-		return t.Exec()
-	}
 	lc := r.lc
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -1306,7 +1303,7 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 			payload, err = lc.ef[rt.id].EncodeWithFeedbackInto(lc.efKey(t), dst, acc)
 		} else {
 			dst := rt.lease.Bytes(compress.MaxEncodedSize(lc.comp[rt.id], len(acc)))
-			payload, err = compress.EncodeInto(lc.comp[rt.id], dst, acc)
+			payload, err = lc.comp[rt.id].EncodeInto(dst, acc)
 		}
 		if err != nil {
 			return err
@@ -1319,7 +1316,7 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 			// into the result slice — no intermediate buffer.
 			lo, hi := PartRange(ne, np, t.Part)
 			res := rt.resultSlice(t.Grad, ne)
-			if err := compress.DecodeInto(lc.comp[rt.id], res[lo:hi], payload); err != nil {
+			if err := lc.comp[rt.id].DecodeInto(res[lo:hi], payload); err != nil {
 				return err
 			}
 			rt.markFilled(t.Grad, t.Part)
@@ -1335,14 +1332,14 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 		lo, hi := PartRange(ne, np, t.Part)
 		if t.Phase == 2 {
 			res := rt.resultSlice(t.Grad, ne)
-			if err := compress.DecodeInto(lc.comp[rt.id], res[lo:hi], in); err != nil {
+			if err := lc.comp[rt.id].DecodeInto(res[lo:hi], in); err != nil {
 				return err
 			}
 			rt.markFilled(t.Grad, t.Part)
 			return nil
 		}
 		dec := rt.lease.F32(hi - lo)
-		if err := compress.DecodeInto(lc.comp[rt.id], dec, in); err != nil {
+		if err := lc.comp[rt.id].DecodeInto(dec, in); err != nil {
 			return err
 		}
 		rt.tmp[bk] = dec
@@ -1530,9 +1527,6 @@ func (r *liveRound) resolveSend(msg netsim.Message) error {
 // round tears down (decode, merge, ring forwarding), so the buffer the
 // transport leased for it joins the round lease here.
 func (r *liveRound) execRecv(rt *nodeRT, t *Task, msg *netsim.Message) error {
-	if t.Exec != nil {
-		return t.Exec()
-	}
 	payload := msg.Payload
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -374,7 +374,7 @@ type failingCompressor struct {
 }
 
 func (f *failingCompressor) Name() string { return "test-failing" }
-func (f *failingCompressor) Encode(g []float32) ([]byte, error) {
+func (f *failingCompressor) EncodeInto(dst []byte, g []float32) ([]byte, error) {
 	f.mu.Lock()
 	f.calls++
 	n := f.calls
@@ -382,10 +382,10 @@ func (f *failingCompressor) Encode(g []float32) ([]byte, error) {
 	if n > f.after {
 		return nil, fmt.Errorf("injected encode failure (call %d)", n)
 	}
-	return compress.Onebit{}.Encode(g)
+	return compress.Onebit{}.EncodeInto(dst, g)
 }
-func (f *failingCompressor) Decode(p []byte, n int) ([]float32, error) {
-	return compress.Onebit{}.Decode(p, n)
+func (f *failingCompressor) DecodeInto(dst []float32, p []byte) error {
+	return compress.Onebit{}.DecodeInto(dst, p)
 }
 func (f *failingCompressor) CompressedSize(n int) int { return compress.Onebit{}.CompressedSize(n) }
 

@@ -163,17 +163,6 @@ func (e *sendEngine) lane(t *Task) *sendLane {
 // any concurrently resolving transfer can advance the DAG past them.
 func (e *sendEngine) submit(rt *nodeRT, id int, t *Task) error {
 	r := e.r
-	if t.Exec != nil {
-		// Synthetic tasks (tests, probes) have no payload to stage; run
-		// them inline like the sequential loop did.
-		start := r.trc.Now()
-		if err := t.Exec(); err != nil {
-			return err
-		}
-		r.traceTask(t, start)
-		r.completeTask(id)
-		return nil
-	}
 	l := e.lane(t)
 	if l.sem != nil {
 		select {

@@ -24,9 +24,6 @@ type GradSync struct {
 	// produces this gradient locally (typically the backward-compute task),
 	// or -1 when the gradient is ready at time zero.
 	RootDeps []int
-	// Bind, if non-nil, is invoked on every created task so a live executor
-	// can attach Exec closures. The timing plane leaves it nil.
-	Bind func(*Task)
 	// WireScale multiplies send/recv byte counts only (not kernel work).
 	// The engine uses it to model flat multi-GPU rings where one node's NIC
 	// carries the traffic of all its GPUs (0 and 1 both mean no scaling).
@@ -105,14 +102,10 @@ func (s *GradSync) normalize(n int) error {
 	return nil
 }
 
-// add creates a task, applies Bind, and returns its index.
+// add creates a task for this gradient and returns its index.
 func (s *GradSync) add(g *Graph, t *Task) int {
 	t.Grad = s.Name
-	id := g.Add(t)
-	if s.Bind != nil {
-		s.Bind(t)
-	}
-	return id
+	return g.Add(t)
 }
 
 // depRoot wires the node's gradient-ready dependency into task id, if any.

@@ -238,18 +238,3 @@ func TestRootDepsGateTheDAG(t *testing.T) {
 		}
 	}
 }
-
-func TestBindSeesEveryTask(t *testing.T) {
-	g := NewGraph()
-	seen := 0
-	_, err := BuildPS(g, PSBipartite(2), GradSync{
-		Name: "g", Elems: 100, Algo: "dgc",
-		Bind: func(*Task) { seen++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != len(g.Tasks) {
-		t.Fatalf("Bind saw %d of %d tasks", seen, len(g.Tasks))
-	}
-}

@@ -42,9 +42,8 @@ func (k Kind) String() string {
 func (k Kind) IsComm() bool { return k == KSend || k == KRecv }
 
 // Task is one node-local unit of work in a gradient synchronization DAG.
-// The metadata fields fully determine the task's simulated cost; Exec, when
-// set by a strategy builder, carries the live-plane semantics (real
-// compression, real channel sends).
+// The metadata fields fully determine the task's simulated cost, and the
+// live plane derives the real work (compression, sends) from the same fields.
 type Task struct {
 	ID   int
 	Kind Kind
@@ -74,8 +73,6 @@ type Task struct {
 	// Dur, for KCompute tasks, is the explicit duration in seconds (DNN
 	// backward time is an input to the simulation, not derived from Bytes).
 	Dur float64
-	// Exec, if non-nil, performs the task's real work on the live plane.
-	Exec func() error
 
 	// deps counts unfinished prerequisite tasks; outs lists dependents by
 	// graph index.

@@ -830,7 +830,7 @@ func JitterExp() (*Table, error) {
 
 func timeEncode(c compress.Compressor, g []float32) time.Duration {
 	start := time.Now()
-	if _, err := c.Encode(g); err != nil {
+	if _, err := compress.Encode(c, g); err != nil {
 		return time.Hour
 	}
 	return time.Since(start)

@@ -68,7 +68,7 @@ func KernelsExp(scale float64) (*Table, error) {
 		dec := make([]float32, n)
 		var payload []byte
 		encode := func() error {
-			p, err := compress.EncodeInto(c, dst, g)
+			p, err := c.EncodeInto(dst, g)
 			payload = p
 			return err
 		}
@@ -86,7 +86,7 @@ func KernelsExp(scale float64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		decNs, err := timeOp(func() error { return compress.DecodeInto(c, dec, payload) })
+		decNs, err := timeOp(func() error { return c.DecodeInto(dec, payload) })
 		if err != nil {
 			return nil, err
 		}

@@ -898,7 +898,7 @@ func (t *TCPTransport) Send(msg Message) error {
 
 // redialBackoff draws the full-jitter wait before 0-based redial cycle i:
 // uniform in (0, d] where d is the capped exponential, hashed from the
-// seeded splitmix64 stream (the PR 5 retry-jitter construction).
+// seeded splitmix64 stream.
 func (t *TCPTransport) redialBackoff(i int) time.Duration {
 	d := t.opts.RedialBackoff
 	for k := 0; k < i; k++ {
