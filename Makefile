@@ -29,7 +29,9 @@ race:
 # the checkpoint format (disk corruption after a crash), the TCP wire frame
 # and HELLO handshake (chaos-corrupted streams), the five compression
 # payload decoders
-# (truncated/corrupted gradient frames off the wire), the phi-accrual
+# (truncated/corrupted gradient frames off the wire), the branch-free
+# compression kernels against their scalar references (arbitrary float32 bit
+# patterns: NaNs, infinities, signed zeros, denormals, ties), the phi-accrual
 # health plane's state machine (arbitrary interleavings of arrivals, clock
 # advances, convictions, and revivals), and the plan-epoch broadcast frame
 # (corrupted re-planning announcements). 10s each — enough to catch parser
@@ -40,6 +42,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/netsim/
 	$(GO) test -run='^$$' -fuzz=FuzzHelloDecode -fuzztime=10s ./internal/netsim/
 	$(GO) test -run='^$$' -fuzz=FuzzCompressorDecode -fuzztime=10s ./internal/compress/
+	$(GO) test -run='^$$' -fuzz=FuzzKernelsMatchReference -fuzztime=10s ./internal/compress/
 	$(GO) test -run='^$$' -fuzz=FuzzPhiDetector -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPlanEpochDecode -fuzztime=10s ./internal/core/
 

@@ -11,10 +11,13 @@ import (
 // Benchmarks for the chunked kernel plane. Run with -cpu to sweep worker
 // counts (the pool sizes itself from GOMAXPROCS):
 //
-//	go test -bench 'EncodeParallel|DecodeParallel' -cpu 1,4,8 -benchmem ./internal/compress/
+//	go test -bench 'EncodeParallel|EncodeFusedParallel|DecodeParallel' -cpu 1,4,8 -benchmem ./internal/compress/
 //
 // SetBytes reports effective raw-gradient GB/s; -benchmem pins the
-// zero-alloc steady state (0 B/op once pools are warm).
+// zero-alloc steady state (0 B/op once pools are warm). Inputs come from
+// tensor.RNG at full length — never a short pattern tiled up, which the
+// branch predictor learns and which flatters any branchy loop. The raw
+// float32 wire codec's counterpart is BenchmarkRawF32Codec in internal/core.
 
 var benchSizes = []int{1 << 16, 1 << 20, 4 << 20} // 256 KiB .. 16 MiB of raw floats
 
@@ -97,6 +100,33 @@ func BenchmarkDecodeParallel(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkDecodeParallelAdd times the fused decode+merge (DecodeAdd) — what
+// a PS server runs once per peer contribution.
+func BenchmarkDecodeParallelAdd(b *testing.B) {
+	for _, name := range []string{"onebit", "tbq", "terngrad", "dgc", "graddrop"} {
+		n := 1 << 20
+		b.Run(fmt.Sprintf("%s/%d", name, n), func(b *testing.B) {
+			c, err := New(name, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload, err := Encode(c, benchGrad(n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			acc := make([]float32, n)
+			b.SetBytes(int64(4 * n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeAdd(c, payload, acc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"hipress/internal/kernels"
 )
@@ -71,7 +72,8 @@ func (d *DGC) CompressedSize(n int) int { return headerSize + 4 + 8*d.k(n) }
 // integer summation, which is order-independent — so the threshold is the
 // *exact* order statistic quickselect would return, found in four
 // cache-friendly parallel scans with zero scratch allocation. Survivors are
-// then written with the same two-phase count/prefix/write scheme as TBQ,
+// then written with the same count/prefix/write scheme as TBQ — the per-chunk
+// counts fall out of the histograms, so there is no separate count sweep —
 // with the serial "strictly above first, ties in index order" rule realized
 // through per-chunk tie quotas. The payload is byte-identical to the serial
 // implementation for any worker count.
@@ -98,52 +100,66 @@ func (d *DGC) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	}
 	chunks := kernels.NumChunks(n)
 	op := dgcOpPool.Get().(*dgcOp)
+	defer op.release()
 	op.n, op.grad, op.res = n, grad, res
 	op.hists = growSlice(op.hists, chunks)
 	op.counts = growSlice(op.counts, chunks)
 	op.aboveOffs = growSlice(op.aboveOffs, chunks)
 	op.tieOffs = growSlice(op.tieOffs, chunks)
 	op.tieQuota = growSlice(op.tieQuota, chunks)
-
-	if res != nil {
-		// Fused pass 0: v = grad + residual, stored into the residual
-		// buffer; every later pass selects over v.
-		op.phase = dgcVStore
-		kernels.Default().Run(chunks, op)
-	}
+	clear(op.counts)
 
 	// Radix select: resolve the threshold's 32 magnitude bits one byte at a
-	// time, MSB first.
+	// time, MSB first. Round 0 doubles as the fused v = grad + residual
+	// store; every later pass selects over v. The per-chunk histograms also
+	// yield each chunk's survivor counts: an element is strictly above the
+	// threshold exactly when, in the round where its prefix still matched,
+	// its byte landed in a bucket above the chosen one, and it ties when it
+	// matched through the last round.
 	var prefix, prefixMask uint32
 	remaining := k
+	matching := n // elements whose magnitude starts with prefix
+	bitOrder := true
 	for round := 0; round < 4; round++ {
 		op.phase = dgcHist
 		op.prefix, op.prefixMask = prefix, prefixMask
 		op.shift = uint(24 - 8*round)
+		op.sparse = matching < n/16
 		kernels.Default().Run(chunks, op)
 		var total [256]int
-		for c := 0; c < chunks; c++ {
-			h := &op.hists[c]
-			for b := 0; b < 256; b++ {
-				total[b] += int(h[b])
+		for c := range op.hists {
+			for b, x := range &op.hists[c] {
+				total[b] += int(x)
 			}
 		}
+		if round == 0 && total[0x7f] > 0 {
+			// Some magnitude is >= 2^127 and may be a NaN, which the
+			// histograms rank above +Inf but no float compare selects.
+			bitOrder = false
+		}
 		b := 255
-		for ; b > 0; b-- {
-			if total[b] >= remaining {
-				break
-			}
+		for ; b > 0 && total[b] < remaining; b-- {
 			remaining -= total[b]
+		}
+		for c := range op.hists {
+			h := &op.hists[c]
+			for _, x := range h[b+1:] {
+				op.counts[c].above += int(x)
+			}
+			op.counts[c].tie = int(h[b]) // the last round's value stands
 		}
 		prefix |= uint32(b) << op.shift
 		prefixMask |= 0xff << op.shift
+		matching = total[b]
 	}
-	thr := math.Float32frombits(prefix)
-	op.thr = thr
+	op.thr = math.Float32frombits(prefix)
+	if !bitOrder {
+		// Rare path: recount with the float compares the write pass uses.
+		op.phase = dgcCount
+		kernels.Default().Run(chunks, op)
+	}
 
-	// Two-phase survivor write with tie quotas.
-	op.phase = dgcCount
-	kernels.Default().Run(chunks, op)
+	// Survivor write at prefix-sum offsets, with tie quotas.
 	above := 0
 	for c := 0; c < chunks; c++ {
 		op.aboveOffs[c] = above
@@ -162,15 +178,17 @@ func (d *DGC) encode(dst []byte, grad, res []float32) ([]byte, error) {
 		tieLeft -= q
 	}
 	if above >= k || tieLeft != 0 {
-		op.release()
 		return nil, fmt.Errorf("compress: dgc selected %d above + %d ties of %d (internal error)", above, tieOff, k)
 	}
 	op.aboveTotal = above
 	op.idxBody = out[headerSize+4:]
 	op.valBody = out[headerSize+4+4*k:]
+	op.unfilled.Store(false)
 	op.phase = dgcWrite
 	kernels.Default().Run(chunks, op)
-	op.release()
+	if op.unfilled.Load() {
+		return nil, fmt.Errorf("compress: dgc write pass disagrees with the %d survivors counted (internal error)", k)
+	}
 	return out, nil
 }
 
@@ -224,8 +242,7 @@ func (d *DGC) scatter(payload []byte, dst []float32, k int) error {
 // --- chunked kernel ----------------------------------------------------------
 
 const (
-	dgcVStore = iota + 1
-	dgcHist
+	dgcHist = iota + 1
 	dgcCount
 	dgcWrite
 )
@@ -243,6 +260,7 @@ type dgcOp struct {
 	// Radix-select state.
 	prefix, prefixMask uint32
 	shift              uint
+	sparse             bool // under 1/16 of the elements still match prefix
 	hists              []dgcHistT
 
 	// Survivor-write state.
@@ -254,6 +272,7 @@ type dgcOp struct {
 	aboveTotal int
 	idxBody    []byte
 	valBody    []byte
+	unfilled   atomic.Bool // a chunk's write pass did not fill exactly its slots
 }
 
 var dgcOpPool = sync.Pool{New: func() any { return new(dgcOp) }}
@@ -272,31 +291,86 @@ func (o *dgcOp) src() []float32 {
 	return o.grad
 }
 
+// dgcHist0 is radix round 0 over one chunk: a histogram of every element's
+// top magnitude byte (7 exponent bits, so only buckets 0..127 fill), with no
+// prefix to compare against. Gradients concentrate in a handful of exponent
+// buckets, and back-to-back read-modify-writes of one counter serialize on
+// store forwarding, so four consecutive elements count into four separate
+// sub-histograms that are summed at the end. With res non-nil the same sweep
+// stores v = grad + res into res.
+func dgcHist0(h *dgcHistT, grad, res []float32) {
+	var sub [4][128]int32
+	top := func(v float32) uint32 { return math.Float32bits(v) >> 24 & 0x7f }
+	i := 0
+	if res == nil {
+		for ; i+4 <= len(grad); i += 4 {
+			v := (*[4]float32)(grad[i:])
+			sub[0][top(v[0])]++
+			sub[1][top(v[1])]++
+			sub[2][top(v[2])]++
+			sub[3][top(v[3])]++
+		}
+		for ; i < len(grad); i++ {
+			sub[0][top(grad[i])]++
+		}
+	} else {
+		for ; i+4 <= len(grad); i += 4 {
+			g, r := (*[4]float32)(grad[i:]), (*[4]float32)(res[i:])
+			v0, v1, v2, v3 := r[0]+g[0], r[1]+g[1], r[2]+g[2], r[3]+g[3]
+			r[0], r[1], r[2], r[3] = v0, v1, v2, v3
+			sub[0][top(v0)]++
+			sub[1][top(v1)]++
+			sub[2][top(v2)]++
+			sub[3][top(v3)]++
+		}
+		for ; i < len(grad); i++ {
+			res[i] += grad[i]
+			sub[0][top(res[i])]++
+		}
+	}
+	*h = dgcHistT{}
+	for b := range sub[0] {
+		h[b] = sub[0][b] + sub[1][b] + sub[2][b] + sub[3][b]
+	}
+}
+
 func (o *dgcOp) RunChunk(c int) {
 	lo, hi := kernels.ChunkRange(o.n, c)
 	switch o.phase {
-	case dgcVStore:
-		grad, res := o.grad, o.res
-		for i := lo; i < hi; i++ {
-			res[i] += grad[i]
-		}
 	case dgcHist:
-		src := o.src()
 		h := &o.hists[c]
-		*h = dgcHistT{}
-		prefix, mask, shift := o.prefix, o.prefixMask, o.shift
-		for i := lo; i < hi; i++ {
-			b := math.Float32bits(src[i]) &^ (1 << 31) // |value| bit pattern
-			if b&mask == prefix {
-				h[(b>>shift)&0xff]++
+		if o.prefixMask == 0 {
+			var res []float32
+			if o.res != nil {
+				res = o.res[lo:hi]
 			}
+			dgcHist0(h, o.grad[lo:hi], res)
+			return
+		}
+		*h = dgcHistT{}
+		prefix, mask, shift := o.prefix, o.prefixMask, o.shift&31
+		src := o.src()[lo:hi]
+		if o.sparse {
+			// Few elements still match the prefix (the previous round
+			// counted them), so the skip predicts.
+			for _, v := range src {
+				if b := math.Float32bits(v) &^ f32SignBit; b&mask == prefix {
+					h[b>>shift&0xff]++
+				}
+			}
+			return
+		}
+		// Many match — in round 1 typically a coin flip per element — so
+		// count 1 or 0 without branching.
+		for _, v := range src {
+			b := math.Float32bits(v) &^ f32SignBit // |value| bit pattern
+			match := (uint64((b^prefix)&mask) - 1) >> 63
+			h[b>>shift&0xff] += int32(match)
 		}
 	case dgcCount:
-		src := o.src()
 		thr := o.thr
 		var above, tie int
-		for i := lo; i < hi; i++ {
-			a := src[i]
+		for _, a := range o.src()[lo:hi] {
 			if a < 0 {
 				a = -a
 			}
@@ -308,35 +382,46 @@ func (o *dgcOp) RunChunk(c int) {
 		}
 		o.counts[c] = dgcCountT{above: above, tie: tie}
 	case dgcWrite:
-		src := o.src()
+		src := o.src()[lo:hi]
 		res := o.res
 		thr := o.thr
 		idxBody, valBody := o.idxBody, o.valBody
 		wAbove := o.aboveOffs[c]
+		aboveEnd := wAbove + o.counts[c].above
 		wTie := o.aboveTotal + o.tieOffs[c]
 		tieLeft := o.tieQuota[c]
-		for i := lo; i < hi; i++ {
-			g := src[i]
-			a := g
-			if a < 0 {
-				a = -a
+		// Compaction is inherently a data-dependent write; with k << n the
+		// skip is almost always taken and predicts. It tests bit patterns,
+		// which admits exactly the magnitudes >= thr plus NaNs; the float
+		// compares below then drop the NaNs.
+		thrBits := math.Float32bits(thr)
+		for j, g := range src {
+			b := math.Float32bits(g) &^ f32SignBit
+			if b < thrBits {
+				continue
 			}
+			a := math.Float32frombits(b)
+			if !(a >= thr) {
+				continue
+			}
+			w := wAbove
 			if a > thr {
-				binary.LittleEndian.PutUint32(idxBody[4*wAbove:], uint32(i))
-				putF32(valBody[4*wAbove:], g)
 				wAbove++
-				if res != nil {
-					res[i] = 0 // v - decode(v) == 0 for selected elements
-				}
-			} else if a == thr && tieLeft > 0 {
-				binary.LittleEndian.PutUint32(idxBody[4*wTie:], uint32(i))
-				putF32(valBody[4*wTie:], g)
+			} else if tieLeft > 0 {
+				w = wTie
 				wTie++
 				tieLeft--
-				if res != nil {
-					res[i] = 0
-				}
+			} else {
+				continue
 			}
+			binary.LittleEndian.PutUint32(idxBody[4*w:], uint32(lo+j))
+			putF32(valBody[4*w:], g)
+			if res != nil {
+				res[lo+j] = 0 // v - decode(v) == 0 for selected elements
+			}
+		}
+		if wAbove != aboveEnd || tieLeft != 0 {
+			o.unfilled.Store(true)
 		}
 	}
 }

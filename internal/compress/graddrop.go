@@ -148,8 +148,10 @@ func (g *GradDrop) encode(dst []byte, grad, res []float32) ([]byte, error) {
 		kernels.Default().Run(chunks, op)
 		src = res
 	}
-	thr := g.threshold(src)
-	op.thr = thr
+	// |x| >= thr && |x| > 0 as a window on |x|'s bit pattern (floor 1 is the
+	// smallest nonzero magnitude); count and write passes share it, so they
+	// agree by construction.
+	op.wlo, op.span = magWindow(g.threshold(src), 1)
 
 	op.phase = gdropCount
 	kernels.Default().Run(chunks, op)
@@ -243,7 +245,7 @@ type gdropOp struct {
 	n                int
 	grad             []float32
 	res              []float32 // fused: residual in, v then updated residual out
-	thr              float32
+	wlo, span        uint32    // survivor window, see magWindow
 	counts           []int
 	offs             []int
 	idxBody, valBody []byte
@@ -269,16 +271,10 @@ func (o *gdropOp) RunChunk(c int) {
 		if o.res != nil {
 			src = o.res
 		}
-		thr := o.thr
+		wlo, span := o.wlo, o.span
 		k := 0
-		for i := lo; i < hi; i++ {
-			a := src[i]
-			if a < 0 {
-				a = -a
-			}
-			if a >= thr && a > 0 {
-				k++
-			}
+		for _, x := range src[lo:hi] {
+			k += inWindow(x, wlo, span)
 		}
 		o.counts[c] = k
 	case gdropWrite:
@@ -287,16 +283,14 @@ func (o *gdropOp) RunChunk(c int) {
 		if res != nil {
 			src = res
 		}
-		thr := o.thr
+		// The compaction itself stays a branch: an unconditional store
+		// would run into the next chunk's slots.
+		wlo, span := o.wlo, o.span
 		idxBody, valBody := o.idxBody, o.valBody
 		w := o.offs[c]
 		for i := lo; i < hi; i++ {
 			x := src[i]
-			a := x
-			if a < 0 {
-				a = -a
-			}
-			if a >= thr && a > 0 {
+			if inWindow(x, wlo, span) != 0 {
 				binary.LittleEndian.PutUint32(idxBody[4*w:], uint32(i))
 				putF32(valBody[4*w:], x)
 				w++

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"errors"
+	"math"
 	"sync"
 
 	"hipress/internal/kernels"
@@ -10,8 +11,8 @@ import (
 // This file holds what sits beside the Compressor interface on the
 // synchronization path: the optional accelerations a compressor may add
 // (FusedEncoder, a worst-case MaxEncodedSize) with the generic constructions
-// they must match bit for bit, and the buffer helpers the chunked kernels
-// share.
+// they must match bit for bit, and the buffer and bit-pattern helpers the
+// chunked kernels share.
 
 // ErrTruncatedPayload tags decode failures caused by payloads too short for
 // their declared contents (truncated frames, corrupted length fields).
@@ -110,6 +111,36 @@ func growSlice[T any](s []T, n int) []T {
 		return s[:n]
 	}
 	return make([]T, n)
+}
+
+// --- branch-free threshold test -------------------------------------------------
+
+const (
+	f32SignBit = 1 << 31
+	f32InfBits = 0x7f800000
+)
+
+// magWindow turns the float predicate "|x| >= thr, and |x| at least the
+// magnitude with bit pattern floor" into an unsigned range test on x's
+// magnitude bits, so a count pass needs no branch: for non-negative floats
+// bit order is numeric order, NaNs sit above +Inf and fall outside the
+// window exactly as they fail every float compare, a NaN thr admits
+// nothing, and thr <= 0 admits every non-NaN magnitude from floor up.
+func magWindow(thr float32, floor uint32) (lo, span uint32) {
+	if thr != thr {
+		return 0, 0
+	}
+	lo = floor
+	if t := math.Float32bits(thr); thr > 0 && t > lo {
+		lo = t
+	}
+	return lo, f32InfBits + 1 - lo
+}
+
+// inWindow is 1 when x's magnitude bits lie in [lo, lo+span) and 0 otherwise.
+func inWindow(x float32, lo, span uint32) int {
+	m := math.Float32bits(x) &^ f32SignBit
+	return int((uint64(m-lo) - uint64(span)) >> 63)
 }
 
 // --- shared parallel zero kernel ---------------------------------------------

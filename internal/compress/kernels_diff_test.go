@@ -1,0 +1,313 @@
+package compress
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"hipress/internal/kernels"
+	"hipress/internal/tensor"
+)
+
+// Differential gate for the branch-free kernels: for raw float32 bit
+// patterns — NaNs with several payloads, ±Inf, ±0, denormals, constant
+// inputs, everything tied at the threshold — payload bytes, error-feedback
+// residual bits, DecodeInto/DecodeAdd outputs and error-vs-success must equal
+// the scalar loops in reference_test.go, fused and unfused, for one and two
+// workers, across two consecutive encodes on one residual.
+
+// specialBits are the float32 bit patterns where a bit trick and a float
+// compare are most likely to part ways.
+var specialBits = []uint32{
+	0x00000000, 0x80000000, // ±0
+	0x00000001, 0x80000001, 0x007fffff, 0x807fffff, // denormals
+	0x00800000, 0x80800000, // smallest normals
+	0x3f800000, 0xbf800000, 0x3f000000, 0xbf000000, // ±1, ±0.5
+	0x7e800000, 0x7f000000, 0xff000000, // magnitudes in the top exponent byte
+	0x7f7fffff, 0xff7fffff, // ±max finite
+	0x7f800000, 0xff800000, // ±Inf
+	0x7fc00000, 0xffc00000, 0x7f800001, 0xff800001, 0x7fffffff, 0xffffffff, 0x7fa5a5a5, // NaNs
+}
+
+func fromBits(bits []uint32) []float32 {
+	out := make([]float32, len(bits))
+	for i, b := range bits {
+		out[i] = math.Float32frombits(b)
+	}
+	return out
+}
+
+// canonNaN collapses every NaN onto one bit pattern. Which payload survives
+// NaN+NaN is the hardware's first-operand rule applied to an operand order the
+// compiler is free to choose per loop shape, so NaN payloads (not NaN-ness)
+// are outside the identity contract; every other value compares bit for bit.
+func canonNaN(b uint32) uint32 {
+	if b&^f32SignBit > f32InfBits {
+		return 0x7fc00000
+	}
+	return b
+}
+
+// sameBits returns the first index where a and b differ, or -1.
+func sameBits(a, b []float32) int {
+	for i := range a {
+		if canonNaN(math.Float32bits(a[i])) != canonNaN(math.Float32bits(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// samePayload compares two payloads of one algorithm byte for byte, reading
+// the data-derived float fields (onebit's two means, the sparsifiers' value
+// column) through canonNaN.
+func samePayload(algo uint16, a, b []byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	a, b = bytes.Clone(a), bytes.Clone(b)
+	for _, p := range [][]byte{a, b} {
+		var floats []byte
+		switch algo {
+		case algoOnebit:
+			floats = p[headerSize : headerSize+8]
+		case algoDGC, algoGradDrop:
+			k := int(binary.LittleEndian.Uint32(p[headerSize:]))
+			floats = p[headerSize+4+4*k:]
+		}
+		for i := 0; i+4 <= len(floats); i += 4 {
+			binary.LittleEndian.PutUint32(floats[i:], canonNaN(binary.LittleEndian.Uint32(floats[i:])))
+		}
+	}
+	return bytes.Equal(a, b)
+}
+
+// diffAlgo pairs a compressor under test with its scalar reference.
+type diffAlgo struct {
+	name string
+	mk   func(t testing.TB) (c Compressor, ref func(grad, res []float32) ([]byte, error))
+}
+
+var diffAlgos = []diffAlgo{
+	{"onebit", func(testing.TB) (Compressor, func(grad, res []float32) ([]byte, error)) {
+		return Onebit{}, func(grad, res []float32) ([]byte, error) { return refOnebitEncode(grad, res), nil }
+	}},
+	{"dgc-0.001", mkDGCDiff(0.001)},
+	{"dgc-0.25", mkDGCDiff(0.25)},
+	{"tbq", func(testing.TB) (Compressor, func(grad, res []float32) ([]byte, error)) {
+		q := NewTBQ(0.05)
+		return q, func(grad, res []float32) ([]byte, error) { return refTBQEncode(q, grad, res), nil }
+	}},
+	{"graddrop", func(t testing.TB) (Compressor, func(grad, res []float32) ([]byte, error)) {
+		g, err := NewGradDrop(0.01, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := NewGradDrop(0.01, 9)
+		return g, func(grad, res []float32) ([]byte, error) { return refGradDropEncode(r, grad, res), nil }
+	}},
+}
+
+func mkDGCDiff(ratio float64) func(testing.TB) (Compressor, func(grad, res []float32) ([]byte, error)) {
+	return func(t testing.TB) (Compressor, func(grad, res []float32) ([]byte, error)) {
+		d, err := NewDGC(ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, func(grad, res []float32) ([]byte, error) { return refDGCEncode(d, grad, res) }
+	}
+}
+
+// checkKernelsMatchReference encodes grads (consecutive gradients of one
+// length, sharing one residual when fused) through every rewritten kernel and
+// its reference and fails on the first difference.
+func checkKernelsMatchReference(t testing.TB, label string, grads [][]float32) {
+	t.Helper()
+	n := len(grads[0])
+	for _, workers := range []int{1, 2} {
+		old := kernels.SetWorkers(workers)
+		for _, a := range diffAlgos {
+			for _, fused := range []bool{false, true} {
+				c, ref := a.mk(t)
+				var res, refRes []float32
+				if fused {
+					res, refRes = make([]float32, n), make([]float32, n)
+				}
+				for round, grad := range grads {
+					where := func() string {
+						return label + "/" + a.name + map[bool]string{false: "/unfused", true: "/fused"}[fused] +
+							"/w" + itoa(workers) + "/n" + itoa(n) + "/round" + itoa(round)
+					}
+					dst := make([]byte, MaxEncodedSize(c, n))
+					var got []byte
+					var err error
+					if fused {
+						got, err = encodeFused(c, dst, grad, res)
+					} else {
+						got, err = c.EncodeInto(dst, grad)
+					}
+					want, refErr := ref(grad, refRes)
+					if (err == nil) != (refErr == nil) {
+						t.Fatalf("%s: kernel err=%v, reference err=%v", where(), err, refErr)
+					}
+					if err != nil {
+						break
+					}
+					if !samePayload(binary.LittleEndian.Uint16(want[2:]), got, want) {
+						t.Fatalf("%s: payload differs from reference\n got %x\nwant %x", where(), clip(got), clip(want))
+					}
+					if i := sameBits(res, refRes); i >= 0 {
+						t.Fatalf("%s: residual[%d] = %08x, reference %08x", where(), i,
+							math.Float32bits(res[i]), math.Float32bits(refRes[i]))
+					}
+					if a.name != "onebit" {
+						continue // only onebit's decode loops were rewritten
+					}
+					dec, refDec := make([]float32, n), make([]float32, n)
+					if err := c.DecodeInto(dec, got); err != nil {
+						t.Fatalf("%s: DecodeInto: %v", where(), err)
+					}
+					refOnebitDecode(refDec, want, false)
+					if i := sameBits(dec, refDec); i >= 0 {
+						t.Fatalf("%s: DecodeInto[%d] = %08x, reference %08x", where(), i,
+							math.Float32bits(dec[i]), math.Float32bits(refDec[i]))
+					}
+					copy(dec, grad) // accumulate onto arbitrary bit patterns
+					copy(refDec, grad)
+					if err := DecodeAdd(c, got, dec); err != nil {
+						t.Fatalf("%s: DecodeAdd: %v", where(), err)
+					}
+					refOnebitDecode(refDec, want, true)
+					if i := sameBits(dec, refDec); i >= 0 {
+						t.Fatalf("%s: DecodeAdd[%d] = %08x, reference %08x", where(), i,
+							math.Float32bits(dec[i]), math.Float32bits(refDec[i]))
+					}
+				}
+			}
+		}
+		kernels.SetWorkers(old)
+	}
+}
+
+func clip(b []byte) []byte {
+	if len(b) > 64 {
+		return b[:64]
+	}
+	return b
+}
+
+func TestKernelsMatchReference(t *testing.T) {
+	// Each generator fills one gradient; seed differs between the two
+	// consecutive encodes.
+	gens := []struct {
+		name string
+		fill func(g []float32, rng *tensor.RNG)
+	}{
+		{"normal", func(g []float32, rng *tensor.RNG) { rng.FillNormal(g, 1) }},
+		{"specials", func(g []float32, rng *tensor.RNG) {
+			off := rng.Intn(len(specialBits))
+			for i := range g {
+				g[i] = math.Float32frombits(specialBits[(i+off)%len(specialBits)])
+			}
+		}},
+		{"random-bits", func(g []float32, rng *tensor.RNG) {
+			for i := range g {
+				g[i] = math.Float32frombits(uint32(rng.Uint64()))
+			}
+		}},
+		{"normal-with-specials", func(g []float32, rng *tensor.RNG) {
+			rng.FillNormal(g, 1)
+			for i := rng.Intn(97); i < len(g); i += 97 {
+				g[i] = math.Float32frombits(specialBits[rng.Intn(len(specialBits))])
+			}
+		}},
+		{"all-equal", func(g []float32, rng *tensor.RNG) {
+			x := math.Float32frombits(specialBits[rng.Intn(len(specialBits))])
+			for i := range g {
+				g[i] = x
+			}
+		}},
+		{"ties-at-threshold", func(g []float32, rng *tensor.RNG) {
+			for i := range g {
+				g[i] = 1
+				if rng.Intn(2) == 0 {
+					g[i] = -1
+				}
+			}
+			if len(g) > 3 {
+				g[rng.Intn(len(g))] = 2
+			}
+		}},
+		{"nan-then-ties", func(g []float32, rng *tensor.RNG) {
+			for i := range g {
+				g[i] = 1
+			}
+			for i := 0; i < len(g); i += 1 + rng.Intn(4000) {
+				g[i] = math.Float32frombits(0x7fc00000 | uint32(i)&0xffff)
+			}
+		}},
+		{"two-valued", func(g []float32, rng *tensor.RNG) {
+			for i := range g {
+				g[i] = float32(1+rng.Intn(2)) / 2
+			}
+		}},
+		{"denormals", func(g []float32, rng *tensor.RNG) {
+			for i := range g {
+				g[i] = math.Float32frombits(uint32(rng.Uint64())&0x807fffff | uint32(rng.Intn(2))<<23)
+			}
+		}},
+	}
+	sizes := []int{0, 1, 7, 8, 9, kernels.ChunkElems - 1, kernels.ChunkElems, kernels.ChunkElems + 1, 3*kernels.ChunkElems + 5}
+	for gi, gen := range gens {
+		for _, n := range sizes {
+			if n > kernels.ChunkElems+1 && (testing.Short() || raceEnabled) && gi > 1 {
+				continue // the multi-chunk size once per broad input class is enough there
+			}
+			grads := make([][]float32, 2)
+			for r := range grads {
+				grads[r] = make([]float32, n)
+				if n > 0 {
+					gen.fill(grads[r], tensor.NewRNG(uint64(1000*gi+10*n+r+1)))
+				}
+			}
+			checkKernelsMatchReference(t, gen.name, grads)
+		}
+	}
+}
+
+// FuzzKernelsMatchReference feeds arbitrary float32 bit patterns through the
+// same comparison. sel bit 0 tiles the pattern past a chunk boundary.
+func FuzzKernelsMatchReference(f *testing.F) {
+	seed := make([]byte, 4*len(specialBits))
+	for i, b := range specialBits {
+		binary.LittleEndian.PutUint32(seed[4*i:], b)
+	}
+	f.Add(seed, uint8(0))
+	f.Add(seed, uint8(1))
+	f.Add(seed[:4*7], uint8(0))
+	f.Add([]byte{}, uint8(0))
+	normal := make([]byte, 4*64)
+	for i, x := range randGrad(5, 64, 1) {
+		binary.LittleEndian.PutUint32(normal[4*i:], math.Float32bits(x))
+	}
+	f.Add(normal, uint8(1))
+
+	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {
+		pat := make([]uint32, min(len(data)/4, 2048))
+		for i := range pat {
+			pat[i] = binary.LittleEndian.Uint32(data[4*i:])
+		}
+		n := len(pat)
+		if sel&1 != 0 && n > 0 {
+			n += kernels.ChunkElems
+		}
+		first := make([]uint32, n)
+		second := make([]uint32, n)
+		for i := range first {
+			first[i] = pat[i%len(pat)]
+			second[i] = pat[(len(pat)-1-i%len(pat)+i/len(pat))%len(pat)]
+		}
+		checkKernelsMatchReference(t, "fuzz", [][]float32{fromBits(first), fromBits(second)})
+	})
+}

@@ -185,15 +185,20 @@ func (o *tbqOp) RunChunk(c int) {
 	grad, res, tau := o.grad, o.res, o.tau
 	switch o.phase {
 	case tbqCount:
+		// g >= tau || g <= -tau, as a branch-free window test on |g|'s bits.
+		wlo, span := magWindow(tau, 0)
 		k := 0
-		for i := lo; i < hi; i++ {
-			g := grad[i]
-			if res != nil {
-				g += res[i]
-				res[i] = g // stash v for the write pass
+		g := grad[lo:hi]
+		if res == nil {
+			for _, x := range g {
+				k += inWindow(x, wlo, span)
 			}
-			if g >= tau || g <= -tau {
-				k++
+		} else {
+			r := res[lo:hi][:len(g)]
+			for i, x := range g {
+				v := x + r[i]
+				r[i] = v // stash v for the write pass
+				k += inWindow(v, wlo, span)
 			}
 		}
 		o.counts[c] = k

@@ -1552,9 +1552,18 @@ func (r *liveRound) execRecv(rt *nodeRT, t *Task, msg *netsim.Message) error {
 	return nil
 }
 
+// The raw (uncompressed) wire codec. A payload is little-endian float32s;
+// where kernels.BytesAsF32LE can view it as []float32 in place (every leased
+// payload on a little-endian host) the conversions are a memmove or a plain
+// float loop, otherwise the portable element-by-element form.
+
 // f32IntoBytes serializes v little-endian into dst; len(dst) must be
 // 4*len(v).
 func f32IntoBytes(dst []byte, v []float32) {
+	if f, ok := kernels.BytesAsF32LE(dst); ok {
+		copy(f[:len(v)], v)
+		return
+	}
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
 	}
@@ -1565,6 +1574,10 @@ func f32IntoBytes(dst []byte, v []float32) {
 func copyBytesF32(dst []float32, b []byte) error {
 	if len(b) != 4*len(dst) {
 		return fmt.Errorf("core: raw payload length %d, want %d bytes for %d elements (truncated or corrupted frame)", len(b), 4*len(dst), len(dst))
+	}
+	if f, ok := kernels.BytesAsF32LE(b); ok {
+		copy(dst, f)
+		return nil
 	}
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
@@ -1577,6 +1590,13 @@ func copyBytesF32(dst []float32, b []byte) error {
 func addBytesF32(dst []float32, b []byte) error {
 	if len(b) != 4*len(dst) {
 		return fmt.Errorf("core: raw merge size mismatch: %d bytes vs %d elements", len(b), len(dst))
+	}
+	if f, ok := kernels.BytesAsF32LE(b); ok {
+		f = f[:len(dst)]
+		for i := range dst {
+			dst[i] += f[i]
+		}
+		return nil
 	}
 	for i := range dst {
 		dst[i] += math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))

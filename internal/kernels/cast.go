@@ -1,6 +1,9 @@
 package kernels
 
-import "unsafe"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // bytesAsF32 reinterprets a byte slice as float32s without copying. The
 // slice must be 4-byte aligned and len(b)%4 == 0; arena backing arrays are
@@ -19,4 +22,22 @@ func f32AsBytes(f []float32) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), len(f)*4)
+}
+
+// hostLittleEndian reports whether a float32's in-memory bytes already are
+// its little-endian wire encoding.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// BytesAsF32LE views a little-endian float32 payload as the []float32 it
+// encodes, without copying, when that is sound: a little-endian host, a
+// non-empty whole number of elements, and a 4-byte-aligned first byte (every
+// arena lease is; an arbitrary subslice need not be). Otherwise ok is false
+// and the caller converts element by element. The conditions are checked
+// before the pointer conversion, so -race's checkptr never sees a misaligned
+// cast.
+func BytesAsF32LE(b []byte) (f []float32, ok bool) {
+	if !hostLittleEndian || len(b) == 0 || len(b)%4 != 0 || uintptr(unsafe.Pointer(&b[0]))%4 != 0 {
+		return nil, false
+	}
+	return bytesAsF32(b), true
 }

@@ -253,3 +253,38 @@ func TestPoolParallelExecution(t *testing.T) {
 		t.Fatalf("expected a parallel run with GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
 	}
 }
+
+// TestBytesAsF32LE pins the guard on the raw wire view: an aligned whole
+// payload is viewed in place; a misaligned, an odd-length and an empty one
+// are refused (the caller then converts element by element). Run under
+// -race, checkptr would abort on a misaligned cast, so passing there shows
+// the guard runs before the conversion.
+func TestBytesAsF32LE(t *testing.T) {
+	var l Lease
+	defer l.Release()
+	b := l.Bytes(64)
+	f, ok := BytesAsF32LE(b)
+	if !hostLittleEndian {
+		if ok {
+			t.Fatal("big-endian host must take the portable path")
+		}
+		return
+	}
+	if !ok || len(f) != 16 {
+		t.Fatalf("aligned 64-byte payload: ok=%v len=%d, want a 16-element view", ok, len(f))
+	}
+	f[3] = 1.5
+	if got := [4]byte(b[12:16]); got != [4]byte{0, 0, 0xc0, 0x3f} {
+		t.Fatalf("view does not alias the payload: bytes %x", got)
+	}
+	for name, p := range map[string][]byte{
+		"misaligned": b[1:61],
+		"odd-length": b[:63],
+		"empty":      b[:0],
+		"nil":        nil,
+	} {
+		if f, ok := BytesAsF32LE(p); ok || f != nil {
+			t.Errorf("%s payload: got a view (len %d), want the portable path", name, len(f))
+		}
+	}
+}
