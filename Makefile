@@ -27,7 +27,8 @@ race:
 
 # Short fuzz smoke over the byte-level decoders that face untrusted input:
 # the checkpoint format (disk corruption after a crash), the TCP wire frame
-# and HELLO handshake (chaos-corrupted streams), the five compression
+# and HELLO handshake (chaos-corrupted streams), the CRC-32 combine the
+# frame checksum is derived through (against crc32.Update), the five compression
 # payload decoders
 # (truncated/corrupted gradient frames off the wire), the branch-free
 # compression kernels against their scalar references (arbitrary float32 bit
@@ -41,6 +42,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=10s ./internal/ckpt/
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/netsim/
 	$(GO) test -run='^$$' -fuzz=FuzzHelloDecode -fuzztime=10s ./internal/netsim/
+	$(GO) test -run='^$$' -fuzz=FuzzCRCCombine -fuzztime=10s ./internal/netsim/
 	$(GO) test -run='^$$' -fuzz=FuzzCompressorDecode -fuzztime=10s ./internal/compress/
 	$(GO) test -run='^$$' -fuzz=FuzzKernelsMatchReference -fuzztime=10s ./internal/compress/
 	$(GO) test -run='^$$' -fuzz=FuzzPhiDetector -fuzztime=10s ./internal/core/

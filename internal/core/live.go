@@ -349,15 +349,31 @@ type mkey struct {
 	peer int
 }
 
+// wireBuf is a payload beside the CRC-32 of its bytes — taken as the encoder
+// leaves it, or the sum the dispatcher verified a received payload against.
+type wireBuf struct {
+	b   []byte
+	sum uint32
+}
+
+// accBuf is one partition's running aggregate; v is nil until a merge makes
+// one. staged: a raw send's payload (sum its CRC-32) is v's own memory — or
+// local's, v being nil — so a merge from here on is refused.
+type accBuf struct {
+	v      []float32
+	staged bool
+	sum    uint32
+}
+
 // nodeRT is the per-node live runtime: buffer state plus the two task
 // queues.
 type nodeRT struct {
 	id        int
-	local     map[string][]float32 // this node's freshly computed gradients
-	acc       map[pkey][]float32   // running aggregate per partition
+	local     map[string][]float32 // this node's freshly computed gradients; never written
+	acc       map[pkey]accBuf      // running aggregate per partition, once merged into
 	tmp       map[bkey][]float32   // decoded incoming partition, per peer
-	out       map[pkey][]byte      // last locally encoded payload
-	in        map[bkey][]byte      // received payloads, per peer
+	out       map[pkey]wireBuf     // last locally encoded payload
+	in        map[bkey]wireBuf     // received payloads, per peer
 	result    map[string][]float32 // fully synchronized gradients
 	qcomp     chan int
 	qcommu    chan int
@@ -714,20 +730,33 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 	}
 	defer cancel()
 
+	// Size the per-round maps from the DAG instead of growing them: per node an
+	// entry per recv, a payload per encode, at most an accumulator per partition.
+	counts := make([][KRecv + 1]int, n) // tasks per node and kind
+	for _, t := range g.Tasks {
+		counts[t.Node][t.Kind]++
+	}
+	sumParts := 0
+	for _, p := range parts {
+		sumParts += p
+	}
 	nodes := make([]*nodeRT, n)
 	for v := 0; v < n; v++ {
+		c := counts[v]
 		nodes[v] = &nodeRT{
 			id:      v,
 			local:   grads[v],
-			acc:     map[pkey][]float32{},
+			acc:     make(map[pkey]accBuf, min(c[KMerge], sumParts)),
 			tmp:     map[bkey][]float32{},
-			out:     map[pkey][]byte{},
-			in:      map[bkey][]byte{},
-			result:  map[string][]float32{},
+			out:     make(map[pkey]wireBuf, c[KEncode]),
+			in:      make(map[bkey]wireBuf, c[KRecv]),
+			result:  make(map[string][]float32, len(elems)),
 			qcomp:   make(chan int, len(g.Tasks)),
 			qcommu:  make(chan int, len(g.Tasks)),
-			recvIdx: map[mkey]int{},
-			seen:    map[mkey]bool{},
+			recvIdx: make(map[mkey]int, c[KRecv]),
+		}
+		if lc.cfg.Reliable { // dedup state: never touched otherwise
+			nodes[v].seen = make(map[mkey]bool, c[KRecv])
 		}
 	}
 	// Return every leased buffer to the arena once the round has fully torn
@@ -909,25 +938,19 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 	out := make([]map[string][]float32, n)
 	for v := 0; v < n; v++ {
 		rt := nodes[v]
-		out[v] = map[string][]float32{}
+		out[v] = make(map[string][]float32, len(elems))
 		for name, ne := range elems {
-			res, ok := rt.result[name]
-			if !ok {
-				res = make([]float32, ne)
-				rt.result[name] = res
-				// Mark all partitions unfilled.
-			}
+			res := rt.resultSlice(name, ne)
 			for p := 0; p < parts[name]; p++ {
 				lo, hi := PartRange(ne, parts[name], p)
 				if lo == hi {
 					continue
 				}
 				if !rt.filled(name, p) {
-					acc := rt.acc[pkey{name, p}]
+					acc := rt.acc[pkey{name, p}].v
 					// In a degraded round, an accumulator is only trustworthy
 					// when the partition barrier completed on this node (it
-					// holds the true aggregate); otherwise acc is just the
-					// local contribution staged by a send attempt.
+					// holds the true aggregate).
 					if r.reliable && r.rs.anyDead() && !rt.aggSet[pkey{name, p}] {
 						copy(res[lo:hi], rt.local[name][lo:hi])
 						if lc.cfg.Renormalize {
@@ -1005,7 +1028,12 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 		r.rs.ackArrived(ackKey{src: msg.To, dst: msg.From, grad: msg.Gradient, step: msg.Step})
 		return true
 	}
-	if sum := crc32.ChecksumIEEE(msg.Payload); sum != msg.Sum {
+	// TCP's frame check already read the payload; only chan's is read here.
+	sum, ok := msg.PayloadCRC()
+	if !ok {
+		sum = crc32.ChecksumIEEE(msg.Payload)
+	}
+	if sum != msg.Sum {
 		if r.reliable {
 			// Drop silently: no ack means the sender retransmits.
 			atomic.AddInt64(&r.rs.corruptDrops, 1)
@@ -1257,21 +1285,54 @@ func (rt *nodeRT) resultSlice(grad string, ne int) []float32 {
 	return res
 }
 
-// accSlice returns the node's accumulator for a partition, lazily
-// initialized to a copy of the local gradient partition (the node's own
-// contribution). The buffer is leased from the kernel arena (callers hold
-// rt.mu, which also guards the lease) and recycled at round teardown;
-// assembly copies out of it before release.
-func (rt *nodeRT) accSlice(grad string, ne, parts, p int) []float32 {
-	k := pkey{grad, p}
-	if a, ok := rt.acc[k]; ok {
+// errMergeAfterStage fails a round whose DAG merges into an accumulator that a
+// raw send already references as its payload.
+var errMergeAfterStage = errors.New("core: merge into an accumulator already staged for sending")
+
+// partial returns the node's current value of a partition, for reading only:
+// the accumulator once a merge has made one, before that the caller's own
+// local[lo:hi] — encoders do not modify their input, so a node nothing is
+// merged into never copies its gradient. Callers hold rt.mu.
+func (rt *nodeRT) partial(grad string, ne, parts, p int) []float32 {
+	if a := rt.acc[pkey{grad, p}].v; a != nil {
 		return a
 	}
 	lo, hi := PartRange(ne, parts, p)
-	a := rt.lease.F32(hi - lo)
-	copy(a, rt.local[grad][lo:hi])
-	rt.acc[k] = a
-	return a
+	return rt.local[grad][lo:hi]
+}
+
+// merge folds one contribution — decoded floats x, or a raw little-endian
+// payload — into a partition. The first merge makes the accumulator, as
+// local[lo:hi] + x in one pass (the operands, operand order and single rounding
+// of copying local and then adding, hence the same bits), in x itself when
+// given decoded floats and in a fresh lease otherwise. Callers hold rt.mu.
+//
+// The zero-copy raw send rests on the sends-follow-merges invariant: in every
+// DAG BuildRing and BuildPS emit, each merge into a (node, gradient, partition)
+// is an ancestor of each non-forward send of it (TestSendsFollowMerges), so a
+// staged partition is final; a DAG that breaks it fails here.
+func (rt *nodeRT) merge(grad string, ne, parts, p int, x []float32, raw []byte) error {
+	k := pkey{grad, p}
+	ab := rt.acc[k]
+	if ab.staged {
+		return fmt.Errorf("node %d, %s/p%d: %w", rt.id, grad, p, errMergeAfterStage)
+	}
+	dst, a := ab.v, ab.v
+	if dst == nil {
+		lo, hi := PartRange(ne, parts, p)
+		if a, dst = rt.local[grad][lo:hi], x; dst == nil {
+			dst = rt.lease.F32(hi - lo)
+		}
+		rt.acc[k] = accBuf{v: dst}
+	}
+	if raw != nil {
+		return sumBytesF32(dst, a, raw)
+	}
+	if len(x) != len(a) {
+		return fmt.Errorf("core: node %d merge %s/p%d size mismatch: %d vs %d elements", rt.id, grad, p, len(x), len(a))
+	}
+	sumF32(dst, a, x)
+	return nil
 }
 
 // execComp performs encode/decode/merge/compute tasks with real data.
@@ -1287,7 +1348,7 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 		return nil // gradients are provided up front on the live plane
 
 	case KEncode:
-		acc := rt.accSlice(t.Grad, ne, np, t.Part)
+		acc := rt.partial(t.Grad, ne, np, t.Part)
 		var payload []byte
 		var err error
 		if lc.ef != nil && lc.ef[rt.id] != nil {
@@ -1308,7 +1369,7 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 		if err != nil {
 			return err
 		}
-		rt.out[k] = payload
+		rt.out[k] = wireBuf{payload, crc32.ChecksumIEEE(payload)}
 		if t.Phase == 2 {
 			// The aggregate holder broadcasts this payload; it must adopt
 			// the same lossy view itself, or nodes would diverge (BSP
@@ -1325,7 +1386,7 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 
 	case KDecode:
 		bk := bkey{t.Grad, t.Part, t.Peer}
-		in := rt.in[bk]
+		in := rt.in[bk].b
 		if in == nil {
 			return fmt.Errorf("core: node %d decode %s/p%d from %d with no received payload", rt.id, t.Grad, t.Part, t.Peer)
 		}
@@ -1362,26 +1423,22 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 			return nil
 		}
 		// Ring merges are chain-ordered by the DAG and stay incremental.
-		acc := rt.accSlice(t.Grad, ne, np, t.Part)
 		bk := bkey{t.Grad, t.Part, t.Peer}
 		if r.algos[t.Grad] != "" {
 			tmp := rt.tmp[bk]
 			if tmp == nil {
 				return fmt.Errorf("core: node %d merge %s/p%d from %d with no decoded payload", rt.id, t.Grad, t.Part, t.Peer)
 			}
-			for i, x := range tmp {
-				acc[i] += x
-			}
 			delete(rt.tmp, bk)
-			return nil
+			return rt.merge(t.Grad, ne, np, t.Part, tmp, nil)
 		}
-		// Uncompressed: merge the raw received bytes directly (in place,
-		// no intermediate []float32).
-		in := rt.in[bk]
+		// Uncompressed: merge the raw received bytes directly (no
+		// intermediate []float32).
+		in := rt.in[bk].b
 		if in == nil {
 			return fmt.Errorf("core: node %d raw merge %s/p%d from %d with no payload", rt.id, t.Grad, t.Part, t.Peer)
 		}
-		return addBytesF32(acc, in)
+		return rt.merge(t.Grad, ne, np, t.Part, nil, in)
 
 	default:
 		return fmt.Errorf("core: comp queue got %v task", t.Kind)
@@ -1397,7 +1454,6 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 // aggregate. Called with rt.mu held.
 func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, ne, np int) error {
 	lc := r.lc
-	acc := rt.accSlice(t.Grad, ne, np, t.Part)
 	excluded := 0
 	for peer := 0; peer < lc.n; peer++ {
 		if peer == rt.id {
@@ -1413,16 +1469,13 @@ func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, ne, np int) error {
 				}
 				return fmt.Errorf("core: node %d aggregate %s/p%d missing contribution from %d", rt.id, t.Grad, t.Part, peer)
 			}
-			if len(tmp) != len(acc) {
-				return fmt.Errorf("core: node %d aggregate %s/p%d size mismatch from %d: %d vs %d", rt.id, t.Grad, t.Part, peer, len(tmp), len(acc))
-			}
-			for i, x := range tmp {
-				acc[i] += x
-			}
 			delete(rt.tmp, bk)
+			if err := rt.merge(t.Grad, ne, np, t.Part, tmp, nil); err != nil {
+				return err
+			}
 			continue
 		}
-		in := rt.in[bk]
+		in := rt.in[bk].b
 		if in == nil {
 			if r.reliable && r.rs.isDead(peer) {
 				excluded++
@@ -1430,14 +1483,23 @@ func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, ne, np int) error {
 			}
 			return fmt.Errorf("core: node %d raw aggregate %s/p%d missing contribution from %d", rt.id, t.Grad, t.Part, peer)
 		}
-		if err := addBytesF32(acc, in); err != nil {
+		if err := rt.merge(t.Grad, ne, np, t.Part, nil, in); err != nil {
 			return err
 		}
 	}
 	if excluded > 0 {
 		atomic.AddInt64(&r.rs.excludedContribs, int64(excluded))
+		k := pkey{t.Grad, t.Part}
+		if excluded == lc.n-1 {
+			// No merge made an accumulator: the aggregate is the server's own
+			// contribution.
+			own := rt.partial(t.Grad, ne, np, t.Part)
+			rt.acc[k] = accBuf{v: rt.lease.F32(len(own))}
+			copy(rt.acc[k].v, own)
+		}
 		if lc.cfg.Renormalize && lc.n > excluded {
 			scale := float32(lc.n) / float32(lc.n-excluded)
+			acc := rt.acc[k].v
 			for i := range acc {
 				acc[i] *= scale
 			}
@@ -1455,62 +1517,57 @@ func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, ne, np int) error {
 	return nil
 }
 
-// stageSend builds the wire message for a send task, freezing its payload
-// bytes: forwarded frames and compressed payloads are referenced as-is
-// (they live in the round lease and are immutable once produced), while raw
-// sends serialize the accumulator's *current* value into a fresh leased
-// buffer. The serialization must happen at staging time — a ring
-// accumulator keeps mutating as later merges land, so deferring it to
-// transmit time under a window would leak a later DAG state into an earlier
-// transfer and break bit-identity.
+// stageSend builds the wire message for a send task. No payload is copied: a
+// forwarded frame and a compressed payload live in the round lease, immutable
+// once produced, and a raw send's payload is the byte view of the partition's
+// accumulator — final by the time any send of it is ready (the
+// sends-follow-merges invariant, see merge) — or, on a node nothing was merged
+// into, of the caller's own local[lo:hi], which the round only reads. Nor is
+// one checksummed twice: the sum is taken where the payload was made and
+// reused by every send of it (the PS pull fan-out), by a ring forward (the sum
+// its frame was verified against) and, through the message's payload-CRC
+// cache, by the TCP frame checksum.
 func (r *liveRound) stageSend(rt *nodeRT, t *Task) (netsim.Message, error) {
 	lc := r.lc
 	k := pkey{t.Grad, t.Part}
-	var payload []byte
+	var w wireBuf
+	rt.mu.Lock()
 	switch {
 	case t.Forward:
 		// Forwarding relays the payload received from this node's ring
 		// predecessor (Forward tasks exist only on rings).
-		rt.mu.Lock()
 		pred := (t.Node - 1 + lc.n) % lc.n
-		payload = rt.in[bkey{t.Grad, t.Part, pred}]
-		rt.mu.Unlock()
-		if payload == nil {
-			return netsim.Message{}, fmt.Errorf("core: node %d forwarding %s/p%d with no payload", rt.id, t.Grad, t.Part)
-		}
+		w = rt.in[bkey{t.Grad, t.Part, pred}]
 	case r.algos[t.Grad] != "":
-		rt.mu.Lock()
-		payload = rt.out[k]
-		rt.mu.Unlock()
-		if payload == nil {
-			return netsim.Message{}, fmt.Errorf("core: node %d sending %s/p%d before encode", rt.id, t.Grad, t.Part)
-		}
+		w = rt.out[k]
 	default:
-		// Raw send: check the scratch buffer out of the arena before taking
-		// the node lock — with OverlapEncode several transfers stage
-		// back-to-back, and the pool checkout (the allocating part) need
-		// not serialize behind other goroutines mutating this node's
-		// buffers. The scratch lease is then adopted into the round lease
-		// under the lock, so lifetime discipline is unchanged: everything
-		// releases together at teardown, after the windowed sends resolve.
-		ne, np := r.elems[t.Grad], r.parts[t.Grad]
-		lo, hi := PartRange(ne, np, t.Part)
-		var scratch kernels.Lease
-		payload = scratch.Bytes(4 * (hi - lo))
-		rt.mu.Lock()
-		acc := rt.accSlice(t.Grad, ne, np, t.Part)
-		f32IntoBytes(payload, acc)
-		rt.lease.Adopt(&scratch)
-		rt.mu.Unlock()
+		a := rt.acc[k]
+		src := rt.partial(t.Grad, r.elems[t.Grad], r.parts[t.Grad], t.Part)
+		var ok bool
+		if w.b, ok = kernels.F32AsBytesLE(src); !ok {
+			w.b = rt.lease.Bytes(4 * len(src)) // big-endian host: serialize
+			f32IntoBytes(w.b, src)
+		}
+		if !a.staged {
+			a.sum, a.staged = crc32.ChecksumIEEE(w.b), true
+			rt.acc[k] = a // with a.v nil it only records the send, for merge to refuse
+		}
+		w.sum = a.sum
 	}
-	return netsim.Message{
+	rt.mu.Unlock()
+	if w.b == nil {
+		return netsim.Message{}, fmt.Errorf("core: node %d sending %s/p%d (forward=%v) with no payload", rt.id, t.Grad, t.Part, t.Forward)
+	}
+	msg := netsim.Message{
 		From:     rt.id,
 		To:       t.Peer,
 		Gradient: t.Grad,
 		Step:     packStep(t.Step, t.Part),
-		Sum:      crc32.ChecksumIEEE(payload),
-		Payload:  payload,
-	}, nil
+		Sum:      w.sum,
+		Payload:  w.b,
+	}
+	msg.SetPayloadCRC(w.sum)
+	return msg, nil
 }
 
 // resolveSend settles a staged transfer: acknowledged-or-retried delivery
@@ -1530,7 +1587,7 @@ func (r *liveRound) execRecv(rt *nodeRT, t *Task, msg *netsim.Message) error {
 	payload := msg.Payload
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.in[bkey{t.Grad, t.Part, t.Peer}] = payload
+	rt.in[bkey{t.Grad, t.Part, t.Peer}] = wireBuf{payload, msg.Sum} // the dispatcher verified Sum
 	rt.lease.Adopt(&msg.Lease)
 	if r.algos[t.Grad] == "" {
 		// Raw payloads must reinterpret exactly: reject truncated or
@@ -1585,21 +1642,30 @@ func copyBytesF32(dst []float32, b []byte) error {
 	return nil
 }
 
-// addBytesF32 adds a little-endian float32 payload into dst element-wise
-// without allocating — the raw (uncompressed) merge kernel.
-func addBytesF32(dst []float32, b []byte) error {
-	if len(b) != 4*len(dst) {
+// sumF32 sets dst[i] = a[i] + x[i] over len(dst) elements — the merge kernel.
+// dst may be a or x (an accumulator merged into in place, a decoded
+// contribution becoming one); each element is read before it is written.
+func sumF32(dst, a, x []float32) {
+	a, x = a[:len(dst)], x[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] + x[i]
+	}
+}
+
+// sumBytesF32 sets dst[i] = a[i] + (the i-th little-endian float32 of b)
+// without allocating — the raw (uncompressed) merge kernel, which with dst
+// distinct from a makes an accumulator out of a local gradient and a received
+// payload in one pass.
+func sumBytesF32(dst, a []float32, b []byte) error {
+	if len(b) != 4*len(dst) || len(a) != len(dst) {
 		return fmt.Errorf("core: raw merge size mismatch: %d bytes vs %d elements", len(b), len(dst))
 	}
 	if f, ok := kernels.BytesAsF32LE(b); ok {
-		f = f[:len(dst)]
-		for i := range dst {
-			dst[i] += f[i]
-		}
+		sumF32(dst, a, f)
 		return nil
 	}
 	for i := range dst {
-		dst[i] += math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		dst[i] = a[i] + math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return nil
 }

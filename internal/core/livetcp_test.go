@@ -98,28 +98,12 @@ func waitGoroutines(t *testing.T, baseline int, after string) {
 	}
 }
 
-// runDigests executes rounds under cfg and returns per-round digests plus
-// the last round's health.
+// runDigests executes rounds under cfg over the parity tests' two small
+// gradients and returns per-round digests plus the last round's health.
 func runDigests(t *testing.T, cfg LiveConfig, n, rounds int) ([]uint64, *RoundHealth) {
 	t.Helper()
-	lc, err := NewLiveCluster(n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := map[string]int{"w1": 700, "w2": 64}
-	digests := make([]uint64, 0, rounds)
-	var last *RoundHealth
-	for round := 0; round < rounds; round++ {
-		grads, _ := makeGrads(uint64(100+round), n, sizes)
-		out, health, err := lc.SyncRoundContext(context.Background(), grads)
-		if err != nil {
-			t.Fatalf("round %d: %v (health %+v, tcp %+v, wire %+v)",
-				round, err, health, health.TCP, health.Wire)
-		}
-		digests = append(digests, digestRound(out))
-		last = health
-	}
-	return digests, last
+	digests, healths := runSizedDigests(t, cfg, n, rounds, map[string]int{"w1": 700, "w2": 64})
+	return digests, healths[len(healths)-1]
 }
 
 // TestLiveTCPParityWithChan: identical gradients through identical configs

@@ -14,26 +14,25 @@ import (
 // move on — so a round's communication floor was the per-node *sum* of
 // serialization plus ack RTT. The engine splits every send into two halves:
 //
-//   stage   — fix the payload bytes (encode output, forwarded frame, or raw
-//             serialization) on the drainer goroutine, in drainer order;
+//   stage   — reference the payload bytes (encode output, forwarded frame,
+//             or the raw accumulator itself) on the drainer goroutine;
 //   resolve — transmit and wait for acknowledgement on a lane worker, with
 //             up to Window transfers of one directed link in flight at once.
 //
-// Staging on the drainer is what preserves bit-identity: payload bytes are
-// a pure function of the DAG state at the moment the send's dependencies
-// cleared, exactly as in the sequential loop — a ring accumulator is
-// serialized before any later merge can touch it, regardless of how long
-// the transfer then sits in a window. Resolution is the one delivery loop
-// (scoreboard, RTO, φ-accrual, hedges), so health semantics are identical
-// on every lane shape; only the concurrency of waiting differs. The
-// ordered barrier merge on the receive side already makes result bytes
-// independent of arrival order, which is why completion order across a
-// window cannot affect them.
+// Bit-identity needs no copy at staging: a payload is final once its send's
+// dependencies clear — no merge follows a send of the same partition
+// (live.go, merge) — however long the transfer then sits in a window.
+// Resolution is the one delivery loop (scoreboard, RTO, φ-accrual, hedges),
+// so health semantics are identical on every lane shape; only the
+// concurrency of waiting differs. The ordered barrier merge on the receive
+// side already makes result bytes independent of arrival order, which is why
+// completion order across a window cannot affect them.
 //
 // Buffer lifetimes need no new machinery: every staged payload lives in the
-// round lease, which is released only after the engine's workers (and the
-// ack plane) have fully drained at teardown — the "retrying sender still
-// references them" discipline simply generalizes to W outstanding leases.
+// round lease or in the caller's gradients, and the lease is released and
+// run returns only after the engine's workers (and the ack plane) have fully
+// drained at teardown — the "retrying sender still references them"
+// discipline simply generalizes to W outstanding payloads.
 
 // PipelineConfig tunes the live plane's send pipeline and ack path
 // (LiveConfig.Pipeline). The zero value reproduces the sequential engine.
@@ -62,8 +61,8 @@ type PipelineConfig struct {
 }
 
 // pendingSend is one staged transfer queued on a lane: the graph task, the
-// fully built wire message (payload bytes frozen at staging time), and the
-// trace timestamp taken when the send left the drainer.
+// fully built wire message, and the trace timestamp taken when the send left
+// the drainer.
 type pendingSend struct {
 	id    int
 	t     *Task
@@ -158,9 +157,7 @@ func (e *sendEngine) lane(t *Task) *sendLane {
 
 // submit stages a ready send task on the drainer goroutine and queues it on
 // its lane, starting a lane worker when the lane is granted and its window
-// has a free slot. Staging here — not on the worker — is load-bearing for
-// bit-identity: payload bytes are fixed in dependency-clearing order, before
-// any concurrently resolving transfer can advance the DAG past them.
+// has a free slot.
 func (e *sendEngine) submit(rt *nodeRT, id int, t *Task) error {
 	r := e.r
 	l := e.lane(t)

@@ -238,3 +238,69 @@ func TestRootDepsGateTheDAG(t *testing.T) {
 		}
 	}
 }
+
+// TestSendsFollowMerges pins the invariant the live plane's zero-copy raw send
+// rests on (live.go, mergeTarget/stageSend): in every DAG BuildRing and
+// BuildPS emit, every merge on a (node, gradient, partition) — the PS
+// aggregation barrier included — is an ancestor of every non-forward send on
+// the same triple. A send's payload may then reference the accumulator where
+// it lies: nothing can merge into it once any send of it is ready.
+func TestSendsFollowMerges(t *testing.T) {
+	builders := map[string]func(*Graph, int, GradSync) error{
+		"ring": func(g *Graph, n int, s GradSync) error { _, err := BuildRing(g, Ring(n), s); return err },
+		"ps":   func(g *Graph, n int, s GradSync) error { _, err := BuildPS(g, PSBipartite(n), s); return err },
+	}
+	type triple struct{ node, part int }
+	for name, build := range builders {
+		for _, n := range []int{2, 3, 4, 5} {
+			for _, parts := range []int{1, 2, 3} {
+				for _, algo := range []string{"", "onebit"} {
+					for shard := 0; shard < 2; shard++ {
+						g := NewGraph()
+						if err := build(g, n, GradSync{Name: "g", Elems: 1000, Parts: parts, Algo: algo, Shard: shard}); err != nil {
+							t.Fatal(err)
+						}
+						ins := make([][]int, len(g.Tasks))
+						merges := map[triple][]int{}
+						for i, task := range g.Tasks {
+							for _, o := range g.Outs(i) {
+								ins[o] = append(ins[o], i)
+							}
+							if task.Kind == KMerge {
+								k := triple{task.Node, task.Part}
+								merges[k] = append(merges[k], i)
+							}
+						}
+						checked := 0
+						for i, task := range g.Tasks {
+							if task.Kind != KSend || task.Forward {
+								continue
+							}
+							anc := map[int]bool{}
+							for stack := []int{i}; len(stack) > 0; {
+								id := stack[len(stack)-1]
+								stack = stack[:len(stack)-1]
+								for _, d := range ins[id] {
+									if !anc[d] {
+										anc[d] = true
+										stack = append(stack, d)
+									}
+								}
+							}
+							for _, m := range merges[triple{task.Node, task.Part}] {
+								checked++
+								if !anc[m] {
+									t.Fatalf("%s n=%d parts=%d algo=%q shard=%d: merge %d on node %d part %d is not an ancestor of send %d (step %d)",
+										name, n, parts, algo, shard, m, task.Node, task.Part, i, task.Step)
+								}
+							}
+						}
+						if checked == 0 {
+							t.Fatalf("%s n=%d parts=%d algo=%q: no (merge, send) pair checked", name, n, parts, algo)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -41,3 +41,15 @@ func BytesAsF32LE(b []byte) (f []float32, ok bool) {
 	}
 	return bytesAsF32(b), true
 }
+
+// F32AsBytesLE is the inverse view: f's own memory as the little-endian
+// payload that encodes it, without copying, on a little-endian host and for a
+// non-empty slice (bytes have no alignment to violate). Otherwise ok is false
+// and the caller serializes element by element. The view aliases f: it is a
+// payload only for as long as nobody writes f.
+func F32AsBytesLE(f []float32) (b []byte, ok bool) {
+	if !hostLittleEndian || len(f) == 0 {
+		return nil, false
+	}
+	return f32AsBytes(f), true
+}

@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"encoding/binary"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -258,14 +260,17 @@ func TestPoolParallelExecution(t *testing.T) {
 // payload is viewed in place; a misaligned, an odd-length and an empty one
 // are refused (the caller then converts element by element). Run under
 // -race, checkptr would abort on a misaligned cast, so passing there shows
-// the guard runs before the conversion.
+// the guard runs before the conversion. F32AsBytesLE, the inverse view, is
+// held to the same: the bytes it shows are the little-endian encoding of the
+// floats, aliased, for any non-empty slice — an odd element offset included,
+// bytes having no alignment to violate.
 func TestBytesAsF32LE(t *testing.T) {
 	var l Lease
 	defer l.Release()
 	b := l.Bytes(64)
 	f, ok := BytesAsF32LE(b)
 	if !hostLittleEndian {
-		if ok {
+		if _, back := F32AsBytesLE(make([]float32, 4)); ok || back {
 			t.Fatal("big-endian host must take the portable path")
 		}
 		return
@@ -285,6 +290,31 @@ func TestBytesAsF32LE(t *testing.T) {
 	} {
 		if f, ok := BytesAsF32LE(p); ok || f != nil {
 			t.Errorf("%s payload: got a view (len %d), want the portable path", name, len(f))
+		}
+	}
+
+	for _, off := range []int{0, 1, 3} {
+		src := f[off:]
+		for i := range src {
+			src[i] = math.Float32frombits(0x7fc00001 + uint32(i)<<8) // NaN payloads must survive
+		}
+		view, ok := F32AsBytesLE(src)
+		if !ok || len(view) != 4*len(src) {
+			t.Fatalf("offset %d: ok=%v len=%d, want a %d-byte view", off, ok, len(view), 4*len(src))
+		}
+		for i, x := range src {
+			if got := binary.LittleEndian.Uint32(view[4*i:]); got != math.Float32bits(x) {
+				t.Fatalf("offset %d: bytes of element %d read %08x, want %08x", off, i, got, math.Float32bits(x))
+			}
+		}
+		src[0] = 1.5
+		if got := [4]byte(view[:4]); got != [4]byte{0, 0, 0xc0, 0x3f} {
+			t.Fatalf("offset %d: view does not alias the floats: bytes %x", off, got)
+		}
+	}
+	for name, p := range map[string][]float32{"empty": f[:0], "nil": nil} {
+		if v, ok := F32AsBytesLE(p); ok || v != nil {
+			t.Errorf("%s slice: got a view (len %d), want the portable path", name, len(v))
 		}
 	}
 }

@@ -203,6 +203,7 @@ func (t *ChaosTransport) Send(msg Message) error {
 		idx := int(t.hashMsg(saltByte, msg) % uint64(len(p)))
 		p[idx] ^= 0x5a
 		msg.Payload = p
+		msg.crcOK = false // the cached CRC describes the bytes before the flip
 		atomic.AddInt64(&t.stats.Corrupted, 1)
 	}
 

@@ -90,8 +90,9 @@ type Message struct {
 	// timestamp so the echo yields an RTT sample, and receivers handle it
 	// outside the dedup/recv machinery.
 	Heartbeat bool
-	// Sum is the CRC-32 (IEEE) checksum of Payload, set by reliable senders
-	// so receivers can detect in-flight corruption.
+	// Sum is the CRC-32 (IEEE) checksum of Payload as the sender staged it:
+	// the live plane sets it on every data message and checks it on every
+	// receive (a mismatch is retransmitted if reliable, fails the round if not).
 	Sum uint32
 	// Payload is the (possibly compressed) bytes on the wire.
 	Payload []byte
@@ -113,6 +114,12 @@ type Message struct {
 	// Senders leave it zero — Send never reads it. Do not settle the lease
 	// through more than one copy of the message.
 	Lease kernels.Lease
+
+	// crc, when crcOK, is the CRC-32 of Payload as it sits in memory now
+	// (SetPayloadCRC/PayloadCRC); it never travels. ChaosTransport clears it
+	// on the copy it corrupts, ChanTransport.Send on every message.
+	crc   uint32
+	crcOK bool
 }
 
 // AckRef identifies one transfer inside a batched acknowledgement, mirroring
@@ -168,6 +175,7 @@ func (t *ChanTransport) Send(msg Message) error {
 	if msg.To < 0 || msg.To >= len(t.inboxes) {
 		return fmt.Errorf("netsim: send to invalid node %d (have %d)", msg.To, len(t.inboxes))
 	}
+	msg.crcOK = false // nothing re-reads the bytes in between: the receiver's pass is the only check
 	// Check for shutdown before attempting the send: when both the done
 	// channel and the inbox are ready, select would pick randomly and could
 	// accept a message after Close.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"net"
@@ -49,6 +48,10 @@ import (
 // case silently merging one peer's bytes under another's slot. With fsum
 // any in-frame bit flip is rejected here, the frame never reaches the live
 // plane, and the reliable layer's retransmission repairs the loss.
+//
+// The two checksums share one pass over the payload per side (frameSum): the
+// sender derives fsum from the payload CRC its producer cached in the Message,
+// the receiver hands the one it computed up in the same cache.
 //
 // Every dialed connection opens with a 13-byte HELLO:
 //
@@ -600,9 +603,10 @@ func decodeHello(b []byte) (int, uint32, error) {
 // appendFrameHead builds everything of msg's frame except the gradient
 // payload into dst[:0] — the u32 length prefix, the fixed v2 header, the
 // gradient name and, for a batched acknowledgement, the batch — and stamps
-// the frame checksum incrementally over the head and then the payload, so
-// the payload bytes are read once and never copied. The caller transmits
-// the head followed by the returned payload (nil for a batched ack).
+// the frame checksum over the head and then the payload, so the payload bytes
+// are read at most once (not at all when the message carries their CRC) and
+// never copied. The caller transmits the head followed by the returned
+// payload (nil for a batched ack).
 func appendFrameHead(dst []byte, msg Message, gen uint32) (head, payload []byte) {
 	var h [4 + frameHdrLen]byte
 	h[8] = frameVersion
@@ -630,7 +634,7 @@ func appendFrameHead(dst []byte, msg Message, gen uint32) (head, payload []byte)
 		payload = msg.Payload
 	}
 	binary.LittleEndian.PutUint32(head[0:], uint32(len(head)-4+len(payload)))
-	fsum := crc32.Update(crc32.Update(0, crc32.IEEETable, head[8:]), crc32.IEEETable, payload)
+	fsum, _, _ := frameSum(head[8:], payload, msg.crc, msg.crcOK)
 	binary.LittleEndian.PutUint32(head[4:], fsum)
 	return head, payload
 }
@@ -781,8 +785,10 @@ func (fr *frameReader) next() (Message, uint32, error) {
 	}
 	// Frame checksum first: it covers every byte after itself, so any wire
 	// bit flip — header fields included — is rejected before field decoding.
+	// The same pass yields the payload CRC the live plane compares with sum.
 	fsum := binary.LittleEndian.Uint32(b[4:])
-	if got := crc32.Update(crc32.Update(0, crc32.IEEETable, b[8:]), crc32.IEEETable, payload); fsum != got {
+	got, pcrc, split := frameSum(b[8:], payload, 0, false)
+	if fsum != got {
 		lease.Release()
 		return Message{}, 0, &frameError{framed: true, err: fmt.Errorf("netsim: frame checksum %08x != computed %08x", fsum, got)}
 	}
@@ -792,6 +798,9 @@ func (fr *frameReader) next() (Message, uint32, error) {
 		return Message{}, 0, &frameError{framed: true, err: err}
 	}
 	msg.Payload, msg.Lease = payload, lease
+	if split {
+		msg.SetPayloadCRC(pcrc)
+	}
 	return msg, gen, nil
 }
 
