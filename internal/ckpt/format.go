@@ -5,14 +5,17 @@
 //
 // Why this exists: HiPress's error-feedback compressors make fault tolerance
 // *stateful*. The residual maps (compress.ErrorFeedback) carry gradient mass
-// that has been deferred but not yet applied; the stochastic compressors
-// (TernGrad, GradDrop) carry RNG stream positions; the training loop carries
-// per-worker data RNGs and momentum velocities. Restarting from iteration 0
-// after a crash loses all of it — and restarting from parameters alone
-// silently violates the mass-conservation invariant the convergence proofs
-// (and this repo's tests) rely on. A checkpoint therefore snapshots the
-// *entire* training state: parameters, residuals, RNG states, step counter,
-// and the compressor configuration it was produced under.
+// that has been deferred but not yet applied; the training loop carries
+// per-worker data RNGs and momentum velocities; the cluster carries the round
+// index that keys every stochastic compressor draw (TernGrad, GradDrop).
+// Restarting from iteration 0 after a crash loses all of it — and restarting
+// from parameters alone silently violates the mass-conservation invariant the
+// convergence proofs (and this repo's tests) rely on. A checkpoint therefore
+// snapshots the *entire* training state: parameters, residuals, worker data
+// streams, step counter, the plan epoch and round index (in Meta), and the
+// compressor configuration it was produced under. No compressor RNG position
+// is among them: a stochastic encode's stream is derived from (round, node,
+// pipeline position), see core.LiveCluster.
 //
 // The format is deliberately self-contained and stdlib-only: fixed
 // little-endian layout, length-prefixed strings, a trailing CRC-32 (IEEE) of
@@ -56,8 +59,9 @@ type Snapshot struct {
 	// Residuals holds, per node, the error-feedback residual export
 	// (compress.ErrorFeedback.Residuals).
 	Residuals []map[string][]float32
-	// RNG holds named RNG states (tensor.RNG.Save): worker data streams and
-	// stateful-compressor streams.
+	// RNG holds named RNG states (tensor.RNG.Save): the worker data streams.
+	// Files written while compressors still carried a stream also hold
+	// "comp/<node>" entries, which nothing reads.
 	RNG map[string]uint64
 	// Meta carries free-form provenance ("task", "workers", ...).
 	Meta map[string]string

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"hipress/internal/compress"
+	"hipress/internal/tensor"
 )
 
 //go:embed programs/*.cll
@@ -46,8 +47,8 @@ func (a *Algorithm) Program() *Program { return a.prog }
 func (a *Algorithm) Source() string { return a.src }
 
 // Compressor instantiates a compress.Compressor backed by the interpreter.
-// Each instance owns its random stream (seed) — give each node its own, like
-// independent CUDA streams.
+// Each instance owns its random stream (seed) until compress.SetStream
+// positions it — give each node its own, like independent CUDA streams.
 func (a *Algorithm) Compressor(params map[string]float64, seed uint64) compress.Compressor {
 	return &dslCompressor{
 		algo:   a,
@@ -71,6 +72,14 @@ type dslCompressor struct {
 
 // Name implements compress.Compressor.
 func (c *dslCompressor) Name() string { return "cll-" + c.algo.prog.Name }
+
+// SetStream implements compress.StreamSetter: the program's random<> draws
+// continue from key.
+func (c *dslCompressor) SetStream(key uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.interp.rng.Restore(tensor.RNGState(key))
+}
 
 // EncodeInto implements compress.Compressor. The interpreter builds its
 // payload in fresh memory; it is copied into dst.
@@ -99,7 +108,8 @@ func (c *dslCompressor) DecodeInto(dst []float32, payload []byte) error {
 // CompressedSize implements compress.Compressor. DSL programs carry no
 // closed-form size model, so the size is estimated from one real probe
 // encode and scaled linearly — adequate for planning, and irrelevant to
-// correctness (payloads are self-describing).
+// correctness (payloads are self-describing). The probe runs on a throw-away
+// interpreter: sizing a buffer must not move the stream encodes draw from.
 func (c *dslCompressor) CompressedSize(n int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -110,7 +120,7 @@ func (c *dslCompressor) CompressedSize(n int) int {
 		for i := range g {
 			g[i] = float32(r.NormFloat64())
 		}
-		payload, err := c.interp.Encode(g, c.params)
+		payload, err := NewInterp(c.algo.prog, 0).Encode(g, c.params)
 		if err != nil {
 			// A broken program will fail loudly on Encode; report a neutral
 			// estimate here.

@@ -40,6 +40,9 @@ func NewGradDrop(ratio float64, seed uint64) (*GradDrop, error) {
 	return &GradDrop{ratio: ratio, rng: tensor.NewRNG(seed)}, nil
 }
 
+// SetStream implements StreamSetter.
+func (g *GradDrop) SetStream(key uint64) { g.rng.Restore(tensor.RNGState(key)) }
+
 // Name implements Compressor.
 func (g *GradDrop) Name() string { return fmt.Sprintf("graddrop-%g", g.ratio) }
 
@@ -65,9 +68,8 @@ var samplePool = sync.Pool{New: func() any {
 
 // threshold estimates the |value| cut so that about ratio of elements
 // survive, from a random sample of the gradient. The sampling is
-// deliberately sequential (the draws define the compressor's RNG stream,
-// which checkpoints capture); it touches at most sampleSize elements, so it
-// is never the hot loop.
+// sequential: it touches at most sampleSize elements, so it is never the hot
+// loop.
 func (g *GradDrop) threshold(grad []float32) float32 {
 	n := len(grad)
 	s := sampleSize
@@ -110,7 +112,7 @@ func (g *GradDrop) threshold(grad []float32) float32 {
 func (g *GradDrop) MaxEncodedSize(n int) int { return headerSize + 4 + 8*n }
 
 // EncodeInto implements Compressor: threshold estimation stays sequential
-// (it samples ≤ sampleSize elements and defines the RNG stream), while the
+// (it samples ≤ sampleSize elements), while the
 // count and write passes over the full gradient run chunk-parallel with the
 // same count/prefix/write scheme as TBQ. Byte-identical to serial for any
 // worker count.

@@ -11,8 +11,8 @@ import (
 // This file holds what sits beside the Compressor interface on the
 // synchronization path: the optional accelerations a compressor may add
 // (FusedEncoder, a worst-case MaxEncodedSize) with the generic constructions
-// they must match bit for bit, and the buffer and bit-pattern helpers the
-// chunked kernels share.
+// they must match bit for bit, the stream setter of the stochastic ones, and
+// the buffer and bit-pattern helpers the chunked kernels share.
 
 // ErrTruncatedPayload tags decode failures caused by payloads too short for
 // their declared contents (truncated frames, corrupted length fields).
@@ -35,6 +35,33 @@ var ErrTruncatedPayload = errors.New("compress: truncated payload")
 // bit-identical to the unfused construction.
 type FusedEncoder interface {
 	EncodeFused(dst []byte, grad, residual []float32) ([]byte, error)
+}
+
+// StreamSetter is implemented by the compressors whose encode draws random
+// numbers (TernGrad's stochastic rounding, GradDrop's threshold sample, a
+// CompLL program's random<>). SetStream positions the generator at key, so
+// the next encode's draws are a pure function of key instead of however many
+// draws earlier encodes consumed. The live plane derives a key per encode
+// from (round, node, pipeline position): a replayed, retried, resumed or
+// reordered encode then draws what the first run drew, and nothing has to
+// carry a stream position between encodes. A compressor that is never
+// positioned keeps drawing from its constructor-seeded stream.
+type StreamSetter interface {
+	SetStream(key uint64)
+}
+
+// SetStream positions c's random stream at key, reaching through the
+// instrumentation decorator. It reports false for compressors that draw
+// nothing (onebit, TBQ, DGC, ...), whose payload depends only on the gradient.
+func SetStream(c Compressor, key uint64) bool {
+	if m, ok := c.(*Instrumented); ok {
+		c = m.inner
+	}
+	s, ok := c.(StreamSetter)
+	if ok {
+		s.SetStream(key)
+	}
+	return ok
 }
 
 // maxSizer is implemented by compressors whose payload size is

@@ -36,10 +36,11 @@ func TestRegistryIntoContract(t *testing.T) {
 				t.Fatalf("%s n=%d EncodeInto(nil): %v", name, n, err)
 			}
 
-			// Sized on a throwaway instance: a cll-* program's first
-			// CompressedSize runs a probe encode on its own random stream.
-			dst := make([]byte, compress.MaxEncodedSize(fresh(name), n))
+			// Sized on the encoding instance: a cll-* program's first
+			// CompressedSize runs a probe encode, which must not move the
+			// stream the real encode draws from.
 			c := fresh(name)
+			dst := make([]byte, compress.MaxEncodedSize(c, n))
 			got, err := c.EncodeInto(dst, g)
 			if err != nil {
 				t.Fatalf("%s n=%d EncodeInto(dst): %v", name, n, err)
@@ -81,5 +82,50 @@ func TestRegistryIntoContract(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSetStreamKeysEncodeDraws: positioning a stochastic compressor makes its
+// next payload a function of the key alone — whatever it encoded or sized
+// before — for the hand kernels, the interpreted program and through the
+// instrumentation decorator; different keys draw differently; a compressor
+// that draws nothing reports so. 4096 elements, because GradDrop samples
+// (draws) only above 1000.
+func TestSetStreamKeysEncodeDraws(t *testing.T) {
+	g := make([]float32, 4096)
+	tensor.NewRNG(8).FillNormal(g, 1)
+	for _, algo := range []string{"terngrad", "graddrop", "cll-terngrad"} {
+		bare, err := compress.New(algo, compress.Params{"seed": 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []compress.Compressor{bare, compress.NewInstrumented(bare)} {
+			encodeAt := func(key uint64) []byte {
+				t.Helper()
+				if !compress.SetStream(c, key) {
+					t.Fatalf("%s: SetStream reports no stream", algo)
+				}
+				dst := make([]byte, compress.MaxEncodedSize(c, len(g)))
+				p, err := c.EncodeInto(dst, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			first := encodeAt(77)
+			if _, err := compress.Encode(c, g); err != nil { // move the stream
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeAt(77), first) {
+				t.Errorf("%s: same key, different payload", algo)
+			}
+			if bytes.Equal(encodeAt(78), first) {
+				t.Errorf("%s: different keys, same payload", algo)
+			}
+		}
+	}
+	ob, _ := compress.New("onebit", nil)
+	if compress.SetStream(ob, 1) {
+		t.Error("onebit reports a random stream")
 	}
 }

@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -116,62 +115,5 @@ func TestSetResidualsNilClears(t *testing.T) {
 	ef.SetResiduals(nil)
 	if ef.Residual("w") != nil {
 		t.Fatal("SetResiduals(nil) left residual state behind")
-	}
-}
-
-// TestStatefulCompressorStateRoundTrip: TernGrad's and GradDrop's RNG
-// position is capturable and restorable — the continuation payload stream is
-// byte-identical — and stateless compressors report !ok.
-func TestStatefulCompressorStateRoundTrip(t *testing.T) {
-	g := make([]float32, 300)
-	tensor.NewRNG(8).FillNormal(g, 1)
-	for _, algo := range []string{"terngrad", "graddrop"} {
-		c, err := New(algo, Params{"seed": 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Advance the stream.
-		for i := 0; i < 3; i++ {
-			if _, err := Encode(c, g); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st, ok := StateOf(c)
-		if !ok {
-			t.Fatalf("%s: StateOf reported stateless", algo)
-		}
-		want, err := Encode(c, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !RestoreState(c, st) {
-			t.Fatalf("%s: RestoreState reported stateless", algo)
-		}
-		got, err := Encode(c, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: restored stream diverged", algo)
-		}
-		// Reaches through the instrumentation decorator too.
-		inst := NewInstrumented(c)
-		st2, ok := StateOf(inst)
-		if !ok {
-			t.Fatalf("%s: StateOf failed through Instrumented", algo)
-		}
-		want2, _ := Encode(inst, g)
-		RestoreState(inst, st2)
-		got2, _ := Encode(inst, g)
-		if !bytes.Equal(got2, want2) {
-			t.Fatalf("%s: instrumented restored stream diverged", algo)
-		}
-	}
-	ob, _ := New("onebit", nil)
-	if _, ok := StateOf(ob); ok {
-		t.Fatal("onebit reported stateful")
-	}
-	if RestoreState(ob, 1) {
-		t.Fatal("RestoreState succeeded on stateless onebit")
 	}
 }

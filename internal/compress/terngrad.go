@@ -40,6 +40,9 @@ func NewTernGrad(bitwidth int, seed uint64) (*TernGrad, error) {
 	return &TernGrad{bitwidth: bitwidth, rng: tensor.NewRNG(seed)}, nil
 }
 
+// SetStream implements StreamSetter.
+func (t *TernGrad) SetStream(key uint64) { t.rng.Restore(tensor.RNGState(key)) }
+
 // Name implements Compressor.
 func (t *TernGrad) Name() string { return fmt.Sprintf("terngrad-%dbit", t.bitwidth) }
 

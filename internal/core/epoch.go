@@ -263,12 +263,12 @@ func (lc *LiveCluster) RestoreEpoch(ep PlanEpoch, round int64) error {
 
 // activateEpoch applies a staged pending epoch at the round barrier (the
 // start of SyncRoundContext, before any task of the round is built) and
-// returns the epoch the round must execute under.
-func (lc *LiveCluster) activateEpoch() PlanEpoch {
+// returns the epoch the round must execute under with the round's index.
+func (lc *LiveCluster) activateEpoch() (PlanEpoch, int64) {
 	lc.epochMu.Lock()
 	defer lc.epochMu.Unlock()
 	if lc.pendingEpoch == nil {
-		return lc.epoch
+		return lc.epoch, lc.rounds
 	}
 	prev := lc.epoch
 	lc.epoch = *lc.pendingEpoch
@@ -285,7 +285,7 @@ func (lc *LiveCluster) activateEpoch() PlanEpoch {
 		m.Counter(MetricEpochSwitches, "plan epoch activations at round barriers").Inc()
 		m.Gauge(MetricEpochVersion, "active plan epoch version").Set(float64(lc.epoch.Version))
 	}
-	return lc.epoch
+	return lc.epoch, lc.rounds
 }
 
 // epochGradName tags broadcast-protocol control messages; the protocol runs

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"hipress/internal/kernels"
 	"hipress/internal/netsim"
 	"hipress/internal/telemetry"
+	"hipress/internal/tensor"
 )
 
 // This file is the live execution plane: the same CaSync task DAGs the
@@ -139,8 +141,8 @@ type LiveConfig struct {
 
 // LiveCluster is a set of in-process training nodes that synchronize
 // gradients through real compression and a channel transport. State that
-// must persist across iterations (error-feedback residuals, stochastic
-// rounding streams) lives here.
+// must persist across iterations (error-feedback residuals, the round index
+// that keys every stochastic encode's draws) lives here.
 type LiveCluster struct {
 	n    int
 	cfg  LiveConfig
@@ -154,9 +156,10 @@ type LiveCluster struct {
 	// efKeys interns the error-feedback residual keys: every encode names
 	// its residual by pipeline position, the positions repeat every round,
 	// and formatting the name each time was the hot path's largest source
-	// of small allocations.
+	// of small allocations. Beside each key sits its hash, the pipeline-
+	// position term of the encode's random stream (execComp).
 	efKeyMu sync.Mutex
-	efKeys  map[efPos]string
+	efKeys  map[efPos]efName
 
 	// mem is the elastic membership plane (nil unless LiveConfig.Elastic);
 	// chaosMu guards cfg.Chaos, which SetChaos may replace between rounds.
@@ -237,14 +240,9 @@ func NewLiveCluster(n int, cfg LiveConfig) (*LiveCluster, error) {
 		lc.comp = make([]compress.Compressor, n)
 		lc.ef = make([]*compress.ErrorFeedback, n)
 		for v := 0; v < n; v++ {
-			// Per-node instances: stochastic algorithms carry per-node RNG
-			// state, like independent CUDA streams would.
-			p := compress.Params{}
-			for k, val := range cfg.Params {
-				p[k] = val
-			}
-			p["seed"] = float64(v + 1)
-			c, err := compress.New(cfg.Algo, p)
+			// Per-node instances: a node's encodes run on its own goroutine,
+			// and a stochastic compressor's generator is not shared.
+			c, err := compress.New(cfg.Algo, cfg.Params)
 			if err != nil {
 				return nil, err
 			}
@@ -310,21 +308,31 @@ type efPos struct {
 	part, phase, step int
 }
 
-// efKey returns the residual key for a compression point. Checkpointed
-// residuals are stored under these strings, so the format is frozen.
-func (lc *LiveCluster) efKey(t *Task) string {
+// efName is a compression point's residual key and the key's FNV-1a hash.
+type efName struct {
+	key  string
+	hash uint64
+}
+
+// efKey returns the residual key for a compression point and its hash.
+// Checkpointed residuals are stored under these strings and stochastic
+// encodes draw from streams derived from the hash, so the format is frozen.
+func (lc *LiveCluster) efKey(t *Task) efName {
 	pos := efPos{t.Grad, t.Part, int(t.Phase), t.Step}
 	lc.efKeyMu.Lock()
 	defer lc.efKeyMu.Unlock()
-	key, ok := lc.efKeys[pos]
+	name, ok := lc.efKeys[pos]
 	if !ok {
-		key = fmt.Sprintf("%s/p%d/ph%d/s%d", t.Grad, t.Part, t.Phase, t.Step)
+		name.key = fmt.Sprintf("%s/p%d/ph%d/s%d", t.Grad, t.Part, t.Phase, t.Step)
+		h := fnv.New64a()
+		h.Write([]byte(name.key))
+		name.hash = h.Sum64()
 		if lc.efKeys == nil {
-			lc.efKeys = map[efPos]string{}
+			lc.efKeys = map[efPos]efName{}
 		}
-		lc.efKeys[pos] = key
+		lc.efKeys[pos] = name
 	}
-	return key
+	return name
 }
 
 // pkey identifies one gradient partition's buffers at one node.
@@ -430,7 +438,7 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 	// The round barrier: a staged epoch switch takes effect here, before
 	// any task of the round is built, so every task of one round runs
 	// under exactly one plan.
-	ep := lc.activateEpoch()
+	ep, round := lc.activateEpoch()
 
 	// Build one DAG covering every gradient, with the epoch deciding the
 	// partition geometry and, per gradient size, compress-vs-raw.
@@ -470,10 +478,9 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 		return nil, nil, err
 	}
 
-	out, health, err := lc.run(ctx, g, grads, elems, parts, algos, ep)
+	out, health, err := lc.run(ctx, g, grads, elems, parts, algos, ep, round)
 	if err == nil {
 		lc.epochMu.Lock()
-		round := lc.rounds
 		lc.rounds++
 		lc.epochMu.Unlock()
 		lc.observeAndTune(ctx, ep, health, round, sizes)
@@ -493,10 +500,13 @@ type liveRound struct {
 	elems map[string]int
 	parts map[string]int
 	// algos maps each gradient to its effective compression algorithm for
-	// this round ("" = raw), and epoch is the plan the round runs under —
-	// both frozen at the round barrier by SyncRoundContext.
+	// this round ("" = raw), epoch is the plan the round runs under, and
+	// round is its index (completed rounds before it; a failed round's retry
+	// carries the same index) — all frozen at the round barrier by
+	// SyncRoundContext.
 	algos map[string]string
 	epoch PlanEpoch
+	round int64
 
 	reliable bool
 	timeout  time.Duration
@@ -688,7 +698,7 @@ func (r *liveRound) onPeerDead(victim int) {
 }
 
 // run executes the DAG with real data under one frozen plan epoch.
-func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]float32, elems, parts map[string]int, algos map[string]string, ep PlanEpoch) ([]map[string][]float32, *RoundHealth, error) {
+func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]float32, elems, parts map[string]int, algos map[string]string, ep PlanEpoch, round int64) ([]map[string][]float32, *RoundHealth, error) {
 	n := lc.n
 	started := time.Now() //hipress:wallclock round-duration telemetry for RoundHealth
 	capacity := len(g.Tasks)/n + 16
@@ -790,6 +800,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 		parts:     parts,
 		algos:     algos,
 		epoch:     ep,
+		round:     round,
 		reliable:  lc.cfg.Reliable,
 		timeout:   lc.cfg.RoundTimeout,
 		hp:        lc.health,
@@ -1349,6 +1360,15 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 
 	case KEncode:
 		acc := rt.partial(t.Grad, ne, np, t.Part)
+		// A stochastic compressor draws from a stream derived from (round,
+		// node, pipeline position), not from wherever its last encode left
+		// off: which encode a node runs first depends on message arrival,
+		// and the payload must not. Each Uint64At is splitmix64's finalizer
+		// over a Weyl step, so two of them mix all three terms into every
+		// key bit.
+		name := lc.efKey(t)
+		at := tensor.Uint64At(tensor.RNGState(name.hash), uint64(r.round))
+		compress.SetStream(lc.comp[rt.id], tensor.Uint64At(tensor.RNGState(at), uint64(rt.id)))
 		var payload []byte
 		var err error
 		if lc.ef != nil && lc.ef[rt.id] != nil {
@@ -1361,7 +1381,7 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 			// buffer (fresh per encode; the previous step's payload may
 			// still be in flight, so in-round reuse would race).
 			dst := rt.lease.Bytes(lc.ef[rt.id].MaxEncodedSize(len(acc)))
-			payload, err = lc.ef[rt.id].EncodeWithFeedbackInto(lc.efKey(t), dst, acc)
+			payload, err = lc.ef[rt.id].EncodeWithFeedbackInto(name.key, dst, acc)
 		} else {
 			dst := rt.lease.Bytes(compress.MaxEncodedSize(lc.comp[rt.id], len(acc)))
 			payload, err = lc.comp[rt.id].EncodeInto(dst, acc)

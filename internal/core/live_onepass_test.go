@@ -53,7 +53,7 @@ func TestMergeAfterStageFailsRound(t *testing.T) {
 	}
 	grads, _ := makeGrads(5, 2, map[string]int{"g": ne})
 	_, _, err = lc.run(context.Background(), g, grads,
-		map[string]int{"g": ne}, map[string]int{"g": 1}, map[string]string{"g": ""}, lc.epoch)
+		map[string]int{"g": ne}, map[string]int{"g": 1}, map[string]string{"g": ""}, lc.epoch, 0)
 	if !errors.Is(err, errMergeAfterStage) {
 		t.Fatalf("round error = %v, want errMergeAfterStage", err)
 	}

@@ -1,86 +1,52 @@
 package core
 
-import (
-	"fmt"
-
-	"hipress/internal/compress"
-	"hipress/internal/tensor"
-)
+import "fmt"
 
 // This file is the live plane's half of the recovery plane: exporting and
-// importing the cross-round training state a LiveCluster accumulates —
-// per-node error-feedback residuals and the RNG stream positions of
-// stateful compressors. A checkpoint that captures only model parameters
-// silently breaks EF-SGD (the residual maps carry deferred gradient mass)
-// and de-synchronizes stochastic compressors (TernGrad/GradDrop replay
-// early rounding decisions after a naive restart). internal/ckpt persists
-// what these methods export; internal/trainer calls them around Save/Resume;
-// elastic rejoin (rejoin.go) reuses ImportNodeState to hand a returning
-// peer a healthy peer's residuals.
+// importing the one piece of cross-round training state a LiveCluster
+// accumulates besides its round index — per-node error-feedback residuals.
+// A checkpoint that captures only model parameters silently breaks EF-SGD
+// (the residual maps carry deferred gradient mass). The stochastic
+// compressors leave nothing to export: every encode's draws are derived from
+// (round, node, pipeline position) in execComp, so restoring the round index
+// (RestoreEpoch) restores them. internal/ckpt persists what these methods
+// export; internal/trainer calls them around Save/Resume; elastic rejoin
+// (rejoin.go) reuses ImportNodeState to hand a returning peer a healthy
+// peer's residuals.
 
-// compRNGKey names node v's compressor RNG stream in the exported map (and
-// in ckpt.Snapshot.RNG).
-func compRNGKey(v int) string { return fmt.Sprintf("comp/%d", v) }
-
-// ExportState snapshots the cluster's cross-round mutable state:
-//
-//   - residuals[v] is node v's error-feedback residual export (deep copy;
-//     nil when the cluster runs without error feedback),
-//   - rng maps "comp/<v>" to node v's compressor RNG position for stateful
-//     algorithms (empty for stateless ones).
-//
-// The return values are detached copies — safe to serialize while the next
-// round runs.
-func (lc *LiveCluster) ExportState() (residuals []map[string][]float32, rng map[string]uint64) {
-	rng = map[string]uint64{}
-	if lc.ef != nil {
-		residuals = make([]map[string][]float32, lc.n)
-		for v, ef := range lc.ef {
-			if ef != nil {
-				residuals[v] = ef.Residuals()
-			}
+// ExportState snapshots the cluster's error-feedback residuals: residuals[v]
+// is node v's export (nil when the cluster runs without error feedback).
+// The maps are detached deep copies — safe to serialize while the next round
+// runs.
+func (lc *LiveCluster) ExportState() []map[string][]float32 {
+	if lc.ef == nil {
+		return nil
+	}
+	residuals := make([]map[string][]float32, lc.n)
+	for v, ef := range lc.ef {
+		if ef != nil {
+			residuals[v] = ef.Residuals()
 		}
 	}
-	for v, c := range lc.comp {
-		if c == nil {
-			continue
-		}
-		if st, ok := compress.StateOf(c); ok {
-			rng[compRNGKey(v)] = uint64(st)
-		}
-	}
-	return residuals, rng
+	return residuals
 }
 
-// ImportState restores state previously captured by ExportState into a
+// ImportState restores residuals previously captured by ExportState into a
 // freshly built cluster of the same shape (same n, algo, error-feedback
-// setting). A nil residuals slice leaves residuals untouched (exact-sync
-// clusters); a missing "comp/<v>" entry leaves that node's RNG at its
-// seeded position.
-func (lc *LiveCluster) ImportState(residuals []map[string][]float32, rng map[string]uint64) error {
-	if residuals != nil {
-		if lc.ef == nil {
-			return fmt.Errorf("core: ImportState got residuals but cluster has no error feedback")
-		}
-		if len(residuals) != lc.n {
-			return fmt.Errorf("core: ImportState got %d residual sets for %d nodes", len(residuals), lc.n)
-		}
-		for v, res := range residuals {
-			if lc.ef[v] != nil {
-				lc.ef[v].SetResiduals(res)
-			}
-		}
+// setting). A nil slice leaves residuals untouched (exact-sync clusters).
+func (lc *LiveCluster) ImportState(residuals []map[string][]float32) error {
+	if residuals == nil {
+		return nil
 	}
-	for v, c := range lc.comp {
-		if c == nil {
-			continue
-		}
-		st, present := rng[compRNGKey(v)]
-		if !present {
-			continue
-		}
-		if !compress.RestoreState(c, tensor.RNGState(st)) {
-			return fmt.Errorf("core: ImportState has RNG state for node %d but compressor %q is stateless", v, lc.cfg.Algo)
+	if lc.ef == nil {
+		return fmt.Errorf("core: ImportState got residuals but cluster has no error feedback")
+	}
+	if len(residuals) != lc.n {
+		return fmt.Errorf("core: ImportState got %d residual sets for %d nodes", len(residuals), lc.n)
+	}
+	for v, res := range residuals {
+		if lc.ef[v] != nil {
+			lc.ef[v].SetResiduals(res)
 		}
 	}
 	return nil

@@ -311,17 +311,22 @@ func TestLiveTCPUnsendableFailsFast(t *testing.T) {
 	}
 }
 
-// TestEFKeyFormatFrozen pins the error-feedback residual key: checkpoints
-// store residuals under these strings, so the interned key must stay
-// byte-identical to the formatted one, and a repeat lookup must be free.
+// TestEFKeyFormatFrozen pins the error-feedback residual key and its hash:
+// checkpoints store residuals under these strings and stochastic encodes
+// draw from streams derived from the hash (FNV-1a of the string), so the
+// interned key must stay byte-identical to the formatted one, and a repeat
+// lookup must be free.
 func TestEFKeyFormatFrozen(t *testing.T) {
 	lc, err := NewLiveCluster(2, LiveConfig{Strategy: StrategyPS, Parts: 2, Algo: "onebit", ErrorFeedback: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	task := &Task{Grad: "fc6.weight", Part: 1, Phase: 2, Step: 13}
-	if got, want := lc.efKey(task), "fc6.weight/p1/ph2/s13"; got != want {
+	if got, want := lc.efKey(task).key, "fc6.weight/p1/ph2/s13"; got != want {
 		t.Fatalf("efKey = %q, want %q", got, want)
+	}
+	if got, want := lc.efKey(task).hash, uint64(0xfb71e8b0b368813f); got != want {
+		t.Fatalf("efKey hash = %#x, want %#x", got, want)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = lc.efKey(task) }); allocs != 0 {
 		t.Fatalf("interned efKey lookup allocates %v objects, want 0", allocs)

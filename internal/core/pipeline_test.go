@@ -40,7 +40,10 @@ func wireChaosTCP() *netsim.TCPOptions {
 // digests byte-identical to the classic sequential uncoordinated engine on
 // the chan transport. Result bytes are a pure function of the plan epoch; the
 // window, ack batching, lane grants, and completion order never leak into
-// them.
+// them — nor, for the stochastic compressors (terngrad, graddrop), into the
+// random draws: each encode's stream is keyed by (round, node, pipeline
+// position), so these arms are also the schedule perturbation that would
+// expose a draw taken in execution order.
 func TestPipelineWindowBitIdentity(t *testing.T) {
 	const n, rounds = 3, 2
 	transports := []struct {
@@ -62,12 +65,21 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 		{1, true}, {4, true},
 	}
 	for _, strat := range []Strategy{StrategyPS, StrategyRing} {
-		for _, algo := range []string{"onebit", "dgc"} {
+		for _, algo := range []string{"onebit", "dgc", "terngrad", "graddrop"} {
+			sizes := map[string]int{"w1": 700, "w2": 64}
+			if algo == "graddrop" {
+				// GradDrop samples (draws) only above 1000 elements per
+				// partition; at Parts 2 the default sizes would draw nothing.
+				// Not larger than needed: wireChaosTCP cuts a connection
+				// within 600 bytes, and payloads much above the others'
+				// get a hop convicted before they get through.
+				sizes["w1"] = 2200
+			}
 			// Reference: the zero-value Pipeline config — the sequential
 			// engine — uncoordinated, on the chan transport.
 			ref := tcpParityConfig()
 			ref.Strategy, ref.Algo = strat, algo
-			want, _ := runDigests(t, ref, n, rounds)
+			want, _ := runSizedDigests(t, ref, n, rounds, sizes)
 			for _, tr := range transports {
 				if strat == StrategyRing && tr.name == "tcpchaos" {
 					// Not a property of the engine: on a ring each node acks
@@ -89,7 +101,8 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 							Window: arm.window, AckBatch: 4, OverlapEncode: arm.window > 1,
 						}
 						tr.mutate(&cfg)
-						got, health := runDigests(t, cfg, n, rounds)
+						got, healths := runSizedDigests(t, cfg, n, rounds, sizes)
+						health := healths[len(healths)-1]
 						for i := range want {
 							if got[i] != want[i] {
 								t.Fatalf("round %d: digest %016x != sequential chan reference %016x (health %+v)",

@@ -18,7 +18,8 @@ import (
 // kill-at-iteration-k + resume reproduces the uninterrupted run's loss
 // curve bit-for-bit: snapshots capture model parameters, momentum
 // velocities, per-worker data RNG positions, error-feedback residuals at
-// every node, and stateful-compressor RNG streams, so the continuation is
+// every node, and the round index — which, with node and pipeline position,
+// is all a stochastic compressor's draws depend on — so the continuation is
 // the same computation, not merely a similar one.
 type CheckpointConfig struct {
 	// Dir is the checkpoint store directory.
@@ -37,71 +38,130 @@ type CheckpointConfig struct {
 }
 
 // ckptRunner is the per-run checkpoint driver shared by TrainLinear and
-// TrainMLP.
+// TrainMLP. Beside the store it holds what a snapshot captures of the run,
+// bound once by openCkpt: the live model and velocity tensors by snapshot
+// name, the worker data streams, and the cluster (residuals, plan epoch and
+// round index).
 type ckptRunner struct {
 	store *ckpt.Store
 	every int
 	tel   *telemetry.Set
+
+	cfg     *Config
+	task    string
+	tensors map[string][]float32
+	rngs    []*tensor.RNG
+	lc      *core.LiveCluster
 }
 
-// newCkptRunner opens the store (nil config → nil runner, checkpointing
-// disabled).
-func newCkptRunner(cc *CheckpointConfig, tel *telemetry.Set) (*ckptRunner, error) {
+// openCkpt opens the run's checkpoint store (nil CheckpointConfig → nil
+// runner, checkpointing disabled) and, when resuming, restores the latest
+// valid snapshot into tensors, rngs and lc. It returns the iteration to
+// start from: 0 for a fresh run or an empty store.
+func openCkpt(cfg *Config, task string, tensors map[string][]float32, rngs []*tensor.RNG, lc *core.LiveCluster) (*ckptRunner, int, error) {
+	cc := cfg.Checkpoint
 	if cc == nil {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if cc.Dir == "" {
-		return nil, fmt.Errorf("trainer: CheckpointConfig.Dir is empty")
+		return nil, 0, fmt.Errorf("trainer: CheckpointConfig.Dir is empty")
 	}
 	st, err := ckpt.OpenStore(cc.Dir)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if cc.Keep > 0 {
 		st.Keep = cc.Keep
 	}
-	return &ckptRunner{store: st, every: cc.Every, tel: tel}, nil
+	cr := &ckptRunner{store: st, every: cc.Every, tel: cfg.Telemetry,
+		cfg: cfg, task: task, tensors: tensors, rngs: rngs, lc: lc}
+	if !cc.Resume {
+		return cr, 0, nil
+	}
+	start, err := cr.restore()
+	return cr, start, err
 }
 
-// resume loads the latest valid snapshot, or nil when the store is empty
-// (fresh start). Corrupt-latest fallbacks are counted in telemetry. The
-// snapshot is validated against the run configuration: resuming a run under
-// a different algorithm or worker count would make the restored residuals
-// and RNG streams meaningless.
-func (cr *ckptRunner) resume(cfg *Config, task string) (*ckpt.Snapshot, error) {
+// restore loads the latest valid snapshot into the run's state and returns
+// its step, or 0 when the store is empty (fresh start). Corrupt-latest
+// fallbacks are counted in telemetry. The snapshot is validated against the
+// run configuration: resuming a run under a different algorithm or worker
+// count would make the restored residuals and data streams meaningless.
+// RNG entries the run does not name are ignored — checkpoints written when
+// compressors still carried a stream hold "comp/<node>" positions, and such
+// a terngrad/graddrop run resumes onto the keyed draws instead.
+func (cr *ckptRunner) restore() (int, error) {
+	cfg := cr.cfg
 	snap, skipped, err := cr.store.LoadLatest()
 	if m := cr.tel.M(); m != nil && len(skipped) > 0 {
 		m.Counter("hipress_ckpt_fallbacks_total",
 			"checkpoints skipped as corrupt during resume").Add(float64(len(skipped)))
 	}
 	if errors.Is(err, ckpt.ErrNoCheckpoint) {
-		return nil, nil
+		return 0, nil
 	}
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if snap.Algo != cfg.Algo {
-		return nil, fmt.Errorf("trainer: checkpoint was taken under algo %q, run uses %q", snap.Algo, cfg.Algo)
+		return 0, fmt.Errorf("trainer: checkpoint was taken under algo %q, run uses %q", snap.Algo, cfg.Algo)
 	}
-	if got := snap.Meta["task"]; got != task {
-		return nil, fmt.Errorf("trainer: checkpoint is for task %q, run is %q", got, task)
+	if got := snap.Meta["task"]; got != cr.task {
+		return 0, fmt.Errorf("trainer: checkpoint is for task %q, run is %q", got, cr.task)
 	}
 	if got := snap.Meta["workers"]; got != strconv.Itoa(cfg.Workers) {
-		return nil, fmt.Errorf("trainer: checkpoint has %s workers, run has %d", got, cfg.Workers)
+		return 0, fmt.Errorf("trainer: checkpoint has %s workers, run has %d", got, cfg.Workers)
 	}
 	if snap.Step > cfg.Iters {
-		return nil, fmt.Errorf("trainer: checkpoint step %d beyond run's %d iterations", snap.Step, cfg.Iters)
+		return 0, fmt.Errorf("trainer: checkpoint step %d beyond run's %d iterations", snap.Step, cfg.Iters)
+	}
+	for name, dst := range cr.tensors {
+		if err := restoreTensor(snap, name, dst); err != nil {
+			return 0, err
+		}
+	}
+	for v, rng := range cr.rngs {
+		st, ok := snap.RNG[workerRNGKey(v)]
+		if !ok {
+			return 0, fmt.Errorf("trainer: checkpoint is missing RNG state %q", workerRNGKey(v))
+		}
+		rng.Restore(tensor.RNGState(st))
+	}
+	if err := cr.lc.ImportState(snap.Residuals); err != nil {
+		return 0, err
+	}
+	if err := restoreEpoch(snap, cr.lc); err != nil {
+		return 0, err
 	}
 	if m := cr.tel.M(); m != nil {
 		m.Counter("hipress_ckpt_resumes_total", "training runs resumed from a checkpoint").Inc()
 	}
-	return snap, nil
+	return snap.Step, nil
+}
+
+// snapshot captures the run's state as of step (the next iteration to
+// execute) in detached copies.
+func (cr *ckptRunner) snapshot(step int) *ckpt.Snapshot {
+	tensors := make(map[string][]float32, len(cr.tensors))
+	for name, src := range cr.tensors {
+		tensors[name] = tensor.Clone(src)
+	}
+	rng := make(map[string]uint64, len(cr.rngs))
+	for v, r := range cr.rngs {
+		rng[workerRNGKey(v)] = uint64(r.Save())
+	}
+	meta := map[string]string{"task": cr.task, "workers": strconv.Itoa(cr.cfg.Workers)}
+	captureEpoch(meta, cr.lc)
+	return &ckpt.Snapshot{
+		Step: step, Algo: cr.cfg.Algo, Params: cloneParams(cr.cfg.Params),
+		Tensors: tensors, Residuals: cr.lc.ExportState(), RNG: rng,
+		Meta: meta,
+	}
 }
 
 // maybeSave persists a snapshot when iteration it (0-based, just completed)
-// hits the period. capture builds the snapshot lazily so non-checkpoint
-// iterations pay nothing.
-func (cr *ckptRunner) maybeSave(it int, capture func() *ckpt.Snapshot) error {
+// hits the period; other iterations pay nothing.
+func (cr *ckptRunner) maybeSave(it int) error {
 	if cr == nil || cr.every <= 0 || (it+1)%cr.every != 0 {
 		return nil
 	}
@@ -110,7 +170,7 @@ func (cr *ckptRunner) maybeSave(it int, capture func() *ckpt.Snapshot) error {
 	if tr.Enabled() {
 		start = tr.Now()
 	}
-	snap := capture()
+	snap := cr.snapshot(it + 1)
 	if _, err := cr.store.Save(snap); err != nil {
 		return fmt.Errorf("trainer: checkpoint at step %d: %w", snap.Step, err)
 	}
@@ -189,16 +249,6 @@ func restoreTensor(snap *ckpt.Snapshot, name string, dst []float32) error {
 		return fmt.Errorf("trainer: checkpoint tensor %q has %d elements, model wants %d", name, len(src), len(dst))
 	}
 	copy(dst, src)
-	return nil
-}
-
-// restoreRNG rewinds rng to the named saved stream position.
-func restoreRNG(snap *ckpt.Snapshot, name string, rng *tensor.RNG) error {
-	st, ok := snap.RNG[name]
-	if !ok {
-		return fmt.Errorf("trainer: checkpoint is missing RNG state %q", name)
-	}
-	rng.Restore(tensor.RNGState(st))
 	return nil
 }
 

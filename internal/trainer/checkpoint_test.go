@@ -4,9 +4,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"hipress/internal/autotune"
+	"hipress/internal/ckpt"
+	_ "hipress/internal/compll" // registers cll-terngrad
 	"hipress/internal/compress"
 	"hipress/internal/core"
 )
@@ -50,29 +53,39 @@ func requireBitIdenticalTail(t *testing.T, label string, ref, resumed *Curve, fr
 // produces a loss curve (and final weights) bit-identical to the
 // uninterrupted run. This only holds if the checkpoint captured *all*
 // mutable state — parameters, momentum velocities, per-worker data RNG
-// positions, error-feedback residuals at every node, and stateful
-// compressor RNG streams — so the test exercises the entire recovery plane
-// end to end for a biased sparsifier (dgc), a biased quantizer (onebit),
-// and a stochastic quantizer with live RNG state (terngrad).
+// positions, error-feedback residuals at every node, and the round index
+// that keys the stochastic compressors' draws — so the test exercises the
+// entire recovery plane end to end for a biased sparsifier (dgc), a biased
+// quantizer (onebit), and a stochastic quantizer as hand kernel and as
+// interpreted CompLL program (terngrad, cll-terngrad). The legacy row
+// resumes from a checkpoint as written before compressors stopped carrying
+// a stream: its "comp/<node>" RNG entries must be ignored, not refused.
 func TestKillResumeBitIdentical(t *testing.T) {
 	task := NewLinearTask(24, 0.05, 9)
+	terngrad := Config{
+		Workers: 3, Strategy: core.StrategyPS,
+		Algo: "terngrad", ErrorFeedback: true,
+	}
 	cases := []struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		legacy bool
 	}{
 		{"dgc-ps-momentum-correction", Config{
 			Workers: 3, Strategy: core.StrategyPS,
 			Algo: "dgc", Params: compress.Params{"ratio": 0.25}, ErrorFeedback: true,
 			Momentum: 0.9, MomentumCorrection: true,
-		}},
+		}, false},
 		{"onebit-ring-momentum", Config{
 			Workers: 3, Strategy: core.StrategyRing,
 			Algo: "onebit", ErrorFeedback: true, Momentum: 0.5,
-		}},
-		{"terngrad-ps-stateful-rng", Config{
+		}, false},
+		{"terngrad-ps-keyed-draws", terngrad, false},
+		{"terngrad-ps-legacy-checkpoint", terngrad, true},
+		{"cll-terngrad-ps-keyed-draws", Config{
 			Workers: 3, Strategy: core.StrategyPS,
-			Algo: "terngrad", ErrorFeedback: true,
-		}},
+			Algo: "cll-terngrad", ErrorFeedback: true,
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,6 +111,22 @@ func TestKillResumeBitIdentical(t *testing.T) {
 			killed.Checkpoint = &CheckpointConfig{Dir: dir, Every: 20}
 			if _, _, err := TrainLinear(task, killed); err != nil {
 				t.Fatal(err)
+			}
+			if tc.legacy {
+				st, err := ckpt.OpenStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap, _, err := st.LoadLatest()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := 0; v < cfg.Workers; v++ {
+					snap.RNG["comp/"+strconv.Itoa(v)] = uint64(1000 + v)
+				}
+				if _, err := st.Save(snap); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			// Resumed run: fresh process state, everything rebuilt from the

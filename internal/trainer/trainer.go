@@ -11,7 +11,6 @@ import (
 	"math"
 	"strconv"
 
-	"hipress/internal/ckpt"
 	"hipress/internal/compress"
 	"hipress/internal/core"
 	"hipress/internal/telemetry"
@@ -205,63 +204,15 @@ func TrainLinear(task *LinearTask, cfg Config) (*Curve, []float32, error) {
 
 	// Recovery plane: open the store, optionally restore every piece of
 	// mutable training state (weights, velocities, data RNG positions,
-	// error-feedback residuals, compressor RNG streams) from the latest
+	// error-feedback residuals, plan epoch and round index) from the latest
 	// valid checkpoint, and save periodically below.
-	cr, err := newCkptRunner(cfg.Checkpoint, cfg.Telemetry)
+	state := map[string][]float32{"w": w, "vel/global": globalVel}
+	for v := range localVel {
+		state["vel/local/"+strconv.Itoa(v)] = localVel[v]
+	}
+	cr, startIt, err := openCkpt(&cfg, "linear", state, workerRNG, lc)
 	if err != nil {
 		return nil, nil, err
-	}
-	startIt := 0
-	if cr != nil && cfg.Checkpoint.Resume {
-		snap, err := cr.resume(&cfg, "linear")
-		if err != nil {
-			return nil, nil, err
-		}
-		if snap != nil {
-			if err := restoreTensor(snap, "w", w); err != nil {
-				return nil, nil, err
-			}
-			if err := restoreTensor(snap, "vel/global", globalVel); err != nil {
-				return nil, nil, err
-			}
-			for v := range localVel {
-				if err := restoreTensor(snap, "vel/local/"+strconv.Itoa(v), localVel[v]); err != nil {
-					return nil, nil, err
-				}
-			}
-			for v := range workerRNG {
-				if err := restoreRNG(snap, workerRNGKey(v), workerRNG[v]); err != nil {
-					return nil, nil, err
-				}
-			}
-			if err := lc.ImportState(snap.Residuals, snap.RNG); err != nil {
-				return nil, nil, err
-			}
-			if err := restoreEpoch(snap, lc); err != nil {
-				return nil, nil, err
-			}
-			startIt = snap.Step
-		}
-	}
-	capture := func(step int) *ckpt.Snapshot {
-		res, rng := lc.ExportState()
-		for v := range workerRNG {
-			rng[workerRNGKey(v)] = uint64(workerRNG[v].Save())
-		}
-		tensors := map[string][]float32{
-			"w":          tensor.Clone(w),
-			"vel/global": tensor.Clone(globalVel),
-		}
-		for v := range localVel {
-			tensors["vel/local/"+strconv.Itoa(v)] = tensor.Clone(localVel[v])
-		}
-		meta := map[string]string{"task": "linear", "workers": strconv.Itoa(cfg.Workers)}
-		captureEpoch(meta, lc)
-		return &ckpt.Snapshot{
-			Step: step, Algo: cfg.Algo, Params: cloneParams(cfg.Params),
-			Tensors: tensors, Residuals: res, RNG: rng,
-			Meta: meta,
-		}
 	}
 
 	// Per-worker gradient buffers and the grads maps are allocated once and
@@ -317,7 +268,7 @@ func TrainLinear(task *LinearTask, cfg Config) (*Curve, []float32, error) {
 			curve.Iters = append(curve.Iters, it)
 			curve.Losses = append(curve.Losses, mse())
 		}
-		if err := cr.maybeSave(it, func() *ckpt.Snapshot { return capture(it + 1) }); err != nil {
+		if err := cr.maybeSave(it); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -445,52 +396,9 @@ func TrainMLP(task *MLPTask, cfg Config) (*Curve, error) {
 
 	// Recovery plane: see TrainLinear. The MLP snapshot carries the four
 	// student parameter tensors plus worker RNG and cluster state.
-	cr, err := newCkptRunner(cfg.Checkpoint, cfg.Telemetry)
+	cr, startIt, err := openCkpt(&cfg, "mlp", student.gradsMap(), workerRNG, lc)
 	if err != nil {
 		return nil, err
-	}
-	startIt := 0
-	if cr != nil && cfg.Checkpoint.Resume {
-		snap, err := cr.resume(&cfg, "mlp")
-		if err != nil {
-			return nil, err
-		}
-		if snap != nil {
-			for name, dst := range student.gradsMap() {
-				if err := restoreTensor(snap, name, dst); err != nil {
-					return nil, err
-				}
-			}
-			for v := range workerRNG {
-				if err := restoreRNG(snap, workerRNGKey(v), workerRNG[v]); err != nil {
-					return nil, err
-				}
-			}
-			if err := lc.ImportState(snap.Residuals, snap.RNG); err != nil {
-				return nil, err
-			}
-			if err := restoreEpoch(snap, lc); err != nil {
-				return nil, err
-			}
-			startIt = snap.Step
-		}
-	}
-	capture := func(step int) *ckpt.Snapshot {
-		res, rng := lc.ExportState()
-		for v := range workerRNG {
-			rng[workerRNGKey(v)] = uint64(workerRNG[v].Save())
-		}
-		tensors := map[string][]float32{}
-		for name, src := range student.gradsMap() {
-			tensors[name] = tensor.Clone(src)
-		}
-		meta := map[string]string{"task": "mlp", "workers": strconv.Itoa(cfg.Workers)}
-		captureEpoch(meta, lc)
-		return &ckpt.Snapshot{
-			Step: step, Algo: cfg.Algo, Params: cloneParams(cfg.Params),
-			Tensors: tensors, Residuals: res, RNG: rng,
-			Meta: meta,
-		}
 	}
 
 	curve := &Curve{}
@@ -539,7 +447,7 @@ func TrainMLP(task *MLPTask, cfg Config) (*Curve, error) {
 			curve.Iters = append(curve.Iters, it)
 			curve.Losses = append(curve.Losses, mse())
 		}
-		if err := cr.maybeSave(it, func() *ckpt.Snapshot { return capture(it + 1) }); err != nil {
+		if err := cr.maybeSave(it); err != nil {
 			return nil, err
 		}
 	}
