@@ -64,11 +64,20 @@ bench:
 	$(GO) run ./cmd/hipress-bench all
 
 # Non-test source lines per internal package — the unit ROADMAP states its
-# design-quality gates in.
+# design-quality gates in — and a ratchet on the package those gates are about:
+# internal/core may shrink below LOC_BUDGET_core (lower the budget to the new
+# count in the PR that does it) and fails the target when it grows past it.
+LOC_BUDGET_core := 6553
+
 loc:
 	@for d in internal/*/; do \
-		printf '%-22s %6d\n' "$$d" "$$(find "$$d" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"; \
-	done
+		n=$$(find "$$d" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-22s %6d\n' "$$d" "$$n"; \
+		if [ "$$d" = internal/core/ ] && [ "$$n" -gt $(LOC_BUDGET_core) ]; then over=$$n; fi; \
+	done; \
+	if [ -n "$$over" ]; then \
+		echo "internal/core: $$over non-test lines, over LOC_BUDGET_core = $(LOC_BUDGET_core)" >&2; exit 1; \
+	fi
 
 clean:
 	$(GO) clean ./...

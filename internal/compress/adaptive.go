@@ -103,6 +103,17 @@ func (a *Adaptive) DecodeInto(dst []float32, payload []byte) error {
 	return a.aggressive.DecodeInto(dst, payload)
 }
 
+// DecodeAdd implements DecodeAdder with the same dispatch as DecodeInto, each
+// regime running its own fused kernel. Trying the decoders in turn is sound
+// for an add as well: a decoder turns away a payload that is not its own at
+// the header, before it has touched dst.
+func (a *Adaptive) DecodeAdd(payload []byte, dst []float32) error {
+	if DecodeAdd(a.conservative, payload, dst) == nil {
+		return nil
+	}
+	return DecodeAdd(a.aggressive, payload, dst)
+}
+
 // CompressedSize implements Compressor conservatively (the larger of the
 // two regimes, so planners never under-budget).
 func (a *Adaptive) CompressedSize(n int) int {

@@ -110,8 +110,8 @@ func TestAdaptiveRegistered(t *testing.T) {
 }
 
 // TestAdaptiveSteadyStateAllocs extends TestSteadyStateAllocs through the
-// adaptive wrapper: EncodeInto and DecodeInto hand the caller's buffers to
-// the chosen regime's kernel, so wrapping allocates nothing. Skipped under
+// adaptive wrapper: EncodeInto, DecodeInto and DecodeAdd hand the caller's
+// buffers to the chosen regime's kernel, so wrapping allocates nothing. Skipped under
 // the race detector for the same reason.
 func TestAdaptiveSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -142,5 +142,12 @@ func TestAdaptiveSteadyStateAllocs(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("adaptive DecodeInto: %v allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if err := DecodeAdd(c, payload, dec); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("adaptive DecodeAdd: %v allocs/op, want 0", a)
 	}
 }

@@ -21,6 +21,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"hipress/internal/kernels"
+	"hipress/internal/tensor"
 )
 
 // Compressor is the unified abstraction mirroring CompLL's encode/decode API
@@ -82,19 +85,22 @@ func Ratio(c Compressor, n int) float64 {
 	return float64(c.CompressedSize(n)) / float64(4*n)
 }
 
-// DecodeAdd merges the decoded payload into dst, using the fused path when
-// the compressor provides one and falling back to Decode+add otherwise.
+// DecodeAdd merges the decoded payload into dst: dst[i] += decoded[i]. A
+// compressor with a fused kernel runs it; for the rest this is the generic
+// construction the fused kernels are tested against — decode into arena
+// scratch, then add — so no caller of the merge allocates a gradient's worth
+// of floats per contribution. On error dst's contents are unspecified.
 func DecodeAdd(c Compressor, payload []byte, dst []float32) error {
 	if da, ok := c.(DecodeAdder); ok {
 		return da.DecodeAdd(payload, dst)
 	}
-	dec, err := Decode(c, payload, len(dst))
-	if err != nil {
+	var scratch kernels.Lease
+	defer scratch.Release()
+	dec := scratch.F32(len(dst))
+	if err := c.DecodeInto(dec, payload); err != nil {
 		return err
 	}
-	for i, x := range dec {
-		dst[i] += x
-	}
+	tensor.Add(dst, dec)
 	return nil
 }
 

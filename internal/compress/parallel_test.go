@@ -186,6 +186,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}); a != 0 {
 			t.Errorf("%s DecodeInto: %v allocs/op, want 0", name, a)
 		}
+		// The live merge: one fused decode+add per received contribution.
+		if a := testing.AllocsPerRun(20, func() {
+			if err := DecodeAdd(c, payload, dec); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%s DecodeAdd: %v allocs/op, want 0", name, a)
+		}
 	}
 }
 

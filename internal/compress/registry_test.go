@@ -14,8 +14,9 @@ import (
 // TestRegistryIntoContract holds every registered codec — natives, oss-*,
 // adaptive, cll-* — to the one Compressor contract: the payload does not
 // depend on what dst the caller brought (nil, worst-case sized, or too
-// small), a dst with room is the memory the payload comes back in, and
-// DecodeInto rewrites every element of a dirty dst to what Decode returns.
+// small), a dst with room is the memory the payload comes back in,
+// DecodeInto rewrites every element of a dirty dst to what Decode returns, and
+// DecodeAdd adds exactly that to an accumulator.
 // Each encode runs on a fresh same-seed instance, so the stochastic codecs
 // and adaptive's regime detector start from the same state.
 func TestRegistryIntoContract(t *testing.T) {
@@ -79,6 +80,22 @@ func TestRegistryIntoContract(t *testing.T) {
 			for i := range dec {
 				if math.Float32bits(dec[i]) != math.Float32bits(ref[i]) {
 					t.Fatalf("%s n=%d: DecodeInto[%d]=%v, Decode gives %v", name, n, i, dec[i], ref[i])
+				}
+			}
+
+			// DecodeAdd — a fused kernel, a wrapper forwarding to one, or the
+			// generic decode-into-scratch — is DecodeInto followed by an add.
+			// (The base holds no -0.0, the one value a scatter-adder that
+			// skips the zero fill leaves differently; core pins that case.)
+			base := make([]float32, n)
+			tensor.NewRNG(uint64(n)+1).FillNormal(base, 1)
+			acc := append([]float32(nil), base...)
+			if err := compress.DecodeAdd(c, want, acc); err != nil {
+				t.Fatalf("%s n=%d DecodeAdd: %v", name, n, err)
+			}
+			for i := range acc {
+				if sum := base[i] + ref[i]; math.Float32bits(acc[i]) != math.Float32bits(sum) {
+					t.Fatalf("%s n=%d: DecodeAdd[%d]=%v, DecodeInto then add gives %v", name, n, i, acc[i], sum)
 				}
 			}
 		}

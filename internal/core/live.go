@@ -335,71 +335,66 @@ func (lc *LiveCluster) efKey(t *Task) efName {
 	return name
 }
 
-// pkey identifies one gradient partition's buffers at one node.
-type pkey struct {
-	grad string
-	part int
-}
-
-// bkey identifies a per-peer payload buffer: a PS aggregator holds one
-// in-flight payload per contributing worker.
-type bkey struct {
-	grad string
-	part int
-	peer int
-}
-
-// mkey matches transport messages to armed recv tasks.
-type mkey struct {
-	grad string
-	part int
-	step int
-	peer int
+// wireKey matches a transport message to the recv task armed for it: the
+// gradient's index in the round's layout, the packed (step, partition) exactly
+// as Message.Step carries it, and the link.
+type wireKey struct {
+	grad, packed, to, from int
 }
 
 // wireBuf is a payload beside the CRC-32 of its bytes — taken as the encoder
 // leaves it, or the sum the dispatcher verified a received payload against.
+// ready marks a received contribution a merge may fold in: a raw one as it
+// lands, a compressed one once its decode task ran — a decode skipped for a
+// convicted peer leaves it unset, and the contribution out of the aggregate.
 type wireBuf struct {
-	b   []byte
-	sum uint32
+	b     []byte
+	sum   uint32
+	ready bool
 }
 
-// accBuf is one partition's running aggregate; v is nil until a merge makes
-// one. staged: a raw send's payload (sum its CRC-32) is v's own memory — or
-// local's, v being nil — so a merge from here on is refused.
-type accBuf struct {
-	v      []float32
+// partRT is one partition's state at one node. acc is its running aggregate,
+// nil until a merge makes one. staged: a raw send's payload (sum its CRC-32)
+// is acc's own memory — or local's, acc being nil — so a merge from here on is
+// refused.
+type partRT struct {
+	acc    []float32
 	staged bool
 	sum    uint32
+	out    wireBuf // last locally encoded payload
+	filled bool    // phase 2 wrote the partition into result (no copy from acc at assembly)
+	agg    bool    // the aggregation barrier completed here: acc is the true aggregate
 }
 
-// nodeRT is the per-node live runtime: buffer state plus the two task
-// queues.
+// nodeRT is the per-node live runtime: the two task queues and the node's
+// buffer state, in tables laid out by the round's roundLayout and carved from
+// slabs shared by all nodes.
 type nodeRT struct {
-	id        int
-	local     map[string][]float32 // this node's freshly computed gradients; never written
-	acc       map[pkey]accBuf      // running aggregate per partition, once merged into
-	tmp       map[bkey][]float32   // decoded incoming partition, per peer
-	out       map[pkey]wireBuf     // last locally encoded payload
-	in        map[bkey]wireBuf     // received payloads, per peer
-	result    map[string][]float32 // fully synchronized gradients
-	qcomp     chan int
-	qcommu    chan int
-	filledSet map[pkey]bool // partitions of result written by phase 2
-	aggSet    map[pkey]bool // partitions whose aggregation completed on this node
-	mu        sync.Mutex    // guards this node's buffer maps across its goroutines
-	recvIdx   map[mkey]int
-	seen      map[mkey]bool // dispatcher-only: idempotent dedup of transfers
+	id, n  int
+	lay    *roundLayout
+	local  [][]float32 // by gradient: this node's freshly computed gradients; never written
+	result [][]float32 // by gradient: fully synchronized gradients, made on first touch
+	parts  []partRT    // by slot
+	in     []wireBuf   // by slot·n+peer: the payload last received from peer
+	qcomp  chan int
+	qcommu chan int
+	mu     sync.Mutex // guards this node's tables across its goroutines
 
 	// lease holds every arena buffer this node checks out during the round
-	// (accumulators, decode scratch, encoded payloads). It is guarded by mu
-	// like the buffer maps and released wholesale at round teardown — after
+	// (accumulators, encoded payloads, adopted receive buffers). It is guarded
+	// by mu like the tables and released wholesale at round teardown — after
 	// every worker goroutine has exited and results have been assembled into
 	// independently allocated slices — so payloads stay valid while the
 	// transport or a retrying sender still references them, and steady-state
 	// rounds allocate nothing.
 	lease kernels.Lease
 }
+
+// part is the state of the partition t works on; inbox the payload slot for
+// that partition's contribution from peer. Callers hold rt.mu.
+func (rt *nodeRT) part(t *Task) *partRT { return &rt.parts[rt.lay.slot(t)] }
+
+func (rt *nodeRT) inbox(t *Task, peer int) *wireBuf { return &rt.in[rt.lay.slot(t)*rt.n+peer] }
 
 // SyncRound synchronizes one set of gradients: grads[v][name] is node v's
 // local gradient. It returns, per node, the aggregated (summed, not
@@ -441,11 +436,10 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 	ep, round := lc.activateEpoch()
 
 	// Build one DAG covering every gradient, with the epoch deciding the
-	// partition geometry and, per gradient size, compress-vs-raw.
+	// partition geometry and, per gradient size, compress-vs-raw — and beside
+	// it the layout the round's state tables follow.
 	g := NewGraph()
-	elems := map[string]int{}
-	parts := map[string]int{}
-	algos := map[string]string{}
+	lay := newRoundLayout(len(names))
 	sizes := make([]int64, 0, len(names))
 	for _, name := range names {
 		rawBytes := int64(4 * len(grads[0][name]))
@@ -454,8 +448,7 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 		if lc.cfg.Algo != "" && ep.compresses(rawBytes) {
 			algo = lc.cfg.Algo
 		}
-		algos[name] = algo
-		spec := GradSync{Name: name, Elems: len(grads[0][name]), Parts: ep.Parts, Algo: algo}
+		spec := lay.add(name, len(grads[0][name]), ep.Parts, algo)
 		var err error
 		switch ep.Strategy {
 		case StrategyRing:
@@ -466,19 +459,13 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 		if err != nil {
 			return nil, nil, err
 		}
-		elems[name] = len(grads[0][name])
-		p := ep.Parts
-		if p > elems[name] {
-			p = elems[name]
-		}
-		parts[name] = p
 	}
 	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
 	}
 
-	out, health, err := lc.run(ctx, g, grads, elems, parts, algos, ep, round)
+	out, health, err := lc.run(ctx, g, lay, grads, ep, round)
 	if err == nil {
 		lc.epochMu.Lock()
 		lc.rounds++
@@ -496,17 +483,21 @@ type liveRound struct {
 	g     *Graph
 	tr    netsim.Transport
 	rs    *roundState
-	nodes []*nodeRT
-	elems map[string]int
-	parts map[string]int
-	// algos maps each gradient to its effective compression algorithm for
-	// this round ("" = raw), epoch is the plan the round runs under, and
+	nodes []nodeRT
+	// lay carries each gradient's geometry and effective compression algorithm
+	// for this round ("" = raw), epoch is the plan the round runs under, and
 	// round is its index (completed rounds before it; a failed round's retry
 	// carries the same index) — all frozen at the round barrier by
 	// SyncRoundContext.
-	algos map[string]string
+	lay   *roundLayout
 	epoch PlanEpoch
 	round int64
+
+	// recvIdx arms the round's recv tasks, read-only once the round runs; seen,
+	// by task id, is the receivers' idempotent dedup of transfers — each entry
+	// written only by the dispatcher of the node the recv belongs to.
+	recvIdx map[wireKey]int
+	seen    []bool
 
 	reliable bool
 	timeout  time.Duration
@@ -677,7 +668,7 @@ func (r *liveRound) onPeerDead(victim int) {
 		r.traceEvent(fmt.Sprintf("peer-dead node%d (%v)", victim, r.lc.cfg.OnPeerFail), "fault", victim)
 	}
 	if r.lc.cfg.OnPeerFail != DegradeExclude || r.epoch.Strategy != StrategyPS {
-		r.fail(&PeerFailureError{Node: -1, Peer: victim, Attempts: r.lc.cfg.Retry.MaxAttempts,
+		r.fail(&PeerFailureError{Node: -1, Peer: victim, Attempts: r.hp.attemptBudget(),
 			Reason: fmt.Sprintf("failure detector convicted node %d (policy %v)", victim, r.lc.cfg.OnPeerFail)})
 		return
 	}
@@ -698,7 +689,7 @@ func (r *liveRound) onPeerDead(victim int) {
 }
 
 // run executes the DAG with real data under one frozen plan epoch.
-func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]float32, elems, parts map[string]int, algos map[string]string, ep PlanEpoch, round int64) ([]map[string][]float32, *RoundHealth, error) {
+func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grads []map[string][]float32, ep PlanEpoch, round int64) ([]map[string][]float32, *RoundHealth, error) {
 	n := lc.n
 	started := time.Now() //hipress:wallclock round-duration telemetry for RoundHealth
 	capacity := len(g.Tasks)/n + 16
@@ -740,52 +731,44 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 	}
 	defer cancel()
 
-	// Size the per-round maps from the DAG instead of growing them: per node an
-	// entry per recv, a payload per encode, at most an accumulator per partition.
-	counts := make([][KRecv + 1]int, n) // tasks per node and kind
-	for _, t := range g.Tasks {
-		counts[t.Node][t.Kind]++
-	}
-	sumParts := 0
-	for _, p := range parts {
-		sumParts += p
-	}
-	nodes := make([]*nodeRT, n)
-	for v := 0; v < n; v++ {
-		c := counts[v]
-		nodes[v] = &nodeRT{
-			id:      v,
-			local:   grads[v],
-			acc:     make(map[pkey]accBuf, min(c[KMerge], sumParts)),
-			tmp:     map[bkey][]float32{},
-			out:     make(map[pkey]wireBuf, c[KEncode]),
-			in:      make(map[bkey]wireBuf, c[KRecv]),
-			result:  make(map[string][]float32, len(elems)),
-			qcomp:   make(chan int, len(g.Tasks)),
-			qcommu:  make(chan int, len(g.Tasks)),
-			recvIdx: make(map[mkey]int, c[KRecv]),
+	// Every node's tables come out of four slabs: per-node state is a slice of
+	// each, not an allocation per gradient, partition or peer.
+	ng, ns := len(lay.grads), lay.slots
+	nodes := make([]nodeRT, n)
+	partSlab := make([]partRT, n*ns)
+	inSlab := make([]wireBuf, n*ns*n)
+	gradSlab := make([][]float32, 2*n*ng)
+	for v := range nodes {
+		rt := &nodes[v]
+		rt.id, rt.n, rt.lay = v, n, lay
+		rt.local = gradSlab[2*v*ng : (2*v+1)*ng]
+		rt.result = gradSlab[(2*v+1)*ng : (2*v+2)*ng]
+		for gi := range lay.grads {
+			rt.local[gi] = grads[v][lay.grads[gi].name]
 		}
-		if lc.cfg.Reliable { // dedup state: never touched otherwise
-			nodes[v].seen = make(map[mkey]bool, c[KRecv])
-		}
+		rt.parts = partSlab[v*ns : (v+1)*ns]
+		rt.in = inSlab[v*ns*n : (v+1)*ns*n]
+		rt.qcomp = make(chan int, len(g.Tasks))
+		rt.qcommu = make(chan int, len(g.Tasks))
 	}
 	// Return every leased buffer to the arena once the round has fully torn
 	// down (runs after the waits below, so no goroutine still references a
 	// payload, and after assembly, which copies into fresh result slices).
 	defer func() {
-		for _, rt := range nodes {
-			rt.lease.Release()
+		for v := range nodes {
+			nodes[v].lease.Release()
 		}
 	}()
 	// Index recv tasks for message matching, and sanity-check the builder
 	// invariant the live plane relies on: recvs have exactly one dep (their
 	// send).
+	recvIdx := make(map[wireKey]int, g.Stat().Recv)
 	for i, t := range g.Tasks {
 		if t.Kind == KRecv {
 			if t.deps != 1 {
 				return nil, nil, fmt.Errorf("core: recv task %d has %d deps, want 1", i, t.deps)
 			}
-			nodes[t.Node].recvIdx[mkey{t.Grad, t.Part, t.Step, t.Peer}] = i
+			recvIdx[wireKey{t.GradIdx, packStep(t.Step, t.Part), t.Node, t.Peer}] = i
 		}
 	}
 
@@ -796,11 +779,10 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 		tr:        tr,
 		rs:        newRoundState(n),
 		nodes:     nodes,
-		elems:     elems,
-		parts:     parts,
-		algos:     algos,
+		lay:       lay,
 		epoch:     ep,
 		round:     round,
+		recvIdx:   recvIdx,
 		reliable:  lc.cfg.Reliable,
 		timeout:   lc.cfg.RoundTimeout,
 		hp:        lc.health,
@@ -809,6 +791,9 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 		doneCh:    make(chan struct{}),
 		trc:       lc.cfg.Telemetry.T(),
 		met:       lc.cfg.Telemetry.M(),
+	}
+	if r.reliable { // dedup state: never touched otherwise
+		r.seen = make([]bool, len(g.Tasks))
 	}
 	r.rs.onDead = r.onPeerDead
 	r.pipe = newSendEngine(r, lc.cfg.Pipeline, lc.cfg.Coordinated)
@@ -830,7 +815,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 	// Per-node workers: one compute-queue drainer, one communication-queue
 	// drainer, one receive dispatcher.
 	for v := 0; v < n; v++ {
-		rt := nodes[v]
+		rt := &nodes[v]
 		wg.Add(3)
 		go func() { // Q_comp drainer
 			defer wg.Done()
@@ -947,39 +932,39 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, grads []map[string][]f
 	// the node's own local gradient (scaled to sum magnitude when
 	// renormalizing) and is reported as unsynced.
 	out := make([]map[string][]float32, n)
+	degraded := r.reliable && r.rs.anyDead()
 	for v := 0; v < n; v++ {
-		rt := nodes[v]
-		out[v] = make(map[string][]float32, len(elems))
-		for name, ne := range elems {
-			res := rt.resultSlice(name, ne)
-			for p := 0; p < parts[name]; p++ {
-				lo, hi := PartRange(ne, parts[name], p)
-				if lo == hi {
+		rt := &nodes[v]
+		out[v] = make(map[string][]float32, ng)
+		for gi := range lay.grads {
+			gl := &lay.grads[gi]
+			res := rt.resultSlice(gi)
+			for p := 0; p < gl.parts; p++ {
+				lo, hi := gl.span(p)
+				ps := &rt.parts[gl.slot0+p]
+				if lo == hi || ps.filled {
 					continue
 				}
-				if !rt.filled(name, p) {
-					acc := rt.acc[pkey{name, p}].v
-					// In a degraded round, an accumulator is only trustworthy
-					// when the partition barrier completed on this node (it
-					// holds the true aggregate).
-					if r.reliable && r.rs.anyDead() && !rt.aggSet[pkey{name, p}] {
-						copy(res[lo:hi], rt.local[name][lo:hi])
-						if lc.cfg.Renormalize {
-							for i := lo; i < hi; i++ {
-								res[i] *= float32(n)
-							}
+				// In a degraded round, an accumulator is only trustworthy
+				// when the partition barrier completed on this node (it
+				// holds the true aggregate).
+				if degraded && !ps.agg {
+					copy(res[lo:hi], rt.local[gi][lo:hi])
+					if lc.cfg.Renormalize {
+						for i := lo; i < hi; i++ {
+							res[i] *= float32(n)
 						}
-						health.UnsyncedParts = append(health.UnsyncedParts,
-							fmt.Sprintf("node%d:%s/p%d", v, name, p))
-						continue
 					}
-					if acc == nil {
-						return nil, health, fmt.Errorf("core: node %d has neither result nor accumulator for %s/p%d", v, name, p)
-					}
-					copy(res[lo:hi], acc)
+					health.UnsyncedParts = append(health.UnsyncedParts,
+						fmt.Sprintf("node%d:%s/p%d", v, gl.name, p))
+					continue
 				}
+				if ps.acc == nil {
+					return nil, health, fmt.Errorf("core: node %d has neither result nor accumulator for %s/p%d", v, gl.name, p)
+				}
+				copy(res[lo:hi], ps.acc)
 			}
-			out[v][name] = res
+			out[v][gl.name] = res
 		}
 	}
 	sort.Strings(health.UnsyncedParts)
@@ -1006,10 +991,10 @@ func (r *liveRound) dispatch(rt *nodeRT) {
 }
 
 // dispatchMsg handles one received message: it routes acks to waiting
-// senders, verifies checksums, deduplicates idempotently (keyed by
-// gradient/partition/step/peer), acknowledges, and executes the matched
-// recv task. It returns false when the round has failed and the dispatcher
-// should stop.
+// senders, verifies checksums, matches the message to its armed recv task (by
+// gradient/partition/step/link), deduplicates idempotently, acknowledges, and
+// executes the task. It returns false when the round has failed and the
+// dispatcher should stop.
 func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 	if msg.Heartbeat {
 		// Heartbeats live outside the ack/dedup machinery: a probe is
@@ -1059,24 +1044,24 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 	}
 	// A checksum-valid data message is as good as an ack for liveness.
 	r.hp.arrival(msg.From)
-	step, part := unpackStep(msg.Step)
-	key := mkey{msg.Gradient, part, step, msg.From}
-	if r.reliable && rt.seen[key] {
-		// Duplicate (retransmission or injected dup): re-ack, discard.
-		atomic.AddInt64(&r.rs.duplicates, 1)
-		if r.trc.Enabled() {
-			r.traceEvent(fmt.Sprintf("dup-drop %s←%d", msg.Gradient, msg.From), "dedup", rt.id)
-		}
-		r.sendAck(rt.id, *msg)
-		return true
-	}
-	id, armed := rt.recvIdx[key]
-	if !armed {
-		r.fail(fmt.Errorf("core: node %d got unexpected message %+v", rt.id, key))
+	gi, known := r.lay.index[msg.Gradient]
+	id, armed := r.recvIdx[wireKey{gi, msg.Step, rt.id, msg.From}]
+	if !known || !armed {
+		step, part := unpackStep(msg.Step)
+		r.fail(fmt.Errorf("core: node %d got unexpected message %s/p%d step %d from %d", rt.id, msg.Gradient, part, step, msg.From))
 		return false
 	}
 	if r.reliable {
-		rt.seen[key] = true
+		if r.seen[id] {
+			// Duplicate (retransmission or injected dup): re-ack, discard.
+			atomic.AddInt64(&r.rs.duplicates, 1)
+			if r.trc.Enabled() {
+				r.traceEvent(fmt.Sprintf("dup-drop %s←%d", msg.Gradient, msg.From), "dedup", rt.id)
+			}
+			r.sendAck(rt.id, *msg)
+			return true
+		}
+		r.seen[id] = true
 		r.sendAck(rt.id, *msg)
 	}
 	if r.isCompleted(id) {
@@ -1268,82 +1253,66 @@ func (r *liveRound) replyHeartbeat(node int, msg netsim.Message) {
 		Gradient: msg.Gradient, Step: msg.Step, Attempt: msg.Attempt})
 }
 
-// markFilled records that a partition of result was written by a phase-2
-// decode (vs needing a copy from the accumulator at assembly time).
-func (rt *nodeRT) markFilled(grad string, part int) {
-	if rt.filledSet == nil {
-		rt.filledSet = map[pkey]bool{}
-	}
-	rt.filledSet[pkey{grad, part}] = true
-}
-
-func (rt *nodeRT) filled(grad string, part int) bool {
-	return rt.filledSet[pkey{grad, part}]
-}
-
 // The partition index travels packed into the high bits of Message.Step so
 // netsim.Message stays strategy-agnostic; steps are small (≤ 2N).
 func packStep(step, part int) int       { return step | part<<20 }
 func unpackStep(s int) (step, part int) { return s & (1<<20 - 1), s >> 20 }
 
-// resultSlice returns the node's result buffer for grad, allocating lazily.
-func (rt *nodeRT) resultSlice(grad string, ne int) []float32 {
-	res, ok := rt.result[grad]
-	if !ok {
-		res = make([]float32, ne)
-		rt.result[grad] = res
+// resultSlice returns the node's result buffer for gradient gi, allocating
+// lazily.
+func (rt *nodeRT) resultSlice(gi int) []float32 {
+	if rt.result[gi] == nil {
+		rt.result[gi] = make([]float32, rt.lay.grads[gi].elems)
 	}
-	return res
+	return rt.result[gi]
 }
 
 // errMergeAfterStage fails a round whose DAG merges into an accumulator that a
 // raw send already references as its payload.
 var errMergeAfterStage = errors.New("core: merge into an accumulator already staged for sending")
 
-// partial returns the node's current value of a partition, for reading only:
-// the accumulator once a merge has made one, before that the caller's own
-// local[lo:hi] — encoders do not modify their input, so a node nothing is
-// merged into never copies its gradient. Callers hold rt.mu.
-func (rt *nodeRT) partial(grad string, ne, parts, p int) []float32 {
-	if a := rt.acc[pkey{grad, p}].v; a != nil {
+// partial returns the node's current value of the partition t works on, for
+// reading only: the accumulator once a merge has made one, before that the
+// caller's own local[lo:hi] — encoders do not modify their input, so a node
+// nothing is merged into never copies its gradient. Callers hold rt.mu.
+func (rt *nodeRT) partial(t *Task) []float32 {
+	if a := rt.part(t).acc; a != nil {
 		return a
 	}
-	lo, hi := PartRange(ne, parts, p)
-	return rt.local[grad][lo:hi]
+	lo, hi := rt.lay.grads[t.GradIdx].span(t.Part)
+	return rt.local[t.GradIdx][lo:hi]
 }
 
-// merge folds one contribution — decoded floats x, or a raw little-endian
-// payload — into a partition. The first merge makes the accumulator, as
-// local[lo:hi] + x in one pass (the operands, operand order and single rounding
-// of copying local and then adding, hence the same bits), in x itself when
-// given decoded floats and in a fresh lease otherwise. Callers hold rt.mu.
+// merge folds peer's received contribution to the partition t works on into
+// its accumulator: a raw little-endian payload summed in, a compressed one
+// decode-added by c (the §5 fused decode+merge — no decoded copy of the
+// contribution ever exists). The first merge makes the accumulator in a fresh
+// lease: raw as local[lo:hi] + payload in one pass (the operands, operand
+// order and single rounding of copying local and then adding, hence the same
+// bits), compressed as a copy of local[lo:hi] to decode-add into. The caller
+// holds rt.mu and has found the contribution ready.
 //
 // The zero-copy raw send rests on the sends-follow-merges invariant: in every
 // DAG BuildRing and BuildPS emit, each merge into a (node, gradient, partition)
 // is an ancestor of each non-forward send of it (TestSendsFollowMerges), so a
 // staged partition is final; a DAG that breaks it fails here.
-func (rt *nodeRT) merge(grad string, ne, parts, p int, x []float32, raw []byte) error {
-	k := pkey{grad, p}
-	ab := rt.acc[k]
-	if ab.staged {
-		return fmt.Errorf("node %d, %s/p%d: %w", rt.id, grad, p, errMergeAfterStage)
+func (rt *nodeRT) merge(t *Task, peer int, c compress.Compressor) error {
+	gl := &rt.lay.grads[t.GradIdx]
+	ps, in := rt.part(t), rt.inbox(t, peer).b
+	if ps.staged {
+		return fmt.Errorf("node %d, %s/p%d: %w", rt.id, gl.name, t.Part, errMergeAfterStage)
 	}
-	dst, a := ab.v, ab.v
-	if dst == nil {
-		lo, hi := PartRange(ne, parts, p)
-		if a, dst = rt.local[grad][lo:hi], x; dst == nil {
-			dst = rt.lease.F32(hi - lo)
+	a := rt.partial(t)
+	if ps.acc == nil {
+		ps.acc = rt.lease.F32(len(a))
+		if gl.algo != "" {
+			copy(ps.acc, a)
 		}
-		rt.acc[k] = accBuf{v: dst}
 	}
-	if raw != nil {
-		return sumBytesF32(dst, a, raw)
+	if gl.algo == "" {
+		return sumBytesF32(ps.acc, a, in)
 	}
-	if len(x) != len(a) {
-		return fmt.Errorf("core: node %d merge %s/p%d size mismatch: %d vs %d elements", rt.id, grad, p, len(x), len(a))
-	}
-	sumF32(dst, a, x)
-	return nil
+	return compress.DecodeAdd(c, in, ps.acc)
 }
 
 // execComp performs encode/decode/merge/compute tasks with real data.
@@ -1351,15 +1320,17 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 	lc := r.lc
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	ne := r.elems[t.Grad]
-	np := r.parts[t.Grad]
-	k := pkey{t.Grad, t.Part}
+	gl := &r.lay.grads[t.GradIdx]
+	var codec compress.Compressor // nil on a raw gradient
+	if gl.algo != "" {
+		codec = lc.comp[rt.id]
+	}
 	switch t.Kind {
 	case KCompute:
 		return nil // gradients are provided up front on the live plane
 
 	case KEncode:
-		acc := rt.partial(t.Grad, ne, np, t.Part)
+		acc := rt.partial(t)
 		// A stochastic compressor draws from a stream derived from (round,
 		// node, pipeline position), not from wherever its last encode left
 		// off: which encode a node runs first depends on message arrival,
@@ -1368,7 +1339,7 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 		// key bit.
 		name := lc.efKey(t)
 		at := tensor.Uint64At(tensor.RNGState(name.hash), uint64(r.round))
-		compress.SetStream(lc.comp[rt.id], tensor.Uint64At(tensor.RNGState(at), uint64(rt.id)))
+		compress.SetStream(codec, tensor.Uint64At(tensor.RNGState(at), uint64(rt.id)))
 		var payload []byte
 		var err error
 		if lc.ef != nil && lc.ef[rt.id] != nil {
@@ -1383,82 +1354,66 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 			dst := rt.lease.Bytes(lc.ef[rt.id].MaxEncodedSize(len(acc)))
 			payload, err = lc.ef[rt.id].EncodeWithFeedbackInto(name.key, dst, acc)
 		} else {
-			dst := rt.lease.Bytes(compress.MaxEncodedSize(lc.comp[rt.id], len(acc)))
-			payload, err = lc.comp[rt.id].EncodeInto(dst, acc)
+			dst := rt.lease.Bytes(compress.MaxEncodedSize(codec, len(acc)))
+			payload, err = codec.EncodeInto(dst, acc)
 		}
 		if err != nil {
 			return err
 		}
-		rt.out[k] = wireBuf{payload, crc32.ChecksumIEEE(payload)}
+		ps := rt.part(t)
+		ps.out = wireBuf{b: payload, sum: crc32.ChecksumIEEE(payload)}
 		if t.Phase == 2 {
 			// The aggregate holder broadcasts this payload; it must adopt
 			// the same lossy view itself, or nodes would diverge (BSP
 			// requires identical parameters everywhere). Decode straight
 			// into the result slice — no intermediate buffer.
-			lo, hi := PartRange(ne, np, t.Part)
-			res := rt.resultSlice(t.Grad, ne)
-			if err := lc.comp[rt.id].DecodeInto(res[lo:hi], payload); err != nil {
+			lo, hi := gl.span(t.Part)
+			if err := codec.DecodeInto(rt.resultSlice(t.GradIdx)[lo:hi], payload); err != nil {
 				return err
 			}
-			rt.markFilled(t.Grad, t.Part)
+			ps.filled = true
 		}
 		return nil
 
 	case KDecode:
-		bk := bkey{t.Grad, t.Part, t.Peer}
-		in := rt.in[bk].b
-		if in == nil {
+		in := rt.inbox(t, t.Peer)
+		if in.b == nil {
 			return fmt.Errorf("core: node %d decode %s/p%d from %d with no received payload", rt.id, t.Grad, t.Part, t.Peer)
 		}
-		lo, hi := PartRange(ne, np, t.Part)
 		if t.Phase == 2 {
-			res := rt.resultSlice(t.Grad, ne)
-			if err := lc.comp[rt.id].DecodeInto(res[lo:hi], in); err != nil {
+			lo, hi := gl.span(t.Part)
+			if err := codec.DecodeInto(rt.resultSlice(t.GradIdx)[lo:hi], in.b); err != nil {
 				return err
 			}
-			rt.markFilled(t.Grad, t.Part)
+			rt.part(t).filled = true
 			return nil
 		}
-		dec := rt.lease.F32(hi - lo)
-		if err := lc.comp[rt.id].DecodeInto(dec, in); err != nil {
-			return err
-		}
-		rt.tmp[bk] = dec
+		// An aggregation-phase decode happens inside the merge it feeds
+		// (compress.DecodeAdd); the task only releases the payload to it.
+		in.ready = true
 		return nil
 
 	case KMerge:
 		if t.Bytes == 0 {
 			if t.Part >= 0 && t.Phase == 1 && r.epoch.Strategy == StrategyPS {
 				// The PS partition barrier performs the actual aggregation.
-				return r.mergeBarrierPS(rt, t, ne, np)
+				return r.mergeBarrierPS(rt, t, codec)
 			}
 			return nil // join barrier
 		}
 		if r.epoch.Strategy == StrategyPS && t.Phase == 1 {
-			// PS phase-1 merges only stage their contribution (tmp/in);
-			// the partition barrier sums in deterministic ascending-peer
+			// PS phase-1 merges only mark their contribution's place; the
+			// partition barrier sums in deterministic ascending-peer
 			// order, so the float result is independent of arrival order —
 			// the property that makes fault-free and chaos runs
 			// byte-identical.
 			return nil
 		}
 		// Ring merges are chain-ordered by the DAG and stay incremental.
-		bk := bkey{t.Grad, t.Part, t.Peer}
-		if r.algos[t.Grad] != "" {
-			tmp := rt.tmp[bk]
-			if tmp == nil {
-				return fmt.Errorf("core: node %d merge %s/p%d from %d with no decoded payload", rt.id, t.Grad, t.Part, t.Peer)
-			}
-			delete(rt.tmp, bk)
-			return rt.merge(t.Grad, ne, np, t.Part, tmp, nil)
+		if !rt.inbox(t, t.Peer).ready {
+			return fmt.Errorf("core: node %d merge %s/p%d from %d with no contribution", rt.id, t.Grad, t.Part, t.Peer)
 		}
-		// Uncompressed: merge the raw received bytes directly (no
-		// intermediate []float32).
-		in := rt.in[bk].b
-		if in == nil {
-			return fmt.Errorf("core: node %d raw merge %s/p%d from %d with no payload", rt.id, t.Grad, t.Part, t.Peer)
-		}
-		return rt.merge(t.Grad, ne, np, t.Part, nil, in)
+		return rt.merge(t, t.Peer, codec)
 
 	default:
 		return fmt.Errorf("core: comp queue got %v task", t.Kind)
@@ -1466,62 +1421,44 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 }
 
 // mergeBarrierPS aggregates one PS partition at its server: the server's
-// own contribution plus every staged peer contribution, summed in
+// own contribution plus every ready peer contribution, merged in
 // ascending peer order (deterministic float addition). Contributions
 // missing because the failure detector convicted the peer are excluded and
 // counted; the surviving sum is optionally renormalized by n/(n-excluded)
 // before the phase-2 re-encode so every receiver observes the same scaled
 // aggregate. Called with rt.mu held.
-func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, ne, np int) error {
+func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, codec compress.Compressor) error {
 	lc := r.lc
 	excluded := 0
 	for peer := 0; peer < lc.n; peer++ {
 		if peer == rt.id {
 			continue
 		}
-		bk := bkey{t.Grad, t.Part, peer}
-		if r.algos[t.Grad] != "" {
-			tmp := rt.tmp[bk]
-			if tmp == nil {
-				if r.reliable && r.rs.isDead(peer) {
-					excluded++
-					continue
-				}
-				return fmt.Errorf("core: node %d aggregate %s/p%d missing contribution from %d", rt.id, t.Grad, t.Part, peer)
-			}
-			delete(rt.tmp, bk)
-			if err := rt.merge(t.Grad, ne, np, t.Part, tmp, nil); err != nil {
-				return err
-			}
-			continue
-		}
-		in := rt.in[bk].b
-		if in == nil {
+		if !rt.inbox(t, peer).ready {
 			if r.reliable && r.rs.isDead(peer) {
 				excluded++
 				continue
 			}
-			return fmt.Errorf("core: node %d raw aggregate %s/p%d missing contribution from %d", rt.id, t.Grad, t.Part, peer)
+			return fmt.Errorf("core: node %d aggregate %s/p%d missing contribution from %d", rt.id, t.Grad, t.Part, peer)
 		}
-		if err := rt.merge(t.Grad, ne, np, t.Part, nil, in); err != nil {
+		if err := rt.merge(t, peer, codec); err != nil {
 			return err
 		}
 	}
+	ps := rt.part(t)
 	if excluded > 0 {
 		atomic.AddInt64(&r.rs.excludedContribs, int64(excluded))
-		k := pkey{t.Grad, t.Part}
 		if excluded == lc.n-1 {
 			// No merge made an accumulator: the aggregate is the server's own
 			// contribution.
-			own := rt.partial(t.Grad, ne, np, t.Part)
-			rt.acc[k] = accBuf{v: rt.lease.F32(len(own))}
-			copy(rt.acc[k].v, own)
+			own := rt.partial(t)
+			ps.acc = rt.lease.F32(len(own))
+			copy(ps.acc, own)
 		}
 		if lc.cfg.Renormalize && lc.n > excluded {
 			scale := float32(lc.n) / float32(lc.n-excluded)
-			acc := rt.acc[k].v
-			for i := range acc {
-				acc[i] *= scale
+			for i := range ps.acc {
+				ps.acc[i] *= scale
 			}
 			atomic.StoreInt32(&r.rs.renormalized, 1)
 		}
@@ -1530,10 +1467,7 @@ func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, ne, np int) error {
 	// distinguishes it from an acc that is merely a local contribution
 	// staged by a send attempt on a node whose synchronization never
 	// completed.
-	if rt.aggSet == nil {
-		rt.aggSet = map[pkey]bool{}
-	}
-	rt.aggSet[pkey{t.Grad, t.Part}] = true
+	ps.agg = true
 	return nil
 }
 
@@ -1549,30 +1483,28 @@ func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, ne, np int) error {
 // cache, by the TCP frame checksum.
 func (r *liveRound) stageSend(rt *nodeRT, t *Task) (netsim.Message, error) {
 	lc := r.lc
-	k := pkey{t.Grad, t.Part}
 	var w wireBuf
 	rt.mu.Lock()
+	ps := rt.part(t)
 	switch {
 	case t.Forward:
 		// Forwarding relays the payload received from this node's ring
 		// predecessor (Forward tasks exist only on rings).
-		pred := (t.Node - 1 + lc.n) % lc.n
-		w = rt.in[bkey{t.Grad, t.Part, pred}]
-	case r.algos[t.Grad] != "":
-		w = rt.out[k]
+		w = *rt.inbox(t, (t.Node-1+lc.n)%lc.n)
+	case r.lay.grads[t.GradIdx].algo != "":
+		w = ps.out
 	default:
-		a := rt.acc[k]
-		src := rt.partial(t.Grad, r.elems[t.Grad], r.parts[t.Grad], t.Part)
+		src := rt.partial(t)
 		var ok bool
 		if w.b, ok = kernels.F32AsBytesLE(src); !ok {
 			w.b = rt.lease.Bytes(4 * len(src)) // big-endian host: serialize
 			f32IntoBytes(w.b, src)
 		}
-		if !a.staged {
-			a.sum, a.staged = crc32.ChecksumIEEE(w.b), true
-			rt.acc[k] = a // with a.v nil it only records the send, for merge to refuse
+		if !ps.staged {
+			// With acc nil this only records the send, for merge to refuse.
+			ps.sum, ps.staged = crc32.ChecksumIEEE(w.b), true
 		}
-		w.sum = a.sum
+		w.sum = ps.sum
 	}
 	rt.mu.Unlock()
 	if w.b == nil {
@@ -1601,29 +1533,29 @@ func (r *liveRound) resolveSend(msg netsim.Message) error {
 
 // execRecv stores a received payload and, for uncompressed dissemination,
 // writes the result directly. The stored payload is referenced until the
-// round tears down (decode, merge, ring forwarding), so the buffer the
+// round tears down (merge, decode, ring forwarding), so the buffer the
 // transport leased for it joins the round lease here.
 func (r *liveRound) execRecv(rt *nodeRT, t *Task, msg *netsim.Message) error {
 	payload := msg.Payload
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.in[bkey{t.Grad, t.Part, t.Peer}] = wireBuf{payload, msg.Sum} // the dispatcher verified Sum
+	gl := &r.lay.grads[t.GradIdx]
+	raw := gl.algo == ""
+	*rt.inbox(t, t.Peer) = wireBuf{b: payload, sum: msg.Sum, ready: raw} // the dispatcher verified Sum
 	rt.lease.Adopt(&msg.Lease)
-	if r.algos[t.Grad] == "" {
+	if raw {
 		// Raw payloads must reinterpret exactly: reject truncated or
 		// padded frames up front with a descriptive error.
-		ne := r.elems[t.Grad]
-		lo, hi := PartRange(ne, r.parts[t.Grad], t.Part)
+		lo, hi := gl.span(t.Part)
 		if len(payload) != 4*(hi-lo) {
 			return fmt.Errorf("core: node %d received %d-byte raw payload for %s/p%d from %d, want %d bytes",
 				rt.id, len(payload), t.Grad, t.Part, t.Peer, 4*(hi-lo))
 		}
 		if t.Phase == 2 {
-			res := rt.resultSlice(t.Grad, ne)
-			if err := copyBytesF32(res[lo:hi], payload); err != nil {
+			if err := copyBytesF32(rt.resultSlice(t.GradIdx)[lo:hi], payload); err != nil {
 				return err
 			}
-			rt.markFilled(t.Grad, t.Part)
+			rt.part(t).filled = true
 		}
 	}
 	return nil
@@ -1662,9 +1594,9 @@ func copyBytesF32(dst []float32, b []byte) error {
 	return nil
 }
 
-// sumF32 sets dst[i] = a[i] + x[i] over len(dst) elements — the merge kernel.
-// dst may be a or x (an accumulator merged into in place, a decoded
-// contribution becoming one); each element is read before it is written.
+// sumF32 sets dst[i] = a[i] + x[i] over len(dst) elements — the raw merge
+// kernel. dst may be a (an accumulator merged into in place) or x; each
+// element is read before it is written.
 func sumF32(dst, a, x []float32) {
 	a, x = a[:len(dst)], x[:len(dst)]
 	for i := range dst {

@@ -146,33 +146,53 @@ func TestLiveBlackoutExcludeRenormalized(t *testing.T) {
 
 // TestLiveBlackoutAbortTyped: under the default abort policy a blacked-out
 // peer produces a typed *PeerFailureError well inside the deadline instead
-// of a hang.
+// of a hang, reporting the attempt budget of the policy that ran the delivery
+// loop — static: the retry phase plus its grace phase; adaptive: the health
+// plane's own — whichever of the conviction hook and the exhausted loop raised
+// it.
 func TestLiveBlackoutAbortTyped(t *testing.T) {
-	lc, err := NewLiveCluster(3, LiveConfig{
-		Strategy: StrategyPS,
-		Reliable: true, Retry: fastRetry,
-		RoundTimeout: 20 * time.Second,
-		Chaos:        &netsim.ChaosConfig{Seed: 1, NodeDown: map[int]bool{1: true}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grads, _ := makeGrads(3, 3, map[string]int{"w": 100})
-	start := time.Now()
-	_, health, err := lc.SyncRoundContext(context.Background(), grads)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatalf("blackout round succeeded (health %s)", health)
-	}
-	var pf *PeerFailureError
-	if !errors.As(err, &pf) {
-		t.Fatalf("error not a *PeerFailureError: %v", err)
-	}
-	if pf.Peer != 1 && pf.Node != 1 {
-		t.Fatalf("conviction named neither endpoint 1: %+v", pf)
-	}
-	if elapsed >= 20*time.Second {
-		t.Fatalf("abort took %v, deadline was 20s", elapsed)
+	for _, row := range []struct {
+		name     string
+		health   *HealthConfig
+		attempts int
+	}{
+		{"static", nil, 2 * fastRetry.MaxAttempts},
+		{"adaptive", &HealthConfig{Adaptive: true, MaxAttempts: 7,
+			BootstrapRTO: 5 * time.Millisecond, MaxRTO: 50 * time.Millisecond}, 7},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			lc, err := NewLiveCluster(3, LiveConfig{
+				Strategy: StrategyPS,
+				Reliable: true, Retry: fastRetry,
+				RoundTimeout: 20 * time.Second,
+				OnPeerFail:   DegradeAbort,
+				Health:       row.health,
+				Chaos:        &netsim.ChaosConfig{Seed: 1, NodeDown: map[int]bool{1: true}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			grads, _ := makeGrads(3, 3, map[string]int{"w": 100})
+			start := time.Now()
+			_, health, err := lc.SyncRoundContext(context.Background(), grads)
+			elapsed := time.Since(start)
+			if err == nil {
+				t.Fatalf("blackout round succeeded (health %s)", health)
+			}
+			var pf *PeerFailureError
+			if !errors.As(err, &pf) {
+				t.Fatalf("error not a *PeerFailureError: %v", err)
+			}
+			if pf.Peer != 1 && pf.Node != 1 {
+				t.Fatalf("conviction named neither endpoint 1: %+v", pf)
+			}
+			if pf.Attempts != row.attempts {
+				t.Fatalf("error reports %d attempts, the policy's budget is %d: %v", pf.Attempts, row.attempts, pf)
+			}
+			if elapsed >= 20*time.Second {
+				t.Fatalf("abort took %v, deadline was 20s", elapsed)
+			}
+		})
 	}
 }
 
@@ -200,6 +220,9 @@ func TestLiveRingBlackoutTyped(t *testing.T) {
 	var to *RoundTimeoutError
 	if !errors.As(err, &pf) && !errors.As(err, &to) {
 		t.Fatalf("ring blackout error untyped: %v", err)
+	}
+	if pf != nil && pf.Attempts != 2*fastRetry.MaxAttempts {
+		t.Fatalf("error reports %d attempts, the static budget is %d: %v", pf.Attempts, 2*fastRetry.MaxAttempts, pf)
 	}
 }
 

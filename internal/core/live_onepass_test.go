@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hipress/internal/compress"
 	"hipress/internal/netsim"
 	"hipress/internal/tensor"
 )
@@ -52,8 +53,9 @@ func TestMergeAfterStageFailsRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	grads, _ := makeGrads(5, 2, map[string]int{"g": ne})
-	_, _, err = lc.run(context.Background(), g, grads,
-		map[string]int{"g": ne}, map[string]int{"g": 1}, map[string]string{"g": ""}, lc.epoch, 0)
+	lay := newRoundLayout(1)
+	lay.add("g", ne, 1, "")
+	_, _, err = lc.run(context.Background(), g, lay, grads, lc.epoch, 0)
 	if !errors.Is(err, errMergeAfterStage) {
 		t.Fatalf("round error = %v, want errMergeAfterStage", err)
 	}
@@ -335,6 +337,43 @@ func BenchmarkRawRingRound(b *testing.B) {
 			rng.FillNormal(grads[v][name], 1)
 		}
 	}
+	for _, ne := range sizes {
+		perNode += 4 * ne
+	}
+	if _, err := lc.SyncRound(grads); err != nil { // warm the arena
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(perNode))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lc.SyncRound(grads); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompressedPSRound is the merge-bound counterpart of the raw ring:
+// 4 nodes over chan, PS, dgc with error feedback, one 1 MiB gradient and thirty
+// 4 KiB ones in two partitions — every contribution a sparse payload that the
+// partition's server decode-adds into its accumulator. With -benchmem, allocs
+// and bytes per op are the round's state tables and results; the codec and the
+// merge add none. Bytes per op are what one node contributes.
+func BenchmarkCompressedPSRound(b *testing.B) {
+	const n = 4
+	sizes := map[string]int{"big": 1 << 18}
+	for i := 0; i < 30; i++ {
+		sizes[fmt.Sprintf("small%02d", i)] = 1 << 10
+	}
+	lc, err := NewLiveCluster(n, LiveConfig{
+		Strategy: StrategyPS, Parts: 2, Algo: "dgc", ErrorFeedback: true,
+		Params: compress.Params{"ratio": 0.01},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	grads, _ := makeGrads(1, n, sizes)
+	perNode := 0
 	for _, ne := range sizes {
 		perNode += 4 * ne
 	}

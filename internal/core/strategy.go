@@ -9,6 +9,9 @@ type GradSync struct {
 	// Name identifies the gradient; partition p's tasks carry the same name
 	// with Part = p.
 	Name string
+	// Index numbers the gradient among those expanded into the same graph;
+	// every task built from this spec carries it as Task.GradIdx.
+	Index int
 	// Elems is the gradient length in float32 elements.
 	Elems int
 	// Parts is K, the number of partitions synchronized in parallel
@@ -80,6 +83,52 @@ func PartRange(elems, parts, p int) (lo, hi int) {
 	return lo, hi
 }
 
+// gradLayout is one gradient's row of a roundLayout: its geometry under the
+// round's plan and the first of its parts consecutive slots.
+type gradLayout struct {
+	name  string
+	elems int
+	parts int    // the plan's K clamped to [1, elems], as normalize clamps it
+	algo  string // "" = raw
+	slot0 int
+}
+
+// span is PartRange over the gradient's own geometry.
+func (gl *gradLayout) span(p int) (lo, hi int) { return PartRange(gl.elems, gl.parts, p) }
+
+// roundLayout numbers a round's gradients and partitions the way its DAG
+// does: gradient i is the one built from the GradSync with Index i, and its
+// partition p owns slot grads[i].slot0+p. An executor keeps per-partition
+// state in arrays indexed by slot and per-gradient state in arrays indexed
+// by gradient, so a task reaches its state through the two integers it
+// carries (GradIdx, Part) and only a name arriving off the wire is looked up,
+// in index. Like the DAG it is a pure function of the plan epoch and the
+// gradient shapes.
+type roundLayout struct {
+	grads []gradLayout
+	index map[string]int
+	slots int
+}
+
+func newRoundLayout(gradients int) *roundLayout {
+	return &roundLayout{grads: make([]gradLayout, 0, gradients), index: make(map[string]int, gradients)}
+}
+
+// add gives the next gradient its row and slots and returns the spec that
+// expands it into the DAG, so the two cannot disagree on index or geometry.
+func (l *roundLayout) add(name string, elems, parts int, algo string) GradSync {
+	parts = max(1, min(parts, elems))
+	gi := len(l.grads)
+	l.grads = append(l.grads, gradLayout{name: name, elems: elems, parts: parts, algo: algo, slot0: l.slots})
+	l.index[name] = gi
+	l.slots += parts
+	return GradSync{Name: name, Index: gi, Elems: elems, Parts: parts, Algo: algo}
+}
+
+// slot is the slot of the partition t works on (t.Part >= 0: the per-node join
+// barriers belong to no partition).
+func (l *roundLayout) slot(t *Task) int { return l.grads[t.GradIdx].slot0 + t.Part }
+
 func (s *GradSync) normalize(n int) error {
 	if s.Elems <= 0 {
 		return fmt.Errorf("core: gradient %q has %d elements", s.Name, s.Elems)
@@ -104,7 +153,7 @@ func (s *GradSync) normalize(n int) error {
 
 // add creates a task for this gradient and returns its index.
 func (s *GradSync) add(g *Graph, t *Task) int {
-	t.Grad = s.Name
+	t.Grad, t.GradIdx = s.Name, s.Index
 	return g.Add(t)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -297,6 +298,79 @@ func TestSendsFollowMerges(t *testing.T) {
 						}
 						if checked == 0 {
 							t.Fatalf("%s n=%d parts=%d algo=%q: no (merge, send) pair checked", name, n, parts, algo)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLayoutSlots pins the addressing the live plane's state tables rest on:
+// over ring and PS, N ∈ {2…5}, Parts ∈ {1,2,3} and both shard rotations, a
+// round of several gradients — one shorter than the plan's K, so its partition
+// count clamps — numbers (gradient, partition) pairs onto slots one to one and
+// without gaps, names back onto indices, and every task the builders emit
+// carries its gradient's index and, unless it is a per-node join barrier, a
+// partition whose slot is in range.
+func TestLayoutSlots(t *testing.T) {
+	builders := map[string]func(*Graph, int, GradSync) error{
+		"ring": func(g *Graph, n int, s GradSync) error { _, err := BuildRing(g, Ring(n), s); return err },
+		"ps":   func(g *Graph, n int, s GradSync) error { _, err := BuildPS(g, PSBipartite(n), s); return err },
+	}
+	shapes := []struct {
+		name  string
+		elems int
+		algo  string
+	}{{"a", 1000, "onebit"}, {"b", 2, ""}, {"c", 7, "onebit"}}
+	for name, build := range builders {
+		for _, n := range []int{2, 3, 4, 5} {
+			for _, parts := range []int{1, 2, 3} {
+				for shard := 0; shard < 2; shard++ {
+					g := NewGraph()
+					lay := newRoundLayout(len(shapes))
+					for _, sh := range shapes {
+						spec := lay.add(sh.name, sh.elems, parts, sh.algo)
+						spec.Shard = shard
+						if err := build(g, n, spec); err != nil {
+							t.Fatal(err)
+						}
+					}
+					where := fmt.Sprintf("%s n=%d parts=%d shard=%d", name, n, parts, shard)
+					type gp struct{ grad, part int }
+					owner := make(map[int]gp, lay.slots)
+					for gi, gl := range lay.grads {
+						if lay.index[gl.name] != gi {
+							t.Fatalf("%s: index[%q] = %d, want %d", where, gl.name, lay.index[gl.name], gi)
+						}
+						if want := min(parts, gl.elems); gl.parts != want {
+							t.Fatalf("%s: %q laid out with %d partitions, want %d", where, gl.name, gl.parts, want)
+						}
+						for p := 0; p < gl.parts; p++ {
+							slot := gl.slot0 + p
+							if prev, taken := owner[slot]; taken {
+								t.Fatalf("%s: slot %d owned by %+v and by %+v", where, slot, prev, gp{gi, p})
+							}
+							owner[slot] = gp{gi, p}
+						}
+					}
+					for slot := 0; slot < lay.slots; slot++ {
+						if _, ok := owner[slot]; !ok {
+							t.Fatalf("%s: slot %d of %d owned by no partition", where, slot, lay.slots)
+						}
+					}
+					for i, task := range g.Tasks {
+						if task.GradIdx < 0 || task.GradIdx >= len(lay.grads) || lay.grads[task.GradIdx].name != task.Grad {
+							t.Fatalf("%s: task %d (%v %s) carries gradient index %d", where, i, task.Kind, task.Grad, task.GradIdx)
+						}
+						if task.Part < 0 {
+							if task.Kind != KMerge || task.Bytes != 0 {
+								t.Fatalf("%s: task %d (%v) has no partition and is not a join barrier", where, i, task.Kind)
+							}
+							continue
+						}
+						if got := owner[lay.slot(task)]; lay.slot(task) >= lay.slots || got != (gp{task.GradIdx, task.Part}) {
+							t.Fatalf("%s: task %d (%v %s/p%d) maps to slot %d, owned by %+v", where, i, task.Kind, task.Grad, task.Part, lay.slot(task), got)
 						}
 					}
 				}

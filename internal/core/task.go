@@ -57,6 +57,10 @@ type Task struct {
 	Grad string
 	Part int
 	Step int
+	// GradIdx is the gradient's position in the round being built
+	// (GradSync.Index): with Part, the two integers an executor needs to find
+	// the task's state in tables laid out by gradient and by partition.
+	GradIdx int
 	// Bytes is the data volume the task touches: wire bytes for send/recv,
 	// input bytes for encode/merge, output bytes for decode. It drives the
 	// timing model.
