@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fuzz stress check bench loc clean
+.PHONY: all build test race vet lint fuzz stress flake check bench loc clean
 
 all: build
 
@@ -56,9 +56,16 @@ stress:
 	$(GO) test ./internal/trainer -run 'TestKillResumeBitIdentical$$' -count 200
 	$(GO) test -race ./internal/trainer -run 'TestKillResumeBitIdentical$$' -count 20
 
+# The elastic rejoin lifecycle on one scheduler thread, repeated: the test was
+# tier-1's one known flake while it asserted a retry count (a wall-clock
+# verdict); what it asserts now — frames sent into the blackout, peer lists,
+# lifecycle states — must hold every time. ≈ 10 s.
+flake:
+	GOMAXPROCS=1 $(GO) test ./internal/core -run 'TestElasticRejoinLifecycle$$' -count 200
+
 # The gate used before committing: vet + the invariant suite + full
-# race-enabled test suite + fuzz smoke.
-check: vet lint race fuzz
+# race-enabled test suite + fuzz smoke + the repeated rejoin lifecycle.
+check: vet lint race fuzz flake
 
 bench:
 	$(GO) run ./cmd/hipress-bench all
@@ -67,7 +74,7 @@ bench:
 # design-quality gates in — and a ratchet on the package those gates are about:
 # internal/core may shrink below LOC_BUDGET_core (lower the budget to the new
 # count in the PR that does it) and fails the target when it grows past it.
-LOC_BUDGET_core := 6553
+LOC_BUDGET_core := 6363
 
 loc:
 	@for d in internal/*/; do \

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,9 +10,8 @@ import (
 )
 
 // This file is the live plane's fault model: retry policies, typed failure
-// errors, per-round health reporting, and the shared failure-detector state
-// that reliable rounds use to decide which endpoint of a broken link is
-// actually at fault.
+// errors, per-round health reporting, and the per-round ack rendezvous and
+// success scoreboard of reliable rounds.
 
 // DegradePolicy selects what a reliable round does when a peer is declared
 // failed mid-round.
@@ -181,9 +179,9 @@ type RoundHealth struct {
 	// SuspectedPeers lists endpoints the detector gathered inconclusive
 	// (tied-scoreboard) evidence against without convicting, ascending.
 	SuspectedPeers []int
-	// MembershipExcluded lists peers excluded at round start because the
-	// elastic membership plane carried a conviction over from an earlier
-	// round — a subset of ExcludedPeers (see LiveConfig.Elastic).
+	// MembershipExcluded lists peers excluded at round start because
+	// elastic membership carried a conviction over from an earlier round —
+	// a subset of ExcludedPeers (see LiveConfig.Elastic).
 	MembershipExcluded []int
 	// ProbationPeers lists peers that participated on probation and are
 	// still on probation after this round.
@@ -264,24 +262,15 @@ type ackKey struct {
 	step     int // packed (step, part)
 }
 
-// roundState is the shared fault bookkeeping of one reliable round: ack
-// rendezvous, per-node success counters, and death verdicts.
-//
-// The failure detector is the "judge by the scoreboard" rule: when a
-// sender exhausts its retries against a peer, the endpoint with strictly
-// fewer acknowledged transfers so far is declared dead. A blacked-out node
-// has zero successes while healthy nodes accumulate them, so the rule
-// correctly convicts the isolated endpoint even when the suspector is the
-// isolated node itself (self-diagnosis). A tie is inconclusive: the sender
-// keeps retrying through a grace phase and eventually surfaces a typed
-// error.
+// roundState is what a round's fault plane keeps that is per-round by nature:
+// the ack rendezvous, the success scoreboard the failure detector judges by
+// (healthPlane.scoreboard), and the RoundHealth counters. What is known about
+// a peer — convicted, suspected, carried in excluded — lives in the health
+// plane's peer table, not here. mu guards acks and succ only.
 type roundState struct {
-	mu        sync.Mutex
-	acks      map[ackKey]chan struct{}
-	succ      []int  // acknowledged transfers credited to each endpoint
-	dead      []bool // failure-detector verdicts
-	suspected []bool // tied-scoreboard suspicion (evidence without conviction)
-	preseeded []bool // convictions carried in from cross-round membership
+	mu   sync.Mutex
+	acks map[ackKey]chan struct{}
+	succ []int // acknowledged transfers credited to each endpoint
 
 	// Counters (atomic): see RoundHealth.
 	retries          int64
@@ -293,62 +282,10 @@ type roundState struct {
 	hedges           int64
 	ackBatched       int64
 	renormalized     int32
-
-	// onDead fires once per newly convicted node, outside rs.mu.
-	onDead func(victim int)
 }
 
 func newRoundState(n int) *roundState {
-	return &roundState{
-		acks:      map[ackKey]chan struct{}{},
-		succ:      make([]int, n),
-		dead:      make([]bool, n),
-		suspected: make([]bool, n),
-		preseeded: make([]bool, n),
-	}
-}
-
-// markDead pre-seeds a conviction carried over from the cross-round
-// membership plane: the node is treated as dead from the first task on, so
-// the round routes around it without paying retry timeouts, and the
-// conviction is not counted as "new" when membership state advances.
-func (rs *roundState) markDead(v int) {
-	rs.mu.Lock()
-	if v >= 0 && v < len(rs.dead) {
-		rs.dead[v] = true
-		rs.preseeded[v] = true
-	}
-	rs.mu.Unlock()
-}
-
-// newlyDeadList returns nodes convicted during this round (excluding
-// pre-seeded membership exclusions), ascending.
-func (rs *roundState) newlyDeadList() []int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	var out []int
-	for v, d := range rs.dead {
-		if d && !rs.preseeded[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// suspectedList returns endpoints with recorded suspicion that were never
-// convicted, ascending.
-func (rs *roundState) suspectedList() []int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	var out []int
-	for v, s := range rs.suspected {
-		if s && !rs.dead[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return &roundState{acks: map[ackKey]chan struct{}{}, succ: make([]int, n)}
 }
 
 // ackChan returns (creating if needed) the rendezvous channel for one
@@ -384,101 +321,18 @@ func (rs *roundState) ackArrived(k ackKey) {
 	}
 }
 
-// isDead reports the detector's verdict on node v.
-func (rs *roundState) isDead(v int) bool {
+// fewerAcked returns the endpoint of from→to with strictly fewer acknowledged
+// transfers so far this round, or -1 on a tie.
+func (rs *roundState) fewerAcked(from, to int) int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	return v >= 0 && v < len(rs.dead) && rs.dead[v]
-}
-
-// anyDead reports whether any node has been convicted.
-func (rs *roundState) anyDead() bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	for _, d := range rs.dead {
-		if d {
-			return true
-		}
-	}
-	return false
-}
-
-// deadList returns the convicted nodes, ascending.
-func (rs *roundState) deadList() []int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	var out []int
-	for v, d := range rs.dead {
-		if d {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// suspect is the scoreboard verdict on an unacknowledged from→to transfer.
-// It convicts the endpoint with strictly fewer scoreboard successes and
-// returns the victim, or -1 when the evidence is tied (inconclusive): both
-// endpoints then enter the suspected set, which the membership plane
-// surfaces as PeerSuspected until a clean round clears it.
-func (rs *roundState) suspect(from, to int) int {
-	rs.mu.Lock()
-	victim := -1
 	switch {
-	case rs.dead[from]:
-		victim = from
-	case rs.dead[to]:
-		victim = to
 	case rs.succ[from] < rs.succ[to]:
-		victim = from
+		return from
 	case rs.succ[to] < rs.succ[from]:
-		victim = to
-	default:
-		rs.suspected[from], rs.suspected[to] = true, true
+		return to
 	}
-	rs.mu.Unlock()
-	rs.convict(victim)
-	return victim
-}
-
-// succOf reads one endpoint's success score (adaptive φ tie-break).
-func (rs *roundState) succOf(v int) int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if v < 0 || v >= len(rs.succ) {
-		return 0
-	}
-	return rs.succ[v]
-}
-
-// markSuspect records inconclusive suspicion against an endpoint (the
-// adaptive plane's analogue of the tied-scoreboard path in suspect).
-func (rs *roundState) markSuspect(v int) {
-	rs.mu.Lock()
-	if v >= 0 && v < len(rs.suspected) {
-		rs.suspected[v] = true
-	}
-	rs.mu.Unlock()
-}
-
-// convict declares v dead (v < 0: nobody). The onDead hook fires outside
-// the lock, exactly once per conviction.
-func (rs *roundState) convict(v int) {
-	if v < 0 {
-		return
-	}
-	rs.mu.Lock()
-	newly := false
-	if v < len(rs.dead) && !rs.dead[v] {
-		rs.dead[v] = true
-		newly = true
-	}
-	hook := rs.onDead
-	rs.mu.Unlock()
-	if newly && hook != nil {
-		hook(v)
-	}
+	return -1
 }
 
 // takeHedge claims one unit of the round's hedge budget, returning false
@@ -495,7 +349,8 @@ func (rs *roundState) takeHedge() bool {
 	}
 }
 
-// health snapshots the counters into a RoundHealth.
+// health snapshots the counters into a RoundHealth; the peer lists are the
+// health plane's to fill (healthPlane.roundEnd).
 func (rs *roundState) health(reliable bool, elapsed time.Duration) *RoundHealth {
 	return &RoundHealth{
 		Reliable:         reliable,
@@ -505,8 +360,6 @@ func (rs *roundState) health(reliable bool, elapsed time.Duration) *RoundHealth 
 		CorruptDrops:     atomic.LoadInt64(&rs.corruptDrops),
 		Reconnects:       atomic.LoadInt64(&rs.reconnects),
 		SkippedTasks:     atomic.LoadInt64(&rs.skipped),
-		ExcludedPeers:    rs.deadList(),
-		SuspectedPeers:   rs.suspectedList(),
 		ExcludedContribs: atomic.LoadInt64(&rs.excludedContribs),
 		Renormalized:     atomic.LoadInt32(&rs.renormalized) != 0,
 		Hedges:           atomic.LoadInt64(&rs.hedges),

@@ -18,22 +18,30 @@ import (
 // the live plane's one delivery loop: the fixed deadlines and scoreboard
 // verdicts of the static RetryPolicy, or a continuous suspicion level and
 // typed Healthy/Slow/Suspect/Probation/Dead transitions that drive the
-// existing Degrade/Convict/Rejoin machinery.
+// Degrade/Convict/Rejoin machinery.
 //
-// Peer lifecycle (the health plane's view; the elastic membership plane in
-// rejoin.go keeps its own coarser lifecycle in sync through the
-// convicted/revive/promote hooks):
+// It is also the only store of what the live plane knows about a peer — the
+// peer table below. The failure detector's verdicts, the lifecycle and
+// elastic membership (rejoin.go) are this one state machine; RoundHealth's
+// peer lists and LiveCluster.PeerStates are read off it.
+//
+// Peer lifecycle:
 //
 //	Healthy ◀──────────────┐
-//	   │  φ ≥ phiSuspect   │ φ < phiSuspect, or clean round
-//	   ▼                   │
+//	   │  φ ≥ phiSuspect,  │ φ < phiSuspect on arrival, or a
+//	   ▼  or a tied score  │ clean round with no new suspicion
 //	Suspect ───────────────┘
-//	   │  φ ≥ phiConvict (or scoreboard tie-break)
+//	   │  φ ≥ phiConvict, or strictly fewer acked transfers (from any live state)
 //	   ▼
-//	 Dead ──revive/next round──▶ Probation ──clean round──▶ Healthy
-//	                                 │
-//	                                 └──re-conviction──▶ Dead
+//	 Dead ──RequestRejoin, or the next round──▶ Probation ──clean rounds──▶ Healthy
+//	   ▲                                            │
+//	   └───────────────re-conviction────────────────┘
 //	Healthy ◀──srtt back under the bar── Slow ◀──srtt > slowFactor·median──
+//
+// LiveConfig.Elastic changes two values and nothing else: who revives a Dead
+// peer (LiveCluster.RequestRejoin, or — non-elastic — the next roundStart,
+// so every round re-detects from scratch) and how many clean rounds
+// Probation takes (probationRounds, or one).
 //
 // Invariant (enforced by setStateLocked, exercised by FuzzPhiDetector): a
 // Dead peer can only leave through Probation — there is no Dead→Healthy
@@ -53,8 +61,8 @@ const (
 	// phiConvict: suspicion is accruing but evidence is inconclusive.
 	HealthSuspect
 	// HealthProbation is the trial state between Dead and Healthy: the
-	// peer participates again, and one clean round (non-elastic) or the
-	// membership plane's promotion (elastic) restores it.
+	// peer participates again, and enough consecutive clean rounds
+	// (probationRounds when elastic, one otherwise) restore it.
 	HealthProbation
 	// HealthDead is a conviction: the peer is excluded per policy.
 	HealthDead
@@ -132,6 +140,9 @@ const (
 	slowFactor = 3.0
 	// phiWindow is the φ detector's inter-arrival sample window.
 	phiWindow = 64
+	// probationRounds is how many consecutive clean rounds a peer revived by
+	// RequestRejoin must complete before regaining full membership.
+	probationRounds = 2
 )
 
 // withDefaults fills zero fields.
@@ -304,26 +315,59 @@ type linkEvidence struct {
 	Reconnects int64
 }
 
+// peer is one row of the peer table: everything the live plane knows about
+// one peer, across rounds and within the current one. Everything but state
+// and reconn is guarded by healthPlane.mu.
+type peer struct {
+	// state is the lifecycle position (a HealthState). It is written only by
+	// setStateLocked, under healthPlane.mu, and read with an atomic load: the
+	// round's "is this peer dead?" checks (thousands per round on a healthy
+	// cluster, every one answering no) take no lock.
+	state atomic.Int32
+	det   *phiDetector
+	// reconn counts socket-plane reconnect failures against the peer this
+	// round.
+	reconn atomic.Int64
+	// clean counts the consecutive clean rounds of the current probation.
+	clean int
+	// behind counts the completed rounds the peer did not fully participate
+	// in since it last did: LiveCluster.PeerRound is the cluster's round
+	// count less this.
+	behind int64
+	// suspected marks inconclusive evidence gathered against the peer this
+	// round (a tied scoreboard, or φ in [phiSuspect, phiConvict) at an
+	// expired deadline).
+	suspected bool
+	// carried marks a peer that entered this round Dead: excluded from the
+	// first task on, at no detection cost.
+	carried bool
+}
+
 // healthPlane is the per-cluster adaptive health state: an rttEstimator
-// per directed link, a φ detector and lifecycle state per peer. It
-// persists across rounds (that is the point — steady-state rounds inherit
-// learned deadlines), and all methods are nil-safe so the static path pays
+// per directed link and the peer table. It persists across rounds (that is
+// the point — steady-state rounds inherit learned deadlines and standing
+// convictions), and all methods are nil-safe so the unreliable path pays
 // only a nil check.
 type healthPlane struct {
 	cfg HealthConfig
 	// retry is the static policy the delivery loop falls back on when the
 	// plane is passive (cfg.Adaptive unset).
-	retry   RetryPolicy
-	n       int
-	elastic bool
-	birth   time.Time
-	tel     *telemetry.Set
+	retry RetryPolicy
+	n     int
+	// autoRevive and probation are all that LiveConfig.Elastic changes: who
+	// revives a Dead peer (the next roundStart, or RequestRejoin) and how
+	// many clean rounds its Probation then takes.
+	autoRevive bool
+	probation  int
+	birth      time.Time
+	tel        *telemetry.Set
 
-	mu     sync.Mutex
-	links  []rttEstimator // n×n, flat [from*n+to]
-	det    []*phiDetector
-	state  []HealthState
-	reconn []int64 // per-peer socket-plane reconnect failures (atomic)
+	mu    sync.Mutex
+	links []rttEstimator // n×n, flat [from*n+to]
+	peers []peer
+	// dead counts the peers in HealthDead (maintained by setStateLocked) so
+	// "is anybody dead?" is one atomic load.
+	dead atomic.Int32
 }
 
 func newHealthPlane(n int, cfg *HealthConfig, retry RetryPolicy, elastic bool, tel *telemetry.Set) *healthPlane {
@@ -333,23 +377,25 @@ func newHealthPlane(n int, cfg *HealthConfig, retry RetryPolicy, elastic bool, t
 	}
 	c = c.withDefaults()
 	hp := &healthPlane{
-		cfg:     c,
-		retry:   retry,
-		n:       n,
-		elastic: elastic,
-		birth:   time.Now(), //hipress:wallclock phi-detector epoch base; virtual clock injectable via cfg.Now
-		tel:     tel,
-		links:   make([]rttEstimator, n*n),
-		det:     make([]*phiDetector, n),
-		state:   make([]HealthState, n),
-		reconn:  make([]int64, n),
+		cfg:        c,
+		retry:      retry,
+		n:          n,
+		autoRevive: !elastic,
+		probation:  1,
+		birth:      time.Now(), //hipress:wallclock phi-detector epoch base; virtual clock injectable via cfg.Now
+		tel:        tel,
+		links:      make([]rttEstimator, n*n),
+		peers:      make([]peer, n),
+	}
+	if elastic {
+		hp.probation = probationRounds
 	}
 	minMean := c.BootstrapRTO.Seconds()
 	if c.HeartbeatEvery > 0 {
 		minMean = c.HeartbeatEvery.Seconds()
 	}
-	for v := range hp.det {
-		hp.det[v] = newPhiDetector(phiWindow, minMean)
+	for v := range hp.peers {
+		hp.peers[v].det = newPhiDetector(phiWindow, minMean)
 	}
 	return hp
 }
@@ -365,45 +411,85 @@ func (hp *healthPlane) clock() time.Duration {
 
 func (hp *healthPlane) seconds() float64 { return hp.clock().Seconds() }
 
+// stateOf returns peer v's lifecycle state (lock-free).
+func (hp *healthPlane) stateOf(v int) HealthState {
+	if hp == nil || v < 0 || v >= hp.n {
+		return HealthHealthy
+	}
+	return HealthState(hp.peers[v].state.Load())
+}
+
+// isDead reports whether peer v stands convicted (lock-free).
+func (hp *healthPlane) isDead(v int) bool { return hp.stateOf(v) == HealthDead }
+
+// anyDead reports whether any peer stands convicted (lock-free).
+func (hp *healthPlane) anyDead() bool { return hp != nil && hp.dead.Load() > 0 }
+
 // setStateLocked performs one lifecycle transition, enforcing the
 // Dead-only-exits-via-Probation invariant and emitting the transition to
 // telemetry. Called with hp.mu held.
 func (hp *healthPlane) setStateLocked(v int, to HealthState) {
-	from := hp.state[v]
+	from := hp.stateOf(v)
 	if from == to {
 		return
 	}
 	if from == HealthDead && to != HealthProbation {
 		panic(fmt.Sprintf("core: health plane: illegal transition node %d %v→%v (Dead exits only via Probation)", v, from, to))
 	}
-	hp.state[v] = to
+	if to == HealthDead {
+		hp.dead.Add(1)
+	} else if from == HealthDead {
+		hp.dead.Add(-1)
+		hp.peers[v].clean = 0 // a fresh probation
+	}
+	hp.peers[v].state.Store(int32(to))
 	hp.emitTransition(v, from, to)
 }
 
-// roundStart re-arms the plane for a new round: detectors are primed (or
-// their idle inter-round gap forgiven — the driver's compute time between
-// rounds is not evidence of peer failure), and in non-elastic mode a
-// convicted peer gets its implicit probation trial, since non-elastic
-// rounds start from a blank per-round scoreboard anyway.
-func (hp *healthPlane) roundStart() {
+// convict is the single conviction entry: it declares v Dead (v < 0: nobody)
+// and reports whether this call did it, so the caller degrades or aborts the
+// round exactly once per conviction.
+func (hp *healthPlane) convict(v int) (newly bool) {
+	if hp == nil || v < 0 || v >= hp.n {
+		return false
+	}
+	hp.mu.Lock()
+	defer hp.mu.Unlock()
+	newly = hp.stateOf(v) != HealthDead
+	hp.setStateLocked(v, HealthDead)
+	return newly
+}
+
+// roundStart re-arms the plane for a new round: this round's suspicion marks
+// and reconnect evidence are cleared, detectors are primed (or their idle
+// inter-round gap forgiven — the driver's compute time between rounds is not
+// evidence of peer failure), and a Dead peer is either revived for its
+// probation trial (non-elastic: every round re-detects) or carried into the
+// round still Dead. It returns the carried peers, ascending.
+func (hp *healthPlane) roundStart() (carried []int) {
 	if hp == nil {
-		return
+		return nil
 	}
 	now := hp.seconds()
 	hp.mu.Lock()
-	for v := 0; v < hp.n; v++ {
-		atomic.StoreInt64(&hp.reconn[v], 0) // reconnect evidence is per round
-		if hp.state[v] == HealthDead && !hp.elastic {
+	defer hp.mu.Unlock()
+	for v := range hp.peers {
+		p := &hp.peers[v]
+		p.reconn.Store(0)
+		p.suspected = false
+		if hp.autoRevive && hp.isDead(v) {
 			hp.setStateLocked(v, HealthProbation)
 		}
-		d := hp.det[v]
-		if d.primed {
-			d.last = now
+		if p.carried = hp.isDead(v); p.carried {
+			carried = append(carried, v)
+		}
+		if p.det.primed {
+			p.det.last = now
 		} else {
-			d.prime(now, hp.cfg.BootstrapRTO.Seconds())
+			p.det.prime(now, hp.cfg.BootstrapRTO.Seconds())
 		}
 	}
-	hp.mu.Unlock()
+	return carried
 }
 
 // arrival records any sign of life from peer (an ack, a data message, a
@@ -415,12 +501,12 @@ func (hp *healthPlane) arrival(peer int) {
 	}
 	now := hp.seconds()
 	hp.mu.Lock()
-	d := hp.det[peer]
+	d := hp.peers[peer].det
 	if !d.primed {
 		d.prime(now, hp.cfg.BootstrapRTO.Seconds())
 	}
 	d.observe(now)
-	if hp.state[peer] == HealthSuspect && d.phi(now) < phiSuspect {
+	if hp.stateOf(peer) == HealthSuspect && d.phi(now) < phiSuspect {
 		hp.setStateLocked(peer, HealthHealthy)
 	}
 	hp.mu.Unlock()
@@ -529,22 +615,46 @@ func (hp *healthPlane) hedgePoint(from, to int, deadline time.Duration) time.Dur
 }
 
 // verdict is asked when attempt's deadline expired unacknowledged. It returns
-// the endpoint it convicted (through rs, so the onDead hook fires once) or -1
-// to keep retrying. The static policy trusts the attempt counter first and
-// consults the scoreboard from the last regular attempt through the whole
-// grace phase — a conviction that becomes decidable mid-grace must not wait
-// out the remaining attempts. The adaptive policy asks the φ detector on
+// the endpoint it holds at fault, now convicted — newly when this verdict did
+// it — or -1 to keep retrying. The static policy trusts the attempt counter
+// first and consults the scoreboard from the last regular attempt through the
+// whole grace phase — a conviction that becomes decidable mid-grace must not
+// wait out the remaining attempts. The adaptive policy asks the φ detector on
 // every expiry, so a slow-but-alive peer accrues stretched deadlines rather
 // than a conviction.
-func (hp *healthPlane) verdict(from, to, attempt int, rs *roundState) int {
-	if !hp.cfg.Adaptive {
-		if attempt < hp.retry.MaxAttempts-1 {
-			return -1
-		}
-		return rs.suspect(from, to)
+func (hp *healthPlane) verdict(from, to, attempt int, rs *roundState) (victim int, newly bool) {
+	switch {
+	case hp.cfg.Adaptive:
+		victim = hp.judge(from, to, rs)
+	case attempt < hp.retry.MaxAttempts-1:
+		return -1, false
+	default:
+		victim = hp.scoreboard(from, to, rs)
 	}
-	victim := hp.judge(from, to, rs)
-	rs.convict(victim)
+	return victim, hp.convict(victim)
+}
+
+// scoreboard is the static verdict on an unacknowledged from→to transfer,
+// the "judge by the scoreboard" rule: the endpoint with strictly fewer
+// acknowledged transfers this round is at fault. A blacked-out node has zero
+// successes while healthy nodes accumulate them, so the rule names the
+// isolated endpoint even when the suspector is the isolated node itself
+// (self-diagnosis). A tie is inconclusive (-1): both endpoints are marked
+// suspected, the sender keeps retrying through its grace phase and
+// eventually surfaces a typed error.
+func (hp *healthPlane) scoreboard(from, to int, rs *roundState) int {
+	switch {
+	case hp.isDead(from):
+		return from
+	case hp.isDead(to):
+		return to
+	}
+	victim := rs.fewerAcked(from, to)
+	if victim < 0 {
+		hp.mu.Lock()
+		hp.peers[from].suspected, hp.peers[to].suspected = true, true
+		hp.mu.Unlock()
+	}
 	return victim
 }
 
@@ -556,48 +666,37 @@ func (hp *healthPlane) phi(v int) float64 {
 	now := hp.seconds()
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
-	return hp.det[v].phi(now)
+	return hp.peers[v].det.phi(now)
 }
 
-// stateOf returns peer v's lifecycle state.
-func (hp *healthPlane) stateOf(v int) HealthState {
-	if hp == nil || v < 0 || v >= hp.n {
-		return HealthHealthy
-	}
-	hp.mu.Lock()
-	defer hp.mu.Unlock()
-	return hp.state[v]
-}
-
-// judge is the adaptive verdict for an expired deadline on from→to:
-// it convicts the endpoint whose φ has crossed phiConvict (the higher one
-// when both have), falls back to the success-scoreboard tie-break when the
-// φ evidence alone cannot separate the endpoints, and otherwise records
-// suspicion and returns -1 (keep retrying). The caller performs the actual
-// conviction through roundState so the onDead hook fires exactly once.
+// judge is the adaptive verdict for an expired deadline on from→to: it names
+// the endpoint whose φ has crossed phiConvict (the higher one when both
+// have), falls back to the success-scoreboard tie-break when the φ evidence
+// alone cannot separate the endpoints, and otherwise records suspicion and
+// returns -1 (keep retrying).
 func (hp *healthPlane) judge(from, to int, rs *roundState) int {
 	now := hp.seconds()
 	hp.mu.Lock()
-	pf := hp.det[from].phi(now)
-	pt := hp.det[to].phi(now)
+	pf := hp.peers[from].det.phi(now)
+	pt := hp.peers[to].det.phi(now)
+	fc, tc := pf >= phiConvict, pt >= phiConvict
 	mark := func(v int, p float64) {
-		if p >= phiSuspect && (hp.state[v] == HealthHealthy || hp.state[v] == HealthSlow) {
+		if p < phiSuspect {
+			return
+		}
+		if st := hp.stateOf(v); st == HealthHealthy || st == HealthSlow {
 			hp.setStateLocked(v, HealthSuspect)
+		}
+		if !fc && !tc {
+			hp.peers[v].suspected = true // evidence, and nobody to convict
 		}
 	}
 	mark(from, pf)
 	mark(to, pt)
 	hp.mu.Unlock()
 
-	fc, tc := pf >= phiConvict, pt >= phiConvict
 	switch {
 	case !fc && !tc:
-		if pf >= phiSuspect {
-			rs.markSuspect(from)
-		}
-		if pt >= phiSuspect {
-			rs.markSuspect(to)
-		}
 		return -1
 	case tc && (!fc || pt > pf):
 		return to
@@ -607,107 +706,124 @@ func (hp *healthPlane) judge(from, to int, rs *roundState) int {
 	// Both convictable with equal φ: let the per-round scoreboard break
 	// the tie (strictly fewer acked transfers loses), as the static
 	// detector does.
-	sf, st := rs.succOf(from), rs.succOf(to)
-	switch {
-	case sf < st:
-		return from
-	case st < sf:
-		return to
-	}
-	return -1
+	return rs.fewerAcked(from, to)
 }
 
-// convicted records a roundState conviction in the lifecycle (called from
-// the onDead hook, outside rs.mu).
-func (hp *healthPlane) convicted(v int) {
-	if hp == nil || v < 0 || v >= hp.n {
-		return
-	}
+// rejoin is RequestRejoin's transition: Dead peer v enters Probation and
+// adopts the round position of a healthy donor, which it returns.
+func (hp *healthPlane) rejoin(v int) (donor int, err error) {
 	hp.mu.Lock()
-	if hp.state[v] != HealthDead {
-		hp.setStateLocked(v, HealthDead)
+	defer hp.mu.Unlock()
+	if st := hp.stateOf(v); st != HealthDead {
+		return -1, fmt.Errorf("core: node %d is %v, only convicted peers can rejoin", v, st.peerState())
 	}
-	hp.mu.Unlock()
+	donor = -1
+	for u := range hp.peers {
+		if u != v && hp.stateOf(u).peerState() == PeerHealthy {
+			donor = u
+			break
+		}
+	}
+	if donor < 0 {
+		return -1, fmt.Errorf("core: node %d cannot rejoin: no healthy donor peer", v)
+	}
+	hp.setStateLocked(v, HealthProbation)
+	hp.peers[v].behind = hp.peers[donor].behind // round-counter resync
+	return donor, nil
 }
 
-// revive moves a Dead peer to Probation — the elastic membership plane's
-// RequestRejoin hook.
-func (hp *healthPlane) revive(v int) {
-	if hp == nil || v < 0 || v >= hp.n {
-		return
-	}
-	hp.mu.Lock()
-	if hp.state[v] == HealthDead {
-		hp.setStateLocked(v, HealthProbation)
-	}
-	hp.mu.Unlock()
-}
-
-// promote completes probation (elastic membership promotion after N clean
-// rounds).
-func (hp *healthPlane) promote(v int) {
-	if hp == nil || v < 0 || v >= hp.n {
-		return
-	}
-	hp.mu.Lock()
-	if hp.state[v] == HealthProbation {
-		hp.setStateLocked(v, HealthHealthy)
-	}
-	hp.mu.Unlock()
-}
-
-// roundEnd closes one round: slow peers are (re)classified against the
-// cluster-median srtt, per-peer φ is snapshotted into the RoundHealth, a
-// clean round clears residual suspicion, and — in non-elastic mode, where
-// no membership plane tracks probation — a clean round completes the
-// probation trial started at roundStart.
+// roundEnd closes one round and reports it: in one pass over the peer table,
+// slow peers are (re)classified against the cluster-median srtt, this round's
+// suspicion becomes (or, after a clean round without any, stops being)
+// Suspect, probation advances — a clean round the peer drew no suspicion in
+// counts, anything else starts the count over — and h gains its peer lists
+// and per-peer φ. clean is false when the round failed: nobody participated
+// fully in a round that did not complete.
 func (hp *healthPlane) roundEnd(h *RoundHealth, clean bool) {
 	if hp == nil {
 		return
 	}
 	now := hp.seconds()
+	var excluded, suspected, carried, probation, rejoined, slow []int
+	phis := make([]float64, hp.n)
 	hp.mu.Lock()
 	srtts := hp.peerSRTTsLocked()
-	var slow []int
-	if med := medianPositive(srtts); med > 0 {
-		for v, s := range srtts {
-			straggling := s > slowFactor*med
-			switch hp.state[v] {
-			case HealthHealthy:
-				if straggling {
-					hp.setStateLocked(v, HealthSlow)
-				}
-			case HealthSlow:
-				if !straggling {
-					hp.setStateLocked(v, HealthHealthy)
-				}
+	med := medianPositive(srtts)
+	for v := range hp.peers {
+		p := &hp.peers[v]
+		phis[v] = p.det.phi(now)
+		st := hp.stateOf(v)
+		if med > 0 && (st == HealthHealthy || st == HealthSlow) {
+			st = HealthHealthy
+			if srtts[v] > slowFactor*med {
+				st = HealthSlow
 			}
 		}
-	}
-	phis := make([]float64, hp.n)
-	for v := range phis {
-		phis[v] = hp.det[v].phi(now)
-		if hp.state[v] == HealthSlow {
+		if st == HealthSlow {
 			slow = append(slow, v)
 		}
-	}
-	if clean {
-		for v := range hp.state {
-			switch hp.state[v] {
-			case HealthSuspect:
-				hp.setStateLocked(v, HealthHealthy)
-			case HealthProbation:
-				if !hp.elastic {
-					hp.setStateLocked(v, HealthHealthy)
-				}
+		if p.carried {
+			carried = append(carried, v)
+		}
+		if p.suspected && st != HealthDead {
+			suspected = append(suspected, v)
+		}
+		participated := false
+		switch st {
+		case HealthDead:
+			excluded = append(excluded, v)
+		case HealthProbation:
+			if p.suspected || !clean {
+				p.clean = 0 // suspicion or a failed round resets progress
+			} else {
+				p.clean++
+				participated = true
+			}
+			if p.clean >= hp.probation {
+				st = HealthHealthy
+				rejoined = append(rejoined, v)
+			} else {
+				probation = append(probation, v)
+			}
+		default: // Healthy, Slow, Suspect
+			participated = clean
+			if p.suspected {
+				st = HealthSuspect
+			} else if clean && st == HealthSuspect {
+				st = HealthHealthy
 			}
 		}
+		if participated {
+			p.behind = 0
+		} else if clean {
+			p.behind++
+		}
+		hp.setStateLocked(v, st)
 	}
 	hp.mu.Unlock()
-	sort.Ints(slow)
+	if hp.autoRevive {
+		// A trial nobody asked for is not a rejoin: a non-elastic cluster
+		// reports convictions only.
+		probation, rejoined = nil, nil
+	}
 	if h != nil {
-		h.SlowPeers = slow
-		h.Phi = phis
+		h.ExcludedPeers, h.SuspectedPeers, h.MembershipExcluded = excluded, suspected, carried
+		h.ProbationPeers, h.RejoinedPeers = probation, rejoined
+		h.SlowPeers, h.Phi = slow, phis
+	}
+
+	tr, met := hp.tel.T(), hp.tel.M()
+	for _, v := range rejoined {
+		if tr.Enabled() {
+			tr.Event(fmt.Sprintf("rejoin-complete node%d", v), "rejoin", v, "net", tr.Now())
+		}
+		if met != nil {
+			met.Counter(MetricRejoins, "peers promoted back to full membership after probation").Inc()
+		}
+	}
+	if met != nil && len(carried) > 0 {
+		met.Counter(MetricMembershipExcluded,
+			"peer-rounds excluded by carried membership convictions").Add(float64(len(carried)))
 	}
 }
 
@@ -766,8 +882,8 @@ func (hp *healthPlane) evidence(from, to int) linkEvidence {
 	return linkEvidence{
 		LastRTT:    time.Duration(e.last * float64(time.Second)),
 		Samples:    e.samples,
-		Phi:        hp.det[to].phi(now),
-		Reconnects: atomic.LoadInt64(&hp.reconn[to]),
+		Phi:        hp.peers[to].det.phi(now),
+		Reconnects: hp.peers[to].reconn.Load(),
 	}
 }
 
@@ -778,19 +894,16 @@ func (hp *healthPlane) observeReconnect(peer int) {
 	if hp == nil || peer < 0 || peer >= hp.n {
 		return
 	}
-	atomic.AddInt64(&hp.reconn[peer], 1)
+	hp.peers[peer].reconn.Add(1)
 }
 
 // HealthStates snapshots every peer's health-plane lifecycle state (all
 // HealthHealthy when the cluster runs without the health plane).
 func (lc *LiveCluster) HealthStates() []HealthState {
 	out := make([]HealthState, lc.n)
-	if lc.health == nil {
-		return out
+	for v := range out {
+		out[v] = lc.health.stateOf(v)
 	}
-	lc.health.mu.Lock()
-	copy(out, lc.health.state)
-	lc.health.mu.Unlock()
 	return out
 }
 

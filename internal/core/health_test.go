@@ -15,6 +15,15 @@ func virtualPlane(n int, cfg HealthConfig) (*healthPlane, func(time.Duration)) {
 	return hp, func(d time.Duration) { now += d }
 }
 
+// planeStates snapshots every peer's lifecycle state.
+func planeStates(hp *healthPlane) []HealthState {
+	out := make([]HealthState, hp.n)
+	for v := range out {
+		out[v] = hp.stateOf(v)
+	}
+	return out
+}
+
 // TestRTTEstimator pins the Jacobson/Karels recurrences to hand-computed
 // values (RFC 6298: first sample sets srtt=R, rttvar=R/2; then β=1/4,
 // α=1/8) and the RTO clamp behavior.
@@ -132,8 +141,8 @@ func TestPhiDetector(t *testing.T) {
 
 // TestHealthPlaneLifecycle walks the state machine on a virtual clock:
 // silence raises Suspect then convicts, arrivals recover a Suspect,
-// revive/promote runs Dead→Probation→Healthy, and roundStart gives a
-// non-elastic Dead peer its probation trial.
+// rejoin and a clean round run Dead→Probation→Healthy, and roundStart gives
+// a non-elastic Dead peer its probation trial.
 func TestHealthPlaneLifecycle(t *testing.T) {
 	hp, advance := virtualPlane(3, HealthConfig{Adaptive: true, BootstrapRTO: 10 * time.Millisecond})
 	hp.roundStart()
@@ -158,25 +167,28 @@ func TestHealthPlaneLifecycle(t *testing.T) {
 	if v := hp.judge(0, 2, rs); v != 2 {
 		t.Fatalf("judge(0,2) = %d, want 2 (the silent peer)", v)
 	}
-	rs.convict(2)
-	hp.convicted(2)
+	if !hp.convict(2) || hp.convict(2) {
+		t.Fatal("convict must report a conviction new exactly once")
+	}
 	if st := hp.stateOf(2); st != HealthDead {
 		t.Fatalf("after conviction peer 2 is %v, want dead", st)
 	}
 
-	// Dead exits only via Probation: promote is a no-op on a Dead peer …
-	hp.promote(2)
+	// Dead exits only via Probation: a clean round promotes nobody out of Dead …
+	hp.roundEnd(nil, true)
 	if st := hp.stateOf(2); st != HealthDead {
-		t.Fatalf("promote() moved a Dead peer to %v", st)
+		t.Fatalf("a clean round end moved a Dead peer to %v", st)
 	}
-	// … revive is the legal path …
-	hp.revive(2)
+	// … rejoin is the legal path …
+	if donor, err := hp.rejoin(2); err != nil || donor != 0 {
+		t.Fatalf("rejoin(2) = donor %d, %v; want donor 0", donor, err)
+	}
 	if st := hp.stateOf(2); st != HealthProbation {
-		t.Fatalf("after revive peer 2 is %v, want probation", st)
+		t.Fatalf("after rejoin peer 2 is %v, want probation", st)
 	}
-	hp.promote(2)
+	hp.roundEnd(nil, true)
 	if st := hp.stateOf(2); st != HealthHealthy {
-		t.Fatalf("after promote peer 2 is %v, want healthy", st)
+		t.Fatalf("after its clean probation round peer 2 is %v, want healthy", st)
 	}
 
 	// Suspect → Healthy on arrival: convict-threshold silence is not needed.
@@ -194,7 +206,7 @@ func TestHealthPlaneLifecycle(t *testing.T) {
 
 	// Non-elastic roundStart turns Dead into Probation, and a clean
 	// roundEnd completes the trial.
-	hp.convicted(0)
+	hp.convict(0)
 	hp.roundStart()
 	if st := hp.stateOf(0); st != HealthProbation {
 		t.Fatalf("non-elastic roundStart left a Dead peer %v, want probation", st)
@@ -213,7 +225,7 @@ func TestHealthPlaneLifecycle(t *testing.T) {
 // itself: a Dead→Healthy write through setStateLocked must panic.
 func TestHealthPlaneIllegalTransitionPanics(t *testing.T) {
 	hp, _ := virtualPlane(2, HealthConfig{Adaptive: true})
-	hp.convicted(1)
+	hp.convict(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Dead→Healthy transition did not panic")
@@ -314,19 +326,25 @@ func TestDeliveryPolicyAnswers(t *testing.T) {
 		rs := newRoundState(3)
 		rs.ackChan(ackKey{src: 0, dst: 2, grad: "g"})
 		rs.ackArrived(ackKey{src: 0, dst: 2, grad: "g"})
-		if v := hp.verdict(0, 1, 0, rs); v != -1 || rs.anyDead() {
-			t.Fatalf("static verdict at attempt 0 = %d (dead %v), want -1: suspicion starts at MaxAttempts-1", v, rs.deadList())
+		if v, _ := hp.verdict(0, 1, 0, rs); v != -1 || hp.anyDead() {
+			t.Fatalf("static verdict at attempt 0 = %d (states %v), want -1: suspicion starts at MaxAttempts-1", v, planeStates(hp))
 		}
-		if v := hp.verdict(0, 1, 1, rs); v != -1 || rs.anyDead() {
+		if v, _ := hp.verdict(0, 1, 1, rs); v != -1 || hp.anyDead() {
 			t.Fatalf("static verdict at attempt 1 = %d, want -1", v)
 		}
-		if v := hp.verdict(0, 1, 2, rs); v != 1 || !rs.isDead(1) {
-			t.Fatalf("static verdict at attempt MaxAttempts-1 = %d, want the scoreboard's conviction of node 1", v)
+		if v, newly := hp.verdict(0, 1, 2, rs); v != 1 || !newly || !hp.isDead(1) {
+			t.Fatalf("static verdict at attempt MaxAttempts-1 = %d (newly %v), want the scoreboard's conviction of node 1", v, newly)
+		}
+		if v, newly := hp.verdict(0, 1, 3, rs); v != 1 || newly {
+			t.Fatalf("static verdict against a standing conviction = %d (newly %v), want 1 and not new", v, newly)
 		}
 		// A tied scoreboard stays inconclusive through the grace phase.
 		tied := newRoundState(3)
-		if v := hp.verdict(0, 2, 4, tied); v != -1 || len(tied.suspectedList()) != 2 {
-			t.Fatalf("static verdict on a tie = %d (suspected %v), want -1 with both endpoints suspected", v, tied.suspectedList())
+		v, _ := hp.verdict(0, 2, 4, tied)
+		var h RoundHealth
+		hp.roundEnd(&h, false)
+		if v != -1 || len(h.SuspectedPeers) != 2 {
+			t.Fatalf("static verdict on a tie = %d (suspected %v), want -1 with both endpoints suspected", v, h.SuspectedPeers)
 		}
 	})
 
@@ -370,37 +388,44 @@ func TestDeliveryPolicyAnswers(t *testing.T) {
 			hp.arrival(0)
 			hp.arrival(2)
 		}
-		if v := hp.verdict(0, 1, 0, rs); v != 1 || !rs.isDead(1) {
+		if v, _ := hp.verdict(0, 1, 0, rs); v != 1 || !hp.isDead(1) {
 			t.Fatalf("adaptive verdict = %d (φ₁=%.1f), want the φ conviction of silent node 1 on attempt 0", v, hp.phi(1))
 		}
-		if v := hp.verdict(0, 2, 0, rs); v != -1 || rs.isDead(0) || rs.isDead(2) {
+		if v, _ := hp.verdict(0, 2, 0, rs); v != -1 || hp.isDead(0) || hp.isDead(2) {
 			t.Fatalf("adaptive verdict between two live peers = %d, want -1", v)
 		}
 	})
 }
 
 // FuzzPhiDetector drives the health plane with arbitrary interleavings of
-// clock advances, arrivals, convictions, revivals, and round boundaries.
-// Invariants under any input:
+// clock advances, arrivals, convictions, rejoins, and round boundaries, as an
+// elastic cluster's plane and as a non-elastic one. Invariants under any
+// input:
 //
 //  1. φ is never NaN and never negative, for every peer after every op;
 //  2. a Dead peer never appears Healthy without passing through Probation
-//     (the lifecycle invariant the panic in setStateLocked enforces);
-//  3. the RTT estimator never emits a NaN or out-of-clamp RTO.
+//     (the lifecycle invariant the panic in setStateLocked enforces), and
+//     leaves Probation for Healthy only after the plane's count of round
+//     ends (probationRounds elastic, one otherwise);
+//  3. the RTT estimator never emits a NaN or out-of-clamp RTO;
+//  4. a round starts with every standing conviction carried in (elastic) or
+//     revived (non-elastic), and the dead count agrees with the states.
 func FuzzPhiDetector(f *testing.F) {
-	f.Add([]byte{0x00, 0x21, 0x13, 0x2c, 0x05, 0x3e, 0x07, 0x18})
-	f.Add([]byte{0x25, 0x25, 0x25, 0x04, 0x0d, 0x06, 0x3f, 0x1f, 0x2e})
-	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x21, 0x13, 0x2c, 0x05, 0x3e, 0x07, 0x18}, false)
+	f.Add([]byte{0x25, 0x25, 0x25, 0x04, 0x0d, 0x06, 0x3f, 0x1f, 0x2e}, false)
+	f.Add([]byte{0x05, 0x07, 0x06, 0x07, 0x07, 0x0d, 0x0f, 0x0e, 0x07, 0x0d, 0x07}, true)
+	f.Add([]byte{}, true)
 
-	f.Fuzz(func(t *testing.T, ops []byte) {
+	f.Fuzz(func(t *testing.T, ops []byte, elastic bool) {
 		now := time.Duration(0)
 		cfg := HealthConfig{Adaptive: true, Now: func() time.Duration { return now }}
-		hp := newHealthPlane(3, &cfg, RetryPolicy{}, false, nil)
+		hp := newHealthPlane(3, &cfg, RetryPolicy{}, elastic, nil)
 		hp.roundStart()
 		rs := newRoundState(3)
 
 		var est rttEstimator
 		prev := make([]HealthState, 3)
+		trial := make([]int, 3) // round ends seen by the current probation
 
 		for _, b := range ops {
 			peer := int(b>>3) % 3
@@ -412,19 +437,29 @@ func FuzzPhiDetector(f *testing.F) {
 			case 4:
 				// The real conviction path: judge the link to the next
 				// peer, convict whichever endpoint it names.
-				if v := hp.judge(peer, (peer+1)%3, rs); v >= 0 {
-					rs.convict(v)
-					hp.convicted(v)
-				}
+				hp.convict(hp.judge(peer, (peer+1)%3, rs))
 			case 5:
-				hp.convicted(peer)
+				hp.convict(peer)
 			case 6:
-				hp.revive(peer)
+				_, _ = hp.rejoin(peer) // refused unless peer is Dead and a donor exists
 			case 7:
 				// Round boundary: end (alternating clean/failed), then
 				// start the next — the only place Dead legally drains.
 				hp.roundEnd(nil, b&8 == 0)
-				hp.roundStart()
+				for v := range trial {
+					trial[v]++
+				}
+				for v, st := range planeStates(hp) {
+					if prev[v] == HealthProbation && st == HealthHealthy && trial[v] < hp.probation {
+						t.Fatalf("peer %d promoted after %d round ends of probation, want ≥ %d", v, trial[v], hp.probation)
+					}
+					prev[v] = st
+				}
+				// Every conviction still standing was carried in, and
+				// without elastic membership none stands.
+				if carried := hp.roundStart(); len(carried) != int(hp.dead.Load()) || (!elastic && hp.anyDead()) {
+					t.Fatalf("round (elastic %v) started carrying %v with states %v", elastic, carried, planeStates(hp))
+				}
 			}
 
 			// RTT estimator half: reuse the byte as a sample in [0, 255] ms.
@@ -433,6 +468,7 @@ func FuzzPhiDetector(f *testing.F) {
 				t.Fatalf("rto escaped its clamp: %v (sample byte %#x)", r, b)
 			}
 
+			dead := 0
 			for v := 0; v < 3; v++ {
 				if p := hp.phi(v); math.IsNaN(p) || p < 0 {
 					t.Fatalf("peer %d φ = %v after op %#x: NaN or negative", v, p, b)
@@ -441,7 +477,16 @@ func FuzzPhiDetector(f *testing.F) {
 				if prev[v] == HealthDead && cur == HealthHealthy {
 					t.Fatalf("peer %d jumped Dead→Healthy on op %#x without Probation", v, b)
 				}
+				if cur == HealthProbation && prev[v] != HealthProbation {
+					trial[v] = 0
+				}
+				if cur == HealthDead {
+					dead++
+				}
 				prev[v] = cur
+			}
+			if hp.anyDead() != (dead > 0) || int(hp.dead.Load()) != dead {
+				t.Fatalf("dead count %d with %d peers Dead after op %#x", hp.dead.Load(), dead, b)
 			}
 		}
 	})

@@ -134,9 +134,6 @@ type LiveConfig struct {
 	// not re-detected), and a convicted peer re-enters via
 	// LiveCluster.RequestRejoin → state resync → probation.
 	Elastic bool
-	// ProbationRounds is how many consecutive clean rounds a rejoined peer
-	// must complete before regaining full membership (default 2).
-	ProbationRounds int
 }
 
 // LiveCluster is a set of in-process training nodes that synchronize
@@ -161,14 +158,13 @@ type LiveCluster struct {
 	efKeyMu sync.Mutex
 	efKeys  map[efPos]efName
 
-	// mem is the elastic membership plane (nil unless LiveConfig.Elastic);
 	// chaosMu guards cfg.Chaos, which SetChaos may replace between rounds.
-	mem     *membership
 	chaosMu sync.Mutex
 
 	// health is the adaptive health plane (nil unless Reliable): per-link
-	// RTT estimators and per-peer φ detectors that persist across rounds,
-	// so steady-state rounds inherit learned deadlines.
+	// RTT estimators and the peer table — φ detectors, lifecycle, elastic
+	// membership — that persist across rounds, so steady-state rounds
+	// inherit learned deadlines and standing convictions.
 	health *healthPlane
 
 	// Autotune-plane state (epoch.go): the active epoch, a staged pending
@@ -223,15 +219,9 @@ func NewLiveCluster(n int, cfg LiveConfig) (*LiveCluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Elastic && cfg.ProbationRounds <= 0 {
-		cfg.ProbationRounds = 2
-	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	lc := &LiveCluster{n: n, cfg: cfg}
 	lc.epoch = defaultEpoch(&lc.cfg)
-	if cfg.Elastic {
-		lc.mem = newMembership(n, cfg.ProbationRounds)
-	}
 	if cfg.Reliable {
 		lc.health = newHealthPlane(n, cfg.Health, cfg.Retry, cfg.Elastic, cfg.Telemetry)
 	}
@@ -624,17 +614,17 @@ func (r *liveRound) completeSkipped(id int) {
 // (Bytes == 0) skip only when their own node is dead: the PS partition
 // barrier is where exclusion is actually accounted.
 func (r *liveRound) skippable(t *Task) bool {
-	if !r.reliable || !r.rs.anyDead() {
+	if !r.hp.anyDead() {
 		return false
 	}
-	if r.rs.isDead(t.Node) {
+	if r.hp.isDead(t.Node) {
 		return true
 	}
 	switch t.Kind {
 	case KSend, KRecv, KDecode:
-		return t.Peer != t.Node && r.rs.isDead(t.Peer)
+		return t.Peer != t.Node && r.hp.isDead(t.Peer)
 	case KMerge:
-		return t.Bytes > 0 && t.Peer != t.Node && r.rs.isDead(t.Peer)
+		return t.Bytes > 0 && t.Peer != t.Node && r.hp.isDead(t.Peer)
 	}
 	return false
 }
@@ -658,12 +648,12 @@ func (r *liveRound) route(id int) {
 	}
 }
 
-// onPeerDead is the failure detector's conviction hook: per policy it
-// either aborts the round with a typed error or sweeps the victim's armed
-// recvs so the surviving DAG drains (their downstream tasks skip via
-// route/drainer checks and the merge barrier accounts the exclusion).
+// onPeerDead follows a new conviction (healthPlane.convict reported it, so
+// once per victim): per policy it either aborts the round with a typed error
+// or sweeps the victim's armed recvs so the surviving DAG drains (their
+// downstream tasks skip via route/drainer checks and the merge barrier
+// accounts the exclusion).
 func (r *liveRound) onPeerDead(victim int) {
-	r.hp.convicted(victim)
 	if r.trc.Enabled() {
 		r.traceEvent(fmt.Sprintf("peer-dead node%d (%v)", victim, r.lc.cfg.OnPeerFail), "fault", victim)
 	}
@@ -795,15 +785,13 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 	if r.reliable { // dedup state: never touched otherwise
 		r.seen = make([]bool, len(g.Tasks))
 	}
-	r.rs.onDead = r.onPeerDead
 	r.pipe = newSendEngine(r, lc.cfg.Pipeline, lc.cfg.Coordinated)
 	r.ackp = newAckPlane(r, lc.cfg.Pipeline.AckBatch)
-	// Elastic membership: exclude carried convictions up front, so the DAG
-	// routes around a known-dead peer without re-paying detection timeouts.
-	carried := lc.preseedExcluded(r.rs)
-	// Re-arm the health plane: prime detectors, forgive the inter-round
-	// idle gap, start non-elastic probation trials.
-	r.hp.roundStart()
+	// Re-arm the health plane: prime detectors, forgive the inter-round idle
+	// gap, start non-elastic probation trials. Under elastic membership a
+	// standing conviction is carried in instead, so the DAG routes around a
+	// known-dead peer from its first task without re-paying detection.
+	carried := r.hp.roundStart()
 	if r.trc.Enabled() {
 		for _, v := range carried {
 			r.traceEvent(fmt.Sprintf("membership-excluded node%d", v), "rejoin", v)
@@ -920,7 +908,6 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 		health.Wire = tcpTr.WireStats()
 	}
 	r.hp.roundEnd(health, r.runErr == nil)
-	lc.updateMembership(health, r.rs, carried, r.runErr == nil)
 	r.emitRoundTelemetry(health, roundStart)
 	if r.runErr != nil {
 		return nil, health, r.runErr
@@ -932,7 +919,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 	// the node's own local gradient (scaled to sum magnitude when
 	// renormalizing) and is reported as unsynced.
 	out := make([]map[string][]float32, n)
-	degraded := r.reliable && r.rs.anyDead()
+	degraded := r.hp.anyDead()
 	for v := 0; v < n; v++ {
 		rt := &nodes[v]
 		out[v] = make(map[string][]float32, ng)
@@ -1106,7 +1093,7 @@ func (r *liveRound) deliver(msg netsim.Message) error {
 	budget := hp.attemptBudget()
 	hedged := 0
 	for attempt := 0; attempt < budget; attempt++ {
-		if r.rs.isDead(msg.To) || r.rs.isDead(msg.From) {
+		if hp.isDead(msg.To) || hp.isDead(msg.From) {
 			return nil // degraded: the merge barrier accounts the exclusion
 		}
 		msg.Attempt = attempt
@@ -1173,7 +1160,11 @@ func (r *liveRound) deliver(msg netsim.Message) error {
 			}
 			wait, rest = rest, 0
 		}
-		if hp.verdict(msg.From, msg.To, attempt, r.rs) >= 0 {
+		victim, newly := hp.verdict(msg.From, msg.To, attempt, r.rs)
+		if newly {
+			r.onPeerDead(victim)
+		}
+		if victim >= 0 {
 			return nil
 		}
 	}
@@ -1230,7 +1221,7 @@ func (r *liveRound) heartbeatLoop(v int) {
 		}
 		seq++
 		for u := 0; u < r.lc.n; u++ {
-			if u == v || r.rs.isDead(u) || r.rs.isDead(v) {
+			if u == v || hp.isDead(u) || hp.isDead(v) {
 				continue
 			}
 			hb := netsim.Message{From: v, To: u, Heartbeat: true, Gradient: "hb",
@@ -1435,7 +1426,7 @@ func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, codec compress.Compresso
 			continue
 		}
 		if !rt.inbox(t, peer).ready {
-			if r.reliable && r.rs.isDead(peer) {
+			if r.hp.isDead(peer) {
 				excluded++
 				continue
 			}

@@ -359,16 +359,25 @@ func BenchmarkRawRingRound(b *testing.B) {
 // partition's server decode-adds into its accumulator. With -benchmem, allocs
 // and bytes per op are the round's state tables and results; the codec and the
 // merge add none. Bytes per op are what one node contributes.
-func BenchmarkCompressedPSRound(b *testing.B) {
+func BenchmarkCompressedPSRound(b *testing.B) { benchPSRound(b, LiveConfig{}) }
+
+// BenchmarkReliablePSRound is the same round under Reliable delivery through
+// windowed lanes with batched acks: the two above never ask the peer table
+// whether anybody is dead and never run the delivery loop; this one does both
+// for every task and transfer.
+func BenchmarkReliablePSRound(b *testing.B) {
+	benchPSRound(b, LiveConfig{Reliable: true, Pipeline: PipelineConfig{Window: 4, AckBatch: 4}})
+}
+
+func benchPSRound(b *testing.B, cfg LiveConfig) {
 	const n = 4
 	sizes := map[string]int{"big": 1 << 18}
 	for i := 0; i < 30; i++ {
 		sizes[fmt.Sprintf("small%02d", i)] = 1 << 10
 	}
-	lc, err := NewLiveCluster(n, LiveConfig{
-		Strategy: StrategyPS, Parts: 2, Algo: "dgc", ErrorFeedback: true,
-		Params: compress.Params{"ratio": 0.01},
-	})
+	cfg.Strategy, cfg.Parts = StrategyPS, 2
+	cfg.Algo, cfg.ErrorFeedback, cfg.Params = "dgc", true, compress.Params{"ratio": 0.01}
+	lc, err := NewLiveCluster(n, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

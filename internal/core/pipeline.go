@@ -52,11 +52,12 @@ type PipelineConfig struct {
 	// idle link still acks immediately — batches only form under backlog,
 	// so single-transfer RTT evidence is undistorted.
 	AckBatch int
-	// OverlapEncode decouples staging from window admission: the drainer
-	// stages the next transfer's payload while the link's window is full,
-	// so encode/serialize overlaps the wire instead of waiting for a slot.
-	// Off, staging itself waits for a free slot (bounding staged-but-unsent
-	// payload memory to Window per lane).
+	// OverlapEncode is ignored: staging always runs ahead of the window (the
+	// drainer stages the next transfer's payload while the link's window is
+	// full). It once chose whether staging waited for a window slot, which
+	// bounded staged-but-unsent payload copies; staging copies nothing now,
+	// so the wait bounded no memory the round lease does not. The field stays
+	// only because bench/ names it — ROADMAP Benchmark v2 (e) deletes it.
 	OverlapEncode bool
 }
 
@@ -71,15 +72,11 @@ type pendingSend struct {
 }
 
 // sendLane is one directed link's (or, sequentially, one node's) send
-// queue. Everything but sem is guarded by the engine mutex.
+// queue, guarded by the engine mutex.
 type sendLane struct {
 	queue   []pendingSend
 	bytes   int64 // queued Task.Bytes: the metadata the coordinator weighs
 	workers int   // goroutines currently resolving this lane, ≤ window
-	// sem holds the window slots when OverlapEncode is off: submit acquires
-	// a slot before staging, the worker releases it after resolution. Nil
-	// when staging is allowed to run ahead of the window.
-	sem chan struct{}
 }
 
 // sendEngine owns every lane of one round and is the only route from a
@@ -101,7 +98,6 @@ type sendEngine struct {
 	window      int
 	perLink     bool
 	coordinated bool
-	overlap     bool
 
 	mu    sync.Mutex // guards lanes and every lane's queue/bytes/workers
 	lanes map[LinkKey]*sendLane
@@ -122,7 +118,6 @@ func newSendEngine(r *liveRound, cfg PipelineConfig, coordinated bool) *sendEngi
 		window:      cfg.Window,
 		perLink:     cfg.Window > 1 || coordinated,
 		coordinated: coordinated,
-		overlap:     cfg.OverlapEncode,
 		lanes:       map[LinkKey]*sendLane{},
 		began:       time.Now(), //hipress:wallclock engine-relative monotonic base for ack latencies
 	}
@@ -146,9 +141,6 @@ func (e *sendEngine) lane(t *Task) *sendLane {
 	l := e.lanes[key]
 	if l == nil {
 		l = &sendLane{}
-		if !e.overlap {
-			l.sem = make(chan struct{}, e.window)
-		}
 		e.lanes[key] = l
 	}
 	e.mu.Unlock()
@@ -161,13 +153,6 @@ func (e *sendEngine) lane(t *Task) *sendLane {
 func (e *sendEngine) submit(rt *nodeRT, id int, t *Task) error {
 	r := e.r
 	l := e.lane(t)
-	if l.sem != nil {
-		select {
-		case l.sem <- struct{}{}:
-		case <-r.doneCh:
-			return nil // round unwinding
-		}
-	}
 	start := r.trc.Now()
 	msg, err := r.stageSend(rt, t)
 	if err != nil {
@@ -278,9 +263,6 @@ func (e *sendEngine) drain(l *sendLane) {
 			e.gauge.Set(float64(in))
 		}
 		e.endNs.Store(e.sinceNs())
-		if l.sem != nil {
-			<-l.sem
-		}
 		if err != nil {
 			r.fail(err) // closes doneCh: the next iteration unwinds
 			continue

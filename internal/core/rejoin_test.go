@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -21,7 +22,7 @@ func elasticCluster(t *testing.T, tel *telemetry.Set) *LiveCluster {
 		Reliable: true, Retry: fastRetry,
 		RoundTimeout: 30 * time.Second,
 		OnPeerFail:   DegradeExclude, Renormalize: true,
-		Elastic: true, ProbationRounds: 2,
+		Elastic:   true,
 		Telemetry: tel,
 		Chaos:     &netsim.ChaosConfig{Seed: 5, NodeDown: map[int]bool{3: true}},
 	})
@@ -77,8 +78,11 @@ func TestElasticRejoinLifecycle(t *testing.T) {
 	if !reflect.DeepEqual(h.ExcludedPeers, []int{3}) {
 		t.Fatalf("round 2 excluded %v, want [3]", h.ExcludedPeers)
 	}
-	if h.Retries != 0 {
-		t.Fatalf("round 2 paid %d retries; carried exclusion should cost zero detection", h.Retries)
+	// Node 3 is still down: a single frame addressed to it would be
+	// blackholed. (Retries would be a wall-clock stand-in for this — an ack
+	// that outlives a 2 ms backoff under host load is not a detection cost.)
+	if h.Chaos.Blackholed != 0 {
+		t.Fatalf("round 2 sent %d frames into the blackout; carried exclusion should cost zero detection", h.Chaos.Blackholed)
 	}
 
 	// Lift the blackout. The peer does NOT auto-rejoin: membership still
@@ -149,7 +153,7 @@ func TestElasticRejoinLifecycle(t *testing.T) {
 	// Steady state: full participation, clean health.
 	h = round(106)
 	if h.Degraded() || len(h.ExcludedPeers) != 0 || len(h.MembershipExcluded) != 0 ||
-		len(h.ProbationPeers) != 0 || h.Retries != 0 {
+		len(h.ProbationPeers) != 0 {
 		t.Fatalf("steady-state round not fully recovered: %v", h)
 	}
 	peerLast, cluster := lc.PeerRound(3)
@@ -168,6 +172,39 @@ func TestElasticRejoinLifecycle(t *testing.T) {
 	if got := m.Counter(MetricMembershipExcluded, "").Value(); got < 2 {
 		t.Fatalf("membership exclusion counter = %v, want ≥ 2", got)
 	}
+}
+
+// TestPeerRoundCountsCompletedRounds: PeerRound's cluster value is Rounds —
+// a failed round is not a completed one, and nobody participated fully in it.
+func TestPeerRoundCountsCompletedRounds(t *testing.T) {
+	lc, err := NewLiveCluster(3, LiveConfig{
+		Strategy: StrategyPS, Reliable: true, Retry: fastRetry,
+		OnPeerFail: DegradeExclude, Elastic: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads, _ := makeGrads(7, 3, map[string]int{"w": 64})
+	cancelled, cancel := context.WithCancel(t.Context())
+	cancel()
+	if _, _, err := lc.SyncRoundContext(cancelled, grads); err == nil {
+		t.Fatal("a round under a cancelled context completed")
+	}
+	check := func(want int) {
+		t.Helper()
+		for v := 0; v < 3; v++ {
+			peer, cluster := lc.PeerRound(v)
+			if cluster != int(lc.Rounds()) || cluster != want || peer != cluster {
+				t.Fatalf("PeerRound(%d) = (%d, %d) with Rounds() = %d, want (%d, %d)",
+					v, peer, cluster, lc.Rounds(), want, want)
+			}
+		}
+	}
+	check(0)
+	if _, _, err := lc.SyncRoundContext(t.Context(), grads); err != nil {
+		t.Fatal(err)
+	}
+	check(1)
 }
 
 // TestElasticProbationResetOnReconviction: a peer that fails again during

@@ -52,7 +52,7 @@ func RecoveryExp() (*Table, error) {
 		},
 		RoundTimeout: 30 * time.Second,
 		OnPeerFail:   core.DegradeExclude, Renormalize: true,
-		Elastic: true, ProbationRounds: 2,
+		Elastic:   true,
 		Telemetry: tel,
 		Transport: DefaultLiveTransport(),
 		Chaos:     &netsim.ChaosConfig{Seed: 5, NodeDown: map[int]bool{3: true}},
