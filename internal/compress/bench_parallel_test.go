@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"hipress/internal/kernels"
@@ -154,4 +155,65 @@ func BenchmarkEncodeSerialBaseline(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDGCSelect times DGC's exact top-k selection where the live plane
+// calls it — one call per tensor, so the 256-element rows are fixed cost and
+// the 1 Mi rows bandwidth — at the registry-default ratio. The fused rows zero
+// the residual inside the timed loop (the same memclr on either side of a
+// comparison), so that v = grad + residual is the normal input every time.
+// ef-steady keeps the residual running instead, under one repeated gradient:
+// every |v| then climbs until selected, the bell's tail is cut off at the
+// threshold, the threshold's 1/8-octave holds several per cent of the
+// elements and the gather visits most blocks — the regime a long
+// error-feedback run under a stationary gradient settles into. The three
+// degenerate rows are the shapes where every element is a candidate and the
+// gather buys nothing: they bound the worst case (DESIGN.md "Fused error
+// feedback").
+func BenchmarkDGCSelect(b *testing.B) {
+	run := func(name string, ratio float64, g []float32, fused, running bool) {
+		b.Run(name, func(b *testing.B) {
+			d, err := NewDGC(ratio)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := len(g)
+			var res []float32
+			if fused {
+				res = make([]float32, n)
+			}
+			dst := make([]byte, d.CompressedSize(n))
+			if _, err := d.encode(dst, g, res); err != nil { // warm the op pool
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(4 * n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !running {
+					clear(res)
+				}
+				if _, err := d.encode(dst, g, res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, n := range []int{256, 8 << 10, 32 << 10, 1 << 20} {
+		g := benchGrad(n)
+		run(fmt.Sprintf("normal/%d/unfused", n), 0.001, g, false, false)
+		run(fmt.Sprintf("normal/%d/fused", n), 0.001, g, true, false)
+	}
+	const n = 1 << 20
+	run("ef-steady/1048576", 0.001, benchGrad(n), true, true)
+	constant := make([]float32, n)
+	oneBucket := make([]float32, n)
+	for i := range constant {
+		constant[i] = 0.25
+		// n distinct magnitudes in [1, 1.125): all of one 1/8-octave bucket.
+		oneBucket[i] = math.Float32frombits(0x3f800000 | uint32(i*2654435761)&(1<<20-1))
+	}
+	run("constant/1048576", 0.001, constant, false, false)
+	run("one-bucket/1048576", 0.001, oneBucket, false, false)
+	run("ratio-1/1048576", 1, benchGrad(n), false, false)
 }

@@ -18,9 +18,10 @@ import (
 // convergent is provided by ErrorFeedback.
 //
 // Selection uses an exact k-th statistic via a chunk-parallel MSB-first
-// radix select over magnitude bit patterns (the "hierarchical selection" the
-// paper credits CompLL's optimized operators for), rather than the full sort
-// the OSS baseline uses — that asymptotic gap is a large part of the 5.1×
+// radix select over magnitude bit patterns whose first round trims the
+// gradient to a small candidate set (the "hierarchical selection" the paper
+// credits CompLL's optimized operators for), rather than the full sort the
+// OSS baseline uses — that asymptotic gap is a large part of the 5.1×
 // encode speedup reported in §4.4, and the histogram formulation makes the
 // statistic order-independent so parallel output is bit-identical to serial.
 //
@@ -66,17 +67,26 @@ func (d *DGC) k(n int) int {
 func (d *DGC) CompressedSize(n int) int { return headerSize + 4 + 8*d.k(n) }
 
 // EncodeInto implements Compressor: the chunked kernel. The k-th largest
-// |value| is found by a parallel MSB-first radix select — four rounds of
-// per-chunk 256-bucket histograms over the magnitude bit patterns (for
-// non-negative IEEE-754 floats, bit order equals numeric order), combined by
-// integer summation, which is order-independent — so the threshold is the
-// *exact* order statistic quickselect would return, found in four
-// cache-friendly parallel scans with zero scratch allocation. Survivors are
-// then written with the same count/prefix/write scheme as TBQ — the per-chunk
-// counts fall out of the histograms, so there is no separate count sweep —
-// with the serial "strictly above first, ties in index order" rule realized
-// through per-chunk tie quotas. The payload is byte-identical to the serial
-// implementation for any worker count.
+// |value| is found over magnitude bit patterns (for non-negative IEEE-754
+// floats, bit order equals numeric order) and is the *exact* order statistic
+// quickselect would return. One parallel sweep builds per-chunk 2,048-bucket
+// histograms of the patterns' top 11 bits (1/8-octave buckets, so the bucket
+// holding the k-th magnitude holds about 0.1 % of a bell-shaped gradient) and
+// records the largest pattern of every 32-element block; integer summation of
+// the histograms, which is order-independent, names that bucket. A second
+// parallel pass skips every block whose maximum is under the bucket's floor —
+// with k << n about 96 % of them — and gathers the candidates in the rest
+// (everything at or above the floor) as magnitude<<32|index, in index order,
+// into per-chunk regions sized by the histograms. All later work is
+// O(candidates): two 10-bit radix rounds over the bucket's contenders resolve
+// the threshold's low 20 bits, and the write pass walks the candidates and
+// puts the survivors at prefix-sum offsets as TBQ does — the per-chunk counts
+// fall out of the three histograms, so there is no count pass — with the
+// serial "strictly above first, ties in index order" rule realized through
+// per-chunk tie quotas. The payload is byte-identical to the serial
+// implementation for any worker count. When nearly every element is a
+// candidate (one repeated value, ratio 1) the candidate passes are full sweeps
+// over 8-byte entries: DESIGN.md "Fused error feedback" has the measured bound.
 func (d *DGC) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
 	return d.encode(dst, grad, nil)
 }
@@ -103,60 +113,57 @@ func (d *DGC) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	defer op.release()
 	op.n, op.grad, op.res = n, grad, res
 	op.hists = growSlice(op.hists, chunks)
+	op.tops = growSlice(op.tops, chunks)
+	op.blockMax = growSlice(op.blockMax, (n+dgcBlock-1)/dgcBlock)
+	op.regions = growSlice(op.regions, chunks)
 	op.counts = growSlice(op.counts, chunks)
 	op.aboveOffs = growSlice(op.aboveOffs, chunks)
 	op.tieOffs = growSlice(op.tieOffs, chunks)
 	op.tieQuota = growSlice(op.tieQuota, chunks)
-	clear(op.counts)
 
-	// Radix select: resolve the threshold's 32 magnitude bits one byte at a
-	// time, MSB first. Round 0 doubles as the fused v = grad + residual
-	// store; every later pass selects over v. The per-chunk histograms also
-	// yield each chunk's survivor counts: an element is strictly above the
-	// threshold exactly when, in the round where its prefix still matched,
-	// its byte landed in a bucket above the chosen one, and it ties when it
-	// matched through the last round.
-	var prefix, prefixMask uint32
-	remaining := k
-	matching := n // elements whose magnitude starts with prefix
-	bitOrder := true
-	for round := 0; round < 4; round++ {
-		op.phase = dgcHist
-		op.prefix, op.prefixMask = prefix, prefixMask
-		op.shift = uint(24 - 8*round)
-		op.sparse = matching < n/16
-		kernels.Default().Run(chunks, op)
-		var total [256]int
-		for c := range op.hists {
-			for b, x := range &op.hists[c] {
-				total[b] += int(x)
-			}
-		}
-		if round == 0 && total[0x7f] > 0 {
-			// Some magnitude is >= 2^127 and may be a NaN, which the
-			// histograms rank above +Inf but no float compare selects.
-			bitOrder = false
-		}
-		b := 255
-		for ; b > 0 && total[b] < remaining; b-- {
-			remaining -= total[b]
-		}
-		for c := range op.hists {
-			h := &op.hists[c]
-			for _, x := range h[b+1:] {
-				op.counts[c].above += int(x)
-			}
-			op.counts[c].tie = int(h[b]) // the last round's value stands
-		}
-		prefix |= uint32(b) << op.shift
-		prefixMask |= 0xff << op.shift
-		matching = total[b]
+	// The one full sweep: bucket histograms and block maxima, carrying the
+	// fused v = grad + residual store; every later pass selects over v.
+	op.run(dgcSweep)
+	// Some magnitude is >= 2^127 and may be a NaN, which the histograms rank
+	// above +Inf but no float compare selects.
+	bitOrder := op.top() < 0x7f000000>>dgcBucketShift
+	clear(op.counts)
+	bucket, rank := op.kth(k)
+
+	// Candidates are the elements in the threshold bucket or above it, which
+	// is what kth has just counted per chunk. Each chunk's region is followed
+	// by the slack its branch-free compaction stores into.
+	total := 0
+	for c, cnt := range op.counts {
+		op.regions[c] = dgcRegion{off: total + c*dgcBlock, size: cnt.above + cnt.tie}
+		total += cnt.above + cnt.tie
 	}
-	op.thr = math.Float32frombits(prefix)
+	if need := total + chunks*dgcBlock; len(op.cands) < need {
+		// Unlike the scratch sized by n, this size moves from one encode of a
+		// tensor to the next: grow past it, not up to it.
+		op.cands = make([]uint64, need+need/4)
+	}
+	op.floor = uint32(bucket) << dgcBucketShift
+	op.misfilled.Store(false)
+	op.run(dgcGather)
+	if op.misfilled.Load() {
+		return nil, fmt.Errorf("compress: dgc gather disagrees with the %d candidates counted (internal error)", total)
+	}
+
+	// The threshold's low 20 bits, a digit at a time, over the bucket's
+	// contenders; an entry's magnitude sits above its 32 index bits.
+	op.prefix = uint64(bucket)
+	for _, shift := range [2]uint{32 + dgcDigitBits, 32} {
+		op.shift = shift
+		op.run(dgcRound)
+		var digit int
+		digit, rank = op.kth(rank)
+		op.prefix = op.prefix<<dgcDigitBits | uint64(digit)
+	}
+	op.thr = math.Float32frombits(uint32(op.prefix))
 	if !bitOrder {
 		// Rare path: recount with the float compares the write pass uses.
-		op.phase = dgcCount
-		kernels.Default().Run(chunks, op)
+		op.run(dgcCount)
 	}
 
 	// Survivor write at prefix-sum offsets, with tie quotas.
@@ -184,8 +191,7 @@ func (d *DGC) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	op.idxBody = out[headerSize+4:]
 	op.valBody = out[headerSize+4+4*k:]
 	op.unfilled.Store(false)
-	op.phase = dgcWrite
-	kernels.Default().Run(chunks, op)
+	op.run(dgcWrite)
 	if op.unfilled.Load() {
 		return nil, fmt.Errorf("compress: dgc write pass disagrees with the %d survivors counted (internal error)", k)
 	}
@@ -242,14 +248,37 @@ func (d *DGC) scatter(payload []byte, dst []float32, k int) error {
 // --- chunked kernel ----------------------------------------------------------
 
 const (
-	dgcHist = iota + 1
+	dgcSweep = iota + 1
+	dgcGather
+	dgcRound
 	dgcCount
 	dgcWrite
 )
 
-type dgcHistT [256]int32
+const (
+	dgcBucketShift = 20 // a bucket is a magnitude pattern's top 11 bits: 8 exponent, 3 mantissa
+	dgcBuckets     = 1 << (31 - dgcBucketShift)
+	dgcDigitBits   = 10 // a radix round resolves this many of the pattern's low 20 bits
+	dgcBlock       = 32 // elements per block maximum
+)
+
+// dgcHistT is one chunk's histogram: 2,048 buckets in the sweep, the first
+// 1<<dgcDigitBits as digit counters in the radix rounds. Back-to-back read-modify-writes
+// of one counter serialize on store forwarding and gradients concentrate in
+// few buckets, so a bucket is two counters that alternate elements count into
+// and its count is their sum. A chunk has at most ChunkElems elements, which
+// the conversion below holds to a uint16.
+type dgcHistT [dgcBuckets][2]uint16
+
+func (h *dgcHistT) count(b int) int { return int(h[b][0]) + int(h[b][1]) }
+
+const _ = uint16(kernels.ChunkElems)
 
 type dgcCountT struct{ above, tie int }
+
+// dgcRegion locates one chunk's candidates in dgcOp.cands: size entries from
+// off, followed by dgcBlock slots of slack.
+type dgcRegion struct{ off, size int }
 
 type dgcOp struct {
 	phase int
@@ -257,11 +286,16 @@ type dgcOp struct {
 	grad  []float32
 	res   []float32 // fused: residual in, v then updated residual out
 
-	// Radix-select state.
-	prefix, prefixMask uint32
-	shift              uint
-	sparse             bool // under 1/16 of the elements still match prefix
-	hists              []dgcHistT
+	// Selection state.
+	hists     []dgcHistT  // per chunk: the histogram of the pass that ran last
+	tops      []int       // per chunk: the highest bucket (digit) that histogram filled
+	blockMax  []uint32    // largest magnitude pattern of every dgcBlock elements
+	floor     uint32      // smallest candidate magnitude pattern
+	cands     []uint64    // magnitude<<32 | index, chunk regions in index order
+	regions   []dgcRegion // per chunk
+	misfilled atomic.Bool // a chunk gathered more or fewer candidates than its histogram counted
+	prefix    uint64      // radix rounds: a contender is a candidate with entry>>(shift+dgcDigitBits) == prefix
+	shift     uint
 
 	// Survivor-write state.
 	thr        float32
@@ -282,6 +316,11 @@ func (o *dgcOp) release() {
 	dgcOpPool.Put(o)
 }
 
+func (o *dgcOp) run(phase int) {
+	o.phase = phase
+	kernels.Default().Run(len(o.hists), o)
+}
+
 // src returns the slice the selection passes read: v (stored in the
 // residual buffer) when fused, the raw gradient otherwise.
 func (o *dgcOp) src() []float32 {
@@ -291,90 +330,151 @@ func (o *dgcOp) src() []float32 {
 	return o.grad
 }
 
-// dgcHist0 is radix round 0 over one chunk: a histogram of every element's
-// top magnitude byte (7 exponent bits, so only buckets 0..127 fill), with no
-// prefix to compare against. Gradients concentrate in a handful of exponent
-// buckets, and back-to-back read-modify-writes of one counter serialize on
-// store forwarding, so four consecutive elements count into four separate
-// sub-histograms that are summed at the end. With res non-nil the same sweep
-// stores v = grad + res into res.
-func dgcHist0(h *dgcHistT, grad, res []float32) {
-	var sub [4][128]int32
-	top := func(v float32) uint32 { return math.Float32bits(v) >> 24 & 0x7f }
-	i := 0
-	if res == nil {
-		for ; i+4 <= len(grad); i += 4 {
-			v := (*[4]float32)(grad[i:])
-			sub[0][top(v[0])]++
-			sub[1][top(v[1])]++
-			sub[2][top(v[2])]++
-			sub[3][top(v[3])]++
-		}
-		for ; i < len(grad); i++ {
-			sub[0][top(grad[i])]++
-		}
-	} else {
-		for ; i+4 <= len(grad); i += 4 {
-			g, r := (*[4]float32)(grad[i:]), (*[4]float32)(res[i:])
-			v0, v1, v2, v3 := r[0]+g[0], r[1]+g[1], r[2]+g[2], r[3]+g[3]
-			r[0], r[1], r[2], r[3] = v0, v1, v2, v3
-			sub[0][top(v0)]++
-			sub[1][top(v1)]++
-			sub[2][top(v2)]++
-			sub[3][top(v3)]++
-		}
-		for ; i < len(grad); i++ {
-			res[i] += grad[i]
-			sub[0][top(res[i])]++
-		}
+// top returns the highest bucket any chunk's histogram filled.
+func (o *dgcOp) top() int {
+	top := 0
+	for _, t := range o.tops {
+		top = max(top, t)
 	}
+	return top
+}
+
+// kth walks the summed per-chunk histograms down from the highest filled
+// bucket to the one holding the rank-th largest key, and returns it with the
+// key's rank among that bucket's own. Integer addition makes the result
+// independent of chunk order; no loop runs past what the pass observed. The
+// walk also refines each chunk's survivor counts: a bucket's keys tie with the
+// threshold while it is the lowest one walked and are strictly above it once
+// the walk steps below.
+func (o *dgcOp) kth(rank int) (bucket, within int) {
+	for c := range o.counts {
+		o.counts[c].tie = 0 // the previous pass's ties are this pass's keys
+	}
+	for b := o.top(); ; b-- {
+		t := 0
+		for c := range o.hists {
+			n := &o.counts[c]
+			n.above += n.tie
+			n.tie = o.hists[c].count(b)
+			t += n.tie
+		}
+		if t >= rank || b == 0 {
+			return b, rank
+		}
+		rank -= t
+	}
+}
+
+// dgcSweepChunk is the full sweep over one chunk: a histogram of every
+// element's magnitude bucket, the largest magnitude pattern of each block,
+// and the highest bucket filled. With res non-nil the same sweep stores
+// v = grad + res into res (the test is loop-invariant and predicts). The
+// % dgcBuckets is a no-op that tells the compiler the index is in range.
+func dgcSweepChunk(h *dgcHistT, blockMax []uint32, grad, res []float32) (top int) {
 	*h = dgcHistT{}
-	for b := range sub[0] {
-		h[b] = sub[0][b] + sub[1][b] + sub[2][b] + sub[3][b]
+	var chunkMax uint32
+	fused := res != nil
+	if !fused {
+		res = grad
 	}
+	full := len(grad) / dgcBlock
+	for j := 0; j < full; j++ {
+		g, r := (*[dgcBlock]float32)(grad[j*dgcBlock:]), (*[dgcBlock]float32)(res[j*dgcBlock:])
+		var m0, m1, m2, m3 uint32
+		for i := 0; i < dgcBlock; i += 4 {
+			v0, v1, v2, v3 := g[i], g[i+1], g[i+2], g[i+3]
+			if fused {
+				v0, v1, v2, v3 = r[i]+v0, r[i+1]+v1, r[i+2]+v2, r[i+3]+v3
+				r[i], r[i+1], r[i+2], r[i+3] = v0, v1, v2, v3
+			}
+			p0, p1 := math.Float32bits(v0)&^f32SignBit, math.Float32bits(v1)&^f32SignBit
+			p2, p3 := math.Float32bits(v2)&^f32SignBit, math.Float32bits(v3)&^f32SignBit
+			h[p0>>dgcBucketShift%dgcBuckets][0]++
+			h[p1>>dgcBucketShift%dgcBuckets][1]++
+			h[p2>>dgcBucketShift%dgcBuckets][0]++
+			h[p3>>dgcBucketShift%dgcBuckets][1]++
+			m0, m1, m2, m3 = max(m0, p0), max(m1, p1), max(m2, p2), max(m3, p3)
+		}
+		blockMax[j] = max(m0, m1, m2, m3)
+		chunkMax = max(chunkMax, blockMax[j])
+	}
+	if tail := full * dgcBlock; tail < len(grad) {
+		var m uint32
+		for i, v := range grad[tail:] {
+			if fused {
+				v += res[tail+i]
+				res[tail+i] = v
+			}
+			p := math.Float32bits(v) &^ f32SignBit
+			h[p>>dgcBucketShift%dgcBuckets][i&1]++
+			m = max(m, p)
+		}
+		blockMax[full] = m
+		chunkMax = max(chunkMax, m)
+	}
+	return int(chunkMax >> dgcBucketShift)
 }
 
 func (o *dgcOp) RunChunk(c int) {
 	lo, hi := kernels.ChunkRange(o.n, c)
+	r := o.regions[c]
 	switch o.phase {
-	case dgcHist:
+	case dgcSweep:
+		var res []float32
+		if o.res != nil {
+			res = o.res[lo:hi]
+		}
+		o.tops[c] = dgcSweepChunk(&o.hists[c], o.blockMax[lo/dgcBlock:(hi+dgcBlock-1)/dgcBlock], o.grad[lo:hi], res)
+	case dgcGather:
+		// Branch-free compaction inside a visited block: store every
+		// element's entry, advance past it only when it is a candidate. A
+		// block stores at most dgcBlock-1 slots past the candidates kept so
+		// far, so a region that is not yet overfull has the room.
+		src, floor := o.src(), uint64(o.floor)
+		region := o.cands[r.off : r.off+r.size+dgcBlock]
+		w := 0
+		for j, m := range o.blockMax[lo/dgcBlock : (hi+dgcBlock-1)/dgcBlock] {
+			if uint64(m) < floor {
+				continue // with k << n most blocks hold no candidate: the skip predicts
+			}
+			if w > r.size {
+				break
+			}
+			out, kept := (*[dgcBlock]uint64)(region[w:]), uint64(0)
+			i0 := lo + j*dgcBlock
+			for i, v := range src[i0:min(i0+dgcBlock, hi)] {
+				p := uint64(math.Float32bits(v) &^ f32SignBit)
+				out[kept%dgcBlock] = p<<32 | uint64(i0+i)
+				kept += (floor - p - 1) >> 63 // p >= floor
+			}
+			w += int(kept)
+		}
+		if w != r.size {
+			o.misfilled.Store(true)
+		}
+	case dgcRound:
 		h := &o.hists[c]
-		if o.prefixMask == 0 {
-			var res []float32
-			if o.res != nil {
-				res = o.res[lo:hi]
-			}
-			dgcHist0(h, o.grad[lo:hi], res)
-			return
+		clear(h[:1<<dgcDigitBits])
+		o.tops[c] = 0
+		if o.counts[c].tie == 0 {
+			return // the last histogram left this chunk no contender
 		}
-		*h = dgcHistT{}
-		prefix, mask, shift := o.prefix, o.prefixMask, o.shift&31
-		src := o.src()[lo:hi]
-		if o.sparse {
-			// Few elements still match the prefix (the previous round
-			// counted them), so the skip predicts.
-			for _, v := range src {
-				if b := math.Float32bits(v) &^ f32SignBit; b&mask == prefix {
-					h[b>>shift&0xff]++
-				}
-			}
-			return
+		prefix, shift := o.prefix, o.shift&63
+		var top uint64
+		for _, e := range o.cands[r.off : r.off+r.size] {
+			match := ((e>>(shift+dgcDigitBits) ^ prefix) - 1) >> 63
+			digit := e >> shift % (1 << dgcDigitBits)
+			h[digit][0] += uint16(match)
+			top = max(top, digit*match)
 		}
-		// Many match — in round 1 typically a coin flip per element — so
-		// count 1 or 0 without branching.
-		for _, v := range src {
-			b := math.Float32bits(v) &^ f32SignBit // |value| bit pattern
-			match := (uint64((b^prefix)&mask) - 1) >> 63
-			h[b>>shift&0xff] += int32(match)
-		}
+		o.tops[c] = int(top)
 	case dgcCount:
+		// Everything the gather left out is under the bucket floor, so under
+		// any non-NaN threshold; a NaN threshold selects nothing.
 		thr := o.thr
 		var above, tie int
-		for _, a := range o.src()[lo:hi] {
-			if a < 0 {
-				a = -a
-			}
-			if a > thr {
+		for _, e := range o.cands[r.off : r.off+r.size] {
+			if a := math.Float32frombits(uint32(e >> 32)); a > thr {
 				above++
 			} else if a == thr {
 				tie++
@@ -382,25 +482,17 @@ func (o *dgcOp) RunChunk(c int) {
 		}
 		o.counts[c] = dgcCountT{above: above, tie: tie}
 	case dgcWrite:
-		src := o.src()[lo:hi]
-		res := o.res
-		thr := o.thr
+		src, res, thr := o.src(), o.res, o.thr
 		idxBody, valBody := o.idxBody, o.valBody
 		wAbove := o.aboveOffs[c]
 		aboveEnd := wAbove + o.counts[c].above
 		wTie := o.aboveTotal + o.tieOffs[c]
 		tieLeft := o.tieQuota[c]
-		// Compaction is inherently a data-dependent write; with k << n the
-		// skip is almost always taken and predicts. It tests bit patterns,
-		// which admits exactly the magnitudes >= thr plus NaNs; the float
-		// compares below then drop the NaNs.
-		thrBits := math.Float32bits(thr)
-		for j, g := range src {
-			b := math.Float32bits(g) &^ f32SignBit
-			if b < thrBits {
-				continue
-			}
-			a := math.Float32frombits(b)
+		// Compaction is inherently a data-dependent write. The candidates are
+		// in index order, so are the survivors; the float compares drop the
+		// contenders under the threshold and the NaNs.
+		for _, e := range o.cands[r.off : r.off+r.size] {
+			a := math.Float32frombits(uint32(e >> 32))
 			if !(a >= thr) {
 				continue
 			}
@@ -414,10 +506,11 @@ func (o *dgcOp) RunChunk(c int) {
 			} else {
 				continue
 			}
-			binary.LittleEndian.PutUint32(idxBody[4*w:], uint32(lo+j))
-			putF32(valBody[4*w:], g)
+			i := uint32(e)
+			binary.LittleEndian.PutUint32(idxBody[4*w:], i)
+			putF32(valBody[4*w:], src[i])
 			if res != nil {
-				res[lo+j] = 0 // v - decode(v) == 0 for selected elements
+				res[i] = 0 // v - decode(v) == 0 for selected elements
 			}
 		}
 		if wAbove != aboveEnd || tieLeft != 0 {

@@ -95,6 +95,7 @@ var diffAlgos = []diffAlgo{
 	}},
 	{"dgc-0.001", mkDGCDiff(0.001)},
 	{"dgc-0.25", mkDGCDiff(0.25)},
+	{"dgc-1", mkDGCDiff(1)},
 	{"tbq", func(testing.TB) (Compressor, func(grad, res []float32) ([]byte, error)) {
 		q := NewTBQ(0.05)
 		return q, func(grad, res []float32) ([]byte, error) { return refTBQEncode(q, grad, res), nil }
@@ -197,69 +198,116 @@ func clip(b []byte) []byte {
 	return b
 }
 
+// randSign flips x's sign bit with probability 1/2.
+func randSign(x uint32, rng *tensor.RNG) float32 {
+	return math.Float32frombits(x | uint32(rng.Intn(2))<<31)
+}
+
+// diffGens each fill one gradient; the seed differs between the two
+// consecutive encodes. The last four aim at DGC's selection: its 1/8-octave
+// magnitude buckets (a pattern's top 11 bits), its 32-element block maxima
+// and the candidate gather they steer.
+var diffGens = []struct {
+	name string
+	fill func(g []float32, rng *tensor.RNG)
+}{
+	{"normal", func(g []float32, rng *tensor.RNG) { rng.FillNormal(g, 1) }},
+	{"specials", func(g []float32, rng *tensor.RNG) {
+		off := rng.Intn(len(specialBits))
+		for i := range g {
+			g[i] = math.Float32frombits(specialBits[(i+off)%len(specialBits)])
+		}
+	}},
+	{"random-bits", func(g []float32, rng *tensor.RNG) {
+		for i := range g {
+			g[i] = math.Float32frombits(uint32(rng.Uint64()))
+		}
+	}},
+	{"normal-with-specials", func(g []float32, rng *tensor.RNG) {
+		rng.FillNormal(g, 1)
+		for i := rng.Intn(97); i < len(g); i += 97 {
+			g[i] = math.Float32frombits(specialBits[rng.Intn(len(specialBits))])
+		}
+	}},
+	{"all-equal", func(g []float32, rng *tensor.RNG) {
+		x := math.Float32frombits(specialBits[rng.Intn(len(specialBits))])
+		for i := range g {
+			g[i] = x
+		}
+	}},
+	{"ties-at-threshold", func(g []float32, rng *tensor.RNG) {
+		for i := range g {
+			g[i] = 1
+			if rng.Intn(2) == 0 {
+				g[i] = -1
+			}
+		}
+		if len(g) > 3 {
+			g[rng.Intn(len(g))] = 2
+		}
+	}},
+	{"nan-then-ties", func(g []float32, rng *tensor.RNG) {
+		for i := range g {
+			g[i] = 1
+		}
+		for i := 0; i < len(g); i += 1 + rng.Intn(4000) {
+			g[i] = math.Float32frombits(0x7fc00000 | uint32(i)&0xffff)
+		}
+	}},
+	{"two-valued", func(g []float32, rng *tensor.RNG) {
+		for i := range g {
+			g[i] = float32(1+rng.Intn(2)) / 2
+		}
+	}},
+	{"denormals", func(g []float32, rng *tensor.RNG) {
+		for i := range g {
+			g[i] = math.Float32frombits(uint32(rng.Uint64())&0x807fffff | uint32(rng.Intn(2))<<23)
+		}
+	}},
+	{"one-bucket", func(g []float32, rng *tensor.RNG) {
+		// Distinct magnitudes, all in [1, 1.125): every element contends for
+		// the threshold and both low-bit radix rounds have work to do.
+		off := rng.Intn(1 << 20)
+		for i := range g {
+			g[i] = randSign(0x3f800000|uint32((i+off)*2654435761)&0xfffff, rng)
+		}
+	}},
+	{"bucket-edges", func(g []float32, rng *tensor.RNG) {
+		// The first, the last and the neighbours' adjacent patterns of three
+		// consecutive buckets, in proportions that move the threshold around.
+		b := uint32(0x3f8+rng.Intn(3)) << 20
+		edges := []uint32{b - 1, b, b | 0xfffff, b + 1<<20, b + 1<<20 | 0xfffff, b + 2<<20}
+		skew := 1 + rng.Intn(4)
+		for i := range g {
+			g[i] = randSign(edges[rng.Intn(len(edges)*skew)%len(edges)], rng)
+		}
+	}},
+	{"lone-spike-per-block", func(g []float32, rng *tensor.RNG) {
+		// One large magnitude at the first or last position of each 32-element
+		// block, the partial tail block included, over a small bell.
+		rng.FillNormal(g, 0.01)
+		for lo := 0; lo < len(g); lo += 32 {
+			i := min(lo+31*rng.Intn(2), len(g)-1)
+			g[i] = randSign(math.Float32bits(10+float32(rng.Intn(1000))), rng)
+		}
+	}},
+	{"nan-is-block-max", func(g []float32, rng *tensor.RNG) {
+		// NaNs of both signs, each its block's largest pattern, over a few
+		// heavily tied values: at ratio 0.001 about as many NaNs as k, so the
+		// float recount over the candidates both succeeds on ties and fails.
+		for i := range g {
+			g[i] = float32(rng.Intn(9)-4) / 4
+		}
+		for i := rng.Intn(64); i < len(g); i += 1 + rng.Intn(2000) {
+			g[i] = randSign(0x7f800001+uint32(rng.Intn(1<<22)), rng)
+		}
+	}},
+}
+
 func TestKernelsMatchReference(t *testing.T) {
-	// Each generator fills one gradient; seed differs between the two
-	// consecutive encodes.
-	gens := []struct {
-		name string
-		fill func(g []float32, rng *tensor.RNG)
-	}{
-		{"normal", func(g []float32, rng *tensor.RNG) { rng.FillNormal(g, 1) }},
-		{"specials", func(g []float32, rng *tensor.RNG) {
-			off := rng.Intn(len(specialBits))
-			for i := range g {
-				g[i] = math.Float32frombits(specialBits[(i+off)%len(specialBits)])
-			}
-		}},
-		{"random-bits", func(g []float32, rng *tensor.RNG) {
-			for i := range g {
-				g[i] = math.Float32frombits(uint32(rng.Uint64()))
-			}
-		}},
-		{"normal-with-specials", func(g []float32, rng *tensor.RNG) {
-			rng.FillNormal(g, 1)
-			for i := rng.Intn(97); i < len(g); i += 97 {
-				g[i] = math.Float32frombits(specialBits[rng.Intn(len(specialBits))])
-			}
-		}},
-		{"all-equal", func(g []float32, rng *tensor.RNG) {
-			x := math.Float32frombits(specialBits[rng.Intn(len(specialBits))])
-			for i := range g {
-				g[i] = x
-			}
-		}},
-		{"ties-at-threshold", func(g []float32, rng *tensor.RNG) {
-			for i := range g {
-				g[i] = 1
-				if rng.Intn(2) == 0 {
-					g[i] = -1
-				}
-			}
-			if len(g) > 3 {
-				g[rng.Intn(len(g))] = 2
-			}
-		}},
-		{"nan-then-ties", func(g []float32, rng *tensor.RNG) {
-			for i := range g {
-				g[i] = 1
-			}
-			for i := 0; i < len(g); i += 1 + rng.Intn(4000) {
-				g[i] = math.Float32frombits(0x7fc00000 | uint32(i)&0xffff)
-			}
-		}},
-		{"two-valued", func(g []float32, rng *tensor.RNG) {
-			for i := range g {
-				g[i] = float32(1+rng.Intn(2)) / 2
-			}
-		}},
-		{"denormals", func(g []float32, rng *tensor.RNG) {
-			for i := range g {
-				g[i] = math.Float32frombits(uint32(rng.Uint64())&0x807fffff | uint32(rng.Intn(2))<<23)
-			}
-		}},
-	}
-	sizes := []int{0, 1, 7, 8, 9, kernels.ChunkElems - 1, kernels.ChunkElems, kernels.ChunkElems + 1, 3*kernels.ChunkElems + 5}
-	for gi, gen := range gens {
+	sizes := []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, kernels.ChunkElems - 32, kernels.ChunkElems - 1,
+		kernels.ChunkElems, kernels.ChunkElems + 1, kernels.ChunkElems + 32, 3*kernels.ChunkElems + 5}
+	for gi, gen := range diffGens {
 		for _, n := range sizes {
 			if n > kernels.ChunkElems+1 && (testing.Short() || raceEnabled) && gi > 1 {
 				continue // the multi-chunk size once per broad input class is enough there
@@ -292,6 +340,15 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		binary.LittleEndian.PutUint32(normal[4*i:], math.Float32bits(x))
 	}
 	f.Add(normal, uint8(1))
+	for gi, gen := range diffGens {
+		g := make([]float32, 100) // three blocks and a partial one
+		gen.fill(g, tensor.NewRNG(uint64(gi+1)))
+		b := make([]byte, 4*len(g))
+		for i, x := range g {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(x))
+		}
+		f.Add(b, uint8(gi&1))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {
 		pat := make([]uint32, min(len(data)/4, 2048))

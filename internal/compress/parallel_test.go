@@ -197,6 +197,41 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestDGCSteadyStateAllocs holds DGC's selection scratch — histograms, block
+// maxima, candidate regions, all pooled with the op — to the same contract
+// at the sizes that shape it differently: one block-skipping chunk of a few
+// blocks, one full chunk, and 32 chunks.
+func TestDGCSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses its caches under -race; alloc counts are meaningless")
+	}
+	c := newSeeded(t, "dgc", 5)
+	for _, n := range []int{256, 32 << 10, 1 << 20} {
+		grad := randGrad(uint64(n), n, 1)
+		dst := make([]byte, MaxEncodedSize(c, n))
+		res := make([]float32, n)
+		for _, fused := range []bool{false, true} {
+			encode := func() {
+				var err error
+				if fused {
+					_, err = encodeFused(c, dst, grad, res)
+				} else {
+					_, err = EncodeInto(c, dst, grad)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				encode() // warm the op pool and let the candidate regions reach their size
+			}
+			if a := testing.AllocsPerRun(20, encode); a != 0 {
+				t.Errorf("dgc n=%d fused=%v: %v allocs/op, want 0", n, fused, a)
+			}
+		}
+	}
+}
+
 // TestDecodeAddMatchesDecode pins the fused decode+merge: DecodeAdd into an
 // accumulator equals Decode followed by element-wise add.
 func TestDecodeAddMatchesDecode(t *testing.T) {
