@@ -71,20 +71,29 @@ bench:
 	$(GO) run ./cmd/hipress-bench all
 
 # Non-test source lines per internal package — the unit ROADMAP states its
-# design-quality gates in — and a ratchet on the package those gates are about:
-# internal/core may shrink below LOC_BUDGET_core (lower the budget to the new
-# count in the PR that does it) and fails the target when it grows past it.
-LOC_BUDGET_core := 6363
+# design-quality gates in — and a ratchet on the packages its line budget
+# quotes: each of core, compress, netsim and trainer may shrink below its
+# LOC_BUDGET_<pkg> (lower the budget to the new count in the PR that does it)
+# and fails the target when it grows past it.
+LOC_BUDGET_core := 6349
+LOC_BUDGET_compress := 2802
+LOC_BUDGET_netsim := 1907
+LOC_BUDGET_trainer := 876
 
 loc:
 	@for d in internal/*/; do \
+		p=$$(basename "$$d"); \
 		n=$$(find "$$d" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		printf '%-22s %6d\n' "$$d" "$$n"; \
-		if [ "$$d" = internal/core/ ] && [ "$$n" -gt $(LOC_BUDGET_core) ]; then over=$$n; fi; \
+		case $$p in \
+		core) b=$(LOC_BUDGET_core) ;; compress) b=$(LOC_BUDGET_compress) ;; \
+		netsim) b=$(LOC_BUDGET_netsim) ;; trainer) b=$(LOC_BUDGET_trainer) ;; *) continue ;; \
+		esac; \
+		if [ "$$n" -gt "$$b" ]; then \
+			echo "internal/$$p: $$n non-test lines, over LOC_BUDGET_$$p = $$b" >&2; over=1; \
+		fi; \
 	done; \
-	if [ -n "$$over" ]; then \
-		echo "internal/core: $$over non-test lines, over LOC_BUDGET_core = $(LOC_BUDGET_core)" >&2; exit 1; \
-	fi
+	[ -z "$$over" ]
 
 clean:
 	$(GO) clean ./...

@@ -223,17 +223,6 @@ func (c *Calibrator) SendCurve(minSamples int) (core.Curve, bool) {
 	return worst, found
 }
 
-// LinkSamples returns the total unambiguous round trips folded in so far.
-func (c *Calibrator) LinkSamples() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for _, f := range c.links {
-		n += f.Count()
-	}
-	return n
-}
-
 // EncCurve returns the measured encode cost as a proportional curve in
 // seconds per raw byte, falling back to prior when no live sample exists
 // yet. ok is false only when there is neither.

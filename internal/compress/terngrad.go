@@ -46,9 +46,6 @@ func (t *TernGrad) SetStream(key uint64) { t.rng.Restore(tensor.RNGState(key)) }
 // Name implements Compressor.
 func (t *TernGrad) Name() string { return fmt.Sprintf("terngrad-%dbit", t.bitwidth) }
 
-// Bitwidth returns the quantization bitwidth.
-func (t *TernGrad) Bitwidth() int { return t.bitwidth }
-
 // CompressedSize implements Compressor.
 func (t *TernGrad) CompressedSize(n int) int {
 	return headerSize + 12 + (n*t.bitwidth+7)/8

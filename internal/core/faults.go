@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the live plane's fault model: retry policies, typed failure
-// errors, per-round health reporting, and the per-round ack rendezvous and
-// success scoreboard of reliable rounds.
+// errors, per-round health reporting, and the per-transfer ack rendezvous and
+// per-endpoint success scoreboard of reliable rounds.
 
 // DegradePolicy selects what a reliable round does when a peer is declared
 // failed mid-round.
@@ -45,8 +45,8 @@ func (p DegradePolicy) String() string {
 // exponential backoff, then the scoreboard failure detector.
 type RetryPolicy struct {
 	// MaxAttempts is the number of transmission attempts before the sender
-	// suspects the link (≥ 1). After suspicion, up to the same number of
-	// grace attempts run while the failure detector is inconclusive.
+	// suspects the link (1 … 32768). After suspicion, up to the same number
+	// of grace attempts run while the failure detector is inconclusive.
 	MaxAttempts int
 	// BaseBackoff is the wait after the first unacknowledged attempt;
 	// subsequent waits double, capped at MaxBackoff.
@@ -253,23 +253,23 @@ func (h *RoundHealth) String() string {
 		h.SkippedTasks, h.ExcludedPeers, len(h.UnsyncedParts), h.Renormalized)
 }
 
-// ackKey identifies one logical transfer awaiting acknowledgement. Acks are
-// keyed without the attempt number: an ack for any attempt settles the
-// transfer.
-type ackKey struct {
-	src, dst int
-	grad     string
-	step     int // packed (step, part)
+// transfer is a reliable round's state for one transfer, kept at its recv
+// task's id in a table indexed like the graph (liveRound.xfer): ack, guarded
+// by roundState.mu, is the sender's rendezvous — armed by deliver, closed and
+// cleared by the first ack of any attempt; seen is the receiver's dedup mark,
+// written only by the dispatcher of the recv's node.
+type transfer struct {
+	ack  chan struct{}
+	seen bool
 }
 
 // roundState is what a round's fault plane keeps that is per-round by nature:
-// the ack rendezvous, the success scoreboard the failure detector judges by
-// (healthPlane.scoreboard), and the RoundHealth counters. What is known about
+// the success scoreboard the failure detector judges by
+// (healthPlane.scoreboard) and the RoundHealth counters. What is known about
 // a peer — convicted, suspected, carried in excluded — lives in the health
-// plane's peer table, not here. mu guards acks and succ only.
+// plane's peer table, not here. mu guards succ and transfer.ack only.
 type roundState struct {
 	mu   sync.Mutex
-	acks map[ackKey]chan struct{}
 	succ []int // acknowledged transfers credited to each endpoint
 
 	// Counters (atomic): see RoundHealth.
@@ -285,35 +285,28 @@ type roundState struct {
 }
 
 func newRoundState(n int) *roundState {
-	return &roundState{acks: map[ackKey]chan struct{}{}, succ: make([]int, n)}
+	return &roundState{succ: make([]int, n)}
 }
 
-// ackChan returns (creating if needed) the rendezvous channel for one
-// transfer. The channel is closed by ackArrived.
-func (rs *roundState) ackChan(k ackKey) chan struct{} {
+// arm makes x's ack rendezvous, which settle closes.
+func (rs *roundState) arm(x *transfer) chan struct{} {
+	ch := make(chan struct{})
 	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	ch, ok := rs.acks[k]
-	if !ok {
-		ch = make(chan struct{})
-		rs.acks[k] = ch
-	}
+	x.ack = ch
+	rs.mu.Unlock()
 	return ch
 }
 
-// ackArrived settles a transfer: wakes the waiting sender and credits both
-// endpoints on the success scoreboard. Duplicate acks are ignored.
-func (rs *roundState) ackArrived(k ackKey) {
+// settle is an ack of x, a transfer from src to dst: the first one wakes the
+// waiting sender and credits both endpoints on the success scoreboard. An
+// ack of a transfer not armed, or already settled, is ignored.
+func (rs *roundState) settle(x *transfer, src, dst int) {
 	rs.mu.Lock()
-	ch := rs.acks[k]
+	ch := x.ack
 	if ch != nil {
-		delete(rs.acks, k)
-		if k.src >= 0 && k.src < len(rs.succ) {
-			rs.succ[k.src]++
-		}
-		if k.dst >= 0 && k.dst < len(rs.succ) {
-			rs.succ[k.dst]++
-		}
+		x.ack = nil
+		rs.succ[src]++
+		rs.succ[dst]++
 	}
 	rs.mu.Unlock()
 	if ch != nil {

@@ -107,10 +107,10 @@ type HealthConfig struct {
 	// this period so the detector keeps accruing arrivals between data
 	// transfers. Zero disables heartbeats.
 	HeartbeatEvery time.Duration
-	// MaxAttempts is the adaptive attempt budget (default 10). With
-	// doubling RTOs this is a far larger wall-clock budget than the
-	// static policy's, because the φ detector — not attempt exhaustion —
-	// is the intended conviction path.
+	// MaxAttempts is the adaptive attempt budget (default 10, at most 256).
+	// With doubling RTOs this is a far larger wall-clock budget than the
+	// static policy's, because the φ detector — not attempt exhaustion — is
+	// the intended conviction path.
 	MaxAttempts int
 	// Now, when non-nil, supplies the plane's timestamps (a virtual
 	// clock). Live rounds still wait on wall timers; Now only stamps
@@ -906,7 +906,3 @@ func (lc *LiveCluster) HealthStates() []HealthState {
 	}
 	return out
 }
-
-// PeerPhi returns peer v's current φ suspicion level (0 without the
-// health plane).
-func (lc *LiveCluster) PeerPhi(v int) float64 { return lc.health.phi(v) }

@@ -25,8 +25,8 @@ import (
 // []float32 data, encode/decode run the actual compression algorithms, and
 // send/recv move real bytes through a transport. Each node runs the task
 // manager of §3.1: a computing queue (Q_comp) and a communication queue
-// (Q_commu) drained asynchronously, with the shared dependency graph
-// clearing pending dependencies as tasks finish.
+// (Q_commu, the send engine's lanes) drained asynchronously, with the shared
+// dependency graph clearing pending dependencies as tasks finish.
 //
 // The fault plane (faults.go) extends this with deadline-aware reliable
 // delivery: sends are acknowledged-or-retried with capped exponential
@@ -205,6 +205,13 @@ func (c *LiveConfig) Validate() error {
 	if c.Health != nil && c.Health.Adaptive && !c.Reliable {
 		return &ConfigError{"Health.Adaptive", "the adaptive health plane requires Reliable delivery (its evidence is the ack path)"}
 	}
+	// Every attempt of a transfer needs its own number on the wire.
+	if c.Retry.MaxAttempts > 1<<15 {
+		return &ConfigError{"Retry.MaxAttempts", fmt.Sprintf("%d exceeds 32768 (the static budget, 2·MaxAttempts attempts, must fit the wire's 16-bit attempt number)", c.Retry.MaxAttempts)}
+	}
+	if c.Health != nil && c.Health.MaxAttempts > 1<<8 {
+		return &ConfigError{"Health.MaxAttempts", fmt.Sprintf("%d exceeds 256 (a hedge's attempt number stays distinct from every regular attempt's only below 256, see hedgeAttempt)", c.Health.MaxAttempts)}
+	}
 	return nil
 }
 
@@ -332,6 +339,29 @@ type wireKey struct {
 	grad, packed, to, from int
 }
 
+// indexRecvs indexes a round's recv tasks by wire key, checking the builder
+// invariant the live plane relies on: a recv's one dep is its send.
+func indexRecvs(g *Graph) (map[wireKey]int, error) {
+	idx := make(map[wireKey]int, g.Stat().Recv)
+	for i, t := range g.Tasks {
+		if t.Kind == KRecv {
+			if t.deps != 1 {
+				return nil, fmt.Errorf("core: recv task %d has %d deps, want 1", i, t.deps)
+			}
+			idx[wireKey{t.GradIdx, packStep(t.Step, t.Part), t.Node, t.Peer}] = i
+		}
+	}
+	return idx, nil
+}
+
+// recvTask names the transfer of grad at packed step from → to by its armed
+// recv task: the one identity a data frame and its acks both resolve to.
+func (r *liveRound) recvTask(grad string, packed, to, from int) (int, bool) {
+	gi, known := r.lay.index[grad]
+	id, armed := r.recvIdx[wireKey{gi, packed, to, from}]
+	return id, known && armed
+}
+
 // wireBuf is a payload beside the CRC-32 of its bytes — taken as the encoder
 // leaves it, or the sum the dispatcher verified a received payload against.
 // ready marks a received contribution a merge may fold in: a raw one as it
@@ -356,7 +386,7 @@ type partRT struct {
 	agg    bool    // the aggregation barrier completed here: acc is the true aggregate
 }
 
-// nodeRT is the per-node live runtime: the two task queues and the node's
+// nodeRT is the per-node live runtime: the computing queue and the node's
 // buffer state, in tables laid out by the round's roundLayout and carved from
 // slabs shared by all nodes.
 type nodeRT struct {
@@ -367,7 +397,6 @@ type nodeRT struct {
 	parts  []partRT    // by slot
 	in     []wireBuf   // by slot·n+peer: the payload last received from peer
 	qcomp  chan int
-	qcommu chan int
 	mu     sync.Mutex // guards this node's tables across its goroutines
 
 	// lease holds every arena buffer this node checks out during the round
@@ -483,11 +512,10 @@ type liveRound struct {
 	epoch PlanEpoch
 	round int64
 
-	// recvIdx arms the round's recv tasks, read-only once the round runs; seen,
-	// by task id, is the receivers' idempotent dedup of transfers — each entry
-	// written only by the dispatcher of the node the recv belongs to.
+	// recvIdx arms the round's recv tasks, read-only once the round runs;
+	// xfer, by recv task id on reliable rounds, is the transfer table.
 	recvIdx map[wireKey]int
-	seen    []bool
+	xfer    []transfer
 
 	reliable bool
 	timeout  time.Duration
@@ -631,27 +659,28 @@ func (r *liveRound) skippable(t *Task) bool {
 
 // route enqueues a ready task on its node's queue. Cross-node ready tasks
 // are recvs, whose true trigger is message arrival — drop them unless a
-// dead peer means no message will ever come.
+// dead peer means no message will ever come. A send is staged onto its lane
+// right here, on whichever goroutine completed its last dependency.
 func (r *liveRound) route(id int) {
 	t := r.g.Tasks[id]
 	if r.skippable(t) {
 		r.completeSkipped(id)
 		return
 	}
-	if t.Kind == KRecv {
-		return
-	}
-	if t.Kind.IsComm() {
-		r.nodes[t.Node].qcommu <- id
-	} else {
+	switch {
+	case !t.Kind.IsComm():
 		r.nodes[t.Node].qcomp <- id
+	case t.Kind == KSend:
+		if err := r.pipe.submit(t); err != nil {
+			r.fail(err)
+		}
 	}
 }
 
 // onPeerDead follows a new conviction (healthPlane.convict reported it, so
 // once per victim): per policy it either aborts the round with a typed error
 // or sweeps the victim's armed recvs so the surviving DAG drains (their
-// downstream tasks skip via route/drainer checks and the merge barrier
+// downstream tasks skip via route/Q_comp drainer checks and the merge barrier
 // accounts the exclusion).
 func (r *liveRound) onPeerDead(victim int) {
 	if r.trc.Enabled() {
@@ -739,7 +768,6 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 		rt.parts = partSlab[v*ns : (v+1)*ns]
 		rt.in = inSlab[v*ns*n : (v+1)*ns*n]
 		rt.qcomp = make(chan int, len(g.Tasks))
-		rt.qcommu = make(chan int, len(g.Tasks))
 	}
 	// Return every leased buffer to the arena once the round has fully torn
 	// down (runs after the waits below, so no goroutine still references a
@@ -749,17 +777,9 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 			nodes[v].lease.Release()
 		}
 	}()
-	// Index recv tasks for message matching, and sanity-check the builder
-	// invariant the live plane relies on: recvs have exactly one dep (their
-	// send).
-	recvIdx := make(map[wireKey]int, g.Stat().Recv)
-	for i, t := range g.Tasks {
-		if t.Kind == KRecv {
-			if t.deps != 1 {
-				return nil, nil, fmt.Errorf("core: recv task %d has %d deps, want 1", i, t.deps)
-			}
-			recvIdx[wireKey{t.GradIdx, packStep(t.Step, t.Part), t.Node, t.Peer}] = i
-		}
+	recvIdx, err := indexRecvs(g)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	r := &liveRound{
@@ -782,8 +802,8 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 		trc:       lc.cfg.Telemetry.T(),
 		met:       lc.cfg.Telemetry.M(),
 	}
-	if r.reliable { // dedup state: never touched otherwise
-		r.seen = make([]bool, len(g.Tasks))
+	if r.reliable { // acks and dedup: never touched otherwise
+		r.xfer = make([]transfer, len(g.Tasks))
 	}
 	r.pipe = newSendEngine(r, lc.cfg.Pipeline, lc.cfg.Coordinated)
 	r.ackp = newAckPlane(r, lc.cfg.Pipeline.AckBatch)
@@ -800,11 +820,11 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 	roundStart := r.trc.Now()
 
 	var wg sync.WaitGroup
-	// Per-node workers: one compute-queue drainer, one communication-queue
-	// drainer, one receive dispatcher.
+	// Per-node workers: one compute-queue drainer, one receive dispatcher (the
+	// send engine's lanes start their own).
 	for v := 0; v < n; v++ {
 		rt := &nodes[v]
-		wg.Add(3)
+		wg.Add(2)
 		go func() { // Q_comp drainer
 			defer wg.Done()
 			for {
@@ -826,31 +846,6 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 					}
 					r.traceTask(g.Tasks[id], start)
 					r.completeTask(id)
-				}
-			}
-		}()
-		go func() { // Q_commu drainer (sends)
-			defer wg.Done()
-			for {
-				select {
-				case <-r.doneCh:
-					return
-				case id := <-rt.qcommu:
-					if r.isCompleted(id) {
-						continue
-					}
-					if r.skippable(g.Tasks[id]) {
-						r.completeSkipped(id)
-						continue
-					}
-					// Stage here (drainer order fixes the payload bytes),
-					// resolve on the engine's lane workers — sequentially
-					// per node by default, W-deep per link when windowed,
-					// only on granted links when coordinated.
-					if err := r.pipe.submit(rt, id, g.Tasks[id]); err != nil {
-						r.fail(err)
-						return
-					}
 				}
 			}
 		}()
@@ -881,8 +876,9 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 	// Dispatchers drain frames after Close and may still start ack/echo
 	// workers (ackWG.Add), so they must exit before ackWG is waited on —
 	// the reverse order races Add against Wait. The send engine's lane
-	// workers drain between the two: submits stop with the drainers, and
-	// the workers' staged payloads must stay leased until they exit.
+	// workers drain between the two (a submit, their Add, runs before
+	// wg.Wait, inside wg, or on a lane worker pipe.wait still counts), and
+	// their staged payloads must stay leased until they exit.
 	wg.Wait()
 	r.pipe.wait()
 	r.ackWG.Wait()
@@ -977,8 +973,8 @@ func (r *liveRound) dispatch(rt *nodeRT) {
 	}
 }
 
-// dispatchMsg handles one received message: it routes acks to waiting
-// senders, verifies checksums, matches the message to its armed recv task (by
+// dispatchMsg handles one received message: it settles acks, verifies
+// checksums, matches the message to its armed recv task (by
 // gradient/partition/step/link), deduplicates idempotently, acknowledges, and
 // executes the task. It returns false when the round has failed and the
 // dispatcher should stop.
@@ -998,17 +994,20 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 		return true
 	}
 	if msg.Ack {
-		// The ack flows receiver→sender: the original transfer ran
-		// msg.To → msg.From. A batched frame settles several transfers
-		// of the same directed link at once, each by its own key.
+		// The ack flows receiver→sender: each transfer it settles ran
+		// msg.To → msg.From and is found by its recv task at msg.From,
+		// exactly as its data frame was. A batched frame settles several
+		// transfers of that link at once, one per ref.
 		r.hp.arrival(msg.From)
-		if len(msg.AckBatch) > 0 {
-			for _, ref := range msg.AckBatch {
-				r.rs.ackArrived(ackKey{src: msg.To, dst: msg.From, grad: ref.Gradient, step: ref.Step})
-			}
-			return true
+		refs := msg.AckBatch
+		if len(refs) == 0 {
+			refs = []netsim.AckRef{{Gradient: msg.Gradient, Step: msg.Step}}
 		}
-		r.rs.ackArrived(ackKey{src: msg.To, dst: msg.From, grad: msg.Gradient, step: msg.Step})
+		for _, ref := range refs {
+			if id, ok := r.recvTask(ref.Gradient, ref.Step, msg.From, msg.To); ok && r.reliable {
+				r.rs.settle(&r.xfer[id], msg.To, msg.From)
+			}
+		}
 		return true
 	}
 	// TCP's frame check already read the payload; only chan's is read here.
@@ -1031,15 +1030,14 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 	}
 	// A checksum-valid data message is as good as an ack for liveness.
 	r.hp.arrival(msg.From)
-	gi, known := r.lay.index[msg.Gradient]
-	id, armed := r.recvIdx[wireKey{gi, msg.Step, rt.id, msg.From}]
-	if !known || !armed {
+	id, armed := r.recvTask(msg.Gradient, msg.Step, rt.id, msg.From)
+	if !armed {
 		step, part := unpackStep(msg.Step)
 		r.fail(fmt.Errorf("core: node %d got unexpected message %s/p%d step %d from %d", rt.id, msg.Gradient, part, step, msg.From))
 		return false
 	}
 	if r.reliable {
-		if r.seen[id] {
+		if r.xfer[id].seen {
 			// Duplicate (retransmission or injected dup): re-ack, discard.
 			atomic.AddInt64(&r.rs.duplicates, 1)
 			if r.trc.Enabled() {
@@ -1048,7 +1046,7 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 			r.sendAck(rt.id, *msg)
 			return true
 		}
-		r.seen[id] = true
+		r.xfer[id].seen = true
 		r.sendAck(rt.id, *msg)
 	}
 	if r.isCompleted(id) {
@@ -1077,19 +1075,24 @@ func (r *liveRound) sendAck(node int, msg netsim.Message) {
 		Step: msg.Step, Attempt: msg.Attempt, Ack: true})
 }
 
-// deliver is the live plane's one acknowledged-or-retried delivery loop:
-// transmit, wait out the attempt's deadline for the ack, retransmit with a
-// fresh attempt number. The health plane's policy (static RetryPolicy or
+// deliver settles send task t's staged transfer: fire-and-forget on an
+// unreliable round, otherwise through the live plane's one
+// acknowledged-or-retried delivery loop: transmit, wait out the attempt's
+// deadline for the ack, retransmit with a fresh attempt number. The health plane's policy (static RetryPolicy or
 // adaptive, see the table in health.go) supplies the attempt budget, each
 // deadline, the point inside it where one budget-gated hedge may go out, and
 // the verdict when it expires. A conviction resolves the send — degradation,
 // or abort via onPeerDead→fail, is then already in motion; an exhausted
 // budget with the detector still inconclusive ends in a typed
 // *PeerFailureError carrying the link's RTT evidence. Deadlines run from the
-// moment the transmit returned.
-func (r *liveRound) deliver(msg netsim.Message) error {
+// moment the transmit returned. The rendezvous is armed at the transfer's
+// recv task (the builders pair every send with one), where its acks settle.
+func (r *liveRound) deliver(t *Task, msg netsim.Message) error {
+	if !r.reliable {
+		return r.tr.Send(msg)
+	}
 	hp := r.hp
-	ackCh := r.rs.ackChan(ackKey{src: msg.From, dst: msg.To, grad: msg.Gradient, step: msg.Step})
+	ackCh := r.rs.arm(&r.xfer[r.recvIdx[wireKey{t.GradIdx, msg.Step, msg.To, msg.From}]])
 	budget := hp.attemptBudget()
 	hedged := 0
 	for attempt := 0; attempt < budget; attempt++ {
@@ -1201,7 +1204,8 @@ func (r *liveRound) noteSendError(msg netsim.Message, err error) {
 // hedgeAttempt derives a hedge's attempt number: a high band (bit 12 set)
 // keeps it distinct from every regular attempt — so the chaos injector
 // rolls a fresh outcome and dedup still collapses the duplicate — while
-// staying within the wire format's u16.
+// staying within the wire format's u16 — for attempt < 256, which
+// LiveConfig.Validate holds Health.MaxAttempts to.
 func hedgeAttempt(attempt, seq int) int { return 1<<12 | attempt<<4 | seq&0xf }
 
 // heartbeatLoop sends periodic liveness probes from node v to every live
@@ -1511,15 +1515,6 @@ func (r *liveRound) stageSend(rt *nodeRT, t *Task) (netsim.Message, error) {
 	}
 	msg.SetPayloadCRC(w.sum)
 	return msg, nil
-}
-
-// resolveSend settles a staged transfer: acknowledged-or-retried delivery
-// in reliable mode, fire-and-forget otherwise.
-func (r *liveRound) resolveSend(msg netsim.Message) error {
-	if r.reliable {
-		return r.deliver(msg)
-	}
-	return r.tr.Send(msg)
 }
 
 // execRecv stores a received payload and, for uncompressed dissemination,

@@ -356,3 +356,128 @@ func TestLiveChaosConfigValidation(t *testing.T) {
 		t.Fatal("chaos without Reliable or RoundTimeout accepted")
 	}
 }
+
+// TestAckSettlesThroughRecvIndex pins that an ack names its transfer the way
+// a data frame does — by the recv task recvIdx arms for it — on a built PS
+// and ring round: a plain ack and each ref of a batched ack close exactly
+// their armed rendezvous and credit both endpoints once; an ack naming an
+// unknown gradient, an unknown step or the reversed link, a duplicate ack,
+// and an ack of a transfer not yet armed close nothing and credit nobody.
+func TestAckSettlesThroughRecvIndex(t *testing.T) {
+	const n = 3
+	for _, c := range []struct {
+		name  string
+		strat Strategy
+		build func(*Graph, *Topology, GradSync) ([]int, error)
+	}{{"ps", StrategyPS, BuildPS}, {"ring", StrategyRing, BuildRing}} {
+		t.Run(c.name, func(t *testing.T) {
+			g, lay := NewGraph(), newRoundLayout(3)
+			for _, name := range []string{"a", "b", "c"} {
+				if _, err := c.build(g, topoFor(c.strat, n), lay.add(name, 96, 3, "")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recvIdx, err := indexRecvs(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := &liveRound{g: g, lay: lay, recvIdx: recvIdx, reliable: true,
+				rs: newRoundState(n), xfer: make([]transfer, len(g.Tasks))}
+
+			// Six transfers of the first recv's link: R[0] plain, R[1:4]
+			// batched, R[4] acked before it is armed; R[5] stays armed.
+			first := -1
+			var R []int
+			for id, tk := range g.Tasks {
+				if tk.Kind != KRecv {
+					continue
+				}
+				if first < 0 {
+					first = id
+				}
+				if tk.Node == g.Tasks[first].Node && tk.Peer == g.Tasks[first].Peer {
+					R = append(R, id)
+				}
+			}
+			if len(R) < 6 {
+				t.Fatalf("link %d→%d carries %d transfers, want ≥ 6", g.Tasks[first].Peer, g.Tasks[first].Node, len(R))
+			}
+			armed := map[int]chan struct{}{}
+			for id, tk := range g.Tasks {
+				if tk.Kind == KRecv && id != R[4] {
+					armed[id] = r.rs.arm(&r.xfer[id])
+				}
+			}
+			ref := func(id int) netsim.AckRef {
+				tk := g.Tasks[id]
+				return netsim.AckRef{Gradient: tk.Grad, Step: packStep(tk.Step, tk.Part)}
+			}
+			// ack is the receiver's ack of transfer id, From and To swapped
+			// when reversed, naming (grad, step) — ref(id)'s unless overridden.
+			ack := func(id int, reversed bool, refs ...netsim.AckRef) {
+				tk := g.Tasks[id]
+				msg := netsim.Message{From: tk.Node, To: tk.Peer, Ack: true}
+				if reversed {
+					msg.From, msg.To = msg.To, msg.From
+				}
+				if len(refs) == 1 {
+					msg.Gradient, msg.Step = refs[0].Gradient, refs[0].Step
+				} else {
+					msg.AckBatch = refs
+				}
+				if !r.dispatchMsg(&nodeRT{id: msg.To}, &msg) {
+					t.Fatalf("ack %+v stopped the dispatcher", msg)
+				}
+			}
+			expect := func(stage string, closed ...int) {
+				t.Helper()
+				want := map[int]bool{}
+				for _, id := range closed {
+					want[id] = true
+				}
+				for id, ch := range armed {
+					select {
+					case <-ch:
+						if !want[id] {
+							t.Fatalf("%s: transfer %d settled", stage, id)
+						}
+					default:
+						if want[id] {
+							t.Fatalf("%s: transfer %d still armed", stage, id)
+						}
+					}
+				}
+				link := g.Tasks[R[0]]
+				total := 0
+				for _, s := range r.rs.succ {
+					total += s
+				}
+				if r.rs.succ[link.Node] != len(closed) || r.rs.succ[link.Peer] != len(closed) || total != 2*len(closed) {
+					t.Fatalf("%s: scoreboard %v, want %d for each of %d and %d and nothing else",
+						stage, r.rs.succ, len(closed), link.Peer, link.Node)
+				}
+			}
+
+			unknownGrad, unknownStep := ref(R[0]), ref(R[0])
+			unknownGrad.Gradient = "zz"
+			unknownStep.Step = packStep(99, 0)
+			ack(R[0], false, unknownGrad)
+			ack(R[0], false, unknownStep)
+			ack(R[0], true, ref(R[0]))
+			ack(R[4], false, ref(R[4]))
+			expect("unmatched acks")
+
+			ack(R[0], false, ref(R[0]))
+			expect("plain ack", R[0])
+			ack(R[0], false, ref(R[1]), ref(R[2]), ref(R[3]))
+			expect("batched ack", R[0], R[1], R[2], R[3])
+			ack(R[0], false, ref(R[0]))
+			ack(R[0], false, ref(R[2]), ref(R[3]))
+			expect("duplicate acks", R[0], R[1], R[2], R[3])
+
+			armed[R[4]] = r.rs.arm(&r.xfer[R[4]])
+			ack(R[4], false, ref(R[4]))
+			expect("armed after its early ack", R[0], R[1], R[2], R[3], R[4])
+		})
+	}
+}

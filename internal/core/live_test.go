@@ -316,6 +316,10 @@ func TestLiveConfigValidate(t *testing.T) {
 		{"elastic with abort", LiveConfig{Strategy: StrategyPS, Reliable: true, Elastic: true}, "Elastic"},
 		{"elastic on a ring", LiveConfig{Strategy: StrategyRing, Reliable: true, OnPeerFail: DegradeExclude, Elastic: true}, "OnPeerFail"},
 		{"adaptive unreliable", LiveConfig{Health: &HealthConfig{Adaptive: true}}, "Health.Adaptive"},
+		{"static budget at the wire's attempt limit", LiveConfig{Reliable: true, Retry: RetryPolicy{MaxAttempts: 32768}}, ""},
+		{"static budget past the wire's attempt limit", LiveConfig{Reliable: true, Retry: RetryPolicy{MaxAttempts: 32769}}, "Retry.MaxAttempts"},
+		{"hedged budget at the distinct-hedge limit", LiveConfig{Reliable: true, Health: &HealthConfig{Adaptive: true, MaxAttempts: 256}}, ""},
+		{"hedged budget past the distinct-hedge limit", LiveConfig{Reliable: true, Health: &HealthConfig{Adaptive: true, MaxAttempts: 257}}, "Health.MaxAttempts"},
 	}
 	for _, c := range cases {
 		_, err := NewLiveCluster(3, c.cfg)

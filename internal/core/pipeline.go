@@ -9,13 +9,15 @@ import (
 	"hipress/internal/telemetry"
 )
 
-// This file is the live plane's pipelined send engine. The sequential
-// Q_commu drainer resolved one send at a time — transmit, wait for the ack,
-// move on — so a round's communication floor was the per-node *sum* of
-// serialization plus ack RTT. The engine splits every send into two halves:
+// This file is the live plane's pipelined send engine, whose lanes are each
+// node's communication queue (Q_commu). A sequential send loop resolved one
+// send at a time — transmit, wait for the ack, move on — so a round's
+// communication floor was the per-node *sum* of serialization plus ack RTT.
+// The engine splits every send into two halves:
 //
 //   stage   — reference the payload bytes (encode output, forwarded frame,
-//             or the raw accumulator itself) on the drainer goroutine;
+//             or the raw accumulator itself) on the goroutine that completed
+//             the send's last dependency, and queue it on its lane;
 //   resolve — transmit and wait for acknowledgement on a lane worker, with
 //             up to Window transfers of one directed link in flight at once.
 //
@@ -32,7 +34,9 @@ import (
 // round lease or in the caller's gradients, and the lease is released and
 // run returns only after the engine's workers (and the ack plane) have fully
 // drained at teardown — the "retrying sender still references them"
-// discipline simply generalizes to W outstanding payloads.
+// discipline simply generalizes to W outstanding payloads. A worker's
+// completion may stage and start the next transfer; its wg.Add runs while
+// that worker is itself counted, so wait cannot miss it.
 
 // PipelineConfig tunes the live plane's send pipeline and ack path
 // (LiveConfig.Pipeline). The zero value reproduces the sequential engine.
@@ -52,20 +56,18 @@ type PipelineConfig struct {
 	// idle link still acks immediately — batches only form under backlog,
 	// so single-transfer RTT evidence is undistorted.
 	AckBatch int
-	// OverlapEncode is ignored: staging always runs ahead of the window (the
-	// drainer stages the next transfer's payload while the link's window is
-	// full). It once chose whether staging waited for a window slot, which
-	// bounded staged-but-unsent payload copies; staging copies nothing now,
-	// so the wait bounded no memory the round lease does not. The field stays
-	// only because bench/ names it — ROADMAP Benchmark v2 (e) deletes it.
+	// OverlapEncode is ignored: staging always runs ahead of the window (a
+	// send is staged once its dependencies clear, however full its window).
+	// It once chose whether staging waited for a window slot, which bounded
+	// staged-but-unsent payload copies; staging copies nothing now, so the
+	// wait bounded no memory the round lease does not. The field stays only
+	// because bench/ names it — ROADMAP Benchmark v2 (e) deletes it.
 	OverlapEncode bool
 }
 
 // pendingSend is one staged transfer queued on a lane: the graph task, the
-// fully built wire message, and the trace timestamp taken when the send left
-// the drainer.
+// fully built wire message, and the trace timestamp taken when staging began.
 type pendingSend struct {
-	id    int
 	t     *Task
 	msg   netsim.Message
 	start float64
@@ -147,20 +149,20 @@ func (e *sendEngine) lane(t *Task) *sendLane {
 	return l
 }
 
-// submit stages a ready send task on the drainer goroutine and queues it on
-// its lane, starting a lane worker when the lane is granted and its window
-// has a free slot.
-func (e *sendEngine) submit(rt *nodeRT, id int, t *Task) error {
+// submit stages a ready send task on the calling goroutine (liveRound.route)
+// and queues it on its lane, starting a lane worker when the lane is granted
+// and its window has a free slot.
+func (e *sendEngine) submit(t *Task) error {
 	r := e.r
 	l := e.lane(t)
 	start := r.trc.Now()
-	msg, err := r.stageSend(rt, t)
+	msg, err := r.stageSend(&r.nodes[t.Node], t)
 	if err != nil {
 		return err
 	}
 	e.startNs.CompareAndSwap(0, e.sinceNs())
 	e.mu.Lock()
-	l.queue = append(l.queue, pendingSend{id: id, t: t, msg: msg, start: start})
+	l.queue = append(l.queue, pendingSend{t: t, msg: msg, start: start})
 	l.bytes += t.Bytes
 	depth := int64(len(l.queue) + l.workers)
 	if e.coordinated && l.workers == 0 {
@@ -257,7 +259,7 @@ func (e *sendEngine) drain(l *sendLane) {
 		if e.gauge != nil {
 			e.gauge.Set(float64(in))
 		}
-		err := r.resolveSend(p.msg)
+		err := r.deliver(p.t, p.msg)
 		in = e.inflight.Add(-1)
 		if e.gauge != nil {
 			e.gauge.Set(float64(in))
@@ -268,14 +270,14 @@ func (e *sendEngine) drain(l *sendLane) {
 			continue
 		}
 		r.traceTask(p.t, p.start)
-		r.completeTask(p.id)
+		r.completeTask(p.t.ID)
 	}
 }
 
 // wait blocks until every lane worker has exited. Called at round teardown
-// after the per-node drainers stopped (no further submits) and doneCh
-// closed, and before the round lease releases — staged payloads stay valid
-// for as long as any windowed send might still reference them.
+// after doneCh closed and the drainers and dispatchers stopped (a later
+// submit comes only from a lane worker wait still counts), and before the
+// round lease releases — staged payloads stay valid while a send may use them.
 func (e *sendEngine) wait() { e.wg.Wait() }
 
 // sinceNs is the engine-relative monotonic clock (ns, clamped ≥ 1 so a

@@ -38,7 +38,7 @@ func (k Kind) String() string {
 }
 
 // IsComm reports whether the kind belongs in the communication queue
-// (Q_commu) rather than the computing queue (Q_comp).
+// (Q_commu; on the live plane, a send-engine lane) rather than Q_comp.
 func (k Kind) IsComm() bool { return k == KSend || k == KRecv }
 
 // Task is one node-local unit of work in a gradient synchronization DAG.

@@ -145,7 +145,7 @@ func PipelineExp(scale float64) (*Table, error) {
 		Header: []string{"arm", "window", "p50 round", "send-wall", "tail tput (r/s)", "vs W=1", "max lane depth", "acks batched"},
 		Notes: []string{
 			"W=1: the classic engine — one lane per node, serialization + ack RTT paid in sequence per transfer",
-			"W>=2: per-directed-link lanes with W in-flight transfers; staging stays on the drainer in dependency order",
+			"W>=2: per-directed-link lanes with W in-flight transfers; a send is staged onto its lane as its dependencies clear",
 			"bit-identity gate: every arm's per-round digests must match W=1 exactly — the window changes timing, never bytes",
 		},
 	}

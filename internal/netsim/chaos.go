@@ -131,9 +131,6 @@ func WrapChaos(inner Transport, cfg *ChaosConfig) *ChaosTransport {
 	return t
 }
 
-// Inner exposes the wrapped transport (tests, diagnostics).
-func (t *ChaosTransport) Inner() Transport { return t.inner }
-
 // Stats returns a snapshot of the fault counters.
 func (t *ChaosTransport) Stats() ChaosStats { return t.stats.snapshot() }
 

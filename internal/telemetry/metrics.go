@@ -127,12 +127,6 @@ var LatencyBuckets = []float64{
 	1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3, 10, 30,
 }
 
-// SizeBuckets covers 256 B … 1 GiB in ×4 steps, for payload and batch sizes.
-var SizeBuckets = []float64{
-	256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10,
-	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30,
-}
-
 // RatioBuckets covers 0.1 % … 100 % in roughly ×2 steps, for compression
 // ratios and other (0, 1] fractions such as the autotuner's calibrated
 // wire/raw estimates.

@@ -122,13 +122,6 @@ func (r *RNG) FillNormal(v []float32, sigma float64) {
 	}
 }
 
-// FillUniform fills v with uniform samples in [lo, hi).
-func (r *RNG) FillUniform(v []float32, lo, hi float64) {
-	for i := range v {
-		v[i] = float32(lo + (hi-lo)*r.Float64())
-	}
-}
-
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
