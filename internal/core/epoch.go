@@ -293,16 +293,10 @@ func (lc *LiveCluster) activateEpoch() (PlanEpoch, int64) {
 // traffic.
 const epochGradName = "__epoch__"
 
-// epochAckBackoff is the coordinator's per-attempt wait: short for the
+// epochRetry is the coordinator's per-peer retry schedule: short for the
 // in-memory control transport, doubling under loss, capped so a chaos-laden
 // link still converges quickly.
-func epochAckBackoff(attempt int) time.Duration {
-	d := 2 * time.Millisecond << uint(attempt)
-	if d > 200*time.Millisecond {
-		d = 200 * time.Millisecond
-	}
-	return d
-}
+var epochRetry = RetryPolicy{MaxAttempts: 16, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 200 * time.Millisecond}
 
 // ProposeEpoch runs the safe reconfiguration protocol: validate ep, encode
 // it, broadcast the frame from the coordinator (node 0) to every peer over
@@ -431,16 +425,15 @@ func (lc *LiveCluster) broadcastEpoch(ctx context.Context, ep PlanEpoch) error {
 	}()
 
 	// Per-peer acknowledged-or-retried transmit.
-	const maxAttempts = 16
 	errCh := make(chan error, n)
 	for v := 1; v < n; v++ {
 		go func(v int) {
 			msg := netsim.Message{From: 0, To: v, Gradient: epochGradName,
 				Step: int(ep.Version & 0xffff), Sum: sum, Payload: frame}
-			for attempt := 0; attempt < maxAttempts; attempt++ {
+			for attempt := 0; attempt < epochRetry.MaxAttempts; attempt++ {
 				msg.Attempt = attempt
 				_ = tr.Send(msg)
-				timer := time.NewTimer(epochAckBackoff(attempt))
+				timer := time.NewTimer(epochRetry.backoff(attempt))
 				select {
 				case <-acked[v]:
 					timer.Stop()
@@ -453,7 +446,7 @@ func (lc *LiveCluster) broadcastEpoch(ctx context.Context, ep PlanEpoch) error {
 				case <-timer.C:
 				}
 			}
-			errCh <- fmt.Errorf("core: peer %d never acknowledged %v after %d attempts", v, ep, maxAttempts)
+			errCh <- fmt.Errorf("core: peer %d never acknowledged %v after %d attempts", v, ep, epochRetry.MaxAttempts)
 		}(v)
 	}
 

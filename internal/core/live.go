@@ -25,8 +25,11 @@ import (
 // []float32 data, encode/decode run the actual compression algorithms, and
 // send/recv move real bytes through a transport. Each node runs the task
 // manager of §3.1: a computing queue (Q_comp) and a communication queue
-// (Q_commu, the send engine's lanes) drained asynchronously, with the shared
-// dependency graph clearing pending dependencies as tasks finish.
+// (Q_commu, the send engine's lanes: rows of one link table) drained
+// asynchronously, with the shared dependency graph clearing pending
+// dependencies as tasks finish. Queues are sized from the traffic the
+// round's DAG declares, and every goroutine a round starts counts in one
+// WaitGroup.
 //
 // The fault plane (faults.go) extends this with deadline-aware reliable
 // delivery: sends are acknowledged-or-retried with capped exponential
@@ -484,14 +487,22 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 		return nil, nil, err
 	}
 
-	out, health, err := lc.run(ctx, g, lay, grads, ep, round)
-	if err == nil {
-		lc.epochMu.Lock()
-		lc.rounds++
-		lc.epochMu.Unlock()
-		lc.observeAndTune(ctx, ep, health, round, sizes)
+	r, health, err := lc.run(ctx, g, lay, grads, ep, round)
+	if r != nil {
+		defer r.release()
 	}
-	return out, health, err
+	if err != nil {
+		return nil, health, err
+	}
+	out, err := r.assemble(health)
+	if err != nil {
+		return nil, health, err
+	}
+	lc.epochMu.Lock()
+	lc.rounds++
+	lc.epochMu.Unlock()
+	lc.observeAndTune(ctx, ep, health, round, sizes)
+	return out, health, nil
 }
 
 // liveRound is the state of one executing round: the graph, the transport,
@@ -531,11 +542,15 @@ type liveRound struct {
 	doneCh  chan struct{}
 	errOnce sync.Once
 	runErr  error
-	ackWG   sync.WaitGroup
 
-	// pipe is the send engine and ackp the per-link ack plane (pipeline.go).
+	// wg counts every goroutine the round starts: Q_comp drainers,
+	// dispatchers, heartbeat loops, lane workers and ack workers. Each Add
+	// runs on run before its Wait or on a goroutine wg already counts, so no
+	// Add can race the Wait.
+	wg sync.WaitGroup
+
+	// pipe is the send engine and its link table (pipeline.go).
 	pipe *sendEngine
-	ackp *ackPlane
 
 	// trc/met are the observability plane (both possibly nil). Spans are
 	// stamped with trc.Now() — wall-clock seconds since the tracer's birth —
@@ -707,18 +722,46 @@ func (r *liveRound) onPeerDead(victim int) {
 	}
 }
 
-// run executes the DAG with real data under one frozen plan epoch.
-func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grads []map[string][]float32, ep PlanEpoch, round int64) ([]map[string][]float32, *RoundHealth, error) {
+// inboxSlack is an inbox's room beyond the most frames a clean round delivers
+// to one node. Retransmits, duplicates, hedges and heartbeats past it only
+// make a sender wait: no goroutine that drains an inbox ever sends.
+const inboxSlack = 16
+
+// queueSizes sizes a round's queues from the traffic its DAG declares. comp[v]
+// is node v's compute-task count: route queues each task once, so a send on
+// the Q_comp channel never blocks. inbox is the most frames a clean round
+// delivers to any one node — its recvs plus, when reliable, one ack per send
+// — plus inboxSlack.
+func queueSizes(g *Graph, n int, reliable bool) (comp []int, inbox int) {
+	comp = make([]int, n)
+	frames := make([]int, n)
+	for _, t := range g.Tasks {
+		switch {
+		case !t.Kind.IsComm():
+			comp[t.Node]++
+		case t.Kind == KRecv:
+			frames[t.Node]++ // its data frame
+		case reliable:
+			frames[t.Node]++ // a send's ack
+		}
+	}
+	for _, f := range frames {
+		inbox = max(inbox, f)
+	}
+	return comp, inbox + inboxSlack
+}
+
+// run executes the DAG with real data under one frozen plan epoch and returns
+// the torn-down round, whose leases the caller releases once it has assembled
+// the results. The round is nil only when it never started.
+func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grads []map[string][]float32, ep PlanEpoch, round int64) (*liveRound, *RoundHealth, error) {
 	n := lc.n
 	started := time.Now() //hipress:wallclock round-duration telemetry for RoundHealth
-	capacity := len(g.Tasks)/n + 16
-	if lc.cfg.Reliable {
-		capacity *= 4 // duplicates and retries need headroom
+	recvIdx, err := indexRecvs(g)
+	if err != nil {
+		return nil, nil, err
 	}
-	adaptive := lc.health != nil && lc.health.cfg.Adaptive
-	if adaptive && lc.health.cfg.HeartbeatEvery > 0 {
-		capacity *= 2 // heartbeat probes and echoes share the inboxes
-	}
+	compCap, inboxCap := queueSizes(g, n, lc.cfg.Reliable)
 	var tr netsim.Transport
 	var tcpTr *netsim.TCPTransport
 	if lc.cfg.Transport == "tcp" {
@@ -729,13 +772,13 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 		if opts.Metrics == nil {
 			opts.Metrics = lc.cfg.Telemetry.M()
 		}
-		t, err := netsim.NewTCPTransportOpts(n, capacity, opts)
+		t, err := netsim.NewTCPTransportOpts(n, inboxCap, opts)
 		if err != nil {
 			return nil, nil, err
 		}
 		tr, tcpTr = t, t
 	} else {
-		tr = netsim.NewChanTransport(n, capacity)
+		tr = netsim.NewChanTransport(n, inboxCap)
 	}
 	var chaosTr *netsim.ChaosTransport
 	if chaos := lc.chaosCfg(); chaos != nil {
@@ -767,19 +810,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 		}
 		rt.parts = partSlab[v*ns : (v+1)*ns]
 		rt.in = inSlab[v*ns*n : (v+1)*ns*n]
-		rt.qcomp = make(chan int, len(g.Tasks))
-	}
-	// Return every leased buffer to the arena once the round has fully torn
-	// down (runs after the waits below, so no goroutine still references a
-	// payload, and after assembly, which copies into fresh result slices).
-	defer func() {
-		for v := range nodes {
-			nodes[v].lease.Release()
-		}
-	}()
-	recvIdx, err := indexRecvs(g)
-	if err != nil {
-		return nil, nil, err
+		rt.qcomp = make(chan int, compCap[v])
 	}
 
 	r := &liveRound{
@@ -805,8 +836,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 	if r.reliable { // acks and dedup: never touched otherwise
 		r.xfer = make([]transfer, len(g.Tasks))
 	}
-	r.pipe = newSendEngine(r, lc.cfg.Pipeline, lc.cfg.Coordinated)
-	r.ackp = newAckPlane(r, lc.cfg.Pipeline.AckBatch)
+	r.pipe = newSendEngine(r, n, lc.cfg.Pipeline, lc.cfg.Coordinated)
 	// Re-arm the health plane: prime detectors, forgive the inter-round idle
 	// gap, start non-elastic probation trials. Under elastic membership a
 	// standing conviction is carried in instead, so the DAG routes around a
@@ -819,22 +849,22 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 	}
 	roundStart := r.trc.Now()
 
-	var wg sync.WaitGroup
 	// Per-node workers: one compute-queue drainer, one receive dispatcher (the
-	// send engine's lanes start their own).
+	// send engine's rows start their own lane and ack workers).
 	for v := 0; v < n; v++ {
 		rt := &nodes[v]
-		wg.Add(2)
+		r.wg.Add(2)
 		go func() { // Q_comp drainer
-			defer wg.Done()
+			defer r.wg.Done()
 			for {
 				select {
 				case <-r.doneCh:
 					return
 				case id := <-rt.qcomp:
-					if r.isCompleted(id) {
-						continue
-					}
+					// Only this drainer completes a queued task (route queues
+					// each once, and the dead-peer sweep takes recvs only), so
+					// none is completed yet; its peer may have been convicted
+					// while it waited.
 					if r.skippable(g.Tasks[id]) {
 						r.completeSkipped(id)
 						continue
@@ -850,13 +880,13 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 			}
 		}()
 		go func() { // receive dispatcher
-			defer wg.Done()
+			defer r.wg.Done()
 			r.dispatch(rt)
 		}()
-		if adaptive && r.hp.cfg.HeartbeatEvery > 0 {
-			wg.Add(1)
+		if lc.health != nil && lc.health.cfg.Adaptive && lc.health.cfg.HeartbeatEvery > 0 {
+			r.wg.Add(1)
 			go func() { // idle liveness probes feeding the φ detectors
-				defer wg.Done()
+				defer r.wg.Done()
 				r.heartbeatLoop(rt.id)
 			}()
 		}
@@ -872,16 +902,10 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 		r.fail(&RoundTimeoutError{Timeout: lc.cfg.RoundTimeout})
 		<-r.doneCh
 	}
+	// Teardown: once the transport is closed every goroutine of the round
+	// exits, and the staged payloads they reference stay leased until then.
 	tr.Close()
-	// Dispatchers drain frames after Close and may still start ack/echo
-	// workers (ackWG.Add), so they must exit before ackWG is waited on —
-	// the reverse order races Add against Wait. The send engine's lane
-	// workers drain between the two (a submit, their Add, runs before
-	// wg.Wait, inside wg, or on a lane worker pipe.wait still counts), and
-	// their staged payloads must stay leased until they exit.
-	wg.Wait()
-	r.pipe.wait()
-	r.ackWG.Wait()
+	r.wg.Wait()
 	// Frames that landed after their dispatcher stopped still own their
 	// payload buffers; the closed transport hands them over without blocking.
 	for v := 0; v < n; v++ {
@@ -893,7 +917,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 	health := r.rs.health(r.reliable, time.Since(started)) //hipress:wallclock round-duration telemetry for RoundHealth
 	health.EpochVersion = ep.Version
 	health.SendWallNs = r.pipe.sendWallNs()
-	health.MaxLinkQueueDepth = int(r.pipe.maxDepth.Load())
+	health.MaxLinkQueueDepth = r.pipe.maxDepth()
 	if chaosTr != nil {
 		st := chaosTr.Stats()
 		health.Chaos = &st
@@ -905,20 +929,30 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 	}
 	r.hp.roundEnd(health, r.runErr == nil)
 	r.emitRoundTelemetry(health, roundStart)
-	if r.runErr != nil {
-		return nil, health, r.runErr
-	}
+	return r, health, r.runErr
+}
 
-	// Assemble results: partitions decoded in phase 2 were written into
-	// result directly; the aggregate-holding node copies from acc. In a
-	// degraded round, a partition no aggregate ever reached falls back to
-	// the node's own local gradient (scaled to sum magnitude when
-	// renormalizing) and is reported as unsynced.
+// release returns every buffer the round leased to the arena: after teardown,
+// when no goroutine still references a payload, and after assembly, which
+// copies into fresh result slices.
+func (r *liveRound) release() {
+	for v := range r.nodes {
+		r.nodes[v].lease.Release()
+	}
+}
+
+// assemble builds the round's results: partitions decoded in phase 2 were
+// written into result directly; the aggregate-holding node copies from acc.
+// In a degraded round, a partition no aggregate ever reached falls back to
+// the node's own local gradient (scaled to sum magnitude when renormalizing)
+// and is reported as unsynced.
+func (r *liveRound) assemble(health *RoundHealth) ([]map[string][]float32, error) {
+	n, lay := r.lc.n, r.lay
 	out := make([]map[string][]float32, n)
 	degraded := r.hp.anyDead()
 	for v := 0; v < n; v++ {
-		rt := &nodes[v]
-		out[v] = make(map[string][]float32, ng)
+		rt := &r.nodes[v]
+		out[v] = make(map[string][]float32, len(lay.grads))
 		for gi := range lay.grads {
 			gl := &lay.grads[gi]
 			res := rt.resultSlice(gi)
@@ -933,7 +967,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 				// holds the true aggregate).
 				if degraded && !ps.agg {
 					copy(res[lo:hi], rt.local[gi][lo:hi])
-					if lc.cfg.Renormalize {
+					if r.lc.cfg.Renormalize {
 						for i := lo; i < hi; i++ {
 							res[i] *= float32(n)
 						}
@@ -943,7 +977,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 					continue
 				}
 				if ps.acc == nil {
-					return nil, health, fmt.Errorf("core: node %d has neither result nor accumulator for %s/p%d", v, gl.name, p)
+					return nil, fmt.Errorf("core: node %d has neither result nor accumulator for %s/p%d", v, gl.name, p)
 				}
 				copy(res[lo:hi], ps.acc)
 			}
@@ -951,7 +985,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 		}
 	}
 	sort.Strings(health.UnsyncedParts)
-	return out, health, nil
+	return out, nil
 }
 
 // dispatch is the per-node receive loop. A TCP message arrives owning the
@@ -1065,13 +1099,13 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 
 // sendAck acknowledges a transfer asynchronously (a blocked ack must not
 // stall the dispatcher, or two full inboxes could deadlock each other).
-// Delivery goes through the per-link ack plane — one bounded worker per
-// directed link instead of one goroutine per ack — which also coalesces
+// Delivery goes through the ack queue of the link's row in the link table —
+// one bounded worker per row instead of one goroutine per ack — which coalesces
 // backlogged acks into batched frames when Pipeline.AckBatch allows. A lost
 // ack (queue overflow, transport error) is recovered by the sender's retry
 // plus the receiver's dedup re-ack.
 func (r *liveRound) sendAck(node int, msg netsim.Message) {
-	r.ackp.enqueue(netsim.Message{From: node, To: msg.From, Gradient: msg.Gradient,
+	r.pipe.enqueueAck(netsim.Message{From: node, To: msg.From, Gradient: msg.Gradient,
 		Step: msg.Step, Attempt: msg.Attempt, Ack: true})
 }
 
@@ -1244,7 +1278,7 @@ func (r *liveRound) heartbeatLoop(v int) {
 // same per-link ack worker but are always transmitted individually — their
 // Step is an RTT timestamp that must not be delayed into a batch.
 func (r *liveRound) replyHeartbeat(node int, msg netsim.Message) {
-	r.ackp.enqueue(netsim.Message{From: node, To: msg.From, Heartbeat: true, Ack: true,
+	r.pipe.enqueueAck(netsim.Message{From: node, To: msg.From, Heartbeat: true, Ack: true,
 		Gradient: msg.Gradient, Step: msg.Step, Attempt: msg.Attempt})
 }
 

@@ -518,3 +518,54 @@ func TestLiveWireStats(t *testing.T) {
 		t.Fatalf("uninstrumented cluster has stats")
 	}
 }
+
+// TestRoundQueueSizes: a round's queues follow the traffic its DAG declares.
+// Q_comp holds exactly a node's compute tasks; an inbox holds every frame a
+// clean round delivers to any node — its data frames, plus on a reliable
+// round the acks of its own sends, counted here from the receiving side —
+// and is never larger than the task-count guess it replaced.
+func TestRoundQueueSizes(t *testing.T) {
+	sizes := map[string]int{}
+	for i := 0; i < 8; i++ {
+		sizes[fmt.Sprintf("g%d", i)] = 64 << i
+	}
+	for _, strat := range []Strategy{StrategyPS, StrategyRing} {
+		for _, n := range []int{2, 3, 4} {
+			for _, algo := range []string{"", "onebit"} {
+				g, _ := buildRound(t, strat, n, 2, algo, sizes)
+				for _, reliable := range []bool{false, true} {
+					name := fmt.Sprintf("%v/n%d/%q/reliable=%v", strat, n, algo, reliable)
+					comp, inbox := queueSizes(g, n, reliable)
+					wantComp, frames := make([]int, n), make([]int, n)
+					for _, tk := range g.Tasks {
+						switch tk.Kind {
+						case KSend:
+						case KRecv:
+							frames[tk.Node]++
+							if reliable {
+								frames[tk.Peer]++ // the ack goes back to the sender
+							}
+						default:
+							wantComp[tk.Node]++
+						}
+					}
+					for v := 0; v < n; v++ {
+						if comp[v] != wantComp[v] {
+							t.Errorf("%s: node %d Q_comp capacity %d, want its %d compute tasks", name, v, comp[v], wantComp[v])
+						}
+						if inbox < frames[v] {
+							t.Errorf("%s: inbox capacity %d < the %d frames node %d receives", name, inbox, frames[v], v)
+						}
+					}
+					parent := len(g.Tasks)/n + 16
+					if reliable {
+						parent *= 4
+					}
+					if inbox > parent {
+						t.Errorf("%s: inbox capacity %d above the %d the task-count guess gave", name, inbox, parent)
+					}
+				}
+			}
+		}
+	}
+}

@@ -30,13 +30,13 @@ import (
 // side already makes result bytes independent of arrival order, which is why
 // completion order across a window cannot affect them.
 //
-// Buffer lifetimes need no new machinery: every staged payload lives in the
-// round lease or in the caller's gradients, and the lease is released and
-// run returns only after the engine's workers (and the ack plane) have fully
-// drained at teardown — the "retrying sender still references them"
-// discipline simply generalizes to W outstanding payloads. A worker's
-// completion may stage and start the next transfer; its wg.Add runs while
-// that worker is itself counted, so wait cannot miss it.
+// What a round sends from a to b — staged transfers and acks — queues in
+// row (a, b) of one link table. Buffer lifetimes need no new machinery: every
+// staged payload lives in the round lease or in the caller's gradients, and
+// the lease is released only after every goroutine of the round, lane and ack
+// workers included, has left the round's one WaitGroup — the "retrying sender
+// still references them" discipline simply generalizes to W outstanding
+// payloads.
 
 // PipelineConfig tunes the live plane's send pipeline and ack path
 // (LiveConfig.Pipeline). The zero value reproduces the sequential engine.
@@ -73,19 +73,30 @@ type pendingSend struct {
 	start float64
 }
 
-// sendLane is one directed link's (or, sequentially, one node's) send
-// queue, guarded by the engine mutex.
-type sendLane struct {
+// link is one row of a round's link table: everything the round sends from
+// src to dst. Its send lane (queue, bytes, workers, depth) is guarded by the
+// engine mutex; its ack queue (pending, started, wake, seq) by the row's own
+// mu, so acking never contends with staging. seq is the ack worker's own: the
+// per-link sequence number stamped into batched frames so the chaos plane's
+// per-(step, attempt) fault rolls stay fresh.
+type link struct {
 	queue   []pendingSend
 	bytes   int64 // queued Task.Bytes: the metadata the coordinator weighs
 	workers int   // goroutines currently resolving this lane, ≤ window
+	depth   int   // high-water mark of queued + resolving
+
+	mu      sync.Mutex
+	pending []netsim.Message
+	started bool
+	wake    chan struct{}
+	seq     int
 }
 
-// sendEngine owns every lane of one round and is the only route from a
-// ready send task to the wire. Lanes are keyed per directed link when
-// Window ≥ 2 or the round is coordinated, per node otherwise (Dst = -1), so
-// the sequential configuration keeps exactly the old one-send-at-a-time-
-// per-node shape.
+// sendEngine owns the link table of one round and is the only route from a
+// ready send task to the wire. A send queues on row (Node, Peer) when
+// Window ≥ 2 or the round is coordinated, on row (Node, Node) otherwise — no
+// live DAG sends to itself — so the sequential configuration keeps exactly
+// the old one-send-at-a-time-per-node shape.
 //
 // Coordinated rounds (§3.2's global coordinator) add an admission policy on
 // top: a lane's workers run only while its link is granted, and no two
@@ -97,16 +108,16 @@ type sendLane struct {
 // code as on every other path.
 type sendEngine struct {
 	r           *liveRound
+	n           int
 	window      int
+	ackBatch    int
 	perLink     bool
 	coordinated bool
 
-	mu    sync.Mutex // guards lanes and every lane's queue/bytes/workers
-	lanes map[LinkKey]*sendLane
-	wg    sync.WaitGroup
+	mu    sync.Mutex // guards every row's send lane
+	links []link     // by src·n+dst
 
 	inflight atomic.Int64 // transfers currently resolving, across all lanes
-	maxDepth atomic.Int64 // high-water mark of queued+resolving on one lane
 	startNs  atomic.Int64 // engine-relative ns of the first staged send
 	endNs    atomic.Int64 // engine-relative ns of the last resolution
 	began    time.Time
@@ -114,17 +125,16 @@ type sendEngine struct {
 	gauge *telemetry.Gauge
 }
 
-func newSendEngine(r *liveRound, cfg PipelineConfig, coordinated bool) *sendEngine {
+func newSendEngine(r *liveRound, n int, cfg PipelineConfig, coordinated bool) *sendEngine {
 	e := &sendEngine{
 		r:           r,
-		window:      cfg.Window,
+		n:           n,
+		window:      max(cfg.Window, 1),
+		ackBatch:    max(cfg.AckBatch, 1),
 		perLink:     cfg.Window > 1 || coordinated,
 		coordinated: coordinated,
-		lanes:       map[LinkKey]*sendLane{},
+		links:       make([]link, n*n),
 		began:       time.Now(), //hipress:wallclock engine-relative monotonic base for ack latencies
-	}
-	if e.window < 1 {
-		e.window = 1
 	}
 	if r.met != nil {
 		e.gauge = r.met.Gauge(MetricLiveInflight,
@@ -133,59 +143,41 @@ func newSendEngine(r *liveRound, cfg PipelineConfig, coordinated bool) *sendEngi
 	return e
 }
 
-// lane returns (creating if needed) the lane a task resolves on.
-func (e *sendEngine) lane(t *Task) *sendLane {
-	key := LinkKey{Src: t.Node, Dst: -1}
-	if e.perLink {
-		key.Dst = t.Peer
-	}
-	e.mu.Lock()
-	l := e.lanes[key]
-	if l == nil {
-		l = &sendLane{}
-		e.lanes[key] = l
-	}
-	e.mu.Unlock()
-	return l
-}
-
 // submit stages a ready send task on the calling goroutine (liveRound.route)
 // and queues it on its lane, starting a lane worker when the lane is granted
 // and its window has a free slot.
 func (e *sendEngine) submit(t *Task) error {
 	r := e.r
-	l := e.lane(t)
 	start := r.trc.Now()
 	msg, err := r.stageSend(&r.nodes[t.Node], t)
 	if err != nil {
 		return err
 	}
+	dst := t.Node
+	if e.perLink {
+		dst = t.Peer
+	}
+	l := &e.links[t.Node*e.n+dst]
 	e.startNs.CompareAndSwap(0, e.sinceNs())
 	e.mu.Lock()
 	l.queue = append(l.queue, pendingSend{t: t, msg: msg, start: start})
 	l.bytes += t.Bytes
-	depth := int64(len(l.queue) + l.workers)
+	l.depth = max(l.depth, len(l.queue)+l.workers)
 	if e.coordinated && l.workers == 0 {
 		e.grant()
 	} else {
 		e.start(l)
 	}
 	e.mu.Unlock()
-	for {
-		cur := e.maxDepth.Load()
-		if depth <= cur || e.maxDepth.CompareAndSwap(cur, depth) {
-			break
-		}
-	}
 	return nil
 }
 
 // start brings a lane (granted, when coordinated) up to one worker per queued
 // transfer, at most window of them. Called with e.mu held.
-func (e *sendEngine) start(l *sendLane) {
+func (e *sendEngine) start(l *link) {
 	for idle := len(l.queue); idle > 0 && l.workers < e.window; idle-- {
 		l.workers++
-		e.wg.Add(1)
+		e.r.wg.Add(1)
 		go e.drain(l)
 	}
 }
@@ -196,16 +188,17 @@ func (e *sendEngine) start(l *sendLane) {
 func (e *sendEngine) grant() {
 	pending := map[LinkKey]int64{}
 	var granted []LinkKey
-	for link, l := range e.lanes {
+	for i := range e.links {
+		l, key := &e.links[i], LinkKey{Src: i / e.n, Dst: i % e.n}
 		switch {
 		case l.workers > 0:
-			granted = append(granted, link)
+			granted = append(granted, key)
 		case len(l.queue) > 0:
-			pending[link] = l.bytes
+			pending[key] = l.bytes
 		}
 	}
-	for _, link := range grantLinks(pending, granted) {
-		e.start(e.lanes[link])
+	for _, key := range grantLinks(pending, granted) {
+		e.start(&e.links[key.Src*e.n+key.Dst])
 	}
 }
 
@@ -218,9 +211,9 @@ func grantLinks(pending map[LinkKey]int64, granted []LinkKey) []LinkKey {
 		srcBusy[g.Src], dstBusy[g.Dst] = true, true
 	}
 	free := make(map[LinkKey]int64, len(pending))
-	for link, bytes := range pending {
-		if !srcBusy[link.Src] && !dstBusy[link.Dst] {
-			free[link] = bytes
+	for key, bytes := range pending {
+		if !srcBusy[key.Src] && !dstBusy[key.Dst] {
+			free[key] = bytes
 		}
 	}
 	return SelectNonConflicting(free)
@@ -231,8 +224,8 @@ func grantLinks(pending map[LinkKey]int64, granted []LinkKey) []LinkKey {
 // per lane never exceed the window, so at most Window transfers of one lane
 // are between transmit and ack at any moment. The last worker to leave a
 // coordinated lane hands its grant back.
-func (e *sendEngine) drain(l *sendLane) {
-	defer e.wg.Done()
+func (e *sendEngine) drain(l *link) {
+	defer e.r.wg.Done()
 	r := e.r
 	for {
 		unwinding := false
@@ -274,12 +267,6 @@ func (e *sendEngine) drain(l *sendLane) {
 	}
 }
 
-// wait blocks until every lane worker has exited. Called at round teardown
-// after doneCh closed and the drainers and dispatchers stopped (a later
-// submit comes only from a lane worker wait still counts), and before the
-// round lease releases — staged payloads stay valid while a send may use them.
-func (e *sendEngine) wait() { e.wg.Wait() }
-
 // sinceNs is the engine-relative monotonic clock (ns, clamped ≥ 1 so a
 // stored value is distinguishable from "never").
 func (e *sendEngine) sinceNs() int64 {
@@ -300,58 +287,32 @@ func (e *sendEngine) sendWallNs() int64 {
 	return n - s
 }
 
-// --- ack plane ---------------------------------------------------------------
+// maxDepth reports the most transfers one lane ever held queued or
+// resolving. Read at teardown, once no worker touches the table.
+func (e *sendEngine) maxDepth() int {
+	d := 0
+	for i := range e.links {
+		d = max(d, e.links[i].depth)
+	}
+	return d
+}
 
-// ackQueueCap bounds each directed link's pending-ack queue. A full queue
-// drops the ack: the sender's retransmit plus the receiver's idempotent
-// dedup re-ack recover it, exactly like a wire loss.
+// ackQueueCap bounds each row's pending-ack queue. A full queue drops the
+// ack: the sender's retransmit plus the receiver's idempotent dedup re-ack
+// recover it, exactly like a wire loss.
 const ackQueueCap = 1024
 
-// ackPlane replaces the one-goroutine-per-ack send path with one bounded
-// worker per directed link: dispatchers enqueue, the worker transmits —
-// coalescing backlogged acks into batched frames when AckBatch allows.
-type ackPlane struct {
-	r     *liveRound
-	batch int
-
-	mu    sync.Mutex
-	links map[LinkKey]*ackLink
-}
-
-// ackLink is one directed link's ack queue and its (single) worker's state.
-// seq is worker-private: the per-link sequence number stamped into batched
-// frames so the chaos plane's per-(step, attempt) fault rolls stay fresh.
-type ackLink struct {
-	mu      sync.Mutex
-	pending []netsim.Message
-	started bool
-	wake    chan struct{}
-	seq     int
-}
-
-func newAckPlane(r *liveRound, batch int) *ackPlane {
-	if batch < 1 {
-		batch = 1
-	}
-	return &ackPlane{r: r, batch: batch, links: map[LinkKey]*ackLink{}}
-}
-
-// enqueue hands an outbound ack or heartbeat echo to its link's worker,
+// enqueueAck hands an outbound ack or heartbeat echo to its row's ack queue
+// — the row of the link it travels, the reverse of the transfer it acks —
 // never blocking the calling dispatcher (a blocked ack path could deadlock
-// two full inboxes against each other). Workers start lazily and register
-// on ackWG; enqueue only runs on dispatcher goroutines inside wg, so every
-// Add happens before run()'s wg.Wait — which precedes ackWG.Wait, the
-// ordering the teardown comment in run relies on.
-func (a *ackPlane) enqueue(msg netsim.Message) {
-	key := LinkKey{Src: msg.From, Dst: msg.To}
-	a.mu.Lock()
-	l := a.links[key]
-	if l == nil {
-		l = &ackLink{wake: make(chan struct{}, 1)}
-		a.links[key] = l
+// two full inboxes against each other). One worker per row transmits,
+// started lazily here and counted in the round's WaitGroup: a dispatcher is
+// itself counted there, so its Add cannot race the teardown's Wait.
+func (e *sendEngine) enqueueAck(msg netsim.Message) {
+	if msg.To < 0 || msg.To >= e.n {
+		return // a probe from no node of this round (a foreign TCP peer's frame): no row to answer on
 	}
-	a.mu.Unlock()
-
+	l := &e.links[msg.From*e.n+msg.To]
 	l.mu.Lock()
 	if len(l.pending) >= ackQueueCap {
 		l.mu.Unlock()
@@ -359,11 +320,13 @@ func (a *ackPlane) enqueue(msg netsim.Message) {
 	}
 	l.pending = append(l.pending, msg)
 	start := !l.started
-	l.started = true
+	if start {
+		l.started, l.wake = true, make(chan struct{}, 1)
+	}
 	l.mu.Unlock()
 	if start {
-		a.r.ackWG.Add(1)
-		go a.run(l)
+		e.r.wg.Add(1)
+		go e.runAcks(l)
 	}
 	select {
 	case l.wake <- struct{}{}:
@@ -371,14 +334,14 @@ func (a *ackPlane) enqueue(msg netsim.Message) {
 	}
 }
 
-// run is one link's ack worker: swap out the pending queue, flush it, sleep
-// until woken. It exits when the round unwinds (unflushed acks are then
+// runAcks is one row's ack worker: swap out the pending queue, flush it,
+// sleep until woken. It exits when the round unwinds (unflushed acks are then
 // moot — every deliver waiter unblocks on doneCh).
-func (a *ackPlane) run(l *ackLink) {
-	defer a.r.ackWG.Done()
+func (e *sendEngine) runAcks(l *link) {
+	defer e.r.wg.Done()
 	for {
 		select {
-		case <-a.r.doneCh:
+		case <-e.r.doneCh:
 			return
 		case <-l.wake:
 		}
@@ -390,7 +353,7 @@ func (a *ackPlane) run(l *ackLink) {
 			if len(batch) == 0 {
 				break
 			}
-			a.flush(l, batch)
+			e.flushAcks(l, batch)
 		}
 	}
 }
@@ -398,12 +361,12 @@ func (a *ackPlane) run(l *ackLink) {
 // flush transmits one swap's worth of pending messages. Heartbeat echoes go
 // out individually — their Step is an RTT timestamp that batching must not
 // delay behind a blocked data frame's worth of acks. Plain acks coalesce
-// into chunks of at most a.batch: a chunk of one keeps the classic frame
+// into chunks of at most ackBatch: a chunk of one keeps the classic frame
 // shape (so AckBatch ≤ 1 is byte-for-byte today's wire behavior), a larger
 // chunk rides one frame whose AckBatch field carries the per-transfer keys,
 // with the link sequence number in Step and the chunk size in Attempt.
-func (a *ackPlane) flush(l *ackLink, msgs []netsim.Message) {
-	r := a.r
+func (e *sendEngine) flushAcks(l *link, msgs []netsim.Message) {
+	r := e.r
 	var acks []netsim.Message
 	for _, m := range msgs {
 		if m.Heartbeat {
@@ -416,8 +379,8 @@ func (a *ackPlane) flush(l *ackLink, msgs []netsim.Message) {
 	}
 	for len(acks) > 0 {
 		n := len(acks)
-		if n > a.batch {
-			n = a.batch
+		if n > e.ackBatch {
+			n = e.ackBatch
 		}
 		chunk := acks[:n]
 		acks = acks[n:]

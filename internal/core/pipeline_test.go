@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -300,17 +301,17 @@ func (g *gatedTransport) frames() []netsim.Message {
 func TestAckPlaneCoalescesBacklog(t *testing.T) {
 	gt := newGatedTransport()
 	r := &liveRound{tr: gt, rs: &roundState{}, doneCh: make(chan struct{})}
-	a := newAckPlane(r, 4)
+	a := newSendEngine(r, 2, PipelineConfig{AckBatch: 4}, false)
 
 	ack := func(grad string, step int) netsim.Message {
 		return netsim.Message{From: 1, To: 0, Gradient: grad, Step: step, Attempt: 1, Ack: true}
 	}
-	a.enqueue(ack("g/p0", 10))
+	a.enqueueAck(ack("g/p0", 10))
 	<-gt.arrived // worker now blocked inside the first ack's Send
 	for i := 1; i <= 5; i++ {
-		a.enqueue(ack(fmt.Sprintf("g/p%d", i), 10+i))
+		a.enqueueAck(ack(fmt.Sprintf("g/p%d", i), 10+i))
 	}
-	a.enqueue(netsim.Message{From: 1, To: 0, Gradient: "hb", Step: 999, Heartbeat: true})
+	a.enqueueAck(netsim.Message{From: 1, To: 0, Gradient: "hb", Step: 999, Heartbeat: true})
 	gt.proceed <- struct{}{} // release; worker swaps the 6-deep backlog
 	for i := 0; i < 3; i++ { // heartbeat, batch, trailing single
 		<-gt.arrived
@@ -347,7 +348,7 @@ func TestAckPlaneCoalescesBacklog(t *testing.T) {
 	// Teardown contract: closing doneCh must stop the worker.
 	close(r.doneCh)
 	done := make(chan struct{})
-	go func() { r.ackWG.Wait(); close(done) }()
+	go func() { r.wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
@@ -384,5 +385,122 @@ func TestAckPlaneDispatchRoundTrip(t *testing.T) {
 	}
 	if batched == 0 {
 		t.Fatal("no acks coalesced across 3 backlogged pipelined rounds; batching is dead")
+	}
+}
+
+// buildRound builds the DAG and layout SyncRoundContext builds for gradients
+// of the given sizes, each in parts partitions, compressed by algo ("" raw).
+func buildRound(t *testing.T, strat Strategy, n, parts int, algo string, sizes map[string]int) (*Graph, *roundLayout) {
+	t.Helper()
+	names := make([]string, 0, len(sizes))
+	for name := range sizes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	g, lay := NewGraph(), newRoundLayout(len(names))
+	for _, name := range names {
+		spec := lay.add(name, sizes[name], parts, algo)
+		var err error
+		if strat == StrategyPS {
+			_, err = BuildPS(g, topoFor(strat, n), spec)
+		} else {
+			_, err = BuildRing(g, topoFor(strat, n), spec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return g, lay
+}
+
+// TestLinkTableRows pins what one round leaves in its link table: staged
+// sends queued on exactly the diagonal rows (v, v) in the per-node shape and
+// on exactly the DAG's send links otherwise; acks queued on exactly the
+// reversed links of acked transfers, never on the diagonal; and, after
+// teardown, every queue empty and no worker counted on any row.
+func TestLinkTableRows(t *testing.T) {
+	const n = 3
+	// No retransmit can fire in these clean rounds, so no duplicate re-ack
+	// is left queued when the round ends.
+	retry := RetryPolicy{MaxAttempts: 8, BaseBackoff: 200 * time.Millisecond, MaxBackoff: time.Second}
+	configs := []struct {
+		name string
+		cfg  LiveConfig
+	}{
+		{"w0", LiveConfig{}},
+		{"w0-reliable", LiveConfig{Reliable: true, Retry: retry}},
+		{"w4-ackbatch4", LiveConfig{Reliable: true, Retry: retry, Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}},
+		{"coordinated-w1", LiveConfig{Reliable: true, Retry: retry, Coordinated: true, Pipeline: PipelineConfig{Window: 1}}},
+	}
+	sizes := map[string]int{"a": 96, "b": 300}
+	for _, strat := range []Strategy{StrategyPS, StrategyRing} {
+		for _, c := range configs {
+			t.Run(fmt.Sprintf("%v/%s", strat, c.name), func(t *testing.T) {
+				cfg := c.cfg
+				cfg.Strategy, cfg.Parts = strat, 2
+				lc, err := NewLiveCluster(n, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, lay := buildRound(t, strat, n, 2, "", sizes)
+				grads, _ := makeGrads(9, n, sizes)
+				r, _, err := lc.run(context.Background(), g, lay, grads, lc.epoch, 0)
+				if r != nil {
+					defer r.release()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				sends := map[LinkKey]bool{}
+				for _, tk := range g.Tasks {
+					if tk.Kind == KSend {
+						sends[LinkKey{Src: tk.Node, Dst: tk.Peer}] = true
+					}
+				}
+				perNode := cfg.Pipeline.Window <= 1 && !cfg.Coordinated
+				for i := range r.pipe.links {
+					l, key := &r.pipe.links[i], LinkKey{Src: i / n, Dst: i % n}
+					wantSends := sends[key]
+					if perNode {
+						wantSends = key.Src == key.Dst
+					}
+					if got := l.depth > 0; got != wantSends {
+						t.Errorf("row %v carried sends = %v, want %v", key, got, wantSends)
+					}
+					wantAcks := cfg.Reliable && sends[LinkKey{Src: key.Dst, Dst: key.Src}]
+					if l.started != wantAcks || (key.Src == key.Dst && l.started) {
+						t.Errorf("row %v carried acks = %v, want %v", key, l.started, wantAcks)
+					}
+					if len(l.queue) != 0 || l.bytes != 0 || l.workers != 0 || len(l.pending) != 0 {
+						t.Errorf("row %v after teardown: %d queued (%d bytes), %d workers, %d acks pending",
+							key, len(l.queue), l.bytes, l.workers, len(l.pending))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestHeartbeatFromUnknownNodeIgnored: a heartbeat probe naming a sender
+// outside the round — a checksum-valid frame only a foreign TCP peer could
+// send — is not echoed, and no ack worker starts for it.
+func TestHeartbeatFromUnknownNodeIgnored(t *testing.T) {
+	gt := newGatedTransport()
+	r := &liveRound{tr: gt, rs: &roundState{}, doneCh: make(chan struct{})}
+	r.pipe = newSendEngine(r, 2, PipelineConfig{}, false)
+	for _, from := range []int{-1, 2, 1 << 20} {
+		r.dispatchMsg(&nodeRT{id: 0}, &netsim.Message{From: from, To: 0, Gradient: "hb", Heartbeat: true})
+	}
+	for i := range r.pipe.links {
+		if r.pipe.links[i].started {
+			t.Fatalf("row %d started an ack worker for a probe from outside the round", i)
+		}
+	}
+	if f := gt.frames(); len(f) != 0 {
+		t.Fatalf("echoed %d probes from outside the round: %+v", len(f), f)
 	}
 }
