@@ -63,10 +63,12 @@ stress:
 # teardown: every goroutine a round starts — lane and ack workers included —
 # has exited when it returns, a backlog of acks coalesces into exactly the
 # frames its spec names, and the link table is left empty with no worker
-# counted. ≈ 15 s.
+# counted. The round plan cache: rounds reuse one plan, a round cut off
+# part-way hands it back part-way, and the next take restores it. ≈ 1 min.
 flake:
 	GOMAXPROCS=1 $(GO) test ./internal/core -run 'TestElasticRejoinLifecycle$$' -count 200
 	GOMAXPROCS=1 $(GO) test ./internal/core -run '^(TestPipelineAckWorkersExitCleanly|TestAckPlaneCoalescesBacklog|TestLinkTableRows)$$' -count 100
+	GOMAXPROCS=1 $(GO) test ./internal/core -run 'TestRoundPlanReuse$$' -count 100
 
 # The gate used before committing: vet + the invariant suite + full
 # race-enabled test suite + fuzz smoke + the repeated rejoin lifecycle.
@@ -80,7 +82,7 @@ bench:
 # quotes: each of core, compress, netsim and trainer may shrink below its
 # LOC_BUDGET_<pkg> (lower the budget to the new count in the PR that does it)
 # and fails the target when it grows past it.
-LOC_BUDGET_core := 6339
+LOC_BUDGET_core := 6397
 LOC_BUDGET_compress := 2802
 LOC_BUDGET_netsim := 1907
 LOC_BUDGET_trainer := 876

@@ -247,13 +247,9 @@ func (lc *LiveCluster) RestoreEpoch(ep PlanEpoch, round int64) error {
 		return err
 	}
 	lc.epochMu.Lock()
-	prev := lc.epoch
 	lc.epoch = ep
 	lc.pendingEpoch = nil
 	lc.rounds = round
-	if ep.Strategy != prev.Strategy {
-		lc.topo = topoFor(ep.Strategy, lc.n)
-	}
 	lc.epochMu.Unlock()
 	if s, ok := lc.cfg.Autotune.(Seeker); ok && lc.cfg.Autotune != nil {
 		s.SeekRound(round)
@@ -262,7 +258,7 @@ func (lc *LiveCluster) RestoreEpoch(ep PlanEpoch, round int64) error {
 }
 
 // activateEpoch applies a staged pending epoch at the round barrier (the
-// start of SyncRoundContext, before any task of the round is built) and
+// start of SyncRoundContext, before the round's plan is chosen) and
 // returns the epoch the round must execute under with the round's index.
 func (lc *LiveCluster) activateEpoch() (PlanEpoch, int64) {
 	lc.epochMu.Lock()
@@ -274,9 +270,6 @@ func (lc *LiveCluster) activateEpoch() (PlanEpoch, int64) {
 	lc.epoch = *lc.pendingEpoch
 	lc.pendingEpoch = nil
 	lc.epochSwitches++
-	if lc.epoch.Strategy != prev.Strategy {
-		lc.topo = topoFor(lc.epoch.Strategy, lc.n)
-	}
 	if tr := lc.cfg.Telemetry.T(); tr.Enabled() {
 		tr.Event(fmt.Sprintf("epoch-switch %v→%v", prev, lc.epoch), "autotune",
 			0, "net", tr.Now())

@@ -27,9 +27,10 @@ import (
 // manager of §3.1: a computing queue (Q_comp) and a communication queue
 // (Q_commu, the send engine's lanes: rows of one link table) drained
 // asynchronously, with the shared dependency graph clearing pending
-// dependencies as tasks finish. Queues are sized from the traffic the
-// round's DAG declares, and every goroutine a round starts counts in one
-// WaitGroup.
+// dependencies as tasks finish. The DAG, its layout, recv index and queue
+// sizes (from the traffic the DAG declares) are a roundPlan built once per
+// (epoch, gradient shapes); a round resets only its dependency counters.
+// Every goroutine a round starts counts in one WaitGroup.
 //
 // The fault plane (faults.go) extends this with deadline-aware reliable
 // delivery: sends are acknowledged-or-retried with capped exponential
@@ -144,9 +145,8 @@ type LiveConfig struct {
 // must persist across iterations (error-feedback residuals, the round index
 // that keys every stochastic encode's draws) lives here.
 type LiveCluster struct {
-	n    int
-	cfg  LiveConfig
-	topo *Topology
+	n   int
+	cfg LiveConfig
 	// comp[v] is node v's compressor; ef[v] its residual state; meters[v]
 	// the instrumentation wrapper when LiveConfig.Instrument is set.
 	comp   []compress.Compressor
@@ -172,13 +172,14 @@ type LiveCluster struct {
 
 	// Autotune-plane state (epoch.go): the active epoch, a staged pending
 	// epoch awaiting its round barrier, the completed-round counter, and
-	// the activation count. epochMu also guards topo, which an epoch
-	// switch rebuilds when the strategy changes.
+	// the activation count; plan is the last round's plan, which the epoch
+	// keys among other things (nil while a round holds it).
 	epochMu       sync.Mutex
 	epoch         PlanEpoch
 	pendingEpoch  *PlanEpoch
 	rounds        int64
 	epochSwitches int64
+	plan          atomic.Pointer[roundPlan]
 }
 
 // Validate is the single definition of the constraints between LiveConfig
@@ -235,7 +236,6 @@ func NewLiveCluster(n int, cfg LiveConfig) (*LiveCluster, error) {
 	if cfg.Reliable {
 		lc.health = newHealthPlane(n, cfg.Health, cfg.Retry, cfg.Elastic, cfg.Telemetry)
 	}
-	lc.topo = topoFor(cfg.Strategy, n)
 	if cfg.Algo != "" {
 		lc.comp = make([]compress.Compressor, n)
 		lc.ef = make([]*compress.ErrorFeedback, n)
@@ -436,11 +436,18 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 	if len(grads) != lc.n {
 		return nil, nil, fmt.Errorf("core: SyncRound got %d gradient sets for %d nodes", len(grads), lc.n)
 	}
-	names := make([]string, 0, len(grads[0]))
-	for name := range grads[0] {
-		names = append(names, name)
+	// The cached plan serves if node 0 presents exactly its shapes and the
+	// barrier activates its epoch; the round holds it alone until released.
+	p := lc.plan.Swap(nil)
+	names := p.fit(grads[0])
+	if names == nil {
+		p, names = nil, make([]string, 0, len(grads[0]))
+		for name := range grads[0] {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 	}
-	sort.Strings(names)
+	defer func() { lc.plan.CompareAndSwap(nil, p) }()
 	for v := 1; v < lc.n; v++ {
 		if len(grads[v]) != len(names) {
 			return nil, nil, fmt.Errorf("core: node %d has %d gradients, node 0 has %d", v, len(grads[v]), len(names))
@@ -452,42 +459,16 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 		}
 	}
 
-	// The round barrier: a staged epoch switch takes effect here, before
-	// any task of the round is built, so every task of one round runs
-	// under exactly one plan.
+	// The round barrier: a staged epoch switch takes effect here, before the
+	// round's plan is chosen, so every task of one round runs under exactly
+	// one plan. The whole epoch is the key: RestoreEpoch may keep a Version.
 	ep, round := lc.activateEpoch()
-
-	// Build one DAG covering every gradient, with the epoch deciding the
-	// partition geometry and, per gradient size, compress-vs-raw — and beside
-	// it the layout the round's state tables follow.
-	g := NewGraph()
-	lay := newRoundLayout(len(names))
-	sizes := make([]int64, 0, len(names))
-	for _, name := range names {
-		rawBytes := int64(4 * len(grads[0][name]))
-		sizes = append(sizes, rawBytes)
-		algo := ""
-		if lc.cfg.Algo != "" && ep.compresses(rawBytes) {
-			algo = lc.cfg.Algo
-		}
-		spec := lay.add(name, len(grads[0][name]), ep.Parts, algo)
-		var err error
-		switch ep.Strategy {
-		case StrategyRing:
-			_, err = BuildRing(g, lc.topo, spec)
-		case StrategyPS:
-			_, err = BuildPS(g, lc.topo, spec)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	if err := g.Validate(); err != nil {
+	p, err := lc.planRound(p, ep, names, grads[0])
+	if err != nil {
 		return nil, nil, err
 	}
 
-	r, health, err := lc.run(ctx, g, lay, grads, ep, round)
+	r, health, err := lc.run(ctx, p, grads, round)
 	if r != nil {
 		defer r.release()
 	}
@@ -501,35 +482,113 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 	lc.epochMu.Lock()
 	lc.rounds++
 	lc.epochMu.Unlock()
-	lc.observeAndTune(ctx, ep, health, round, sizes)
+	lc.observeAndTune(ctx, ep, health, round, p.sizes)
 	return out, health, nil
 }
 
-// liveRound is the state of one executing round: the graph, the transport,
+// roundPlan is what a round derives before its first task executes, a pure
+// function of the cluster, the epoch and the gradient shapes. A round writes
+// none of it but the graph's dependency counters, restored as it is taken.
+type roundPlan struct {
+	epoch    PlanEpoch
+	names    []string // sorted
+	g        *Graph
+	lay      *roundLayout
+	sizes    []int64         // raw gradient bytes, ascending (the autotuner's GradBytes)
+	recvIdx  map[wireKey]int // where data frames and acks find their transfer
+	compCap  []int
+	inboxCap int
+	roots    []int
+	deps     []int // by task: its count before the round runs
+}
+
+// planRound returns the plan a round under ep over node 0's gradients g0 (names
+// sorted) runs on. cached serves if it was built under ep, its counters reset
+// as it is taken: the round that last held it may have stopped part-way.
+// Otherwise one DAG is built over every gradient, the epoch deciding partitions
+// and, by size, compress-vs-raw, with its layout.
+func (lc *LiveCluster) planRound(cached *roundPlan, ep PlanEpoch, names []string, g0 map[string][]float32) (*roundPlan, error) {
+	if cached != nil && cached.epoch == ep {
+		for i, t := range cached.g.Tasks {
+			t.deps = cached.deps[i]
+		}
+		return cached, nil
+	}
+	g, lay := NewGraph(), newRoundLayout(len(names))
+	topo, build := topoFor(ep.Strategy, lc.n), BuildPS
+	if ep.Strategy == StrategyRing {
+		build = BuildRing
+	}
+	sizes := make([]int64, 0, len(names))
+	for _, name := range names {
+		rawBytes := int64(4 * len(g0[name]))
+		sizes = append(sizes, rawBytes)
+		algo := ""
+		if lc.cfg.Algo != "" && ep.compresses(rawBytes) {
+			algo = lc.cfg.Algo
+		}
+		if _, err := build(g, topo, lay.add(name, len(g0[name]), ep.Parts, algo)); err != nil {
+			return nil, err
+		}
+	}
+	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
+	p, err := lc.planGraph(ep, g, lay)
+	if p != nil {
+		p.names, p.sizes = names, sizes
+	}
+	return p, err
+}
+
+// planGraph derives the rest of a plan from its DAG and layout, validating the
+// graph and indexing its recvs once per plan rather than once per round.
+func (lc *LiveCluster) planGraph(ep PlanEpoch, g *Graph, lay *roundLayout) (*roundPlan, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	recvIdx, err := indexRecvs(g)
+	if err != nil {
+		return nil, err
+	}
+	p := &roundPlan{epoch: ep, g: g, lay: lay, recvIdx: recvIdx, roots: g.Roots(), deps: make([]int, len(g.Tasks))}
+	p.compCap, p.inboxCap = queueSizes(g, lc.n, lc.cfg.Reliable)
+	for i, t := range g.Tasks {
+		p.deps[i] = t.deps
+	}
+	return p, nil
+}
+
+// fit returns the plan's names if g0 holds exactly its gradients — each name
+// with its length (never 0) — and nil otherwise, or for no plan.
+func (p *roundPlan) fit(g0 map[string][]float32) []string {
+	if p == nil || len(g0) != len(p.lay.grads) {
+		return nil
+	}
+	for i := range p.lay.grads {
+		if gl := &p.lay.grads[i]; len(g0[gl.name]) != gl.elems {
+			return nil
+		}
+	}
+	return p.names
+}
+
+// liveRound is the state of one executing round: its plan, the transport,
 // completion bookkeeping, and the fault plane.
 type liveRound struct {
+	// The plan and round, the round's index (completed rounds before it; a
+	// failed round's retry carries the same index), are fixed at the round
+	// barrier by SyncRoundContext.
+	*roundPlan
+	round int64
 	lc    *LiveCluster
 	ctx   context.Context
-	g     *Graph
 	tr    netsim.Transport
 	rs    *roundState
 	nodes []nodeRT
-	// lay carries each gradient's geometry and effective compression algorithm
-	// for this round ("" = raw), epoch is the plan the round runs under, and
-	// round is its index (completed rounds before it; a failed round's retry
-	// carries the same index) — all frozen at the round barrier by
-	// SyncRoundContext.
-	lay   *roundLayout
-	epoch PlanEpoch
-	round int64
 
-	// recvIdx arms the round's recv tasks, read-only once the round runs;
 	// xfer, by recv task id on reliable rounds, is the transfer table.
-	recvIdx map[wireKey]int
-	xfer    []transfer
+	xfer []transfer
 
 	reliable bool
-	timeout  time.Duration
 
 	// hp is the cluster's health plane (non-nil whenever reliable): it owns
 	// the delivery loop's retry policy, static or adaptive.
@@ -618,13 +677,6 @@ func (r *liveRound) finish() {
 	r.errOnce.Do(func() { close(r.doneCh) })
 }
 
-// isCompleted reads the completion flag under the graph lock.
-func (r *liveRound) isCompleted(id int) bool {
-	r.gmu.Lock()
-	defer r.gmu.Unlock()
-	return r.completed[id]
-}
-
 // completeTask marks id done (idempotently) and routes newly ready tasks.
 func (r *liveRound) completeTask(id int) {
 	r.gmu.Lock()
@@ -633,7 +685,8 @@ func (r *liveRound) completeTask(id int) {
 		return
 	}
 	r.completed[id] = true
-	ready := r.g.Complete(id)
+	var buf [8]int
+	ready := r.g.Complete(id, buf[:0])
 	r.remaining--
 	last := r.remaining == 0
 	r.gmu.Unlock()
@@ -751,17 +804,12 @@ func queueSizes(g *Graph, n int, reliable bool) (comp []int, inbox int) {
 	return comp, inbox + inboxSlack
 }
 
-// run executes the DAG with real data under one frozen plan epoch and returns
-// the torn-down round, whose leases the caller releases once it has assembled
-// the results. The round is nil only when it never started.
-func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grads []map[string][]float32, ep PlanEpoch, round int64) (*liveRound, *RoundHealth, error) {
-	n := lc.n
+// run executes the plan's DAG with real data and returns the torn-down round,
+// whose leases the caller releases once it has assembled the results. The
+// round is nil only when it never started.
+func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string][]float32, round int64) (*liveRound, *RoundHealth, error) {
+	n, g, lay := lc.n, p.g, p.lay
 	started := time.Now() //hipress:wallclock round-duration telemetry for RoundHealth
-	recvIdx, err := indexRecvs(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	compCap, inboxCap := queueSizes(g, n, lc.cfg.Reliable)
 	var tr netsim.Transport
 	var tcpTr *netsim.TCPTransport
 	if lc.cfg.Transport == "tcp" {
@@ -772,13 +820,13 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 		if opts.Metrics == nil {
 			opts.Metrics = lc.cfg.Telemetry.M()
 		}
-		t, err := netsim.NewTCPTransportOpts(n, inboxCap, opts)
+		t, err := netsim.NewTCPTransportOpts(n, p.inboxCap, opts)
 		if err != nil {
 			return nil, nil, err
 		}
 		tr, tcpTr = t, t
 	} else {
-		tr = netsim.NewChanTransport(n, inboxCap)
+		tr = netsim.NewChanTransport(n, p.inboxCap)
 	}
 	var chaosTr *netsim.ChaosTransport
 	if chaos := lc.chaosCfg(); chaos != nil {
@@ -810,22 +858,18 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 		}
 		rt.parts = partSlab[v*ns : (v+1)*ns]
 		rt.in = inSlab[v*ns*n : (v+1)*ns*n]
-		rt.qcomp = make(chan int, compCap[v])
+		rt.qcomp = make(chan int, p.compCap[v])
 	}
 
 	r := &liveRound{
+		roundPlan: p,
+		round:     round,
 		lc:        lc,
 		ctx:       ctx,
-		g:         g,
 		tr:        tr,
 		rs:        newRoundState(n),
 		nodes:     nodes,
-		lay:       lay,
-		epoch:     ep,
-		round:     round,
-		recvIdx:   recvIdx,
 		reliable:  lc.cfg.Reliable,
-		timeout:   lc.cfg.RoundTimeout,
 		hp:        lc.health,
 		remaining: len(g.Tasks),
 		completed: make([]bool, len(g.Tasks)),
@@ -893,7 +937,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 	}
 
 	// Kick off the roots.
-	for _, root := range g.Roots() {
+	for _, root := range p.roots {
 		r.route(root)
 	}
 	select {
@@ -915,7 +959,7 @@ func (lc *LiveCluster) run(ctx context.Context, g *Graph, lay *roundLayout, grad
 	}
 
 	health := r.rs.health(r.reliable, time.Since(started)) //hipress:wallclock round-duration telemetry for RoundHealth
-	health.EpochVersion = ep.Version
+	health.EpochVersion = p.epoch.Version
 	health.SendWallNs = r.pipe.sendWallNs()
 	health.MaxLinkQueueDepth = r.pipe.maxDepth()
 	if chaosTr != nil {
@@ -1083,7 +1127,10 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 		r.xfer[id].seen = true
 		r.sendAck(rt.id, *msg)
 	}
-	if r.isCompleted(id) {
+	r.gmu.Lock()
+	done := r.completed[id]
+	r.gmu.Unlock()
+	if done {
 		return true // force-completed by degradation; too late to matter
 	}
 	t := r.g.Tasks[id]
@@ -1121,7 +1168,8 @@ func (r *liveRound) sendAck(node int, msg netsim.Message) {
 // *PeerFailureError carrying the link's RTT evidence. Deadlines run from the
 // moment the transmit returned. The rendezvous is armed at the transfer's
 // recv task (the builders pair every send with one), where its acks settle.
-func (r *liveRound) deliver(t *Task, msg netsim.Message) error {
+// Every wait re-arms timer, the calling lane worker's.
+func (r *liveRound) deliver(t *Task, msg netsim.Message, timer *time.Timer) error {
 	if !r.reliable {
 		return r.tr.Send(msg)
 	}
@@ -1158,10 +1206,15 @@ func (r *liveRound) deliver(t *Task, msg netsim.Message) error {
 			wait, rest = hedgeAt, wait-hedgeAt
 		}
 		for {
-			timer := time.NewTimer(wait)
+			if !timer.Stop() { // go.mod's go 1.22: an expiry may still sit in C
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(wait)
 			select {
 			case <-ackCh:
-				timer.Stop()
 				if attempt == 0 && hedged == 0 {
 					// Karn's rule: only an unambiguous first-attempt ack
 					// yields an RTT sample (a retransmitted or hedged
@@ -1176,11 +1229,9 @@ func (r *liveRound) deliver(t *Task, msg netsim.Message) error {
 				}
 				return nil
 			case <-r.doneCh:
-				timer.Stop()
 				return nil // round unwinding: the send is moot
 			case <-r.ctx.Done():
-				timer.Stop()
-				return &RoundTimeoutError{Timeout: r.timeout}
+				return &RoundTimeoutError{Timeout: r.lc.cfg.RoundTimeout}
 			case <-timer.C:
 			}
 			if rest == 0 {

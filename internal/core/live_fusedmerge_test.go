@@ -96,7 +96,7 @@ func TestFusedMergeMatchesDecodeThenAdd(t *testing.T) {
 						}
 						lay := newRoundLayout(1)
 						lay.add("g", ne, 1, cd.algo)
-						r := &liveRound{lc: lc, lay: lay, epoch: lc.epoch}
+						r := &liveRound{lc: lc, roundPlan: &roundPlan{lay: lay, epoch: lc.epoch}}
 						rt := &nodeRT{n: n, lay: lay, local: [][]float32{grads[0]},
 							parts: make([]partRT, lay.slots), in: make([]wireBuf, lay.slots*n)}
 						defer rt.lease.Release()

@@ -49,13 +49,14 @@ func TestMergeAfterStageFailsRound(t *testing.T) {
 	id = add(id, Task{Kind: KSend, Node: 0, Peer: 1, Step: 2, Phase: 1})
 	id = add(id, Task{Kind: KRecv, Node: 1, Peer: 0, Step: 2, Phase: 1})
 	add(id, Task{Kind: KMerge, Node: 1, Peer: 0, Step: 3, Phase: 1})
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	grads, _ := makeGrads(5, 2, map[string]int{"g": ne})
 	lay := newRoundLayout(1)
 	lay.add("g", ne, 1, "")
-	_, _, err = lc.run(context.Background(), g, lay, grads, lc.epoch, 0)
+	p, err := lc.planGraph(lc.epoch, g, lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = lc.run(context.Background(), p, grads, 0)
 	if !errors.Is(err, errMergeAfterStage) {
 		t.Fatalf("round error = %v, want errMergeAfterStage", err)
 	}

@@ -532,7 +532,12 @@ func TestRoundQueueSizes(t *testing.T) {
 	for _, strat := range []Strategy{StrategyPS, StrategyRing} {
 		for _, n := range []int{2, 3, 4} {
 			for _, algo := range []string{"", "onebit"} {
-				g, _ := buildRound(t, strat, n, 2, algo, sizes)
+				lc, err := NewLiveCluster(n, LiveConfig{Strategy: strat, Parts: 2, Algo: algo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				grads, _ := makeGrads(1, n, sizes)
+				g := buildRound(t, lc, grads).g
 				for _, reliable := range []bool{false, true} {
 					name := fmt.Sprintf("%v/n%d/%q/reliable=%v", strat, n, algo, reliable)
 					comp, inbox := queueSizes(g, n, reliable)

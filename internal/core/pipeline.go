@@ -75,10 +75,10 @@ type pendingSend struct {
 
 // link is one row of a round's link table: everything the round sends from
 // src to dst. Its send lane (queue, bytes, workers, depth) is guarded by the
-// engine mutex; its ack queue (pending, started, wake, seq) by the row's own
-// mu, so acking never contends with staging. seq is the ack worker's own: the
-// per-link sequence number stamped into batched frames so the chaos plane's
-// per-(step, attempt) fault rolls stay fresh.
+// engine mutex; its ack queue (pending, started, wake) by the row's own mu, so
+// acking never contends with staging. seq and acks are the ack worker's own:
+// the per-link sequence number stamped into batched frames so the chaos
+// plane's per-(step, attempt) fault rolls stay fresh, and flushAcks' scratch.
 type link struct {
 	queue   []pendingSend
 	bytes   int64 // queued Task.Bytes: the metadata the coordinator weighs
@@ -90,6 +90,7 @@ type link struct {
 	started bool
 	wake    chan struct{}
 	seq     int
+	acks    []netsim.Message
 }
 
 // sendEngine owns the link table of one round and is the only route from a
@@ -227,6 +228,11 @@ func grantLinks(pending map[LinkKey]int64, granted []LinkKey) []LinkKey {
 func (e *sendEngine) drain(l *link) {
 	defer e.r.wg.Done()
 	r := e.r
+	var timer *time.Timer // this worker's one ack-wait timer; deliver re-arms it per wait
+	if r.reliable {
+		timer = time.NewTimer(time.Hour)
+		defer timer.Stop()
+	}
 	for {
 		unwinding := false
 		select {
@@ -252,7 +258,7 @@ func (e *sendEngine) drain(l *link) {
 		if e.gauge != nil {
 			e.gauge.Set(float64(in))
 		}
-		err := r.deliver(p.t, p.msg)
+		err := r.deliver(p.t, p.msg, timer)
 		in = e.inflight.Add(-1)
 		if e.gauge != nil {
 			e.gauge.Set(float64(in))
@@ -335,10 +341,12 @@ func (e *sendEngine) enqueueAck(msg netsim.Message) {
 }
 
 // runAcks is one row's ack worker: swap out the pending queue, flush it,
-// sleep until woken. It exits when the round unwinds (unflushed acks are then
-// moot — every deliver waiter unblocks on doneCh).
+// sleep until woken; the flushed slice is the next swap's empty queue. It
+// exits when the round unwinds (unflushed acks are then moot — every deliver
+// waiter unblocks on doneCh).
 func (e *sendEngine) runAcks(l *link) {
 	defer e.r.wg.Done()
+	var spare []netsim.Message
 	for {
 		select {
 		case <-e.r.doneCh:
@@ -348,8 +356,9 @@ func (e *sendEngine) runAcks(l *link) {
 		for {
 			l.mu.Lock()
 			batch := l.pending
-			l.pending = nil
+			l.pending = spare[:0]
 			l.mu.Unlock()
+			spare = batch
 			if len(batch) == 0 {
 				break
 			}
@@ -367,7 +376,7 @@ func (e *sendEngine) runAcks(l *link) {
 // with the link sequence number in Step and the chunk size in Attempt.
 func (e *sendEngine) flushAcks(l *link, msgs []netsim.Message) {
 	r := e.r
-	var acks []netsim.Message
+	acks := l.acks[:0]
 	for _, m := range msgs {
 		if m.Heartbeat {
 			if err := r.tr.Send(m); err != nil {
@@ -377,6 +386,7 @@ func (e *sendEngine) flushAcks(l *link, msgs []netsim.Message) {
 		}
 		acks = append(acks, m)
 	}
+	l.acks = acks
 	for len(acks) > 0 {
 		n := len(acks)
 		if n > e.ackBatch {
@@ -390,6 +400,8 @@ func (e *sendEngine) flushAcks(l *link, msgs []netsim.Message) {
 			}
 			continue
 		}
+		// Fresh per frame: ChanTransport hands this slice itself to the
+		// receiver, which reads it after Send returns.
 		refs := make([]netsim.AckRef, n)
 		for i, m := range chunk {
 			refs[i] = netsim.AckRef{Gradient: m.Gradient, Step: m.Step, Attempt: m.Attempt}

@@ -388,32 +388,20 @@ func TestAckPlaneDispatchRoundTrip(t *testing.T) {
 	}
 }
 
-// buildRound builds the DAG and layout SyncRoundContext builds for gradients
-// of the given sizes, each in parts partitions, compressed by algo ("" raw).
-func buildRound(t *testing.T, strat Strategy, n, parts int, algo string, sizes map[string]int) (*Graph, *roundLayout) {
+// buildRound builds lc's plan for a round over grads under its current epoch,
+// with the constructor SyncRoundContext uses.
+func buildRound(t *testing.T, lc *LiveCluster, grads []map[string][]float32) *roundPlan {
 	t.Helper()
-	names := make([]string, 0, len(sizes))
-	for name := range sizes {
+	names := make([]string, 0, len(grads[0]))
+	for name := range grads[0] {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	g, lay := NewGraph(), newRoundLayout(len(names))
-	for _, name := range names {
-		spec := lay.add(name, sizes[name], parts, algo)
-		var err error
-		if strat == StrategyPS {
-			_, err = BuildPS(g, topoFor(strat, n), spec)
-		} else {
-			_, err = BuildRing(g, topoFor(strat, n), spec)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Validate(); err != nil {
+	p, err := lc.planRound(nil, lc.Epoch(), names, grads[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	return g, lay
+	return p
 }
 
 // TestLinkTableRows pins what one round leaves in its link table: staged
@@ -445,9 +433,10 @@ func TestLinkTableRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				g, lay := buildRound(t, strat, n, 2, "", sizes)
 				grads, _ := makeGrads(9, n, sizes)
-				r, _, err := lc.run(context.Background(), g, lay, grads, lc.epoch, 0)
+				p := buildRound(t, lc, grads)
+				g := p.g
+				r, _, err := lc.run(context.Background(), p, grads, 0)
 				if r != nil {
 					defer r.release()
 				}

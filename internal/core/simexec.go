@@ -194,7 +194,8 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 	var dispatch func(now float64, id int)
 	completeAt := func(id int, t float64) {
 		finish[id] = t
-		for _, r := range g.Complete(id) {
+		var buf [8]int
+		for _, r := range g.Complete(id, buf[:0]) {
 			r := r
 			eng.At(t, func(now float64) { dispatch(now, r) })
 		}

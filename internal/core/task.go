@@ -79,14 +79,15 @@ type Task struct {
 	Dur float64
 
 	// deps counts unfinished prerequisite tasks; outs lists dependents by
-	// graph index.
+	// graph index. deps is the only field an executor writes, which is what
+	// lets the live plane reuse a graph by resetting deps alone.
 	deps int
 	outs []int
 }
 
-// Graph is a per-iteration synchronization DAG over one or more gradients.
-// It is built once and then consumed by exactly one executor (dependency
-// counters are mutated during execution).
+// Graph is a synchronization DAG over one or more gradients. One executor at a
+// time writes its dependency counters, and nothing else; a reused graph is
+// first reset to its initial counts (roundPlan keeps a copy).
 type Graph struct {
 	Tasks []*Task
 }
@@ -125,11 +126,11 @@ func (g *Graph) Deps(i int) int { return g.Tasks[i].deps }
 // Outs returns the dependents of task i.
 func (g *Graph) Outs(i int) []int { return g.Tasks[i].outs }
 
-// Complete marks task i finished and returns the dependents that became
-// ready. Executors call this as their single source of scheduling truth —
-// it is the dependency-graph clearing of §3.1 step ③.
-func (g *Graph) Complete(i int) []int {
-	var ready []int
+// Complete marks task i finished and appends the dependents that became ready
+// to ready (a stack buffer's [:0] saves an allocation). Executors call this as
+// their single source of scheduling truth — it is the dependency-graph
+// clearing of §3.1 step ③.
+func (g *Graph) Complete(i int, ready []int) []int {
 	for _, o := range g.Tasks[i].outs {
 		g.Tasks[o].deps--
 		if g.Tasks[o].deps < 0 {

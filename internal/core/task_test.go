@@ -34,14 +34,14 @@ func TestGraphDepsAndComplete(t *testing.T) {
 	if g.Deps(c) != 1 {
 		t.Fatalf("Deps(c) = %d", g.Deps(c))
 	}
-	ready := g.Complete(a)
+	ready := g.Complete(a, nil)
 	if len(ready) != 1 || ready[0] != b {
 		t.Fatalf("Complete(a) = %v", ready)
 	}
-	if got := g.Complete(b); len(got) != 1 || got[0] != c {
+	if got := g.Complete(b, nil); len(got) != 1 || got[0] != c {
 		t.Fatalf("Complete(b) = %v", got)
 	}
-	if got := g.Complete(c); len(got) != 0 {
+	if got := g.Complete(c, nil); len(got) != 0 {
 		t.Fatalf("Complete(c) = %v", got)
 	}
 }
@@ -59,13 +59,13 @@ func TestGraphDiamond(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if r := g.Complete(a); len(r) != 2 {
+	if r := g.Complete(a, nil); len(r) != 2 {
 		t.Fatalf("diamond fanout = %v", r)
 	}
-	if r := g.Complete(b); len(r) != 0 {
+	if r := g.Complete(b, nil); len(r) != 0 {
 		t.Fatalf("d became ready with pending dep: %v", r)
 	}
-	if r := g.Complete(c); len(r) != 1 || r[0] != d {
+	if r := g.Complete(c, nil); len(r) != 1 || r[0] != d {
 		t.Fatalf("d not ready after both deps: %v", r)
 	}
 }
@@ -95,13 +95,13 @@ func TestDoubleCompletePanics(t *testing.T) {
 	a := g.Add(&Task{})
 	b := g.Add(&Task{})
 	g.Dep(a, b)
-	g.Complete(a)
+	g.Complete(a, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("double complete did not panic")
 		}
 	}()
-	g.Complete(a)
+	g.Complete(a, nil)
 }
 
 func TestStat(t *testing.T) {

@@ -331,6 +331,7 @@ type TCPTransport struct {
 	genCtr   map[[2]int]uint32   // next session generation per directed link
 	lastGen  map[[2]int]uint32   // highest accepted generation per directed link
 	accepted map[net.Conn]bool   // live accepted connections (force-closed by Close)
+	drained  chan struct{}       // made by Close, closed once accepted is empty
 
 	writeTimeout int64 // nanoseconds, atomic (SetWriteTimeout)
 	redialCtr    atomic.Uint64
@@ -459,7 +460,9 @@ func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 	defer func() {
 		conn.Close()
 		t.mu.Lock()
-		delete(t.accepted, conn)
+		if delete(t.accepted, conn); len(t.accepted) == 0 && t.drained != nil {
+			close(t.drained) // once: nothing joins accepted after Close made drained
+		}
 		t.mu.Unlock()
 		atomic.AddInt64(&t.stats.ActiveConns, -1)
 		t.opts.Metrics.Gauge(MetricTCPActiveConns, "currently-open accepted connections").Add(-1)
@@ -1051,11 +1054,14 @@ func (t *TCPTransport) Close() {
 			}
 		}
 		t.mu.Lock()
-		dialed := make([]*tcpConn, 0, len(t.conns))
-		for _, c := range t.conns {
-			dialed = append(dialed, c)
-		}
+		dialed := t.conns
 		t.conns = map[[2]int]*tcpConn{}
+		// No connection is accepted once done is closed: the last read loop to
+		// leave accepted closes drained.
+		t.drained = make(chan struct{})
+		if len(t.accepted) == 0 {
+			close(t.drained)
+		}
 		t.mu.Unlock()
 		// Graceful drain: FIN the write side so the peers' read loops see
 		// EOF after consuming everything already written.
@@ -1066,15 +1072,9 @@ func (t *TCPTransport) Close() {
 				tc.c.Close()
 			}
 		}
-		deadline := time.Now().Add(closeDrainTimeout) //hipress:wallclock close-drain deadline
-		for time.Now().Before(deadline) {             //hipress:wallclock close-drain deadline
-			t.mu.Lock()
-			n := len(t.accepted)
-			t.mu.Unlock()
-			if n == 0 {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
+		select {
+		case <-t.drained:
+		case <-time.After(closeDrainTimeout):
 		}
 		// Force-close stragglers (half-open external peers that never FIN).
 		t.mu.Lock()

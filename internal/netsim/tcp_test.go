@@ -569,6 +569,49 @@ func TestTCPTransportCloseLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestTCPCloseDrainForceClosesHalfOpen: a peer that completes the HELLO and
+// then neither sends nor FINs never leaves the accepted set on its own, so
+// Close's graceful drain cannot finish; Close must still return, through the
+// force-close after closeDrainTimeout, with no connection left open.
+func TestTCPCloseDrainForceClosesHalfOpen(t *testing.T) {
+	tr, err := NewTCPTransportOpts(2, 2, TCPOptions{IdleReadTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", tr.Addr(0).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(encodeHello(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for tr.Stats().ActiveConns != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("half-open connection never registered: %+v", tr.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	closed := make(chan struct{})
+	go func() {
+		tr.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned with a half-open peer connected")
+	}
+	if took := time.Since(start); took < closeDrainTimeout {
+		t.Fatalf("Close returned after %v, before the %v drain could have expired: the half-open connection was not force-closed", took, closeDrainTimeout)
+	}
+	if st := tr.Stats(); st.ActiveConns != 0 {
+		t.Fatalf("%d connections still open after Close", st.ActiveConns)
+	}
+}
+
 // TestTCPTransportStalledPeer proves Send does not wedge forever when the
 // destination never drains its inbox or socket: once the kernel buffers
 // fill, Send must surface a typed ConnError that still unwraps to a
