@@ -27,10 +27,10 @@ import (
 // manager of §3.1: a computing queue (Q_comp) and a communication queue
 // (Q_commu, the send engine's lanes: rows of one link table) drained
 // asynchronously, with the shared dependency graph clearing pending
-// dependencies as tasks finish. The DAG, its layout, recv index and queue
-// sizes (from the traffic the DAG declares) are a roundPlan built once per
-// (epoch, gradient shapes); a round resets only its dependency counters.
-// Every goroutine a round starts counts in one WaitGroup.
+// dependencies as tasks finish. The DAG, its layout, recv index, encode names
+// and queue sizes are a roundPlan built once per (epoch, gradient shapes); a
+// round resets only its dependency counters. Every goroutine a round starts
+// counts in one WaitGroup, and its deadline ends it like any failure.
 //
 // The fault plane (faults.go) extends this with deadline-aware reliable
 // delivery: sends are acknowledged-or-retried with capped exponential
@@ -76,9 +76,6 @@ type LiveConfig struct {
 	// Result bytes are identical for every setting — the window changes
 	// when transfers resolve, never what the ordered merges compute.
 	Pipeline PipelineConfig
-	// Instrument wraps each node's compressor with counters; read them with
-	// LiveCluster.WireStats.
-	Instrument bool
 	// Telemetry, when non-nil, records wall-clock spans for every executed
 	// primitive (encode/decode/merge/send/recv, flow-linked send→recv),
 	// instant events for the fault plane (retries, dedup drops, corrupt
@@ -125,8 +122,8 @@ type LiveConfig struct {
 	// reliable clusters, per-link ack RTT samples as they arrive), and may
 	// propose a new PlanEpoch — strategy, partition count, selective
 	// compression threshold — which is broadcast, acked by every peer, and
-	// activated at the next round barrier. Setting it forces compressor
-	// instrumentation (the tuner's encode/decode evidence). Link
+	// activated at the next round barrier. Its encode/decode evidence is the
+	// compressors' counters (LiveCluster.WireStats). Link
 	// calibration rides the ack path; an unreliable cluster's tuner only
 	// sees round-level evidence.
 	Autotune Autotuner
@@ -147,19 +144,10 @@ type LiveConfig struct {
 type LiveCluster struct {
 	n   int
 	cfg LiveConfig
-	// comp[v] is node v's compressor; ef[v] its residual state; meters[v]
-	// the instrumentation wrapper when LiveConfig.Instrument is set.
-	comp   []compress.Compressor
-	ef     []*compress.ErrorFeedback
-	meters []*compress.Instrumented
-
-	// efKeys interns the error-feedback residual keys: every encode names
-	// its residual by pipeline position, the positions repeat every round,
-	// and formatting the name each time was the hot path's largest source
-	// of small allocations. Beside each key sits its hash, the pipeline-
-	// position term of the encode's random stream (execComp).
-	efKeyMu sync.Mutex
-	efKeys  map[efPos]efName
+	// comp[v] is node v's compressor, always counted (WireStats); ef[v] its
+	// residual state.
+	comp []*compress.Instrumented
+	ef   []*compress.ErrorFeedback
 
 	// chaosMu guards cfg.Chaos, which SetChaos may replace between rounds.
 	chaosMu sync.Mutex
@@ -196,6 +184,9 @@ func (c *LiveConfig) Validate() error {
 	}
 	if c.Chaos != nil && !c.Reliable && c.RoundTimeout == 0 {
 		return &ConfigError{"Chaos", "chaos injection requires Reliable delivery or a RoundTimeout (a dropped message would hang the round)"}
+	}
+	if c.Transport == "tcp" && c.TCP != nil && c.TCP.Chaos != nil && !c.Reliable && c.RoundTimeout == 0 {
+		return &ConfigError{"TCP.Chaos", "wire chaos requires Reliable delivery or a RoundTimeout (a frame the reader drops would hang the round)"}
 	}
 	if c.OnPeerFail == DegradeExclude && c.Strategy == StrategyRing {
 		return &ConfigError{"OnPeerFail", "DegradeExclude requires the PS strategy (a ring cannot route around a dead hop); use DegradeAbort"}
@@ -237,7 +228,7 @@ func NewLiveCluster(n int, cfg LiveConfig) (*LiveCluster, error) {
 		lc.health = newHealthPlane(n, cfg.Health, cfg.Retry, cfg.Elastic, cfg.Telemetry)
 	}
 	if cfg.Algo != "" {
-		lc.comp = make([]compress.Compressor, n)
+		lc.comp = make([]*compress.Instrumented, n)
 		lc.ef = make([]*compress.ErrorFeedback, n)
 		for v := 0; v < n; v++ {
 			// Per-node instances: a node's encodes run on its own goroutine,
@@ -246,23 +237,12 @@ func NewLiveCluster(n int, cfg LiveConfig) (*LiveCluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			// A shared metrics registry implies instrumentation: compression
-			// ratios are the headline quantity the observability plane
-			// exposes, and the wrapper's atomic counters are cheap. An
-			// autotuner implies it too — the encode/decode run stats are its
-			// calibration evidence.
-			if cfg.Instrument || cfg.Autotune != nil || cfg.Telemetry.M() != nil {
-				m := compress.NewInstrumentedWith(c, cfg.Telemetry.M(),
-					"algo", cfg.Algo, "node", compress.NodeLabel(v))
-				if lc.meters == nil {
-					lc.meters = make([]*compress.Instrumented, n)
-				}
-				lc.meters[v] = m
-				c = m
-			}
-			lc.comp[v] = c
+			// The counters are the autotuner's calibration evidence and, in a
+			// shared registry, the observability plane's compression ratios.
+			lc.comp[v] = compress.NewInstrumentedWith(c, cfg.Telemetry.M(),
+				"algo", cfg.Algo, "node", compress.NodeLabel(v))
 			if cfg.ErrorFeedback {
-				lc.ef[v] = compress.NewErrorFeedback(c)
+				lc.ef[v] = compress.NewErrorFeedback(lc.comp[v])
 			}
 		}
 	}
@@ -278,15 +258,12 @@ func NewLiveCluster(n int, cfg LiveConfig) (*LiveCluster, error) {
 // N returns the cluster size.
 func (lc *LiveCluster) N() int { return lc.n }
 
-// WireStats aggregates instrumentation across nodes (zero value unless the
-// cluster was built with Instrument): real encode/decode counts and the
-// realized bytes kept off the wire.
+// WireStats aggregates the compressors' counters across nodes (zero value on
+// an exact cluster): real encode/decode counts and the realized bytes kept off
+// the wire.
 func (lc *LiveCluster) WireStats() compress.Stats {
 	var total compress.Stats
-	for _, m := range lc.meters {
-		if m == nil {
-			continue
-		}
+	for _, m := range lc.comp {
 		s := m.Stats()
 		total.Encodes += s.Encodes
 		total.Decodes += s.Decodes
@@ -301,45 +278,30 @@ func (lc *LiveCluster) WireStats() compress.Stats {
 	return total
 }
 
-// efPos is a compression point's position in the synchronization pipeline,
-// stable across rounds.
-type efPos struct {
-	grad              string
-	part, phase, step int
-}
-
-// efName is a compression point's residual key and the key's FNV-1a hash.
+// efName is a compression point's residual key and the key's FNV-1a hash, the
+// pipeline-position term of the encode's random stream (execComp).
 type efName struct {
 	key  string
 	hash uint64
 }
 
-// efKey returns the residual key for a compression point and its hash.
-// Checkpointed residuals are stored under these strings and stochastic
-// encodes draw from streams derived from the hash, so the format is frozen.
-func (lc *LiveCluster) efKey(t *Task) efName {
-	pos := efPos{t.Grad, t.Part, int(t.Phase), t.Step}
-	lc.efKeyMu.Lock()
-	defer lc.efKeyMu.Unlock()
-	name, ok := lc.efKeys[pos]
-	if !ok {
-		name.key = fmt.Sprintf("%s/p%d/ph%d/s%d", t.Grad, t.Part, t.Phase, t.Step)
-		h := fnv.New64a()
-		h.Write([]byte(name.key))
-		name.hash = h.Sum64()
-		if lc.efKeys == nil {
-			lc.efKeys = map[efPos]efName{}
-		}
-		lc.efKeys[pos] = name
-	}
-	return name
+// nameEncode names the compression point encode task t runs at, a position in
+// the synchronization pipeline stable across rounds. Checkpointed residuals are
+// stored under the key and stochastic encodes draw from streams derived from
+// its hash, so the format is frozen.
+func nameEncode(t *Task) efName {
+	key := fmt.Sprintf("%s/p%d/ph%d/s%d", t.Grad, t.Part, t.Phase, t.Step)
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return efName{key, h.Sum64()}
 }
 
-// wireKey matches a transport message to the recv task armed for it: the
-// gradient's index in the round's layout, the packed (step, partition) exactly
-// as Message.Step carries it, and the link.
+// wireKey matches a transport message to the recv task armed for it — the one
+// identity a data frame and its acks both resolve to: the gradient's name, the
+// packed (step, partition) exactly as Message.Step carries it, and the link.
 type wireKey struct {
-	grad, packed, to, from int
+	grad             string
+	packed, to, from int
 }
 
 // indexRecvs indexes a round's recv tasks by wire key, checking the builder
@@ -351,18 +313,10 @@ func indexRecvs(g *Graph) (map[wireKey]int, error) {
 			if t.deps != 1 {
 				return nil, fmt.Errorf("core: recv task %d has %d deps, want 1", i, t.deps)
 			}
-			idx[wireKey{t.GradIdx, packStep(t.Step, t.Part), t.Node, t.Peer}] = i
+			idx[wireKey{t.Grad, packStep(t.Step, t.Part), t.Node, t.Peer}] = i
 		}
 	}
 	return idx, nil
-}
-
-// recvTask names the transfer of grad at packed step from → to by its armed
-// recv task: the one identity a data frame and its acks both resolve to.
-func (r *liveRound) recvTask(grad string, packed, to, from int) (int, bool) {
-	gi, known := r.lay.index[grad]
-	id, armed := r.recvIdx[wireKey{gi, packed, to, from}]
-	return id, known && armed
 }
 
 // wireBuf is a payload beside the CRC-32 of its bytes — taken as the encoder
@@ -377,16 +331,15 @@ type wireBuf struct {
 }
 
 // partRT is one partition's state at one node. acc is its running aggregate,
-// nil until a merge makes one. staged: a raw send's payload (sum its CRC-32)
-// is acc's own memory — or local's, acc being nil — so a merge from here on is
+// nil until a merge makes one. out is the payload this node sends of it: the
+// last encode's, or a raw partition's bytes as its first send staged them —
+// acc's own memory, or local's, acc being nil — so once out is set a merge is
 // refused.
 type partRT struct {
 	acc    []float32
-	staged bool
-	sum    uint32
-	out    wireBuf // last locally encoded payload
-	filled bool    // phase 2 wrote the partition into result (no copy from acc at assembly)
-	agg    bool    // the aggregation barrier completed here: acc is the true aggregate
+	out    wireBuf
+	filled bool // phase 2 wrote the partition into result (no copy from acc at assembly)
+	agg    bool // the aggregation barrier completed here: acc is the true aggregate
 }
 
 // nodeRT is the per-node live runtime: the computing queue and the node's
@@ -496,6 +449,7 @@ type roundPlan struct {
 	lay      *roundLayout
 	sizes    []int64         // raw gradient bytes, ascending (the autotuner's GradBytes)
 	recvIdx  map[wireKey]int // where data frames and acks find their transfer
+	ef       []efName        // by task: an encode's compression point, named
 	compCap  []int
 	inboxCap int
 	roots    []int
@@ -540,7 +494,8 @@ func (lc *LiveCluster) planRound(cached *roundPlan, ep PlanEpoch, names []string
 }
 
 // planGraph derives the rest of a plan from its DAG and layout, validating the
-// graph and indexing its recvs once per plan rather than once per round.
+// graph, indexing its recvs and naming its encodes once per plan rather than
+// once per round.
 func (lc *LiveCluster) planGraph(ep PlanEpoch, g *Graph, lay *roundLayout) (*roundPlan, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -549,10 +504,14 @@ func (lc *LiveCluster) planGraph(ep PlanEpoch, g *Graph, lay *roundLayout) (*rou
 	if err != nil {
 		return nil, err
 	}
-	p := &roundPlan{epoch: ep, g: g, lay: lay, recvIdx: recvIdx, roots: g.Roots(), deps: make([]int, len(g.Tasks))}
+	p := &roundPlan{epoch: ep, g: g, lay: lay, recvIdx: recvIdx, roots: g.Roots(),
+		ef: make([]efName, len(g.Tasks)), deps: make([]int, len(g.Tasks))}
 	p.compCap, p.inboxCap = queueSizes(g, lc.n, lc.cfg.Reliable)
 	for i, t := range g.Tasks {
 		p.deps[i] = t.deps
+		if t.Kind == KEncode {
+			p.ef[i] = nameEncode(t)
+		}
 	}
 	return p, nil
 }
@@ -580,7 +539,6 @@ type liveRound struct {
 	*roundPlan
 	round int64
 	lc    *LiveCluster
-	ctx   context.Context
 	tr    netsim.Transport
 	rs    *roundState
 	nodes []nodeRT
@@ -865,7 +823,6 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 		roundPlan: p,
 		round:     round,
 		lc:        lc,
-		ctx:       ctx,
 		tr:        tr,
 		rs:        newRoundState(n),
 		nodes:     nodes,
@@ -1082,7 +1039,7 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 			refs = []netsim.AckRef{{Gradient: msg.Gradient, Step: msg.Step}}
 		}
 		for _, ref := range refs {
-			if id, ok := r.recvTask(ref.Gradient, ref.Step, msg.From, msg.To); ok && r.reliable {
+			if id, ok := r.recvIdx[wireKey{ref.Gradient, ref.Step, msg.From, msg.To}]; ok && r.reliable {
 				r.rs.settle(&r.xfer[id], msg.To, msg.From)
 			}
 		}
@@ -1108,7 +1065,7 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 	}
 	// A checksum-valid data message is as good as an ack for liveness.
 	r.hp.arrival(msg.From)
-	id, armed := r.recvTask(msg.Gradient, msg.Step, rt.id, msg.From)
+	id, armed := r.recvIdx[wireKey{msg.Gradient, msg.Step, rt.id, msg.From}]
 	if !armed {
 		step, part := unpackStep(msg.Step)
 		r.fail(fmt.Errorf("core: node %d got unexpected message %s/p%d step %d from %d", rt.id, msg.Gradient, part, step, msg.From))
@@ -1168,13 +1125,14 @@ func (r *liveRound) sendAck(node int, msg netsim.Message) {
 // *PeerFailureError carrying the link's RTT evidence. Deadlines run from the
 // moment the transmit returned. The rendezvous is armed at the transfer's
 // recv task (the builders pair every send with one), where its acks settle.
-// Every wait re-arms timer, the calling lane worker's.
+// Every wait re-arms timer, the calling lane worker's, and ends with the round:
+// an expired deadline fails it, closing doneCh.
 func (r *liveRound) deliver(t *Task, msg netsim.Message, timer *time.Timer) error {
 	if !r.reliable {
 		return r.tr.Send(msg)
 	}
 	hp := r.hp
-	ackCh := r.rs.arm(&r.xfer[r.recvIdx[wireKey{t.GradIdx, msg.Step, msg.To, msg.From}]])
+	ackCh := r.rs.arm(&r.xfer[r.recvIdx[wireKey{t.Grad, msg.Step, msg.To, msg.From}]])
 	budget := hp.attemptBudget()
 	hedged := 0
 	for attempt := 0; attempt < budget; attempt++ {
@@ -1230,8 +1188,6 @@ func (r *liveRound) deliver(t *Task, msg netsim.Message, timer *time.Timer) erro
 				return nil
 			case <-r.doneCh:
 				return nil // round unwinding: the send is moot
-			case <-r.ctx.Done():
-				return &RoundTimeoutError{Timeout: r.lc.cfg.RoundTimeout}
 			case <-timer.C:
 			}
 			if rest == 0 {
@@ -1347,8 +1303,9 @@ func (rt *nodeRT) resultSlice(gi int) []float32 {
 	return rt.result[gi]
 }
 
-// errMergeAfterStage fails a round whose DAG merges into an accumulator that a
-// raw send already references as its payload.
+// errMergeAfterStage fails a round whose DAG merges into a partition after it
+// staged its payload: a raw send's references the accumulator, an encode's was
+// taken from it.
 var errMergeAfterStage = errors.New("core: merge into an accumulator already staged for sending")
 
 // partial returns the node's current value of the partition t works on, for
@@ -1374,12 +1331,13 @@ func (rt *nodeRT) partial(t *Task) []float32 {
 //
 // The zero-copy raw send rests on the sends-follow-merges invariant: in every
 // DAG BuildRing and BuildPS emit, each merge into a (node, gradient, partition)
-// is an ancestor of each non-forward send of it (TestSendsFollowMerges), so a
-// staged partition is final; a DAG that breaks it fails here.
+// is an ancestor of each non-forward send and each encode of it
+// (TestSendsFollowMerges), so a staged partition is final; a DAG that breaks it
+// fails here.
 func (rt *nodeRT) merge(t *Task, peer int, c compress.Compressor) error {
 	gl := &rt.lay.grads[t.GradIdx]
 	ps, in := rt.part(t), rt.inbox(t, peer).b
-	if ps.staged {
+	if ps.out.b != nil {
 		return fmt.Errorf("node %d, %s/p%d: %w", rt.id, gl.name, t.Part, errMergeAfterStage)
 	}
 	a := rt.partial(t)
@@ -1417,7 +1375,7 @@ func (r *liveRound) execComp(rt *nodeRT, t *Task) error {
 		// and the payload must not. Each Uint64At is splitmix64's finalizer
 		// over a Weyl step, so two of them mix all three terms into every
 		// key bit.
-		name := lc.efKey(t)
+		name := r.ef[t.ID]
 		at := tensor.Uint64At(tensor.RNGState(name.hash), uint64(r.round))
 		compress.SetStream(codec, tensor.Uint64At(tensor.RNGState(at), uint64(rt.id)))
 		var payload []byte
@@ -1556,11 +1514,11 @@ func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, codec compress.Compresso
 // once produced, and a raw send's payload is the byte view of the partition's
 // accumulator — final by the time any send of it is ready (the
 // sends-follow-merges invariant, see merge) — or, on a node nothing was merged
-// into, of the caller's own local[lo:hi], which the round only reads. Nor is
-// one checksummed twice: the sum is taken where the payload was made and
-// reused by every send of it (the PS pull fan-out), by a ring forward (the sum
-// its frame was verified against) and, through the message's payload-CRC
-// cache, by the TCP frame checksum.
+// into, of the caller's own local[lo:hi], which the round only reads; the first
+// send stages it in out like an encode's. Nor is one checksummed twice: the sum
+// is taken where the payload was made and reused by every send of it (the PS
+// pull fan-out), by a ring forward (the sum its frame was verified against)
+// and, through the message's payload-CRC cache, by the TCP frame checksum.
 func (r *liveRound) stageSend(rt *nodeRT, t *Task) (netsim.Message, error) {
 	lc := r.lc
 	var w wireBuf
@@ -1571,7 +1529,7 @@ func (r *liveRound) stageSend(rt *nodeRT, t *Task) (netsim.Message, error) {
 		// Forwarding relays the payload received from this node's ring
 		// predecessor (Forward tasks exist only on rings).
 		w = *rt.inbox(t, (t.Node-1+lc.n)%lc.n)
-	case r.lay.grads[t.GradIdx].algo != "":
+	case ps.out.b != nil || r.lay.grads[t.GradIdx].algo != "":
 		w = ps.out
 	default:
 		src := rt.partial(t)
@@ -1580,11 +1538,8 @@ func (r *liveRound) stageSend(rt *nodeRT, t *Task) (netsim.Message, error) {
 			w.b = rt.lease.Bytes(4 * len(src)) // big-endian host: serialize
 			f32IntoBytes(w.b, src)
 		}
-		if !ps.staged {
-			// With acc nil this only records the send, for merge to refuse.
-			ps.sum, ps.staged = crc32.ChecksumIEEE(w.b), true
-		}
-		w.sum = ps.sum
+		w.sum = crc32.ChecksumIEEE(w.b)
+		ps.out = w
 	}
 	rt.mu.Unlock()
 	if w.b == nil {

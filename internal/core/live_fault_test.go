@@ -381,7 +381,7 @@ func TestAckSettlesThroughRecvIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := &liveRound{roundPlan: &roundPlan{g: g, lay: lay, recvIdx: recvIdx}, reliable: true,
+			r := &liveRound{roundPlan: &roundPlan{g: g, recvIdx: recvIdx}, reliable: true,
 				rs: newRoundState(n), xfer: make([]transfer, len(g.Tasks))}
 
 			// Six transfers of the first recv's link: R[0] plain, R[1:4]

@@ -297,6 +297,7 @@ func TestLiveOverTCP(t *testing.T) {
 // transport used to construct fine and fail every round.
 func TestLiveConfigValidate(t *testing.T) {
 	chaos := &netsim.ChaosConfig{Seed: 1}
+	wireChaos := &netsim.TCPOptions{Chaos: &netsim.WireChaosConfig{Seed: 1, CorruptProb: 1}}
 	cases := []struct {
 		name  string
 		cfg   LiveConfig
@@ -311,6 +312,9 @@ func TestLiveConfigValidate(t *testing.T) {
 		{"halving-doubling is not live", LiveConfig{Strategy: StrategyHD}, "Strategy"},
 		{"unknown strategy", LiveConfig{Strategy: Strategy(42)}, "Strategy"},
 		{"chaos without reliable or timeout", LiveConfig{Chaos: chaos}, "Chaos"},
+		{"wire chaos without reliable or timeout", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos}, "TCP.Chaos"},
+		{"wire chaos reliable", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos, Reliable: true}, ""},
+		{"wire chaos under a round timeout only", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos, RoundTimeout: time.Second}, ""},
 		{"exclude on a ring", LiveConfig{Strategy: StrategyRing, Reliable: true, OnPeerFail: DegradeExclude}, "OnPeerFail"},
 		{"elastic unreliable", LiveConfig{Strategy: StrategyPS, OnPeerFail: DegradeExclude, Elastic: true}, "Elastic"},
 		{"elastic with abort", LiveConfig{Strategy: StrategyPS, Reliable: true, Elastic: true}, "Elastic"},
@@ -488,12 +492,10 @@ func TestLiveCoordinatedSync(t *testing.T) {
 	}
 }
 
-// TestLiveWireStats: the instrumented live plane reports the realized
+// TestLiveWireStats: a compressed live cluster reports the realized
 // compression — the actual bytes kept off the wire by real payloads.
 func TestLiveWireStats(t *testing.T) {
-	lc, err := NewLiveCluster(3, LiveConfig{
-		Strategy: StrategyPS, Algo: "onebit", Instrument: true,
-	})
+	lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, Algo: "onebit"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,11 +513,13 @@ func TestLiveWireStats(t *testing.T) {
 	if st.Saved() <= 0 {
 		t.Fatalf("no bytes saved: %+v", st)
 	}
-	// Uninstrumented cluster reports zeroes.
-	plain, _ := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, Algo: "onebit"})
-	plain.SyncRound(grads)
-	if plain.WireStats() != (compress.Stats{}) {
-		t.Fatalf("uninstrumented cluster has stats")
+	// An exact cluster reports zeroes.
+	exact, _ := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS})
+	if _, err := exact.SyncRound(grads); err != nil {
+		t.Fatal(err)
+	}
+	if exact.WireStats() != (compress.Stats{}) {
+		t.Fatalf("exact cluster has stats")
 	}
 }
 

@@ -311,24 +311,50 @@ func TestLiveTCPUnsendableFailsFast(t *testing.T) {
 	}
 }
 
-// TestEFKeyFormatFrozen pins the error-feedback residual key and its hash:
-// checkpoints store residuals under these strings and stochastic encodes
-// draw from streams derived from the hash (FNV-1a of the string), so the
-// interned key must stay byte-identical to the formatted one, and a repeat
-// lookup must be free.
+// TestEFKeyFormatFrozen pins the error-feedback residual key and its hash as
+// the round plan names them: checkpoints store residuals under these strings
+// and stochastic encodes draw from streams derived from the hash (FNV-1a of
+// the string). Every encode task of a built PS and ring plan carries its
+// name, and no other task carries one.
 func TestEFKeyFormatFrozen(t *testing.T) {
 	lc, err := NewLiveCluster(2, LiveConfig{Strategy: StrategyPS, Parts: 2, Algo: "onebit", ErrorFeedback: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	task := &Task{Grad: "fc6.weight", Part: 1, Phase: 2, Step: 13}
-	if got, want := lc.efKey(task).key, "fc6.weight/p1/ph2/s13"; got != want {
-		t.Fatalf("efKey = %q, want %q", got, want)
+	g, lay := NewGraph(), newRoundLayout(1)
+	lay.add("fc6.weight", 64, 2, "onebit")
+	id := g.Add(&Task{Kind: KEncode, Grad: "fc6.weight", Part: 1, Phase: 2, Step: 13})
+	p, err := lc.planGraph(lc.epoch, g, lay)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := lc.efKey(task).hash, uint64(0xfb71e8b0b368813f); got != want {
-		t.Fatalf("efKey hash = %#x, want %#x", got, want)
+	if got, want := p.ef[id].key, "fc6.weight/p1/ph2/s13"; got != want {
+		t.Fatalf("encode key = %q, want %q", got, want)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = lc.efKey(task) }); allocs != 0 {
-		t.Fatalf("interned efKey lookup allocates %v objects, want 0", allocs)
+	if got, want := p.ef[id].hash, uint64(0xfb71e8b0b368813f); got != want {
+		t.Fatalf("encode key hash = %#x, want %#x", got, want)
+	}
+
+	for _, strat := range []Strategy{StrategyPS, StrategyRing} {
+		lc, err := NewLiveCluster(3, LiveConfig{Strategy: strat, Parts: 2, Algo: "onebit", ErrorFeedback: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grads, _ := makeGrads(1, 3, map[string]int{"a": 4096, "b": 300})
+		p := buildRound(t, lc, grads)
+		encodes := 0
+		for i, task := range p.g.Tasks {
+			switch {
+			case task.Kind == KEncode && p.ef[i] != nameEncode(task):
+				t.Fatalf("%v: encode %d (%s/p%d ph%d s%d) named %+v", strat, i, task.Grad, task.Part, task.Phase, task.Step, p.ef[i])
+			case task.Kind == KEncode:
+				encodes++
+			case p.ef[i] != efName{}:
+				t.Fatalf("%v: %v task %d named %+v", strat, task.Kind, i, p.ef[i])
+			}
+		}
+		if encodes == 0 {
+			t.Fatalf("%v: plan has no encode tasks", strat)
+		}
 	}
 }

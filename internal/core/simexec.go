@@ -172,7 +172,6 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 	lastCompWasDecode := make([]bool, x.n)
 
 	batcher := NewBatcher(cfg.BatchBytes, cfg.BatchWindow)
-	sendTask := map[int]int{} // batched PendingSend.TaskID → graph index (identity, kept for clarity)
 	timerArmed := false
 	// Per-endpoint indexes of links with queued sends, so batch-completion
 	// flushing is O(links touching this node), not O(all pending links).
@@ -261,13 +260,11 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 		link := b.Link
 		label := "batch"
 		if len(sends) == 1 {
-			if t := g.Tasks[sendTask[sends[0].TaskID]]; t != nil {
-				label = t.Grad
-			}
+			label = g.Tasks[sends[0].TaskID].Grad
 		}
 		transfer(now, link.Src, link.Dst, b.Bytes, label, len(sends), func(t float64) {
 			for _, s := range sends {
-				completeAt(sendTask[s.TaskID], t)
+				completeAt(s.TaskID, t)
 			}
 			// The link just freed: give queues waiting on either endpoint
 			// their time slot (the coordinator's "select a group of
@@ -426,7 +423,6 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 			if cfg.BulkComm {
 				link := LinkKey{Src: t.Node, Dst: t.Peer}
 				ps := PendingSend{TaskID: id, Link: link, Bytes: t.Bytes}
-				sendTask[id] = id
 				if b, full := batcher.Add(ps, now); full {
 					clearWaiting(link)
 					dispatchBatch(now, b)

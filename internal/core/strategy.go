@@ -101,17 +101,16 @@ func (gl *gradLayout) span(p int) (lo, hi int) { return PartRange(gl.elems, gl.p
 // partition p owns slot grads[i].slot0+p. An executor keeps per-partition
 // state in arrays indexed by slot and per-gradient state in arrays indexed
 // by gradient, so a task reaches its state through the two integers it
-// carries (GradIdx, Part) and only a name arriving off the wire is looked up,
-// in index. Like the DAG it is a pure function of the plan epoch and the
-// gradient shapes.
+// carries (GradIdx, Part); a frame off the wire finds its task by name in the
+// plan's recv index. Like the DAG it is a pure function of the plan epoch and
+// the gradient shapes.
 type roundLayout struct {
 	grads []gradLayout
-	index map[string]int
 	slots int
 }
 
 func newRoundLayout(gradients int) *roundLayout {
-	return &roundLayout{grads: make([]gradLayout, 0, gradients), index: make(map[string]int, gradients)}
+	return &roundLayout{grads: make([]gradLayout, 0, gradients)}
 }
 
 // add gives the next gradient its row and slots and returns the spec that
@@ -120,7 +119,6 @@ func (l *roundLayout) add(name string, elems, parts int, algo string) GradSync {
 	parts = max(1, min(parts, elems))
 	gi := len(l.grads)
 	l.grads = append(l.grads, gradLayout{name: name, elems: elems, parts: parts, algo: algo, slot0: l.slots})
-	l.index[name] = gi
 	l.slots += parts
 	return GradSync{Name: name, Index: gi, Elems: elems, Parts: parts, Algo: algo}
 }

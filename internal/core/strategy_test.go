@@ -243,9 +243,10 @@ func TestRootDepsGateTheDAG(t *testing.T) {
 // TestSendsFollowMerges pins the invariant the live plane's zero-copy raw send
 // rests on (live.go, mergeTarget/stageSend): in every DAG BuildRing and
 // BuildPS emit, every merge on a (node, gradient, partition) — the PS
-// aggregation barrier included — is an ancestor of every non-forward send on
-// the same triple. A send's payload may then reference the accumulator where
-// it lies: nothing can merge into it once any send of it is ready.
+// aggregation barrier included — is an ancestor of every non-forward send and
+// every encode on the same triple. A send's payload may then reference the
+// accumulator where it lies, and an encode's be taken from it: nothing can
+// merge into it once any send or encode of it is ready.
 func TestSendsFollowMerges(t *testing.T) {
 	builders := map[string]func(*Graph, int, GradSync) error{
 		"ring": func(g *Graph, n int, s GradSync) error { _, err := BuildRing(g, Ring(n), s); return err },
@@ -274,7 +275,7 @@ func TestSendsFollowMerges(t *testing.T) {
 						}
 						checked := 0
 						for i, task := range g.Tasks {
-							if task.Kind != KSend || task.Forward {
+							if (task.Kind != KSend || task.Forward) && task.Kind != KEncode {
 								continue
 							}
 							anc := map[int]bool{}
@@ -291,8 +292,8 @@ func TestSendsFollowMerges(t *testing.T) {
 							for _, m := range merges[triple{task.Node, task.Part}] {
 								checked++
 								if !anc[m] {
-									t.Fatalf("%s n=%d parts=%d algo=%q shard=%d: merge %d on node %d part %d is not an ancestor of send %d (step %d)",
-										name, n, parts, algo, shard, m, task.Node, task.Part, i, task.Step)
+									t.Fatalf("%s n=%d parts=%d algo=%q shard=%d: merge %d on node %d part %d is not an ancestor of %v %d (step %d)",
+										name, n, parts, algo, shard, m, task.Node, task.Part, task.Kind, i, task.Step)
 								}
 							}
 						}
@@ -310,7 +311,7 @@ func TestSendsFollowMerges(t *testing.T) {
 // over ring and PS, N ∈ {2…5}, Parts ∈ {1,2,3} and both shard rotations, a
 // round of several gradients — one shorter than the plan's K, so its partition
 // count clamps — numbers (gradient, partition) pairs onto slots one to one and
-// without gaps, names back onto indices, and every task the builders emit
+// without gaps, and every task the builders emit
 // carries its gradient's index and, unless it is a per-node join barrier, a
 // partition whose slot is in range.
 func TestLayoutSlots(t *testing.T) {
@@ -340,9 +341,6 @@ func TestLayoutSlots(t *testing.T) {
 					type gp struct{ grad, part int }
 					owner := make(map[int]gp, lay.slots)
 					for gi, gl := range lay.grads {
-						if lay.index[gl.name] != gi {
-							t.Fatalf("%s: index[%q] = %d, want %d", where, gl.name, lay.index[gl.name], gi)
-						}
 						if want := min(parts, gl.elems); gl.parts != want {
 							t.Fatalf("%s: %q laid out with %d partitions, want %d", where, gl.name, gl.parts, want)
 						}

@@ -771,7 +771,7 @@ func WireExp() (*Table, error) {
 			params = compress.Params{"tau": 2.0}
 		}
 		lc, err := core.NewLiveCluster(4, core.LiveConfig{
-			Strategy: core.StrategyPS, Algo: algo, Params: params, Instrument: true,
+			Strategy: core.StrategyPS, Algo: algo, Params: params,
 		})
 		if err != nil {
 			return nil, err

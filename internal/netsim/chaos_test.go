@@ -29,7 +29,7 @@ func runChaosScript(t *testing.T, cfg *ChaosConfig, n, msgs int) ([]Message, Cha
 	for node := 0; node < n; node++ {
 		for {
 			select {
-			case m := <-inner.inboxes[node]:
+			case m := <-inner.ch[node]:
 				out = append(out, m)
 			default:
 				goto next
@@ -99,7 +99,7 @@ func TestChaosAttemptRollsFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		select {
-		case <-inner.inboxes[1]:
+		case <-inner.ch[1]:
 			delivered = true
 		default:
 		}
@@ -154,7 +154,7 @@ func TestChaosDelayDelivers(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for got < 4 {
 		select {
-		case <-inner.inboxes[1]:
+		case <-inner.ch[1]:
 			got++
 		case <-deadline:
 			t.Fatalf("only %d/4 delayed messages arrived", got)

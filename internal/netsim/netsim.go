@@ -144,36 +144,62 @@ type Transport interface {
 	Close()
 }
 
+// inboxes is the receive side both live transports share: one buffered
+// channel per node, and done, which the transport's Close closes.
+type inboxes struct {
+	ch   []chan Message
+	done chan struct{}
+}
+
+func newInboxes(n, capacity int) inboxes {
+	ib := inboxes{ch: make([]chan Message, n), done: make(chan struct{})}
+	for i := range ib.ch {
+		ib.ch[i] = make(chan Message, capacity)
+	}
+	return ib
+}
+
+// Nodes returns the number of endpoints.
+func (ib *inboxes) Nodes() int { return len(ib.ch) }
+
+// Recv implements Transport.
+func (ib *inboxes) Recv(node int) (Message, bool) {
+	if node < 0 || node >= len(ib.ch) {
+		return Message{}, false
+	}
+	select {
+	case <-ib.done:
+		// Drain any messages that raced with Close so shutdown is clean.
+		select {
+		case m := <-ib.ch[node]:
+			return m, true
+		default:
+			return Message{}, false
+		}
+	case m := <-ib.ch[node]:
+		return m, true
+	}
+}
+
 // ChanTransport is an in-memory Transport built on buffered channels: the
 // live-plane stand-in for NCCL/MPI point-to-point primitives. One channel
 // per destination preserves per-destination FIFO order from each sender's
 // perspective (sufficient for CaSync, which tags messages with step ids).
 type ChanTransport struct {
-	inboxes []chan Message
-	once    sync.Once
-	done    chan struct{}
+	inboxes
+	once sync.Once
 }
 
 // NewChanTransport creates a transport connecting n nodes with the given
 // per-node inbox capacity.
 func NewChanTransport(n, capacity int) *ChanTransport {
-	t := &ChanTransport{
-		inboxes: make([]chan Message, n),
-		done:    make(chan struct{}),
-	}
-	for i := range t.inboxes {
-		t.inboxes[i] = make(chan Message, capacity)
-	}
-	return t
+	return &ChanTransport{inboxes: newInboxes(n, capacity)}
 }
-
-// Nodes returns the number of endpoints.
-func (t *ChanTransport) Nodes() int { return len(t.inboxes) }
 
 // Send implements Transport.
 func (t *ChanTransport) Send(msg Message) error {
-	if msg.To < 0 || msg.To >= len(t.inboxes) {
-		return fmt.Errorf("netsim: send to invalid node %d (have %d)", msg.To, len(t.inboxes))
+	if msg.To < 0 || msg.To >= len(t.ch) {
+		return fmt.Errorf("netsim: send to invalid node %d (have %d)", msg.To, len(t.ch))
 	}
 	msg.crcOK = false // nothing re-reads the bytes in between: the receiver's pass is the only check
 	// Check for shutdown before attempting the send: when both the done
@@ -187,27 +213,8 @@ func (t *ChanTransport) Send(msg Message) error {
 	select {
 	case <-t.done:
 		return fmt.Errorf("netsim: transport closed")
-	case t.inboxes[msg.To] <- msg:
+	case t.ch[msg.To] <- msg:
 		return nil
-	}
-}
-
-// Recv implements Transport.
-func (t *ChanTransport) Recv(node int) (Message, bool) {
-	if node < 0 || node >= len(t.inboxes) {
-		return Message{}, false
-	}
-	select {
-	case <-t.done:
-		// Drain any messages that raced with Close so shutdown is clean.
-		select {
-		case m := <-t.inboxes[node]:
-			return m, true
-		default:
-			return Message{}, false
-		}
-	case m := <-t.inboxes[node]:
-		return m, true
 	}
 }
 

@@ -81,14 +81,22 @@ const helloLen = 4 + 1 + 4 + 4
 const (
 	defaultMaxFrameLen      = 64 << 20 // 64 MiB
 	defaultWriteTimeout     = 5 * time.Second
-	defaultDialTimeout      = 2 * time.Second
 	defaultHandshakeTimeout = 5 * time.Second
 	defaultIdleReadTimeout  = 30 * time.Second
 	defaultRedialAttempts   = 2
-	defaultRedialBackoff    = 2 * time.Millisecond
-	defaultRedialMaxBackoff = 50 * time.Millisecond
-	defaultRedialSeed       = 0x9e3779b97f4a7c15
 	closeDrainTimeout       = 250 * time.Millisecond
+)
+
+// Socket-plane constants. dialTimeout bounds one connection attempt. The
+// waits between redial cycles are capped-exponential from redialBaseBackoff to
+// redialMaxBackoff, each drawn full-jitter from (0, d] with the splitmix64
+// stream seeded by redialSeed, so concurrent senders against one recovering
+// peer desynchronize deterministically.
+const (
+	dialTimeout       = 2 * time.Second
+	redialBaseBackoff = 2 * time.Millisecond
+	redialMaxBackoff  = 50 * time.Millisecond
+	redialSeed        = 0x9e3779b97f4a7c15
 )
 
 // corruptFrameTolerance is how many CONSECUTIVE undecodable frame bodies a
@@ -123,10 +131,8 @@ type TCPOptions struct {
 	// MaxFrameLen rejects any frame whose length prefix claims more than
 	// this many bytes, before allocating (default 64 MiB).
 	MaxFrameLen int
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
 	// WriteTimeout bounds one frame write against a stalled peer
-	// (default 5s; see also SetWriteTimeout).
+	// (default 5s; negative disables).
 	WriteTimeout time.Duration
 	// HandshakeTimeout bounds how long an accepted connection may sit
 	// without delivering its HELLO (default 5s).
@@ -139,14 +145,6 @@ type TCPOptions struct {
 	// one Send performs after a write failure before surfacing a typed
 	// *ConnError (default 2; negative disables redialing).
 	RedialAttempts int
-	// RedialBackoff / RedialMaxBackoff shape the capped-exponential wait
-	// between redial cycles; each wait is drawn full-jitter from (0, d]
-	// with the splitmix64 stream seeded by RedialSeed, so concurrent
-	// senders against one recovering peer desynchronize deterministically
-	// per seed (defaults 2ms / 50ms).
-	RedialBackoff    time.Duration
-	RedialMaxBackoff time.Duration
-	RedialSeed       uint64
 	// Chaos, when non-nil, wraps every dialed connection in the wire-level
 	// fault injector (wirechaos.go): deterministic mid-stream cuts, byte
 	// corruption, stalls, one-way partitions, accept-time blackouts.
@@ -162,9 +160,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	if o.MaxFrameLen <= 0 {
 		o.MaxFrameLen = defaultMaxFrameLen
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = defaultDialTimeout
-	}
 	if o.WriteTimeout == 0 {
 		o.WriteTimeout = defaultWriteTimeout
 	}
@@ -179,15 +174,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	}
 	if o.RedialAttempts < 0 {
 		o.RedialAttempts = 0
-	}
-	if o.RedialBackoff <= 0 {
-		o.RedialBackoff = defaultRedialBackoff
-	}
-	if o.RedialMaxBackoff <= 0 {
-		o.RedialMaxBackoff = defaultRedialMaxBackoff
-	}
-	if o.RedialSeed == 0 {
-		o.RedialSeed = defaultRedialSeed
 	}
 	return o
 }
@@ -321,9 +307,9 @@ type tcpConn struct {
 // task graphs that run over channels run unchanged over genuine sockets
 // (see core.LiveConfig.Transport).
 type TCPTransport struct {
+	inboxes
 	opts      TCPOptions
 	listeners []net.Listener
-	inboxes   []chan Message
 	chaos     *wireChaos // nil without fault injection
 
 	mu       sync.Mutex
@@ -333,12 +319,10 @@ type TCPTransport struct {
 	accepted map[net.Conn]bool   // live accepted connections (force-closed by Close)
 	drained  chan struct{}       // made by Close, closed once accepted is empty
 
-	writeTimeout int64 // nanoseconds, atomic (SetWriteTimeout)
-	redialCtr    atomic.Uint64
-	stats        TCPStats // fields updated atomically
+	redialCtr atomic.Uint64
+	stats     TCPStats // fields updated atomically
 
 	once sync.Once
-	done chan struct{}
 	wg   sync.WaitGroup
 }
 
@@ -353,16 +337,14 @@ func NewTCPTransport(n, capacity int) (*TCPTransport, error) {
 func NewTCPTransportOpts(n, capacity int, opts TCPOptions) (*TCPTransport, error) {
 	o := opts.withDefaults()
 	t := &TCPTransport{
-		opts:         o,
-		listeners:    make([]net.Listener, n),
-		inboxes:      make([]chan Message, n),
-		chaos:        newWireChaos(o.Chaos),
-		conns:        map[[2]int]*tcpConn{},
-		genCtr:       map[[2]int]uint32{},
-		lastGen:      map[[2]int]uint32{},
-		accepted:     map[net.Conn]bool{},
-		writeTimeout: int64(o.WriteTimeout),
-		done:         make(chan struct{}),
+		inboxes:   newInboxes(n, capacity),
+		opts:      o,
+		listeners: make([]net.Listener, n),
+		chaos:     newWireChaos(o.Chaos),
+		conns:     map[[2]int]*tcpConn{},
+		genCtr:    map[[2]int]uint32{},
+		lastGen:   map[[2]int]uint32{},
+		accepted:  map[net.Conn]bool{},
 	}
 	for i := 0; i < n; i++ {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -371,28 +353,14 @@ func NewTCPTransportOpts(n, capacity int, opts TCPOptions) (*TCPTransport, error
 			return nil, fmt.Errorf("netsim: listen for node %d: %w", i, err)
 		}
 		t.listeners[i] = l
-		t.inboxes[i] = make(chan Message, capacity)
 		t.wg.Add(1)
 		go t.acceptLoop(i, l)
 	}
 	return t, nil
 }
 
-// Nodes returns the endpoint count.
-func (t *TCPTransport) Nodes() int { return len(t.listeners) }
-
 // Addr returns node i's listen address (tests and diagnostics).
 func (t *TCPTransport) Addr(i int) net.Addr { return t.listeners[i].Addr() }
-
-// SetWriteTimeout bounds how long one frame write may block on a stalled
-// peer. Zero or negative disables the deadline (not recommended).
-func (t *TCPTransport) SetWriteTimeout(d time.Duration) {
-	atomic.StoreInt64(&t.writeTimeout, int64(d))
-}
-
-// CorruptFrames reports how many inbound frames failed validation and were
-// discarded (the connection is dropped alongside).
-func (t *TCPTransport) CorruptFrames() int64 { return atomic.LoadInt64(&t.stats.CorruptFrames) }
 
 // Stats snapshots the lifecycle counters.
 func (t *TCPTransport) Stats() TCPStats {
@@ -556,7 +524,7 @@ func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 		// Graceful drain: prefer a non-blocking delivery so frames already
 		// on the wire at Close still land while the inbox has room.
 		select {
-		case t.inboxes[node] <- msg:
+		case t.ch[node] <- msg:
 			continue
 		default:
 		}
@@ -566,7 +534,7 @@ func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 				"decoded frames discarded (drain or misrouted)")
 			msg.Lease.Release()
 			return
-		case t.inboxes[node] <- msg:
+		case t.ch[node] <- msg:
 		}
 	}
 }
@@ -912,21 +880,12 @@ func (t *TCPTransport) Send(msg Message) error {
 // uniform in (0, d] where d is the capped exponential, hashed from the
 // seeded splitmix64 stream.
 func (t *TCPTransport) redialBackoff(i int) time.Duration {
-	d := t.opts.RedialBackoff
-	for k := 0; k < i; k++ {
+	d := redialBaseBackoff
+	for k := 0; k < i && d < redialMaxBackoff; k++ {
 		d *= 2
-		if d >= t.opts.RedialMaxBackoff {
-			d = t.opts.RedialMaxBackoff
-			break
-		}
 	}
-	if d > t.opts.RedialMaxBackoff {
-		d = t.opts.RedialMaxBackoff
-	}
-	if d <= 0 {
-		return 0
-	}
-	h := splitmix64(t.opts.RedialSeed ^ t.redialCtr.Add(1)*0x9e3779b97f4a7c15)
+	d = min(d, redialMaxBackoff)
+	h := splitmix64(redialSeed ^ t.redialCtr.Add(1)*0x9e3779b97f4a7c15)
 	return 1 + time.Duration(h%uint64(d))
 }
 
@@ -944,7 +903,7 @@ func (t *TCPTransport) writeFrame(tc *tcpConn, msg Message) error {
 	if len(payload) == 0 {
 		tc.bufs = tc.vec[:1]
 	}
-	if d := time.Duration(atomic.LoadInt64(&t.writeTimeout)); d > 0 {
+	if d := t.opts.WriteTimeout; d > 0 {
 		tc.c.SetWriteDeadline(time.Now().Add(d)) //hipress:wallclock socket deadline arithmetic
 	}
 	// WriteTo clears each entry of vec as it is written out, so a completed
@@ -988,13 +947,13 @@ func (t *TCPTransport) connTo(from, to int) (*tcpConn, error) {
 	start := time.Now() //hipress:wallclock handshake-latency histogram
 	t.genCtr[key]++
 	gen := t.genCtr[key]
-	c, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), t.opts.DialTimeout)
+	c, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: tcp dial %d→%d: %w", from, to, err)
 	}
 	t.count(&t.stats.Dials, MetricTCPDials, "connections dialed (including redials)")
 	c = t.chaos.wrap(c, Link{Src: from, Dst: to}, gen)
-	if d := time.Duration(atomic.LoadInt64(&t.writeTimeout)); d > 0 {
+	if d := t.opts.WriteTimeout; d > 0 {
 		c.SetWriteDeadline(time.Now().Add(d)) //hipress:wallclock socket deadline arithmetic
 	}
 	if _, err := c.Write(encodeHello(from, gen)); err != nil {
@@ -1019,24 +978,6 @@ func (t *TCPTransport) dropConn(from, to int, tc *tcpConn) {
 	}
 	t.mu.Unlock()
 	tc.c.Close()
-}
-
-// Recv implements Transport.
-func (t *TCPTransport) Recv(node int) (Message, bool) {
-	if node < 0 || node >= len(t.inboxes) {
-		return Message{}, false
-	}
-	select {
-	case <-t.done:
-		select {
-		case m := <-t.inboxes[node]:
-			return m, true
-		default:
-			return Message{}, false
-		}
-	case m := <-t.inboxes[node]:
-		return m, true
-	}
 }
 
 // Close implements Transport: listeners shut, dialed connections get a

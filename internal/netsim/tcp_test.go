@@ -364,7 +364,7 @@ func TestTCPFrameLenCapBeforeAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			deadline := time.Now().Add(5 * time.Second)
-			for tr.CorruptFrames() == 0 {
+			for tr.Stats().CorruptFrames == 0 {
 				if time.Now().After(deadline) {
 					t.Fatalf("corrupt %d-byte length claim never rejected", tc.claim)
 				}
@@ -619,12 +619,11 @@ func TestTCPCloseDrainForceClosesHalfOpen(t *testing.T) {
 // pair of kernel socket buffers, which would keep absorbing writes for an
 // app-level-stalled (but kernel-healthy) peer.
 func TestTCPTransportStalledPeer(t *testing.T) {
-	tr, err := NewTCPTransportOpts(2, 1, TCPOptions{RedialAttempts: -1})
+	tr, err := NewTCPTransportOpts(2, 1, TCPOptions{RedialAttempts: -1, WriteTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.SetWriteTimeout(200 * time.Millisecond)
 	payload := make([]byte, 4<<20)
 	deadline := time.Now().Add(30 * time.Second)
 	for i := 0; ; i++ {

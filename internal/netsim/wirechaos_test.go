@@ -140,7 +140,7 @@ func TestWireChaosOneWayPartition(t *testing.T) {
 		t.Fatalf("reverse direction broken: %+v ok=%v", got, ok)
 	}
 	select {
-	case m := <-tr.inboxes[1]:
+	case m := <-tr.ch[1]:
 		t.Fatalf("blackholed frame arrived: %+v", m)
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -186,7 +186,7 @@ func TestWireChaosCorruptionDetected(t *testing.T) {
 	}
 	// The stream died at the rejected frame, so nothing can follow it.
 	select {
-	case m := <-tr.inboxes[1]:
+	case m := <-tr.ch[1]:
 		t.Fatalf("corrupted frame delivered as data: %+v", m)
 	default:
 	}
