@@ -169,7 +169,9 @@ func BenchmarkEncodeSerialBaseline(b *testing.B) {
 // error-feedback run under a stationary gradient settles into. The three
 // degenerate rows are the shapes where every element is a candidate and the
 // gather buys nothing: they bound the worst case (DESIGN.md "Fused error
-// feedback").
+// feedback"). The ratio rows are fused bells on both sides of 1/32, where
+// the floor stops being the k-th largest block maximum and becomes the
+// threshold's bucket floor.
 func BenchmarkDGCSelect(b *testing.B) {
 	run := func(name string, ratio float64, g []float32, fused, running bool) {
 		b.Run(name, func(b *testing.B) {
@@ -216,4 +218,7 @@ func BenchmarkDGCSelect(b *testing.B) {
 	run("constant/1048576", 0.001, constant, false, false)
 	run("one-bucket/1048576", 0.001, oneBucket, false, false)
 	run("ratio-1/1048576", 1, benchGrad(n), false, false)
+	for _, ratio := range []float64{0.01, 0.03, 0.05, 0.25} {
+		run(fmt.Sprintf("ratio-%g/1048576/fused", ratio), ratio, benchGrad(n), true, false)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,12 +19,12 @@ import (
 // convergent is provided by ErrorFeedback.
 //
 // Selection uses an exact k-th statistic via a chunk-parallel MSB-first
-// radix select over magnitude bit patterns whose first round trims the
-// gradient to a small candidate set (the "hierarchical selection" the paper
-// credits CompLL's optimized operators for), rather than the full sort the
-// OSS baseline uses — that asymptotic gap is a large part of the 5.1×
-// encode speedup reported in §4.4, and the histogram formulation makes the
-// statistic order-independent so parallel output is bit-identical to serial.
+// radix select over the small candidate set a bound from the block maxima
+// trims the gradient to (the "hierarchical selection" the paper credits
+// CompLL's optimized operators for), rather than the full sort the OSS
+// baseline uses — that asymptotic gap is a large part of the 5.1× encode
+// speedup reported in §4.4, and the histogram formulation makes the statistic
+// order-independent so parallel output is bit-identical to serial.
 //
 // Payload layout (little-endian):
 //
@@ -67,26 +68,23 @@ func (d *DGC) k(n int) int {
 func (d *DGC) CompressedSize(n int) int { return headerSize + 4 + 8*d.k(n) }
 
 // EncodeInto implements Compressor: the chunked kernel. The k-th largest
-// |value| is found over magnitude bit patterns (for non-negative IEEE-754
+// |value|, T, is found over magnitude bit patterns (for non-negative IEEE-754
 // floats, bit order equals numeric order) and is the *exact* order statistic
-// quickselect would return. One parallel sweep builds per-chunk 2,048-bucket
-// histograms of the patterns' top 11 bits (1/8-octave buckets, so the bucket
-// holding the k-th magnitude holds about 0.1 % of a bell-shaped gradient) and
-// records the largest pattern of every 32-element block; integer summation of
-// the histograms, which is order-independent, names that bucket. A second
-// parallel pass skips every block whose maximum is under the bucket's floor —
-// with k << n about 96 % of them — and gathers the candidates in the rest
-// (everything at or above the floor) as magnitude<<32|index, in index order,
-// into per-chunk regions sized by the histograms. All later work is
-// O(candidates): two 10-bit radix rounds over the bucket's contenders resolve
-// the threshold's low 20 bits, and the write pass walks the candidates and
-// puts the survivors at prefix-sum offsets as TBQ does — the per-chunk counts
-// fall out of the three histograms, so there is no count pass — with the
-// serial "strictly above first, ties in index order" rule realized through
-// per-chunk tie quotas. The payload is byte-identical to the serial
-// implementation for any worker count. When nearly every element is a
-// candidate (one repeated value, ratio 1) the candidate passes are full sweeps
-// over 8-byte entries: DESIGN.md "Fused error feedback" has the measured bound.
+// quickselect would return. One parallel sweep records the largest pattern of
+// every 32-element block. With k at most one per block, the k-th largest block
+// maximum B bounds T from below (the k blocks with the largest maxima each
+// hold an element >= B), and every element >= T lies in a block whose maximum
+// is >= B. A second parallel pass skips the blocks under B (with k << n about
+// 97 % of them) and gathers the elements >= B of the rest as
+// magnitude<<32|index, in index order, into per-chunk regions, histogramming
+// their patterns' top 11 bits (1/8-octave buckets); integer summation of the
+// histograms, which is order-independent, names T's bucket. Past one survivor
+// per block the sweep histograms every element and the floor is T's bucket's.
+// Two 10-bit radix rounds over the bucket's contenders resolve T's low 20
+// bits, and the write pass puts the survivors at prefix-sum offsets as TBQ
+// does, the serial "strictly above first, ties in index order" rule realized
+// through per-chunk tie quotas: byte-identical to the serial implementation
+// for any worker count. DESIGN.md "Fused error feedback" has the costs.
 func (d *DGC) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
 	return d.encode(dst, grad, nil)
 }
@@ -108,50 +106,45 @@ func (d *DGC) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	if k == 0 {
 		return out, nil
 	}
-	chunks := kernels.NumChunks(n)
+	chunks, blocks := kernels.NumChunks(n), (n+dgcBlock-1)/dgcBlock
 	op := dgcOpPool.Get().(*dgcOp)
 	defer op.release()
 	op.n, op.grad, op.res = n, grad, res
 	op.hists = growSlice(op.hists, chunks)
 	op.tops = growSlice(op.tops, chunks)
-	op.blockMax = growSlice(op.blockMax, (n+dgcBlock-1)/dgcBlock)
+	op.blockMax = growSlice(op.blockMax, blocks)
 	op.regions = growSlice(op.regions, chunks)
 	op.counts = growSlice(op.counts, chunks)
 	op.aboveOffs = growSlice(op.aboveOffs, chunks)
 	op.tieOffs = growSlice(op.tieOffs, chunks)
 	op.tieQuota = growSlice(op.tieQuota, chunks)
+	op.dense = k > blocks
 
-	// The one full sweep: bucket histograms and block maxima, carrying the
+	// The one full sweep: block maxima (dense: element histograms too) and the
 	// fused v = grad + residual store; every later pass selects over v.
 	op.run(dgcSweep)
-	// Some magnitude is >= 2^127 and may be a NaN, which the histograms rank
-	// above +Inf but no float compare selects.
+	// Some magnitude is >= 2^127 and may be a NaN: ranked above +Inf, selected by no float compare.
 	bitOrder := op.top() < 0x7f000000>>dgcBucketShift
-	clear(op.counts)
-	bucket, rank := op.kth(k)
 
-	// Candidates are the elements in the threshold bucket or above it, which
-	// is what kth has just counted per chunk. Each chunk's region is followed
-	// by the slack its branch-free compaction stores into.
+	// The gather's floor is at most T; per chunk, counts holds the keys at or
+	// above it, each standing for at most slots candidates, plus one slack block.
+	slots := op.bound(k)
 	total := 0
 	for c, cnt := range op.counts {
-		op.regions[c] = dgcRegion{off: total + c*dgcBlock, size: cnt.above + cnt.tie}
-		total += cnt.above + cnt.tie
+		op.regions[c] = dgcRegion{off: total + c*dgcBlock, size: slots * (cnt.above + cnt.tie)}
+		total += op.regions[c].size
 	}
 	if need := total + chunks*dgcBlock; len(op.cands) < need {
 		// Unlike the scratch sized by n, this size moves from one encode of a
 		// tensor to the next: grow past it, not up to it.
 		op.cands = make([]uint64, need+need/4)
 	}
-	op.floor = uint32(bucket) << dgcBucketShift
-	op.misfilled.Store(false)
 	op.run(dgcGather)
-	if op.misfilled.Load() {
-		return nil, fmt.Errorf("compress: dgc gather disagrees with the %d candidates counted (internal error)", total)
-	}
 
-	// The threshold's low 20 bits, a digit at a time, over the bucket's
+	// T's bucket, then its low 20 bits a digit at a time over the bucket's
 	// contenders; an entry's magnitude sits above its 32 index bits.
+	clear(op.counts)
+	bucket, rank := op.kth(k)
 	op.prefix = uint64(bucket)
 	for _, shift := range [2]uint{32 + dgcDigitBits, 32} {
 		op.shift = shift
@@ -262,22 +255,22 @@ const (
 	dgcBlock       = 32 // elements per block maximum
 )
 
-// dgcHistT is one chunk's histogram: 2,048 buckets in the sweep, the first
-// 1<<dgcDigitBits as digit counters in the radix rounds. Back-to-back read-modify-writes
-// of one counter serialize on store forwarding and gradients concentrate in
-// few buckets, so a bucket is two counters that alternate elements count into
-// and its count is their sum. A chunk has at most ChunkElems elements, which
-// the conversion below holds to a uint16.
-type dgcHistT [dgcBuckets][2]uint16
+// dgcHist is a histogram of 2,048 buckets or 1<<dgcDigitBits digits. Back-to-back
+// read-modify-writes of one counter serialize on store forwarding and keys
+// concentrate in few buckets, so a bucket is two counters that alternate keys
+// count into. A chunk's counts at most ChunkElems keys, which the conversion
+// below holds to a uint16; the bound's counts every block maximum.
+type dgcHist[C uint16 | uint32] [dgcBuckets][2]C
 
-func (h *dgcHistT) count(b int) int { return int(h[b][0]) + int(h[b][1]) }
+func (h *dgcHist[C]) count(b int) int { return int(h[b][0]) + int(h[b][1]) }
 
 const _ = uint16(kernels.ChunkElems)
 
 type dgcCountT struct{ above, tie int }
 
 // dgcRegion locates one chunk's candidates in dgcOp.cands: size entries from
-// off, followed by dgcBlock slots of slack.
+// off, followed by dgcBlock slots of slack. Until the gather sets it to the
+// count, size is the region's capacity.
 type dgcRegion struct{ off, size int }
 
 type dgcOp struct {
@@ -285,17 +278,18 @@ type dgcOp struct {
 	n     int
 	grad  []float32
 	res   []float32 // fused: residual in, v then updated residual out
+	dense bool      // k exceeds the block count: the sweep, not the gather, histograms
 
 	// Selection state.
-	hists     []dgcHistT  // per chunk: the histogram of the pass that ran last
-	tops      []int       // per chunk: the highest bucket (digit) that histogram filled
-	blockMax  []uint32    // largest magnitude pattern of every dgcBlock elements
-	floor     uint32      // smallest candidate magnitude pattern
-	cands     []uint64    // magnitude<<32 | index, chunk regions in index order
-	regions   []dgcRegion // per chunk
-	misfilled atomic.Bool // a chunk gathered more or fewer candidates than its histogram counted
-	prefix    uint64      // radix rounds: a contender is a candidate with entry>>(shift+dgcDigitBits) == prefix
-	shift     uint
+	hists    []dgcHist[uint16] // per chunk: the histogram of the pass that ran last
+	maxHist  dgcHist[uint32]   // the bound's, over every block maximum
+	tops     []int             // per chunk: the highest bucket (digit) that histogram filled
+	blockMax []uint32          // largest magnitude pattern of every dgcBlock elements
+	floor    uint32            // smallest candidate magnitude pattern
+	cands    []uint64          // magnitude<<32 | index, chunk regions in index order
+	regions  []dgcRegion       // per chunk
+	prefix   uint64            // radix rounds: a contender is a candidate with entry>>(shift+dgcDigitBits) == prefix
+	shift    uint
 
 	// Survivor-write state.
 	thr        float32
@@ -365,13 +359,66 @@ func (o *dgcOp) kth(rank int) (bucket, within int) {
 	}
 }
 
-// dgcSweepChunk is the full sweep over one chunk: a histogram of every
-// element's magnitude bucket, the largest magnitude pattern of each block,
-// and the highest bucket filled. With res non-nil the same sweep stores
-// v = grad + res into res (the test is loop-invariant and predicts). The
-// % dgcBuckets is a no-op that tells the compiler the index is in range.
-func dgcSweepChunk(h *dgcHistT, blockMax []uint32, grad, res []float32) (top int) {
-	*h = dgcHistT{}
+// bound sets the gather's floor and returns how many candidates a key counted
+// at or above it stands for, leaving those counts per chunk. Sparse, the floor
+// is B (the top block maximum when k is 1, else a bucket and two digits, each
+// a serial round over the maxima walked down from the highest digit filled)
+// and a key is a block; dense, it is T's bucket floor and a key a candidate.
+func (o *dgcOp) bound(k int) (slots int) {
+	if o.dense {
+		clear(o.counts)
+		bucket, _ := o.kth(k)
+		o.floor = uint32(bucket) << dgcBucketShift
+		return 1
+	}
+	b := uint64(slices.Max(o.blockMax))
+	if k > 1 {
+		h := &o.maxHist
+		b = 0
+		for _, r := range [3]struct{ shift, bits uint }{{dgcBucketShift, 31 - dgcBucketShift}, {dgcDigitBits, dgcDigitBits}, {0, dgcDigitBits}} {
+			d := dgcRoundChunk(h, o.blockMax, b, r.shift, r.bits)
+			for ; h.count(d) < k; d-- {
+				k -= h.count(d)
+			}
+			b = b<<r.bits | uint64(d)
+		}
+	}
+	for c := range o.counts {
+		lo, hi := kernels.ChunkRange(o.n, c)
+		v := uint64(0)
+		for _, m := range o.blockMax[lo/dgcBlock : (hi+dgcBlock-1)/dgcBlock] {
+			v += (b - uint64(m) - 1) >> 63 // m >= B
+		}
+		o.counts[c] = dgcCountT{tie: int(v)}
+	}
+	o.floor = uint32(b)
+	return dgcBlock
+}
+
+// dgcRoundChunk histograms the bits-wide digit at shift of every key whose
+// bits above it equal prefix (in a bucket round all, a magnitude's bit 31
+// being clear) and returns the highest digit counted; % dgcBuckets is a no-op.
+func dgcRoundChunk[K uint32 | uint64, C uint16 | uint32](h *dgcHist[C], keys []K, prefix uint64, shift, bits uint) (top int) {
+	clear(h[:1<<bits])
+	hi, shift, mask := (shift+bits)&63, shift&63, uint64(1)<<bits-1
+	var t uint64
+	for i, key := range keys {
+		e := uint64(key)
+		match := ((e>>hi ^ prefix) - 1) >> 63
+		digit := e >> shift & mask
+		h[digit%dgcBuckets][i&1] += C(match)
+		t = max(t, digit*match)
+	}
+	return int(t)
+}
+
+// dgcSweepChunk is the full sweep over one chunk: the largest magnitude
+// pattern of each block, the highest bucket of any, and with hist a histogram
+// of every element's bucket (without, h is left clear for the gather). With
+// res non-nil it stores v = grad + res into res. Both tests are loop-invariant
+// and predict; % dgcBuckets tells the compiler the index is in range.
+func dgcSweepChunk(h *dgcHist[uint16], blockMax []uint32, grad, res []float32, hist bool) (top int) {
+	*h = dgcHist[uint16]{}
 	var chunkMax uint32
 	fused := res != nil
 	if !fused {
@@ -389,10 +436,12 @@ func dgcSweepChunk(h *dgcHistT, blockMax []uint32, grad, res []float32) (top int
 			}
 			p0, p1 := math.Float32bits(v0)&^f32SignBit, math.Float32bits(v1)&^f32SignBit
 			p2, p3 := math.Float32bits(v2)&^f32SignBit, math.Float32bits(v3)&^f32SignBit
-			h[p0>>dgcBucketShift%dgcBuckets][0]++
-			h[p1>>dgcBucketShift%dgcBuckets][1]++
-			h[p2>>dgcBucketShift%dgcBuckets][0]++
-			h[p3>>dgcBucketShift%dgcBuckets][1]++
+			if hist {
+				h[p0>>dgcBucketShift%dgcBuckets][0]++
+				h[p1>>dgcBucketShift%dgcBuckets][1]++
+				h[p2>>dgcBucketShift%dgcBuckets][0]++
+				h[p3>>dgcBucketShift%dgcBuckets][1]++
+			}
 			m0, m1, m2, m3 = max(m0, p0), max(m1, p1), max(m2, p2), max(m3, p3)
 		}
 		blockMax[j] = max(m0, m1, m2, m3)
@@ -406,7 +455,9 @@ func dgcSweepChunk(h *dgcHistT, blockMax []uint32, grad, res []float32) (top int
 				res[tail+i] = v
 			}
 			p := math.Float32bits(v) &^ f32SignBit
-			h[p>>dgcBucketShift%dgcBuckets][i&1]++
+			if hist {
+				h[p>>dgcBucketShift%dgcBuckets][i&1]++
+			}
 			m = max(m, p)
 		}
 		blockMax[full] = m
@@ -424,21 +475,17 @@ func (o *dgcOp) RunChunk(c int) {
 		if o.res != nil {
 			res = o.res[lo:hi]
 		}
-		o.tops[c] = dgcSweepChunk(&o.hists[c], o.blockMax[lo/dgcBlock:(hi+dgcBlock-1)/dgcBlock], o.grad[lo:hi], res)
+		o.tops[c] = dgcSweepChunk(&o.hists[c], o.blockMax[lo/dgcBlock:(hi+dgcBlock-1)/dgcBlock], o.grad[lo:hi], res, o.dense)
 	case dgcGather:
 		// Branch-free compaction inside a visited block: store every
-		// element's entry, advance past it only when it is a candidate. A
-		// block stores at most dgcBlock-1 slots past the candidates kept so
-		// far, so a region that is not yet overfull has the room.
-		src, floor := o.src(), uint64(o.floor)
+		// element's entry, advance past it only when it is a candidate. The
+		// capacity holds every candidate; a block spills into the slack.
+		src, floor, h, hist := o.src(), uint64(o.floor), &o.hists[c], !o.dense
 		region := o.cands[r.off : r.off+r.size+dgcBlock]
 		w := 0
 		for j, m := range o.blockMax[lo/dgcBlock : (hi+dgcBlock-1)/dgcBlock] {
 			if uint64(m) < floor {
 				continue // with k << n most blocks hold no candidate: the skip predicts
-			}
-			if w > r.size {
-				break
 			}
 			out, kept := (*[dgcBlock]uint64)(region[w:]), uint64(0)
 			i0 := lo + j*dgcBlock
@@ -447,30 +494,43 @@ func (o *dgcOp) RunChunk(c int) {
 				out[kept%dgcBlock] = p<<32 | uint64(i0+i)
 				kept += (floor - p - 1) >> 63 // p >= floor
 			}
+			if hist && kept > 0 {
+				// Ties fill blocks: one add when all share the first's bucket.
+				b, diff := region[w]>>(32+dgcBucketShift)%dgcBuckets, uint64(0)
+				for _, e := range region[w+1 : w+int(kept)] {
+					diff |= e>>(32+dgcBucketShift) ^ b
+				}
+				if diff == 0 {
+					h[b][0] += uint16(kept)
+				} else {
+					for i, e := range region[w : w+int(kept)] {
+						h[e>>(32+dgcBucketShift)%dgcBuckets][i&1]++
+					}
+				}
+			}
 			w += int(kept)
 		}
-		if w != r.size {
-			o.misfilled.Store(true)
-		}
+		o.regions[c].size = w
 	case dgcRound:
-		h := &o.hists[c]
-		clear(h[:1<<dgcDigitBits])
-		o.tops[c] = 0
-		if o.counts[c].tie == 0 {
-			return // the last histogram left this chunk no contender
+		if o.counts[c].tie == 0 { // the last walk left this chunk no contender
+			clear(o.hists[c][:1<<dgcDigitBits])
+			o.tops[c] = 0
+		} else {
+			keys := o.cands[r.off : r.off+r.size]
+			if floor, n := o.prefix<<(32+2*dgcDigitBits), o.counts[c]; o.shift > 32 && 2*(n.above+n.tie) < len(keys) {
+				// First digit round: drop candidates under T's bucket if that halves them.
+				w := 0
+				for _, e := range keys {
+					keys[w] = e
+					w += int(^(e - floor) >> 63) // e >= floor
+				}
+				keys, o.regions[c].size = keys[:w], w
+			}
+			o.tops[c] = dgcRoundChunk(&o.hists[c], keys, o.prefix, o.shift, dgcDigitBits)
 		}
-		prefix, shift := o.prefix, o.shift&63
-		var top uint64
-		for _, e := range o.cands[r.off : r.off+r.size] {
-			match := ((e>>(shift+dgcDigitBits) ^ prefix) - 1) >> 63
-			digit := e >> shift % (1 << dgcDigitBits)
-			h[digit][0] += uint16(match)
-			top = max(top, digit*match)
-		}
-		o.tops[c] = int(top)
 	case dgcCount:
-		// Everything the gather left out is under the bucket floor, so under
-		// any non-NaN threshold; a NaN threshold selects nothing.
+		// Everything the gather left out is under its floor <= the threshold,
+		// so under any non-NaN threshold; a NaN threshold selects nothing.
 		thr := o.thr
 		var above, tie int
 		for _, e := range o.cands[r.off : r.off+r.size] {

@@ -94,6 +94,11 @@ var diffAlgos = []diffAlgo{
 		return Onebit{}, func(grad, res []float32) ([]byte, error) { return refOnebitEncode(grad, res), nil }
 	}},
 	{"dgc-0.001", mkDGCDiff(0.001)},
+	// The last ratio where k is at most one per 32-element block (k equals
+	// the block count at multiples of 32), so the k-th largest block maximum
+	// bounds the threshold, and the first past it.
+	{"dgc-0.03125", mkDGCDiff(0.03125)},
+	{"dgc-0.035", mkDGCDiff(0.035)},
 	{"dgc-0.25", mkDGCDiff(0.25)},
 	{"dgc-1", mkDGCDiff(1)},
 	{"tbq", func(testing.TB) (Compressor, func(grad, res []float32) ([]byte, error)) {
@@ -204,9 +209,9 @@ func randSign(x uint32, rng *tensor.RNG) float32 {
 }
 
 // diffGens each fill one gradient; the seed differs between the two
-// consecutive encodes. The last four aim at DGC's selection: its 1/8-octave
-// magnitude buckets (a pattern's top 11 bits), its 32-element block maxima
-// and the candidate gather they steer.
+// consecutive encodes. The last six aim at DGC's selection: its 1/8-octave
+// magnitude buckets (a pattern's top 11 bits), its 32-element block maxima,
+// the bound on the threshold they give and the candidate gather they steer.
 var diffGens = []struct {
 	name string
 	fill func(g []float32, rng *tensor.RNG)
@@ -302,10 +307,37 @@ var diffGens = []struct {
 			g[i] = randSign(0x7f800001+uint32(rng.Intn(1<<22)), rng)
 		}
 	}},
+	{"clustered-top", func(g []float32, rng *tensor.RNG) {
+		// The n/1000 largest magnitudes (dgc-0.001's k) packed into adjacent
+		// blocks over a small bell: the k-th largest block maximum is a bell
+		// value far under the threshold, and the visited blocks holding the
+		// top are full of candidates.
+		rng.FillNormal(g, 0.01)
+		top := max(1, len(g)/1000)
+		lo := 32 * rng.Intn((len(g)-top)/32+1)
+		for i := lo; i < lo+top; i++ {
+			g[i] = randSign(math.Float32bits(10+float32(rng.Intn(1000))), rng)
+		}
+	}},
+	{"block-max-ties", func(g []float32, rng *tensor.RNG) {
+		// Every block's maximum, the partial tail block's included, is the
+		// same pattern, at one or two random positions over smaller values:
+		// the bound ties across every block.
+		x := uint32(0x3f800000 + rng.Intn(1<<20))
+		for i := range g {
+			g[i] = randSign(uint32(rng.Intn(int(x)+1)), rng)
+		}
+		for lo := 0; lo < len(g); lo += 32 {
+			for range 1 + rng.Intn(2) {
+				g[lo+rng.Intn(min(32, len(g)-lo))] = randSign(x, rng)
+			}
+		}
+	}},
 }
 
 func TestKernelsMatchReference(t *testing.T) {
-	sizes := []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, kernels.ChunkElems - 32, kernels.ChunkElems - 1,
+	// At 288 elements dgc-0.035 keeps one more than the 9 blocks.
+	sizes := []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 288, kernels.ChunkElems - 32, kernels.ChunkElems - 1,
 		kernels.ChunkElems, kernels.ChunkElems + 1, kernels.ChunkElems + 32, 3*kernels.ChunkElems + 5}
 	for gi, gen := range diffGens {
 		for _, n := range sizes {
@@ -320,6 +352,45 @@ func TestKernelsMatchReference(t *testing.T) {
 				}
 			}
 			checkKernelsMatchReference(t, gen.name, grads)
+		}
+	}
+}
+
+// TestDGCResidualPileUpMatchesReference runs 300 fused encodes of one
+// repeated bell gradient on one running residual — the regime BenchmarkDGCSelect's
+// ef-steady row times, where every |v| climbs until it is selected and the
+// threshold's bucket fills — and holds payload and residual to the reference
+// at every step.
+func TestDGCResidualPileUpMatchesReference(t *testing.T) {
+	n := 3*kernels.ChunkElems + 5
+	steps := 300
+	if testing.Short() || raceEnabled {
+		steps = 60
+	}
+	grad := randGrad(17, n, 1)
+	for _, ratio := range []float64{0.001, 0.01} {
+		d, err := NewDGC(ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, refRes := make([]float32, n), make([]float32, n)
+		dst := make([]byte, d.CompressedSize(n))
+		for step := 0; step < steps; step++ {
+			got, err := d.EncodeFused(dst, grad, res)
+			if err != nil {
+				t.Fatalf("ratio %g step %d: %v", ratio, step, err)
+			}
+			want, err := refDGCEncode(d, grad, refRes)
+			if err != nil {
+				t.Fatalf("ratio %g step %d: reference: %v", ratio, step, err)
+			}
+			if !samePayload(algoDGC, got, want) {
+				t.Fatalf("ratio %g step %d: payload differs from reference", ratio, step)
+			}
+			if i := sameBits(res, refRes); i >= 0 {
+				t.Fatalf("ratio %g step %d: residual[%d] = %08x, reference %08x", ratio, step, i,
+					math.Float32bits(res[i]), math.Float32bits(refRes[i]))
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -113,4 +114,21 @@ func TestFig11Monotone(t *testing.T) {
 
 func sscanF(s string, v *float64) (int, error) {
 	return fmt.Sscanf(s, "%f", v)
+}
+
+// TestAllocsPerEncodeCountsSteadyState holds the kernels table's allocs
+// column to the steady state: a func that allocates only on its first call
+// on a P (a sync.Pool slot that never held a value) reads 0.
+func TestAllocsPerEncodeCountsSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses its caches under -race; alloc counts are meaningless")
+	}
+	pool := sync.Pool{New: func() any { return new([64]byte) }}
+	f := func() error {
+		pool.Put(pool.Get())
+		return nil
+	}
+	if a := allocsPerEncode(f); a != 0 {
+		t.Fatalf("allocsPerEncode = %v, want 0 for a func that allocates only on its first call on a P", a)
+	}
 }

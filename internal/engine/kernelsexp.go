@@ -115,10 +115,16 @@ func KernelsExp(scale float64) (*Table, error) {
 }
 
 // allocsPerEncode counts steady-state heap allocations of one encode using
-// the runtime's malloc counter (the experiment-table analogue of the
-// testing.AllocsPerRun assertion in the unit tests).
+// the runtime's malloc counter, the way testing.AllocsPerRun (the unit tests'
+// assertion) does: on one P, after one warm-up call. A pooled scratch lives
+// in a per-P slot, so on more Ps the count would include the first call on
+// each P the goroutine happens to reach.
 func allocsPerEncode(f func() error) float64 {
 	const runs = 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if err := f(); err != nil {
+		return -1
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
