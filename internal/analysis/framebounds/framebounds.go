@@ -2,7 +2,8 @@
 // index in decoder functions of the codec packages.
 //
 // Every byte decoder in the tree (checkpoint records, wire frames, HELLO
-// handshakes, compression payloads, plan-epoch broadcasts) faces untrusted
+// handshakes, compression payloads, plan-epoch frames read back from
+// checkpoints) faces untrusted
 // input: disk corruption, chaos-mangled streams, truncated payloads. The
 // fuzz targets catch panics after the fact; this analyzer encodes the rule
 // that prevents them — inside a Decode* function, the input []byte

@@ -1,22 +1,20 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"time"
 
 	"hipress/internal/compress"
-	"hipress/internal/netsim"
 )
 
 // This file is the autotune plane's core contract: the versioned PlanEpoch
-// every peer must agree on before the synchronization plan changes, its
-// CRC-guarded wire codec (the frame FuzzPlanEpochDecode hammers), the
+// every node of a round executes under, its CRC-guarded frame (the bytes
+// trainer checkpoints record and FuzzPlanEpochDecode hammers), the
 // Autotuner interface the closed loop implements (internal/autotune), and
-// the safe reconfiguration protocol — coordinator broadcast, all-peer ack,
-// activation at the next round barrier.
+// safe reconfiguration: a proposal is validated and staged under the epoch
+// lock, and takes effect at the next round barrier.
 //
 // Determinism contract: a round executed under epoch E always produces the
 // same bytes, no matter when (or why) the tuner decided E. The epoch fully
@@ -27,7 +25,7 @@ import (
 // PlanEpoch is one versioned synchronization plan: the subset of the §3.3
 // planner's output that the live plane can change at runtime. All nodes of
 // a cluster execute every round under exactly one epoch; changes go through
-// ProposeEpoch (broadcast + ack + round-barrier activation), never mid-round.
+// ProposeEpoch (staged, then activated at a round barrier), never mid-round.
 type PlanEpoch struct {
 	// Version orders epochs; proposals must be strictly newer than the
 	// active (or staged) epoch. Version 0 is the config-derived default.
@@ -62,21 +60,22 @@ func (e PlanEpoch) compresses(m int64) bool {
 	return e.CompressMin >= 0 && m >= e.CompressMin
 }
 
-// The epoch-broadcast wire frame: magic, format version, the four fields,
-// and a CRC-32 over everything before it. Fixed-size and canonical — one
-// epoch has exactly one encoding, which is what lets FuzzPlanEpochDecode
-// assert full round-trip identity.
+// The epoch frame: magic, format version, the four fields, and a CRC-32
+// over everything before it. Fixed-size and canonical — one epoch has
+// exactly one encoding, which is what lets FuzzPlanEpochDecode assert full
+// round-trip identity.
 const (
 	epochMagic    = "HPEP"
 	epochFormat   = 1
 	epochFrameLen = 4 + 1 + 8 + 1 + 4 + 8 + 4
-	// maxEpochParts bounds decoded partition counts: partition indices pack
-	// into the high bits of netsim.Message.Step (packStep shifts by 20), so
-	// a hostile frame must not smuggle a count that overflows the packing.
+	// maxEpochParts bounds every partition count, configured or decoded:
+	// partition indices pack into the high bits of netsim.Message.Step
+	// (packStep shifts by 20), so neither a config nor a hostile frame may
+	// carry a count that overflows the packing.
 	maxEpochParts = 4096
 )
 
-// EncodePlanEpoch serializes e into its canonical 30-byte broadcast frame.
+// EncodePlanEpoch serializes e into its canonical 30-byte frame.
 func EncodePlanEpoch(e PlanEpoch) []byte {
 	b := make([]byte, epochFrameLen)
 	copy(b, epochMagic)
@@ -89,7 +88,7 @@ func EncodePlanEpoch(e PlanEpoch) []byte {
 	return b
 }
 
-// DecodePlanEpoch parses and validates a broadcast frame. Every structural
+// DecodePlanEpoch parses and validates an epoch frame. Every structural
 // property is checked before any field is trusted — length, magic, format,
 // checksum, then field ranges — so a corrupted or hostile frame yields an
 // error, never a half-valid epoch.
@@ -181,16 +180,16 @@ func topoFor(s Strategy, n int) *Topology {
 }
 
 // validateEpoch checks a candidate epoch against the cluster's invariants:
-// the strategies reachable at runtime are exactly those LiveConfig.Validate
+// the plans reachable at runtime are exactly those LiveConfig.Validate
 // accepts for this cluster's degradation and membership settings.
 func (lc *LiveCluster) validateEpoch(ep PlanEpoch) error {
-	if ep.Parts < 1 || ep.Parts > maxEpochParts {
-		return fmt.Errorf("core: %v: partition count outside [1, %d]", ep, maxEpochParts)
+	if ep.Parts < 1 {
+		return fmt.Errorf("core: %v: partition count below 1", ep)
 	}
 	lc.chaosMu.Lock()
 	cfg := lc.cfg
 	lc.chaosMu.Unlock()
-	cfg.Strategy = ep.Strategy
+	cfg.Strategy, cfg.Parts = ep.Strategy, ep.Parts
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("core: %v: %w", ep, err)
 	}
@@ -237,7 +236,7 @@ func (lc *LiveCluster) EpochSwitches() int64 {
 }
 
 // RestoreEpoch installs ep as the active epoch at the given round index,
-// bypassing the broadcast protocol. It is the checkpoint-resume path (all
+// without waiting for a barrier. It is the checkpoint-resume path (all
 // peers restore from the same snapshot, so agreement is implicit) and the
 // way experiments pin a non-default static plan. Any staged pending epoch
 // is discarded; an autotuner implementing Seeker is fast-forwarded to
@@ -251,7 +250,7 @@ func (lc *LiveCluster) RestoreEpoch(ep PlanEpoch, round int64) error {
 	lc.pendingEpoch = nil
 	lc.rounds = round
 	lc.epochMu.Unlock()
-	if s, ok := lc.cfg.Autotune.(Seeker); ok && lc.cfg.Autotune != nil {
+	if s, ok := lc.cfg.Autotune.(Seeker); ok {
 		s.SeekRound(round)
 	}
 	return nil
@@ -281,57 +280,30 @@ func (lc *LiveCluster) activateEpoch() (PlanEpoch, int64) {
 	return lc.epoch, lc.rounds
 }
 
-// epochGradName tags broadcast-protocol control messages; the protocol runs
-// on a dedicated transport, so the name cannot collide with gradient
-// traffic.
-const epochGradName = "__epoch__"
-
-// epochRetry is the coordinator's per-peer retry schedule: short for the
-// in-memory control transport, doubling under loss, capped so a chaos-laden
-// link still converges quickly.
-var epochRetry = RetryPolicy{MaxAttempts: 16, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 200 * time.Millisecond}
-
-// ProposeEpoch runs the safe reconfiguration protocol: validate ep, encode
-// it, broadcast the frame from the coordinator (node 0) to every peer over
-// a fresh control transport (chaos-wrapped when the cluster injects chaos,
-// so the protocol is tested under the same faults as gradient traffic),
-// collect an ack from every peer, and only then stage ep for activation at
-// the next round barrier. Failure at any point leaves the cluster on its
-// current epoch — an abandoned proposal is always safe.
-func (lc *LiveCluster) ProposeEpoch(ctx context.Context, ep PlanEpoch) error {
-	if err := lc.validateEpoch(ep); err != nil {
+// ProposeEpoch stages ep for activation at the next round barrier. It is
+// one step under the epoch lock: validate ep, refuse while another epoch is
+// staged, refuse unless ep's version supersedes the active one, then stage.
+// What makes the switch safe is the barrier: every task of a round runs
+// under the epoch activateEpoch returned at its start, and every node of the
+// cluster reads that one field. A refused proposal leaves the cluster on its
+// current plan.
+func (lc *LiveCluster) ProposeEpoch(ep PlanEpoch) error {
+	lc.epochMu.Lock()
+	err := lc.validateEpoch(ep)
+	switch {
+	case err != nil:
+	case lc.pendingEpoch != nil:
+		err = fmt.Errorf("core: %v proposed while %v is still staged", ep, *lc.pendingEpoch)
+	case ep.Version <= lc.epoch.Version:
+		err = fmt.Errorf("core: %v does not supersede active %v", ep, lc.epoch)
+	default:
+		lc.pendingEpoch = &ep
+	}
+	lc.epochMu.Unlock()
+	if err != nil {
 		lc.emitProposal(ep, "rejected")
 		return err
 	}
-	lc.epochMu.Lock()
-	cur := lc.epoch
-	if p := lc.pendingEpoch; p != nil {
-		lc.epochMu.Unlock()
-		lc.emitProposal(ep, "rejected")
-		return fmt.Errorf("core: %v proposed while %v is still staged", ep, *p)
-	}
-	lc.epochMu.Unlock()
-	if ep.Version <= cur.Version {
-		lc.emitProposal(ep, "rejected")
-		return fmt.Errorf("core: %v does not supersede active %v", ep, cur)
-	}
-
-	if err := lc.broadcastEpoch(ctx, ep); err != nil {
-		lc.emitProposal(ep, "failed")
-		return err
-	}
-
-	lc.epochMu.Lock()
-	// Re-check under the lock: a concurrent proposer may have won the race
-	// while the broadcast was in flight.
-	if lc.pendingEpoch != nil || ep.Version <= lc.epoch.Version {
-		lc.epochMu.Unlock()
-		lc.emitProposal(ep, "rejected")
-		return fmt.Errorf("core: %v lost a concurrent proposal race", ep)
-	}
-	staged := ep
-	lc.pendingEpoch = &staged
-	lc.epochMu.Unlock()
 	lc.emitProposal(ep, "staged")
 	return nil
 }
@@ -347,122 +319,12 @@ func (lc *LiveCluster) emitProposal(ep PlanEpoch, outcome string) {
 	}
 }
 
-// broadcastEpoch is the coordinator↔peer agreement round: node 0 transmits
-// the encoded frame to each peer with acknowledged-or-retried delivery
-// (fresh Attempt numbers per retry, so deterministic chaos re-rolls
-// outcomes); each peer CRC-checks, decodes, and acks — duplicates are
-// re-acked idempotently. The call returns nil only when every peer has
-// acknowledged the exact frame.
-func (lc *LiveCluster) broadcastEpoch(ctx context.Context, ep PlanEpoch) error {
-	n := lc.n
-	frame := EncodePlanEpoch(ep)
-	sum := crc32.ChecksumIEEE(frame)
-
-	base := netsim.NewChanTransport(n, 8)
-	var tr netsim.Transport = base
-	if chaos := lc.chaosCfg(); chaos != nil {
-		tr = netsim.WrapChaos(base, chaos)
-	}
-	defer tr.Close()
-
-	// Peer loops: decode-validate-ack until the transport closes. A frame
-	// that fails its checksum or decode draws no ack, which the coordinator
-	// converts into a retransmission.
-	recvWG := make(chan struct{})
-	peerCount := 0
-	for v := 1; v < n; v++ {
-		peerCount++
-		go func(v int) {
-			defer func() { recvWG <- struct{}{} }()
-			for {
-				msg, ok := tr.Recv(v)
-				if !ok {
-					return
-				}
-				if msg.Ack || msg.Gradient != epochGradName {
-					continue
-				}
-				if crc32.ChecksumIEEE(msg.Payload) != msg.Sum {
-					continue
-				}
-				if _, err := DecodePlanEpoch(msg.Payload); err != nil {
-					continue
-				}
-				_ = tr.Send(netsim.Message{From: v, To: 0, Gradient: epochGradName,
-					Step: msg.Step, Attempt: msg.Attempt, Ack: true})
-			}
-		}(v)
-	}
-
-	// Coordinator ack sink: first ack per peer closes its rendezvous.
-	acked := make([]chan struct{}, n)
-	for v := range acked {
-		acked[v] = make(chan struct{})
-	}
-	ackSeen := make([]bool, n)
-	go func() {
-		defer func() { recvWG <- struct{}{} }()
-		for {
-			msg, ok := tr.Recv(0)
-			if !ok {
-				return
-			}
-			if !msg.Ack || msg.Gradient != epochGradName {
-				continue
-			}
-			if msg.From >= 1 && msg.From < n && !ackSeen[msg.From] {
-				ackSeen[msg.From] = true
-				close(acked[msg.From])
-			}
-		}
-	}()
-
-	// Per-peer acknowledged-or-retried transmit.
-	errCh := make(chan error, n)
-	for v := 1; v < n; v++ {
-		go func(v int) {
-			msg := netsim.Message{From: 0, To: v, Gradient: epochGradName,
-				Step: int(ep.Version & 0xffff), Sum: sum, Payload: frame}
-			for attempt := 0; attempt < epochRetry.MaxAttempts; attempt++ {
-				msg.Attempt = attempt
-				_ = tr.Send(msg)
-				timer := time.NewTimer(epochRetry.backoff(attempt))
-				select {
-				case <-acked[v]:
-					timer.Stop()
-					errCh <- nil
-					return
-				case <-ctx.Done():
-					timer.Stop()
-					errCh <- fmt.Errorf("core: %v broadcast to peer %d: %w", ep, v, ctx.Err())
-					return
-				case <-timer.C:
-				}
-			}
-			errCh <- fmt.Errorf("core: peer %d never acknowledged %v after %d attempts", v, ep, epochRetry.MaxAttempts)
-		}(v)
-	}
-
-	var firstErr error
-	for v := 1; v < n; v++ {
-		if err := <-errCh; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	tr.Close()
-	// Drain the receive loops (peerCount peers + the coordinator sink).
-	for i := 0; i < peerCount+1; i++ {
-		<-recvWG
-	}
-	return firstErr
-}
-
 // observeAndTune runs the closed loop's between-round step after a
 // successful round: hand the tuner its observation, ask for a proposal, and
-// stage an accepted one. A proposal the protocol cannot land (validation,
-// lost race, unacked broadcast) is dropped — the cluster stays on its
-// current plan, which is always safe — and surfaced via telemetry.
-func (lc *LiveCluster) observeAndTune(ctx context.Context, ep PlanEpoch, h *RoundHealth, round int64, sizes []int64) {
+// stage an accepted one. A refused proposal (invalid, already staged, or
+// stale) is dropped — the cluster stays on its current plan, which is
+// always safe — and surfaced via telemetry.
+func (lc *LiveCluster) observeAndTune(ep PlanEpoch, h *RoundHealth, round int64, sizes []int64) {
 	at := lc.cfg.Autotune
 	if at == nil {
 		return
@@ -475,5 +337,5 @@ func (lc *LiveCluster) observeAndTune(ctx context.Context, ep PlanEpoch, h *Roun
 	if prop == nil {
 		return
 	}
-	_ = lc.ProposeEpoch(ctx, *prop) // outcome recorded by emitProposal
+	_ = lc.ProposeEpoch(*prop) // outcome recorded by emitProposal
 }

@@ -93,7 +93,7 @@ func TestPlanEpochDecodeRejects(t *testing.T) {
 	}
 }
 
-// FuzzPlanEpochDecode hammers the epoch-broadcast frame decoder: arbitrary
+// FuzzPlanEpochDecode hammers the epoch frame decoder: arbitrary
 // bytes must either be rejected or decode into an in-range epoch whose
 // canonical re-encoding is byte-identical to the input.
 func FuzzPlanEpochDecode(f *testing.F) {
@@ -136,7 +136,7 @@ func TestProposeEpochActivatesAtBarrier(t *testing.T) {
 	}
 
 	prop := PlanEpoch{Version: 1, Strategy: StrategyPS, Parts: 2, CompressMin: -1}
-	if err := lc.ProposeEpoch(context.Background(), prop); err != nil {
+	if err := lc.ProposeEpoch(prop); err != nil {
 		t.Fatal(err)
 	}
 	if got := lc.Epoch().Version; got != 0 {
@@ -170,7 +170,6 @@ func TestProposeEpochActivatesAtBarrier(t *testing.T) {
 // unreachable strategies, compression without an algorithm, bad partition
 // counts, and double-staging.
 func TestProposeEpochValidation(t *testing.T) {
-	ctx := context.Background()
 	lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, Reliable: true,
 		OnPeerFail: DegradeExclude})
 	if err != nil {
@@ -188,7 +187,7 @@ func TestProposeEpochValidation(t *testing.T) {
 		{"compress-without-algo", PlanEpoch{Version: 1, Strategy: StrategyPS, Parts: 1, CompressMin: 0}, "Algo"},
 	}
 	for _, c := range bad {
-		err := lc.ProposeEpoch(ctx, c.ep)
+		err := lc.ProposeEpoch(c.ep)
 		if err == nil {
 			t.Errorf("%s: proposal accepted", c.name)
 		} else if !strings.Contains(err.Error(), c.frag) {
@@ -196,17 +195,16 @@ func TestProposeEpochValidation(t *testing.T) {
 		}
 	}
 	ok := PlanEpoch{Version: 1, Strategy: StrategyPS, Parts: 2, CompressMin: -1}
-	if err := lc.ProposeEpoch(ctx, ok); err != nil {
+	if err := lc.ProposeEpoch(ok); err != nil {
 		t.Fatal(err)
 	}
-	if err := lc.ProposeEpoch(ctx, PlanEpoch{Version: 2, Strategy: StrategyPS, Parts: 1, CompressMin: -1}); err == nil {
+	if err := lc.ProposeEpoch(PlanEpoch{Version: 2, Strategy: StrategyPS, Parts: 1, CompressMin: -1}); err == nil {
 		t.Error("second proposal accepted while the first is still staged")
 	}
 }
 
-// TestProposeEpochUnderChaos: the broadcast protocol must land a proposal
-// over a lossy control transport — retries carry fresh attempt numbers, so
-// the deterministic chaos re-rolls outcomes and the frame gets through.
+// TestProposeEpochUnderChaos: gradient-transport chaos does not reach a
+// proposal — a lossy cluster stages it like a clean one.
 func TestProposeEpochUnderChaos(t *testing.T) {
 	lc, err := NewLiveCluster(4, LiveConfig{Strategy: StrategyPS, Reliable: true,
 		Chaos: &netsim.ChaosConfig{Seed: 7, Default: netsim.LinkFaults{Drop: 0.3, Dup: 0.1, Corrupt: 0.1}}})
@@ -214,8 +212,63 @@ func TestProposeEpochUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	prop := PlanEpoch{Version: 1, Strategy: StrategyPS, Parts: 3, CompressMin: -1}
-	if err := lc.ProposeEpoch(context.Background(), prop); err != nil {
+	if err := lc.ProposeEpoch(prop); err != nil {
 		t.Fatal(err)
+	}
+	if got := lc.NextEpoch(); got != prop {
+		t.Fatalf("NextEpoch = %v, want %v", got, prop)
+	}
+}
+
+// TestProposeEpochWithPeerDown: a blacked-out peer does not hold up a
+// proposal. The epoch is cluster state, not a message to the peer, so the
+// proposal is staged at once and the peer runs it whenever it runs.
+func TestProposeEpochWithPeerDown(t *testing.T) {
+	lc, err := NewLiveCluster(4, LiveConfig{Strategy: StrategyPS, Reliable: true,
+		Chaos: &netsim.ChaosConfig{NodeDown: map[int]bool{3: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prop := PlanEpoch{Version: 1, Strategy: StrategyPS, Parts: 2, CompressMin: -1}
+	start := time.Now()
+	if err := lc.ProposeEpoch(prop); err != nil {
+		t.Fatalf("proposal with peer 3 down: %v (after %v)", err, time.Since(start))
+	}
+	if got := lc.NextEpoch(); got != prop {
+		t.Fatalf("NextEpoch = %v, want %v", got, prop)
+	}
+}
+
+// TestProposeEpochConcurrent: racing proposers of one version stage it
+// exactly once; every other proposer finds it staged.
+func TestProposeEpochConcurrent(t *testing.T) {
+	lc, err := NewLiveCluster(4, LiveConfig{Strategy: StrategyPS, Reliable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prop := PlanEpoch{Version: 1, Strategy: StrategyPS, Parts: 2, CompressMin: -1}
+	const proposers = 8
+	errs := make([]error, proposers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = lc.ProposeEpoch(prop)
+		}(i)
+	}
+	wg.Wait()
+	staged := 0
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			staged++
+		case !strings.Contains(err.Error(), "still staged"):
+			t.Errorf("proposer %d: %v, want a still-staged refusal", i, err)
+		}
+	}
+	if staged != 1 {
+		t.Errorf("%d proposers staged the epoch, want exactly 1", staged)
 	}
 	if got := lc.NextEpoch(); got != prop {
 		t.Fatalf("NextEpoch = %v, want %v", got, prop)

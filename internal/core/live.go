@@ -54,7 +54,7 @@ type LiveConfig struct {
 	ErrorFeedback bool
 	// Parts is the partition count applied to every gradient (live-plane
 	// experiments are small; per-gradient planning belongs to the timing
-	// plane). Zero means 1.
+	// plane). Zero means 1; at most 4096, the most an epoch frame holds.
 	Parts int
 	// Transport selects the live wire: "chan" (in-memory channels, the
 	// default) or "tcp" (real loopback sockets).
@@ -121,7 +121,7 @@ type LiveConfig struct {
 	// successful round the tuner receives a RoundObservation (and, on
 	// reliable clusters, per-link ack RTT samples as they arrive), and may
 	// propose a new PlanEpoch — strategy, partition count, selective
-	// compression threshold — which is broadcast, acked by every peer, and
+	// compression threshold — which is staged under the epoch lock and
 	// activated at the next round barrier. Its encode/decode evidence is the
 	// compressors' counters (LiveCluster.WireStats). Link
 	// calibration rides the ack path; an unreliable cluster's tuner only
@@ -178,6 +178,9 @@ func (c *LiveConfig) Validate() error {
 	case "", "chan", "tcp":
 	default:
 		return &ConfigError{"Transport", fmt.Sprintf("unknown live transport %q (have chan, tcp)", c.Transport)}
+	}
+	if c.Parts > maxEpochParts {
+		return &ConfigError{"Parts", fmt.Sprintf("partition count %d exceeds %d (partition indices pack into a message step, and an epoch frame holds at most %d)", c.Parts, maxEpochParts, maxEpochParts)}
 	}
 	if c.Strategy != StrategyRing && c.Strategy != StrategyPS {
 		return &ConfigError{"Strategy", fmt.Sprintf("%v is not a live-plane strategy (the live plane runs ring and ps; halving-doubling is timing-plane only)", c.Strategy)}
@@ -435,7 +438,7 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 	lc.epochMu.Lock()
 	lc.rounds++
 	lc.epochMu.Unlock()
-	lc.observeAndTune(ctx, ep, health, round, p.sizes)
+	lc.observeAndTune(ep, health, round, p.sizes)
 	return out, health, nil
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -324,6 +323,8 @@ func TestLiveConfigValidate(t *testing.T) {
 		{"static budget past the wire's attempt limit", LiveConfig{Reliable: true, Retry: RetryPolicy{MaxAttempts: 32769}}, "Retry.MaxAttempts"},
 		{"hedged budget at the distinct-hedge limit", LiveConfig{Reliable: true, Health: &HealthConfig{Adaptive: true, MaxAttempts: 256}}, ""},
 		{"hedged budget past the distinct-hedge limit", LiveConfig{Reliable: true, Health: &HealthConfig{Adaptive: true, MaxAttempts: 257}}, "Health.MaxAttempts"},
+		{"partitions at the epoch frame's limit", LiveConfig{Parts: 4096}, ""},
+		{"partitions past the epoch frame's limit", LiveConfig{Parts: 4097}, "Parts"},
 	}
 	for _, c := range cases {
 		_, err := NewLiveCluster(3, c.cfg)
@@ -355,9 +356,9 @@ func TestLiveConfigValidate(t *testing.T) {
 	}{
 		{"SetChaos on an unreliable cluster", plain.SetChaos(chaos), "Chaos"},
 		{"RestoreEpoch to a ring under exclude", lc.RestoreEpoch(ring, 0), "OnPeerFail"},
-		{"ProposeEpoch of a ring under exclude", lc.ProposeEpoch(context.Background(), ring), "OnPeerFail"},
-		{"ProposeEpoch of halving-doubling", lc.ProposeEpoch(context.Background(),
-			PlanEpoch{Version: 1, Strategy: StrategyHD, Parts: 1, CompressMin: -1}), "Strategy"},
+		{"ProposeEpoch of a ring under exclude", lc.ProposeEpoch(ring), "OnPeerFail"},
+		{"ProposeEpoch of halving-doubling", lc.ProposeEpoch(PlanEpoch{Version: 1, Strategy: StrategyHD, Parts: 1, CompressMin: -1}), "Strategy"},
+		{"ProposeEpoch past the epoch frame's partition limit", lc.ProposeEpoch(PlanEpoch{Version: 1, Strategy: StrategyPS, Parts: maxEpochParts + 1, CompressMin: -1}), "Parts"},
 	}
 	for _, c := range runtime {
 		var ce *ConfigError

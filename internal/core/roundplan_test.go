@@ -175,7 +175,7 @@ func TestRoundPlanReuse(t *testing.T) {
 				}
 				next := lc.Epoch()
 				next.Version, next.Parts = next.Version+1, 3
-				if err := lc.ProposeEpoch(context.Background(), next); err != nil {
+				if err := lc.ProposeEpoch(next); err != nil {
 					t.Fatal(err)
 				}
 				_, p = round(lc, 8, renamed)

@@ -25,7 +25,7 @@ import (
 //     post-drop round — the cost of planning once from stale profiles.
 //   - autotuned: a live Tuner re-fits per-link goodput from ack timings,
 //     re-evaluates Eq. 1–2, and flips the plan to selective compression
-//     through the epoch broadcast protocol.
+//     through a plan epoch staged for the next round barrier.
 //   - control:   the same tuner on a fabric that never degrades. It must
 //     hold the plan — 0 epoch switches — proving the hysteresis keeps the
 //     loop quiet under stationary conditions.
@@ -229,7 +229,7 @@ func AutotuneExp(scale float64) (*Table, error) {
 		Header: []string{"arm", "pre-drop p50", "post-drop p50", "tail tput (r/s)", "switches", "final plan"},
 		Notes: []string{
 			"static: the plan profiled on the fast fabric, frozen — every post-drop round pays full raw serialization",
-			"autotuned: per-link goodput re-fit from live ack timings; Eq. 1-2 re-evaluated; plan flipped via the epoch broadcast protocol",
+			"autotuned: per-link goodput re-fit from live ack timings; Eq. 1-2 re-evaluated; plan flipped via a plan epoch activated at a round barrier",
 			"control: identical tuner on an undegraded fabric — hysteresis holds the plan (0 switches)",
 			"replay: the recorded decision trace re-run under different chaos seeding — results bit-identical per round",
 		},

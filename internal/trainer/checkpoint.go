@@ -204,7 +204,7 @@ func captureEpoch(meta map[string]string, lc *core.LiveCluster) {
 // restoreEpoch reinstalls the checkpointed plan epoch (a no-op for
 // checkpoints predating the autotuning plane: the cluster keeps its default
 // epoch). All peers restore from the same snapshot, so agreement is
-// implicit and the broadcast protocol is bypassed.
+// implicit.
 func restoreEpoch(snap *ckpt.Snapshot, lc *core.LiveCluster) error {
 	enc, ok := snap.Meta[metaEpochKey]
 	if !ok {

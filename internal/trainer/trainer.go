@@ -60,8 +60,8 @@ type Config struct {
 
 	// Autotune, when non-nil, closes the cost-model loop during training:
 	// the cluster feeds it ack timings and round observations, and its
-	// proposals re-plan synchronization through the epoch broadcast
-	// protocol (see internal/autotune). Checkpoints record the active plan
+	// proposals re-plan synchronization from the next round barrier on
+	// (see internal/autotune). Checkpoints record the active plan
 	// epoch, so kill+resume lands in the same plan the uninterrupted run
 	// would have executed.
 	Autotune core.Autotuner
@@ -96,6 +96,13 @@ func (c *Config) defaults() error {
 		c.EvalEvery = 10
 	}
 	return nil
+}
+
+// live is the cluster configuration both training loops synchronize under.
+func (c *Config) live() core.LiveConfig {
+	return core.LiveConfig{Strategy: c.Strategy, Algo: c.Algo, Params: c.Params,
+		ErrorFeedback: c.ErrorFeedback, Parts: c.Parts, Pipeline: c.Pipeline,
+		Telemetry: c.Telemetry, Autotune: c.Autotune}
 }
 
 // Curve is a training trajectory: the loss at recorded iterations.
@@ -152,16 +159,7 @@ func TrainLinear(task *LinearTask, cfg Config) (*Curve, []float32, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, nil, err
 	}
-	lc, err := core.NewLiveCluster(cfg.Workers, core.LiveConfig{
-		Strategy:      cfg.Strategy,
-		Algo:          cfg.Algo,
-		Params:        cfg.Params,
-		ErrorFeedback: cfg.ErrorFeedback,
-		Parts:         cfg.Parts,
-		Pipeline:      cfg.Pipeline,
-		Telemetry:     cfg.Telemetry,
-		Autotune:      cfg.Autotune,
-	})
+	lc, err := core.NewLiveCluster(cfg.Workers, cfg.live())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -355,16 +353,7 @@ func TrainMLP(task *MLPTask, cfg Config) (*Curve, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	lc, err := core.NewLiveCluster(cfg.Workers, core.LiveConfig{
-		Strategy:      cfg.Strategy,
-		Algo:          cfg.Algo,
-		Params:        cfg.Params,
-		ErrorFeedback: cfg.ErrorFeedback,
-		Parts:         cfg.Parts,
-		Pipeline:      cfg.Pipeline,
-		Telemetry:     cfg.Telemetry,
-		Autotune:      cfg.Autotune,
-	})
+	lc, err := core.NewLiveCluster(cfg.Workers, cfg.live())
 	if err != nil {
 		return nil, err
 	}
