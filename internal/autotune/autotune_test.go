@@ -92,6 +92,7 @@ type stationaryEnv struct {
 	static *core.Planner
 	tuner  *Tuner
 	sizes  []int64
+	window int
 }
 
 func newStationaryEnv(t *testing.T) *stationaryEnv { return newStationaryEnvW(t, 1) }
@@ -101,8 +102,8 @@ func newStationaryEnv(t *testing.T) *stationaryEnv { return newStationaryEnvW(t,
 // *effective* send curve a windowed link exhibits — fixed cost amortized
 // across the window, per-byte serialization unchanged — while the tuner
 // calibrates from raw single-transfer round trips (what ack RTT sampling
-// actually measures) and must apply the same adjustment itself via
-// Config.PipelineWindow.
+// actually measures) and must apply the same adjustment itself from the
+// window each round observation reports.
 func newStationaryEnvW(t *testing.T, w int) *stationaryEnv {
 	t.Helper()
 	send := core.Curve{Fixed: 5e-5, PerByte: 1e-9} // ~1 GB/s links
@@ -119,7 +120,7 @@ func newStationaryEnvW(t *testing.T, w int) *stationaryEnv {
 		RatioOf: func(int64) float64 { return ratio },
 	}
 	tun, err := NewTuner(Config{
-		N: 4, Algo: "onebit", CoLocated: true, PipelineWindow: w,
+		N: 4, Algo: "onebit", CoLocated: true,
 		MinSamples: 16, Margin: 0.2, Windows: 3, Cooldown: 4,
 		PriorEnc: enc, PriorDec: dec, PriorRatio: ratio,
 	})
@@ -140,7 +141,7 @@ func newStationaryEnvW(t *testing.T, w int) *stationaryEnv {
 		}
 	}
 	return &stationaryEnv{static: static, tuner: tun,
-		sizes: []int64{64 << 10, 4 << 20}}
+		sizes: []int64{64 << 10, 4 << 20}, window: w}
 }
 
 // observe feeds one stationary round (no compression instrumentation; the
@@ -148,7 +149,7 @@ func newStationaryEnvW(t *testing.T, w int) *stationaryEnv {
 func (env *stationaryEnv) observe(round int64, ep core.PlanEpoch) {
 	env.tuner.ObserveRound(core.RoundObservation{
 		Round: round, Epoch: ep, Health: &core.RoundHealth{},
-		GradBytes: env.sizes,
+		GradBytes: env.sizes, Window: env.window,
 	})
 }
 

@@ -12,6 +12,7 @@ package autotune
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hipress/internal/core"
@@ -32,16 +33,6 @@ type Config struct {
 	Strategies []core.Strategy
 	// CoLocated selects the §6.1 co-located PS coefficient adjustment.
 	CoLocated bool
-	// PipelineWindow is the per-link in-flight window the live plane runs
-	// (LiveConfig.Pipeline.Window). With W transfers overlapping on a link,
-	// the fixed per-send cost (latency + ack RTT) amortizes across the
-	// window while the per-byte serialization term still queues on the
-	// wire, so the calibrated send curve's Fixed coefficient is divided by
-	// W when pricing candidates — keeping Eq. 1–2 honest about what a
-	// pipelined round actually pays. ≤ 1 (sequential) leaves the curve as
-	// calibrated.
-	PipelineWindow int
-
 	// MinSamples gates every decision on evidence: at least this many
 	// unambiguous link round trips on some link before the calibrator's
 	// curves are trusted (default 32).
@@ -96,6 +87,12 @@ func (c Config) withDefaults() Config {
 type Tuner struct {
 	cfg Config
 	cal *Calibrator
+	// window is the send window of the last observed round
+	// (RoundObservation.Window). W transfers overlapping on a link amortize
+	// the fixed per-send cost (latency + ack RTT) but not the per-byte
+	// serialization, so CalibratedPlanner divides the send curve's Fixed by
+	// W: Eq. 1–2 priced as a pipelined round actually pays.
+	window atomic.Int64
 
 	mu        sync.Mutex
 	sizes     []int64 // gradient mix of the last observed round, ascending
@@ -125,6 +122,7 @@ func (t *Tuner) ObserveLink(from, to, payloadBytes int, rtt time.Duration) {
 // ObserveRound implements core.Autotuner.
 func (t *Tuner) ObserveRound(obs core.RoundObservation) {
 	t.cal.ObserveWire(obs.Wire)
+	t.window.Store(int64(obs.Window))
 	t.mu.Lock()
 	t.sizes = append(t.sizes[:0], obs.GradBytes...)
 	if t.cooldown > 0 {
@@ -141,11 +139,8 @@ func (t *Tuner) CalibratedPlanner(s core.Strategy) (*core.Planner, bool) {
 	if !ok {
 		return nil, false
 	}
-	if w := float64(t.cfg.PipelineWindow); w > 1 {
-		// Calibration samples are single-transfer round trips; a windowed
-		// link overlaps W of them, amortizing the fixed cost but not the
-		// per-byte serialization (see Config.PipelineWindow).
-		send.Fixed /= w
+	if w := t.window.Load(); w > 1 {
+		send.Fixed /= float64(w) // samples are single-transfer round trips (see window)
 	}
 	p := &core.Planner{
 		Strategy: s, N: t.cfg.N, CoLocated: t.cfg.CoLocated,

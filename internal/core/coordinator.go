@@ -2,13 +2,14 @@ package core
 
 import "sort"
 
-// This file implements the global coordinator of the compression-aware bulk
-// synchronization (§3.2): nodes report the metadata of queued communication
-// tasks (gradient name, size, destination); the coordinator places them in
-// per-link queues, selects a set of non-conflicting links (each node sends
-// on at most one uplink and receives on at most one downlink per time slot),
-// and batches the gradients on each selected link with balanced sizes,
-// closing a batch on a size threshold or a timeout — whichever comes first.
+// This file implements the batching half of the compression-aware bulk
+// synchronization's global coordinator (§3.2) for the timing plane: queued
+// communication tasks (gradient name, size, destination) wait in per-link
+// queues, and each link's queue closes into one batch on a size threshold or
+// a timeout — whichever comes first. Link selection (one uplink and one
+// downlink per node per time slot) is the simulator's link-idle time slots
+// (simexec.go); the live plane releases every send through its link-table
+// row's window instead (pipeline.go).
 
 // LinkKey identifies one directed link.
 type LinkKey struct {
@@ -28,39 +29,6 @@ type Batch struct {
 	Link  LinkKey
 	Sends []PendingSend
 	Bytes int64
-}
-
-// SelectNonConflicting picks a maximal-weight set of links such that no node
-// appears as the source of two links nor as the destination of two links
-// (the "3 of 6 links are selected" step in Fig. 3). Greedy by queued bytes:
-// heaviest queues first, which both maximizes utilization and balances
-// transmitted sizes across slots.
-func SelectNonConflicting(queued map[LinkKey]int64) []LinkKey {
-	links := make([]LinkKey, 0, len(queued))
-	for l := range queued {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if queued[links[i]] != queued[links[j]] {
-			return queued[links[i]] > queued[links[j]]
-		}
-		if links[i].Src != links[j].Src {
-			return links[i].Src < links[j].Src
-		}
-		return links[i].Dst < links[j].Dst
-	})
-	srcUsed := map[int]bool{}
-	dstUsed := map[int]bool{}
-	var out []LinkKey
-	for _, l := range links {
-		if srcUsed[l.Src] || dstUsed[l.Dst] {
-			continue
-		}
-		srcUsed[l.Src] = true
-		dstUsed[l.Dst] = true
-		out = append(out, l)
-	}
-	return out
 }
 
 // Batcher accumulates pending sends per link and closes batches on a size
@@ -153,16 +121,6 @@ func (b *Batcher) NextDeadline() (float64, bool) {
 		}
 	}
 	return earliest, ok
-}
-
-// PendingBytes reports the queued bytes per link (the coordinator's view for
-// link selection).
-func (b *Batcher) PendingBytes() map[LinkKey]int64 {
-	out := make(map[LinkKey]int64, len(b.queues))
-	for l, q := range b.queues {
-		out[l] = q.bytes
-	}
-	return out
 }
 
 const inf = 1e300

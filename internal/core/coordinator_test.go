@@ -5,84 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestSelectNonConflictingBasic(t *testing.T) {
-	queued := map[LinkKey]int64{
-		{0, 1}: 100,
-		{0, 2}: 50, // conflicts with 0→1 on source
-		{1, 2}: 80, // conflicts with 0→2 on destination
-		{2, 0}: 70,
-	}
-	sel := SelectNonConflicting(queued)
-	srcSeen := map[int]bool{}
-	dstSeen := map[int]bool{}
-	for _, l := range sel {
-		if srcSeen[l.Src] || dstSeen[l.Dst] {
-			t.Fatalf("conflicting selection: %v", sel)
-		}
-		srcSeen[l.Src] = true
-		dstSeen[l.Dst] = true
-	}
-	// 0→1 (heaviest) must be chosen; then 1→2 and 2→0 fit.
-	if len(sel) != 3 {
-		t.Fatalf("selected %d links, want 3: %v", len(sel), sel)
-	}
-	if sel[0] != (LinkKey{0, 1}) {
-		t.Fatalf("heaviest link not selected first: %v", sel)
-	}
-}
-
-func TestSelectNonConflictingDeterministic(t *testing.T) {
-	queued := map[LinkKey]int64{{0, 1}: 10, {1, 0}: 10, {2, 3}: 10, {3, 2}: 10}
-	a := SelectNonConflicting(queued)
-	b := SelectNonConflicting(queued)
-	if len(a) != len(b) {
-		t.Fatalf("nondeterministic selection size")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic selection order: %v vs %v", a, b)
-		}
-	}
-}
-
-// Property: the selection is maximal — no rejected link could be added
-// without a conflict.
-func TestQuickSelectionMaximal(t *testing.T) {
-	f := func(raw []uint8) bool {
-		queued := map[LinkKey]int64{}
-		for i := 0; i+2 < len(raw); i += 3 {
-			src, dst := int(raw[i]%6), int(raw[i+1]%6)
-			if src == dst {
-				continue
-			}
-			queued[LinkKey{src, dst}] += int64(raw[i+2]) + 1
-		}
-		sel := SelectNonConflicting(queued)
-		srcUsed := map[int]bool{}
-		dstUsed := map[int]bool{}
-		for _, l := range sel {
-			if srcUsed[l.Src] || dstUsed[l.Dst] {
-				return false
-			}
-			srcUsed[l.Src] = true
-			dstUsed[l.Dst] = true
-		}
-		selSet := map[LinkKey]bool{}
-		for _, l := range sel {
-			selSet[l] = true
-		}
-		for l := range queued {
-			if !selSet[l] && !srcUsed[l.Src] && !dstUsed[l.Dst] {
-				return false // could have been added: not maximal
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBatcherThresholdCloses(t *testing.T) {
 	b := NewBatcher(100, 1.0)
 	l := LinkKey{0, 1}
@@ -96,7 +18,7 @@ func TestBatcherThresholdCloses(t *testing.T) {
 	if batch.Bytes != 120 || len(batch.Sends) != 2 || batch.Link != l {
 		t.Fatalf("batch = %+v", batch)
 	}
-	if len(b.PendingBytes()) != 0 {
+	if _, open := b.NextDeadline(); open {
 		t.Fatalf("queue not cleared after close")
 	}
 }

@@ -137,6 +137,10 @@ type RoundObservation struct {
 	// GradBytes lists the raw byte size of every gradient synchronized this
 	// round, ascending.
 	GradBytes []int64
+	// Window is the per-link send window the round ran with,
+	// max(LiveConfig.Pipeline.Window, 1): how many transfers of one link
+	// overlapped their ack round trips. A report, not a setting.
+	Window int
 }
 
 // Autotuner is the closed-loop calibration-and-decision engine plugged into
@@ -332,6 +336,7 @@ func (lc *LiveCluster) observeAndTune(ep PlanEpoch, h *RoundHealth, round int64,
 	at.ObserveRound(RoundObservation{
 		Round: round, Epoch: ep, Health: h,
 		Wire: lc.WireStats(), GradBytes: sizes,
+		Window: max(lc.cfg.Pipeline.Window, 1),
 	})
 	prop := at.Propose(ep)
 	if prop == nil {

@@ -418,3 +418,34 @@ func TestAutotuneLoopWiring(t *testing.T) {
 		t.Fatal("autotuned cluster reported no encode instrumentation (its compressors are always counted)")
 	}
 }
+
+// TestRoundObservationWindow: the tuner reads the send window from the round
+// it observes — the configured window on a reliable pipelined cluster, 1 on
+// the sequential zero config — so it never needs the window set twice.
+func TestRoundObservationWindow(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  LiveConfig
+		want int
+	}{
+		{"zero config", LiveConfig{}, 1},
+		{"reliable w4", LiveConfig{Reliable: true, Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tun := &recordingTuner{}
+			c.cfg.Autotune = tun
+			lc, err := NewLiveCluster(3, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lc.SyncRound(epochGrads(3, map[string]int{"w": 300})); err != nil {
+				t.Fatal(err)
+			}
+			tun.mu.Lock()
+			defer tun.mu.Unlock()
+			if len(tun.obs) != 1 || tun.obs[0].Window != c.want {
+				t.Fatalf("observations %+v, want one with Window %d", tun.obs, c.want)
+			}
+		})
+	}
+}

@@ -64,17 +64,11 @@ type LiveConfig struct {
 	// the optional wire-level fault injector. Nil takes the defaults.
 	// TCP.Metrics defaults to Telemetry's metrics registry when unset.
 	TCP *netsim.TCPOptions
-	// Coordinated turns on the send engine's admission policy, the live
-	// global coordinator of §3.2: every directed link is a lane, and a lane
-	// transmits only while granted — no other granted lane shares its source
-	// uplink or its destination downlink, heaviest queue first. Off, sends
-	// transmit as soon as their dependencies clear.
-	Coordinated bool
 	// Pipeline tunes the pipelined send engine (pipeline.go): per-link
-	// in-flight windows, receiver-side ack aggregation, and encode/transfer
-	// overlap. The zero value reproduces the classic sequential send loop.
-	// Result bytes are identical for every setting — the window changes
-	// when transfers resolve, never what the ordered merges compute.
+	// in-flight windows and receiver-side ack aggregation, both settings of
+	// reliable rounds. The zero value reproduces the classic sequential send
+	// loop. Result bytes are identical for every setting — the window
+	// changes when transfers resolve, never what the ordered merges compute.
 	Pipeline PipelineConfig
 	// Telemetry, when non-nil, records wall-clock spans for every executed
 	// primitive (encode/decode/merge/send/recv, flow-linked send→recv),
@@ -199,6 +193,9 @@ func (c *LiveConfig) Validate() error {
 	}
 	if c.Elastic && c.OnPeerFail != DegradeExclude {
 		return &ConfigError{"Elastic", "elastic membership requires the PS strategy with OnPeerFail=DegradeExclude (rounds must complete around an excluded peer)"}
+	}
+	if (c.Pipeline.Window > 1 || c.Pipeline.AckBatch > 1) && !c.Reliable {
+		return &ConfigError{"Pipeline", "a send window or ack batch requires Reliable delivery (an unreliable send waits for no ack, so its lane has nothing to overlap)"}
 	}
 	if c.Health != nil && c.Health.Adaptive && !c.Reliable {
 		return &ConfigError{"Health.Adaptive", "the adaptive health plane requires Reliable delivery (its evidence is the ack path)"}
@@ -598,7 +595,7 @@ func (r *liveRound) traceTask(t *Task, start float64) {
 		// exporter renders overlapping in-flight transfers side by side
 		// instead of stacking them into one unreadable "net" row.
 		stream = "net"
-		if r.pipe.perLink {
+		if r.pipe.window > 1 {
 			stream = fmt.Sprintf("net→%d", t.Peer)
 		}
 		flow = telemetry.FlowID(t.Node, t.Peer, t.Grad, packStep(t.Step, t.Part))
@@ -840,7 +837,7 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 	if r.reliable { // acks and dedup: never touched otherwise
 		r.xfer = make([]transfer, len(g.Tasks))
 	}
-	r.pipe = newSendEngine(r, n, lc.cfg.Pipeline, lc.cfg.Coordinated)
+	r.pipe = newSendEngine(r, n, lc.cfg.Pipeline)
 	// Re-arm the health plane: prime detectors, forgive the inter-round idle
 	// gap, start non-elastic probation trials. Under elastic membership a
 	// standing conviction is carried in instead, so the DAG routes around a

@@ -303,7 +303,7 @@ func TestLiveConfigValidate(t *testing.T) {
 		field string // "" = valid
 	}{
 		{"zero config", LiveConfig{}, ""},
-		{"all planes on", LiveConfig{Strategy: StrategyPS, Transport: "tcp", Reliable: true, Coordinated: true,
+		{"all planes on", LiveConfig{Strategy: StrategyPS, Transport: "tcp", Reliable: true,
 			OnPeerFail: DegradeExclude, Elastic: true, Chaos: chaos, Health: &HealthConfig{Adaptive: true}}, ""},
 		{"chaos under a round timeout only", LiveConfig{Chaos: chaos, RoundTimeout: time.Second}, ""},
 		{"passive health plane unreliable", LiveConfig{Health: &HealthConfig{}}, ""},
@@ -313,6 +313,9 @@ func TestLiveConfigValidate(t *testing.T) {
 		{"chaos without reliable or timeout", LiveConfig{Chaos: chaos}, "Chaos"},
 		{"wire chaos without reliable or timeout", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos}, "TCP.Chaos"},
 		{"wire chaos reliable", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos, Reliable: true}, ""},
+		{"send window unreliable", LiveConfig{Pipeline: PipelineConfig{Window: 4}}, "Pipeline"},
+		{"ack batch unreliable", LiveConfig{Pipeline: PipelineConfig{AckBatch: 4}}, "Pipeline"},
+		{"pipelined reliable", LiveConfig{Reliable: true, Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}, ""},
 		{"wire chaos under a round timeout only", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos, RoundTimeout: time.Second}, ""},
 		{"exclude on a ring", LiveConfig{Strategy: StrategyRing, Reliable: true, OnPeerFail: DegradeExclude}, "OnPeerFail"},
 		{"elastic unreliable", LiveConfig{Strategy: StrategyPS, OnPeerFail: DegradeExclude, Elastic: true}, "Elastic"},
@@ -440,56 +443,6 @@ func TestLiveFailurePropagates(t *testing.T) {
 	}
 	if _, err := ok.SyncRound(grads); err != nil {
 		t.Fatalf("healthy cluster failed after injection test: %v", err)
-	}
-}
-
-// TestLiveCoordinatedSync: the §3.2 global coordinator on the live plane —
-// same exact results, coordinated release of communication tasks.
-func TestLiveCoordinatedSync(t *testing.T) {
-	sizes := map[string]int{"a": 700, "b": 41, "c": 1024}
-	for _, strat := range []Strategy{StrategyRing, StrategyPS} {
-		lc, err := NewLiveCluster(4, LiveConfig{Strategy: strat, Coordinated: true, Parts: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		grads, sums := makeGrads(17, 4, sizes)
-		out, err := lc.SyncRound(grads)
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
-		for v := 0; v < 4; v++ {
-			for name, want := range sums {
-				for i := range want {
-					if math.Abs(float64(out[v][name][i]-want[i])) > 1e-4 {
-						t.Fatalf("%v: node %d %s[%d] = %v, want %v", strat, v, name, i, out[v][name][i], want[i])
-					}
-				}
-			}
-		}
-	}
-	// Compressed, coordinated, over TCP, several rounds.
-	lc, err := NewLiveCluster(3, LiveConfig{
-		Strategy: StrategyPS, Algo: "dgc", Params: compress.Params{"ratio": 0.5},
-		ErrorFeedback: true, Coordinated: true, Transport: "tcp",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		grads, _ := makeGrads(uint64(round+50), 3, sizes)
-		out, err := lc.SyncRound(grads)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		for v := 1; v < 3; v++ {
-			for name := range sizes {
-				for i := range out[0][name] {
-					if out[v][name][i] != out[0][name][i] {
-						t.Fatalf("coordinated compressed sync diverged on %s", name)
-					}
-				}
-			}
-		}
 	}
 }
 

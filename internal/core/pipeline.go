@@ -39,7 +39,10 @@ import (
 // payloads.
 
 // PipelineConfig tunes the live plane's send pipeline and ack path
-// (LiveConfig.Pipeline). The zero value reproduces the sequential engine.
+// (LiveConfig.Pipeline). The zero value reproduces the sequential engine,
+// the one shape an unreliable round runs: Window and AckBatch above 1 are
+// settings of reliable rounds (Validate), since what a window overlaps is
+// ack waits.
 type PipelineConfig struct {
 	// Window is the per-directed-link sliding window: how many transfers of
 	// one src→dst link may be in flight (transmitted, awaiting ack) at
@@ -81,9 +84,8 @@ type pendingSend struct {
 // plane's per-(step, attempt) fault rolls stay fresh, and flushAcks' scratch.
 type link struct {
 	queue   []pendingSend
-	bytes   int64 // queued Task.Bytes: the metadata the coordinator weighs
-	workers int   // goroutines currently resolving this lane, ≤ window
-	depth   int   // high-water mark of queued + resolving
+	workers int // goroutines currently resolving this lane, ≤ window
+	depth   int // high-water mark of queued + resolving
 
 	mu      sync.Mutex
 	pending []netsim.Message
@@ -94,26 +96,16 @@ type link struct {
 }
 
 // sendEngine owns the link table of one round and is the only route from a
-// ready send task to the wire. A send queues on row (Node, Peer) when
-// Window ≥ 2 or the round is coordinated, on row (Node, Node) otherwise — no
-// live DAG sends to itself — so the sequential configuration keeps exactly
-// the old one-send-at-a-time-per-node shape.
-//
-// Coordinated rounds (§3.2's global coordinator) add an admission policy on
-// top: a lane's workers run only while its link is granted, and no two
-// granted links share a source uplink or a destination downlink. A lane
-// holds its grant exactly while it has workers. Grants go
-// heaviest-queue-first (SelectNonConflicting) over the lanes with work,
-// last until the lane drains, and are re-evaluated then. The coordinator
-// reads task metadata only; staging, windows, retries and acks are the same
-// code as on every other path.
+// ready send task to the wire. Every send is released the same way: staged
+// when its dependencies clear, queued on its row, and resolved inside that
+// row's window. A send queues on row (Node, Peer) when Window ≥ 2, on row
+// (Node, Node) otherwise — no live DAG sends to itself — so the sequential
+// configuration keeps exactly the old one-send-at-a-time-per-node shape.
 type sendEngine struct {
-	r           *liveRound
-	n           int
-	window      int
-	ackBatch    int
-	perLink     bool
-	coordinated bool
+	r        *liveRound
+	n        int
+	window   int
+	ackBatch int
 
 	mu    sync.Mutex // guards every row's send lane
 	links []link     // by src·n+dst
@@ -126,16 +118,14 @@ type sendEngine struct {
 	gauge *telemetry.Gauge
 }
 
-func newSendEngine(r *liveRound, n int, cfg PipelineConfig, coordinated bool) *sendEngine {
+func newSendEngine(r *liveRound, n int, cfg PipelineConfig) *sendEngine {
 	e := &sendEngine{
-		r:           r,
-		n:           n,
-		window:      max(cfg.Window, 1),
-		ackBatch:    max(cfg.AckBatch, 1),
-		perLink:     cfg.Window > 1 || coordinated,
-		coordinated: coordinated,
-		links:       make([]link, n*n),
-		began:       time.Now(), //hipress:wallclock engine-relative monotonic base for ack latencies
+		r:        r,
+		n:        n,
+		window:   max(cfg.Window, 1),
+		ackBatch: max(cfg.AckBatch, 1),
+		links:    make([]link, n*n),
+		began:    time.Now(), //hipress:wallclock engine-relative monotonic base for ack latencies
 	}
 	if r.met != nil {
 		e.gauge = r.met.Gauge(MetricLiveInflight,
@@ -145,8 +135,8 @@ func newSendEngine(r *liveRound, n int, cfg PipelineConfig, coordinated bool) *s
 }
 
 // submit stages a ready send task on the calling goroutine (liveRound.route)
-// and queues it on its lane, starting a lane worker when the lane is granted
-// and its window has a free slot.
+// and queues it on its lane, starting a lane worker when its window has a
+// free slot.
 func (e *sendEngine) submit(t *Task) error {
 	r := e.r
 	start := r.trc.Now()
@@ -155,76 +145,27 @@ func (e *sendEngine) submit(t *Task) error {
 		return err
 	}
 	dst := t.Node
-	if e.perLink {
+	if e.window > 1 {
 		dst = t.Peer
 	}
 	l := &e.links[t.Node*e.n+dst]
 	e.startNs.CompareAndSwap(0, e.sinceNs())
 	e.mu.Lock()
 	l.queue = append(l.queue, pendingSend{t: t, msg: msg, start: start})
-	l.bytes += t.Bytes
 	l.depth = max(l.depth, len(l.queue)+l.workers)
-	if e.coordinated && l.workers == 0 {
-		e.grant()
-	} else {
-		e.start(l)
+	for idle := len(l.queue); idle > 0 && l.workers < e.window; idle-- {
+		l.workers++
+		r.wg.Add(1)
+		go e.drain(l)
 	}
 	e.mu.Unlock()
 	return nil
 }
 
-// start brings a lane (granted, when coordinated) up to one worker per queued
-// transfer, at most window of them. Called with e.mu held.
-func (e *sendEngine) start(l *link) {
-	for idle := len(l.queue); idle > 0 && l.workers < e.window; idle-- {
-		l.workers++
-		e.r.wg.Add(1)
-		go e.drain(l)
-	}
-}
-
-// grant is the coordinator's time slot: every lane with queued work and no
-// grant competes, and the winners start transmitting. Called with e.mu held,
-// when a transfer lands on an ungranted lane and when a granted lane drains.
-func (e *sendEngine) grant() {
-	pending := map[LinkKey]int64{}
-	var granted []LinkKey
-	for i := range e.links {
-		l, key := &e.links[i], LinkKey{Src: i / e.n, Dst: i % e.n}
-		switch {
-		case l.workers > 0:
-			granted = append(granted, key)
-		case len(l.queue) > 0:
-			pending[key] = l.bytes
-		}
-	}
-	for _, key := range grantLinks(pending, granted) {
-		e.start(&e.links[key.Src*e.n+key.Dst])
-	}
-}
-
-// grantLinks picks which pending links (→ queued bytes) may start next to
-// the already granted ones: links whose source uplink and destination
-// downlink are both free, chosen among themselves by SelectNonConflicting.
-func grantLinks(pending map[LinkKey]int64, granted []LinkKey) []LinkKey {
-	srcBusy, dstBusy := map[int]bool{}, map[int]bool{}
-	for _, g := range granted {
-		srcBusy[g.Src], dstBusy[g.Dst] = true, true
-	}
-	free := make(map[LinkKey]int64, len(pending))
-	for key, bytes := range pending {
-		if !srcBusy[key.Src] && !dstBusy[key.Dst] {
-			free[key] = bytes
-		}
-	}
-	return SelectNonConflicting(free)
-}
-
 // drain is one window slot's worker: it resolves staged transfers in lane
 // FIFO order and exits when the lane empties or the round unwinds. Workers
 // per lane never exceed the window, so at most Window transfers of one lane
-// are between transmit and ack at any moment. The last worker to leave a
-// coordinated lane hands its grant back.
+// are between transmit and ack at any moment.
 func (e *sendEngine) drain(l *link) {
 	defer e.r.wg.Done()
 	r := e.r
@@ -243,15 +184,11 @@ func (e *sendEngine) drain(l *link) {
 		e.mu.Lock()
 		if unwinding || len(l.queue) == 0 {
 			l.workers--
-			if e.coordinated && l.workers == 0 && !unwinding {
-				e.grant() // this lane's slots are free again
-			}
 			e.mu.Unlock()
 			return
 		}
 		p := l.queue[0]
 		l.queue = l.queue[1:]
-		l.bytes -= p.t.Bytes
 		e.mu.Unlock()
 
 		in := e.inflight.Add(1)

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -36,15 +34,14 @@ func wireChaosTCP() *netsim.TCPOptions {
 }
 
 // TestPipelineWindowBitIdentity is the send engine's acceptance table: for
-// each strategy and algorithm, every (window, admission policy, transport)
-// arm — including real TCP and TCP under wire chaos — must produce per-round
-// digests byte-identical to the classic sequential uncoordinated engine on
-// the chan transport. Result bytes are a pure function of the plan epoch; the
-// window, ack batching, lane grants, and completion order never leak into
-// them — nor, for the stochastic compressors (terngrad, graddrop), into the
-// random draws: each encode's stream is keyed by (round, node, pipeline
-// position), so these arms are also the schedule perturbation that would
-// expose a draw taken in execution order.
+// each strategy and algorithm, every (window, transport) arm — including real
+// TCP and TCP under wire chaos — must produce per-round digests byte-identical
+// to the classic sequential engine on the chan transport. Result bytes are a
+// pure function of the plan epoch; the window, ack batching, and completion
+// order never leak into them — nor, for the stochastic compressors (terngrad,
+// graddrop), into the random draws: each encode's stream is keyed by (round,
+// node, pipeline position), so these arms are also the schedule perturbation
+// that would expose a draw taken in execution order.
 func TestPipelineWindowBitIdentity(t *testing.T) {
 	const n, rounds = 3, 2
 	transports := []struct {
@@ -58,13 +55,6 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 			c.TCP = wireChaosTCP()
 		}},
 	}
-	arms := []struct {
-		window      int
-		coordinated bool
-	}{
-		{1, false}, {2, false}, {4, false}, {8, false},
-		{1, true}, {4, true},
-	}
 	for _, strat := range []Strategy{StrategyPS, StrategyRing} {
 		for _, algo := range []string{"onebit", "dgc", "terngrad", "graddrop"} {
 			sizes := map[string]int{"w1": 700, "w2": 64}
@@ -77,7 +67,7 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 				sizes["w1"] = 2200
 			}
 			// Reference: the zero-value Pipeline config — the sequential
-			// engine — uncoordinated, on the chan transport.
+			// engine — on the chan transport.
 			ref := tcpParityConfig()
 			ref.Strategy, ref.Algo = strat, algo
 			want, _ := runSizedDigests(t, ref, n, rounds, sizes)
@@ -86,20 +76,15 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 					// Not a property of the engine: on a ring each node acks
 					// one neighbour only, and under this cut rate the static
 					// scoreboard convicts an innocent hop (policy abort) at
-					// every window, coordinated or not.
+					// every window.
 					continue
 				}
-				for _, arm := range arms {
-					name := fmt.Sprintf("%v/%s/%s/w%d", strat, algo, tr.name, arm.window)
-					if arm.coordinated {
-						name += "/coordinated"
-					}
-					t.Run(name, func(t *testing.T) {
+				for _, window := range []int{1, 2, 4, 8} {
+					t.Run(fmt.Sprintf("%v/%s/%s/w%d", strat, algo, tr.name, window), func(t *testing.T) {
 						cfg := tcpParityConfig()
 						cfg.Strategy, cfg.Algo = strat, algo
-						cfg.Coordinated = arm.coordinated
 						cfg.Pipeline = PipelineConfig{
-							Window: arm.window, AckBatch: 4, OverlapEncode: arm.window > 1,
+							Window: window, AckBatch: 4, OverlapEncode: window > 1,
 						}
 						tr.mutate(&cfg)
 						got, healths := runSizedDigests(t, cfg, n, rounds, sizes)
@@ -128,18 +113,14 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 // TestPipelineAckWorkersExitCleanly: the per-link ack workers (and the lane
 // workers) registered during pipelined rounds must all be gone once the
 // rounds complete — the regression test for the goroutine-per-ack path this
-// plane replaced. Coordinated rounds start lane workers from a draining
-// worker's own exit path, so they are held to the same count.
+// plane replaced.
 func TestPipelineAckWorkersExitCleanly(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	for _, coordinated := range []bool{false, true} {
-		cfg := tcpParityConfig()
-		cfg.Coordinated = coordinated
-		cfg.Pipeline = PipelineConfig{Window: 4, AckBatch: 8, OverlapEncode: true}
-		_, health := runDigests(t, cfg, 3, 3)
-		if health.SendWallNs <= 0 || health.MaxLinkQueueDepth < 1 {
-			t.Fatalf("pipelined round missing engine health evidence: %+v", health)
-		}
+	cfg := tcpParityConfig()
+	cfg.Pipeline = PipelineConfig{Window: 4, AckBatch: 8, OverlapEncode: true}
+	_, health := runDigests(t, cfg, 3, 3)
+	if health.SendWallNs <= 0 || health.MaxLinkQueueDepth < 1 {
+		t.Fatalf("pipelined round missing engine health evidence: %+v", health)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
@@ -149,110 +130,6 @@ func TestPipelineAckWorkersExitCleanly(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestGrantLinksNeverConflict: over random sets of pending and already
-// granted links, what the coordinator grants next never shares a source
-// uplink or a destination downlink with a granted link or with another new
-// grant, and is exactly SelectNonConflicting's choice (membership and order)
-// among the pending links whose two slots are free.
-func TestGrantLinksNeverConflict(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const n = 6
-	for iter := 0; iter < 500; iter++ {
-		// The granted set must itself be conflict-free, as the engine keeps it.
-		all := map[LinkKey]int64{}
-		for i := rng.Intn(12); i > 0; i-- {
-			if l := (LinkKey{Src: rng.Intn(n), Dst: rng.Intn(n)}); l.Src != l.Dst {
-				all[l] = int64(rng.Intn(4))
-			}
-		}
-		granted := SelectNonConflicting(all)
-		pending := map[LinkKey]int64{}
-		for i := rng.Intn(20); i > 0; i-- {
-			if l := (LinkKey{Src: rng.Intn(n), Dst: rng.Intn(n)}); l.Src != l.Dst {
-				pending[l] = int64(rng.Intn(4)) // few distinct weights: ties are common
-			}
-		}
-		for _, g := range granted {
-			delete(pending, g) // a granted lane is not pending
-		}
-
-		got := grantLinks(pending, granted)
-
-		srcs, dsts := map[int]bool{}, map[int]bool{}
-		for _, g := range granted {
-			srcs[g.Src], dsts[g.Dst] = true, true
-		}
-		free := map[LinkKey]int64{}
-		for l, b := range pending {
-			if !srcs[l.Src] && !dsts[l.Dst] {
-				free[l] = b
-			}
-		}
-		for _, l := range got {
-			if _, ok := pending[l]; !ok {
-				t.Fatalf("iter %d: granted %v, which was not pending", iter, l)
-			}
-			if srcs[l.Src] || dsts[l.Dst] {
-				t.Fatalf("iter %d: grant %v shares a slot with granted %v / earlier grants in %v", iter, l, granted, got)
-			}
-			srcs[l.Src], dsts[l.Dst] = true, true
-		}
-		if want := SelectNonConflicting(free); !reflect.DeepEqual(got, want) {
-			t.Fatalf("iter %d: grants %v, SelectNonConflicting over the free links gives %v", iter, got, want)
-		}
-	}
-}
-
-// TestCoordinatedNoHeadOfLineStall: under the coordinator's admission policy
-// a slow link holds only its own two slots — its source's uplink and its
-// destination's downlink. Every link carries a 3ms one-way delay and 0→1 ten
-// times that; a coordinator that awaits every ack in turn on one goroutine
-// pays each transfer's round trip cluster-wide (12× the uncoordinated round
-// on this input). Links that share neither slot with 0→1 must keep
-// resolving, so the coordinated round stays within the factor the one-uplink,
-// one-downlink rule itself costs (measured 2.6×).
-func TestCoordinatedNoHeadOfLineStall(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock gate: the race detector's slowdown swamps the link delays")
-	}
-	const n = 4
-	sizes := map[string]int{}
-	for i := 0; i < 12; i++ {
-		sizes[fmt.Sprintf("w%02d", i)] = 64
-	}
-	elapsed := func(coordinated bool) time.Duration {
-		lc, err := NewLiveCluster(n, LiveConfig{
-			Strategy: StrategyPS, Coordinated: coordinated, Reliable: true,
-			// No deadline may fire before the slow link's 33ms round trip.
-			Retry:        RetryPolicy{MaxAttempts: 8, BaseBackoff: 200 * time.Millisecond, MaxBackoff: time.Second},
-			RoundTimeout: 30 * time.Second,
-			Pipeline:     PipelineConfig{Window: 4, AckBatch: 4, OverlapEncode: true},
-			Chaos: &netsim.ChaosConfig{Seed: 5,
-				Default: netsim.LinkFaults{Delay: 1, DelayMin: 3 * time.Millisecond, DelayMax: 3 * time.Millisecond},
-				Links: map[netsim.Link]netsim.LinkFaults{
-					{Src: 0, Dst: 1}: {Delay: 1, DelayMin: 30 * time.Millisecond, DelayMax: 30 * time.Millisecond},
-				}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		grads, _ := makeGrads(41, n, sizes)
-		_, health, err := lc.SyncRoundContext(context.Background(), grads)
-		if err != nil {
-			t.Fatalf("coordinated=%v: %v (health %+v)", coordinated, err, health)
-		}
-		if health.Retries != 0 {
-			t.Fatalf("coordinated=%v: %d retries; the comparison needs every ack waited out once", coordinated, health.Retries)
-		}
-		return health.Elapsed
-	}
-	free, coord := elapsed(false), elapsed(true)
-	t.Logf("uncoordinated %v, coordinated %v (%.1fx)", free, coord, float64(coord)/float64(free))
-	if coord > 5*free {
-		t.Fatalf("coordinated round took %v, uncoordinated %v: sends off the slow link waited out its acks", coord, free)
 	}
 }
 
@@ -301,7 +178,7 @@ func (g *gatedTransport) frames() []netsim.Message {
 func TestAckPlaneCoalescesBacklog(t *testing.T) {
 	gt := newGatedTransport()
 	r := &liveRound{tr: gt, rs: &roundState{}, doneCh: make(chan struct{})}
-	a := newSendEngine(r, 2, PipelineConfig{AckBatch: 4}, false)
+	a := newSendEngine(r, 2, PipelineConfig{AckBatch: 4})
 
 	ack := func(grad string, step int) netsim.Message {
 		return netsim.Message{From: 1, To: 0, Gradient: grad, Step: step, Attempt: 1, Ack: true}
@@ -421,7 +298,6 @@ func TestLinkTableRows(t *testing.T) {
 		{"w0", LiveConfig{}},
 		{"w0-reliable", LiveConfig{Reliable: true, Retry: retry}},
 		{"w4-ackbatch4", LiveConfig{Reliable: true, Retry: retry, Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}},
-		{"coordinated-w1", LiveConfig{Reliable: true, Retry: retry, Coordinated: true, Pipeline: PipelineConfig{Window: 1}}},
 	}
 	sizes := map[string]int{"a": 96, "b": 300}
 	for _, strat := range []Strategy{StrategyPS, StrategyRing} {
@@ -450,7 +326,7 @@ func TestLinkTableRows(t *testing.T) {
 						sends[LinkKey{Src: tk.Node, Dst: tk.Peer}] = true
 					}
 				}
-				perNode := cfg.Pipeline.Window <= 1 && !cfg.Coordinated
+				perNode := cfg.Pipeline.Window <= 1
 				for i := range r.pipe.links {
 					l, key := &r.pipe.links[i], LinkKey{Src: i / n, Dst: i % n}
 					wantSends := sends[key]
@@ -464,9 +340,9 @@ func TestLinkTableRows(t *testing.T) {
 					if l.started != wantAcks || (key.Src == key.Dst && l.started) {
 						t.Errorf("row %v carried acks = %v, want %v", key, l.started, wantAcks)
 					}
-					if len(l.queue) != 0 || l.bytes != 0 || l.workers != 0 || len(l.pending) != 0 {
-						t.Errorf("row %v after teardown: %d queued (%d bytes), %d workers, %d acks pending",
-							key, len(l.queue), l.bytes, l.workers, len(l.pending))
+					if len(l.queue) != 0 || l.workers != 0 || len(l.pending) != 0 {
+						t.Errorf("row %v after teardown: %d queued, %d workers, %d acks pending",
+							key, len(l.queue), l.workers, len(l.pending))
 					}
 				}
 			})
@@ -480,7 +356,7 @@ func TestLinkTableRows(t *testing.T) {
 func TestHeartbeatFromUnknownNodeIgnored(t *testing.T) {
 	gt := newGatedTransport()
 	r := &liveRound{tr: gt, rs: &roundState{}, doneCh: make(chan struct{})}
-	r.pipe = newSendEngine(r, 2, PipelineConfig{}, false)
+	r.pipe = newSendEngine(r, 2, PipelineConfig{})
 	for _, from := range []int{-1, 2, 1 << 20} {
 		r.dispatchMsg(&nodeRT{id: 0}, &netsim.Message{From: from, To: 0, Gradient: "hb", Heartbeat: true})
 	}

@@ -149,67 +149,6 @@ func TestKillResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestKillResumePipelinedWindows extends the recovery guarantee to the
-// pipelined send engine: with W transfers in flight per link, ack batching,
-// and encode/transfer overlap, a killed-and-resumed run must still land on
-// the uninterrupted sequential run's exact curve — in-flight windows are
-// round-internal state, invisible to checkpoints, so the window must change
-// neither what a round computes nor what a snapshot captures.
-func TestKillResumePipelinedWindows(t *testing.T) {
-	task := NewLinearTask(24, 0.05, 9)
-	cfg := Config{
-		Workers: 3, Strategy: core.StrategyPS,
-		Algo: "onebit", ErrorFeedback: true, Momentum: 0.5,
-		LR: 0.1, Batch: 4, Iters: 60, EvalEvery: 5, Seed: 11, Parts: 2,
-	}
-
-	// Sequential uninterrupted reference (zero-value Pipeline).
-	ref, refW, err := TrainLinear(task, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pipelined := cfg
-	pipelined.Pipeline = core.PipelineConfig{Window: 4, AckBatch: 4, OverlapEncode: true}
-
-	// A full pipelined run must already be bit-identical to the sequential
-	// reference — every recorded loss, not just the tail.
-	full, fullW, err := TrainLinear(task, pipelined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdenticalTail(t, "pipelined-full", ref, full, 0)
-	for i := range refW {
-		if math.Float32bits(fullW[i]) != math.Float32bits(refW[i]) {
-			t.Fatalf("pipelined final weight [%d] diverged: %x vs %x",
-				i, math.Float32bits(fullW[i]), math.Float32bits(refW[i]))
-		}
-	}
-
-	// Kill the pipelined run at iteration 35 (latest durable state: 20) and
-	// resume it, still pipelined, to the reference horizon.
-	dir := t.TempDir()
-	killed := pipelined
-	killed.Iters = 35
-	killed.Checkpoint = &CheckpointConfig{Dir: dir, Every: 20}
-	if _, _, err := TrainLinear(task, killed); err != nil {
-		t.Fatal(err)
-	}
-	resumed := pipelined
-	resumed.Checkpoint = &CheckpointConfig{Dir: dir, Every: 20, Resume: true}
-	got, gotW, err := TrainLinear(task, resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdenticalTail(t, "pipelined-resume", ref, got, 20)
-	for i := range refW {
-		if math.Float32bits(gotW[i]) != math.Float32bits(refW[i]) {
-			t.Fatalf("resumed final weight [%d] diverged: %x vs %x",
-				i, math.Float32bits(gotW[i]), math.Float32bits(refW[i]))
-		}
-	}
-}
-
 // TestKillResumeBitIdenticalMLP covers the same guarantee on the nonlinear
 // task (four parameter tensors, no momentum state).
 func TestKillResumeBitIdenticalMLP(t *testing.T) {

@@ -30,11 +30,6 @@ type Config struct {
 	ErrorFeedback bool
 	// Parts partitions each gradient during synchronization.
 	Parts int
-	// Pipeline tunes the live plane's pipelined send engine (per-link
-	// in-flight windows, ack batching, encode/transfer overlap). The zero
-	// value keeps sequential sends; any setting yields bit-identical
-	// training trajectories — it changes round latency, never round bytes.
-	Pipeline core.PipelineConfig
 
 	// LR is the SGD learning rate; Batch the per-worker minibatch size;
 	// Iters the iteration count.
@@ -101,7 +96,7 @@ func (c *Config) defaults() error {
 // live is the cluster configuration both training loops synchronize under.
 func (c *Config) live() core.LiveConfig {
 	return core.LiveConfig{Strategy: c.Strategy, Algo: c.Algo, Params: c.Params,
-		ErrorFeedback: c.ErrorFeedback, Parts: c.Parts, Pipeline: c.Pipeline,
+		ErrorFeedback: c.ErrorFeedback, Parts: c.Parts,
 		Telemetry: c.Telemetry, Autotune: c.Autotune}
 }
 
