@@ -82,7 +82,7 @@ bench:
 # quotes: each of core, compress, netsim and trainer may shrink below its
 # LOC_BUDGET_<pkg> (lower the budget to the new count in the PR that does it)
 # and fails the target when it grows past it.
-LOC_BUDGET_core := 6108
+LOC_BUDGET_core := 5866
 LOC_BUDGET_compress := 2862
 LOC_BUDGET_netsim := 1855
 LOC_BUDGET_trainer := 860

@@ -20,7 +20,7 @@ func dedicatedGraph(t *testing.T, w, s, elems, parts int, algo string) (*Graph, 
 		}
 		spec.WireBytes = func(e int) int64 { return int64(c.CompressedSize(e)) }
 	}
-	term, err := BuildPSDedicated(g, topo, spec)
+	term, err := BuildPS(g, topo, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,16 +59,6 @@ func TestDedicatedTerminalsCoverWorkers(t *testing.T) {
 	}
 }
 
-func TestDedicatedRejectsWrongTopology(t *testing.T) {
-	g := NewGraph()
-	if _, err := BuildPSDedicated(g, Ring(4), GradSync{Name: "g", Elems: 10}); err == nil {
-		t.Fatalf("ring topology accepted")
-	}
-	if _, err := BuildPSDedicated(g, PSBipartite(4), GradSync{Name: "g", Elems: 10}); err == nil {
-		t.Fatalf("co-located topology accepted")
-	}
-}
-
 // TestDedicatedCrossNodeEdges: live-plane invariant holds here too.
 func TestDedicatedCrossNodeEdges(t *testing.T) {
 	g, _ := dedicatedGraph(t, 3, 2, 4096, 2, "terngrad")
@@ -98,7 +88,7 @@ func TestDedicatedVsCoLocatedTiming(t *testing.T) {
 	co := xCo.Run(gCo)
 
 	gDe := NewGraph()
-	if _, err := BuildPSDedicated(gDe, PSDedicated(workers, workers), GradSync{Name: "g", Elems: 4 << 20, Parts: workers}); err != nil {
+	if _, err := BuildPS(gDe, PSDedicated(workers, workers), GradSync{Name: "g", Elems: 4 << 20, Parts: workers}); err != nil {
 		t.Fatal(err)
 	}
 	xDe, _ := NewSimExecutor(2*workers, cfg)

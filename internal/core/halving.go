@@ -39,10 +39,10 @@ func log2Exact(n int) int {
 }
 
 // BuildHalvingDoubling expands s into a recursive halving-doubling
-// synchronization DAG over topo (which must be a ring topology object used
-// purely for its node set — HD's exchange pattern needs all-to-all
-// reachability, which the timing and live planes both provide). The node
-// count must be a power of two.
+// synchronization DAG over the nodes of topo, which must be a ring of a
+// power-of-two node count. HD uses the ring for its node set only: its
+// exchanges need all-to-all reachability, which the timing and live planes
+// both provide.
 //
 // Partitioning note: HD inherently splits the gradient by node count during
 // reduce-scatter; the Parts field additionally pipelines independent HD
@@ -50,6 +50,9 @@ func log2Exact(n int) int {
 // stress different links.
 func BuildHalvingDoubling(g *Graph, topo *Topology, s GradSync) ([]int, error) {
 	n := topo.N()
+	if topo.Kind != "ring" {
+		return nil, fmt.Errorf("core: BuildHalvingDoubling on %q topology", topo.Kind)
+	}
 	d := log2Exact(n)
 	if d < 0 {
 		return nil, fmt.Errorf("core: halving-doubling needs a power-of-two node count, got %d", n)
@@ -60,26 +63,20 @@ func BuildHalvingDoubling(g *Graph, topo *Topology, s GradSync) ([]int, error) {
 	done := make([][]int, n)
 
 	for p := 0; p < s.Parts; p++ {
-		pe := partElems(s.Elems, s.Parts, p)
+		lo, hi := PartRange(s.Elems, s.Parts, p)
+		pe := hi - lo
 		if pe == 0 {
 			continue
 		}
 		// ready[v] is the task after which node v's current partial result
 		// for this partition is available.
 		ready := make([]int, n)
-		for v := 0; v < n; v++ {
-			ready[v] = s.RootDeps[v]
-		}
+		copy(ready, s.RootDeps)
 		// Exchange volume halves every reduce-scatter round.
 		half := pe / 2
 		step := 0
 		emitExchange := func(volumeElems int, phase uint8) {
-			if volumeElems < 1 {
-				volumeElems = 1
-			}
-			rawB := int64(4 * volumeElems)
-			wireB := s.wire(volumeElems)
-			sendB := wireIf(s.compressed(), rawB, wireB) * s.wscale()
+			h := s.hop(g, p, max(volumeElems, 1), phase)
 			next := make([]int, n)
 			for i := range next {
 				next[i] = -1
@@ -87,32 +84,10 @@ func BuildHalvingDoubling(g *Graph, topo *Topology, s GradSync) ([]int, error) {
 			for v := 0; v < n; v++ {
 				partner := v ^ (1 << uint(step%d))
 				// v sends its half to partner.
-				var snd int
-				if s.compressed() {
-					enc := s.add(g, &Task{Kind: KEncode, Node: v, Part: p, Step: step, Bytes: rawB, Algo: s.Algo, Phase: phase})
-					if ready[v] >= 0 {
-						g.Dep(ready[v], enc)
-					}
-					snd = s.add(g, &Task{Kind: KSend, Node: v, Peer: partner, Part: p, Step: step, Bytes: sendB, Phase: phase})
-					g.Dep(enc, snd)
-				} else {
-					snd = s.add(g, &Task{Kind: KSend, Node: v, Peer: partner, Part: p, Step: step, Bytes: sendB, Phase: phase})
-					if ready[v] >= 0 {
-						g.Dep(ready[v], snd)
-					}
-				}
-				rcv := s.add(g, &Task{Kind: KRecv, Node: partner, Peer: v, Part: p, Step: step, Bytes: sendB, Phase: phase})
-				g.Dep(snd, rcv)
-				tail := rcv
-				if s.compressed() {
-					dec := s.add(g, &Task{Kind: KDecode, Node: partner, Peer: v, Part: p, Step: step, Bytes: rawB, Algo: s.Algo, Phase: phase})
-					g.Dep(rcv, dec)
-					tail = dec
-				}
+				rcv := h.recv(h.send(h.encode(ready[v], v, step), v, partner, step))
+				tail := h.decode(rcv, step)
 				if phase == 1 {
-					mrg := s.add(g, &Task{Kind: KMerge, Node: partner, Peer: v, Part: p, Step: step, Bytes: rawB, Phase: 1})
-					g.Dep(tail, mrg)
-					tail = mrg
+					tail = h.merge(tail, partner, v, step)
 				}
 				// partner's next-round readiness depends on absorbing v's
 				// half (the -1 sentinel marks "no incoming chain yet").

@@ -342,3 +342,34 @@ func TestSimDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestSimCompWorkers pins the multicore-kernel model on a one-encode graph:
+// W ≤ 1 leaves the kernel's duration alone, and W workers split what lies
+// beyond the serial launch + dispatch overhead W ways.
+func TestSimCompWorkers(t *testing.T) {
+	g := NewGraph()
+	g.Add(&Task{Kind: KEncode, Node: 0, Bytes: 4 << 20, Algo: "onebit"})
+	makespan := func(workers int) float64 {
+		cfg := testCfg(true)
+		cfg.Dispatch, cfg.CompWorkers = 20e-6, workers
+		x, err := NewSimExecutor(1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x.Run(g).Makespan
+	}
+	cfg := testCfg(true)
+	fixed := cfg.CompDev.Launch + 20e-6
+	dur := cfg.CompDev.EncodeTime("onebit", 4<<20) + 20e-6
+	if dur <= fixed {
+		t.Fatalf("encode %.3gs does not exceed its fixed overhead %.3gs", dur, fixed)
+	}
+	for _, w := range []int{0, 1} {
+		if got := makespan(w); got != dur {
+			t.Errorf("CompWorkers=%d: makespan %.9g, want %.9g", w, got, dur)
+		}
+	}
+	if got, want := makespan(4), fixed+(dur-fixed)/4; math.Abs(got-want) > 1e-12 {
+		t.Errorf("CompWorkers=4: makespan %.9g, want %.9g", got, want)
+	}
+}

@@ -54,20 +54,6 @@ func (s *GradSync) wire(elems int) int64 {
 
 func (s *GradSync) compressed() bool { return s.Algo != "" }
 
-// partElems returns the element count of partition p under K-way chunking.
-func partElems(elems, parts, p int) int {
-	chunk := (elems + parts - 1) / parts
-	lo := p * chunk
-	hi := lo + chunk
-	if hi > elems {
-		hi = elems
-	}
-	if lo > hi {
-		return 0
-	}
-	return hi - lo
-}
-
 // PartRange returns the [lo, hi) element range of partition p, for live
 // executors that slice real gradient storage.
 func PartRange(elems, parts, p int) (lo, hi int) {
@@ -162,6 +148,64 @@ func (s *GradSync) depRoot(g *Graph, node, id int) {
 	}
 }
 
+// hop carries one partition (in halving-doubling, one exchange's slice of
+// it) through the five primitives (§3.1). Each method adds one task after
+// the task it depends on (-1: none) and returns the task its successor
+// depends on. On a raw gradient encode and decode add nothing and return
+// their input, so a builder states one composition for both paths.
+type hop struct {
+	g     *Graph
+	s     *GradSync
+	part  int
+	phase uint8
+	raw   int64 // bytes an encode reads, a decode writes and a merge adds
+	wire  int64 // bytes a send or recv carries, wire-scaled
+}
+
+func (s *GradSync) hop(g *Graph, part, elems int, phase uint8) hop {
+	return hop{g: g, s: s, part: part, phase: phase, raw: int64(4 * elems), wire: s.wire(elems) * s.wscale()}
+}
+
+func (h *hop) add(after int, t *Task) int {
+	t.Part = h.part
+	id := h.s.add(h.g, t)
+	if after >= 0 {
+		h.g.Dep(after, id)
+	}
+	return id
+}
+
+func (h *hop) encode(after, node, step int) int {
+	if !h.s.compressed() {
+		return after
+	}
+	return h.add(after, &Task{Kind: KEncode, Node: node, Step: step, Bytes: h.raw, Algo: h.s.Algo, Phase: h.phase})
+}
+
+func (h *hop) send(after, node, peer, step int) int {
+	return h.add(after, &Task{Kind: KSend, Node: node, Peer: peer, Step: step, Bytes: h.wire, Phase: h.phase})
+}
+
+// recv receives send snd: its ends swapped, its step and phase copied, so
+// a live transport pairs a frame with its task by (grad, part, step, peer).
+func (h *hop) recv(snd int) int {
+	st := h.g.Tasks[snd]
+	return h.add(snd, &Task{Kind: KRecv, Node: st.Peer, Peer: st.Node, Step: st.Step, Bytes: h.wire, Phase: st.Phase})
+}
+
+// decode runs on recv rcv's node, naming its sender as peer.
+func (h *hop) decode(rcv, step int) int {
+	if !h.s.compressed() {
+		return rcv
+	}
+	rt := h.g.Tasks[rcv]
+	return h.add(rcv, &Task{Kind: KDecode, Node: rt.Node, Peer: rt.Peer, Step: step, Bytes: h.raw, Algo: h.s.Algo, Phase: h.phase})
+}
+
+func (h *hop) merge(after, node, peer, step int) int {
+	return h.add(after, &Task{Kind: KMerge, Node: node, Peer: peer, Step: step, Bytes: h.raw, Phase: h.phase})
+}
+
 // BuildRing expands s into a CaSync-Ring synchronization DAG on topo (which
 // must be a ring) and returns, per node, the graph index of the task after
 // which that node holds the fully aggregated gradient partition set.
@@ -183,158 +227,93 @@ func BuildRing(g *Graph, topo *Topology, s GradSync) ([]int, error) {
 	done := make([][]int, n)
 
 	for p := 0; p < s.Parts; p++ {
-		pe := partElems(s.Elems, s.Parts, p)
-		if pe == 0 {
+		lo, hi := PartRange(s.Elems, s.Parts, p)
+		if lo == hi {
 			continue
 		}
-		rawB := int64(4 * pe)
-		wireB := s.wire(pe)
-		sendB := wireIf(s.compressed(), rawB, wireB) * s.wscale()
+		h := s.hop(g, p, hi-lo, 1)
 		start := (p + s.Shard) % n
 		node := func(i int) int { return (start + i) % n }
 
 		// --- phase 1: aggregation, N-1 hops ---
-		var prevSend int
-		if s.compressed() {
-			enc := s.add(g, &Task{Kind: KEncode, Node: node(0), Part: p, Step: 0, Bytes: rawB, Algo: s.Algo, Phase: 1})
-			s.depRoot(g, node(0), enc)
-			snd := s.add(g, &Task{Kind: KSend, Node: node(0), Peer: node(1), Part: p, Step: 0, Bytes: sendB, Phase: 1})
-			g.Dep(enc, snd)
-			prevSend = snd
-		} else {
-			snd := s.add(g, &Task{Kind: KSend, Node: node(0), Peer: node(1), Part: p, Step: 0, Bytes: sendB, Phase: 1})
-			s.depRoot(g, node(0), snd)
-			prevSend = snd
-		}
+		prev := h.send(h.encode(s.RootDeps[node(0)], node(0), 0), node(0), node(1), 0)
 		var lastMerge int
 		for i := 1; i < n; i++ {
 			v := node(i)
-			// The recv's Step matches its send's so live transports can pair
-			// messages to tasks by (grad, part, step, peer).
-			rcv := s.add(g, &Task{Kind: KRecv, Node: v, Peer: node(i - 1), Part: p, Step: i - 1, Bytes: sendB, Phase: 1})
-			g.Dep(prevSend, rcv)
-			mergeDep := rcv
-			if s.compressed() {
-				dec := s.add(g, &Task{Kind: KDecode, Node: v, Peer: node(i - 1), Part: p, Step: i, Bytes: rawB, Algo: s.Algo, Phase: 1})
-				g.Dep(rcv, dec)
-				mergeDep = dec
-			}
-			mrg := s.add(g, &Task{Kind: KMerge, Node: v, Peer: node(i - 1), Part: p, Step: i, Bytes: rawB, Phase: 1})
-			g.Dep(mergeDep, mrg)
-			s.depRoot(g, v, mrg)
-			lastMerge = mrg
-			if i == n-1 {
-				break
-			}
-			if s.compressed() {
-				enc := s.add(g, &Task{Kind: KEncode, Node: v, Part: p, Step: i, Bytes: rawB, Algo: s.Algo, Phase: 1})
-				g.Dep(mrg, enc)
-				snd := s.add(g, &Task{Kind: KSend, Node: v, Peer: node(i + 1), Part: p, Step: i, Bytes: sendB, Phase: 1})
-				g.Dep(enc, snd)
-				prevSend = snd
-			} else {
-				snd := s.add(g, &Task{Kind: KSend, Node: v, Peer: node(i + 1), Part: p, Step: i, Bytes: sendB, Phase: 1})
-				g.Dep(mrg, snd)
-				prevSend = snd
+			lastMerge = h.merge(h.decode(h.recv(prev), i), v, node(i-1), i)
+			s.depRoot(g, v, lastMerge)
+			if i < n-1 {
+				prev = h.send(h.encode(lastMerge, v, i), v, node(i+1), i)
 			}
 		}
 		// Node node(n-1) now holds the aggregate of partition p.
 		done[node(n-1)] = append(done[node(n-1)], lastMerge)
 
 		// --- phase 2: dissemination, N-1 hops; forwarding overlaps decode ---
-		var carry int // task holding the payload to forward
-		if s.compressed() {
-			enc := s.add(g, &Task{Kind: KEncode, Node: node(n - 1), Part: p, Step: n, Bytes: rawB, Algo: s.Algo, Phase: 2})
-			g.Dep(lastMerge, enc)
-			carry = enc
-		} else {
-			carry = lastMerge
-		}
+		h.phase = 2
+		carry := h.encode(lastMerge, node(n-1), n) // the payload to forward
 		for j := 0; j < n-1; j++ {
-			src := node(n - 1 + j)
-			dst := node(n + j)
-			snd := s.add(g, &Task{Kind: KSend, Node: src, Peer: dst, Part: p, Step: n + j, Bytes: sendB, Phase: 2, Forward: j > 0})
-			g.Dep(carry, snd)
-			rcv := s.add(g, &Task{Kind: KRecv, Node: dst, Peer: src, Part: p, Step: n + j, Bytes: sendB, Phase: 2})
-			g.Dep(snd, rcv)
-			if s.compressed() {
-				dec := s.add(g, &Task{Kind: KDecode, Node: dst, Peer: src, Part: p, Step: n + j, Bytes: rawB, Algo: s.Algo, Phase: 2})
-				g.Dep(rcv, dec)
-				done[dst] = append(done[dst], dec)
-			} else {
-				done[dst] = append(done[dst], rcv)
-			}
-			carry = rcv // forward the received payload; decode overlaps
+			snd := h.send(carry, node(n-1+j), node(n+j), n+j)
+			g.Tasks[snd].Forward = j > 0
+			carry = h.recv(snd)
+			done[node(n+j)] = append(done[node(n+j)], h.decode(carry, n+j))
 		}
 	}
 	return joinPerNode(g, &s, done), nil
 }
 
-// wireIf returns the wire size for the configured compression state.
-func wireIf(compressed bool, rawB, wireB int64) int64 {
-	if compressed {
-		return wireB
-	}
-	return rawB
-}
-
-// BuildPS expands s into a CaSync-PS synchronization DAG with co-located
-// workers and aggregators (the §6.1 deployment): partition p is owned by
-// aggregator p mod N; every worker encodes and pushes its partition, the
-// aggregator decode-merges all contributions, re-encodes the aggregate, and
-// pushes it back; workers decode. The aggregator's own contribution is
-// merged locally without encode/decode/network, which is why the evaluation
-// assigns α = 2(N-1) instead of Table 3's general 2N.
+// BuildPS expands s into a CaSync-PS synchronization DAG on topo, which is
+// PSBipartite (co-located workers and aggregators, the §6.1 deployment) or
+// PSDedicated (the general Table 3 case, α = 2N, β = K+1, γ = N+1).
+// Partition p is owned by aggregator (p + Shard) mod the aggregator count;
+// every other worker encodes and pushes its partition, the aggregator
+// decode-merges all contributions, re-encodes the aggregate, and pushes it
+// back; workers decode. A co-located aggregator merges its own contribution
+// locally without encode/decode/network, which is why the evaluation
+// assigns α = 2(N-1) instead of Table 3's general 2N; a dedicated one has
+// none.
 func BuildPS(g *Graph, topo *Topology, s GradSync) ([]int, error) {
 	n := topo.N()
-	if topo.Kind != "ps-bipartite" {
+	if topo.Kind != "ps-bipartite" && topo.Kind != "ps-dedicated" {
 		return nil, fmt.Errorf("core: BuildPS on %q topology", topo.Kind)
+	}
+	aggs, workers := 0, 0
+	for _, r := range topo.Roles {
+		if r&RoleAggregator != 0 {
+			aggs++
+		}
+		if r&RoleWorker != 0 {
+			workers++
+		}
+	}
+	if aggs == 0 || workers == 0 {
+		return nil, fmt.Errorf("core: BuildPS needs workers and aggregators")
 	}
 	if err := s.normalize(n); err != nil {
 		return nil, err
 	}
 	done := make([][]int, n)
+	var merges []int
 
 	for p := 0; p < s.Parts; p++ {
-		pe := partElems(s.Elems, s.Parts, p)
-		if pe == 0 {
+		lo, hi := PartRange(s.Elems, s.Parts, p)
+		if lo == hi {
 			continue
 		}
-		rawB := int64(4 * pe)
-		wireB := s.wire(pe)
-		sendB := wireIf(s.compressed(), rawB, wireB) * s.wscale()
-		server := (p + s.Shard) % n
+		h := s.hop(g, p, hi-lo, 1)
+		server := topo.aggregator((p + s.Shard) % aggs)
+		pushes := func(w int) bool { return w != server && topo.Roles[w]&RoleWorker != 0 }
 
 		// Push: every worker sends its partition to the server.
-		var merges []int
-		selfMerge := s.add(g, &Task{Kind: KMerge, Node: server, Peer: server, Part: p, Step: 0, Bytes: rawB, Phase: 1})
-		s.depRoot(g, server, selfMerge)
-		merges = append(merges, selfMerge)
+		merges = merges[:0]
+		if topo.Roles[server]&RoleWorker != 0 {
+			merges = append(merges, h.merge(s.RootDeps[server], server, server, 0))
+		}
 		for w := 0; w < n; w++ {
-			if w == server {
-				continue
+			if pushes(w) {
+				rcv := h.recv(h.send(h.encode(s.RootDeps[w], w, 0), w, server, 0))
+				merges = append(merges, h.merge(h.decode(rcv, 0), server, w, 0))
 			}
-			var snd int
-			if s.compressed() {
-				enc := s.add(g, &Task{Kind: KEncode, Node: w, Part: p, Step: 0, Bytes: rawB, Algo: s.Algo, Phase: 1})
-				s.depRoot(g, w, enc)
-				snd = s.add(g, &Task{Kind: KSend, Node: w, Peer: server, Part: p, Step: 0, Bytes: sendB, Phase: 1})
-				g.Dep(enc, snd)
-			} else {
-				snd = s.add(g, &Task{Kind: KSend, Node: w, Peer: server, Part: p, Step: 0, Bytes: sendB, Phase: 1})
-				s.depRoot(g, w, snd)
-			}
-			rcv := s.add(g, &Task{Kind: KRecv, Node: server, Peer: w, Part: p, Step: 0, Bytes: sendB, Phase: 1})
-			g.Dep(snd, rcv)
-			mergeDep := rcv
-			if s.compressed() {
-				dec := s.add(g, &Task{Kind: KDecode, Node: server, Peer: w, Part: p, Step: 0, Bytes: rawB, Algo: s.Algo, Phase: 1})
-				g.Dep(rcv, dec)
-				mergeDep = dec
-			}
-			mrg := s.add(g, &Task{Kind: KMerge, Node: server, Peer: w, Part: p, Step: 0, Bytes: rawB, Phase: 1})
-			g.Dep(mergeDep, mrg)
-			merges = append(merges, mrg)
 		}
 
 		// The server holds the aggregate once every contribution is merged.
@@ -352,26 +331,11 @@ func BuildPS(g *Graph, topo *Topology, s GradSync) ([]int, error) {
 		done[server] = append(done[server], aggDone)
 
 		// Pull: re-encode once, send to every other worker, workers decode.
-		carry := aggDone
-		if s.compressed() {
-			enc := s.add(g, &Task{Kind: KEncode, Node: server, Part: p, Step: 2, Bytes: rawB, Algo: s.Algo, Phase: 2})
-			g.Dep(aggDone, enc)
-			carry = enc
-		}
+		h.phase = 2
+		carry := h.encode(aggDone, server, 2)
 		for w := 0; w < n; w++ {
-			if w == server {
-				continue
-			}
-			snd := s.add(g, &Task{Kind: KSend, Node: server, Peer: w, Part: p, Step: 2, Bytes: sendB, Phase: 2})
-			g.Dep(carry, snd)
-			rcv := s.add(g, &Task{Kind: KRecv, Node: w, Peer: server, Part: p, Step: 2, Bytes: sendB, Phase: 2})
-			g.Dep(snd, rcv)
-			if s.compressed() {
-				dec := s.add(g, &Task{Kind: KDecode, Node: w, Peer: server, Part: p, Step: 2, Bytes: rawB, Algo: s.Algo, Phase: 2})
-				g.Dep(rcv, dec)
-				done[w] = append(done[w], dec)
-			} else {
-				done[w] = append(done[w], rcv)
+			if pushes(w) {
+				done[w] = append(done[w], h.decode(h.recv(h.send(carry, server, w, 2)), 2))
 			}
 		}
 	}

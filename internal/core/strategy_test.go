@@ -178,6 +178,27 @@ func TestBuildRejectsWrongTopology(t *testing.T) {
 	}
 }
 
+// TestBuildersRejectWrongTopology: each builder accepts only the topology
+// kinds it is written for; halving-doubling runs over a ring's nodes and
+// must not silently take a PS topology's aggregators into its exchanges.
+func TestBuildersRejectWrongTopology(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func(*Graph, *Topology, GradSync) ([]int, error)
+		topo  *Topology
+	}{
+		{"BuildRing", BuildRing, PSBipartite(4)},
+		{"BuildRing", BuildRing, PSDedicated(2, 2)},
+		{"BuildPS", BuildPS, Ring(4)},
+		{"BuildHalvingDoubling", BuildHalvingDoubling, PSBipartite(4)},
+		{"BuildHalvingDoubling", BuildHalvingDoubling, PSDedicated(2, 2)},
+	} {
+		if _, err := c.build(NewGraph(), c.topo, GradSync{Name: "g", Elems: 10}); err == nil {
+			t.Errorf("%s accepted a %q topology", c.name, c.topo.Kind)
+		}
+	}
+}
+
 func TestBuildRejectsEmptyGradient(t *testing.T) {
 	g := NewGraph()
 	if _, err := BuildRing(g, Ring(2), GradSync{Name: "g", Elems: 0}); err == nil {

@@ -128,25 +128,3 @@ func TestOuts(t *testing.T) {
 		t.Fatalf("Outs = %v", o)
 	}
 }
-
-func TestDOTExport(t *testing.T) {
-	g := NewGraph()
-	if _, err := BuildRing(g, Ring(3), GradSync{Name: "w", Elems: 300, Algo: "onebit"}); err != nil {
-		t.Fatal(err)
-	}
-	dot := g.DOT("ring3")
-	for _, want := range []string{"digraph", "cluster_node0", "cluster_node2", "encode", "style=dashed"} {
-		if !containsStr(dot, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, dot[:200])
-		}
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}

@@ -39,38 +39,41 @@ func (r Role) String() string {
 	}
 }
 
-// Topology is the directed communication graph decoupled from the
-// synchronization strategy (§3.1): vertices are training nodes, edges the
-// permitted communication links.
+// Topology is the node set a synchronization strategy runs over, decoupled
+// from the strategy (§3.1): it names the shape and each node's role. Who
+// sends to whom is the strategy's to decide — halving-doubling runs over a
+// ring's nodes but exchanges with v⊕2^k — so a topology keeps no edges.
 type Topology struct {
-	// Kind names the shape ("ring", "ps-bipartite") for logs and plans.
+	// Kind names the shape ("ring", "ps-bipartite", "ps-dedicated"); each
+	// builder accepts only the kinds it is written for.
 	Kind string
 	// Roles holds each node's role, indexed by node id.
 	Roles []Role
-	// Out lists, for each node, the destinations it may send to.
-	Out [][]int
 }
 
 // N returns the number of nodes.
 func (t *Topology) N() int { return len(t.Roles) }
 
-// HasEdge reports whether src may send directly to dst.
-func (t *Topology) HasEdge(src, dst int) bool {
-	for _, d := range t.Out[src] {
-		if d == dst {
-			return true
+// aggregator returns the k-th aggregator in node order, or -1.
+func (t *Topology) aggregator(k int) int {
+	for v, r := range t.Roles {
+		if r&RoleAggregator != 0 {
+			if k == 0 {
+				return v
+			}
+			k--
 		}
 	}
-	return false
+	return -1
 }
 
-// Successor returns the single outgoing neighbor of node; it panics if the
-// node's out-degree is not 1 (only rings have unique successors).
-func (t *Topology) Successor(node int) int {
-	if len(t.Out[node]) != 1 {
-		panic(fmt.Sprintf("core: node %d has %d successors, not a ring", node, len(t.Out[node])))
+// roles returns n copies of r.
+func roles(n int, r Role) []Role {
+	rs := make([]Role, n)
+	for i := range rs {
+		rs[i] = r
 	}
-	return t.Out[node][0]
+	return rs
 }
 
 // Ring builds the clockwise ring of n nodes, each both worker and
@@ -79,12 +82,7 @@ func Ring(n int) *Topology {
 	if n < 2 {
 		panic("core: ring needs at least 2 nodes")
 	}
-	t := &Topology{Kind: "ring", Roles: make([]Role, n), Out: make([][]int, n)}
-	for i := 0; i < n; i++ {
-		t.Roles[i] = RoleBoth
-		t.Out[i] = []int{(i + 1) % n}
-	}
-	return t
+	return &Topology{Kind: "ring", Roles: roles(n, RoleBoth)}
 }
 
 // PSBipartite builds a parameter-server topology with co-located workers and
@@ -95,40 +93,15 @@ func PSBipartite(n int) *Topology {
 	if n < 1 {
 		panic("core: PS needs at least 1 node")
 	}
-	t := &Topology{Kind: "ps-bipartite", Roles: make([]Role, n), Out: make([][]int, n)}
-	for i := 0; i < n; i++ {
-		t.Roles[i] = RoleBoth
-		out := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				out = append(out, j)
-			}
-		}
-		t.Out[i] = out
-	}
-	return t
+	return &Topology{Kind: "ps-bipartite", Roles: roles(n, RoleBoth)}
 }
 
 // PSDedicated builds a classic parameter-server topology with w workers and
 // s dedicated aggregator (server) nodes: workers are nodes [0,w), servers
-// [w, w+s), and edges run both directions between the two sets only.
+// [w, w+s), and workers exchange with servers only.
 func PSDedicated(w, s int) *Topology {
 	if w < 1 || s < 1 {
 		panic("core: dedicated PS needs at least 1 worker and 1 server")
 	}
-	n := w + s
-	t := &Topology{Kind: "ps-dedicated", Roles: make([]Role, n), Out: make([][]int, n)}
-	for i := 0; i < w; i++ {
-		t.Roles[i] = RoleWorker
-		for j := 0; j < s; j++ {
-			t.Out[i] = append(t.Out[i], w+j)
-		}
-	}
-	for j := 0; j < s; j++ {
-		t.Roles[w+j] = RoleAggregator
-		for i := 0; i < w; i++ {
-			t.Out[w+j] = append(t.Out[w+j], i)
-		}
-	}
-	return t
+	return &Topology{Kind: "ps-dedicated", Roles: append(roles(w, RoleWorker), roles(s, RoleAggregator)...)}
 }

@@ -25,7 +25,7 @@ func TestWorkflowValidAcrossAllStrategies(t *testing.T) {
 			return err
 		},
 		"dedicated": func(g *Graph, spec GradSync) error {
-			_, err := BuildPSDedicated(g, PSDedicated(3, 1), spec)
+			_, err := BuildPS(g, PSDedicated(3, 1), spec)
 			return err
 		},
 		"hd": func(g *Graph, spec GradSync) error {
