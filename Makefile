@@ -63,11 +63,14 @@ stress:
 # teardown: every goroutine a round starts — lane and ack workers included —
 # has exited when it returns, a backlog of acks coalesces into exactly the
 # frames its spec names, and the link table is left empty with no worker
-# counted. The round plan cache: rounds reuse one plan, a round cut off
-# part-way hands it back part-way, and the next take restores it. ≈ 1 min.
+# counted; a lane worker's one reused ack rendezvous is woken by its own
+# transfer's ack only, never by a late one of the transfer before. The round
+# plan cache: rounds reuse one plan, a round cut off part-way hands it back
+# part-way, and the next take restores it — counters, link and transfer
+# tables. ≈ 1.5 min.
 flake:
 	GOMAXPROCS=1 $(GO) test ./internal/core -run 'TestElasticRejoinLifecycle$$' -count 200
-	GOMAXPROCS=1 $(GO) test ./internal/core -run '^(TestPipelineAckWorkersExitCleanly|TestAckPlaneCoalescesBacklog|TestLinkTableRows)$$' -count 100
+	GOMAXPROCS=1 $(GO) test ./internal/core -run '^(TestPipelineAckWorkersExitCleanly|TestAckPlaneCoalescesBacklog|TestLinkTableRows|TestAckRendezvousReuse)$$' -count 100
 	GOMAXPROCS=1 $(GO) test ./internal/core -run 'TestRoundPlanReuse$$' -count 100
 
 # The gate used before committing: vet + the invariant suite + full
@@ -82,9 +85,9 @@ bench:
 # quotes: each of core, compress, netsim and trainer may shrink below its
 # LOC_BUDGET_<pkg> (lower the budget to the new count in the PR that does it)
 # and fails the target when it grows past it.
-LOC_BUDGET_core := 5866
+LOC_BUDGET_core := 5946
 LOC_BUDGET_compress := 2862
-LOC_BUDGET_netsim := 1855
+LOC_BUDGET_netsim := 1889
 LOC_BUDGET_trainer := 860
 
 loc:

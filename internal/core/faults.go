@@ -254,10 +254,11 @@ func (h *RoundHealth) String() string {
 }
 
 // transfer is a reliable round's state for one transfer, kept at its recv
-// task's id in a table indexed like the graph (liveRound.xfer): ack, guarded
-// by roundState.mu, is the sender's rendezvous — armed by deliver, closed and
-// cleared by the first ack of any attempt; seen is the receiver's dedup mark,
-// written only by the dispatcher of the recv's node.
+// task's id in a table indexed like the graph (roundPlan.xfer): ack, guarded
+// by roundState.mu, is the waiting sender's rendezvous — its lane worker's
+// one-slot channel, from arm until the first ack of any attempt or disarm;
+// seen is the receiver's dedup mark, written only by the dispatcher of the
+// recv's node.
 type transfer struct {
 	ack  chan struct{}
 	seen bool
@@ -288,30 +289,45 @@ func newRoundState(n int) *roundState {
 	return &roundState{succ: make([]int, n)}
 }
 
-// arm makes x's ack rendezvous, which settle closes.
-func (rs *roundState) arm(x *transfer) chan struct{} {
-	ch := make(chan struct{})
+// arm makes ch, the calling lane worker's one-slot channel, x's ack
+// rendezvous, which settle posts to.
+func (rs *roundState) arm(x *transfer, ch chan struct{}) {
 	rs.mu.Lock()
 	x.ack = ch
 	rs.mu.Unlock()
-	return ch
+}
+
+// disarm ends x's wait on ch: an ack settling x later posts nothing, and a
+// token posted before is drained, so ch is empty for the worker's next
+// transfer — a late ack of this one cannot wake that one.
+func (rs *roundState) disarm(x *transfer, ch chan struct{}) {
+	rs.mu.Lock()
+	x.ack = nil
+	rs.mu.Unlock()
+	select {
+	case <-ch:
+	default:
+	}
 }
 
 // settle is an ack of x, a transfer from src to dst: the first one wakes the
 // waiting sender and credits both endpoints on the success scoreboard. An
-// ack of a transfer not armed, or already settled, is ignored.
+// ack of a transfer not armed, or already settled, is ignored. The token is
+// posted under mu without blocking (only the one transfer armed on a channel
+// posts to it, once), so disarm, which clears x.ack under mu first, finds any
+// token posted for x already in the channel.
 func (rs *roundState) settle(x *transfer, src, dst int) {
 	rs.mu.Lock()
-	ch := x.ack
-	if ch != nil {
+	if ch := x.ack; ch != nil {
 		x.ack = nil
 		rs.succ[src]++
 		rs.succ[dst]++
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
 	}
 	rs.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
 }
 
 // fewerAcked returns the endpoint of from→to with strictly fewer acknowledged

@@ -325,7 +325,7 @@ func TestDeliveryPolicyAnswers(t *testing.T) {
 		// Scoreboard: node 1 has acked nothing, nodes 0 and 2 have.
 		rs := newRoundState(3)
 		x := &transfer{}
-		rs.arm(x)
+		rs.arm(x, make(chan struct{}, 1))
 		rs.settle(x, 0, 2)
 		if v, _ := hp.verdict(0, 1, 0, rs); v != -1 || hp.anyDead() {
 			t.Fatalf("static verdict at attempt 0 = %d (states %v), want -1: suspicion starts at MaxAttempts-1", v, planeStates(hp))

@@ -440,8 +440,10 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 }
 
 // roundPlan is what a round derives before its first task executes, a pure
-// function of the cluster, the epoch and the gradient shapes. A round writes
-// none of it but the graph's dependency counters, restored as it is taken.
+// function of the cluster, the epoch and the gradient shapes, and the tables a
+// round runs on. A round writes none of it but the graph's dependency
+// counters, the link table and the transfer table, all restored as it is
+// taken.
 type roundPlan struct {
 	epoch    PlanEpoch
 	names    []string // sorted
@@ -453,12 +455,15 @@ type roundPlan struct {
 	compCap  []int
 	inboxCap int
 	roots    []int
-	deps     []int // by task: its count before the round runs
+	deps     []int      // by task: its count before the round runs
+	links    []link     // by src·n+dst: the send engine's link table
+	xfer     []transfer // by recv task, on reliable rounds: the transfer table
 }
 
 // planRound returns the plan a round under ep over node 0's gradients g0 (names
-// sorted) runs on. cached serves if it was built under ep, its counters reset
-// as it is taken: the round that last held it may have stopped part-way.
+// sorted) runs on. cached serves if it was built under ep, its counters and
+// tables reset as it is taken: the round that last held it may have stopped
+// part-way.
 // Otherwise one DAG is built over every gradient, the epoch deciding partitions
 // and, by size, compress-vs-raw, with its layout.
 func (lc *LiveCluster) planRound(cached *roundPlan, ep PlanEpoch, names []string, g0 map[string][]float32) (*roundPlan, error) {
@@ -466,6 +471,10 @@ func (lc *LiveCluster) planRound(cached *roundPlan, ep PlanEpoch, names []string
 		for i, t := range cached.g.Tasks {
 			t.deps = cached.deps[i]
 		}
+		for i := range cached.links {
+			cached.links[i].reset()
+		}
+		clear(cached.xfer)
 		return cached, nil
 	}
 	g, lay := NewGraph(), newRoundLayout(len(names))
@@ -505,7 +514,11 @@ func (lc *LiveCluster) planGraph(ep PlanEpoch, g *Graph, lay *roundLayout) (*rou
 		return nil, err
 	}
 	p := &roundPlan{epoch: ep, g: g, lay: lay, recvIdx: recvIdx, roots: g.Roots(),
-		ef: make([]efName, len(g.Tasks)), deps: make([]int, len(g.Tasks))}
+		ef: make([]efName, len(g.Tasks)), deps: make([]int, len(g.Tasks)),
+		links: make([]link, lc.n*lc.n)}
+	if lc.cfg.Reliable { // acks and dedup: never touched otherwise
+		p.xfer = make([]transfer, len(g.Tasks))
+	}
 	p.compCap, p.inboxCap = queueSizes(g, lc.n, lc.cfg.Reliable)
 	for i, t := range g.Tasks {
 		p.deps[i] = t.deps
@@ -543,9 +556,6 @@ type liveRound struct {
 	rs    *roundState
 	nodes []nodeRT
 
-	// xfer, by recv task id on reliable rounds, is the transfer table.
-	xfer []transfer
-
 	reliable bool
 
 	// hp is the cluster's health plane (non-nil whenever reliable): it owns
@@ -566,7 +576,7 @@ type liveRound struct {
 	// Add can race the Wait.
 	wg sync.WaitGroup
 
-	// pipe is the send engine and its link table (pipeline.go).
+	// pipe is the send engine, running on the plan's link table (pipeline.go).
 	pipe *sendEngine
 
 	// trc/met are the observability plane (both possibly nil). Spans are
@@ -834,10 +844,7 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 		trc:       lc.cfg.Telemetry.T(),
 		met:       lc.cfg.Telemetry.M(),
 	}
-	if r.reliable { // acks and dedup: never touched otherwise
-		r.xfer = make([]transfer, len(g.Tasks))
-	}
-	r.pipe = newSendEngine(r, n, lc.cfg.Pipeline)
+	r.pipe = newSendEngine(r, n, p.links, lc.cfg.Pipeline)
 	// Re-arm the health plane: prime detectors, forgive the inter-round idle
 	// gap, start non-elastic probation trials. Under elastic membership a
 	// standing conviction is carried in instead, so the DAG routes around a
@@ -1123,16 +1130,18 @@ func (r *liveRound) sendAck(node int, msg netsim.Message) {
 // or abort via onPeerDead→fail, is then already in motion; an exhausted
 // budget with the detector still inconclusive ends in a typed
 // *PeerFailureError carrying the link's RTT evidence. Deadlines run from the
-// moment the transmit returned. The rendezvous is armed at the transfer's
-// recv task (the builders pair every send with one), where its acks settle.
-// Every wait re-arms timer, the calling lane worker's, and ends with the round:
-// an expired deadline fails it, closing doneCh.
-func (r *liveRound) deliver(t *Task, msg netsim.Message, timer *time.Timer) error {
+// moment the transmit returned. The rendezvous, w's channel, is armed at the
+// transfer's recv task (the builders pair every send with one), where its acks
+// settle, and disarmed on every return. Every wait re-arms w's timer and ends
+// with the round: an expired deadline fails it, closing doneCh.
+func (r *liveRound) deliver(t *Task, msg netsim.Message, w *laneWaiter) error {
 	if !r.reliable {
 		return r.tr.Send(msg)
 	}
 	hp := r.hp
-	ackCh := r.rs.arm(&r.xfer[r.recvIdx[wireKey{t.Grad, msg.Step, msg.To, msg.From}]])
+	x, timer := &r.xfer[r.recvIdx[wireKey{t.Grad, msg.Step, msg.To, msg.From}]], w.timer
+	r.rs.arm(x, w.ack)
+	defer r.rs.disarm(x, w.ack)
 	budget := hp.attemptBudget()
 	hedged := 0
 	for attempt := 0; attempt < budget; attempt++ {
@@ -1172,7 +1181,7 @@ func (r *liveRound) deliver(t *Task, msg netsim.Message, timer *time.Timer) erro
 			}
 			timer.Reset(wait)
 			select {
-			case <-ackCh:
+			case <-w.ack:
 				if attempt == 0 && hedged == 0 {
 					// Karn's rule: only an unambiguous first-attempt ack
 					// yields an RTT sample (a retransmitted or hedged

@@ -5,7 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -381,8 +385,8 @@ func TestAckSettlesThroughRecvIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := &liveRound{roundPlan: &roundPlan{g: g, recvIdx: recvIdx}, reliable: true,
-				rs: newRoundState(n), xfer: make([]transfer, len(g.Tasks))}
+			r := &liveRound{roundPlan: &roundPlan{g: g, recvIdx: recvIdx, xfer: make([]transfer, len(g.Tasks))},
+				reliable: true, rs: newRoundState(n)}
 
 			// Six transfers of the first recv's link: R[0] plain, R[1:4]
 			// batched, R[4] acked before it is armed; R[5] stays armed.
@@ -402,10 +406,17 @@ func TestAckSettlesThroughRecvIndex(t *testing.T) {
 			if len(R) < 6 {
 				t.Fatalf("link %d→%d carries %d transfers, want ≥ 6", g.Tasks[first].Peer, g.Tasks[first].Node, len(R))
 			}
-			armed := map[int]chan struct{}{}
+			// Each armed transfer has its own one-slot rendezvous; woke
+			// remembers the tokens expect has consumed, since a posted token
+			// wakes once.
+			armed, woke := map[int]chan struct{}{}, map[int]bool{}
+			arm := func(id int) {
+				armed[id] = make(chan struct{}, 1)
+				r.rs.arm(&r.xfer[id], armed[id])
+			}
 			for id, tk := range g.Tasks {
 				if tk.Kind == KRecv && id != R[4] {
-					armed[id] = r.rs.arm(&r.xfer[id])
+					arm(id)
 				}
 			}
 			ref := func(id int) netsim.AckRef {
@@ -438,13 +449,14 @@ func TestAckSettlesThroughRecvIndex(t *testing.T) {
 				for id, ch := range armed {
 					select {
 					case <-ch:
-						if !want[id] {
-							t.Fatalf("%s: transfer %d settled", stage, id)
-						}
+						woke[id] = true
 					default:
-						if want[id] {
-							t.Fatalf("%s: transfer %d still armed", stage, id)
-						}
+					}
+					if woke[id] && !want[id] {
+						t.Fatalf("%s: transfer %d settled", stage, id)
+					}
+					if !woke[id] && want[id] {
+						t.Fatalf("%s: transfer %d still armed", stage, id)
 					}
 				}
 				link := g.Tasks[R[0]]
@@ -475,9 +487,180 @@ func TestAckSettlesThroughRecvIndex(t *testing.T) {
 			ack(R[0], false, ref(R[2]), ref(R[3]))
 			expect("duplicate acks", R[0], R[1], R[2], R[3])
 
-			armed[R[4]] = r.rs.arm(&r.xfer[R[4]])
+			arm(R[4])
 			ack(R[4], false, ref(R[4]))
 			expect("armed after its early ack", R[0], R[1], R[2], R[3], R[4])
 		})
 	}
+}
+
+// TestAckRendezvousReuse pins the one rendezvous channel a lane worker reuses
+// for every transfer it resolves: a settle after disarm posts nothing, a late
+// settle of x1 once the channel is armed for x2 does not wake x2, x2's own
+// settle wakes it exactly once, a token posted but never taken is drained by
+// disarm, and each transfer credits the scoreboard once; deliver disarms on
+// its way out. Transfer i runs from endpoint 0 to endpoint i+1, so succ[i+1]
+// counts its credits.
+func TestAckRendezvousReuse(t *testing.T) {
+	t.Run("sequential", func(t *testing.T) {
+		rs := newRoundState(4)
+		ch := make(chan struct{}, 1)
+		var x [3]transfer
+		settle := func(i int) { rs.settle(&x[i], 0, i+1) }
+		wakes := func() int {
+			for n := 0; ; n++ {
+				select {
+				case <-ch:
+				default:
+					return n
+				}
+			}
+		}
+
+		rs.arm(&x[0], ch)
+		settle(0)
+		if n := wakes(); n != 1 {
+			t.Fatalf("x1's ack woke its sender %d times, want 1", n)
+		}
+		rs.disarm(&x[0], ch)
+		settle(0) // a hedge's or retransmit's ack, after deliver returned
+		if n := wakes(); n != 0 {
+			t.Fatalf("a settle after disarm woke the channel %d times", n)
+		}
+		rs.arm(&x[1], ch)
+		settle(0) // later still, with the channel armed for x2
+		if n := wakes(); n != 0 {
+			t.Fatalf("a late settle of x1 woke x2 %d times", n)
+		}
+		settle(1)
+		settle(1)
+		if n := wakes(); n != 1 {
+			t.Fatalf("x2's acks woke it %d times, want exactly 1", n)
+		}
+		rs.disarm(&x[1], ch)
+
+		// x3's ack lands as its deadline expires: the token stays in the
+		// channel until disarm drains it, so x3's successor starts clean.
+		rs.arm(&x[2], ch)
+		settle(2)
+		rs.disarm(&x[2], ch)
+		if len(ch) != 0 {
+			t.Fatal("disarm left a posted token for the next transfer")
+		}
+		if want := []int{3, 1, 1, 1}; !slices.Equal(rs.succ, want) {
+			t.Fatalf("scoreboard %v, want %v: each transfer credited once", rs.succ, want)
+		}
+	})
+
+	// deliver disarms on every return path: here the round is unwinding, so
+	// it returns with no ack, and that transfer's late ack must post
+	// nothing into the worker's channel for its next transfer.
+	t.Run("deliver", func(t *testing.T) {
+		const n = 3
+		g, lay := NewGraph(), newRoundLayout(1)
+		if _, err := BuildPS(g, topoFor(StrategyPS, n), lay.add("a", 96, 1, "")); err != nil {
+			t.Fatal(err)
+		}
+		recvIdx, err := indexRecvs(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := netsim.NewChanTransport(n, 16)
+		defer tr.Close()
+		r := &liveRound{roundPlan: &roundPlan{g: g, recvIdx: recvIdx, xfer: make([]transfer, len(g.Tasks))},
+			reliable: true, rs: newRoundState(n), tr: tr, doneCh: make(chan struct{}),
+			hp: newHealthPlane(n, nil, RetryPolicy{}.withDefaults(), false, nil)}
+		close(r.doneCh)
+		var send *Task
+		for _, tk := range g.Tasks {
+			if tk.Kind == KSend && send == nil {
+				send = tk
+			}
+		}
+		msg := netsim.Message{From: send.Node, To: send.Peer, Gradient: send.Grad, Step: packStep(send.Step, send.Part)}
+		id := recvIdx[wireKey{send.Grad, msg.Step, msg.To, msg.From}]
+		w := &laneWaiter{timer: time.NewTimer(time.Hour), ack: make(chan struct{}, 1)}
+		defer w.timer.Stop()
+		if err := r.deliver(send, msg, w); err != nil {
+			t.Fatal(err)
+		}
+		r.rs.settle(&r.xfer[id], msg.From, msg.To)
+		if len(w.ack) != 0 || r.xfer[id].ack != nil || r.rs.succ[msg.From] != 0 {
+			t.Fatalf("an ack after deliver returned posted %d tokens, left the transfer armed=%v, credited %d",
+				len(w.ack), r.xfer[id].ack != nil, r.rs.succ[msg.From])
+		}
+	})
+
+	// Settlers race a worker cycling through transfers on one channel,
+	// settling the one it is on, the one before (late acks) and the one after
+	// (early acks) over and over; the worker gives up on every third transfer
+	// at once, as on an expired deadline. Whenever the worker wakes, the
+	// transfer it is armed for has been credited; after every disarm the
+	// channel is empty; no transfer is credited twice.
+	t.Run("concurrent", func(t *testing.T) {
+		const transfers, settlers = 300, 3
+		rs := newRoundState(transfers + 1)
+		x := make([]transfer, transfers)
+		ch := make(chan struct{}, 1)
+		credited := func(i int) int {
+			rs.mu.Lock()
+			defer rs.mu.Unlock()
+			return rs.succ[i+1]
+		}
+		var cur atomic.Int64
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for s := 0; s < settlers; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					i := int(cur.Load())
+					for j := max(i-1, 0); j <= min(i+1, transfers-1); j++ {
+						rs.settle(&x[j], 0, j+1)
+					}
+					runtime.Gosched()
+				}
+			}()
+		}
+		wakes := 0
+		for i := range x {
+			cur.Store(int64(i))
+			rs.arm(&x[i], ch)
+			for spin := 0; i%3 != 0 && spin < 100; spin++ {
+				select {
+				case <-ch:
+					wakes++
+					if credited(i) != 1 {
+						t.Errorf("transfer %d woke its sender with %d credits", i, credited(i))
+					}
+					spin = 100
+				default:
+					runtime.Gosched()
+				}
+			}
+			rs.disarm(&x[i], ch)
+			if len(ch) != 0 {
+				t.Fatalf("disarm of transfer %d left a token for the next", i)
+			}
+		}
+		close(done)
+		wg.Wait()
+		total := 0
+		for i := range x {
+			if c := credited(i); c > 1 {
+				t.Fatalf("transfer %d credited %d times", i, c)
+			}
+			total += credited(i)
+		}
+		if rs.succ[0] != total || wakes > total {
+			t.Fatalf("sender credited %d, transfers %d, wakes %d: want sender = transfers ≥ wakes", rs.succ[0], total, wakes)
+		}
+		t.Logf("%d of %d transfers credited, %d woke their sender", total, transfers, wakes)
+	})
 }

@@ -77,13 +77,18 @@ type pendingSend struct {
 }
 
 // link is one row of a round's link table: everything the round sends from
-// src to dst. Its send lane (queue, bytes, workers, depth) is guarded by the
+// src to dst. The table belongs to the round plan and is reset as a round
+// takes it (reset), so a row's buffers and wake channel serve every round of
+// the plan. Its send lane (queue, head, workers, depth) is guarded by the
 // engine mutex; its ack queue (pending, started, wake) by the row's own mu, so
-// acking never contends with staging. seq and acks are the ack worker's own:
-// the per-link sequence number stamped into batched frames so the chaos
-// plane's per-(step, attempt) fault rolls stay fresh, and flushAcks' scratch.
+// acking never contends with staging. seq, acks, spare and refs are the ack
+// worker's own: the per-link sequence number stamped into batched frames so
+// the chaos plane's per-(step, attempt) fault rolls stay fresh, flushAcks'
+// scratch, the other half of the pending double buffer, and the slab batched
+// frames' refs are carved from.
 type link struct {
-	queue   []pendingSend
+	queue   []pendingSend // queue[head:] waits; both reset when it empties
+	head    int
 	workers int // goroutines currently resolving this lane, ≤ window
 	depth   int // high-water mark of queued + resolving
 
@@ -93,14 +98,52 @@ type link struct {
 	wake    chan struct{}
 	seq     int
 	acks    []netsim.Message
+	spare   []netsim.Message
+	refs    []netsim.AckRef
 }
 
-// sendEngine owns the link table of one round and is the only route from a
-// ready send task to the wire. Every send is released the same way: staged
-// when its dependencies clear, queued on its row, and resolved inside that
-// row's window. A send queues on row (Node, Peer) when Window ≥ 2, on row
-// (Node, Node) otherwise — no live DAG sends to itself — so the sequential
-// configuration keeps exactly the old one-send-at-a-time-per-node shape.
+// reset empties the row for the next round on its plan, keeping every buffer's
+// capacity and the wake channel: the round that last ran on it may have been
+// cut off with sends queued, acks pending and a wake token posted.
+func (l *link) reset() {
+	clear(l.queue)
+	l.queue, l.head, l.workers, l.depth = l.queue[:0], 0, 0, 0
+	l.pending, l.started, l.seq = l.pending[:0], false, 0
+	select {
+	case <-l.wake:
+	default:
+	}
+}
+
+// ackRefSlab is how many batched-ack refs a row's slab holds: a frame's refs
+// are carved from it, never reused (ChanTransport hands the slice itself to
+// the receiver), and a fresh slab replaces a spent one.
+const ackRefSlab = 256
+
+// laneWaiter is what a lane worker of a reliable round waits for acks with:
+// one timer, re-armed per wait (deliver), and one one-slot ack rendezvous
+// channel, armed per transfer. Both outlive the worker, through laneWaiters.
+type laneWaiter struct {
+	timer *time.Timer
+	ack   chan struct{}
+}
+
+// laneWaiters pools lane waiters across workers and rounds. A waiter goes
+// back with its channel empty (deliver disarms on every return) and its timer
+// possibly expired, which the next wait's stop-and-drain absorbs.
+var laneWaiters = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &laneWaiter{timer: t, ack: make(chan struct{}, 1)}
+}}
+
+// sendEngine runs one round on its plan's link table and is the only route
+// from a ready send task to the wire. Every send is released the same way:
+// staged when its dependencies clear, queued on its row, and resolved inside
+// that row's window. A send queues on row (Node, Peer) when Window ≥ 2, on
+// row (Node, Node) otherwise — no live DAG sends to itself — so the
+// sequential configuration keeps exactly the old one-send-at-a-time-per-node
+// shape.
 type sendEngine struct {
 	r        *liveRound
 	n        int
@@ -118,13 +161,15 @@ type sendEngine struct {
 	gauge *telemetry.Gauge
 }
 
-func newSendEngine(r *liveRound, n int, cfg PipelineConfig) *sendEngine {
+// newSendEngine starts the engine of round r over links, an n·n link table
+// whose rows are empty.
+func newSendEngine(r *liveRound, n int, links []link, cfg PipelineConfig) *sendEngine {
 	e := &sendEngine{
 		r:        r,
 		n:        n,
 		window:   max(cfg.Window, 1),
 		ackBatch: max(cfg.AckBatch, 1),
-		links:    make([]link, n*n),
+		links:    links,
 		began:    time.Now(), //hipress:wallclock engine-relative monotonic base for ack latencies
 	}
 	if r.met != nil {
@@ -152,8 +197,9 @@ func (e *sendEngine) submit(t *Task) error {
 	e.startNs.CompareAndSwap(0, e.sinceNs())
 	e.mu.Lock()
 	l.queue = append(l.queue, pendingSend{t: t, msg: msg, start: start})
-	l.depth = max(l.depth, len(l.queue)+l.workers)
-	for idle := len(l.queue); idle > 0 && l.workers < e.window; idle-- {
+	waiting := len(l.queue) - l.head
+	l.depth = max(l.depth, waiting+l.workers)
+	for idle := waiting; idle > 0 && l.workers < e.window; idle-- {
 		l.workers++
 		r.wg.Add(1)
 		go e.drain(l)
@@ -169,10 +215,10 @@ func (e *sendEngine) submit(t *Task) error {
 func (e *sendEngine) drain(l *link) {
 	defer e.r.wg.Done()
 	r := e.r
-	var timer *time.Timer // this worker's one ack-wait timer; deliver re-arms it per wait
+	var w *laneWaiter // this worker's ack waiter, reused for every transfer it resolves
 	if r.reliable {
-		timer = time.NewTimer(time.Hour)
-		defer timer.Stop()
+		w = laneWaiters.Get().(*laneWaiter)
+		defer laneWaiters.Put(w)
 	}
 	for {
 		unwinding := false
@@ -182,20 +228,23 @@ func (e *sendEngine) drain(l *link) {
 		default:
 		}
 		e.mu.Lock()
-		if unwinding || len(l.queue) == 0 {
+		if unwinding || l.head == len(l.queue) {
 			l.workers--
 			e.mu.Unlock()
 			return
 		}
-		p := l.queue[0]
-		l.queue = l.queue[1:]
+		p := l.queue[l.head]
+		l.queue[l.head] = pendingSend{}
+		if l.head++; l.head == len(l.queue) {
+			l.queue, l.head = l.queue[:0], 0
+		}
 		e.mu.Unlock()
 
 		in := e.inflight.Add(1)
 		if e.gauge != nil {
 			e.gauge.Set(float64(in))
 		}
-		err := r.deliver(p.t, p.msg, timer)
+		err := r.deliver(p.t, p.msg, w)
 		in = e.inflight.Add(-1)
 		if e.gauge != nil {
 			e.gauge.Set(float64(in))
@@ -264,7 +313,10 @@ func (e *sendEngine) enqueueAck(msg netsim.Message) {
 	l.pending = append(l.pending, msg)
 	start := !l.started
 	if start {
-		l.started, l.wake = true, make(chan struct{}, 1)
+		l.started = true
+		if l.wake == nil {
+			l.wake = make(chan struct{}, 1)
+		}
 	}
 	l.mu.Unlock()
 	if start {
@@ -278,12 +330,11 @@ func (e *sendEngine) enqueueAck(msg netsim.Message) {
 }
 
 // runAcks is one row's ack worker: swap out the pending queue, flush it,
-// sleep until woken; the flushed slice is the next swap's empty queue. It
-// exits when the round unwinds (unflushed acks are then moot — every deliver
-// waiter unblocks on doneCh).
+// sleep until woken; the flushed slice, kept in the row's spare, is the next
+// swap's empty queue. It exits when the round unwinds (unflushed acks are
+// then moot — every deliver waiter unblocks on doneCh).
 func (e *sendEngine) runAcks(l *link) {
 	defer e.r.wg.Done()
-	var spare []netsim.Message
 	for {
 		select {
 		case <-e.r.doneCh:
@@ -293,9 +344,9 @@ func (e *sendEngine) runAcks(l *link) {
 		for {
 			l.mu.Lock()
 			batch := l.pending
-			l.pending = spare[:0]
+			l.pending = l.spare[:0]
 			l.mu.Unlock()
-			spare = batch
+			l.spare = batch
 			if len(batch) == 0 {
 				break
 			}
@@ -337,9 +388,13 @@ func (e *sendEngine) flushAcks(l *link, msgs []netsim.Message) {
 			}
 			continue
 		}
-		// Fresh per frame: ChanTransport hands this slice itself to the
+		// Carved, never reused: ChanTransport hands this slice itself to the
 		// receiver, which reads it after Send returns.
-		refs := make([]netsim.AckRef, n)
+		if len(l.refs) < n {
+			l.refs = make([]netsim.AckRef, max(n, ackRefSlab))
+		}
+		refs := l.refs[:n:n]
+		l.refs = l.refs[n:]
 		for i, m := range chunk {
 			refs[i] = netsim.AckRef{Gradient: m.Gradient, Step: m.Step, Attempt: m.Attempt}
 		}

@@ -178,7 +178,7 @@ func (g *gatedTransport) frames() []netsim.Message {
 func TestAckPlaneCoalescesBacklog(t *testing.T) {
 	gt := newGatedTransport()
 	r := &liveRound{tr: gt, rs: &roundState{}, doneCh: make(chan struct{})}
-	a := newSendEngine(r, 2, PipelineConfig{AckBatch: 4})
+	a := newSendEngine(r, 2, make([]link, 4), PipelineConfig{AckBatch: 4})
 
 	ack := func(grad string, step int) netsim.Message {
 		return netsim.Message{From: 1, To: 0, Gradient: grad, Step: step, Attempt: 1, Ack: true}
@@ -356,7 +356,7 @@ func TestLinkTableRows(t *testing.T) {
 func TestHeartbeatFromUnknownNodeIgnored(t *testing.T) {
 	gt := newGatedTransport()
 	r := &liveRound{tr: gt, rs: &roundState{}, doneCh: make(chan struct{})}
-	r.pipe = newSendEngine(r, 2, PipelineConfig{})
+	r.pipe = newSendEngine(r, 2, make([]link, 4), PipelineConfig{})
 	for _, from := range []int{-1, 2, 1 << 20} {
 		r.dispatchMsg(&nodeRT{id: 0}, &netsim.Message{From: from, To: 0, Gradient: "hb", Heartbeat: true})
 	}

@@ -13,7 +13,9 @@ import (
 // takePlan takes lc's cached plan through the constructor a round takes it
 // through, for a round over g0 under the active epoch, checks that every task
 // then holds its saved dependency count and that the saved counts are a freshly
-// built graph's, and puts the plan back.
+// built graph's, that every link row is empty — no queued send, no worker, no
+// pending ack or wake token, no ack worker started, sequence 0 — and the
+// transfer table zeroed, and puts the plan back.
 func takePlan(t *testing.T, lc *LiveCluster, g0 map[string][]float32) *roundPlan {
 	t.Helper()
 	cached := lc.plan.Swap(nil)
@@ -37,7 +39,35 @@ func takePlan(t *testing.T, lc *LiveCluster, g0 map[string][]float32) *roundPlan
 			t.Fatalf("task %d taken with %d deps, saved %d, a fresh graph's %d", i, tk.deps, p.deps[i], fresh.g.Tasks[i].deps)
 		}
 	}
+	for i := range p.links {
+		if l := &p.links[i]; len(l.queue) != 0 || l.head != 0 || l.workers != 0 || l.depth != 0 ||
+			len(l.pending) != 0 || len(l.wake) != 0 || l.started || l.seq != 0 {
+			t.Fatalf("link row %d taken with %d queued (head %d), %d workers, depth %d, %d acks pending, %d wake tokens, started=%v, seq %d",
+				i, len(l.queue), l.head, l.workers, l.depth, len(l.pending), len(l.wake), l.started, l.seq)
+		}
+	}
+	for i, x := range p.xfer {
+		if x != (transfer{}) {
+			t.Fatalf("transfer %d taken as %+v, want zero", i, x)
+		}
+	}
 	return p
+}
+
+// planDirty reports whether a round left anything in p's link or transfer
+// table for the next take to reset.
+func planDirty(p *roundPlan) bool {
+	for i := range p.links {
+		if l := &p.links[i]; l.depth != 0 || l.started || l.seq != 0 || len(l.queue) != 0 {
+			return true
+		}
+	}
+	for _, x := range p.xfer {
+		if x != (transfer{}) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestRoundPlanConcurrentRounds: rounds running at once on one cluster never
@@ -80,15 +110,21 @@ func TestRoundPlanConcurrentRounds(t *testing.T) {
 // left them and the next take restores; an epoch activation (also one that
 // keeps the Version), a changed length and a changed name set each build a new
 // plan; and a round cut off part-way leaves nothing behind that changes what
-// the next round computes.
+// the next round computes — neither in the DAG's counters nor in the link and
+// transfer tables the plan carries, over the zero pipeline and a windowed,
+// ack-batching one.
 func TestRoundPlanReuse(t *testing.T) {
 	const n = 3
 	sizes := map[string]int{"w1": 700, "w2": 64, "w3": 300}
 	for _, strat := range []Strategy{StrategyPS, StrategyRing} {
-		for _, reliable := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/reliable=%v", strat, reliable), func(t *testing.T) {
+		for _, c := range []struct {
+			reliable bool
+			pipe     PipelineConfig
+			suffix   string
+		}{{false, PipelineConfig{}, ""}, {true, PipelineConfig{}, ""}, {true, PipelineConfig{Window: 4, AckBatch: 4}, "/w4-ackbatch4"}} {
+			t.Run(fmt.Sprintf("%v/reliable=%v%s", strat, c.reliable, c.suffix), func(t *testing.T) {
 				cfg := LiveConfig{Strategy: strat, Parts: 2, Algo: "dgc", Params: compress.Params{"ratio": 0.25},
-					Reliable: reliable, RoundTimeout: 10 * time.Second,
+					Reliable: c.reliable, Pipeline: c.pipe, RoundTimeout: 10 * time.Second,
 					Retry: RetryPolicy{MaxAttempts: 8, BaseBackoff: 20 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}}
 				lc, err := NewLiveCluster(n, cfg)
 				if err != nil {
@@ -152,6 +188,9 @@ func TestRoundPlanReuse(t *testing.T) {
 				}
 				if !partWay {
 					t.Fatal("the failed round left every counter at its saved value: nothing here tests the reset")
+				}
+				if !planDirty(p) {
+					t.Fatal("the failed round left its link and transfer tables empty: nothing here tests their reset")
 				}
 				takePlan(t, lc, grads[0])
 				if err := lc.SetChaos(nil); err != nil {

@@ -28,7 +28,8 @@ func FuzzFrameDecode(f *testing.F) {
 	// differently (payload without a name, name without a payload, a
 	// size-class-exact payload, a batch carrying a name of its own) — plus
 	// malformed ones (empty, truncated header, bad version, bad flags,
-	// gradient length past the body, a data frame with the batch bit forced).
+	// gradient length past the body, a data frame with the batch bit forced,
+	// a batch claiming 65,535 refs in 14 bytes).
 	seeds := []struct {
 		msg Message
 		gen uint32
@@ -74,6 +75,7 @@ func FuzzFrameDecode(f *testing.F) {
 	batchBit := encodeFrame(seeds[0].msg, 1)[4:]
 	batchBit[31] |= 4 // gradient payload parsed as an ack batch
 	f.Add(restamp(batchBit))
+	f.Add(hostileAckBatch()) // a batch count past what its bytes hold
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		msg, gen, err := decodeFrame(frame)

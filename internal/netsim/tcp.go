@@ -321,6 +321,7 @@ type TCPTransport struct {
 
 	redialCtr atomic.Uint64
 	stats     TCPStats // fields updated atomically
+	names     nameTable
 
 	once sync.Once
 	wg   sync.WaitGroup
@@ -345,6 +346,7 @@ func NewTCPTransportOpts(n, capacity int, opts TCPOptions) (*TCPTransport, error
 		genCtr:    map[[2]int]uint32{},
 		lastGen:   map[[2]int]uint32{},
 		accepted:  map[net.Conn]bool{},
+		names:     nameTable{m: map[string]string{}},
 	}
 	for i := 0; i < n; i++ {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -475,7 +477,7 @@ func (t *TCPTransport) readLoop(node int, conn net.Conn) {
 			"connection generations accepted over a superseded stream")
 	}
 
-	fr := frameReader{r: conn, maxLen: t.opts.MaxFrameLen}
+	fr := frameReader{r: conn, maxLen: t.opts.MaxFrameLen, names: &t.names}
 	corrupt := 0 // consecutive undecodable frame bodies on this stream
 	for {
 		if d := t.opts.IdleReadTimeout; d > 0 {
@@ -624,10 +626,19 @@ func appendAckBatch(dst []byte, refs []AckRef) []byte {
 	return dst
 }
 
+// errAckBatchCount rejects a batch whose count claims more than its bytes hold.
+var errAckBatchCount = errors.New("netsim: ack batch claims more entries than its bytes hold")
+
+// ackRefSlab is how many refs a fresh slab of a stream's batched-ack refs holds.
+const ackRefSlab = 128
+
 // decodeAckBatch parses a batched-ack payload, rejecting non-canonical
 // encodings (zero entries, truncation, trailing bytes) so accepted batch
-// frames round-trip exactly. Gradient names go through intern.
-func decodeAckBatch(b []byte, intern func([]byte) string) ([]AckRef, error) {
+// frames round-trip exactly. Gradient names go through names; the refs are
+// carved from *slab (a fresh one when it runs short) and never handed out
+// twice. The count is checked against the bytes left — an entry takes at
+// least 12 — before any is reserved: a corrupt count claims up to 65,535.
+func decodeAckBatch(b []byte, names *nameTable, slab *[]AckRef) ([]AckRef, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("netsim: ack batch truncated: %d bytes", len(b))
 	}
@@ -635,7 +646,13 @@ func decodeAckBatch(b []byte, intern func([]byte) string) ([]AckRef, error) {
 	if count == 0 {
 		return nil, fmt.Errorf("netsim: ack batch with zero entries")
 	}
-	refs := make([]AckRef, 0, count)
+	if count > (len(b)-2)/12 {
+		return nil, errAckBatchCount
+	}
+	if len(*slab) < count {
+		*slab = make([]AckRef, max(count, ackRefSlab))
+	}
+	refs := (*slab)[:0:count]
 	off := 2
 	for i := 0; i < count; i++ {
 		if off+12 > len(b) {
@@ -647,13 +664,38 @@ func decodeAckBatch(b []byte, intern func([]byte) string) ([]AckRef, error) {
 		if off+12+gradLen > len(b) {
 			return nil, fmt.Errorf("netsim: ack batch entry %d/%d gradient length %d exceeds payload", i, count, gradLen)
 		}
-		refs = append(refs, AckRef{Gradient: intern(b[off+12 : off+12+gradLen]), Step: step, Attempt: attempt})
+		refs = append(refs, AckRef{Gradient: names.intern(b[off+12 : off+12+gradLen]), Step: step, Attempt: attempt})
 		off += 12 + gradLen
 	}
 	if off != len(b) {
 		return nil, fmt.Errorf("netsim: ack batch with %d trailing bytes", len(b)-off)
 	}
+	*slab = (*slab)[count:]
 	return refs, nil
+}
+
+// nameTable interns gradient names for every read loop of one transport, so
+// a name is allocated once per transport rather than once per stream.
+type nameTable struct {
+	mu sync.RWMutex
+	m  map[string]string
+}
+
+// intern returns b as a string, allocating only the first time the table
+// sees the name.
+func (nt *nameTable) intern(b []byte) string {
+	nt.mu.RLock()
+	s, ok := nt.m[string(b)]
+	nt.mu.RUnlock()
+	if !ok {
+		nt.mu.Lock()
+		if s, ok = nt.m[string(b)]; !ok {
+			s = string(b)
+			nt.m[s] = s
+		}
+		nt.mu.Unlock()
+	}
+	return s
 }
 
 // frameError is a frame rejected by validation (as opposed to an I/O error
@@ -673,26 +715,14 @@ func (e *frameError) Unwrap() error { return e.err }
 // gradient payload is read straight into an arena buffer that holds payload
 // bytes only (so a power-of-two payload stays in its own size class) and
 // that the returned Message owns through its Lease. Ack, heartbeat and
-// ack-batch frames lease nothing.
+// ack-batch frames lease nothing; a batch's refs are carved from the stream's
+// slab.
 type frameReader struct {
 	r       io.Reader
-	maxLen  int               // MaxFrameLen: cap on the claimed length, checked before any read
-	scratch []byte            // prefix + header + name (+ ack batch) of the current frame
-	names   map[string]string // gradient names seen on this stream, interned
-}
-
-// intern returns b as a string, allocating only the first time a name is
-// seen on this stream.
-func (fr *frameReader) intern(b []byte) string {
-	if s, ok := fr.names[string(b)]; ok {
-		return s
-	}
-	if fr.names == nil {
-		fr.names = map[string]string{}
-	}
-	s := string(b)
-	fr.names[s] = s
-	return s
+	maxLen  int        // MaxFrameLen: cap on the claimed length, checked before any read
+	scratch []byte     // prefix + header + name (+ ack batch) of the current frame
+	names   *nameTable // the transport's; a reader without one makes its own
+	refs    []AckRef   // slab batched acks' refs are carved from
 }
 
 // next reads and validates one frame, returning the message and the session
@@ -704,6 +734,9 @@ func (fr *frameReader) next() (Message, uint32, error) {
 	const fixed = 4 + frameHdrLen
 	if cap(fr.scratch) < fixed {
 		fr.scratch = make([]byte, fixed, 256)
+	}
+	if fr.names == nil {
+		fr.names = &nameTable{m: map[string]string{}}
 	}
 	// One read normally brings the prefix and the fixed header together (the
 	// sender writes them in one piece), but the prefix alone is enough to
@@ -763,7 +796,7 @@ func (fr *frameReader) next() (Message, uint32, error) {
 		lease.Release()
 		return Message{}, 0, &frameError{framed: true, err: fmt.Errorf("netsim: frame checksum %08x != computed %08x", fsum, got)}
 	}
-	msg, gen, err := decodeFrameHead(b, gradLen, fr.intern)
+	msg, gen, err := decodeFrameHead(b, gradLen, fr.names, &fr.refs)
 	if err != nil {
 		lease.Release()
 		return Message{}, 0, &frameError{framed: true, err: err}
@@ -778,8 +811,9 @@ func (fr *frameReader) next() (Message, uint32, error) {
 // decodeFrameHead decodes a checksum-verified frame head — length prefix,
 // fixed header, gradLen bytes of gradient name and, under the batch flag,
 // the batched acknowledgement — into a Message without its payload, plus
-// the session generation the frame was encoded under.
-func decodeFrameHead(b []byte, gradLen int, intern func([]byte) string) (Message, uint32, error) {
+// the session generation the frame was encoded under. Names go through names,
+// and a batch's refs are carved from *slab.
+func decodeFrameHead(b []byte, gradLen int, names *nameTable, slab *[]AckRef) (Message, uint32, error) {
 	const fixed = 4 + frameHdrLen
 	if len(b) < fixed+gradLen {
 		return Message{}, 0, fmt.Errorf("netsim: truncated frame head: %d bytes < %d", len(b), fixed+gradLen)
@@ -794,7 +828,7 @@ func decodeFrameHead(b []byte, gradLen int, intern func([]byte) string) (Message
 	msg := Message{
 		From:      int(int32(binary.LittleEndian.Uint32(b[13:]))),
 		To:        int(int32(binary.LittleEndian.Uint32(b[17:]))),
-		Gradient:  intern(b[fixed : fixed+gradLen]),
+		Gradient:  names.intern(b[fixed : fixed+gradLen]),
 		Step:      int(int64(binary.LittleEndian.Uint64(b[21:]))),
 		Attempt:   int(binary.LittleEndian.Uint16(b[33:])),
 		Ack:       flags&1 != 0,
@@ -802,7 +836,7 @@ func decodeFrameHead(b []byte, gradLen int, intern func([]byte) string) (Message
 		Sum:       binary.LittleEndian.Uint32(b[29:]),
 	}
 	if flags&4 != 0 {
-		refs, err := decodeAckBatch(b[fixed+gradLen:], intern)
+		refs, err := decodeAckBatch(b[fixed+gradLen:], names, slab)
 		if err != nil {
 			return Message{}, 0, err
 		}

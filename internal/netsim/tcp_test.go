@@ -302,6 +302,38 @@ func TestFrameCodecAckBatch(t *testing.T) {
 	}
 }
 
+// hostileAckBatch is a batched-ack frame body (no length prefix) with a valid
+// checksum whose count claims 65,535 refs in a 14-byte batch — room for one.
+func hostileAckBatch() []byte {
+	body := encodeFrame(Message{From: 2, To: 1, Ack: true, AckBatch: []AckRef{{Step: 7}}}, 1)[4:]
+	binary.LittleEndian.PutUint16(body[frameHdrLen:], 0xffff)
+	binary.LittleEndian.PutUint32(body[0:], crc32.ChecksumIEEE(body[4:]))
+	return body
+}
+
+// TestAckBatchCountCheckedBeforeReserve: a batch's count is validated
+// against the bytes left before any ref is reserved, so the hostile frame is
+// rejected at no cost — no slab, no allocation at all in the batch decoder.
+func TestAckBatchCountCheckedBeforeReserve(t *testing.T) {
+	body := hostileAckBatch()
+	if batch := body[frameHdrLen:]; len(batch) != 14 {
+		t.Fatalf("hostile batch is %d bytes, want 14", len(batch))
+	}
+	if _, _, err := decodeFrame(body); !errors.Is(err, errAckBatchCount) {
+		t.Fatalf("hostile ack batch: err = %v, want %v", err, errAckBatchCount)
+	}
+	names := nameTable{m: map[string]string{}}
+	var slab []AckRef
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := decodeAckBatch(body[frameHdrLen:], &names, &slab); err != errAckBatchCount {
+			t.Fatalf("hostile ack batch: err = %v, want %v", err, errAckBatchCount)
+		}
+	})
+	if allocs != 0 || slab != nil {
+		t.Fatalf("rejecting the hostile batch cost %.0f allocations and a %d-ref slab, want none", allocs, cap(slab))
+	}
+}
+
 func TestHelloCodecProperties(t *testing.T) {
 	for _, tc := range []struct {
 		src int
