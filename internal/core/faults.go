@@ -211,8 +211,11 @@ type RoundHealth struct {
 	MaxLinkQueueDepth int
 	// AckBatched counts acknowledgements delivered inside coalesced
 	// multi-ack frames (Pipeline.AckBatch ≥ 2); each batched frame
-	// contributes its member count.
+	// contributes its member count. A bulk frame's one ack is not counted
+	// here (BulkFrames counts those frames).
 	AckBatched int64
+	// BulkFrames counts data frames sent carrying two or more transfers.
+	BulkFrames int64
 	// SlowPeers lists peers the health plane classified Slow at round end
 	// (srtt above slowFactor × the cluster median), ascending.
 	SlowPeers []int
@@ -256,9 +259,9 @@ func (h *RoundHealth) String() string {
 // transfer is a reliable round's state for one transfer, kept at its recv
 // task's id in a table indexed like the graph (roundPlan.xfer): ack, guarded
 // by roundState.mu, is the waiting sender's rendezvous — its lane worker's
-// one-slot channel, from arm until the first ack of any attempt or disarm;
-// seen is the receiver's dedup mark, written only by the dispatcher of the
-// recv's node.
+// one-slot channel (a bulk frame's transfers share one), from arm until the
+// first ack of any attempt or disarm; seen is the receiver's dedup mark,
+// written only by the dispatcher of the recv's node.
 type transfer struct {
 	ack  chan struct{}
 	seen bool
@@ -282,6 +285,7 @@ type roundState struct {
 	excludedContribs int64
 	hedges           int64
 	ackBatched       int64
+	bulkFrames       int64
 	renormalized     int32
 }
 
@@ -310,12 +314,24 @@ func (rs *roundState) disarm(x *transfer, ch chan struct{}) {
 	}
 }
 
+// settled reports whether every transfer of batch has been acknowledged.
+func (rs *roundState) settled(batch []pendingSend) bool {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for i := range batch {
+		if batch[i].x.ack != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // settle is an ack of x, a transfer from src to dst: the first one wakes the
 // waiting sender and credits both endpoints on the success scoreboard. An
 // ack of a transfer not armed, or already settled, is ignored. The token is
-// posted under mu without blocking (only the one transfer armed on a channel
-// posts to it, once), so disarm, which clears x.ack under mu first, finds any
-// token posted for x already in the channel.
+// posted under mu without blocking (one post per armed transfer; of transfers
+// sharing a channel, the waiter checks which settled), so disarm, which clears
+// x.ack under mu first, finds any token posted for x already in the channel.
 func (rs *roundState) settle(x *transfer, src, dst int) {
 	rs.mu.Lock()
 	if ch := x.ack; ch != nil {
@@ -373,5 +389,6 @@ func (rs *roundState) health(reliable bool, elapsed time.Duration) *RoundHealth 
 		Renormalized:     atomic.LoadInt32(&rs.renormalized) != 0,
 		Hedges:           atomic.LoadInt64(&rs.hedges),
 		AckBatched:       atomic.LoadInt64(&rs.ackBatched),
+		BulkFrames:       atomic.LoadInt64(&rs.bulkFrames),
 	}
 }

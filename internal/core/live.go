@@ -32,12 +32,9 @@ import (
 // round resets only its dependency counters. Every goroutine a round starts
 // counts in one WaitGroup, and its deadline ends it like any failure.
 //
-// The fault plane (faults.go) extends this with deadline-aware reliable
-// delivery: sends are acknowledged-or-retried with capped exponential
-// backoff, receivers deduplicate idempotently, payloads are checksummed,
-// rounds carry a context deadline, and a peer that stops responding is
-// convicted by a success-scoreboard failure detector and either excluded
-// (renormalized merge) or surfaced as a typed error per policy.
+// The fault plane (faults.go) adds reliable delivery: acknowledged-or-retried
+// sends, idempotent dedup, checksummed payloads, and a failure detector whose
+// convicted peer is excluded (renormalized merge) or surfaced as a typed error.
 
 // LiveConfig configures a live cluster. Which fields constrain which is
 // defined in one place, Validate.
@@ -845,6 +842,9 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 		met:       lc.cfg.Telemetry.M(),
 	}
 	r.pipe = newSendEngine(r, n, p.links, lc.cfg.Pipeline)
+	if tcpTr != nil {
+		r.pipe.frameCap = tcpTr.MaxFrameLen()
+	}
 	// Re-arm the health plane: prime detectors, forgive the inter-round idle
 	// gap, start non-elastic probation trials. Under elastic membership a
 	// standing conviction is carried in instead, so the DAG routes around a
@@ -921,6 +921,7 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 			msg.Lease.Release()
 		}
 	}
+	r.pipe.close()
 
 	health := r.rs.health(r.reliable, time.Since(started)) //hipress:wallclock round-duration telemetry for RoundHealth
 	health.EpochVersion = p.epoch.Version
@@ -1052,6 +1053,33 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 		}
 		return true
 	}
+	if len(msg.Bulk) == 0 {
+		return r.recvData(rt, msg, &msg.Lease, nil)
+	}
+	// A bulk frame: every entry is handled as a classic frame, and the good
+	// ones' acks queue at once, a backlog the ack worker coalesces.
+	var acks *[]netsim.Message
+	if r.reliable && msg.From >= 0 && msg.From < r.pipe.n {
+		acks = &r.pipe.links[rt.id*r.pipe.n+msg.From].bulkAcks
+		*acks = (*acks)[:0]
+	}
+	for _, e := range msg.Bulk {
+		m := netsim.Message{From: msg.From, To: msg.To, Gradient: e.Gradient, Step: e.Step,
+			Attempt: msg.Attempt, Sum: e.Sum, Payload: e.Payload}
+		if !r.recvData(rt, &m, &msg.Lease, acks) {
+			return false
+		}
+	}
+	if acks != nil {
+		r.pipe.enqueueAck(*acks...)
+	}
+	return true
+}
+
+// recvData handles a data message (a classic frame, or a bulk frame's entry)
+// whose payload lease owns, acking it at once or, for a bulk frame's, into
+// *acks; it returns false once the round has failed.
+func (r *liveRound) recvData(rt *nodeRT, msg *netsim.Message, lease *kernels.Lease, acks *[]netsim.Message) bool {
 	// TCP's frame check already read the payload; only chan's is read here.
 	sum, ok := msg.PayloadCRC()
 	if !ok {
@@ -1079,17 +1107,21 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 		return false
 	}
 	if r.reliable {
-		if r.xfer[id].seen {
-			// Duplicate (retransmission or injected dup): re-ack, discard.
+		dup := r.xfer[id].seen
+		r.xfer[id].seen = true
+		if acks == nil {
+			r.sendAck(rt.id, *msg)
+		} else {
+			*acks = append(*acks, ackOf(rt.id, msg))
+		}
+		if dup {
+			// Duplicate (retransmission or injected dup): re-acked, discard.
 			atomic.AddInt64(&r.rs.duplicates, 1)
 			if r.trc.Enabled() {
 				r.traceEvent(fmt.Sprintf("dup-drop %s←%d", msg.Gradient, msg.From), "dedup", rt.id)
 			}
-			r.sendAck(rt.id, *msg)
 			return true
 		}
-		r.xfer[id].seen = true
-		r.sendAck(rt.id, *msg)
 	}
 	r.gmu.Lock()
 	done := r.completed[id]
@@ -1099,7 +1131,7 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 	}
 	t := r.g.Tasks[id]
 	start := r.trc.Now()
-	if err := r.execRecv(rt, t, msg); err != nil {
+	if err := r.execRecv(rt, t, msg, lease); err != nil {
 		r.fail(err)
 		return false
 	}
@@ -1108,123 +1140,154 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 	return true
 }
 
-// sendAck acknowledges a transfer asynchronously (a blocked ack must not
-// stall the dispatcher, or two full inboxes could deadlock each other).
-// Delivery goes through the ack queue of the link's row in the link table —
-// one bounded worker per row instead of one goroutine per ack — which coalesces
-// backlogged acks into batched frames when Pipeline.AckBatch allows. A lost
-// ack (queue overflow, transport error) is recovered by the sender's retry
-// plus the receiver's dedup re-ack.
+// sendAck acknowledges a transfer asynchronously (a blocked ack must not stall
+// the dispatcher, or two full inboxes could deadlock each other), through the
+// ack queue of the link's row (enqueueAck). A lost ack (queue overflow,
+// transport error) is recovered by the sender's retry and the dedup re-ack.
 func (r *liveRound) sendAck(node int, msg netsim.Message) {
-	r.pipe.enqueueAck(netsim.Message{From: node, To: msg.From, Gradient: msg.Gradient,
-		Step: msg.Step, Attempt: msg.Attempt, Ack: true})
+	r.pipe.enqueueAck(ackOf(node, &msg))
 }
 
-// deliver settles send task t's staged transfer: fire-and-forget on an
-// unreliable round, otherwise through the live plane's one
-// acknowledged-or-retried delivery loop: transmit, wait out the attempt's
-// deadline for the ack, retransmit with a fresh attempt number. The health plane's policy (static RetryPolicy or
-// adaptive, see the table in health.go) supplies the attempt budget, each
-// deadline, the point inside it where one budget-gated hedge may go out, and
-// the verdict when it expires. A conviction resolves the send — degradation,
-// or abort via onPeerDead→fail, is then already in motion; an exhausted
-// budget with the detector still inconclusive ends in a typed
-// *PeerFailureError carrying the link's RTT evidence. Deadlines run from the
-// moment the transmit returned. The rendezvous, w's channel, is armed at the
-// transfer's recv task (the builders pair every send with one), where its acks
-// settle, and disarmed on every return. Every wait re-arms w's timer and ends
-// with the round: an expired deadline fails it, closing doneCh.
-func (r *liveRound) deliver(t *Task, msg netsim.Message, w *laneWaiter) error {
+// ackOf is node's ack of data message msg.
+func ackOf(node int, msg *netsim.Message) netsim.Message {
+	return netsim.Message{From: node, To: msg.From, Gradient: msg.Gradient, Step: msg.Step, Attempt: msg.Attempt, Ack: true}
+}
+
+// deliver settles a lane batch's staged transfers, msg their first attempt (a
+// bulk frame for two or more): fire-and-forget on an unreliable round,
+// otherwise through the one acknowledged-or-retried delivery loop (attempt),
+// retrying what the first attempt leaves unacknowledged alone, in lane order,
+// from attempt 1, unless a late ack settled it meanwhile. An exhausted budget
+// with the detector inconclusive ends in a *PeerFailureError with the link's
+// RTT evidence. w's channel is armed at each transfer's recv task, so a
+// batch-mate's late ack may wake a lone retry, whose wait then runs on
+// (attempt checks what settled), and disarmed on every return.
+func (r *liveRound) deliver(batch []pendingSend, msg netsim.Message, w *laneWaiter) error {
 	if !r.reliable {
 		return r.tr.Send(msg)
 	}
-	hp := r.hp
-	x, timer := &r.xfer[r.recvIdx[wireKey{t.Grad, msg.Step, msg.To, msg.From}]], w.timer
-	r.rs.arm(x, w.ack)
-	defer r.rs.disarm(x, w.ack)
-	budget := hp.attemptBudget()
+	rs := r.rs
+	for i := range batch {
+		rs.arm(batch[i].x, w.ack)
+	}
+	defer func() {
+		for i := range batch {
+			rs.disarm(batch[i].x, w.ack)
+		}
+	}()
+	if settled, stop := r.attempt(batch, msg, 0, w); settled || stop {
+		return nil
+	}
+	budget := r.hp.attemptBudget()
+	for i := range batch {
+		if rs.settled(batch[i : i+1]) {
+			continue // settled by a late ack of the bulk frame
+		}
+		for attempt := 1; ; attempt++ {
+			if attempt == budget {
+				ev := r.hp.evidence(msg.From, msg.To)
+				return &PeerFailureError{Node: msg.From, Peer: msg.To, Attempts: budget,
+					LastRTT: ev.LastRTT, SamplesSeen: ev.Samples, Phi: ev.Phi, Reconnects: ev.Reconnects,
+					Reason: "no acknowledgement within the attempt budget and the failure detector stayed inconclusive"}
+			}
+			settled, stop := r.attempt(batch[i:i+1], batch[i].msg, attempt, w)
+			if stop {
+				return nil
+			}
+			if settled {
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// attempt transmits msg, attempt number attempt of batch's transfers, and
+// waits on w for all their acks. The health plane's policy supplies the
+// deadline (from the transmit's return), a hedge point and the verdict on
+// expiry. stop reports the batch moot: a peer dead or convicted (degradation
+// or abort already in motion), or the round unwinding.
+func (r *liveRound) attempt(batch []pendingSend, msg netsim.Message, attempt int, w *laneWaiter) (settled, stop bool) {
+	hp, timer := r.hp, w.timer
+	if hp.isDead(msg.To) || hp.isDead(msg.From) {
+		return false, true // degraded: the merge barrier accounts the exclusion
+	}
+	msg.Attempt = attempt
+	if attempt > 0 {
+		atomic.AddInt64(&r.rs.retries, 1)
+		if r.trc.Enabled() {
+			r.traceEvent(fmt.Sprintf("retry %s→%d #%d", msg.Gradient, msg.To, attempt), "retry", msg.From)
+		}
+	}
+	sentAt := hp.clock()
+	if err := r.tr.Send(msg); err != nil {
+		select {
+		case <-r.doneCh:
+			return false, true // round already unwinding
+		default:
+			// Transient transport error (e.g. TCP write timeout against
+			// a stalled peer): a failed attempt, waited out like any.
+			r.noteSendError(msg, err)
+		}
+	}
+	wait := hp.attemptDeadline(msg.From, msg.To, attempt)
+	rest := time.Duration(0)
+	if hedgeAt := hp.hedgePoint(msg.From, msg.To, wait); hedgeAt >= 0 {
+		wait, rest = hedgeAt, wait-hedgeAt
+	}
 	hedged := 0
-	for attempt := 0; attempt < budget; attempt++ {
-		if hp.isDead(msg.To) || hp.isDead(msg.From) {
-			return nil // degraded: the merge barrier accounts the exclusion
-		}
-		msg.Attempt = attempt
-		if attempt > 0 {
-			atomic.AddInt64(&r.rs.retries, 1)
-			if r.trc.Enabled() {
-				r.traceEvent(fmt.Sprintf("retry %s→%d #%d", msg.Gradient, msg.To, attempt), "retry", msg.From)
-			}
-		}
-		sentAt := hp.clock()
-		if err := r.tr.Send(msg); err != nil {
+	for {
+		if !timer.Stop() { // go.mod's go 1.22: an expiry may still sit in C
 			select {
-			case <-r.doneCh:
-				return nil // round already unwinding
+			case <-timer.C:
 			default:
-				// Transient transport error (e.g. TCP write timeout against
-				// a stalled peer): a failed attempt, waited out like any.
-				r.noteSendError(msg, err)
 			}
 		}
-		// The deadline is waited in one leg, or in two around the hedge.
-		wait := hp.attemptDeadline(msg.From, msg.To, attempt)
-		rest := time.Duration(0)
-		if hedgeAt := hp.hedgePoint(msg.From, msg.To, wait); hedgeAt >= 0 {
-			wait, rest = hedgeAt, wait-hedgeAt
-		}
-		for {
-			if !timer.Stop() { // go.mod's go 1.22: an expiry may still sit in C
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(wait)
+		timer.Reset(wait)
+		for expired := false; !expired; {
 			select {
 			case <-w.ack:
+				if !r.rs.settled(batch) {
+					continue // a bulk frame's ack left some unsettled: the leg runs on
+				}
 				if attempt == 0 && hedged == 0 {
 					// Karn's rule: only an unambiguous first-attempt ack
 					// yields an RTT sample (a retransmitted or hedged
 					// transfer's ack could belong to any copy). The
-					// autotuner shares the samples, paired with the payload
-					// size, to fit per-link send curves.
+					// autotuner shares the samples, paired with the frame's
+					// payload size, to fit per-link send curves.
 					rtt := hp.clock() - sentAt
 					hp.observeRTT(msg.From, msg.To, rtt)
 					if at := r.lc.cfg.Autotune; at != nil {
-						at.ObserveLink(msg.From, msg.To, len(msg.Payload), rtt)
+						at.ObserveLink(msg.From, msg.To, msg.PayloadLen(), rtt)
 					}
 				}
-				return nil
+				return true, false
 			case <-r.doneCh:
-				return nil // round unwinding: the send is moot
+				return false, true // round unwinding: the send is moot
 			case <-timer.C:
+				expired = true
 			}
-			if rest == 0 {
-				break
+		}
+		if rest == 0 {
+			break
+		}
+		if r.rs.takeHedge() {
+			hm := msg
+			hm.Attempt = hedgeAttempt(attempt, hedged)
+			hedged++
+			if r.trc.Enabled() {
+				r.traceEvent(fmt.Sprintf("hedge %s→%d", msg.Gradient, msg.To), "hedge", msg.From)
 			}
-			if r.rs.takeHedge() {
-				hm := msg
-				hm.Attempt = hedgeAttempt(attempt, hedged)
-				hedged++
-				if r.trc.Enabled() {
-					r.traceEvent(fmt.Sprintf("hedge %s→%d", msg.Gradient, msg.To), "hedge", msg.From)
-				}
-				_ = r.tr.Send(hm) // best-effort: the original is still in flight
-			}
-			wait, rest = rest, 0
+			_ = r.tr.Send(hm) // best-effort: the original is still in flight
 		}
-		victim, newly := hp.verdict(msg.From, msg.To, attempt, r.rs)
-		if newly {
-			r.onPeerDead(victim)
-		}
-		if victim >= 0 {
-			return nil
-		}
+		wait, rest = rest, 0
 	}
-	ev := hp.evidence(msg.From, msg.To)
-	return &PeerFailureError{Node: msg.From, Peer: msg.To, Attempts: budget,
-		LastRTT: ev.LastRTT, SamplesSeen: ev.Samples, Phi: ev.Phi, Reconnects: ev.Reconnects,
-		Reason: "no acknowledgement within the attempt budget and the failure detector stayed inconclusive"}
+	victim, newly := hp.verdict(msg.From, msg.To, attempt, r.rs)
+	if newly {
+		r.onPeerDead(victim)
+	}
+	return false, victim >= 0
 }
 
 // noteSendError classifies a transport Send failure. The socket plane's
@@ -1521,13 +1584,11 @@ func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, codec compress.Compresso
 // stageSend builds the wire message for a send task. No payload is copied: a
 // forwarded frame and a compressed payload live in the round lease, immutable
 // once produced, and a raw send's payload is the byte view of the partition's
-// accumulator — final by the time any send of it is ready (the
-// sends-follow-merges invariant, see merge) — or, on a node nothing was merged
-// into, of the caller's own local[lo:hi], which the round only reads; the first
-// send stages it in out like an encode's. Nor is one checksummed twice: the sum
-// is taken where the payload was made and reused by every send of it (the PS
-// pull fan-out), by a ring forward (the sum its frame was verified against)
-// and, through the message's payload-CRC cache, by the TCP frame checksum.
+// accumulator — final once any send of it is ready (see merge) — or of the
+// caller's own local[lo:hi] on a node nothing was merged into; the first send
+// stages it in out like an encode's. Nor is one checksummed twice: the sum is
+// taken where the payload was made and reused by every send of it, by a ring
+// forward, and through the payload-CRC cache by the TCP frame checksum.
 func (r *liveRound) stageSend(rt *nodeRT, t *Task) (netsim.Message, error) {
 	lc := r.lc
 	var w wireBuf
@@ -1569,15 +1630,16 @@ func (r *liveRound) stageSend(rt *nodeRT, t *Task) (netsim.Message, error) {
 // execRecv stores a received payload and, for uncompressed dissemination,
 // writes the result directly. The stored payload is referenced until the
 // round tears down (merge, decode, ring forwarding), so the buffer the
-// transport leased for it joins the round lease here.
-func (r *liveRound) execRecv(rt *nodeRT, t *Task, msg *netsim.Message) error {
+// transport leased for it — lease, a bulk frame's one for all its entries,
+// adopted by the first one kept — joins the round lease here.
+func (r *liveRound) execRecv(rt *nodeRT, t *Task, msg *netsim.Message, lease *kernels.Lease) error {
 	payload := msg.Payload
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	gl := &r.lay.grads[t.GradIdx]
 	raw := gl.algo == ""
 	*rt.inbox(t, t.Peer) = wireBuf{b: payload, sum: msg.Sum, ready: raw} // the dispatcher verified Sum
-	rt.lease.Adopt(&msg.Lease)
+	rt.lease.Adopt(lease)
 	if raw {
 		// Raw payloads must reinterpret exactly: reject truncated or
 		// padded frames up front with a descriptive error.

@@ -581,7 +581,7 @@ func TestAckRendezvousReuse(t *testing.T) {
 		id := recvIdx[wireKey{send.Grad, msg.Step, msg.To, msg.From}]
 		w := &laneWaiter{timer: time.NewTimer(time.Hour), ack: make(chan struct{}, 1)}
 		defer w.timer.Stop()
-		if err := r.deliver(send, msg, w); err != nil {
+		if err := r.deliver([]pendingSend{{t: send, msg: msg, x: &r.xfer[id]}}, msg, w); err != nil {
 			t.Fatal(err)
 		}
 		r.rs.settle(&r.xfer[id], msg.From, msg.To)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,33 +11,24 @@ import (
 )
 
 // This file is the live plane's pipelined send engine, whose lanes are each
-// node's communication queue (Q_commu). A sequential send loop resolved one
-// send at a time — transmit, wait for the ack, move on — so a round's
-// communication floor was the per-node *sum* of serialization plus ack RTT.
-// The engine splits every send into two halves:
+// node's communication queue (Q_commu). It splits every send in two halves:
 //
 //   stage   — reference the payload bytes (encode output, forwarded frame,
 //             or the raw accumulator itself) on the goroutine that completed
 //             the send's last dependency, and queue it on its lane;
 //   resolve — transmit and wait for acknowledgement on a lane worker, with
-//             up to Window transfers of one directed link in flight at once.
+//             up to Window batches of one directed link in flight at once,
+//             a batch being the lane's backlog to one peer in one frame.
 //
 // Bit-identity needs no copy at staging: a payload is final once its send's
-// dependencies clear — no merge follows a send of the same partition
-// (live.go, merge) — however long the transfer then sits in a window.
-// Resolution is the one delivery loop (scoreboard, RTO, φ-accrual, hedges),
-// so health semantics are identical on every lane shape; only the
-// concurrency of waiting differs. The ordered barrier merge on the receive
-// side already makes result bytes independent of arrival order, which is why
-// completion order across a window cannot affect them.
+// dependencies clear (live.go, merge), however long it then waits, and the
+// ordered barrier merge on the receive side makes result bytes independent of
+// completion order; resolution is the one delivery loop on every lane shape.
 //
-// What a round sends from a to b — staged transfers and acks — queues in
-// row (a, b) of one link table. Buffer lifetimes need no new machinery: every
-// staged payload lives in the round lease or in the caller's gradients, and
-// the lease is released only after every goroutine of the round, lane and ack
-// workers included, has left the round's one WaitGroup — the "retrying sender
-// still references them" discipline simply generalizes to W outstanding
-// payloads.
+// What a round sends from a to b — staged transfers and acks — queues in row
+// (a, b) of one link table. Every staged payload lives in the round lease or
+// in the caller's gradients, and the lease is released only after every
+// goroutine of the round has left the round's one WaitGroup.
 
 // PipelineConfig tunes the live plane's send pipeline and ack path
 // (LiveConfig.Pipeline). The zero value reproduces the sequential engine,
@@ -44,53 +36,79 @@ import (
 // settings of reliable rounds (Validate), since what a window overlaps is
 // ack waits.
 type PipelineConfig struct {
-	// Window is the per-directed-link sliding window: how many transfers of
-	// one src→dst link may be in flight (transmitted, awaiting ack) at
-	// once. ≤ 1 keeps the classic sequential behavior — one send lane per
-	// node, one transfer at a time. ≥ 2 gives every directed link its own
-	// lane with Window slots, so serialization and ack RTTs overlap both
-	// across links and within one link. Result bytes are identical for
-	// every Window (see the bit-identity notes above).
+	// Window is the per-directed-link sliding window: how many batches (a
+	// lane's backlog to one peer in one frame, see bulkBytes) of one src→dst
+	// link may await their acks at once. ≤ 1 keeps the sequential shape — one
+	// send lane per node, one batch at a time; ≥ 2 gives every directed link
+	// its own lane with Window slots, so serialization and ack RTTs overlap
+	// across and within links. Result bytes are identical for every Window.
 	Window int
 	// AckBatch bounds receiver-side ack aggregation: when a link's ack
 	// worker finds several acknowledgements pending (a backlog the windowed
 	// sender creates naturally), up to AckBatch of them coalesce into one
 	// frame carrying per-transfer keys. ≤ 1 sends one frame per ack. An
 	// idle link still acks immediately — batches only form under backlog,
-	// so single-transfer RTT evidence is undistorted.
+	// so single-transfer RTT evidence is undistorted. A bulk frame's acks
+	// queue together, so they coalesce too.
 	AckBatch int
-	// OverlapEncode is ignored: staging always runs ahead of the window (a
-	// send is staged once its dependencies clear, however full its window).
-	// It once chose whether staging waited for a window slot, which bounded
-	// staged-but-unsent payload copies; staging copies nothing now, so the
-	// wait bounded no memory the round lease does not. The field stays only
-	// because bench/ names it — ROADMAP Benchmark v2 (e) deletes it.
+	// OverlapEncode is ignored: staging always runs ahead of the window, and
+	// copies nothing. The field stays only because bench/ names it — ROADMAP
+	// Benchmark v2 (e) deletes it.
 	OverlapEncode bool
 }
 
 // pendingSend is one staged transfer queued on a lane: the graph task, the
-// fully built wire message, and the trace timestamp taken when staging began.
+// wire message, when staging began, and (if reliable) its transfer entry.
 type pendingSend struct {
 	t     *Task
 	msg   netsim.Message
 	start float64
+	x     *transfer
+}
+
+// bulkBytes bounds the payloads one bulk frame carries (link.take): about a
+// loopback round trip at the stream rate (DESIGN.md, "Bulk rule").
+const bulkBytes = 64 << 10
+
+// slab carves disjoint runs from one array, none twice in a round (a transport
+// may hand a run itself to the receiver), reused once release clears it; a run
+// that does not fit starts a fresh array twice the size.
+type slab[T any] struct {
+	buf []T
+	off int
+}
+
+func (s *slab[T]) carve(n int) []T {
+	if s.off+n > len(s.buf) {
+		s.buf, s.off = make([]T, max(2*len(s.buf), n, 16)), 0
+	}
+	run := s.buf[s.off : s.off+n : s.off+n]
+	s.off += n
+	return run
+}
+
+// release drops what the runs reference and reclaims the array.
+func (s *slab[T]) release() {
+	clear(s.buf[:s.off])
+	s.off = 0
 }
 
 // link is one row of a round's link table: everything the round sends from
 // src to dst. The table belongs to the round plan and is reset as a round
-// takes it (reset), so a row's buffers and wake channel serve every round of
-// the plan. Its send lane (queue, head, workers, depth) is guarded by the
-// engine mutex; its ack queue (pending, started, wake) by the row's own mu, so
-// acking never contends with staging. seq, acks, spare and refs are the ack
-// worker's own: the per-link sequence number stamped into batched frames so
-// the chaos plane's per-(step, attempt) fault rolls stay fresh, flushAcks'
-// scratch, the other half of the pending double buffer, and the slab batched
-// frames' refs are carved from.
+// takes it. Its send lane (queue to entries) is guarded by the engine mutex,
+// its ack queue (pending, started, wake) by the row's own mu. seq, acks,
+// spare and refs are the ack worker's own: the sequence number stamped into
+// batched frames so chaos fault rolls stay fresh, flushAcks' scratch, the
+// pending double buffer's other half and a ref slab; bulkAcks, where src's
+// dispatcher gathers a bulk frame's acks, is its own. drainFn and ackFn start
+// workers on eng, the round's engine.
 type link struct {
 	queue   []pendingSend // queue[head:] waits; both reset when it empties
 	head    int
 	workers int // goroutines currently resolving this lane, ≤ window
 	depth   int // high-water mark of queued + resolving
+	sends   slab[pendingSend]
+	entries slab[netsim.BulkEntry]
 
 	mu      sync.Mutex
 	pending []netsim.Message
@@ -99,7 +117,11 @@ type link struct {
 	seq     int
 	acks    []netsim.Message
 	spare   []netsim.Message
-	refs    []netsim.AckRef
+	refs    slab[netsim.AckRef]
+
+	bulkAcks       []netsim.Message
+	eng            *sendEngine
+	drainFn, ackFn func()
 }
 
 // reset empties the row for the next round on its plan, keeping every buffer's
@@ -115,22 +137,47 @@ func (l *link) reset() {
 	}
 }
 
-// ackRefSlab is how many batched-ack refs a row's slab holds: a frame's refs
-// are carved from it, never reused (ChanTransport hands the slice itself to
-// the receiver), and a fresh slab replaces a spent one.
-const ackRefSlab = 256
+// take pops the non-empty lane's next batch — its head and each following
+// send to the same peer while their payloads stay within bulkBytes, the count
+// within a frame's u16 and the bulk frame within frameCap — and the frame its
+// first attempt transmits (a bulk frame for two or more). The caller holds
+// the engine mutex.
+func (l *link) take(frameCap int) ([]pendingSend, netsim.Message) {
+	q := l.queue[l.head:]
+	k, size, names := 1, len(q[0].msg.Payload), len(q[0].msg.Gradient)
+	for ; k < len(q) && k < 1<<16-1 && q[k].msg.To == q[0].msg.To; k++ {
+		m := &q[k].msg
+		if size+len(m.Payload) > bulkBytes ||
+			netsim.BulkFrameLen(q[0].msg.Gradient, k+1, names+len(m.Gradient), size+len(m.Payload)) > frameCap {
+			break
+		}
+		size, names = size+len(m.Payload), names+len(m.Gradient)
+	}
+	batch, msg := l.sends.carve(k), q[0].msg
+	copy(batch, q[:k])
+	clear(q[:k])
+	if l.head += k; l.head == len(l.queue) {
+		l.queue, l.head = l.queue[:0], 0
+	}
+	if k > 1 {
+		entries := l.entries.carve(k)
+		for i := range batch {
+			entries[i] = batch[i].msg.Entry()
+		}
+		msg = netsim.Message{From: msg.From, To: msg.To, Gradient: msg.Gradient, Step: msg.Step, Bulk: entries}
+	}
+	return batch, msg
+}
 
 // laneWaiter is what a lane worker of a reliable round waits for acks with:
-// one timer, re-armed per wait (deliver), and one one-slot ack rendezvous
-// channel, armed per transfer. Both outlive the worker, through laneWaiters.
+// one timer and one one-slot ack rendezvous channel, pooled (laneWaiters).
 type laneWaiter struct {
 	timer *time.Timer
 	ack   chan struct{}
 }
 
-// laneWaiters pools lane waiters across workers and rounds. A waiter goes
-// back with its channel empty (deliver disarms on every return) and its timer
-// possibly expired, which the next wait's stop-and-drain absorbs.
+// laneWaiters pools lane waiters across workers and rounds. A waiter goes back
+// with its channel empty (deliver disarms on every return).
 var laneWaiters = sync.Pool{New: func() any {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
@@ -138,17 +185,16 @@ var laneWaiters = sync.Pool{New: func() any {
 }}
 
 // sendEngine runs one round on its plan's link table and is the only route
-// from a ready send task to the wire. Every send is released the same way:
-// staged when its dependencies clear, queued on its row, and resolved inside
-// that row's window. A send queues on row (Node, Peer) when Window ≥ 2, on
-// row (Node, Node) otherwise — no live DAG sends to itself — so the
-// sequential configuration keeps exactly the old one-send-at-a-time-per-node
-// shape.
+// from a ready send task to the wire: staged when its dependencies clear,
+// queued on its row, resolved inside that row's window. A send queues on row
+// (Node, Peer) when Window ≥ 2, on row (Node, Node) otherwise — no live DAG
+// sends to itself — one lane per node.
 type sendEngine struct {
 	r        *liveRound
 	n        int
 	window   int
 	ackBatch int
+	frameCap int // the longest frame the transport carries (link.take)
 
 	mu    sync.Mutex // guards every row's send lane
 	links []link     // by src·n+dst
@@ -162,15 +208,24 @@ type sendEngine struct {
 }
 
 // newSendEngine starts the engine of round r over links, an n·n link table
-// whose rows are empty.
+// whose rows are empty; frames of any length fit until frameCap is set.
 func newSendEngine(r *liveRound, n int, links []link, cfg PipelineConfig) *sendEngine {
 	e := &sendEngine{
 		r:        r,
 		n:        n,
 		window:   max(cfg.Window, 1),
 		ackBatch: max(cfg.AckBatch, 1),
+		frameCap: math.MaxInt,
 		links:    links,
 		began:    time.Now(), //hipress:wallclock engine-relative monotonic base for ack latencies
+	}
+	for i := range links {
+		l := &links[i]
+		l.eng = e
+		if l.drainFn == nil {
+			l.drainFn = func() { l.eng.drain(l) }
+			l.ackFn = func() { l.eng.runAcks(l) }
+		}
 	}
 	if r.met != nil {
 		e.gauge = r.met.Gauge(MetricLiveInflight,
@@ -193,25 +248,29 @@ func (e *sendEngine) submit(t *Task) error {
 	if e.window > 1 {
 		dst = t.Peer
 	}
+	p := pendingSend{t: t, msg: msg, start: start}
+	if r.reliable {
+		p.x = &r.xfer[r.recvIdx[wireKey{t.Grad, msg.Step, msg.To, msg.From}]]
+	}
 	l := &e.links[t.Node*e.n+dst]
 	e.startNs.CompareAndSwap(0, e.sinceNs())
 	e.mu.Lock()
-	l.queue = append(l.queue, pendingSend{t: t, msg: msg, start: start})
+	l.queue = append(l.queue, p)
 	waiting := len(l.queue) - l.head
 	l.depth = max(l.depth, waiting+l.workers)
 	for idle := waiting; idle > 0 && l.workers < e.window; idle-- {
 		l.workers++
 		r.wg.Add(1)
-		go e.drain(l)
+		go l.drainFn()
 	}
 	e.mu.Unlock()
 	return nil
 }
 
 // drain is one window slot's worker: it resolves staged transfers in lane
-// FIFO order and exits when the lane empties or the round unwinds. Workers
-// per lane never exceed the window, so at most Window transfers of one lane
-// are between transmit and ack at any moment.
+// FIFO order, a batch at a time (link.take), and exits when the lane empties
+// or the round unwinds. Workers per lane never exceed the window, so at most
+// Window batches of one lane are between transmit and ack at any moment.
 func (e *sendEngine) drain(l *link) {
 	defer e.r.wg.Done()
 	r := e.r
@@ -233,19 +292,18 @@ func (e *sendEngine) drain(l *link) {
 			e.mu.Unlock()
 			return
 		}
-		p := l.queue[l.head]
-		l.queue[l.head] = pendingSend{}
-		if l.head++; l.head == len(l.queue) {
-			l.queue, l.head = l.queue[:0], 0
-		}
+		batch, msg := l.take(e.frameCap)
 		e.mu.Unlock()
+		if len(msg.Bulk) > 0 {
+			atomic.AddInt64(&r.rs.bulkFrames, 1)
+		}
 
-		in := e.inflight.Add(1)
+		in := e.inflight.Add(int64(len(batch)))
 		if e.gauge != nil {
 			e.gauge.Set(float64(in))
 		}
-		err := r.deliver(p.t, p.msg, w)
-		in = e.inflight.Add(-1)
+		err := r.deliver(batch, msg, w)
+		in = e.inflight.Add(-int64(len(batch)))
 		if e.gauge != nil {
 			e.gauge.Set(float64(in))
 		}
@@ -254,8 +312,10 @@ func (e *sendEngine) drain(l *link) {
 			r.fail(err) // closes doneCh: the next iteration unwinds
 			continue
 		}
-		r.traceTask(p.t, p.start)
-		r.completeTask(p.t.ID)
+		for i := range batch {
+			r.traceTask(batch[i].t, batch[i].start)
+			r.completeTask(batch[i].t.ID)
+		}
 	}
 }
 
@@ -294,23 +354,25 @@ func (e *sendEngine) maxDepth() int {
 // recover it, exactly like a wire loss.
 const ackQueueCap = 1024
 
-// enqueueAck hands an outbound ack or heartbeat echo to its row's ack queue
-// — the row of the link it travels, the reverse of the transfer it acks —
-// never blocking the calling dispatcher (a blocked ack path could deadlock
-// two full inboxes against each other). One worker per row transmits,
-// started lazily here and counted in the round's WaitGroup: a dispatcher is
-// itself counted there, so its Add cannot race the teardown's Wait.
-func (e *sendEngine) enqueueAck(msg netsim.Message) {
-	if msg.To < 0 || msg.To >= e.n {
+// enqueueAck hands outbound acks of one link (a bulk frame's all at once) or
+// a heartbeat echo to its row's ack queue — the row of the link they travel,
+// the reverse of the transfers they ack — never blocking the calling
+// dispatcher (a blocked ack path could deadlock two full inboxes against each
+// other). One worker per row transmits, started lazily here and counted in
+// the round's WaitGroup: a dispatcher is itself counted there, so its Add
+// cannot race the teardown's Wait.
+func (e *sendEngine) enqueueAck(msgs ...netsim.Message) {
+	if len(msgs) == 0 || msgs[0].To < 0 || msgs[0].To >= e.n {
 		return // a probe from no node of this round (a foreign TCP peer's frame): no row to answer on
 	}
-	l := &e.links[msg.From*e.n+msg.To]
+	l := &e.links[msgs[0].From*e.n+msgs[0].To]
 	l.mu.Lock()
-	if len(l.pending) >= ackQueueCap {
+	room := ackQueueCap - len(l.pending)
+	if room <= 0 {
 		l.mu.Unlock()
 		return // overload: drop, sender-side retry recovers
 	}
-	l.pending = append(l.pending, msg)
+	l.pending = append(l.pending, msgs[:min(len(msgs), room)]...)
 	start := !l.started
 	if start {
 		l.started = true
@@ -321,7 +383,7 @@ func (e *sendEngine) enqueueAck(msg netsim.Message) {
 	l.mu.Unlock()
 	if start {
 		e.r.wg.Add(1)
-		go e.runAcks(l)
+		go l.ackFn()
 	}
 	select {
 	case l.wake <- struct{}{}:
@@ -388,13 +450,7 @@ func (e *sendEngine) flushAcks(l *link, msgs []netsim.Message) {
 			}
 			continue
 		}
-		// Carved, never reused: ChanTransport hands this slice itself to the
-		// receiver, which reads it after Send returns.
-		if len(l.refs) < n {
-			l.refs = make([]netsim.AckRef, max(n, ackRefSlab))
-		}
-		refs := l.refs[:n:n]
-		l.refs = l.refs[n:]
+		refs := l.refs.carve(n)
 		for i, m := range chunk {
 			refs[i] = netsim.AckRef{Gradient: m.Gradient, Step: m.Step, Attempt: m.Attempt}
 		}
@@ -405,5 +461,18 @@ func (e *sendEngine) flushAcks(l *link, msgs []netsim.Message) {
 		if err := r.tr.Send(batched); err != nil {
 			r.noteSendError(batched, err)
 		}
+	}
+}
+
+// close, after teardown, clears what each row holds of the round — its engine
+// and what its slabs reference — so the cached plan keeps no round alive.
+func (e *sendEngine) close() {
+	for i := range e.links {
+		l := &e.links[i]
+		l.eng = nil
+		l.sends.release()
+		l.entries.release()
+		l.refs.release()
+		clear(l.bulkAcks[:cap(l.bulkAcks)])
 	}
 }

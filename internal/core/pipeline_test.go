@@ -36,7 +36,8 @@ func wireChaosTCP() *netsim.TCPOptions {
 // TestPipelineWindowBitIdentity is the send engine's acceptance table: for
 // each strategy and algorithm, every (window, transport) arm — including real
 // TCP and TCP under wire chaos — must produce per-round digests byte-identical
-// to the classic sequential engine on the chan transport. Result bytes are a
+// to the classic sequential engine on the chan transport, and the chan and
+// TCP arms must do so with bulk frames on the wire. Result bytes are a
 // pure function of the plan epoch; the window, ack batching, and completion
 // order never leak into them — nor, for the stochastic compressors (terngrad,
 // graddrop), into the random draws: each encode's stream is keyed by (round,
@@ -102,6 +103,17 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 						}
 						if health.MaxLinkQueueDepth < 1 {
 							t.Fatalf("round reported no lane occupancy: %+v", health)
+						}
+						// Staging outruns the wire: a node's encodes queue
+						// sends behind the transfer its lane is resolving,
+						// and the lane ships such a backlog to one peer as
+						// one bulk frame.
+						var bulk int64
+						for _, h := range healths {
+							bulk += h.BulkFrames
+						}
+						if tr.name != "tcpchaos" && bulk == 0 {
+							t.Fatalf("no bulk frame formed in %d backlogged rounds", rounds)
 						}
 					})
 				}
@@ -285,7 +297,7 @@ func buildRound(t *testing.T, lc *LiveCluster, grads []map[string][]float32) *ro
 // sends queued on exactly the diagonal rows (v, v) in the per-node shape and
 // on exactly the DAG's send links otherwise; acks queued on exactly the
 // reversed links of acked transfers, never on the diagonal; and, after
-// teardown, every queue empty and no worker counted on any row.
+// teardown, every queue empty, no worker counted and no engine kept on any row.
 func TestLinkTableRows(t *testing.T) {
 	const n = 3
 	// No retransmit can fire in these clean rounds, so no duplicate re-ack
@@ -340,9 +352,9 @@ func TestLinkTableRows(t *testing.T) {
 					if l.started != wantAcks || (key.Src == key.Dst && l.started) {
 						t.Errorf("row %v carried acks = %v, want %v", key, l.started, wantAcks)
 					}
-					if len(l.queue) != 0 || l.workers != 0 || len(l.pending) != 0 {
-						t.Errorf("row %v after teardown: %d queued, %d workers, %d acks pending",
-							key, len(l.queue), l.workers, len(l.pending))
+					if len(l.queue) != 0 || l.workers != 0 || len(l.pending) != 0 || l.eng != nil {
+						t.Errorf("row %v after teardown: %d queued, %d workers, %d acks pending, engine kept %v",
+							key, len(l.queue), l.workers, len(l.pending), l.eng != nil)
 					}
 				}
 			})

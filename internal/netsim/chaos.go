@@ -195,12 +195,8 @@ func (t *ChaosTransport) Send(msg Message) error {
 		atomic.AddInt64(&t.stats.Dropped, 1)
 		return nil
 	}
-	if lf.Corrupt > 0 && len(msg.Payload) > 0 && roll(t.hashMsg(saltCorr, msg)) < lf.Corrupt {
-		p := append([]byte(nil), msg.Payload...)
-		idx := int(t.hashMsg(saltByte, msg) % uint64(len(p)))
-		p[idx] ^= 0x5a
-		msg.Payload = p
-		msg.crcOK = false // the cached CRC describes the bytes before the flip
+	if lf.Corrupt > 0 && msg.PayloadLen() > 0 && roll(t.hashMsg(saltCorr, msg)) < lf.Corrupt {
+		msg = corrupted(msg, t.hashMsg(saltByte, msg))
 		atomic.AddInt64(&t.stats.Corrupted, 1)
 	}
 
@@ -223,10 +219,10 @@ func (t *ChaosTransport) Send(msg Message) error {
 		delay = time.Duration(1+t.hashMsg(saltDur, msg)%4) * time.Millisecond
 	}
 
-	if lf.Bandwidth > 0 && len(msg.Payload) > 0 {
+	if size := msg.PayloadLen(); lf.Bandwidth > 0 && size > 0 {
 		// Serialize the payload onto the link: it occupies the pipe for
 		// size/bandwidth, queued FIFO behind whatever is already in flight.
-		ser := time.Duration(float64(len(msg.Payload)) / lf.Bandwidth * float64(time.Second))
+		ser := time.Duration(float64(size) / lf.Bandwidth * float64(time.Second))
 		l := Link{Src: msg.From, Dst: msg.To}
 		now := time.Now() //hipress:wallclock bandwidth-pipe occupancy is real-time by design
 		t.bwMu.Lock()
@@ -260,6 +256,25 @@ func (t *ChaosTransport) Send(msg Message) error {
 	}
 	t.deliver(msg, dup)
 	return nil
+}
+
+// corrupted returns msg with payload byte h mod msg.PayloadLen() (across bulk
+// entries) flipped in a copy of that payload and entries, its CRC cache cleared.
+func corrupted(msg Message, h uint64) Message {
+	idx := int(h % uint64(msg.PayloadLen()))
+	p, cached := &msg.Payload, &msg.crcOK
+	if len(msg.Bulk) > 0 {
+		msg.Bulk = append([]BulkEntry(nil), msg.Bulk...)
+		i := 0
+		for ; idx >= len(msg.Bulk[i].Payload); i++ {
+			idx -= len(msg.Bulk[i].Payload)
+		}
+		p, cached = &msg.Bulk[i].Payload, &msg.Bulk[i].crcOK
+	}
+	*p = append([]byte(nil), *p...)
+	(*p)[idx] ^= 0x5a
+	*cached = false
+	return msg
 }
 
 // deliver hands the message (and an optional duplicate) to the inner

@@ -49,7 +49,13 @@ func crcCombine(crcA, crcB uint32, lenB int) uint32 {
 // the payload's own CRC — pcrc when known, one pass otherwise — is combined in
 // and returned (ok) for whoever checks the payload next. Same sum either way.
 func frameSum(head, payload []byte, pcrc uint32, known bool) (fsum, crc uint32, ok bool) {
-	fsum = crc32.ChecksumIEEE(head)
+	return sumOnto(crc32.ChecksumIEEE(head), payload, pcrc, known)
+}
+
+// sumOnto extends fsum, the checksum of the frame bytes before payload, over
+// payload, as frameSum does: a bulk frame's checksum is its head's, extended
+// over each entry's payload in turn.
+func sumOnto(fsum uint32, payload []byte, pcrc uint32, known bool) (uint32, uint32, bool) {
 	if len(payload) < crcCombineMin {
 		return crc32.Update(fsum, crc32.IEEETable, payload), 0, false
 	}

@@ -26,10 +26,12 @@ func FuzzFrameDecode(f *testing.F) {
 	// Well-formed seeds: a data frame, an ack, a negative From (int32
 	// casts), an empty-everything frame, the shapes where the split falls
 	// differently (payload without a name, name without a payload, a
-	// size-class-exact payload, a batch carrying a name of its own) — plus
+	// size-class-exact payload, a batch carrying a name of its own, bulk
+	// frames with empty payloads and with one past crcCombineMin) — plus
 	// malformed ones (empty, truncated header, bad version, bad flags,
 	// gradient length past the body, a data frame with the batch bit forced,
-	// a batch claiming 65,535 refs in 14 bytes).
+	// a batch claiming 65,535 refs in 14 bytes, a data frame with the bulk bit
+	// forced, a bulk table claiming 65,535 entries in room for two).
 	seeds := []struct {
 		msg Message
 		gen uint32
@@ -47,6 +49,9 @@ func FuzzFrameDecode(f *testing.F) {
 		{Message{From: 1, To: 0, Gradient: "name, no payload", Step: 3}, 5},
 		{Message{From: 0, To: 1, Gradient: "g/p1", Step: 1 | 1<<20, Payload: bytes.Repeat([]byte{0xa5}, 1024)}, 6},
 		{Message{From: 2, To: 1, Gradient: "seq", Ack: true, AckBatch: []AckRef{{Gradient: "seq", Step: 1}}}, 7},
+		{Message{From: 1, To: 2, Gradient: "a/p0", Step: 3, Bulk: []BulkEntry{
+			{Gradient: "a/p0", Step: 3, Sum: 9, Payload: []byte{1, 2, 3}}, {Gradient: "b", Step: -1}}}, 8},
+		{bulkMsg(4), 9},
 	}
 	for _, s := range seeds {
 		f.Add(encodeFrame(s.msg, s.gen)[4:]) // strip the u32 length prefix
@@ -76,6 +81,10 @@ func FuzzFrameDecode(f *testing.F) {
 	batchBit[31] |= 4 // gradient payload parsed as an ack batch
 	f.Add(restamp(batchBit))
 	f.Add(hostileAckBatch()) // a batch count past what its bytes hold
+	bulkBit := encodeFrame(seeds[0].msg, 1)[4:]
+	bulkBit[31] |= 8 // gradient payload parsed as a bulk table
+	f.Add(restamp(bulkBit))
+	f.Add(hostileBulk()) // a bulk count past what its table holds
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		msg, gen, err := decodeFrame(frame)
@@ -103,7 +112,7 @@ func FuzzFrameDecode(f *testing.F) {
 			msg2.Step != msg.Step || msg2.Attempt != msg.Attempt || msg2.Ack != msg.Ack ||
 			msg2.Heartbeat != msg.Heartbeat ||
 			msg2.Sum != msg.Sum || !bytes.Equal(msg2.Payload, msg.Payload) ||
-			!slices.Equal(msg2.AckBatch, msg.AckBatch) {
+			!slices.Equal(msg2.AckBatch, msg.AckBatch) || !sameEntries(msg2.Bulk, msg.Bulk) {
 			t.Fatalf("decode not deterministic: %+v vs %+v", msg, msg2)
 		}
 	})

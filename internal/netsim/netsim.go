@@ -98,21 +98,22 @@ type Message struct {
 	Payload []byte
 	// AckBatch, when non-empty, turns the message into a coalesced
 	// acknowledgement: one frame settling several transfers on the same
-	// directed link, each identified by its own (Gradient, Step) key. The
-	// pipelined live plane's per-link ack workers emit these under backlog
-	// to cut ack-path frame count; Gradient/Step/Attempt on the message
-	// itself are then free for a per-link sequence number. On the TCP
-	// transport the batch is carried in the payload region under a
-	// dedicated frame flag.
+	// directed link, each identified by its own (Gradient, Step) key, which
+	// leaves Gradient/Step/Attempt on the message free (for a sequence
+	// number). On the TCP transport it travels under a dedicated frame flag.
 	AckBatch []AckRef
-	// Lease, when it holds a buffer, owns Payload's backing array: the TCP
-	// transport reads each payload off the socket straight into an arena
-	// buffer, and ownership travels with the delivered message. The
-	// receiver either splices it into a longer-lived lease (Lease.Adopt) to
-	// keep Payload valid, or calls Lease.Release once it is done with the
-	// bytes; a receiver that does neither just leaves the buffer to the GC.
-	// Senders leave it zero — Send never reads it. Do not settle the lease
-	// through more than one copy of the message.
+	// Bulk, when it holds two or more entries, turns the message into a bulk
+	// frame: several data transfers on one directed link, each entry standing
+	// for a classic data message. Payload and Sum are then unused, and
+	// Gradient and Step name the first entry (fault rolls key on them). On
+	// the TCP transport it travels under a dedicated frame flag.
+	Bulk []BulkEntry
+	// Lease, when it holds a buffer, owns the payload bytes (a bulk frame's
+	// all): the TCP transport reads them off the socket straight into an
+	// arena buffer that travels with the delivered message. The receiver
+	// splices it into a longer-lived lease (Lease.Adopt) to keep them valid,
+	// or calls Lease.Release once done; doing neither leaves it to the GC.
+	// Senders leave it zero. Settle it through one copy of the message only.
 	Lease kernels.Lease
 
 	// crc, when crcOK, is the CRC-32 of Payload as it sits in memory now
@@ -120,6 +121,34 @@ type Message struct {
 	// on the copy it corrupts, ChanTransport.Send on every message.
 	crc   uint32
 	crcOK bool
+}
+
+// BulkEntry is one transfer inside a bulk frame: the fields of a classic data
+// message it stands for.
+type BulkEntry struct {
+	Gradient string
+	Step     int
+	Sum      uint32
+	Payload  []byte
+	// crc, when crcOK, is the CRC-32 of Payload as it sits in memory now,
+	// read by the sender's frame builder only: copies of a message share
+	// entries, so nothing clears it in place, and receivers sum each entry.
+	crc   uint32
+	crcOK bool
+}
+
+// Entry returns m's transfer as a bulk entry, its payload-CRC cache included.
+func (m *Message) Entry() BulkEntry {
+	return BulkEntry{Gradient: m.Gradient, Step: m.Step, Sum: m.Sum, Payload: m.Payload, crc: m.crc, crcOK: m.crcOK}
+}
+
+// PayloadLen is how many payload bytes m carries, its bulk entries' included.
+func (m *Message) PayloadLen() int {
+	n := len(m.Payload)
+	for i := range m.Bulk {
+		n += len(m.Bulk[i].Payload)
+	}
+	return n
 }
 
 // AckRef identifies one transfer inside a batched acknowledgement, mirroring

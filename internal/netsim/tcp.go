@@ -15,20 +15,19 @@ import (
 	"hipress/internal/telemetry"
 )
 
-// This file is the socket plane: the production-grade connection-lifecycle
-// layer that runs the same CaSync task graphs over genuine loopback TCP.
-// Unlike the original transport patch, connections here carry an explicit
+// This file is the socket plane: the connection-lifecycle layer that runs the
+// same CaSync task graphs over genuine loopback TCP. Connections carry a
 // session generation negotiated by a tiny HELLO handshake, so any mid-frame
 // failure (a write timeout after a partial frame, a wire-chaos cut, a
 // half-open peer) is recovered by redialing with a fresh generation: the
-// receiver discards the broken stream at a clean frame boundary and resyncs
-// onto the new one, rejecting stale-generation frames outright.
+// receiver resyncs onto the new stream at a clean frame boundary, rejecting
+// stale-generation frames outright.
 //
 // Frame format v2 (little-endian), after the u32 length prefix:
 //
 //	u32 fsum | u8 version (=2) | u32 gen | u32 from | u32 to | u64 step |
 //	u32 sum | u16 attempt | u8 flags (bit0 = Ack, bit1 = Heartbeat,
-//	bit2 = AckBatch) | u16 gradLen | grad | payload
+//	bit2 = AckBatch, bit3 = Bulk) | u16 gradLen | grad | payload
 //
 // With bit2 set the payload region carries a batched acknowledgement
 // instead of gradient bytes:
@@ -36,22 +35,26 @@ import (
 //	u16 count | count × (u64 step | u16 attempt | u16 gradLen | grad)
 //
 // The encoding is canonical (count ≥ 1, no trailing bytes), so an accepted
-// batch frame round-trips exactly like every other frame. fsum covers the
-// batch like any body byte: a wire-corrupted batch is dropped whole, the
-// unacknowledged senders retransmit, and the receiver's dedup path re-acks
-// — the same recovery as a lost standalone ack.
+// batch frame round-trips exactly like every other frame; a wire-corrupted
+// batch is dropped whole and recovered like a lost standalone ack.
+//
+// With bit3 alone set the frame is a bulk frame, several transfers of one
+// link (canonical too: count ≥ 2, no trailing table bytes, no unclaimed
+// payload bytes), its table after the name and its payloads after the table:
+//
+//	u32 tableLen | u16 count | count × (u64 step | u32 sum | u32 len |
+//	u16 gradLen | grad) | payload₁ ‖ … ‖ payload_count
 //
 // fsum is a CRC-32 (IEEE) over every body byte after itself. The live
 // plane's own checksum (sum) only covers the payload, so without fsum a
-// wire-corrupted header field (from/to/step/gradient name) would decode as
-// a structurally valid message with the wrong routing or dedup key — worst
-// case silently merging one peer's bytes under another's slot. With fsum
-// any in-frame bit flip is rejected here, the frame never reaches the live
-// plane, and the reliable layer's retransmission repairs the loss.
+// wire-corrupted header field would decode as a structurally valid message
+// with the wrong routing or dedup key; with it, any in-frame bit flip is
+// rejected here and the reliable layer's retransmission repairs the loss.
 //
 // The two checksums share one pass over the payload per side (frameSum): the
-// sender derives fsum from the payload CRC its producer cached in the Message,
-// the receiver hands the one it computed up in the same cache.
+// sender derives fsum from the payload CRCs its producer cached in the Message
+// or its bulk entries, the receiver of a classic frame hands the one it
+// computed up in the same cache.
 //
 // Every dialed connection opens with a 13-byte HELLO:
 //
@@ -100,13 +103,11 @@ const (
 )
 
 // corruptFrameTolerance is how many CONSECUTIVE undecodable frame bodies a
-// stream survives before it is declared desynced and killed. A lone in-body
-// bit flip leaves the length-prefix framing intact: dropping just that frame
-// lets the reliable layer retransmit on the same connection (past a chaos
-// injector's corrupt window), where killing the stream would redial into a
-// fresh corrupt window and livelock. A genuinely desynced stream (corrupted
-// length prefix that still parsed as plausible) produces garbage frame after
-// garbage frame and trips the tolerance immediately.
+// stream survives before it is declared desynced and killed. Dropping just a
+// frame with a lone in-body bit flip lets the reliable layer retransmit on
+// the same connection, where a redial would meet a fresh chaos corrupt window
+// and livelock; a desynced stream (a corrupted but plausible length prefix)
+// trips the tolerance at once with garbage frame after garbage frame.
 const corruptFrameTolerance = 2
 
 // Socket-plane metric family names (registered through TCPOptions.Metrics).
@@ -191,15 +192,16 @@ type FrameLimitError struct {
 	// From, To name the directed link.
 	From, To int
 	// Field names the overflowing quantity: "gradient name length",
-	// "attempt", "ack batch count", "frame length".
+	// "attempt", "ack batch count", "bulk count", "frame length".
 	Field string
-	// Got is the offending value and Limit the largest the field carries.
-	Got, Limit int
+	// Got is the offending value, Min (0 but for a bulk count) and Limit
+	// the range the field carries.
+	Got, Min, Limit int
 }
 
 // Error implements error.
 func (e *FrameLimitError) Error() string {
-	return fmt.Sprintf("netsim: tcp send %d→%d: %s %d outside [0, %d]", e.From, e.To, e.Field, e.Got, e.Limit)
+	return fmt.Sprintf("netsim: tcp send %d→%d: %s %d outside [%d, %d]", e.From, e.To, e.Field, e.Got, e.Min, e.Limit)
 }
 
 // Unwrap exposes the non-retryable sentinel.
@@ -209,35 +211,54 @@ func (e *FrameLimitError) Unwrap() error { return ErrUnsendable }
 // the frame length cap, so an unrepresentable message fails at its sender
 // instead of being truncated on the wire or killing the receiving stream.
 func checkSendable(msg Message, maxFrameLen int) error {
-	limit := func(field string, got, max int) error {
-		if got < 0 || got > max {
-			return &FrameLimitError{From: msg.From, To: msg.To, Field: field, Got: got, Limit: max}
+	limit := func(field string, got, min, max int) error {
+		if got < min || got > max {
+			return &FrameLimitError{From: msg.From, To: msg.To, Field: field, Got: got, Min: min, Limit: max}
 		}
 		return nil
 	}
-	if err := limit("gradient name length", len(msg.Gradient), math.MaxUint16); err != nil {
+	if err := limit("gradient name length", len(msg.Gradient), 0, math.MaxUint16); err != nil {
 		return err
 	}
-	if err := limit("attempt", msg.Attempt, math.MaxUint16); err != nil {
+	if err := limit("attempt", msg.Attempt, 0, math.MaxUint16); err != nil {
 		return err
 	}
 	body := len(msg.Payload)
 	if len(msg.AckBatch) > 0 {
-		if err := limit("ack batch count", len(msg.AckBatch), math.MaxUint16); err != nil {
+		if err := limit("ack batch count", len(msg.AckBatch), 0, math.MaxUint16); err != nil {
 			return err
 		}
 		body = 2
 		for _, ref := range msg.AckBatch {
-			if err := limit("gradient name length", len(ref.Gradient), math.MaxUint16); err != nil {
+			if err := limit("gradient name length", len(ref.Gradient), 0, math.MaxUint16); err != nil {
 				return err
 			}
-			if err := limit("attempt", ref.Attempt, math.MaxUint16); err != nil {
+			if err := limit("attempt", ref.Attempt, 0, math.MaxUint16); err != nil {
 				return err
 			}
 			body += 12 + len(ref.Gradient)
 		}
 	}
-	return limit("frame length", frameHdrLen+len(msg.Gradient)+body, maxFrameLen)
+	if len(msg.Bulk) > 0 {
+		if err := limit("bulk count", len(msg.Bulk), 2, math.MaxUint16); err != nil {
+			return err
+		}
+		names := 0
+		for i := range msg.Bulk {
+			if err := limit("gradient name length", len(msg.Bulk[i].Gradient), 0, math.MaxUint16); err != nil {
+				return err
+			}
+			names += len(msg.Bulk[i].Gradient)
+		}
+		return limit("frame length", BulkFrameLen(msg.Gradient, len(msg.Bulk), names, msg.PayloadLen()), 0, maxFrameLen)
+	}
+	return limit("frame length", frameHdrLen+len(msg.Gradient)+body, 0, maxFrameLen)
+}
+
+// BulkFrameLen is the length MaxFrameLen bounds of a bulk frame named name
+// whose count entries hold names bytes of names and payload bytes in all.
+func BulkFrameLen(name string, count, names, payload int) int {
+	return frameHdrLen + len(name) + 4 + 2 + count*18 + names + payload
 }
 
 // ConnError is Send's typed failure: the connection lifecycle exhausted its
@@ -288,15 +309,15 @@ type TCPStats struct {
 
 // tcpConn is one dial-side connection: the socket, its session generation,
 // and the write lock that keeps frames from interleaving. The lock also
-// guards the reused frame head and the two-element vector handed to the
-// vectored write, so a steady-state send allocates nothing.
+// guards the reused frame head and vectored-write buffers, so a steady-state
+// send allocates nothing.
 type tcpConn struct {
 	c   net.Conn
 	gen uint32
 	wmu sync.Mutex
 
 	head []byte
-	vec  [2][]byte
+	vec  [][]byte
 	bufs net.Buffers
 }
 
@@ -363,6 +384,9 @@ func NewTCPTransportOpts(n, capacity int, opts TCPOptions) (*TCPTransport, error
 
 // Addr returns node i's listen address (tests and diagnostics).
 func (t *TCPTransport) Addr(i int) net.Addr { return t.listeners[i].Addr() }
+
+// MaxFrameLen is the longest frame the transport sends or accepts.
+func (t *TCPTransport) MaxFrameLen() int { return t.opts.MaxFrameLen }
 
 // Stats snapshots the lifecycle counters.
 func (t *TCPTransport) Stats() TCPStats {
@@ -574,12 +598,12 @@ func decodeHello(b []byte) (int, uint32, error) {
 }
 
 // appendFrameHead builds everything of msg's frame except the gradient
-// payload into dst[:0] — the u32 length prefix, the fixed v2 header, the
-// gradient name and, for a batched acknowledgement, the batch — and stamps
-// the frame checksum over the head and then the payload, so the payload bytes
-// are read at most once (not at all when the message carries their CRC) and
-// never copied. The caller transmits the head followed by the returned
-// payload (nil for a batched ack).
+// payloads into dst[:0] — the u32 length prefix, the fixed v2 header, the
+// gradient name and any ack batch or bulk table — and stamps the frame
+// checksum over the head and then the payloads, so the payload bytes are read
+// at most once (not at all when the message or entry carries their CRC) and
+// never copied. The caller transmits the head, the returned payload (nil for
+// a batched ack or bulk frame), then any bulk entries' payloads in order.
 func appendFrameHead(dst []byte, msg Message, gen uint32) (head, payload []byte) {
 	var h [4 + frameHdrLen]byte
 	h[8] = frameVersion
@@ -598,18 +622,47 @@ func appendFrameHead(dst []byte, msg Message, gen uint32) (head, payload []byte)
 	if len(msg.AckBatch) > 0 {
 		h[35] |= 4
 	}
+	if len(msg.Bulk) > 0 {
+		h[35] |= 8
+	}
 	binary.LittleEndian.PutUint16(h[36:], uint16(len(msg.Gradient)))
 	head = append(dst[:0], h[:]...)
 	head = append(head, msg.Gradient...)
-	if len(msg.AckBatch) > 0 {
+	switch {
+	case len(msg.AckBatch) > 0:
 		head = appendAckBatch(head, msg.AckBatch)
-	} else {
+	case len(msg.Bulk) > 0:
+		head = appendBulkTable(head, msg.Bulk)
+	default:
 		payload = msg.Payload
 	}
-	binary.LittleEndian.PutUint32(head[0:], uint32(len(head)-4+len(payload)))
+	n := len(head) - 4 + len(payload)
 	fsum, _, _ := frameSum(head[8:], payload, msg.crc, msg.crcOK)
+	for i := range msg.Bulk {
+		e := &msg.Bulk[i]
+		n += len(e.Payload)
+		fsum, _, _ = sumOnto(fsum, e.Payload, e.crc, e.crcOK)
+	}
+	binary.LittleEndian.PutUint32(head[0:], uint32(n))
 	binary.LittleEndian.PutUint32(head[4:], fsum)
 	return head, payload
+}
+
+// appendBulkTable serializes a bulk frame's table (with its u32 length).
+func appendBulkTable(dst []byte, entries []BulkEntry) []byte {
+	at := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(entries)))
+	for i := range entries {
+		e := &entries[i]
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(e.Step)))
+		dst = binary.LittleEndian.AppendUint32(dst, e.Sum)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Payload)))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(e.Gradient)))
+		dst = append(dst, e.Gradient...)
+	}
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
 }
 
 // appendAckBatch serializes batched-ack entries into the frame payload
@@ -629,8 +682,8 @@ func appendAckBatch(dst []byte, refs []AckRef) []byte {
 // errAckBatchCount rejects a batch whose count claims more than its bytes hold.
 var errAckBatchCount = errors.New("netsim: ack batch claims more entries than its bytes hold")
 
-// ackRefSlab is how many refs a fresh slab of a stream's batched-ack refs holds.
-const ackRefSlab = 128
+// streamSlab sizes a stream's fresh slab of batched-ack refs or bulk entries.
+const streamSlab = 128
 
 // decodeAckBatch parses a batched-ack payload, rejecting non-canonical
 // encodings (zero entries, truncation, trailing bytes) so accepted batch
@@ -650,7 +703,7 @@ func decodeAckBatch(b []byte, names *nameTable, slab *[]AckRef) ([]AckRef, error
 		return nil, errAckBatchCount
 	}
 	if len(*slab) < count {
-		*slab = make([]AckRef, max(count, ackRefSlab))
+		*slab = make([]AckRef, max(count, streamSlab))
 	}
 	refs := (*slab)[:0:count]
 	off := 2
@@ -672,6 +725,56 @@ func decodeAckBatch(b []byte, names *nameTable, slab *[]AckRef) ([]AckRef, error
 	}
 	*slab = (*slab)[count:]
 	return refs, nil
+}
+
+// errBulkCount rejects a bulk table whose count claims more than its bytes hold.
+var errBulkCount = errors.New("netsim: bulk table claims more entries than its bytes hold")
+
+// decodeBulk parses a bulk frame's entry table (after its u32 length) over its
+// payload region, each entry's payload its capped run of region, like
+// decodeAckBatch: canonical encodings only (count ≥ 2, no trailing table
+// bytes, no payload bytes no entry claims), names through names, entries
+// carved from *slab, and the count checked against the table (≥ 18 bytes an
+// entry) before any is reserved.
+func decodeBulk(table, region []byte, names *nameTable, slab *[]BulkEntry) ([]BulkEntry, error) {
+	if len(table) < 2 {
+		return nil, fmt.Errorf("netsim: bulk table truncated: %d bytes", len(table))
+	}
+	count := int(binary.LittleEndian.Uint16(table[0:]))
+	if count < 2 {
+		return nil, fmt.Errorf("netsim: bulk frame with %d entries", count)
+	}
+	if count > (len(table)-2)/18 {
+		return nil, errBulkCount
+	}
+	if len(*slab) < count {
+		*slab = make([]BulkEntry, max(count, streamSlab))
+	}
+	entries := (*slab)[:0:count]
+	off, pos := 2, 0
+	for i := 0; i < count; i++ {
+		if off+18 > len(table) {
+			return nil, fmt.Errorf("netsim: bulk entry %d/%d truncated at offset %d", i, count, off)
+		}
+		n := int(binary.LittleEndian.Uint32(table[off+12:]))
+		gradLen := int(binary.LittleEndian.Uint16(table[off+16:]))
+		if off+18+gradLen > len(table) || n > len(region)-pos {
+			return nil, fmt.Errorf("netsim: bulk entry %d/%d overruns its table or payload region", i, count)
+		}
+		entries = append(entries, BulkEntry{
+			Gradient: names.intern(table[off+18 : off+18+gradLen]),
+			Step:     int(int64(binary.LittleEndian.Uint64(table[off:]))),
+			Sum:      binary.LittleEndian.Uint32(table[off+8:]),
+			Payload:  region[pos : pos+n : pos+n],
+		})
+		off += 18 + gradLen
+		pos += n
+	}
+	if off != len(table) || pos != len(region) {
+		return nil, fmt.Errorf("netsim: bulk frame with %d trailing table and %d unclaimed payload bytes", len(table)-off, len(region)-pos)
+	}
+	*slab = (*slab)[count:]
+	return entries, nil
 }
 
 // nameTable interns gradient names for every read loop of one transport, so
@@ -711,18 +814,18 @@ func (e *frameError) Unwrap() error { return e.err }
 
 // frameReader decodes v2 frames off one accepted stream without copying
 // payload bytes: the length prefix, fixed header, gradient name and any
-// batched ack land in a scratch buffer reused from frame to frame, and a
-// gradient payload is read straight into an arena buffer that holds payload
-// bytes only (so a power-of-two payload stays in its own size class) and
-// that the returned Message owns through its Lease. Ack, heartbeat and
-// ack-batch frames lease nothing; a batch's refs are carved from the stream's
-// slab.
+// batched ack or bulk table land in a scratch buffer reused from frame to
+// frame, and the payload bytes (all of a bulk frame's) are read straight into
+// one arena buffer that holds payload bytes only (so a power-of-two payload
+// stays in its own size class) and that the returned Message owns through its
+// Lease. A batch's refs and a bulk frame's entries come from stream slabs.
 type frameReader struct {
 	r       io.Reader
-	maxLen  int        // MaxFrameLen: cap on the claimed length, checked before any read
-	scratch []byte     // prefix + header + name (+ ack batch) of the current frame
-	names   *nameTable // the transport's; a reader without one makes its own
-	refs    []AckRef   // slab batched acks' refs are carved from
+	maxLen  int         // MaxFrameLen: cap on the claimed length, checked before any read
+	scratch []byte      // prefix + header + name (+ ack batch or bulk table) of the current frame
+	names   *nameTable  // the transport's; a reader without one makes its own
+	refs    []AckRef    // slab batched acks' refs are carved from
+	bulk    []BulkEntry // slab bulk frames' entries are carved from
 }
 
 // next reads and validates one frame, returning the message and the session
@@ -756,31 +859,31 @@ func (fr *frameReader) next() (Message, uint32, error) {
 	}
 	rest := frameLen - frameHdrLen
 	gradLen := int(binary.LittleEndian.Uint16(b[36:]))
-	if gradLen > rest {
-		// Consume the body so the stream stays at a frame boundary.
-		if _, err := io.CopyN(io.Discard, fr.r, int64(rest)); err != nil {
+	// The flags are not yet checksum-verified; a flipped batch or bulk bit
+	// only misdirects where the bytes land before the checksum rejects them.
+	// A bulk head runs on past the name: the table length, then the table.
+	bulk := b[35]&12 == 8
+	tail := gradLen
+	switch {
+	case b[35]&4 != 0:
+		tail = rest
+	case bulk:
+		tail = gradLen + 4
+	}
+	// A head claiming more than the body is read to the body's end, so the
+	// stream stays at a frame boundary, and decodeHead rejects it.
+	if b, err = fr.readHead(b, min(tail, rest)); err != nil {
+		return Message{}, 0, err
+	}
+	if bulk && tail <= rest {
+		tl := min(int(binary.LittleEndian.Uint32(b[fixed+gradLen:])), rest-tail)
+		if b, err = fr.readHead(b, tl); err != nil {
 			return Message{}, 0, err
 		}
-		return Message{}, 0, &frameError{framed: true,
-			err: fmt.Errorf("netsim: frame gradient length %d exceeds frame body %d", gradLen, rest)}
-	}
-	// The flags are not yet checksum-verified; a flipped batch bit only
-	// misdirects where the bytes land before the checksum rejects them.
-	tail := gradLen
-	if b[35]&4 != 0 {
-		tail = rest
-	}
-	if cap(b) < fixed+tail {
-		b = append(b, make([]byte, tail)...)
-		fr.scratch = b
-	}
-	b = b[:fixed+tail]
-	if _, err := io.ReadFull(fr.r, b[fixed:]); err != nil {
-		return Message{}, 0, err
 	}
 	var lease kernels.Lease
 	var payload []byte
-	if n := rest - tail; n > 0 {
+	if n := rest - (len(b) - fixed); n > 0 {
 		payload = lease.Bytes(n)
 		if _, err := io.ReadFull(fr.r, payload); err != nil {
 			lease.Release()
@@ -796,24 +899,36 @@ func (fr *frameReader) next() (Message, uint32, error) {
 		lease.Release()
 		return Message{}, 0, &frameError{framed: true, err: fmt.Errorf("netsim: frame checksum %08x != computed %08x", fsum, got)}
 	}
-	msg, gen, err := decodeFrameHead(b, gradLen, fr.names, &fr.refs)
+	msg, gen, err := fr.decodeHead(b, gradLen, payload)
 	if err != nil {
 		lease.Release()
 		return Message{}, 0, &frameError{framed: true, err: err}
 	}
-	msg.Payload, msg.Lease = payload, lease
-	if split {
-		msg.SetPayloadCRC(pcrc)
+	msg.Lease = lease
+	if !bulk {
+		msg.Payload = payload
+		msg.crc, msg.crcOK = pcrc, split
 	}
 	return msg, gen, nil
 }
 
-// decodeFrameHead decodes a checksum-verified frame head — length prefix,
-// fixed header, gradLen bytes of gradient name and, under the batch flag,
-// the batched acknowledgement — into a Message without its payload, plus
-// the session generation the frame was encoded under. Names go through names,
-// and a batch's refs are carved from *slab.
-func decodeFrameHead(b []byte, gradLen int, names *nameTable, slab *[]AckRef) (Message, uint32, error) {
+// readHead extends the frame head in scratch b by the stream's next n bytes.
+func (fr *frameReader) readHead(b []byte, n int) ([]byte, error) {
+	m := len(b) + n
+	if cap(b) < m {
+		b = append(b, make([]byte, n)...)
+		fr.scratch = b
+	}
+	b = b[:m]
+	_, err := io.ReadFull(fr.r, b[m-n:])
+	return b, err
+}
+
+// decodeHead decodes a checksum-verified frame head — length prefix, fixed
+// header, gradLen bytes of gradient name and any ack batch or bulk table (over
+// the payload region) — into a Message without its payload, plus the session
+// generation the frame was encoded under.
+func (fr *frameReader) decodeHead(b []byte, gradLen int, region []byte) (Message, uint32, error) {
 	const fixed = 4 + frameHdrLen
 	if len(b) < fixed+gradLen {
 		return Message{}, 0, fmt.Errorf("netsim: truncated frame head: %d bytes < %d", len(b), fixed+gradLen)
@@ -822,41 +937,44 @@ func decodeFrameHead(b []byte, gradLen int, names *nameTable, slab *[]AckRef) (M
 		return Message{}, 0, fmt.Errorf("netsim: frame version %d != %d", b[8], frameVersion)
 	}
 	flags := b[35]
-	if flags&^7 != 0 {
+	if flags&^15 != 0 || flags&8 != 0 && flags&7 != 0 {
 		return Message{}, 0, fmt.Errorf("netsim: frame with unknown flags 0x%02x", flags)
 	}
 	msg := Message{
 		From:      int(int32(binary.LittleEndian.Uint32(b[13:]))),
 		To:        int(int32(binary.LittleEndian.Uint32(b[17:]))),
-		Gradient:  names.intern(b[fixed : fixed+gradLen]),
+		Gradient:  fr.names.intern(b[fixed : fixed+gradLen]),
 		Step:      int(int64(binary.LittleEndian.Uint64(b[21:]))),
 		Attempt:   int(binary.LittleEndian.Uint16(b[33:])),
 		Ack:       flags&1 != 0,
 		Heartbeat: flags&2 != 0,
 		Sum:       binary.LittleEndian.Uint32(b[29:]),
 	}
-	if flags&4 != 0 {
-		refs, err := decodeAckBatch(b[fixed+gradLen:], names, slab)
-		if err != nil {
-			return Message{}, 0, err
+	var err error
+	switch {
+	case flags&4 != 0:
+		msg.AckBatch, err = decodeAckBatch(b[fixed+gradLen:], fr.names, &fr.refs)
+	case flags&8 != 0:
+		if len(b) < fixed+gradLen+4 || int(binary.LittleEndian.Uint32(b[fixed+gradLen:])) != len(b)-fixed-gradLen-4 {
+			return Message{}, 0, fmt.Errorf("netsim: bulk table length disagrees with its frame")
 		}
-		msg.AckBatch = refs
+		msg.Bulk, err = decodeBulk(b[fixed+gradLen+4:], region, fr.names, &fr.bulk)
+	}
+	if err != nil {
+		return Message{}, 0, err
 	}
 	return msg, binary.LittleEndian.Uint32(b[9:]), nil
 }
 
 // Send implements Transport. A write failure (stalled peer, mid-stream cut,
 // half-open receiver) drops the connection and redials with a fresh session
-// generation under full-jitter backoff, retransmitting the whole frame; the
-// receiver's generation admission guarantees the retransmission starts from
-// a clean frame boundary. When the redial budget is exhausted Send returns
-// a typed *ConnError (which still unwraps to a net.Error timeout when the
-// final failure was a stall). A message the frame format cannot carry is
-// rejected up front with a *FrameLimitError, before any byte is written.
-//
-// The payload is transmitted straight from msg.Payload (a vectored write of
-// frame head + payload); it is only read, never modified, and must stay
-// unchanged until Send returns.
+// generation under full-jitter backoff, retransmitting the whole frame from a
+// clean frame boundary. When the redial budget is exhausted Send returns a
+// typed *ConnError (unwrapping to a net.Error timeout when the final failure
+// was a stall). A message the frame format cannot carry is rejected up front
+// with a *FrameLimitError, before any byte is written. The payloads go out
+// straight from msg (one vectored write), only read, and must stay unchanged
+// until Send returns.
 func (t *TCPTransport) Send(msg Message) error {
 	select {
 	case <-t.done:
@@ -932,16 +1050,19 @@ func (t *TCPTransport) writeFrame(tc *tcpConn, msg Message) error {
 	defer tc.wmu.Unlock()
 	var payload []byte
 	tc.head, payload = appendFrameHead(tc.head, msg, tc.gen)
-	tc.vec = [2][]byte{tc.head, payload}
-	tc.bufs = tc.vec[:]
-	if len(payload) == 0 {
-		tc.bufs = tc.vec[:1]
+	if cap(tc.vec) < len(msg.Bulk)+2 {
+		tc.vec = make([][]byte, 0, len(msg.Bulk)+2)
+	}
+	tc.vec = append(tc.vec[:0], tc.head, payload) // writev skips an empty buffer
+	for i := range msg.Bulk {
+		tc.vec = append(tc.vec, msg.Bulk[i].Payload)
 	}
 	if d := t.opts.WriteTimeout; d > 0 {
 		tc.c.SetWriteDeadline(time.Now().Add(d)) //hipress:wallclock socket deadline arithmetic
 	}
 	// WriteTo clears each entry of vec as it is written out, so a completed
-	// write leaves nothing pinning the caller's payload.
+	// write leaves nothing pinning the caller's payloads.
+	tc.bufs = tc.vec
 	if _, err := tc.bufs.WriteTo(tc.c); err != nil {
 		var nerr net.Error
 		if isNetTimeout(err, &nerr) {

@@ -13,11 +13,15 @@ import (
 	"time"
 )
 
-// encodeFrame renders msg's whole frame — length prefix, head, payload — as
+// encodeFrame renders msg's whole frame — length prefix, head, payloads — as
 // the contiguous bytes writeFrame's vectored write puts on the wire.
 func encodeFrame(msg Message, gen uint32) []byte {
 	head, payload := appendFrameHead(nil, msg, gen)
-	return append(head, payload...)
+	frame := append(head, payload...)
+	for _, e := range msg.Bulk {
+		frame = append(frame, e.Payload...)
+	}
+	return frame
 }
 
 // decodeFrame runs one whole frame body (no length prefix) through the read

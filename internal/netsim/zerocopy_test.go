@@ -36,6 +36,11 @@ var goldenFrames = []struct {
 		"40000000a1da36fd0204000000020000000100000005000000000000000000000002000500000200070000000000000001000400672f7030ffffffffffffffff00000000"},
 	{Message{From: -1, To: 0, Step: -9}, 9,
 		"22000000f2eda5830209000000ffffffff00000000f7ffffffffffffff000000000000000000"},
+	{Message{From: 1, To: 2, Gradient: "a/p0", Step: 3, Bulk: []BulkEntry{
+		{Gradient: "a/p0", Step: 3, Sum: 0x01020304, Payload: []byte{1, 2, 3}},
+		{Gradient: "b", Step: -1, Sum: 0xffffffff},
+		{Gradient: "c/p1", Step: 5 | 1<<20, Sum: 0xdeadbeef, Payload: []byte{9}}}}, 6,
+		"6f0000000a11133e020600000001000000020000000300000000000000000000000000080400612f7030410000000300030000000000000004030201030000000400612f7030ffffffffffffffffffffffff000000000100620500100000000000efbeadde010000000400632f703101020309"},
 }
 
 // TestFrameGoldenBytes holds the wire format still: the frame head builder
@@ -86,7 +91,8 @@ func TestFrameGoldenBytes(t *testing.T) {
 // TestTCPLoopbackAllocGate is the zero-copy gate: at steady state a 1 MiB
 // message crosses loopback TCP — frame build, vectored send, leased
 // receive, delivery — allocating at most one object and 1.1 MiB, provided
-// the receiver hands the payload buffer back.
+// the receiver hands the payload buffer back; so does a bulk frame of three
+// 16 KiB payloads alongside it.
 func TestTCPLoopbackAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses caches under -race; alloc assertion only valid without it")
@@ -97,6 +103,10 @@ func TestTCPLoopbackAllocGate(t *testing.T) {
 	}
 	defer tr.Close()
 	payload := bytes.Repeat([]byte{0x5a}, 1<<20)
+	bulk := Message{From: 0, To: 1, Gradient: "conv1.weight/p0", Bulk: []BulkEntry{
+		{Gradient: "conv1.weight/p0", Payload: payload[:16<<10]},
+		{Gradient: "conv2.weight/p0", Step: 1, Payload: payload[16<<10 : 32<<10]},
+		{Gradient: "conv3.weight/p0", Step: 2, Payload: payload[32<<10 : 48<<10]}}}
 	pass := func() {
 		if err := tr.Send(Message{From: 0, To: 1, Gradient: "fc6.weight/p0", Step: 3, Payload: payload}); err != nil {
 			t.Fatal(err)
@@ -104,6 +114,13 @@ func TestTCPLoopbackAllocGate(t *testing.T) {
 		msg, ok := tr.Recv(1)
 		if !ok || len(msg.Payload) != len(payload) {
 			t.Fatalf("delivery: %d bytes ok=%v", len(msg.Payload), ok)
+		}
+		msg.Lease.Release()
+		if err := tr.Send(bulk); err != nil {
+			t.Fatal(err)
+		}
+		if msg, ok = tr.Recv(1); !ok || len(msg.Bulk) != 3 || len(msg.Bulk[2].Payload) != 16<<10 {
+			t.Fatalf("bulk delivery: %d entries ok=%v", len(msg.Bulk), ok)
 		}
 		msg.Lease.Release()
 	}
@@ -119,9 +136,9 @@ func TestTCPLoopbackAllocGate(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	objects := float64(after.Mallocs-before.Mallocs) / n
 	kib := float64(after.TotalAlloc-before.TotalAlloc) / n / 1024
-	t.Logf("per 1 MiB message: %.2f objects, %.1f KiB allocated", objects, kib)
+	t.Logf("per 1 MiB message and bulk frame: %.2f objects, %.1f KiB allocated", objects, kib)
 	if objects > 1 || kib > 1.1*1024 {
-		t.Fatalf("per 1 MiB message: %.2f objects and %.1f KiB allocated, want <= 1 object and <= %.0f KiB",
+		t.Fatalf("per 1 MiB message and bulk frame: %.2f objects and %.1f KiB allocated, want <= 1 object and <= %.0f KiB",
 			objects, kib, 1.1*1024)
 	}
 }
