@@ -42,10 +42,10 @@ func TestTypedErrorsSurviveWrapping(t *testing.T) {
 		},
 		{
 			name: "ConfigError",
-			err:  &core.ConfigError{Field: "Chaos", Reason: "requires Reliable"},
+			err:  &core.ConfigError{Field: "OnPeerFail", Reason: "DegradeExclude requires the PS strategy"},
 			as: func(err error) bool {
 				var e *core.ConfigError
-				return errors.As(err, &e) && e.Field == "Chaos"
+				return errors.As(err, &e) && e.Field == "OnPeerFail"
 			},
 		},
 		{

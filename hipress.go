@@ -160,7 +160,8 @@ type Link = netsim.Link
 // ChaosStats counts what a chaotic transport actually did to traffic.
 type ChaosStats = netsim.ChaosStats
 
-// RetryPolicy bounds the reliable live plane's per-transfer retransmission.
+// RetryPolicy bounds the live plane's per-transfer retransmission (every live
+// round is acknowledged-or-retried).
 type RetryPolicy = core.RetryPolicy
 
 // DegradePolicy selects what a live round does when a peer is diagnosed

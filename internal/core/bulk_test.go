@@ -137,7 +137,7 @@ func bulkLink(t *testing.T, tr netsim.Transport) (*liveRound, []pendingSend) {
 		t.Fatal(err)
 	}
 	r := &liveRound{roundPlan: &roundPlan{g: g, recvIdx: recvIdx, xfer: make([]transfer, len(g.Tasks))},
-		lc: &LiveCluster{}, reliable: true, rs: newRoundState(n), tr: tr, doneCh: make(chan struct{}),
+		lc: &LiveCluster{}, rs: newRoundState(n), tr: tr, doneCh: make(chan struct{}),
 		hp: newHealthPlane(n, nil, RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond,
 			MaxBackoff: 5 * time.Millisecond}.withDefaults(), false, nil)}
 	var batch []pendingSend

@@ -122,7 +122,7 @@ func FuzzPlanEpochDecode(f *testing.F) {
 // in-flight plan, activates exactly at the next round barrier, and the
 // post-switch round still produces correct aggregates.
 func TestProposeEpochActivatesAtBarrier(t *testing.T) {
-	lc, err := NewLiveCluster(4, LiveConfig{Strategy: StrategyPS, Reliable: true})
+	lc, err := NewLiveCluster(4, LiveConfig{Strategy: StrategyPS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestProposeEpochActivatesAtBarrier(t *testing.T) {
 // unreachable strategies, compression without an algorithm, bad partition
 // counts, and double-staging.
 func TestProposeEpochValidation(t *testing.T) {
-	lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, Reliable: true,
+	lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS,
 		OnPeerFail: DegradeExclude})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestProposeEpochValidation(t *testing.T) {
 // TestProposeEpochUnderChaos: gradient-transport chaos does not reach a
 // proposal — a lossy cluster stages it like a clean one.
 func TestProposeEpochUnderChaos(t *testing.T) {
-	lc, err := NewLiveCluster(4, LiveConfig{Strategy: StrategyPS, Reliable: true,
+	lc, err := NewLiveCluster(4, LiveConfig{Strategy: StrategyPS,
 		Chaos: &netsim.ChaosConfig{Seed: 7, Default: netsim.LinkFaults{Drop: 0.3, Dup: 0.1, Corrupt: 0.1}}})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestProposeEpochUnderChaos(t *testing.T) {
 // proposal. The epoch is cluster state, not a message to the peer, so the
 // proposal is staged at once and the peer runs it whenever it runs.
 func TestProposeEpochWithPeerDown(t *testing.T) {
-	lc, err := NewLiveCluster(4, LiveConfig{Strategy: StrategyPS, Reliable: true,
+	lc, err := NewLiveCluster(4, LiveConfig{Strategy: StrategyPS,
 		Chaos: &netsim.ChaosConfig{NodeDown: map[int]bool{3: true}}})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestProposeEpochWithPeerDown(t *testing.T) {
 // TestProposeEpochConcurrent: racing proposers of one version stage it
 // exactly once; every other proposer finds it staged.
 func TestProposeEpochConcurrent(t *testing.T) {
-	lc, err := NewLiveCluster(4, LiveConfig{Strategy: StrategyPS, Reliable: true})
+	lc, err := NewLiveCluster(4, LiveConfig{Strategy: StrategyPS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestAutotuneLoopWiring(t *testing.T) {
 	tun := &recordingTuner{after: 2,
 		proposal: &PlanEpoch{Strategy: StrategyPS, Parts: 2, CompressMin: 0}}
 	lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, Algo: "onebit",
-		Reliable: true, Autotune: tun})
+		Autotune: tun})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestAutotuneLoopWiring(t *testing.T) {
 		t.Fatalf("tuner observed %d rounds, want 4", len(tun.obs))
 	}
 	if tun.links == 0 {
-		t.Fatal("tuner observed no link samples on a reliable cluster")
+		t.Fatal("tuner observed no ack RTT samples")
 	}
 	for i, o := range tun.obs {
 		if o.Round != int64(i) {
@@ -420,8 +420,8 @@ func TestAutotuneLoopWiring(t *testing.T) {
 }
 
 // TestRoundObservationWindow: the tuner reads the send window from the round
-// it observes — the configured window on a reliable pipelined cluster, 1 on
-// the sequential zero config — so it never needs the window set twice.
+// it observes — the configured window on a pipelined cluster, 1 on the
+// sequential zero config — so it never needs the window set twice.
 func TestRoundObservationWindow(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -429,7 +429,7 @@ func TestRoundObservationWindow(t *testing.T) {
 		want int
 	}{
 		{"zero config", LiveConfig{}, 1},
-		{"reliable w4", LiveConfig{Reliable: true, Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}, 4},
+		{"reliable w4", LiveConfig{Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}, 4},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tun := &recordingTuner{}

@@ -10,10 +10,10 @@ import (
 )
 
 // This file is the live plane's fault model: retry policies, typed failure
-// errors, per-round health reporting, and the per-transfer ack rendezvous and
-// per-endpoint success scoreboard of reliable rounds.
+// errors, per-round health reporting, and a round's per-transfer ack
+// rendezvous and per-endpoint success scoreboard.
 
-// DegradePolicy selects what a reliable round does when a peer is declared
+// DegradePolicy selects what a round does when a peer is declared
 // failed mid-round.
 type DegradePolicy int
 
@@ -159,8 +159,6 @@ func (e *PeerFailureError) Error() string {
 // RoundHealth reports how a live round actually went: the fault plane's
 // observability surface.
 type RoundHealth struct {
-	// Reliable records whether ack/retry/dedup was active.
-	Reliable bool
 	// Elapsed is wall-clock round duration.
 	Elapsed time.Duration
 	// Retries counts retransmissions (attempts beyond the first).
@@ -168,7 +166,7 @@ type RoundHealth struct {
 	// Duplicates counts received messages discarded by idempotent dedup.
 	Duplicates int64
 	// CorruptDrops counts received messages discarded for checksum
-	// mismatch (reliable mode; the sender retries them).
+	// mismatch (the sender retries them).
 	CorruptDrops int64
 	// SkippedTasks counts DAG tasks completed without executing because a
 	// dead peer made them moot.
@@ -219,8 +217,7 @@ type RoundHealth struct {
 	// SlowPeers lists peers the health plane classified Slow at round end
 	// (srtt above slowFactor × the cluster median), ascending.
 	SlowPeers []int
-	// Phi is the per-peer φ suspicion level at round end (nil when the
-	// health plane is off).
+	// Phi is the per-peer φ suspicion level at round end.
 	Phi []float64
 	// Reconnects counts socket-plane connection failures surfaced to the
 	// send paths (a TCP Send that exhausted its redial budget); the
@@ -251,12 +248,12 @@ func (h *RoundHealth) Degraded() bool {
 
 // String renders a one-line summary for logs.
 func (h *RoundHealth) String() string {
-	return fmt.Sprintf("round{reliable=%v elapsed=%v retries=%d dups=%d corrupt=%d skipped=%d excluded=%v unsynced=%d renorm=%v}",
-		h.Reliable, h.Elapsed.Round(time.Millisecond), h.Retries, h.Duplicates, h.CorruptDrops,
+	return fmt.Sprintf("round{elapsed=%v retries=%d dups=%d corrupt=%d skipped=%d excluded=%v unsynced=%d renorm=%v}",
+		h.Elapsed.Round(time.Millisecond), h.Retries, h.Duplicates, h.CorruptDrops,
 		h.SkippedTasks, h.ExcludedPeers, len(h.UnsyncedParts), h.Renormalized)
 }
 
-// transfer is a reliable round's state for one transfer, kept at its recv
+// transfer is a round's state for one transfer, kept at its recv
 // task's id in a table indexed like the graph (roundPlan.xfer): ack, guarded
 // by roundState.mu, is the waiting sender's rendezvous — its lane worker's
 // one-slot channel (a bulk frame's transfers share one), from arm until the
@@ -376,9 +373,8 @@ func (rs *roundState) takeHedge() bool {
 
 // health snapshots the counters into a RoundHealth; the peer lists are the
 // health plane's to fill (healthPlane.roundEnd).
-func (rs *roundState) health(reliable bool, elapsed time.Duration) *RoundHealth {
+func (rs *roundState) health(elapsed time.Duration) *RoundHealth {
 	return &RoundHealth{
-		Reliable:         reliable,
 		Elapsed:          elapsed,
 		Retries:          atomic.LoadInt64(&rs.retries),
 		Duplicates:       atomic.LoadInt64(&rs.duplicates),

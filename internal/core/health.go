@@ -343,11 +343,10 @@ type peer struct {
 	carried bool
 }
 
-// healthPlane is the per-cluster adaptive health state: an rttEstimator
-// per directed link and the peer table. It persists across rounds (that is
-// the point — steady-state rounds inherit learned deadlines and standing
-// convictions), and all methods are nil-safe so the unreliable path pays
-// only a nil check.
+// healthPlane is the per-cluster health state every live cluster keeps: an
+// rttEstimator per directed link and the peer table. It persists across
+// rounds (that is the point — steady-state rounds inherit learned deadlines
+// and standing convictions).
 type healthPlane struct {
 	cfg HealthConfig
 	// retry is the static policy the delivery loop falls back on when the
@@ -365,6 +364,9 @@ type healthPlane struct {
 	mu    sync.Mutex
 	links []rttEstimator // n×n, flat [from*n+to]
 	peers []peer
+	// srtt and pos are roundEnd's scratch: per-peer latency figures and the
+	// positive ones among them.
+	srtt, pos []float64
 	// dead counts the peers in HealthDead (maintained by setStateLocked) so
 	// "is anybody dead?" is one atomic load.
 	dead atomic.Int32
@@ -386,6 +388,7 @@ func newHealthPlane(n int, cfg *HealthConfig, retry RetryPolicy, elastic bool, t
 		tel:        tel,
 		links:      make([]rttEstimator, n*n),
 		peers:      make([]peer, n),
+		srtt:       make([]float64, n),
 	}
 	if elastic {
 		hp.probation = probationRounds
@@ -413,7 +416,7 @@ func (hp *healthPlane) seconds() float64 { return hp.clock().Seconds() }
 
 // stateOf returns peer v's lifecycle state (lock-free).
 func (hp *healthPlane) stateOf(v int) HealthState {
-	if hp == nil || v < 0 || v >= hp.n {
+	if v < 0 || v >= hp.n {
 		return HealthHealthy
 	}
 	return HealthState(hp.peers[v].state.Load())
@@ -423,7 +426,7 @@ func (hp *healthPlane) stateOf(v int) HealthState {
 func (hp *healthPlane) isDead(v int) bool { return hp.stateOf(v) == HealthDead }
 
 // anyDead reports whether any peer stands convicted (lock-free).
-func (hp *healthPlane) anyDead() bool { return hp != nil && hp.dead.Load() > 0 }
+func (hp *healthPlane) anyDead() bool { return hp.dead.Load() > 0 }
 
 // setStateLocked performs one lifecycle transition, enforcing the
 // Dead-only-exits-via-Probation invariant and emitting the transition to
@@ -450,7 +453,7 @@ func (hp *healthPlane) setStateLocked(v int, to HealthState) {
 // and reports whether this call did it, so the caller degrades or aborts the
 // round exactly once per conviction.
 func (hp *healthPlane) convict(v int) (newly bool) {
-	if hp == nil || v < 0 || v >= hp.n {
+	if v < 0 || v >= hp.n {
 		return false
 	}
 	hp.mu.Lock()
@@ -467,9 +470,6 @@ func (hp *healthPlane) convict(v int) (newly bool) {
 // probation trial (non-elastic: every round re-detects) or carried into the
 // round still Dead. It returns the carried peers, ascending.
 func (hp *healthPlane) roundStart() (carried []int) {
-	if hp == nil {
-		return nil
-	}
 	now := hp.seconds()
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
@@ -496,7 +496,7 @@ func (hp *healthPlane) roundStart() (carried []int) {
 // heartbeat echo): the detector accrues the inter-arrival interval, and a
 // Suspect peer whose φ dropped back under the threshold recovers.
 func (hp *healthPlane) arrival(peer int) {
-	if hp == nil || peer < 0 || peer >= hp.n {
+	if peer < 0 || peer >= hp.n {
 		return
 	}
 	now := hp.seconds()
@@ -514,7 +514,7 @@ func (hp *healthPlane) arrival(peer int) {
 
 // observeRTT folds one round-trip sample into the from→to link estimator.
 func (hp *healthPlane) observeRTT(from, to int, rtt time.Duration) {
-	if hp == nil || from < 0 || to < 0 || from >= hp.n || to >= hp.n || rtt < 0 {
+	if from < 0 || to < 0 || from >= hp.n || to >= hp.n || rtt < 0 {
 		return
 	}
 	hp.mu.Lock()
@@ -550,9 +550,6 @@ func (hp *healthPlane) rto(from, to, attempt int) time.Duration {
 // speculative retransmit fires — and whether the estimate is trustworthy
 // (at least 4 samples).
 func (hp *healthPlane) hedgeDelay(from, to int) (time.Duration, bool) {
-	if hp == nil {
-		return 0, false
-	}
 	hp.mu.Lock()
 	e := &hp.links[from*hp.n+to]
 	ok := e.samples >= 4
@@ -660,7 +657,7 @@ func (hp *healthPlane) scoreboard(from, to int, rs *roundState) int {
 
 // phi returns peer v's current suspicion level.
 func (hp *healthPlane) phi(v int) float64 {
-	if hp == nil || v < 0 || v >= hp.n {
+	if v < 0 || v >= hp.n {
 		return 0
 	}
 	now := hp.seconds()
@@ -740,15 +737,12 @@ func (hp *healthPlane) rejoin(v int) (donor int, err error) {
 // and per-peer φ. clean is false when the round failed: nobody participated
 // fully in a round that did not complete.
 func (hp *healthPlane) roundEnd(h *RoundHealth, clean bool) {
-	if hp == nil {
-		return
-	}
 	now := hp.seconds()
 	var excluded, suspected, carried, probation, rejoined, slow []int
 	phis := make([]float64, hp.n)
 	hp.mu.Lock()
 	srtts := hp.peerSRTTsLocked()
-	med := medianPositive(srtts)
+	med := hp.medianPositiveLocked(srtts)
 	for v := range hp.peers {
 		p := &hp.peers[v]
 		phis[v] = p.det.phi(now)
@@ -832,9 +826,10 @@ func (hp *healthPlane) roundEnd(h *RoundHealth, clean bool) {
 // direction. The best link is what identifies the peer itself as slow — a
 // straggling peer is slow on every path, while a single congested link
 // must not tar an otherwise fast peer (and would tar everyone, since each
-// fast peer also owns a link to the straggler). Called with hp.mu held.
+// fast peer also owns a link to the straggler). Called with hp.mu held; the
+// figures live in hp.srtt until the next call.
 func (hp *healthPlane) peerSRTTsLocked() []float64 {
-	out := make([]float64, hp.n)
+	out := hp.srtt
 	for v := 0; v < hp.n; v++ {
 		s := 0.0
 		for u := 0; u < hp.n; u++ {
@@ -853,15 +848,17 @@ func (hp *healthPlane) peerSRTTsLocked() []float64 {
 	return out
 }
 
-// medianPositive returns the median of the positive entries (0 when fewer
-// than two peers have samples — no meaningful baseline to compare against).
-func medianPositive(xs []float64) float64 {
-	var pos []float64
+// medianPositiveLocked returns the median of the positive entries (0 when
+// fewer than two peers have samples — no meaningful baseline to compare
+// against), sorting them in hp.pos. Called with hp.mu held.
+func (hp *healthPlane) medianPositiveLocked(xs []float64) float64 {
+	pos := hp.pos[:0]
 	for _, x := range xs {
 		if x > 0 {
 			pos = append(pos, x)
 		}
 	}
+	hp.pos = pos
 	if len(pos) < 2 {
 		return 0
 	}
@@ -872,7 +869,7 @@ func medianPositive(xs []float64) float64 {
 // evidence snapshots the from→to link's RTT history and the peer's φ for
 // failure-error reporting.
 func (hp *healthPlane) evidence(from, to int) linkEvidence {
-	if hp == nil || from < 0 || to < 0 || from >= hp.n || to >= hp.n {
+	if from < 0 || to < 0 || from >= hp.n || to >= hp.n {
 		return linkEvidence{}
 	}
 	now := hp.seconds()
@@ -891,14 +888,13 @@ func (hp *healthPlane) evidence(from, to int) linkEvidence {
 // against peer (a Send that exhausted its redial budget): detector-grade
 // evidence that the endpoint — not just one transfer — is unhealthy.
 func (hp *healthPlane) observeReconnect(peer int) {
-	if hp == nil || peer < 0 || peer >= hp.n {
+	if peer < 0 || peer >= hp.n {
 		return
 	}
 	hp.peers[peer].reconn.Add(1)
 }
 
-// HealthStates snapshots every peer's health-plane lifecycle state (all
-// HealthHealthy when the cluster runs without the health plane).
+// HealthStates snapshots every peer's health-plane lifecycle state.
 func (lc *LiveCluster) HealthStates() []HealthState {
 	out := make([]HealthState, lc.n)
 	for v := range out {

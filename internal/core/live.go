@@ -32,7 +32,7 @@ import (
 // round resets only its dependency counters. Every goroutine a round starts
 // counts in one WaitGroup, and its deadline ends it like any failure.
 //
-// The fault plane (faults.go) adds reliable delivery: acknowledged-or-retried
+// Every round runs the fault plane (faults.go): acknowledged-or-retried
 // sends, idempotent dedup, checksummed payloads, and a failure detector whose
 // convicted peer is excluded (renormalized merge) or surfaced as a typed error.
 
@@ -62,10 +62,10 @@ type LiveConfig struct {
 	// TCP.Metrics defaults to Telemetry's metrics registry when unset.
 	TCP *netsim.TCPOptions
 	// Pipeline tunes the pipelined send engine (pipeline.go): per-link
-	// in-flight windows and receiver-side ack aggregation, both settings of
-	// reliable rounds. The zero value reproduces the classic sequential send
-	// loop. Result bytes are identical for every setting — the window
-	// changes when transfers resolve, never what the ordered merges compute.
+	// in-flight windows and receiver-side ack aggregation. The zero value
+	// reproduces the classic sequential send loop. Result bytes are
+	// identical for every setting — the window changes when transfers
+	// resolve, never what the ordered merges compute.
 	Pipeline PipelineConfig
 	// Telemetry, when non-nil, records wall-clock spans for every executed
 	// primitive (encode/decode/merge/send/recv, flow-linked send→recv),
@@ -78,11 +78,12 @@ type LiveConfig struct {
 
 	// --- fault plane ---
 
-	// Reliable turns on acknowledged-or-retried delivery with idempotent
-	// receiver dedup and checksummed payloads — what survives lossy
-	// transports (chaos injection, real networks).
+	// Reliable is ignored: every round delivers acknowledged-or-retried,
+	// with idempotent receiver dedup and checksummed payloads. The field
+	// stays only because bench/ names it — ROADMAP Benchmark v2 (e) deletes
+	// it.
 	Reliable bool
-	// Retry bounds the reliable send loop; zero fields take defaults
+	// Retry bounds the send loop's static policy; zero fields take defaults
 	// (5 attempts, 10ms base backoff, 100ms cap).
 	Retry RetryPolicy
 	// RoundTimeout bounds one SyncRound; on expiry the round unwinds and
@@ -102,21 +103,19 @@ type LiveConfig struct {
 	// Health configures the adaptive health plane (health.go): φ-accrual
 	// failure detection, per-link RTT-adaptive retry deadlines, idle
 	// heartbeats, and hedged retransmits. Nil (or Adaptive unset) keeps
-	// the static Retry policy; reliable clusters still harvest RTT
-	// evidence passively for failure reports.
+	// the static Retry policy; the plane still harvests RTT evidence
+	// passively for failure reports.
 	Health *HealthConfig
 
 	// --- autotune plane (epoch.go, internal/autotune) ---
 
 	// Autotune, when non-nil, closes the planning loop: after every
-	// successful round the tuner receives a RoundObservation (and, on
-	// reliable clusters, per-link ack RTT samples as they arrive), and may
-	// propose a new PlanEpoch — strategy, partition count, selective
-	// compression threshold — which is staged under the epoch lock and
-	// activated at the next round barrier. Its encode/decode evidence is the
-	// compressors' counters (LiveCluster.WireStats). Link
-	// calibration rides the ack path; an unreliable cluster's tuner only
-	// sees round-level evidence.
+	// successful round the tuner receives a RoundObservation (and per-link
+	// ack RTT samples as they arrive), and may propose a new PlanEpoch —
+	// strategy, partition count, selective compression threshold — which
+	// is staged under the epoch lock and activated at the next round
+	// barrier. Its encode/decode evidence is the compressors' counters
+	// (LiveCluster.WireStats); link calibration rides the ack path.
 	Autotune Autotuner
 
 	// --- elastic membership (recovery plane) ---
@@ -143,10 +142,10 @@ type LiveCluster struct {
 	// chaosMu guards cfg.Chaos, which SetChaos may replace between rounds.
 	chaosMu sync.Mutex
 
-	// health is the adaptive health plane (nil unless Reliable): per-link
-	// RTT estimators and the peer table — φ detectors, lifecycle, elastic
-	// membership — that persist across rounds, so steady-state rounds
-	// inherit learned deadlines and standing convictions.
+	// health is the cluster's health plane: per-link RTT estimators and the
+	// peer table — φ detectors, lifecycle, elastic membership — that persist
+	// across rounds, so steady-state rounds inherit learned deadlines and
+	// standing convictions.
 	health *healthPlane
 
 	// Autotune-plane state (epoch.go): the active epoch, a staged pending
@@ -176,26 +175,11 @@ func (c *LiveConfig) Validate() error {
 	if c.Strategy != StrategyRing && c.Strategy != StrategyPS {
 		return &ConfigError{"Strategy", fmt.Sprintf("%v is not a live-plane strategy (the live plane runs ring and ps; halving-doubling is timing-plane only)", c.Strategy)}
 	}
-	if c.Chaos != nil && !c.Reliable && c.RoundTimeout == 0 {
-		return &ConfigError{"Chaos", "chaos injection requires Reliable delivery or a RoundTimeout (a dropped message would hang the round)"}
-	}
-	if c.Transport == "tcp" && c.TCP != nil && c.TCP.Chaos != nil && !c.Reliable && c.RoundTimeout == 0 {
-		return &ConfigError{"TCP.Chaos", "wire chaos requires Reliable delivery or a RoundTimeout (a frame the reader drops would hang the round)"}
-	}
 	if c.OnPeerFail == DegradeExclude && c.Strategy == StrategyRing {
 		return &ConfigError{"OnPeerFail", "DegradeExclude requires the PS strategy (a ring cannot route around a dead hop); use DegradeAbort"}
 	}
-	if c.Elastic && !c.Reliable {
-		return &ConfigError{"Elastic", "elastic membership requires Reliable delivery (convictions come from the ack scoreboard)"}
-	}
 	if c.Elastic && c.OnPeerFail != DegradeExclude {
 		return &ConfigError{"Elastic", "elastic membership requires the PS strategy with OnPeerFail=DegradeExclude (rounds must complete around an excluded peer)"}
-	}
-	if (c.Pipeline.Window > 1 || c.Pipeline.AckBatch > 1) && !c.Reliable {
-		return &ConfigError{"Pipeline", "a send window or ack batch requires Reliable delivery (an unreliable send waits for no ack, so its lane has nothing to overlap)"}
-	}
-	if c.Health != nil && c.Health.Adaptive && !c.Reliable {
-		return &ConfigError{"Health.Adaptive", "the adaptive health plane requires Reliable delivery (its evidence is the ack path)"}
 	}
 	// Every attempt of a transfer needs its own number on the wire.
 	if c.Retry.MaxAttempts > 1<<15 {
@@ -221,9 +205,7 @@ func NewLiveCluster(n int, cfg LiveConfig) (*LiveCluster, error) {
 	cfg.Retry = cfg.Retry.withDefaults()
 	lc := &LiveCluster{n: n, cfg: cfg}
 	lc.epoch = defaultEpoch(&lc.cfg)
-	if cfg.Reliable {
-		lc.health = newHealthPlane(n, cfg.Health, cfg.Retry, cfg.Elastic, cfg.Telemetry)
-	}
+	lc.health = newHealthPlane(n, cfg.Health, cfg.Retry, cfg.Elastic, cfg.Telemetry)
 	if cfg.Algo != "" {
 		lc.comp = make([]*compress.Instrumented, n)
 		lc.ef = make([]*compress.ErrorFeedback, n)
@@ -454,7 +436,7 @@ type roundPlan struct {
 	roots    []int
 	deps     []int      // by task: its count before the round runs
 	links    []link     // by src·n+dst: the send engine's link table
-	xfer     []transfer // by recv task, on reliable rounds: the transfer table
+	xfer     []transfer // by recv task: the transfer table
 }
 
 // planRound returns the plan a round under ep over node 0's gradients g0 (names
@@ -512,11 +494,8 @@ func (lc *LiveCluster) planGraph(ep PlanEpoch, g *Graph, lay *roundLayout) (*rou
 	}
 	p := &roundPlan{epoch: ep, g: g, lay: lay, recvIdx: recvIdx, roots: g.Roots(),
 		ef: make([]efName, len(g.Tasks)), deps: make([]int, len(g.Tasks)),
-		links: make([]link, lc.n*lc.n)}
-	if lc.cfg.Reliable { // acks and dedup: never touched otherwise
-		p.xfer = make([]transfer, len(g.Tasks))
-	}
-	p.compCap, p.inboxCap = queueSizes(g, lc.n, lc.cfg.Reliable)
+		links: make([]link, lc.n*lc.n), xfer: make([]transfer, len(g.Tasks))}
+	p.compCap, p.inboxCap = queueSizes(g, lc.n)
 	for i, t := range g.Tasks {
 		p.deps[i] = t.deps
 		if t.Kind == KEncode {
@@ -553,10 +532,8 @@ type liveRound struct {
 	rs    *roundState
 	nodes []nodeRT
 
-	reliable bool
-
-	// hp is the cluster's health plane (non-nil whenever reliable): it owns
-	// the delivery loop's retry policy, static or adaptive.
+	// hp is the cluster's health plane: it owns the delivery loop's retry
+	// policy, static or adaptive.
 	hp *healthPlane
 
 	gmu       sync.Mutex // guards graph dependency counters + completed
@@ -748,19 +725,16 @@ const inboxSlack = 16
 // queueSizes sizes a round's queues from the traffic its DAG declares. comp[v]
 // is node v's compute-task count: route queues each task once, so a send on
 // the Q_comp channel never blocks. inbox is the most frames a clean round
-// delivers to any one node — its recvs plus, when reliable, one ack per send
-// — plus inboxSlack.
-func queueSizes(g *Graph, n int, reliable bool) (comp []int, inbox int) {
+// delivers to any one node — its recvs plus one ack per send — plus
+// inboxSlack.
+func queueSizes(g *Graph, n int) (comp []int, inbox int) {
 	comp = make([]int, n)
 	frames := make([]int, n)
 	for _, t := range g.Tasks {
-		switch {
-		case !t.Kind.IsComm():
+		if t.Kind.IsComm() {
+			frames[t.Node]++ // a recv's data frame, a send's ack
+		} else {
 			comp[t.Node]++
-		case t.Kind == KRecv:
-			frames[t.Node]++ // its data frame
-		case reliable:
-			frames[t.Node]++ // a send's ack
 		}
 	}
 	for _, f := range frames {
@@ -833,7 +807,6 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 		tr:        tr,
 		rs:        newRoundState(n),
 		nodes:     nodes,
-		reliable:  lc.cfg.Reliable,
 		hp:        lc.health,
 		remaining: len(g.Tasks),
 		completed: make([]bool, len(g.Tasks)),
@@ -891,7 +864,7 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 			defer r.wg.Done()
 			r.dispatch(rt)
 		}()
-		if lc.health != nil && lc.health.cfg.Adaptive && lc.health.cfg.HeartbeatEvery > 0 {
+		if lc.health.cfg.Adaptive && lc.health.cfg.HeartbeatEvery > 0 {
 			r.wg.Add(1)
 			go func() { // idle liveness probes feeding the φ detectors
 				defer r.wg.Done()
@@ -923,7 +896,7 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 	}
 	r.pipe.close()
 
-	health := r.rs.health(r.reliable, time.Since(started)) //hipress:wallclock round-duration telemetry for RoundHealth
+	health := r.rs.health(time.Since(started)) //hipress:wallclock round-duration telemetry for RoundHealth
 	health.EpochVersion = p.epoch.Version
 	health.SendWallNs = r.pipe.sendWallNs()
 	health.MaxLinkQueueDepth = r.pipe.maxDepth()
@@ -1027,10 +1000,8 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 		// echoed back (Step carries the probe's send timestamp), an
 		// echo yields one RTT sample plus an arrival observation.
 		if msg.Ack {
-			if hp := r.hp; hp != nil {
-				hp.observeRTT(rt.id, msg.From, hp.clock()-time.Duration(msg.Step))
-				hp.arrival(msg.From)
-			}
+			r.hp.observeRTT(rt.id, msg.From, r.hp.clock()-time.Duration(msg.Step))
+			r.hp.arrival(msg.From)
 		} else {
 			r.replyHeartbeat(rt.id, *msg)
 		}
@@ -1047,7 +1018,7 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 			refs = []netsim.AckRef{{Gradient: msg.Gradient, Step: msg.Step}}
 		}
 		for _, ref := range refs {
-			if id, ok := r.recvIdx[wireKey{ref.Gradient, ref.Step, msg.From, msg.To}]; ok && r.reliable {
+			if id, ok := r.recvIdx[wireKey{ref.Gradient, ref.Step, msg.From, msg.To}]; ok {
 				r.rs.settle(&r.xfer[id], msg.To, msg.From)
 			}
 		}
@@ -1059,7 +1030,7 @@ func (r *liveRound) dispatchMsg(rt *nodeRT, msg *netsim.Message) bool {
 	// A bulk frame: every entry is handled as a classic frame, and the good
 	// ones' acks queue at once, a backlog the ack worker coalesces.
 	var acks *[]netsim.Message
-	if r.reliable && msg.From >= 0 && msg.From < r.pipe.n {
+	if msg.From >= 0 && msg.From < r.pipe.n {
 		acks = &r.pipe.links[rt.id*r.pipe.n+msg.From].bulkAcks
 		*acks = (*acks)[:0]
 	}
@@ -1086,17 +1057,12 @@ func (r *liveRound) recvData(rt *nodeRT, msg *netsim.Message, lease *kernels.Lea
 		sum = crc32.ChecksumIEEE(msg.Payload)
 	}
 	if sum != msg.Sum {
-		if r.reliable {
-			// Drop silently: no ack means the sender retransmits.
-			atomic.AddInt64(&r.rs.corruptDrops, 1)
-			if r.trc.Enabled() {
-				r.traceEvent(fmt.Sprintf("corrupt-drop %s←%d", msg.Gradient, msg.From), "chaos", rt.id)
-			}
-			return true
+		// Drop silently: no ack means the sender retransmits.
+		atomic.AddInt64(&r.rs.corruptDrops, 1)
+		if r.trc.Enabled() {
+			r.traceEvent(fmt.Sprintf("corrupt-drop %s←%d", msg.Gradient, msg.From), "chaos", rt.id)
 		}
-		r.fail(fmt.Errorf("core: node %d received corrupted payload for %q from %d (checksum %08x != header %08x, %d bytes)",
-			rt.id, msg.Gradient, msg.From, sum, msg.Sum, len(msg.Payload)))
-		return false
+		return true
 	}
 	// A checksum-valid data message is as good as an ack for liveness.
 	r.hp.arrival(msg.From)
@@ -1106,22 +1072,23 @@ func (r *liveRound) recvData(rt *nodeRT, msg *netsim.Message, lease *kernels.Lea
 		r.fail(fmt.Errorf("core: node %d got unexpected message %s/p%d step %d from %d", rt.id, msg.Gradient, part, step, msg.From))
 		return false
 	}
-	if r.reliable {
-		dup := r.xfer[id].seen
-		r.xfer[id].seen = true
-		if acks == nil {
-			r.sendAck(rt.id, *msg)
-		} else {
-			*acks = append(*acks, ackOf(rt.id, msg))
+	dup := r.xfer[id].seen
+	r.xfer[id].seen = true
+	// The ack goes out through its row's ack worker (enqueueAck), so a blocked
+	// ack never stalls this dispatcher; a lost one is recovered by the sender's
+	// retry and the dedup re-ack.
+	if ack := ackOf(rt.id, msg); acks == nil {
+		r.pipe.enqueueAck(ack)
+	} else {
+		*acks = append(*acks, ack)
+	}
+	if dup {
+		// Duplicate (retransmission or injected dup): re-acked, discard.
+		atomic.AddInt64(&r.rs.duplicates, 1)
+		if r.trc.Enabled() {
+			r.traceEvent(fmt.Sprintf("dup-drop %s←%d", msg.Gradient, msg.From), "dedup", rt.id)
 		}
-		if dup {
-			// Duplicate (retransmission or injected dup): re-acked, discard.
-			atomic.AddInt64(&r.rs.duplicates, 1)
-			if r.trc.Enabled() {
-				r.traceEvent(fmt.Sprintf("dup-drop %s←%d", msg.Gradient, msg.From), "dedup", rt.id)
-			}
-			return true
-		}
+		return true
 	}
 	r.gmu.Lock()
 	done := r.completed[id]
@@ -1140,32 +1107,21 @@ func (r *liveRound) recvData(rt *nodeRT, msg *netsim.Message, lease *kernels.Lea
 	return true
 }
 
-// sendAck acknowledges a transfer asynchronously (a blocked ack must not stall
-// the dispatcher, or two full inboxes could deadlock each other), through the
-// ack queue of the link's row (enqueueAck). A lost ack (queue overflow,
-// transport error) is recovered by the sender's retry and the dedup re-ack.
-func (r *liveRound) sendAck(node int, msg netsim.Message) {
-	r.pipe.enqueueAck(ackOf(node, &msg))
-}
-
 // ackOf is node's ack of data message msg.
 func ackOf(node int, msg *netsim.Message) netsim.Message {
 	return netsim.Message{From: node, To: msg.From, Gradient: msg.Gradient, Step: msg.Step, Attempt: msg.Attempt, Ack: true}
 }
 
 // deliver settles a lane batch's staged transfers, msg their first attempt (a
-// bulk frame for two or more): fire-and-forget on an unreliable round,
-// otherwise through the one acknowledged-or-retried delivery loop (attempt),
-// retrying what the first attempt leaves unacknowledged alone, in lane order,
-// from attempt 1, unless a late ack settled it meanwhile. An exhausted budget
-// with the detector inconclusive ends in a *PeerFailureError with the link's
-// RTT evidence. w's channel is armed at each transfer's recv task, so a
-// batch-mate's late ack may wake a lone retry, whose wait then runs on
-// (attempt checks what settled), and disarmed on every return.
+// bulk frame for two or more), through the one acknowledged-or-retried
+// delivery loop (attempt), retrying what the first attempt leaves
+// unacknowledged alone, in lane order, from attempt 1, unless a late ack
+// settled it meanwhile. An exhausted budget with the detector inconclusive
+// ends in a *PeerFailureError with the link's RTT evidence. w's channel is
+// armed at each transfer's recv task, so a batch-mate's late ack may wake a
+// lone retry, whose wait then runs on (attempt checks what settled), and
+// disarmed on every return.
 func (r *liveRound) deliver(batch []pendingSend, msg netsim.Message, w *laneWaiter) error {
-	if !r.reliable {
-		return r.tr.Send(msg)
-	}
 	rs := r.rs
 	for i := range batch {
 		rs.arm(batch[i].x, w.ack)
@@ -1352,8 +1308,8 @@ func (r *liveRound) heartbeatLoop(v int) {
 	}
 }
 
-// replyHeartbeat echoes a probe back to its sender asynchronously (like
-// sendAck, a blocked echo must not stall the dispatcher). Echoes ride the
+// replyHeartbeat echoes a probe back to its sender asynchronously (like an
+// ack, a blocked echo must not stall the dispatcher). Echoes ride the
 // same per-link ack worker but are always transmitted individually — their
 // Step is an RTT timestamp that must not be delayed into a batch.
 func (r *liveRound) replyHeartbeat(node int, msg netsim.Message) {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,7 +39,7 @@ func TestLiveChaosByteIdentical(t *testing.T) {
 			runOnce := func(cc *netsim.ChaosConfig) ([]map[string][]float32, *RoundHealth) {
 				lc, err := NewLiveCluster(4, LiveConfig{
 					Strategy: strat, Algo: algo, Parts: 2,
-					Reliable: true, Retry: fastRetry,
+					Retry:        fastRetry,
 					RoundTimeout: 30 * time.Second,
 					Chaos:        cc,
 				})
@@ -94,7 +93,7 @@ func TestLiveBlackoutExcludeRenormalized(t *testing.T) {
 	// Node 3 is a pure worker for partition 0 (server = part % n = 0).
 	lc, err := NewLiveCluster(n, LiveConfig{
 		Strategy: StrategyPS, Parts: 1,
-		Reliable: true, Retry: fastRetry,
+		Retry:        fastRetry,
 		RoundTimeout: 30 * time.Second,
 		OnPeerFail:   DegradeExclude, Renormalize: true,
 		Chaos: &netsim.ChaosConfig{Seed: 5, NodeDown: map[int]bool{3: true}},
@@ -166,8 +165,8 @@ func TestLiveBlackoutAbortTyped(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			lc, err := NewLiveCluster(3, LiveConfig{
-				Strategy: StrategyPS,
-				Reliable: true, Retry: fastRetry,
+				Strategy:     StrategyPS,
+				Retry:        fastRetry,
 				RoundTimeout: 20 * time.Second,
 				OnPeerFail:   DegradeAbort,
 				Health:       row.health,
@@ -205,13 +204,13 @@ func TestLiveBlackoutAbortTyped(t *testing.T) {
 // construction).
 func TestLiveRingBlackoutTyped(t *testing.T) {
 	if _, err := NewLiveCluster(3, LiveConfig{
-		Strategy: StrategyRing, Reliable: true, OnPeerFail: DegradeExclude,
+		Strategy: StrategyRing, OnPeerFail: DegradeExclude,
 	}); err == nil {
 		t.Fatal("exclude policy with ring accepted")
 	}
 	lc, err := NewLiveCluster(3, LiveConfig{
-		Strategy: StrategyRing,
-		Reliable: true, Retry: fastRetry,
+		Strategy:     StrategyRing,
+		Retry:        fastRetry,
 		RoundTimeout: 20 * time.Second,
 		Chaos:        &netsim.ChaosConfig{Seed: 2, NodeDown: map[int]bool{2: true}},
 	})
@@ -230,12 +229,13 @@ func TestLiveRingBlackoutTyped(t *testing.T) {
 	}
 }
 
-// TestLiveRoundTimeoutTyped: without reliability, a silently dropped message
-// would hang the round forever; the deadline converts that into a prompt
-// *RoundTimeoutError.
+// TestLiveRoundTimeoutTyped: a link that drops every frame, under a retry
+// budget that outlasts the round's deadline, keeps its sender retrying; the
+// deadline converts that into a prompt *RoundTimeoutError.
 func TestLiveRoundTimeoutTyped(t *testing.T) {
 	lc, err := NewLiveCluster(3, LiveConfig{
 		Strategy:     StrategyPS,
+		Retry:        RetryPolicy{MaxAttempts: 20}, // no verdict before attempt 19, ≈ 1.6 s in
 		RoundTimeout: 300 * time.Millisecond,
 		Chaos: &netsim.ChaosConfig{Seed: 3, Links: map[netsim.Link]netsim.LinkFaults{
 			{Src: 1, Dst: 0}: {Drop: 1.0}, // worker 1's push never arrives
@@ -260,14 +260,14 @@ func TestLiveRoundTimeoutTyped(t *testing.T) {
 	}
 }
 
-// TestLiveCorruptionRetriedSilently: with reliability on, checksum-failing
-// payloads are silently discarded (no ack → retransmission) and the round
-// still converges to the exact sums, with the damage visible in RoundHealth.
+// TestLiveCorruptionRetriedSilently: checksum-failing payloads are silently
+// discarded (no ack → retransmission) and the round still converges to the
+// exact sums, with the damage visible in RoundHealth.
 func TestLiveCorruptionRetriedSilently(t *testing.T) {
 	sizes := map[string]int{"w1": 300, "w2": 77}
 	lc, err := NewLiveCluster(3, LiveConfig{
 		Strategy: StrategyPS, Parts: 2,
-		Reliable: true, Retry: fastRetry,
+		Retry:        fastRetry,
 		RoundTimeout: 30 * time.Second,
 		Chaos:        &netsim.ChaosConfig{Seed: 9, Default: netsim.LinkFaults{Corrupt: 0.4}},
 	})
@@ -300,9 +300,11 @@ func TestLiveCorruptionRetriedSilently(t *testing.T) {
 	}
 }
 
-// TestLiveCorruptNonReliableLoud: without reliability there is no silent
-// retry path — a checksum mismatch must fail the round with a descriptive
-// error rather than decode garbage.
+// TestLiveCorruptNonReliableLoud: on the zero delivery config a link that
+// corrupts every frame never decodes garbage and never hides behind its
+// retries: each checksum failure is dropped and retried until the attempt
+// budget runs out, and the round ends in a typed *PeerFailureError with the
+// drops counted and no results.
 func TestLiveCorruptNonReliableLoud(t *testing.T) {
 	lc, err := NewLiveCluster(3, LiveConfig{
 		Strategy:     StrategyPS,
@@ -313,12 +315,16 @@ func TestLiveCorruptNonReliableLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	grads, _ := makeGrads(6, 3, map[string]int{"w": 200})
-	_, _, err = lc.SyncRoundContext(context.Background(), grads)
-	if err == nil {
-		t.Fatal("corrupted round succeeded")
+	out, health, err := lc.SyncRoundContext(context.Background(), grads)
+	var pf *PeerFailureError
+	if !errors.As(err, &pf) {
+		t.Fatalf("corrupted round ended in %v, want a *PeerFailureError", err)
 	}
-	if !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("corruption error not descriptive: %v", err)
+	if out != nil {
+		t.Fatal("corrupted round returned results")
+	}
+	if health == nil || health.CorruptDrops == 0 {
+		t.Fatalf("no checksum rejections recorded: %v", health)
 	}
 }
 
@@ -328,7 +334,7 @@ func TestLiveChaosOverTCP(t *testing.T) {
 	sizes := map[string]int{"w": 250}
 	lc, err := NewLiveCluster(3, LiveConfig{
 		Strategy: StrategyPS, Transport: "tcp",
-		Reliable: true, Retry: fastRetry,
+		Retry:        fastRetry,
 		RoundTimeout: 30 * time.Second,
 		Chaos:        &netsim.ChaosConfig{Seed: 11, Default: netsim.LinkFaults{Drop: 0.1}},
 	})
@@ -350,14 +356,48 @@ func TestLiveChaosOverTCP(t *testing.T) {
 	}
 }
 
-// TestLiveChaosConfigValidation: chaos without a safety net (reliability or
-// deadline) is rejected up front.
-func TestLiveChaosConfigValidation(t *testing.T) {
-	if _, err := NewLiveCluster(3, LiveConfig{
-		Strategy: StrategyPS,
-		Chaos:    &netsim.ChaosConfig{Default: netsim.LinkFaults{Drop: 0.5}},
-	}); err == nil {
-		t.Fatal("chaos without Reliable or RoundTimeout accepted")
+// TestZeroConfigSurvivesChaos: the zero LiveConfig — what the training loop
+// runs — needs no retry policy, deadline or other setting to ride out a lossy
+// fabric: under seeded message chaos over chan, and under wire corruption over
+// TCP, its rounds end with the clean run's results byte for byte.
+func TestZeroConfigSurvivesChaos(t *testing.T) {
+	const n = 3
+	sizes := map[string]int{"w1": 513, "w2": 64}
+	for _, c := range []struct {
+		name  string
+		clean LiveConfig
+		chaos func(*LiveConfig)
+	}{
+		{"chan", LiveConfig{}, func(cfg *LiveConfig) {
+			cfg.Chaos = &netsim.ChaosConfig{Seed: 17, Default: netsim.LinkFaults{Drop: 0.2, Corrupt: 0.05}}
+		}},
+		{"tcp", LiveConfig{Transport: "tcp"}, func(cfg *LiveConfig) {
+			cfg.TCP = &netsim.TCPOptions{Chaos: &netsim.WireChaosConfig{Seed: 17, CorruptProb: 0.5}}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dirty := c.clean
+			c.chaos(&dirty)
+			want, _ := runSizedDigests(t, c.clean, n, 2, sizes)
+			got, healths := runSizedDigests(t, dirty, n, 2, sizes)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("round %d: digest %016x under chaos, %016x clean (health %s)", i, got[i], want[i], healths[i])
+				}
+			}
+			var faults int64
+			for _, h := range healths {
+				if h.Chaos != nil {
+					faults += h.Chaos.Dropped + h.Chaos.Corrupted
+				}
+				if h.Wire != nil {
+					faults += h.Wire.CorruptedBytes
+				}
+			}
+			if faults == 0 {
+				t.Fatal("chaos injected nothing")
+			}
+		})
 	}
 }
 
@@ -386,7 +426,7 @@ func TestAckSettlesThroughRecvIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := &liveRound{roundPlan: &roundPlan{g: g, recvIdx: recvIdx, xfer: make([]transfer, len(g.Tasks))},
-				reliable: true, rs: newRoundState(n)}
+				rs: newRoundState(n), hp: newHealthPlane(n, nil, RetryPolicy{}.withDefaults(), false, nil)}
 
 			// Six transfers of the first recv's link: R[0] plain, R[1:4]
 			// batched, R[4] acked before it is armed; R[5] stays armed.
@@ -568,7 +608,7 @@ func TestAckRendezvousReuse(t *testing.T) {
 		tr := netsim.NewChanTransport(n, 16)
 		defer tr.Close()
 		r := &liveRound{roundPlan: &roundPlan{g: g, recvIdx: recvIdx, xfer: make([]transfer, len(g.Tasks))},
-			reliable: true, rs: newRoundState(n), tr: tr, doneCh: make(chan struct{}),
+			rs: newRoundState(n), tr: tr, doneCh: make(chan struct{}),
 			hp: newHealthPlane(n, nil, RetryPolicy{}.withDefaults(), false, nil)}
 		close(r.doneCh)
 		var send *Task

@@ -125,7 +125,7 @@ func TestLiveIntegrityMatrix(t *testing.T) {
 		for _, transport := range []string{"chan", "tcp"} {
 			base := arm.cfg
 			base.Transport = transport
-			base.Reliable, base.Retry = true, retry
+			base.Retry = retry
 			base.RoundTimeout = 30 * time.Second
 			want, _ := runSizedDigests(t, base, n, rounds, arm.sizes)
 			for _, inj := range injectors {
@@ -223,7 +223,6 @@ func TestRoundAliasingAndInputImmutability(t *testing.T) {
 			t.Run(arm.name+"/"+transport, func(t *testing.T) {
 				cfg := arm.cfg
 				cfg.Transport = transport
-				cfg.Reliable = true
 				cfg.Retry = RetryPolicy{MaxAttempts: 8, BaseBackoff: 20 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
 				cfg.Pipeline = PipelineConfig{Window: 4, AckBatch: 4, OverlapEncode: true}
 				cfg.RoundTimeout = 30 * time.Second
@@ -322,7 +321,7 @@ func BenchmarkRawRingRound(b *testing.B) {
 		sizes[fmt.Sprintf("small%02d", i)] = 1 << 10
 	}
 	lc, err := NewLiveCluster(n, LiveConfig{
-		Strategy: StrategyRing, Parts: 2, Transport: "tcp", Reliable: true,
+		Strategy: StrategyRing, Parts: 2, Transport: "tcp",
 		Pipeline: PipelineConfig{Window: 4, AckBatch: 4, OverlapEncode: true},
 	})
 	if err != nil {
@@ -362,12 +361,11 @@ func BenchmarkRawRingRound(b *testing.B) {
 // merge add none. Bytes per op are what one node contributes.
 func BenchmarkCompressedPSRound(b *testing.B) { benchPSRound(b, LiveConfig{}) }
 
-// BenchmarkReliablePSRound is the same round under Reliable delivery through
-// windowed lanes with batched acks: the two above never ask the peer table
-// whether anybody is dead and never run the delivery loop; this one does both
-// for every task and transfer.
+// BenchmarkReliablePSRound is the same round through windowed lanes with
+// batched acks: the two above resolve one batch per node at a time and ack
+// every frame alone.
 func BenchmarkReliablePSRound(b *testing.B) {
-	benchPSRound(b, LiveConfig{Reliable: true, Pipeline: PipelineConfig{Window: 4, AckBatch: 4}})
+	benchPSRound(b, LiveConfig{Pipeline: PipelineConfig{Window: 4, AckBatch: 4}})
 }
 
 func benchPSRound(b *testing.B, cfg LiveConfig) {

@@ -74,7 +74,7 @@ func TestStragglerConvictionStaticVsAdaptive(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			lc, err := NewLiveCluster(n, LiveConfig{
 				Strategy: StrategyPS, Parts: 2,
-				Reliable: true, Retry: tc.retry, Health: tc.health,
+				Retry: tc.retry, Health: tc.health,
 				RoundTimeout: 30 * time.Second,
 				OnPeerFail:   DegradeExclude, Renormalize: true,
 				Chaos: chaos,

@@ -303,29 +303,28 @@ func TestLiveConfigValidate(t *testing.T) {
 		field string // "" = valid
 	}{
 		{"zero config", LiveConfig{}, ""},
-		{"all planes on", LiveConfig{Strategy: StrategyPS, Transport: "tcp", Reliable: true,
+		{"all planes on", LiveConfig{Strategy: StrategyPS, Transport: "tcp",
 			OnPeerFail: DegradeExclude, Elastic: true, Chaos: chaos, Health: &HealthConfig{Adaptive: true}}, ""},
-		{"chaos under a round timeout only", LiveConfig{Chaos: chaos, RoundTimeout: time.Second}, ""},
-		{"passive health plane unreliable", LiveConfig{Health: &HealthConfig{}}, ""},
+		{"chaos under a round timeout", LiveConfig{Chaos: chaos, RoundTimeout: time.Second}, ""},
+		{"passive health plane", LiveConfig{Health: &HealthConfig{}}, ""},
 		{"unknown transport", LiveConfig{Transport: "udp"}, "Transport"},
 		{"halving-doubling is not live", LiveConfig{Strategy: StrategyHD}, "Strategy"},
 		{"unknown strategy", LiveConfig{Strategy: Strategy(42)}, "Strategy"},
-		{"chaos without reliable or timeout", LiveConfig{Chaos: chaos}, "Chaos"},
-		{"wire chaos without reliable or timeout", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos}, "TCP.Chaos"},
-		{"wire chaos reliable", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos, Reliable: true}, ""},
-		{"send window unreliable", LiveConfig{Pipeline: PipelineConfig{Window: 4}}, "Pipeline"},
-		{"ack batch unreliable", LiveConfig{Pipeline: PipelineConfig{AckBatch: 4}}, "Pipeline"},
-		{"pipelined reliable", LiveConfig{Reliable: true, Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}, ""},
-		{"wire chaos under a round timeout only", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos, RoundTimeout: time.Second}, ""},
-		{"exclude on a ring", LiveConfig{Strategy: StrategyRing, Reliable: true, OnPeerFail: DegradeExclude}, "OnPeerFail"},
-		{"elastic unreliable", LiveConfig{Strategy: StrategyPS, OnPeerFail: DegradeExclude, Elastic: true}, "Elastic"},
-		{"elastic with abort", LiveConfig{Strategy: StrategyPS, Reliable: true, Elastic: true}, "Elastic"},
-		{"elastic on a ring", LiveConfig{Strategy: StrategyRing, Reliable: true, OnPeerFail: DegradeExclude, Elastic: true}, "OnPeerFail"},
-		{"adaptive unreliable", LiveConfig{Health: &HealthConfig{Adaptive: true}}, "Health.Adaptive"},
-		{"static budget at the wire's attempt limit", LiveConfig{Reliable: true, Retry: RetryPolicy{MaxAttempts: 32768}}, ""},
-		{"static budget past the wire's attempt limit", LiveConfig{Reliable: true, Retry: RetryPolicy{MaxAttempts: 32769}}, "Retry.MaxAttempts"},
-		{"hedged budget at the distinct-hedge limit", LiveConfig{Reliable: true, Health: &HealthConfig{Adaptive: true, MaxAttempts: 256}}, ""},
-		{"hedged budget past the distinct-hedge limit", LiveConfig{Reliable: true, Health: &HealthConfig{Adaptive: true, MaxAttempts: 257}}, "Health.MaxAttempts"},
+		{"chaos without a timeout", LiveConfig{Chaos: chaos}, ""},
+		{"wire chaos without a timeout", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos}, ""},
+		{"send window", LiveConfig{Pipeline: PipelineConfig{Window: 4}}, ""},
+		{"ack batch", LiveConfig{Pipeline: PipelineConfig{AckBatch: 4}}, ""},
+		{"pipelined", LiveConfig{Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}, ""},
+		{"wire chaos under a round timeout", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos, RoundTimeout: time.Second}, ""},
+		{"exclude on a ring", LiveConfig{Strategy: StrategyRing, OnPeerFail: DegradeExclude}, "OnPeerFail"},
+		{"elastic PS with exclude", LiveConfig{Strategy: StrategyPS, OnPeerFail: DegradeExclude, Elastic: true}, ""},
+		{"elastic with abort", LiveConfig{Strategy: StrategyPS, Elastic: true}, "Elastic"},
+		{"elastic on a ring", LiveConfig{Strategy: StrategyRing, OnPeerFail: DegradeExclude, Elastic: true}, "OnPeerFail"},
+		{"adaptive health plane", LiveConfig{Health: &HealthConfig{Adaptive: true}}, ""},
+		{"static budget at the wire's attempt limit", LiveConfig{Retry: RetryPolicy{MaxAttempts: 32768}}, ""},
+		{"static budget past the wire's attempt limit", LiveConfig{Retry: RetryPolicy{MaxAttempts: 32769}}, "Retry.MaxAttempts"},
+		{"hedged budget at the distinct-hedge limit", LiveConfig{Health: &HealthConfig{Adaptive: true, MaxAttempts: 256}}, ""},
+		{"hedged budget past the distinct-hedge limit", LiveConfig{Health: &HealthConfig{Adaptive: true, MaxAttempts: 257}}, "Health.MaxAttempts"},
 		{"partitions at the epoch frame's limit", LiveConfig{Parts: 4096}, ""},
 		{"partitions past the epoch frame's limit", LiveConfig{Parts: 4097}, "Parts"},
 	}
@@ -343,7 +342,7 @@ func TestLiveConfigValidate(t *testing.T) {
 	}
 
 	// The runtime entry points answer with the same definition.
-	lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, Reliable: true, OnPeerFail: DegradeExclude})
+	lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, OnPeerFail: DegradeExclude})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +356,6 @@ func TestLiveConfigValidate(t *testing.T) {
 		err   error
 		field string
 	}{
-		{"SetChaos on an unreliable cluster", plain.SetChaos(chaos), "Chaos"},
 		{"RestoreEpoch to a ring under exclude", lc.RestoreEpoch(ring, 0), "OnPeerFail"},
 		{"ProposeEpoch of a ring under exclude", lc.ProposeEpoch(ring), "OnPeerFail"},
 		{"ProposeEpoch of halving-doubling", lc.ProposeEpoch(PlanEpoch{Version: 1, Strategy: StrategyHD, Parts: 1, CompressMin: -1}), "Strategy"},
@@ -369,11 +367,14 @@ func TestLiveConfigValidate(t *testing.T) {
 			t.Errorf("%s: err = %v, want a *ConfigError on %s", c.name, c.err, c.field)
 		}
 	}
+	if err := plain.SetChaos(chaos); err != nil {
+		t.Errorf("SetChaos on a zero-config cluster: %v", err)
+	}
 	if err := plain.SetChaos(nil); err != nil {
 		t.Errorf("SetChaos(nil): %v", err)
 	}
 	if err := lc.SetChaos(chaos); err != nil {
-		t.Errorf("SetChaos on a reliable cluster: %v", err)
+		t.Errorf("SetChaos on an excluding cluster: %v", err)
 	}
 }
 
@@ -479,9 +480,9 @@ func TestLiveWireStats(t *testing.T) {
 
 // TestRoundQueueSizes: a round's queues follow the traffic its DAG declares.
 // Q_comp holds exactly a node's compute tasks; an inbox holds every frame a
-// clean round delivers to any node — its data frames, plus on a reliable
-// round the acks of its own sends, counted here from the receiving side —
-// and is never larger than the task-count guess it replaced.
+// clean round delivers to any node — its data frames plus the acks of its own
+// sends, counted here from the receiving side — and is never larger than the
+// task-count guess it replaced.
 func TestRoundQueueSizes(t *testing.T) {
 	sizes := map[string]int{}
 	for i := 0; i < 8; i++ {
@@ -496,37 +497,29 @@ func TestRoundQueueSizes(t *testing.T) {
 				}
 				grads, _ := makeGrads(1, n, sizes)
 				g := buildRound(t, lc, grads).g
-				for _, reliable := range []bool{false, true} {
-					name := fmt.Sprintf("%v/n%d/%q/reliable=%v", strat, n, algo, reliable)
-					comp, inbox := queueSizes(g, n, reliable)
-					wantComp, frames := make([]int, n), make([]int, n)
-					for _, tk := range g.Tasks {
-						switch tk.Kind {
-						case KSend:
-						case KRecv:
-							frames[tk.Node]++
-							if reliable {
-								frames[tk.Peer]++ // the ack goes back to the sender
-							}
-						default:
-							wantComp[tk.Node]++
-						}
+				name := fmt.Sprintf("%v/n%d/%q", strat, n, algo)
+				comp, inbox := queueSizes(g, n)
+				wantComp, frames := make([]int, n), make([]int, n)
+				for _, tk := range g.Tasks {
+					switch tk.Kind {
+					case KSend:
+					case KRecv:
+						frames[tk.Node]++
+						frames[tk.Peer]++ // the ack goes back to the sender
+					default:
+						wantComp[tk.Node]++
 					}
-					for v := 0; v < n; v++ {
-						if comp[v] != wantComp[v] {
-							t.Errorf("%s: node %d Q_comp capacity %d, want its %d compute tasks", name, v, comp[v], wantComp[v])
-						}
-						if inbox < frames[v] {
-							t.Errorf("%s: inbox capacity %d < the %d frames node %d receives", name, inbox, frames[v], v)
-						}
+				}
+				for v := 0; v < n; v++ {
+					if comp[v] != wantComp[v] {
+						t.Errorf("%s: node %d Q_comp capacity %d, want its %d compute tasks", name, v, comp[v], wantComp[v])
 					}
-					parent := len(g.Tasks)/n + 16
-					if reliable {
-						parent *= 4
+					if inbox < frames[v] {
+						t.Errorf("%s: inbox capacity %d < the %d frames node %d receives", name, inbox, frames[v], v)
 					}
-					if inbox > parent {
-						t.Errorf("%s: inbox capacity %d above the %d the task-count guess gave", name, inbox, parent)
-					}
+				}
+				if parent := 4 * (len(g.Tasks)/n + 16); inbox > parent {
+					t.Errorf("%s: inbox capacity %d above the %d the task-count guess gave", name, inbox, parent)
 				}
 			}
 		}

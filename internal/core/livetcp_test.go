@@ -49,8 +49,7 @@ func digestRound(out []map[string][]float32) uint64 {
 func tcpParityConfig() LiveConfig {
 	return LiveConfig{
 		Strategy: StrategyPS, Parts: 2, Algo: "onebit", ErrorFeedback: true,
-		Reliable: true,
-		Retry:    RetryPolicy{MaxAttempts: 8, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
+		Retry: RetryPolicy{MaxAttempts: 8, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
 	}
 }
 
@@ -198,7 +197,7 @@ func TestLiveTCPSettlesEveryLease(t *testing.T) {
 	checkedOut(wireChaosParityConfig())
 	// The windowed engine keeps several leased frames per link in flight,
 	// and a raw ring forwards received buffers onward.
-	ring := LiveConfig{Strategy: StrategyRing, Parts: 2, Reliable: true, Transport: "tcp",
+	ring := LiveConfig{Strategy: StrategyRing, Parts: 2, Transport: "tcp",
 		Pipeline: PipelineConfig{Window: 4, AckBatch: 4, OverlapEncode: true}}
 	checkedOut(ring)
 }
@@ -256,7 +255,6 @@ func TestLiveTCPHalfOpenPeerPhiConviction(t *testing.T) {
 	}
 	lc, err := NewLiveCluster(n, LiveConfig{
 		Strategy: StrategyPS, Parts: 2, Algo: "onebit", ErrorFeedback: true,
-		Reliable:   true,
 		Health:     &HealthConfig{Adaptive: true, HeartbeatEvery: 5 * time.Millisecond},
 		OnPeerFail: DegradeExclude, Renormalize: true,
 		RoundTimeout: 30 * time.Second,
@@ -289,25 +287,23 @@ func TestLiveTCPHalfOpenPeerPhiConviction(t *testing.T) {
 
 // TestLiveTCPUnsendableFailsFast: a gradient whose name overflows the
 // frame's u16 length field can never be delivered, so the round must fail
-// with the transport's typed error at the first send — in reliable mode
-// too, where an ordinary send failure is retried until the round times out.
+// with the transport's typed error at the first send, where an ordinary send
+// failure is retried until the round times out.
 func TestLiveTCPUnsendableFailsFast(t *testing.T) {
-	for _, reliable := range []bool{false, true} {
-		lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, Parts: 1, Transport: "tcp",
-			Reliable: reliable, RoundTimeout: 30 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		grads, _ := makeGrads(3, 3, map[string]int{strings.Repeat("n", 1<<16): 32})
-		start := time.Now()
-		_, _, err = lc.SyncRoundContext(context.Background(), grads)
-		var lim *netsim.FrameLimitError
-		if !errors.As(err, &lim) || !errors.Is(err, netsim.ErrUnsendable) {
-			t.Fatalf("reliable=%v: round error = %v, want a wrapped *netsim.FrameLimitError", reliable, err)
-		}
-		if d := time.Since(start); d > 5*time.Second {
-			t.Fatalf("reliable=%v: unsendable message took %v to fail the round", reliable, d)
-		}
+	lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, Parts: 1, Transport: "tcp",
+		RoundTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads, _ := makeGrads(3, 3, map[string]int{strings.Repeat("n", 1<<16): 32})
+	start := time.Now()
+	_, _, err = lc.SyncRoundContext(context.Background(), grads)
+	var lim *netsim.FrameLimitError
+	if !errors.As(err, &lim) || !errors.Is(err, netsim.ErrUnsendable) {
+		t.Fatalf("round error = %v, want a wrapped *netsim.FrameLimitError", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("unsendable message took %v to fail the round", d)
 	}
 }
 

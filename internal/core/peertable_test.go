@@ -156,7 +156,7 @@ func TestPeerLifecycleMatchesMembershipModel(t *testing.T) {
 	for seq := 0; seq < sequences; seq++ {
 		elastic := seq%2 == 0
 		lc, err := NewLiveCluster(n, LiveConfig{
-			Strategy: StrategyPS, Reliable: true, OnPeerFail: DegradeExclude, Elastic: elastic,
+			Strategy: StrategyPS, OnPeerFail: DegradeExclude, Elastic: elastic,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -31,10 +31,9 @@ import (
 // goroutine of the round has left the round's one WaitGroup.
 
 // PipelineConfig tunes the live plane's send pipeline and ack path
-// (LiveConfig.Pipeline). The zero value reproduces the sequential engine,
-// the one shape an unreliable round runs: Window and AckBatch above 1 are
-// settings of reliable rounds (Validate), since what a window overlaps is
-// ack waits.
+// (LiveConfig.Pipeline). The zero value reproduces the sequential engine:
+// one lane per node, one batch awaiting its acks at a time, one frame per
+// ack.
 type PipelineConfig struct {
 	// Window is the per-directed-link sliding window: how many batches (a
 	// lane's backlog to one peer in one frame, see bulkBytes) of one src→dst
@@ -58,7 +57,7 @@ type PipelineConfig struct {
 }
 
 // pendingSend is one staged transfer queued on a lane: the graph task, the
-// wire message, when staging began, and (if reliable) its transfer entry.
+// wire message, when staging began, and its transfer entry.
 type pendingSend struct {
 	t     *Task
 	msg   netsim.Message
@@ -101,7 +100,9 @@ func (s *slab[T]) release() {
 // batched frames so chaos fault rolls stay fresh, flushAcks' scratch, the
 // pending double buffer's other half and a ref slab; bulkAcks, where src's
 // dispatcher gathers a bulk frame's acks, is its own. drainFn and ackFn start
-// workers on eng, the round's engine.
+// workers on eng, the round's engine. waiters, guarded by the engine mutex,
+// is the lane's free list of ack waiters: one per worker it ever ran at once,
+// so at most the window, each put back with its channel empty.
 type link struct {
 	queue   []pendingSend // queue[head:] waits; both reset when it empties
 	head    int
@@ -120,6 +121,7 @@ type link struct {
 	refs    slab[netsim.AckRef]
 
 	bulkAcks       []netsim.Message
+	waiters        []*laneWaiter
 	eng            *sendEngine
 	drainFn, ackFn func()
 }
@@ -169,20 +171,25 @@ func (l *link) take(frameCap int) ([]pendingSend, netsim.Message) {
 	return batch, msg
 }
 
-// laneWaiter is what a lane worker of a reliable round waits for acks with:
-// one timer and one one-slot ack rendezvous channel, pooled (laneWaiters).
+// laneWaiter is what a lane worker waits for acks with: one timer and one
+// one-slot ack rendezvous channel, kept on its lane's free list (link.waiter).
 type laneWaiter struct {
 	timer *time.Timer
 	ack   chan struct{}
 }
 
-// laneWaiters pools lane waiters across workers and rounds. A waiter goes back
+// waiter takes a waiter off the lane's free list, building one when it is
+// empty. The caller holds the engine mutex and hands the waiter back there
 // with its channel empty (deliver disarms on every return).
-var laneWaiters = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return &laneWaiter{timer: t, ack: make(chan struct{}, 1)}
-}}
+func (l *link) waiter() (w *laneWaiter) {
+	if k := len(l.waiters) - 1; k >= 0 {
+		w, l.waiters = l.waiters[k], l.waiters[:k]
+		return w
+	}
+	w = &laneWaiter{timer: time.NewTimer(time.Hour), ack: make(chan struct{}, 1)}
+	w.timer.Stop()
+	return w
+}
 
 // sendEngine runs one round on its plan's link table and is the only route
 // from a ready send task to the wire: staged when its dependencies clear,
@@ -248,10 +255,8 @@ func (e *sendEngine) submit(t *Task) error {
 	if e.window > 1 {
 		dst = t.Peer
 	}
-	p := pendingSend{t: t, msg: msg, start: start}
-	if r.reliable {
-		p.x = &r.xfer[r.recvIdx[wireKey{t.Grad, msg.Step, msg.To, msg.From}]]
-	}
+	p := pendingSend{t: t, msg: msg, start: start,
+		x: &r.xfer[r.recvIdx[wireKey{t.Grad, msg.Step, msg.To, msg.From}]]}
 	l := &e.links[t.Node*e.n+dst]
 	e.startNs.CompareAndSwap(0, e.sinceNs())
 	e.mu.Lock()
@@ -275,10 +280,6 @@ func (e *sendEngine) drain(l *link) {
 	defer e.r.wg.Done()
 	r := e.r
 	var w *laneWaiter // this worker's ack waiter, reused for every transfer it resolves
-	if r.reliable {
-		w = laneWaiters.Get().(*laneWaiter)
-		defer laneWaiters.Put(w)
-	}
 	for {
 		unwinding := false
 		select {
@@ -289,8 +290,14 @@ func (e *sendEngine) drain(l *link) {
 		e.mu.Lock()
 		if unwinding || l.head == len(l.queue) {
 			l.workers--
+			if w != nil {
+				l.waiters = append(l.waiters, w)
+			}
 			e.mu.Unlock()
 			return
+		}
+		if w == nil {
+			w = l.waiter()
 		}
 		batch, msg := l.take(e.frameCap)
 		e.mu.Unlock()

@@ -307,9 +307,8 @@ func TestLinkTableRows(t *testing.T) {
 		name string
 		cfg  LiveConfig
 	}{
-		{"w0", LiveConfig{}},
-		{"w0-reliable", LiveConfig{Reliable: true, Retry: retry}},
-		{"w4-ackbatch4", LiveConfig{Reliable: true, Retry: retry, Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}},
+		{"w0", LiveConfig{Retry: retry}},
+		{"w4-ackbatch4", LiveConfig{Retry: retry, Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}},
 	}
 	sizes := map[string]int{"a": 96, "b": 300}
 	for _, strat := range []Strategy{StrategyPS, StrategyRing} {
@@ -348,7 +347,7 @@ func TestLinkTableRows(t *testing.T) {
 					if got := l.depth > 0; got != wantSends {
 						t.Errorf("row %v carried sends = %v, want %v", key, got, wantSends)
 					}
-					wantAcks := cfg.Reliable && sends[LinkKey{Src: key.Dst, Dst: key.Src}]
+					wantAcks := sends[LinkKey{Src: key.Dst, Dst: key.Src}]
 					if l.started != wantAcks || (key.Src == key.Dst && l.started) {
 						t.Errorf("row %v carried acks = %v, want %v", key, l.started, wantAcks)
 					}

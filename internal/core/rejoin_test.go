@@ -19,7 +19,7 @@ func elasticCluster(t *testing.T, tel *telemetry.Set) *LiveCluster {
 	lc, err := NewLiveCluster(4, LiveConfig{
 		Strategy: StrategyPS, Parts: 1,
 		Algo: "onebit", ErrorFeedback: true,
-		Reliable: true, Retry: fastRetry,
+		Retry:        fastRetry,
 		RoundTimeout: 30 * time.Second,
 		OnPeerFail:   DegradeExclude, Renormalize: true,
 		Elastic:   true,
@@ -178,7 +178,7 @@ func TestElasticRejoinLifecycle(t *testing.T) {
 // a failed round is not a completed one, and nobody participated fully in it.
 func TestPeerRoundCountsCompletedRounds(t *testing.T) {
 	lc, err := NewLiveCluster(3, LiveConfig{
-		Strategy: StrategyPS, Reliable: true, Retry: fastRetry,
+		Strategy: StrategyPS, Retry: fastRetry,
 		OnPeerFail: DegradeExclude, Elastic: true,
 	})
 	if err != nil {
@@ -258,18 +258,12 @@ func TestElasticProbationResetOnReconviction(t *testing.T) {
 // preconditions.
 func TestElasticValidationAndErrors(t *testing.T) {
 	if _, err := NewLiveCluster(3, LiveConfig{
-		Strategy: StrategyPS, Elastic: true,
-		OnPeerFail: DegradeExclude,
-	}); err == nil {
-		t.Fatal("Elastic without Reliable accepted")
-	}
-	if _, err := NewLiveCluster(3, LiveConfig{
-		Strategy: StrategyRing, Elastic: true, Reliable: true,
+		Strategy: StrategyRing, Elastic: true,
 	}); err == nil {
 		t.Fatal("Elastic on a ring accepted")
 	}
 	lc, err := NewLiveCluster(3, LiveConfig{
-		Strategy: StrategyPS, Elastic: true, Reliable: true,
+		Strategy: StrategyPS, Elastic: true,
 		OnPeerFail: DegradeExclude,
 	})
 	if err != nil {
@@ -288,9 +282,5 @@ func TestElasticValidationAndErrors(t *testing.T) {
 	}
 	if err := plain.RequestRejoin(1); err == nil {
 		t.Fatal("rejoin on a non-elastic cluster accepted")
-	}
-	// SetChaos on an unprotected cluster is rejected.
-	if err := plain.SetChaos(&netsim.ChaosConfig{Seed: 1}); err == nil {
-		t.Fatal("SetChaos without Reliable/RoundTimeout accepted")
 	}
 }

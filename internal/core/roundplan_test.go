@@ -14,8 +14,9 @@ import (
 // through, for a round over g0 under the active epoch, checks that every task
 // then holds its saved dependency count and that the saved counts are a freshly
 // built graph's, that every link row is empty — no queued send, no worker, no
-// pending ack or wake token, no ack worker started, sequence 0 — and the
-// transfer table zeroed, and puts the plan back.
+// pending ack or wake token, no ack worker started, sequence 0, every waiter it
+// keeps with an empty ack channel — and the transfer table zeroed, and puts the
+// plan back.
 func takePlan(t *testing.T, lc *LiveCluster, g0 map[string][]float32) *roundPlan {
 	t.Helper()
 	cached := lc.plan.Swap(nil)
@@ -44,6 +45,11 @@ func takePlan(t *testing.T, lc *LiveCluster, g0 map[string][]float32) *roundPlan
 			len(l.pending) != 0 || len(l.wake) != 0 || l.started || l.seq != 0 {
 			t.Fatalf("link row %d taken with %d queued (head %d), %d workers, depth %d, %d acks pending, %d wake tokens, started=%v, seq %d",
 				i, len(l.queue), l.head, l.workers, l.depth, len(l.pending), len(l.wake), l.started, l.seq)
+		}
+		for _, w := range p.links[i].waiters {
+			if len(w.ack) != 0 {
+				t.Fatalf("link row %d keeps a waiter with %d ack tokens", i, len(w.ack))
+			}
 		}
 	}
 	for i, x := range p.xfer {
@@ -118,13 +124,12 @@ func TestRoundPlanReuse(t *testing.T) {
 	sizes := map[string]int{"w1": 700, "w2": 64, "w3": 300}
 	for _, strat := range []Strategy{StrategyPS, StrategyRing} {
 		for _, c := range []struct {
-			reliable bool
-			pipe     PipelineConfig
-			suffix   string
-		}{{false, PipelineConfig{}, ""}, {true, PipelineConfig{}, ""}, {true, PipelineConfig{Window: 4, AckBatch: 4}, "/w4-ackbatch4"}} {
-			t.Run(fmt.Sprintf("%v/reliable=%v%s", strat, c.reliable, c.suffix), func(t *testing.T) {
+			pipe   PipelineConfig
+			suffix string
+		}{{PipelineConfig{}, ""}, {PipelineConfig{Window: 4, AckBatch: 4}, "/w4-ackbatch4"}} {
+			t.Run(fmt.Sprintf("%v/reliable=true%s", strat, c.suffix), func(t *testing.T) {
 				cfg := LiveConfig{Strategy: strat, Parts: 2, Algo: "dgc", Params: compress.Params{"ratio": 0.25},
-					Reliable: c.reliable, Pipeline: c.pipe, RoundTimeout: 10 * time.Second,
+					Pipeline: c.pipe, RoundTimeout: 10 * time.Second,
 					Retry: RetryPolicy{MaxAttempts: 8, BaseBackoff: 20 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}}
 				lc, err := NewLiveCluster(n, cfg)
 				if err != nil {

@@ -22,7 +22,7 @@ func TestLiveChaosTelemetry(t *testing.T) {
 	tel := telemetry.New()
 	lc, err := NewLiveCluster(4, LiveConfig{
 		Strategy: StrategyPS, Algo: "onebit", Parts: 2,
-		Reliable: true, Retry: fastRetry,
+		Retry:        fastRetry,
 		RoundTimeout: 30 * time.Second,
 		Chaos:        &netsim.ChaosConfig{Seed: 42, Default: netsim.LinkFaults{Drop: 0.3}},
 		Telemetry:    tel,

@@ -127,7 +127,7 @@ func runAutotuneArm(at core.Autotuner, drop *netsim.ChaosConfig, preRounds, post
 	const n = 4
 	lc, err := core.NewLiveCluster(n, core.LiveConfig{
 		Strategy: core.StrategyPS, Parts: 4, Algo: "onebit",
-		Reliable: true, Autotune: at,
+		Autotune:  at,
 		Telemetry: DefaultTelemetry(),
 		Transport: DefaultLiveTransport(),
 	})

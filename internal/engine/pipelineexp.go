@@ -73,7 +73,6 @@ func runPipelineArm(window int, compressed bool, rounds int) (*pipelineArm, erro
 	lc, err := core.NewLiveCluster(n, core.LiveConfig{
 		Strategy: core.StrategyPS, Parts: 4, Algo: "onebit",
 		ErrorFeedback: true,
-		Reliable:      true,
 		Pipeline: core.PipelineConfig{
 			Window: window, AckBatch: 4, OverlapEncode: window > 1,
 		},

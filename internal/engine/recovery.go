@@ -44,7 +44,6 @@ func RecoveryExp() (*Table, error) {
 	lc, err := core.NewLiveCluster(4, core.LiveConfig{
 		Strategy: core.StrategyPS, Parts: 2,
 		Algo: "onebit", ErrorFeedback: true,
-		Reliable: true,
 		Retry: core.RetryPolicy{
 			MaxAttempts: 6,
 			BaseBackoff: 2 * time.Millisecond,

@@ -104,7 +104,6 @@ func runStragglerMode(mode stragglerMode, rounds int) (*stragglerStats, error) {
 	cfg := core.LiveConfig{
 		Strategy: core.StrategyPS, Parts: 2,
 		Algo: "onebit", ErrorFeedback: true,
-		Reliable:     true,
 		RoundTimeout: 60 * time.Second,
 		OnPeerFail:   core.DegradeExclude, Renormalize: true,
 		Telemetry: DefaultTelemetry(),

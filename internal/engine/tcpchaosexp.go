@@ -85,7 +85,6 @@ func tcpchaosConfig() core.LiveConfig {
 	return core.LiveConfig{
 		Strategy: core.StrategyPS, Parts: 2,
 		Algo: "onebit", ErrorFeedback: true,
-		Reliable: true,
 		Retry: core.RetryPolicy{MaxAttempts: 8,
 			BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
 		Telemetry: DefaultTelemetry(),

@@ -83,7 +83,7 @@ type Message struct {
 	// receivers can deduplicate idempotently.
 	Attempt int
 	// Ack marks a zero-payload acknowledgement for the transfer identified by
-	// (Gradient, Step, Attempt) flowing receiver→sender in reliable mode.
+	// (Gradient, Step, Attempt) flowing receiver→sender.
 	Ack bool
 	// Heartbeat marks a zero-payload liveness probe (or, with Ack set, its
 	// echo) from the adaptive health plane: Step carries the probe's send
@@ -92,7 +92,7 @@ type Message struct {
 	Heartbeat bool
 	// Sum is the CRC-32 (IEEE) checksum of Payload as the sender staged it:
 	// the live plane sets it on every data message and checks it on every
-	// receive (a mismatch is retransmitted if reliable, fails the round if not).
+	// receive (a mismatch is dropped unacknowledged, so the sender retransmits).
 	Sum uint32
 	// Payload is the (possibly compressed) bytes on the wire.
 	Payload []byte
