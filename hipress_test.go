@@ -2,6 +2,7 @@ package hipress
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -69,6 +70,10 @@ func TestCompressorRoundTripThroughFacade(t *testing.T) {
 	}
 }
 
+// registerSignSGD registers the custom algorithm once per test binary: the
+// compressor registry refuses a duplicate name, and -count=N reruns the test.
+var registerSignSGD sync.Once
+
 func TestRegisterCustomDSLAlgorithm(t *testing.T) {
 	// A user-authored "sign-only" algorithm: the custom-algorithm example's
 	// flow, compiled and registered through the facade.
@@ -96,7 +101,7 @@ void decode(uint8* compressed, float* gradient) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	RegisterAlgorithm(alg, "test-signsgd", nil)
+	registerSignSGD.Do(func() { RegisterAlgorithm(alg, "test-signsgd", nil) })
 	c, err := NewCompressor("test-signsgd", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,15 @@ package hipress_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"hipress"
 )
+
+// registerSqTopk registers the authored algorithm once per test binary: the
+// compressor registry refuses a duplicate name, and -count=N reruns the test.
+var registerSqTopk sync.Once
 
 // TestEndToEndPipeline tells the full HiPress story in one test: author a
 // compression algorithm in the CompLL DSL, register it (zero integration
@@ -48,7 +53,7 @@ void decode(uint8* compressed, float* gradient, Params params) {
 	}
 
 	// 2. Integrate: one call, usable everywhere by name.
-	hipress.RegisterAlgorithm(alg, "sq-topk", map[string]float64{"ratio": 0.1})
+	registerSqTopk.Do(func() { hipress.RegisterAlgorithm(alg, "sq-topk", map[string]float64{"ratio": 0.1}) })
 
 	// 3. Validate the data plane.
 	c, err := hipress.NewCompressor("sq-topk", map[string]float64{"ratio": 0.3})

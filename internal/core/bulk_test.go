@@ -94,7 +94,9 @@ func TestLaneBulkRule(t *testing.T) {
 // TestBulkFrameCap: a TCP MaxFrameLen below what a lane's backlog would
 // fill keeps rounds working — no bulk frame passes the cap, so none is
 // refused — with digests equal to the uncapped run's, which does form bulk
-// frames from the same backlog.
+// frames from the same backlog. The cap holds for ack frames too: an ack
+// backlog past one frame's worth leaves over TCP in as many coalesced frames
+// as the cap needs, none refused, together acking every transfer.
 func TestBulkFrameCap(t *testing.T) {
 	const n, rounds = 3, 2
 	sizes := map[string]int{"a": 600, "b": 600, "c": 600, "d": 600}
@@ -117,6 +119,66 @@ func TestBulkFrameCap(t *testing.T) {
 			t.Fatalf("round %d: digest %016x (uncapped %016x), %d bulk frames under the cap",
 				i, got[i], want[i], healths[i].BulkFrames)
 		}
+	}
+
+	// The ack plane under the same cap: node 1's ack worker is held inside its
+	// first transmission while the acks of 399 more transfers queue behind it.
+	tcp, err := netsim.NewTCPTransportOpts(2, 512, *cfg.TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	const acks = 400
+	ht, held, release := &hookTransport{next: tcp}, make(chan struct{}), make(chan struct{})
+	ht.hook = func(netsim.Message) {
+		if len(ht.sent) == 1 {
+			close(held)
+			<-release
+		}
+	}
+	r := &liveRound{tr: ht, rs: &roundState{}, doneCh: make(chan struct{})}
+	e := newSendEngine(r, 2, make([]link, 4), PipelineConfig{})
+	e.frameCap = tcp.MaxFrameLen()
+	go func() { <-r.doneCh; tcp.Close() }() // a refused frame fails the round: end the receive loop below
+	for i := 0; i < acks; i++ {
+		e.enqueueAck(netsim.Message{From: 1, To: 0, Gradient: fmt.Sprintf("layer%03d/p0", i), Step: i, Ack: true})
+		if i == 0 {
+			<-held
+		}
+	}
+	close(release)
+	acked := map[int]bool{}
+	for len(acked) < acks {
+		m, ok := tcp.Recv(0)
+		if !ok {
+			t.Fatalf("transport closed with %d of %d transfers acked: %v", len(acked), acks, r.runErr)
+		}
+		if len(m.AckBatch) == 0 {
+			m.AckBatch = []netsim.AckRef{{Gradient: m.Gradient, Step: m.Step}}
+		}
+		for _, ref := range m.AckBatch {
+			if ref.Gradient != fmt.Sprintf("layer%03d/p0", ref.Step) || acked[ref.Step] {
+				t.Fatalf("ack ref %+v names no transfer, or one acked before", ref)
+			}
+			acked[ref.Step] = true
+		}
+	}
+	r.finish()
+	r.wg.Wait()
+	batched := 0
+	for _, m := range ht.sent[1:] {
+		names := 0
+		for _, ref := range m.AckBatch {
+			names += len(ref.Gradient)
+		}
+		if n := netsim.AckFrameLen(m.Gradient, len(m.AckBatch), names); len(m.AckBatch) < 2 || n > cfg.TCP.MaxFrameLen {
+			t.Fatalf("backlog frame of %d refs, %d bytes: want coalesced frames within the %d-byte cap", len(m.AckBatch), n, cfg.TCP.MaxFrameLen)
+		}
+		batched++
+	}
+	if r.runErr != nil || batched < 2 || r.rs.ackBatched != acks-1 {
+		t.Fatalf("round error %v, %d coalesced frames acking %d: want none, ≥ 2 frames acking the %d queued",
+			r.runErr, batched, r.rs.ackBatched, acks-1)
 	}
 }
 
@@ -156,11 +218,13 @@ func bulkLink(t *testing.T, tr netsim.Transport) (*liveRound, []pendingSend) {
 }
 
 // hookTransport records every frame sent and hands it to hook, on the
-// sender's goroutine, before Send returns.
+// sender's goroutine, before Send returns — and then to next, when set,
+// returning what its Send does.
 type hookTransport struct {
 	mu   sync.Mutex
 	sent []netsim.Message
 	hook func(netsim.Message)
+	next netsim.Transport
 }
 
 func (h *hookTransport) Send(m netsim.Message) error {
@@ -169,6 +233,9 @@ func (h *hookTransport) Send(m netsim.Message) error {
 	h.mu.Unlock()
 	if h.hook != nil {
 		h.hook(m)
+	}
+	if h.next != nil {
+		return h.next.Send(m)
 	}
 	return nil
 }

@@ -429,7 +429,7 @@ func TestRoundObservationWindow(t *testing.T) {
 		want int
 	}{
 		{"zero config", LiveConfig{}, 1},
-		{"reliable w4", LiveConfig{Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}, 4},
+		{"reliable w4", LiveConfig{Pipeline: PipelineConfig{Window: 4}}, 4},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tun := &recordingTuner{}

@@ -134,8 +134,7 @@ type PeerFailureError struct {
 	// failure — LastRTT over many samples points at a mistuned timeout, a
 	// zero count at a genuinely dead link.
 	SamplesSeen int
-	// Phi is the peer's φ-accrual suspicion level at failure time (0 when
-	// the health plane is off).
+	// Phi is the peer's φ-accrual suspicion level at failure time.
 	Phi float64
 	// Reconnects counts socket-plane connection-lifecycle failures observed
 	// against the peer this round (0 on the chan transport) — a non-zero
@@ -196,9 +195,6 @@ type RoundHealth struct {
 	// Renormalized records whether surviving aggregates were rescaled by
 	// n/(n-excluded).
 	Renormalized bool
-	// Hedges counts speculative retransmits fired by the adaptive health
-	// plane at the per-link p99 point (at most hedgeBudget per round).
-	Hedges int64
 	// SendWallNs is the wall-clock span (ns) from the round's first staged
 	// send to its last resolved one — the measured communication floor the
 	// pipelined engine exists to lower. Zero when no payload send ran.
@@ -208,9 +204,8 @@ type RoundHealth struct {
 	// of the wire (backlog), ≈1 means the DAG never kept a lane busy.
 	MaxLinkQueueDepth int
 	// AckBatched counts acknowledgements delivered inside coalesced
-	// multi-ack frames (Pipeline.AckBatch ≥ 2); each batched frame
-	// contributes its member count. A bulk frame's one ack is not counted
-	// here (BulkFrames counts those frames).
+	// multi-ack frames, a bulk frame's among them; each batched frame
+	// contributes its member count.
 	AckBatched int64
 	// BulkFrames counts data frames sent carrying two or more transfers.
 	BulkFrames int64
@@ -280,7 +275,6 @@ type roundState struct {
 	reconnects       int64
 	skipped          int64
 	excludedContribs int64
-	hedges           int64
 	ackBatched       int64
 	bulkFrames       int64
 	renormalized     int32
@@ -357,20 +351,6 @@ func (rs *roundState) fewerAcked(from, to int) int {
 	return -1
 }
 
-// takeHedge claims one unit of the round's hedge budget, returning false
-// when the budget is exhausted.
-func (rs *roundState) takeHedge() bool {
-	for {
-		cur := atomic.LoadInt64(&rs.hedges)
-		if cur >= hedgeBudget {
-			return false
-		}
-		if atomic.CompareAndSwapInt64(&rs.hedges, cur, cur+1) {
-			return true
-		}
-	}
-}
-
 // health snapshots the counters into a RoundHealth; the peer lists are the
 // health plane's to fill (healthPlane.roundEnd).
 func (rs *roundState) health(elapsed time.Duration) *RoundHealth {
@@ -383,7 +363,6 @@ func (rs *roundState) health(elapsed time.Duration) *RoundHealth {
 		SkippedTasks:     atomic.LoadInt64(&rs.skipped),
 		ExcludedContribs: atomic.LoadInt64(&rs.excludedContribs),
 		Renormalized:     atomic.LoadInt32(&rs.renormalized) != 0,
-		Hedges:           atomic.LoadInt64(&rs.hedges),
 		AckBatched:       atomic.LoadInt64(&rs.ackBatched),
 		BulkFrames:       atomic.LoadInt64(&rs.bulkFrames),
 	}

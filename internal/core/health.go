@@ -13,12 +13,11 @@ import (
 
 // This file is the adaptive health plane: a per-peer φ-accrual failure
 // detector fed by per-link RTT samples harvested from the ack path (plus
-// lightweight idle heartbeats), Jacobson/Karels RTT-adaptive retry
-// deadlines, and the hedged-retransmit budget. It also owns the policy of
-// the live plane's one delivery loop: the fixed deadlines and scoreboard
-// verdicts of the static RetryPolicy, or a continuous suspicion level and
-// typed Healthy/Slow/Suspect/Probation/Dead transitions that drive the
-// Degrade/Convict/Rejoin machinery.
+// lightweight idle heartbeats) and Jacobson/Karels RTT-adaptive retry
+// deadlines. It also owns the policy of the live plane's one delivery loop:
+// the fixed deadlines and scoreboard verdicts of the static RetryPolicy, or
+// a continuous suspicion level and typed Healthy/Slow/Suspect/Probation/Dead
+// transitions that drive the Degrade/Convict/Rejoin machinery.
 //
 // It is also the only store of what the live plane knows about a peer — the
 // peer table below. The failure detector's verdicts, the lifecycle and
@@ -86,32 +85,21 @@ func (s HealthState) String() string {
 	}
 }
 
-// HealthConfig tunes the adaptive health plane. The zero value (all fields
-// default) gives a passive plane that only harvests RTT evidence for error
-// reports; set Adaptive for φ-accrual convictions, RTT-adaptive deadlines,
-// heartbeats, and hedged retransmits.
+// HealthConfig selects the health plane's delivery policy. The zero value
+// gives the static RetryPolicy, with the plane harvesting RTT evidence for
+// error reports; set Adaptive for φ-accrual convictions and RTT-adaptive
+// deadlines, whose bounds are constants (maxRTO, bootstrapRTO, maxAttempts).
 type HealthConfig struct {
 	// Adaptive selects the delivery loop's adaptive policy: per-link RTO
-	// deadlines, φ-accrual convictions, hedged retransmits, and (when
-	// HeartbeatEvery is set) idle heartbeats. Off, the loop follows the
-	// static RetryPolicy and the plane still harvests RTT samples from
-	// the ack path so PeerFailureError carries link evidence.
+	// deadlines, φ-accrual convictions and (when HeartbeatEvery is set)
+	// idle heartbeats. Off, the loop follows the static RetryPolicy and the
+	// plane still harvests RTT samples from the ack path so
+	// PeerFailureError carries link evidence.
 	Adaptive bool
-	// MaxRTO caps the per-link retransmission timeout (default 2s; the
-	// floor is minRTO).
-	MaxRTO time.Duration
-	// BootstrapRTO seeds deadlines and detector intervals before a link
-	// has real samples (default 25ms).
-	BootstrapRTO time.Duration
 	// HeartbeatEvery sends idle liveness probes on every live link at
 	// this period so the detector keeps accruing arrivals between data
 	// transfers. Zero disables heartbeats.
 	HeartbeatEvery time.Duration
-	// MaxAttempts is the adaptive attempt budget (default 10, at most 256).
-	// With doubling RTOs this is a far larger wall-clock budget than the
-	// static policy's, because the φ detector — not attempt exhaustion — is
-	// the intended conviction path.
-	MaxAttempts int
 	// Now, when non-nil, supplies the plane's timestamps (a virtual
 	// clock). Live rounds still wait on wall timers; Now only stamps
 	// detector observations and RTT samples, which is what tests and the
@@ -129,12 +117,16 @@ const (
 	// convicted. φ ≈ 10 corresponds to a silence ~23× the mean arrival
 	// interval (exponential accrual).
 	phiConvict = 10.0
-	// minRTO is the floor of the per-link retransmission timeout and of
-	// the hedge point.
+	// minRTO and maxRTO bound the per-link retransmission timeout.
 	minRTO = time.Millisecond
-	// hedgeBudget bounds speculative retransmits per round. A hedge fires
-	// when a first attempt is outstanding past the link's p99 estimate.
-	hedgeBudget = 64
+	maxRTO = 2 * time.Second
+	// bootstrapRTO seeds deadlines and detector intervals before a link
+	// has real samples.
+	bootstrapRTO = 25 * time.Millisecond
+	// maxAttempts is the adaptive attempt budget. With doubling RTOs this is
+	// a far larger wall-clock budget than the static policy's, because the φ
+	// detector — not attempt exhaustion — is the intended conviction path.
+	maxAttempts = 10
 	// slowFactor classifies a peer Slow when its srtt exceeds slowFactor ×
 	// the cluster median srtt at round end.
 	slowFactor = 3.0
@@ -144,20 +136,6 @@ const (
 	// RequestRejoin must complete before regaining full membership.
 	probationRounds = 2
 )
-
-// withDefaults fills zero fields.
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 2 * time.Second
-	}
-	if c.BootstrapRTO <= 0 {
-		c.BootstrapRTO = 25 * time.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 10
-	}
-	return c
-}
 
 // rttEstimator is the Jacobson/Karels smoothed RTT state for one directed
 // link. Units are seconds; methods are not goroutine-safe (the health
@@ -199,12 +177,6 @@ func (e *rttEstimator) rto(min, max float64) float64 {
 		r = max
 	}
 	return r
-}
-
-// p99 approximates the link's tail latency as srtt + 3·rttvar — the hedge
-// point for speculative retransmits.
-func (e *rttEstimator) p99() float64 {
-	return e.srtt + 3*e.rttvar
 }
 
 // phiDetector is one peer's φ-accrual failure detector (exponential form,
@@ -349,6 +321,10 @@ type peer struct {
 // and standing convictions).
 type healthPlane struct {
 	cfg HealthConfig
+	// maxRTO, bootstrapRTO and maxAttempts are the adaptive policy's
+	// constants, held here so in-package tests can shrink them.
+	maxRTO, bootstrapRTO time.Duration
+	maxAttempts          int
 	// retry is the static policy the delivery loop falls back on when the
 	// plane is passive (cfg.Adaptive unset).
 	retry RetryPolicy
@@ -377,23 +353,25 @@ func newHealthPlane(n int, cfg *HealthConfig, retry RetryPolicy, elastic bool, t
 	if cfg != nil {
 		c = *cfg
 	}
-	c = c.withDefaults()
 	hp := &healthPlane{
-		cfg:        c,
-		retry:      retry,
-		n:          n,
-		autoRevive: !elastic,
-		probation:  1,
-		birth:      time.Now(), //hipress:wallclock phi-detector epoch base; virtual clock injectable via cfg.Now
-		tel:        tel,
-		links:      make([]rttEstimator, n*n),
-		peers:      make([]peer, n),
-		srtt:       make([]float64, n),
+		cfg:          c,
+		maxRTO:       maxRTO,
+		bootstrapRTO: bootstrapRTO,
+		maxAttempts:  maxAttempts,
+		retry:        retry,
+		n:            n,
+		autoRevive:   !elastic,
+		probation:    1,
+		birth:        time.Now(), //hipress:wallclock phi-detector epoch base; virtual clock injectable via cfg.Now
+		tel:          tel,
+		links:        make([]rttEstimator, n*n),
+		peers:        make([]peer, n),
+		srtt:         make([]float64, n),
 	}
 	if elastic {
 		hp.probation = probationRounds
 	}
-	minMean := c.BootstrapRTO.Seconds()
+	minMean := bootstrapRTO.Seconds()
 	if c.HeartbeatEvery > 0 {
 		minMean = c.HeartbeatEvery.Seconds()
 	}
@@ -486,7 +464,7 @@ func (hp *healthPlane) roundStart() (carried []int) {
 		if p.det.primed {
 			p.det.last = now
 		} else {
-			p.det.prime(now, hp.cfg.BootstrapRTO.Seconds())
+			p.det.prime(now, hp.bootstrapRTO.Seconds())
 		}
 	}
 	return carried
@@ -503,7 +481,7 @@ func (hp *healthPlane) arrival(peer int) {
 	hp.mu.Lock()
 	d := hp.peers[peer].det
 	if !d.primed {
-		d.prime(now, hp.cfg.BootstrapRTO.Seconds())
+		d.prime(now, hp.bootstrapRTO.Seconds())
 	}
 	d.observe(now)
 	if hp.stateOf(peer) == HealthSuspect && d.phi(now) < phiSuspect {
@@ -524,20 +502,20 @@ func (hp *healthPlane) observeRTT(from, to int, rtt time.Duration) {
 
 // rto returns the adaptive retransmission deadline of 0-based attempt on
 // the from→to link: the Jacobson/Karels RTO doubled per retry (Karn's
-// backoff), clamped to [minRTO, MaxRTO]. Virgin links use BootstrapRTO.
+// backoff), clamped to [minRTO, maxRTO]. Virgin links use bootstrapRTO.
 func (hp *healthPlane) rto(from, to, attempt int) time.Duration {
 	base := 0.0
 	hp.mu.Lock()
-	base = hp.links[from*hp.n+to].rto(minRTO.Seconds(), hp.cfg.MaxRTO.Seconds())
+	base = hp.links[from*hp.n+to].rto(minRTO.Seconds(), hp.maxRTO.Seconds())
 	hp.mu.Unlock()
 	if base == 0 {
-		base = hp.cfg.BootstrapRTO.Seconds()
+		base = hp.bootstrapRTO.Seconds()
 	}
 	d := time.Duration(base * float64(time.Second))
 	for k := 0; k < attempt; k++ {
 		d *= 2
-		if d >= hp.cfg.MaxRTO {
-			return hp.cfg.MaxRTO
+		if d >= hp.maxRTO {
+			return hp.maxRTO
 		}
 	}
 	if d < minRTO {
@@ -546,34 +524,14 @@ func (hp *healthPlane) rto(from, to, attempt int) time.Duration {
 	return d
 }
 
-// hedgeDelay returns the link's p99 estimate — the point at which a
-// speculative retransmit fires — and whether the estimate is trustworthy
-// (at least 4 samples).
-func (hp *healthPlane) hedgeDelay(from, to int) (time.Duration, bool) {
-	hp.mu.Lock()
-	e := &hp.links[from*hp.n+to]
-	ok := e.samples >= 4
-	p := e.p99()
-	hp.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	d := time.Duration(p * float64(time.Second))
-	if d < minRTO {
-		d = minRTO
-	}
-	return d, true
-}
-
 // The live plane has one acknowledged-or-retried delivery loop
 // (liveRound.deliver). The static RetryPolicy and the adaptive plane differ
-// only in how they answer the loop's four questions below, each a single
+// only in how they answer the loop's three questions below, each a single
 // branch on cfg.Adaptive:
 //
 //	question           static                             adaptive
-//	attempt budget     2·Retry.MaxAttempts (with grace)   Health.MaxAttempts
+//	attempt budget     2·Retry.MaxAttempts (with grace)   maxAttempts
 //	attempt deadline   Retry.backoff(attempt)             rto(from, to, attempt)
-//	hedge point        never                              link p99, when below the deadline
 //	verdict on expiry  scoreboard, from MaxAttempts-1 on  φ judge, every expiry
 
 // attemptBudget is how many transmissions one transfer may make before the
@@ -582,7 +540,7 @@ func (hp *healthPlane) hedgeDelay(from, to int) (time.Duration, bool) {
 // break a tie.
 func (hp *healthPlane) attemptBudget() int {
 	if hp.cfg.Adaptive {
-		return hp.cfg.MaxAttempts
+		return hp.maxAttempts
 	}
 	return 2 * hp.retry.MaxAttempts
 }
@@ -595,20 +553,6 @@ func (hp *healthPlane) attemptDeadline(from, to, attempt int) time.Duration {
 		return hp.rto(from, to, attempt)
 	}
 	return hp.retry.backoff(attempt)
-}
-
-// hedgePoint is when, inside an attempt's deadline, a speculative duplicate
-// may go out (negative: never). Only a trusted p99 that undercuts the
-// deadline hedges, so a lost retransmit recovers at p99 speed instead of
-// waiting out its doubled RTO; the round's hedgeBudget is claimed when the
-// point is reached, not here.
-func (hp *healthPlane) hedgePoint(from, to int, deadline time.Duration) time.Duration {
-	if hp.cfg.Adaptive {
-		if hd, ok := hp.hedgeDelay(from, to); ok && hd < deadline {
-			return hd
-		}
-	}
-	return -1
 }
 
 // verdict is asked when attempt's deadline expired unacknowledged. It returns

@@ -15,6 +15,25 @@ func virtualPlane(n int, cfg HealthConfig) (*healthPlane, func(time.Duration)) {
 	return hp, func(d time.Duration) { now += d }
 }
 
+// setAdaptiveBounds sets hp's adaptive policy bounds — bootstrap RTO, RTO
+// ceiling and attempt budget, each left at its constant when zero — and
+// floors its detectors' window mean at the bootstrap RTO, as newHealthPlane
+// floors a plane without heartbeats.
+func setAdaptiveBounds(hp *healthPlane, bootstrap, ceiling time.Duration, attempts int) {
+	if bootstrap > 0 {
+		hp.bootstrapRTO = bootstrap
+		for v := range hp.peers {
+			hp.peers[v].det.minMean = bootstrap.Seconds()
+		}
+	}
+	if ceiling > 0 {
+		hp.maxRTO = ceiling
+	}
+	if attempts > 0 {
+		hp.maxAttempts = attempts
+	}
+}
+
 // planeStates snapshots every peer's lifecycle state.
 func planeStates(hp *healthPlane) []HealthState {
 	out := make([]HealthState, hp.n)
@@ -58,7 +77,7 @@ func TestRTTEstimator(t *testing.T) {
 	var slow rttEstimator
 	slow.observe(10)
 	if got := slow.rto(1e-3, 2); got != 2 {
-		t.Fatalf("slow-link rto = %v, want MaxRTO ceiling 2", got)
+		t.Fatalf("slow-link rto = %v, want the RTO ceiling 2", got)
 	}
 
 	// Garbage in, nothing out: invalid samples are ignored.
@@ -144,7 +163,8 @@ func TestPhiDetector(t *testing.T) {
 // rejoin and a clean round run Dead→Probation→Healthy, and roundStart gives
 // a non-elastic Dead peer its probation trial.
 func TestHealthPlaneLifecycle(t *testing.T) {
-	hp, advance := virtualPlane(3, HealthConfig{Adaptive: true, BootstrapRTO: 10 * time.Millisecond})
+	hp, advance := virtualPlane(3, HealthConfig{Adaptive: true})
+	setAdaptiveBounds(hp, 10*time.Millisecond, 0, 0)
 	hp.roundStart()
 
 	// Peers 0 and 1 exchange arrivals; peer 2 is silent from birth.
@@ -236,15 +256,12 @@ func TestHealthPlaneIllegalTransitionPanics(t *testing.T) {
 	hp.setStateLocked(1, HealthHealthy)
 }
 
-// TestAdaptiveRTOAndHedge covers the per-link deadline path: bootstrap RTO
-// on virgin links, learned RTO after samples, Karn-style doubling with the
-// MaxRTO ceiling, and the 4-sample gate on hedge delays.
-func TestAdaptiveRTOAndHedge(t *testing.T) {
-	hp, _ := virtualPlane(2, HealthConfig{
-		Adaptive:     true,
-		BootstrapRTO: 25 * time.Millisecond,
-		MaxRTO:       800 * time.Millisecond,
-	})
+// TestAdaptiveRTO covers the per-link deadline path: bootstrap RTO on
+// virgin links, learned RTO after samples, and Karn-style doubling with the
+// RTO ceiling.
+func TestAdaptiveRTO(t *testing.T) {
+	hp, _ := virtualPlane(2, HealthConfig{Adaptive: true})
+	setAdaptiveBounds(hp, 25*time.Millisecond, 800*time.Millisecond, 0)
 
 	if got := hp.rto(0, 1, 0); got != 25*time.Millisecond {
 		t.Fatalf("virgin-link rto = %v, want bootstrap 25ms", got)
@@ -253,29 +270,12 @@ func TestAdaptiveRTOAndHedge(t *testing.T) {
 		t.Fatalf("virgin-link rto attempt 2 = %v, want 100ms (25ms doubled twice)", got)
 	}
 	if got := hp.rto(0, 1, 50); got != 800*time.Millisecond {
-		t.Fatalf("deep-retry rto = %v, want MaxRTO ceiling", got)
+		t.Fatalf("deep-retry rto = %v, want the RTO ceiling", got)
 	}
 
-	if _, ok := hp.hedgeDelay(0, 1); ok {
-		t.Fatal("hedgeDelay trusted a virgin link")
-	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		hp.observeRTT(0, 1, 10*time.Millisecond)
 	}
-	if _, ok := hp.hedgeDelay(0, 1); ok {
-		t.Fatal("hedgeDelay trusted a 3-sample link (gate is 4)")
-	}
-	hp.observeRTT(0, 1, 10*time.Millisecond)
-	hd, ok := hp.hedgeDelay(0, 1)
-	if !ok {
-		t.Fatal("hedgeDelay distrusted a 4-sample link")
-	}
-	// Steady 10ms samples: srtt≈10ms, rttvar decayed below 5ms, so the
-	// p99 point sits between srtt and srtt+3·(rtt/2).
-	if hd < 10*time.Millisecond || hd > 25*time.Millisecond {
-		t.Fatalf("hedge delay = %v, want within (10ms, 25ms] for a steady 10ms link", hd)
-	}
-
 	// A learned RTO reflects the samples, not the bootstrap.
 	got := hp.rto(0, 1, 0)
 	if got <= 10*time.Millisecond || got > 30*time.Millisecond {
@@ -289,13 +289,12 @@ func TestAdaptiveRTOAndHedge(t *testing.T) {
 	}
 }
 
-// TestDeliveryPolicyAnswers pins the four answers the one delivery loop asks
+// TestDeliveryPolicyAnswers pins the three answers the one delivery loop asks
 // of the health plane, clock-free. The static policy must reproduce the
 // RetryPolicy schedule the dedicated static loop ran — backoff(attempt)
-// deadlines, 2·MaxAttempts budget, never a hedge, no verdict before attempt
-// MaxAttempts-1 and the scoreboard's from then on. The adaptive policy must
-// reproduce the link's doubling RTO, its p99 hedge point (only once trusted
-// and only below the deadline), and a φ verdict on every expiry.
+// deadlines, 2·MaxAttempts budget, no verdict before attempt MaxAttempts-1
+// and the scoreboard's from then on. The adaptive policy must reproduce the
+// link's doubling RTO and a φ verdict on every expiry.
 func TestDeliveryPolicyAnswers(t *testing.T) {
 	retry := RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 9 * time.Millisecond}.withDefaults()
 
@@ -304,7 +303,7 @@ func TestDeliveryPolicyAnswers(t *testing.T) {
 		hp := newHealthPlane(3, &cfg, retry, false, nil)
 		hp.roundStart()
 		for i := 0; i < 8; i++ {
-			hp.observeRTT(0, 1, time.Millisecond) // a trusted p99 must still not hedge
+			hp.observeRTT(0, 1, time.Millisecond) // learned RTTs must not move the static deadlines
 		}
 		if got := hp.attemptBudget(); got != 6 {
 			t.Fatalf("static budget = %d, want 2·MaxAttempts = 6", got)
@@ -317,9 +316,6 @@ func TestDeliveryPolicyAnswers(t *testing.T) {
 			got := hp.attemptDeadline(0, 1, attempt)
 			if got != want {
 				t.Fatalf("static deadline(attempt %d) = %v, want %v", attempt, got, want)
-			}
-			if h := hp.hedgePoint(0, 1, got); h >= 0 {
-				t.Fatalf("static policy hedged at %v on attempt %d", h, attempt)
 			}
 		}
 		// Scoreboard: node 1 has acked nothing, nodes 0 and 2 have.
@@ -350,36 +346,18 @@ func TestDeliveryPolicyAnswers(t *testing.T) {
 	})
 
 	t.Run("adaptive", func(t *testing.T) {
-		hp, advance := virtualPlane(3, HealthConfig{
-			Adaptive: true, BootstrapRTO: 25 * time.Millisecond, MaxRTO: 800 * time.Millisecond,
-			MaxAttempts: 7,
-		})
+		hp, advance := virtualPlane(3, HealthConfig{Adaptive: true})
+		setAdaptiveBounds(hp, 25*time.Millisecond, 800*time.Millisecond, 7)
 		hp.retry = retry // must be ignored
 		hp.roundStart()
 		if got := hp.attemptBudget(); got != 7 {
-			t.Fatalf("adaptive budget = %d, want Health.MaxAttempts = 7", got)
+			t.Fatalf("adaptive budget = %d, want maxAttempts = 7", got)
 		}
 		for attempt, want := range []time.Duration{25, 50, 100, 200, 400, 800, 800} {
 			want *= time.Millisecond
 			if got := hp.attemptDeadline(0, 1, attempt); got != want || got != hp.rto(0, 1, attempt) {
 				t.Fatalf("adaptive deadline(attempt %d) = %v, want rto doubling %v", attempt, got, want)
 			}
-		}
-		if h := hp.hedgePoint(0, 1, 25*time.Millisecond); h >= 0 {
-			t.Fatalf("hedged at %v on a link with no samples", h)
-		}
-		for i := 0; i < 4; i++ {
-			hp.observeRTT(0, 1, 10*time.Millisecond)
-		}
-		p99, ok := hp.hedgeDelay(0, 1)
-		if !ok {
-			t.Fatal("4-sample link has no trusted p99")
-		}
-		if h := hp.hedgePoint(0, 1, hp.attemptDeadline(0, 1, 0)); h != p99 {
-			t.Fatalf("hedge point = %v, want the link p99 %v", h, p99)
-		}
-		if h := hp.hedgePoint(0, 1, p99); h >= 0 {
-			t.Fatalf("hedged at %v with a deadline no later than the p99 %v", h, p99)
 		}
 		// φ verdict, already on the first expiry: peer 1 falls silent while
 		// 0 and 2 keep arriving.

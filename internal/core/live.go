@@ -100,11 +100,11 @@ type LiveConfig struct {
 	// (netsim.WrapChaos). Replaceable between rounds via
 	// LiveCluster.SetChaos (e.g. to lift a scripted blackout).
 	Chaos *netsim.ChaosConfig
-	// Health configures the adaptive health plane (health.go): φ-accrual
-	// failure detection, per-link RTT-adaptive retry deadlines, idle
-	// heartbeats, and hedged retransmits. Nil (or Adaptive unset) keeps
-	// the static Retry policy; the plane still harvests RTT evidence
-	// passively for failure reports.
+	// Health selects the health plane's delivery policy (health.go):
+	// Adaptive for φ-accrual failure detection and per-link RTT-adaptive
+	// retry deadlines, plus idle heartbeats when HeartbeatEvery is set.
+	// Nil (or Adaptive unset) keeps the static Retry policy; the plane
+	// still harvests RTT evidence passively for failure reports.
 	Health *HealthConfig
 
 	// --- autotune plane (epoch.go, internal/autotune) ---
@@ -184,9 +184,6 @@ func (c *LiveConfig) Validate() error {
 	// Every attempt of a transfer needs its own number on the wire.
 	if c.Retry.MaxAttempts > 1<<15 {
 		return &ConfigError{"Retry.MaxAttempts", fmt.Sprintf("%d exceeds 32768 (the static budget, 2·MaxAttempts attempts, must fit the wire's 16-bit attempt number)", c.Retry.MaxAttempts)}
-	}
-	if c.Health != nil && c.Health.MaxAttempts > 1<<8 {
-		return &ConfigError{"Health.MaxAttempts", fmt.Sprintf("%d exceeds 256 (a hedge's attempt number stays distinct from every regular attempt's only below 256, see hedgeAttempt)", c.Health.MaxAttempts)}
 	}
 	return nil
 }
@@ -718,7 +715,7 @@ func (r *liveRound) onPeerDead(victim int) {
 }
 
 // inboxSlack is an inbox's room beyond the most frames a clean round delivers
-// to one node. Retransmits, duplicates, hedges and heartbeats past it only
+// to one node. Retransmits, duplicates and heartbeats past it only
 // make a sender wait: no goroutine that drains an inbox ever sends.
 const inboxSlack = 16
 
@@ -1160,9 +1157,9 @@ func (r *liveRound) deliver(batch []pendingSend, msg netsim.Message, w *laneWait
 
 // attempt transmits msg, attempt number attempt of batch's transfers, and
 // waits on w for all their acks. The health plane's policy supplies the
-// deadline (from the transmit's return), a hedge point and the verdict on
-// expiry. stop reports the batch moot: a peer dead or convicted (degradation
-// or abort already in motion), or the round unwinding.
+// deadline (from the transmit's return) and the verdict on its expiry. stop
+// reports the batch moot: a peer dead or convicted (degradation or abort
+// already in motion), or the round unwinding.
 func (r *liveRound) attempt(batch []pendingSend, msg netsim.Message, attempt int, w *laneWaiter) (settled, stop bool) {
 	hp, timer := r.hp, w.timer
 	if hp.isDead(msg.To) || hp.isDead(msg.From) {
@@ -1186,64 +1183,42 @@ func (r *liveRound) attempt(batch []pendingSend, msg netsim.Message, attempt int
 			r.noteSendError(msg, err)
 		}
 	}
-	wait := hp.attemptDeadline(msg.From, msg.To, attempt)
-	rest := time.Duration(0)
-	if hedgeAt := hp.hedgePoint(msg.From, msg.To, wait); hedgeAt >= 0 {
-		wait, rest = hedgeAt, wait-hedgeAt
+	if !timer.Stop() { // go.mod's go 1.22: an expiry may still sit in C
+		select {
+		case <-timer.C:
+		default:
+		}
 	}
-	hedged := 0
+	timer.Reset(hp.attemptDeadline(msg.From, msg.To, attempt))
 	for {
-		if !timer.Stop() { // go.mod's go 1.22: an expiry may still sit in C
-			select {
-			case <-timer.C:
-			default:
+		select {
+		case <-w.ack:
+			if !r.rs.settled(batch) {
+				continue // a bulk frame's ack left some unsettled: the wait runs on
 			}
-		}
-		timer.Reset(wait)
-		for expired := false; !expired; {
-			select {
-			case <-w.ack:
-				if !r.rs.settled(batch) {
-					continue // a bulk frame's ack left some unsettled: the leg runs on
+			if attempt == 0 {
+				// Karn's rule: only an unambiguous first-attempt ack
+				// yields an RTT sample (a retransmitted transfer's ack
+				// could belong to any copy). The autotuner shares the
+				// samples, paired with the frame's payload size, to fit
+				// per-link send curves.
+				rtt := hp.clock() - sentAt
+				hp.observeRTT(msg.From, msg.To, rtt)
+				if at := r.lc.cfg.Autotune; at != nil {
+					at.ObserveLink(msg.From, msg.To, msg.PayloadLen(), rtt)
 				}
-				if attempt == 0 && hedged == 0 {
-					// Karn's rule: only an unambiguous first-attempt ack
-					// yields an RTT sample (a retransmitted or hedged
-					// transfer's ack could belong to any copy). The
-					// autotuner shares the samples, paired with the frame's
-					// payload size, to fit per-link send curves.
-					rtt := hp.clock() - sentAt
-					hp.observeRTT(msg.From, msg.To, rtt)
-					if at := r.lc.cfg.Autotune; at != nil {
-						at.ObserveLink(msg.From, msg.To, msg.PayloadLen(), rtt)
-					}
-				}
-				return true, false
-			case <-r.doneCh:
-				return false, true // round unwinding: the send is moot
-			case <-timer.C:
-				expired = true
 			}
-		}
-		if rest == 0 {
-			break
-		}
-		if r.rs.takeHedge() {
-			hm := msg
-			hm.Attempt = hedgeAttempt(attempt, hedged)
-			hedged++
-			if r.trc.Enabled() {
-				r.traceEvent(fmt.Sprintf("hedge %s→%d", msg.Gradient, msg.To), "hedge", msg.From)
+			return true, false
+		case <-r.doneCh:
+			return false, true // round unwinding: the send is moot
+		case <-timer.C:
+			victim, newly := hp.verdict(msg.From, msg.To, attempt, r.rs)
+			if newly {
+				r.onPeerDead(victim)
 			}
-			_ = r.tr.Send(hm) // best-effort: the original is still in flight
+			return false, victim >= 0
 		}
-		wait, rest = rest, 0
 	}
-	victim, newly := hp.verdict(msg.From, msg.To, attempt, r.rs)
-	if newly {
-		r.onPeerDead(victim)
-	}
-	return false, victim >= 0
 }
 
 // noteSendError classifies a transport Send failure. The socket plane's
@@ -1269,13 +1244,6 @@ func (r *liveRound) noteSendError(msg netsim.Message, err error) {
 			cerr.From, cerr.To, cerr.Gen, cerr.Redials), "reconnect", msg.From)
 	}
 }
-
-// hedgeAttempt derives a hedge's attempt number: a high band (bit 12 set)
-// keeps it distinct from every regular attempt — so the chaos injector
-// rolls a fresh outcome and dedup still collapses the duplicate — while
-// staying within the wire format's u16 — for attempt < 256, which
-// LiveConfig.Validate holds Health.MaxAttempts to.
-func hedgeAttempt(attempt, seq int) int { return 1<<12 | attempt<<4 | seq&0xf }
 
 // heartbeatLoop sends periodic liveness probes from node v to every live
 // peer while the round runs, so the φ detectors keep accruing arrivals

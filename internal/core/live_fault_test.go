@@ -160,8 +160,7 @@ func TestLiveBlackoutAbortTyped(t *testing.T) {
 		attempts int
 	}{
 		{"static", nil, 2 * fastRetry.MaxAttempts},
-		{"adaptive", &HealthConfig{Adaptive: true, MaxAttempts: 7,
-			BootstrapRTO: 5 * time.Millisecond, MaxRTO: 50 * time.Millisecond}, 7},
+		{"adaptive", &HealthConfig{Adaptive: true}, 7},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			lc, err := NewLiveCluster(3, LiveConfig{
@@ -174,6 +173,9 @@ func TestLiveBlackoutAbortTyped(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if row.health != nil {
+				setAdaptiveBounds(lc.health, 5*time.Millisecond, 50*time.Millisecond, row.attempts)
 			}
 			grads, _ := makeGrads(3, 3, map[string]int{"w": 100})
 			start := time.Now()
@@ -563,7 +565,7 @@ func TestAckRendezvousReuse(t *testing.T) {
 			t.Fatalf("x1's ack woke its sender %d times, want 1", n)
 		}
 		rs.disarm(&x[0], ch)
-		settle(0) // a hedge's or retransmit's ack, after deliver returned
+		settle(0) // a retransmit's ack, after deliver returned
 		if n := wakes(); n != 0 {
 			t.Fatalf("a settle after disarm woke the channel %d times", n)
 		}

@@ -224,7 +224,7 @@ func TestRoundAliasingAndInputImmutability(t *testing.T) {
 				cfg := arm.cfg
 				cfg.Transport = transport
 				cfg.Retry = RetryPolicy{MaxAttempts: 8, BaseBackoff: 20 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
-				cfg.Pipeline = PipelineConfig{Window: 4, AckBatch: 4, OverlapEncode: true}
+				cfg.Pipeline = PipelineConfig{Window: 4, OverlapEncode: true}
 				cfg.RoundTimeout = 30 * time.Second
 
 				// The reference: two rounds over the same inputs on a cluster
@@ -322,7 +322,7 @@ func BenchmarkRawRingRound(b *testing.B) {
 	}
 	lc, err := NewLiveCluster(n, LiveConfig{
 		Strategy: StrategyRing, Parts: 2, Transport: "tcp",
-		Pipeline: PipelineConfig{Window: 4, AckBatch: 4, OverlapEncode: true},
+		Pipeline: PipelineConfig{Window: 4, OverlapEncode: true},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -365,7 +365,7 @@ func BenchmarkCompressedPSRound(b *testing.B) { benchPSRound(b, LiveConfig{}) }
 // batched acks: the two above resolve one batch per node at a time and ack
 // every frame alone.
 func BenchmarkReliablePSRound(b *testing.B) {
-	benchPSRound(b, LiveConfig{Pipeline: PipelineConfig{Window: 4, AckBatch: 4}})
+	benchPSRound(b, LiveConfig{Pipeline: PipelineConfig{Window: 4}})
 }
 
 func benchPSRound(b *testing.B, cfg LiveConfig) {

@@ -98,9 +98,8 @@ func TestStragglerConvictionStaticVsAdaptive(t *testing.T) {
 					t.Fatalf("adaptive round %d falsely convicted %v (health %s)", round, health.ExcludedPeers, health)
 				}
 				// Zero exclusions → no renormalization → every node holds
-				// the exact bitwise sum: the adaptive machinery (hedges,
-				// adaptive deadlines, heartbeats) must leave no numeric
-				// trace.
+				// the exact bitwise sum: the adaptive machinery (adaptive
+				// deadlines, heartbeats) must leave no numeric trace.
 				for v := 0; v < n; v++ {
 					got, want := out[v]["w"], sums["w"]
 					for i := range want {

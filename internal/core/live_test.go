@@ -313,8 +313,6 @@ func TestLiveConfigValidate(t *testing.T) {
 		{"chaos without a timeout", LiveConfig{Chaos: chaos}, ""},
 		{"wire chaos without a timeout", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos}, ""},
 		{"send window", LiveConfig{Pipeline: PipelineConfig{Window: 4}}, ""},
-		{"ack batch", LiveConfig{Pipeline: PipelineConfig{AckBatch: 4}}, ""},
-		{"pipelined", LiveConfig{Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}, ""},
 		{"wire chaos under a round timeout", LiveConfig{Strategy: StrategyPS, Transport: "tcp", TCP: wireChaos, RoundTimeout: time.Second}, ""},
 		{"exclude on a ring", LiveConfig{Strategy: StrategyRing, OnPeerFail: DegradeExclude}, "OnPeerFail"},
 		{"elastic PS with exclude", LiveConfig{Strategy: StrategyPS, OnPeerFail: DegradeExclude, Elastic: true}, ""},
@@ -323,8 +321,6 @@ func TestLiveConfigValidate(t *testing.T) {
 		{"adaptive health plane", LiveConfig{Health: &HealthConfig{Adaptive: true}}, ""},
 		{"static budget at the wire's attempt limit", LiveConfig{Retry: RetryPolicy{MaxAttempts: 32768}}, ""},
 		{"static budget past the wire's attempt limit", LiveConfig{Retry: RetryPolicy{MaxAttempts: 32769}}, "Retry.MaxAttempts"},
-		{"hedged budget at the distinct-hedge limit", LiveConfig{Health: &HealthConfig{Adaptive: true, MaxAttempts: 256}}, ""},
-		{"hedged budget past the distinct-hedge limit", LiveConfig{Health: &HealthConfig{Adaptive: true, MaxAttempts: 257}}, "Health.MaxAttempts"},
 		{"partitions at the epoch frame's limit", LiveConfig{Parts: 4096}, ""},
 		{"partitions past the epoch frame's limit", LiveConfig{Parts: 4097}, "Parts"},
 	}

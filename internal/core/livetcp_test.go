@@ -198,7 +198,7 @@ func TestLiveTCPSettlesEveryLease(t *testing.T) {
 	// The windowed engine keeps several leased frames per link in flight,
 	// and a raw ring forwards received buffers onward.
 	ring := LiveConfig{Strategy: StrategyRing, Parts: 2, Transport: "tcp",
-		Pipeline: PipelineConfig{Window: 4, AckBatch: 4, OverlapEncode: true}}
+		Pipeline: PipelineConfig{Window: 4, OverlapEncode: true}}
 	checkedOut(ring)
 }
 

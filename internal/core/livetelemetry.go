@@ -24,7 +24,6 @@ const (
 	MetricLiveUnsyncedParts    = "hipress_live_unsynced_parts_total"
 	MetricChaosInjected        = "hipress_chaos_injected_total"
 	MetricLiveReconnects       = "hipress_live_reconnects_total"
-	MetricLiveHedges           = "hipress_live_hedges_total"
 	MetricLiveInflight         = "hipress_live_inflight"
 	MetricLiveAckBatched       = "hipress_live_ack_batched_total"
 	MetricHealthTransitions    = "hipress_health_transitions_total"
@@ -92,7 +91,6 @@ func (r *liveRound) emitRoundTelemetry(h *RoundHealth, start float64) {
 	add(MetricLiveSkippedTasks, "DAG tasks completed without executing (dead peer)", h.SkippedTasks)
 	add(MetricLiveExcludedContribs, "per-partition contributions excluded from aggregates", h.ExcludedContribs)
 	add(MetricLiveUnsyncedParts, "partitions that fell back to local gradients", int64(len(h.UnsyncedParts)))
-	add(MetricLiveHedges, "speculative retransmits fired at the per-link p99 point", h.Hedges)
 	add(MetricLiveAckBatched, "acknowledgements delivered in coalesced multi-ack frames", h.AckBatched)
 	add(MetricLiveReconnects, "socket-plane connection failures surfaced to the send paths", h.Reconnects)
 	m.Gauge(MetricEpochVersion, "active plan epoch version").Set(float64(h.EpochVersion))

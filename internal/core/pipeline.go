@@ -30,10 +30,9 @@ import (
 // in the caller's gradients, and the lease is released only after every
 // goroutine of the round has left the round's one WaitGroup.
 
-// PipelineConfig tunes the live plane's send pipeline and ack path
-// (LiveConfig.Pipeline). The zero value reproduces the sequential engine:
-// one lane per node, one batch awaiting its acks at a time, one frame per
-// ack.
+// PipelineConfig tunes the live plane's send pipeline (LiveConfig.Pipeline).
+// The zero value reproduces the sequential engine: one lane per node, one
+// batch awaiting its acks at a time.
 type PipelineConfig struct {
 	// Window is the per-directed-link sliding window: how many batches (a
 	// lane's backlog to one peer in one frame, see bulkBytes) of one src→dst
@@ -42,13 +41,10 @@ type PipelineConfig struct {
 	// its own lane with Window slots, so serialization and ack RTTs overlap
 	// across and within links. Result bytes are identical for every Window.
 	Window int
-	// AckBatch bounds receiver-side ack aggregation: when a link's ack
-	// worker finds several acknowledgements pending (a backlog the windowed
-	// sender creates naturally), up to AckBatch of them coalesce into one
-	// frame carrying per-transfer keys. ≤ 1 sends one frame per ack. An
-	// idle link still acks immediately — batches only form under backlog,
-	// so single-transfer RTT evidence is undistorted. A bulk frame's acks
-	// queue together, so they coalesce too.
+	// AckBatch is ignored: a link's pending acks always coalesce, as many to
+	// a frame as the transport's frame cap allows (sendEngine.flushAcks).
+	// The field stays only because bench/ names it — ROADMAP Benchmark v2
+	// (e) deletes it.
 	AckBatch int
 	// OverlapEncode is ignored: staging always runs ahead of the window, and
 	// copies nothing. The field stays only because bench/ names it — ROADMAP
@@ -200,8 +196,7 @@ type sendEngine struct {
 	r        *liveRound
 	n        int
 	window   int
-	ackBatch int
-	frameCap int // the longest frame the transport carries (link.take)
+	frameCap int // the longest frame the transport carries (link.take, flushAcks)
 
 	mu    sync.Mutex // guards every row's send lane
 	links []link     // by src·n+dst
@@ -221,7 +216,6 @@ func newSendEngine(r *liveRound, n int, links []link, cfg PipelineConfig) *sendE
 		r:        r,
 		n:        n,
 		window:   max(cfg.Window, 1),
-		ackBatch: max(cfg.AckBatch, 1),
 		frameCap: math.MaxInt,
 		links:    links,
 		began:    time.Now(), //hipress:wallclock engine-relative monotonic base for ack latencies
@@ -424,13 +418,15 @@ func (e *sendEngine) runAcks(l *link) {
 	}
 }
 
-// flush transmits one swap's worth of pending messages. Heartbeat echoes go
-// out individually — their Step is an RTT timestamp that batching must not
-// delay behind a blocked data frame's worth of acks. Plain acks coalesce
-// into chunks of at most ackBatch: a chunk of one keeps the classic frame
-// shape (so AckBatch ≤ 1 is byte-for-byte today's wire behavior), a larger
-// chunk rides one frame whose AckBatch field carries the per-transfer keys,
-// with the link sequence number in Step and the chunk size in Attempt.
+// flushAcks transmits one swap's worth of pending messages. Heartbeat echoes
+// go out individually — their Step is an RTT timestamp that batching must not
+// delay behind a blocked data frame's worth of acks. Plain acks coalesce, a
+// frame's worth at a time: each frame takes refs until the next would push
+// it past frameCap. A frame of one keeps the classic ack shape; a larger one
+// carries the per-transfer keys in its AckBatch field, with the link
+// sequence number in Step and the count in Attempt. An idle link still acks
+// at once — frames only grow under backlog, so single-transfer RTT evidence
+// is undistorted.
 func (e *sendEngine) flushAcks(l *link, msgs []netsim.Message) {
 	r := e.r
 	acks := l.acks[:0]
@@ -445,9 +441,9 @@ func (e *sendEngine) flushAcks(l *link, msgs []netsim.Message) {
 	}
 	l.acks = acks
 	for len(acks) > 0 {
-		n := len(acks)
-		if n > e.ackBatch {
-			n = e.ackBatch
+		n, names := 1, len(acks[0].Gradient)
+		for ; n < len(acks) && netsim.AckFrameLen("", n+1, names+len(acks[n].Gradient)) <= e.frameCap; n++ {
+			names += len(acks[n].Gradient)
 		}
 		chunk := acks[:n]
 		acks = acks[n:]

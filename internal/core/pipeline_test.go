@@ -85,7 +85,7 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 						cfg := tcpParityConfig()
 						cfg.Strategy, cfg.Algo = strat, algo
 						cfg.Pipeline = PipelineConfig{
-							Window: window, AckBatch: 4, OverlapEncode: window > 1,
+							Window: window, OverlapEncode: window > 1,
 						}
 						tr.mutate(&cfg)
 						got, healths := runSizedDigests(t, cfg, n, rounds, sizes)
@@ -129,7 +129,7 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 func TestPipelineAckWorkersExitCleanly(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	cfg := tcpParityConfig()
-	cfg.Pipeline = PipelineConfig{Window: 4, AckBatch: 8, OverlapEncode: true}
+	cfg.Pipeline = PipelineConfig{Window: 4, OverlapEncode: true}
 	_, health := runDigests(t, cfg, 3, 3)
 	if health.SendWallNs <= 0 || health.MaxLinkQueueDepth < 1 {
 		t.Fatalf("pipelined round missing engine health evidence: %+v", health)
@@ -181,16 +181,16 @@ func (g *gatedTransport) frames() []netsim.Message {
 	return out
 }
 
-// TestAckPlaneCoalescesBacklog drives the ack plane directly: with the
-// link's worker held inside its first transmission, five more acks and a
-// heartbeat echo queue behind it. On release the worker must flush the
-// backlog as (heartbeat individually) + (one batched frame of AckBatch=4
-// keys) + (one classic single-ack frame), exactly — and account the four
+// TestAckPlaneCoalescesBacklog drives the ack plane of the zero
+// PipelineConfig directly: with the link's worker held inside its first
+// transmission, five more acks and a heartbeat echo queue behind it. On
+// release the worker must flush the backlog as (heartbeat individually) +
+// (one batched frame of all five keys), exactly — and account the five
 // coalesced acks on the round's counter.
 func TestAckPlaneCoalescesBacklog(t *testing.T) {
 	gt := newGatedTransport()
 	r := &liveRound{tr: gt, rs: &roundState{}, doneCh: make(chan struct{})}
-	a := newSendEngine(r, 2, make([]link, 4), PipelineConfig{AckBatch: 4})
+	a := newSendEngine(r, 2, make([]link, 4), PipelineConfig{})
 
 	ack := func(grad string, step int) netsim.Message {
 		return netsim.Message{From: 1, To: 0, Gradient: grad, Step: step, Attempt: 1, Ack: true}
@@ -202,14 +202,14 @@ func TestAckPlaneCoalescesBacklog(t *testing.T) {
 	}
 	a.enqueueAck(netsim.Message{From: 1, To: 0, Gradient: "hb", Step: 999, Heartbeat: true})
 	gt.proceed <- struct{}{} // release; worker swaps the 6-deep backlog
-	for i := 0; i < 3; i++ { // heartbeat, batch, trailing single
+	for i := 0; i < 2; i++ { // heartbeat, batch
 		<-gt.arrived
 		gt.proceed <- struct{}{}
 	}
 
 	frames := gt.frames()
-	if len(frames) != 4 {
-		t.Fatalf("ack plane sent %d frames, want 4: %+v", len(frames), frames)
+	if len(frames) != 3 {
+		t.Fatalf("ack plane sent %d frames, want 3: %+v", len(frames), frames)
 	}
 	if frames[0].Gradient != "g/p0" || len(frames[0].AckBatch) != 0 {
 		t.Fatalf("first ack not a classic single frame: %+v", frames[0])
@@ -218,8 +218,8 @@ func TestAckPlaneCoalescesBacklog(t *testing.T) {
 		t.Fatalf("heartbeat echo not transmitted individually: %+v", frames[1])
 	}
 	batch := frames[2]
-	if !batch.Ack || len(batch.AckBatch) != 4 || batch.Attempt != 4 || batch.Step != 1 {
-		t.Fatalf("backlog did not coalesce into one 4-key frame: %+v", batch)
+	if !batch.Ack || len(batch.AckBatch) != 5 || batch.Attempt != 5 || batch.Step != 1 {
+		t.Fatalf("backlog did not coalesce into one 5-key frame: %+v", batch)
 	}
 	for i, ref := range batch.AckBatch {
 		want := netsim.AckRef{Gradient: fmt.Sprintf("g/p%d", i+1), Step: 11 + i, Attempt: 1}
@@ -227,11 +227,8 @@ func TestAckPlaneCoalescesBacklog(t *testing.T) {
 			t.Fatalf("batched key %d = %+v, want %+v", i, ref, want)
 		}
 	}
-	if frames[3].Gradient != "g/p5" || len(frames[3].AckBatch) != 0 {
-		t.Fatalf("trailing ack not a classic single frame: %+v", frames[3])
-	}
-	if got := r.rs.ackBatched; got != 4 {
-		t.Fatalf("ackBatched counter = %d, want 4 (only coalesced acks count)", got)
+	if got := r.rs.ackBatched; got != 5 {
+		t.Fatalf("ackBatched counter = %d, want 5 (only coalesced acks count)", got)
 	}
 
 	// Teardown contract: closing doneCh must stop the worker.
@@ -253,7 +250,7 @@ func TestAckPlaneCoalescesBacklog(t *testing.T) {
 // stops happening.
 func TestAckPlaneDispatchRoundTrip(t *testing.T) {
 	cfg := tcpParityConfig()
-	cfg.Pipeline = PipelineConfig{Window: 8, AckBatch: 8, OverlapEncode: true}
+	cfg.Pipeline = PipelineConfig{Window: 8, OverlapEncode: true}
 	// A modest bandwidth cap holds data frames on the wire long enough for
 	// ack backlogs to form deterministically behind them.
 	cfg.Chaos = &netsim.ChaosConfig{Seed: 3,
@@ -308,7 +305,7 @@ func TestLinkTableRows(t *testing.T) {
 		cfg  LiveConfig
 	}{
 		{"w0", LiveConfig{Retry: retry}},
-		{"w4-ackbatch4", LiveConfig{Retry: retry, Pipeline: PipelineConfig{Window: 4, AckBatch: 4}}},
+		{"w4-ackbatch4", LiveConfig{Retry: retry, Pipeline: PipelineConfig{Window: 4}}},
 	}
 	sizes := map[string]int{"a": 96, "b": 300}
 	for _, strat := range []Strategy{StrategyPS, StrategyRing} {

@@ -126,7 +126,7 @@ func TestRoundPlanReuse(t *testing.T) {
 		for _, c := range []struct {
 			pipe   PipelineConfig
 			suffix string
-		}{{PipelineConfig{}, ""}, {PipelineConfig{Window: 4, AckBatch: 4}, "/w4-ackbatch4"}} {
+		}{{PipelineConfig{}, ""}, {PipelineConfig{Window: 4}, "/w4-ackbatch4"}} {
 			t.Run(fmt.Sprintf("%v/reliable=true%s", strat, c.suffix), func(t *testing.T) {
 				cfg := LiveConfig{Strategy: strat, Parts: 2, Algo: "dgc", Params: compress.Params{"ratio": 0.25},
 					Pipeline: c.pipe, RoundTimeout: 10 * time.Second,

@@ -74,7 +74,7 @@ func runPipelineArm(window int, compressed bool, rounds int) (*pipelineArm, erro
 		Strategy: core.StrategyPS, Parts: 4, Algo: "onebit",
 		ErrorFeedback: true,
 		Pipeline: core.PipelineConfig{
-			Window: window, AckBatch: 4, OverlapEncode: window > 1,
+			Window: window, OverlapEncode: window > 1,
 		},
 		Telemetry: DefaultTelemetry(),
 		Transport: DefaultLiveTransport(),

@@ -56,7 +56,6 @@ func (m stragglerMode) String() string {
 type stragglerStats struct {
 	elapsed          []time.Duration
 	retries          int64
-	hedges           int64
 	falseConvictions int // straggler exclusions summed over rounds
 	slowRounds       int // rounds that flagged the straggler Slow
 }
@@ -152,7 +151,6 @@ func runStragglerMode(mode stragglerMode, rounds int) (*stragglerStats, error) {
 		}
 		st.elapsed = append(st.elapsed, h.Elapsed)
 		st.retries += h.Retries
-		st.hedges += h.Hedges
 		// Non-elastic rounds re-detect per round, so each round's exclusion
 		// list counts one false conviction of the live straggler.
 		st.falseConvictions += len(h.ExcludedPeers)
@@ -166,7 +164,7 @@ func runStragglerMode(mode stragglerMode, rounds int) (*stragglerStats, error) {
 }
 
 // StragglersExp quantifies straggler mitigation: round-time p50/p99, total
-// retries/hedges, and false convictions for the three failure-handling
+// retries, and false convictions for the three failure-handling
 // configurations over identical deterministic chaos. scale shrinks the
 // round count for quick runs.
 func StragglersExp(scale float64) (*Table, error) {
@@ -176,11 +174,11 @@ func StragglersExp(scale float64) (*Table, error) {
 	}
 	t := &Table{
 		Title:  fmt.Sprintf("Stragglers: adaptive health plane vs static deadlines (4-node PS, onebit+EF, node 3 at 10x latency, 8%% loss, %d rounds)", rounds),
-		Header: []string{"mode", "p50", "p99", "retries", "hedges", "false-convictions", "slow-flagged"},
+		Header: []string{"mode", "p50", "p99", "retries", "false-convictions", "slow-flagged"},
 		Notes: []string{
 			"static-tight: deadlines tuned for the fast links — falsely convicts the live straggler every round",
 			"static-safe: deadlines sized for the straggler (the fixed-policy price of zero false convictions) — every drop recovery waits at straggler scale",
-			"adaptive: per-link Jacobson/Karels deadlines + phi-accrual evidence + hedged retransmits — zero false convictions at fast-link recovery speed",
+			"adaptive: per-link Jacobson/Karels deadlines + phi-accrual evidence — zero false convictions at fast-link recovery speed",
 		},
 	}
 	modes := []stragglerMode{stragglerStaticTight, stragglerStaticSafe, stragglerAdaptive}
@@ -194,7 +192,7 @@ func StragglersExp(scale float64) (*Table, error) {
 		t.AddRow(mode.String(),
 			fmt.Sprintf("%.1fms", float64(percentile(st.elapsed, 0.50).Microseconds())/1000),
 			fmt.Sprintf("%.1fms", float64(percentile(st.elapsed, 0.99).Microseconds())/1000),
-			st.retries, st.hedges, st.falseConvictions,
+			st.retries, st.falseConvictions,
 			fmt.Sprintf("%d/%d", st.slowRounds, rounds))
 	}
 

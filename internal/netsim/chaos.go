@@ -204,12 +204,8 @@ func (t *ChaosTransport) Send(msg Message) error {
 
 	var delay time.Duration
 	if lf.Delay > 0 && roll(t.hashMsg(saltDely, msg)) < lf.Delay {
-		span := lf.DelayMax - lf.DelayMin
-		if span < 0 {
-			span = 0
-		}
 		delay = lf.DelayMin
-		if span > 0 {
+		if span := lf.DelayMax - lf.DelayMin; span > 0 {
 			delay += time.Duration(t.hashMsg(saltDur, msg) % uint64(span))
 		}
 	}

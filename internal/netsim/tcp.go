@@ -223,12 +223,12 @@ func checkSendable(msg Message, maxFrameLen int) error {
 	if err := limit("attempt", msg.Attempt, 0, math.MaxUint16); err != nil {
 		return err
 	}
-	body := len(msg.Payload)
-	if len(msg.AckBatch) > 0 {
+	frameLen, names := frameHdrLen+len(msg.Gradient)+len(msg.Payload), 0
+	switch {
+	case len(msg.AckBatch) > 0:
 		if err := limit("ack batch count", len(msg.AckBatch), 0, math.MaxUint16); err != nil {
 			return err
 		}
-		body = 2
 		for _, ref := range msg.AckBatch {
 			if err := limit("gradient name length", len(ref.Gradient), 0, math.MaxUint16); err != nil {
 				return err
@@ -236,29 +236,33 @@ func checkSendable(msg Message, maxFrameLen int) error {
 			if err := limit("attempt", ref.Attempt, 0, math.MaxUint16); err != nil {
 				return err
 			}
-			body += 12 + len(ref.Gradient)
+			names += len(ref.Gradient)
 		}
-	}
-	if len(msg.Bulk) > 0 {
+		frameLen = AckFrameLen(msg.Gradient, len(msg.AckBatch), names)
+	case len(msg.Bulk) > 0:
 		if err := limit("bulk count", len(msg.Bulk), 2, math.MaxUint16); err != nil {
 			return err
 		}
-		names := 0
 		for i := range msg.Bulk {
 			if err := limit("gradient name length", len(msg.Bulk[i].Gradient), 0, math.MaxUint16); err != nil {
 				return err
 			}
 			names += len(msg.Bulk[i].Gradient)
 		}
-		return limit("frame length", BulkFrameLen(msg.Gradient, len(msg.Bulk), names, msg.PayloadLen()), 0, maxFrameLen)
+		frameLen = BulkFrameLen(msg.Gradient, len(msg.Bulk), names, msg.PayloadLen())
 	}
-	return limit("frame length", frameHdrLen+len(msg.Gradient)+body, 0, maxFrameLen)
+	return limit("frame length", frameLen, 0, maxFrameLen)
 }
 
 // BulkFrameLen is the length MaxFrameLen bounds of a bulk frame named name
 // whose count entries hold names bytes of names and payload bytes in all.
 func BulkFrameLen(name string, count, names, payload int) int {
 	return frameHdrLen + len(name) + 4 + 2 + count*18 + names + payload
+}
+
+// AckFrameLen is BulkFrameLen's rule for a batched-ack frame: count refs, no payload.
+func AckFrameLen(name string, count, names int) int {
+	return frameHdrLen + len(name) + 2 + count*12 + names
 }
 
 // ConnError is Send's typed failure: the connection lifecycle exhausted its

@@ -253,7 +253,7 @@ func TestFrameCodecAckBatch(t *testing.T) {
 	refs := []AckRef{
 		{Gradient: "layer3.weight/p0", Step: 1<<20 | 3, Attempt: 1},
 		{Gradient: "layer3.weight/p1", Step: 2<<20 | 3},
-		{Gradient: "", Step: -1, Attempt: 4097}, // hedge-band attempt, empty gradient
+		{Gradient: "", Step: -1, Attempt: 4097}, // attempt past 4096, empty gradient
 	}
 	msg := Message{From: 2, To: 1, Ack: true, Step: 42, Attempt: len(refs), AckBatch: refs}
 	frame := encodeFrame(msg, 9)
