@@ -16,17 +16,13 @@
 // deadlines under a 10x straggler), autotune (closed-loop cost-model
 // recalibration re-planning a live cluster through a mid-run bandwidth
 // drop, with a stationary control arm and a bit-identical decision-trace
-// replay), tcpchaos (socket-plane parity: the live rounds over real
+// replay), and tcpchaos (socket-plane parity: the live rounds over real
 // loopback TCP under wire-level resets, corruption, and a half-open peer,
-// gated on bit-identity with the chan transport), and pipeline (the
-// windowed send engine: per-link sliding-window sends swept W=1..8 on a
-// serialization-bound fabric, gated on >= 1.5x round rate at W=4 vs the
-// sequential engine and on bit-identical digests across every window).
+// gated on bit-identity with the chan transport).
 //
-// The live-plane gates (recovery, stragglers, autotune, tcpchaos,
-// pipeline) accept -transport tcp to run over real loopback sockets
-// instead of in-process channels; CI's tcp-parity job runs all five that
-// way.
+// The live-plane gates (recovery, stragglers, autotune, tcpchaos) accept
+// -transport tcp to run over real loopback sockets instead of in-process
+// channels; CI's tcp-parity job runs all four that way.
 //
 // The chaos experiment accepts a fault schedule via -chaos, e.g.
 //

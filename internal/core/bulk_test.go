@@ -17,25 +17,23 @@ import (
 // lane ships as one frame, and how the transfers of a bulk frame settle when
 // its ack comes late.
 
-// TestLaneBulkRule drives one lane's take over a queue that mixes
-// peers and payload sizes: batches keep FIFO order, join only consecutive
-// sends to one peer, stay within bulkBytes, leave an oversized payload alone,
-// and a batch of one goes out as its own classic frame, unchanged.
+// TestLaneBulkRule drives take over one link's lane, a queue of payload
+// sizes: batches keep FIFO order, stay within bulkBytes, leave an oversized
+// payload alone, and a batch of one goes out as its own classic frame,
+// unchanged.
 func TestLaneBulkRule(t *testing.T) {
-	queue := []struct{ to, size int }{
-		{1, 100}, {1, 200}, // one peer: one bulk frame
-		{2, 50}, // another peer: alone
-		{1, 10}, {1, 40000},
-		{1, 30000},                   // would pass bulkBytes with the two before: starts a batch
-		{1, bulkBytes + 1},           // oversized: alone
-		{1, 10}, {1, bulkBytes - 10}, // exactly bulkBytes together
-		{3, 5}, // a lone queued send: its classic frame
+	queue := []int{
+		100, 200, 10, 40000, // one bulk frame
+		30000,              // would pass bulkBytes with the four before: starts a batch
+		bulkBytes + 1,      // oversized: alone
+		10, bulkBytes - 10, // exactly bulkBytes together
+		5, // a lone queued send: its classic frame
 	}
-	want := [][]int{{0, 1}, {2}, {3, 4}, {5}, {6}, {7, 8}, {9}}
+	want := [][]int{{0, 1, 2, 3}, {4}, {5}, {6, 7}, {8}}
 	var l link
-	for id, q := range queue {
-		l.queue = append(l.queue, pendingSend{t: &Task{ID: id}, msg: netsim.Message{From: 0, To: q.to,
-			Gradient: fmt.Sprintf("g%d/p0", id), Step: id, Sum: uint32(id), Payload: make([]byte, q.size)}})
+	for id, size := range queue {
+		l.queue = append(l.queue, pendingSend{t: &Task{ID: id}, msg: netsim.Message{From: 0, To: 1,
+			Gradient: fmt.Sprintf("g%d/p0", id), Step: id, Sum: uint32(id), Payload: make([]byte, size)}})
 	}
 	msgs := make([]netsim.Message, len(queue))
 	for i := range l.queue {
@@ -102,7 +100,6 @@ func TestBulkFrameCap(t *testing.T) {
 	sizes := map[string]int{"a": 600, "b": 600, "c": 600, "d": 600}
 	cfg := tcpParityConfig()
 	cfg.Algo, cfg.ErrorFeedback, cfg.Transport = "", false, "tcp"
-	cfg.Pipeline = PipelineConfig{Window: 4}
 	want, healths := runSizedDigests(t, cfg, n, rounds, sizes)
 	var bulk int64
 	for _, h := range healths {
@@ -137,7 +134,7 @@ func TestBulkFrameCap(t *testing.T) {
 		}
 	}
 	r := &liveRound{tr: ht, rs: &roundState{}, doneCh: make(chan struct{})}
-	e := newSendEngine(r, 2, make([]link, 4), PipelineConfig{})
+	e := newSendEngine(r, 2, make([]link, 4))
 	e.frameCap = tcp.MaxFrameLen()
 	go func() { <-r.doneCh; tcp.Close() }() // a refused frame fails the round: end the receive loop below
 	for i := 0; i < acks; i++ {

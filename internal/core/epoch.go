@@ -137,9 +137,9 @@ type RoundObservation struct {
 	// GradBytes lists the raw byte size of every gradient synchronized this
 	// round, ascending.
 	GradBytes []int64
-	// Window is the per-link send window the round ran with,
-	// max(LiveConfig.Pipeline.Window, 1): how many transfers of one link
-	// overlapped their ack round trips. A report, not a setting.
+	// Window is the per-link send window every round runs with, sendWindow:
+	// how many transfers of one link may overlap their ack round trips. A
+	// report, not a setting; the tuner divides per-transfer fixed cost by it.
 	Window int
 }
 
@@ -149,7 +149,8 @@ type RoundObservation struct {
 // called sequentially between rounds.
 type Autotuner interface {
 	// ObserveLink reports one unambiguous (Karn's rule) ack round trip on
-	// the directed link from→to for a payload of the given size.
+	// the directed link from→to, which carried payloadBytes meanwhile: the
+	// frame's and those of unacked frames sent ahead of it.
 	ObserveLink(from, to, payloadBytes int, rtt time.Duration)
 	// ObserveRound reports one completed round.
 	ObserveRound(obs RoundObservation)
@@ -336,7 +337,7 @@ func (lc *LiveCluster) observeAndTune(ep PlanEpoch, h *RoundHealth, round int64,
 	at.ObserveRound(RoundObservation{
 		Round: round, Epoch: ep, Health: h,
 		Wire: lc.WireStats(), GradBytes: sizes,
-		Window: max(lc.cfg.Pipeline.Window, 1),
+		Window: sendWindow,
 	})
 	prop := at.Propose(ep)
 	if prop == nil {

@@ -340,6 +340,7 @@ func TestRestoreEpoch(t *testing.T) {
 type recordingTuner struct {
 	mu       sync.Mutex
 	links    int
+	maxBytes int // the most bytes one link sample carried
 	obs      []RoundObservation
 	after    int
 	proposal *PlanEpoch
@@ -349,6 +350,7 @@ type recordingTuner struct {
 func (r *recordingTuner) ObserveLink(from, to, payloadBytes int, rtt time.Duration) {
 	r.mu.Lock()
 	r.links++
+	r.maxBytes = max(r.maxBytes, payloadBytes)
 	r.mu.Unlock()
 }
 
@@ -419,17 +421,43 @@ func TestAutotuneLoopWiring(t *testing.T) {
 	}
 }
 
+// TestLinkSamplesCarryQueuedBytes: a calibration sample pairs its round
+// trip with the bytes its link carried meanwhile. Each link carries a 64 KiB
+// and a 1 KiB raw partition, too big to share a bulk frame, staged together;
+// a bandwidth cap keeps whichever goes first unacked while the other is
+// sent, so the second's sample must count both — more than any one frame.
+func TestLinkSamplesCarryQueuedBytes(t *testing.T) {
+	const n = 2
+	tun := &recordingTuner{}
+	lc, err := NewLiveCluster(n, LiveConfig{Strategy: StrategyPS, Parts: n, Autotune: tun,
+		Chaos: &netsim.ChaosConfig{Default: netsim.LinkFaults{Bandwidth: 8 << 20}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		if _, err := lc.SyncRound(epochGrads(n, map[string]int{"big": n * bulkBytes / 4, "small": n * 256})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tun.mu.Lock()
+	defer tun.mu.Unlock()
+	if tun.maxBytes <= bulkBytes+512 {
+		t.Fatalf("largest link sample carried %d bytes over %d samples, want the 64 KiB and 1 KiB partitions together", tun.maxBytes, tun.links)
+	}
+}
+
 // TestRoundObservationWindow: the tuner reads the send window from the round
-// it observes — the configured window on a pipelined cluster, 1 on the
-// sequential zero config — so it never needs the window set twice.
+// it observes — sendWindow on every cluster, the ignored
+// PipelineConfig.Window whatever it says — so it never needs the window set
+// twice.
 func TestRoundObservationWindow(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  LiveConfig
 		want int
 	}{
-		{"zero config", LiveConfig{}, 1},
-		{"reliable w4", LiveConfig{Pipeline: PipelineConfig{Window: 4}}, 4},
+		{"zero config", LiveConfig{}, sendWindow},
+		{"reliable w4", LiveConfig{Pipeline: PipelineConfig{Window: 4}}, sendWindow},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tun := &recordingTuner{}

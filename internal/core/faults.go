@@ -200,8 +200,8 @@ type RoundHealth struct {
 	// pipelined engine exists to lower. Zero when no payload send ran.
 	SendWallNs int64
 	// MaxLinkQueueDepth is the high-water mark of staged-plus-in-flight
-	// transfers on the busiest send lane: >Window means staging ran ahead
-	// of the wire (backlog), ≈1 means the DAG never kept a lane busy.
+	// transfers on the busiest link's lane: >sendWindow means staging ran
+	// ahead of the wire (backlog), ≈1 means the DAG never kept a link busy.
 	MaxLinkQueueDepth int
 	// AckBatched counts acknowledgements delivered inside coalesced
 	// multi-ack frames, a bulk frame's among them; each batched frame

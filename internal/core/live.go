@@ -61,11 +61,9 @@ type LiveConfig struct {
 	// the optional wire-level fault injector. Nil takes the defaults.
 	// TCP.Metrics defaults to Telemetry's metrics registry when unset.
 	TCP *netsim.TCPOptions
-	// Pipeline tunes the pipelined send engine (pipeline.go): per-link
-	// in-flight windows and receiver-side ack aggregation. The zero value
-	// reproduces the classic sequential send loop. Result bytes are
-	// identical for every setting — the window changes when transfers
-	// resolve, never what the ordered merges compute.
+	// Pipeline is ignored, every field of it: the send engine has one shape
+	// (pipeline.go). The field stays only because bench/ names it — ROADMAP
+	// Benchmark v2 (e) deletes it.
 	Pipeline PipelineConfig
 	// Telemetry, when non-nil, records wall-clock spans for every executed
 	// primitive (encode/decode/merge/send/recv, flow-linked send→recv),
@@ -97,7 +95,8 @@ type LiveConfig struct {
 	// contributions are excluded, keeping the expected gradient magnitude.
 	Renormalize bool
 	// Chaos, when non-nil, wraps the round transport in a fault injector
-	// (netsim.WrapChaos). Replaceable between rounds via
+	// (netsim.WrapChaos) whose Seed is mixed with the round index, so every
+	// round samples fresh faults. Replaceable between rounds via
 	// LiveCluster.SetChaos (e.g. to lift a scripted blackout).
 	Chaos *netsim.ChaosConfig
 	// Health selects the health plane's delivery policy (health.go):
@@ -549,6 +548,7 @@ type liveRound struct {
 
 	// pipe is the send engine, running on the plan's link table (pipeline.go).
 	pipe *sendEngine
+	at   Autotuner // the cluster's, nil when none: links count carried bytes only for it
 
 	// trc/met are the observability plane (both possibly nil). Spans are
 	// stamped with trc.Now() — wall-clock seconds since the tracer's birth —
@@ -572,13 +572,9 @@ func (r *liveRound) traceTask(t *Task, start float64) {
 	flowStart := false
 	switch t.Kind {
 	case KSend:
-		// Per-link lanes get one trace track per directed link, so the
-		// exporter renders overlapping in-flight transfers side by side
-		// instead of stacking them into one unreadable "net" row.
-		stream = "net"
-		if r.pipe.window > 1 {
-			stream = fmt.Sprintf("net→%d", t.Peer)
-		}
+		// One track per link's lane: the exporter renders overlapping
+		// in-flight transfers side by side, not stacked in one "net" row.
+		stream = fmt.Sprintf("net→%d", t.Peer)
 		flow = telemetry.FlowID(t.Node, t.Peer, t.Grad, packStep(t.Step, t.Part))
 		flowStart = true
 	case KRecv:
@@ -766,7 +762,9 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 	}
 	var chaosTr *netsim.ChaosTransport
 	if chaos := lc.chaosCfg(); chaos != nil {
-		chaosTr = netsim.WrapChaos(tr, chaos)
+		c := *chaos // rolls are keyed on message identity, which every round repeats
+		c.Seed ^= uint64(round+1) * 0x9e3779b97f4a7c15
+		chaosTr = netsim.WrapChaos(tr, &c)
 		tr = chaosTr
 	}
 	defer tr.Close()
@@ -810,8 +808,9 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 		doneCh:    make(chan struct{}),
 		trc:       lc.cfg.Telemetry.T(),
 		met:       lc.cfg.Telemetry.M(),
+		at:        lc.cfg.Autotune,
 	}
-	r.pipe = newSendEngine(r, n, p.links, lc.cfg.Pipeline)
+	r.pipe = newSendEngine(r, n, p.links)
 	if tcpTr != nil {
 		r.pipe.frameCap = tcpTr.MaxFrameLen()
 	}
@@ -1172,6 +1171,12 @@ func (r *liveRound) attempt(batch []pendingSend, msg netsim.Message, attempt int
 			r.traceEvent(fmt.Sprintf("retry %s→%d #%d", msg.Gradient, msg.To, attempt), "retry", msg.From)
 		}
 	}
+	var carried int64 // this payload and the unacked ones ahead of it on the link
+	if r.at != nil {
+		size, wire := int64(msg.PayloadLen()), &r.pipe.links[msg.From*r.pipe.n+msg.To].wire
+		carried = wire.Add(size)
+		defer wire.Add(-size)
+	}
 	sentAt := hp.clock()
 	if err := r.tr.Send(msg); err != nil {
 		select {
@@ -1199,13 +1204,13 @@ func (r *liveRound) attempt(batch []pendingSend, msg netsim.Message, attempt int
 			if attempt == 0 {
 				// Karn's rule: only an unambiguous first-attempt ack
 				// yields an RTT sample (a retransmitted transfer's ack
-				// could belong to any copy). The autotuner shares the
-				// samples, paired with the frame's payload size, to fit
-				// per-link send curves.
+				// could belong to any copy). The autotuner fits per-link
+				// send curves to them, paired with the bytes carried: a
+				// frame queued behind window-mates waits for theirs too.
 				rtt := hp.clock() - sentAt
 				hp.observeRTT(msg.From, msg.To, rtt)
-				if at := r.lc.cfg.Autotune; at != nil {
-					at.ObserveLink(msg.From, msg.To, msg.PayloadLen(), rtt)
+				if r.at != nil {
+					r.at.ObserveLink(msg.From, msg.To, int(carried), rtt)
 				}
 			}
 			return true, false

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hipress/internal/netsim"
+	"hipress/internal/telemetry"
 	"hipress/internal/tensor"
 )
 
@@ -400,6 +401,53 @@ func TestZeroConfigSurvivesChaos(t *testing.T) {
 				t.Fatal("chaos injected nothing")
 			}
 		})
+	}
+}
+
+// TestChaosFreshFaultsEachRound: one ChaosConfig drops different transfers
+// in different rounds of one cluster, because each round rolls its faults
+// under its own seed, and every round's digest still equals a clean run's.
+// Two nodes and one partition put one transfer on a link at a time, so no
+// bulk frame or coalesced ack makes a frame's identity depend on timing, and
+// the backoff is long enough that only a lost frame or ack retries: which
+// transfers a round retries is then a function of its fault rolls alone.
+func TestChaosFreshFaultsEachRound(t *testing.T) {
+	const n, rounds = 2, 8
+	sizes := map[string]int{"w": 300}
+	clean := LiveConfig{Strategy: StrategyPS, RoundTimeout: 30 * time.Second,
+		Retry: RetryPolicy{MaxAttempts: 10, BaseBackoff: 100 * time.Millisecond, MaxBackoff: 200 * time.Millisecond}}
+	want, _ := runSizedDigests(t, clean, n, rounds, sizes)
+
+	tel := telemetry.New()
+	dirty := clean
+	dirty.Chaos = &netsim.ChaosConfig{Seed: 5, Default: netsim.LinkFaults{Drop: 0.3}}
+	dirty.Telemetry = tel
+	lc, err := NewLiveCluster(n, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retried := map[string]int{} // each round's retried transfers → rounds that retried exactly them
+	for round := 0; round < rounds; round++ {
+		tel.Tracer.Reset()
+		grads, _ := makeGrads(uint64(100+round), n, sizes)
+		out, health, err := lc.SyncRoundContext(context.Background(), grads)
+		if err != nil {
+			t.Fatalf("round %d: %v (health %s)", round, err, health)
+		}
+		if got := digestRound(out); got != want[round] {
+			t.Fatalf("round %d: digest %016x under chaos, %016x clean (health %s)", round, got, want[round], health)
+		}
+		var names []string
+		for _, s := range tel.Tracer.Spans() {
+			if s.Cat == "retry" {
+				names = append(names, fmt.Sprintf("%s@node%d", s.Name, s.Node))
+			}
+		}
+		slices.Sort(names)
+		retried[fmt.Sprint(names)]++
+	}
+	if len(retried) == 1 {
+		t.Fatalf("all %d rounds retried the same transfers %v: every round replays one round's faults", rounds, retried)
 	}
 }
 

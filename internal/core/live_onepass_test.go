@@ -224,7 +224,6 @@ func TestRoundAliasingAndInputImmutability(t *testing.T) {
 				cfg := arm.cfg
 				cfg.Transport = transport
 				cfg.Retry = RetryPolicy{MaxAttempts: 8, BaseBackoff: 20 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
-				cfg.Pipeline = PipelineConfig{Window: 4, OverlapEncode: true}
 				cfg.RoundTimeout = 30 * time.Second
 
 				// The reference: two rounds over the same inputs on a cluster
@@ -322,7 +321,6 @@ func BenchmarkRawRingRound(b *testing.B) {
 	}
 	lc, err := NewLiveCluster(n, LiveConfig{
 		Strategy: StrategyRing, Parts: 2, Transport: "tcp",
-		Pipeline: PipelineConfig{Window: 4, OverlapEncode: true},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -360,13 +358,6 @@ func BenchmarkRawRingRound(b *testing.B) {
 // and bytes per op are the round's state tables and results; the codec and the
 // merge add none. Bytes per op are what one node contributes.
 func BenchmarkCompressedPSRound(b *testing.B) { benchPSRound(b, LiveConfig{}) }
-
-// BenchmarkReliablePSRound is the same round through windowed lanes with
-// batched acks: the two above resolve one batch per node at a time and ack
-// every frame alone.
-func BenchmarkReliablePSRound(b *testing.B) {
-	benchPSRound(b, LiveConfig{Pipeline: PipelineConfig{Window: 4}})
-}
 
 func benchPSRound(b *testing.B, cfg LiveConfig) {
 	const n = 4

@@ -197,8 +197,7 @@ func TestLiveTCPSettlesEveryLease(t *testing.T) {
 	checkedOut(wireChaosParityConfig())
 	// The windowed engine keeps several leased frames per link in flight,
 	// and a raw ring forwards received buffers onward.
-	ring := LiveConfig{Strategy: StrategyRing, Parts: 2, Transport: "tcp",
-		Pipeline: PipelineConfig{Window: 4, OverlapEncode: true}}
+	ring := LiveConfig{Strategy: StrategyRing, Parts: 2, Transport: "tcp"}
 	checkedOut(ring)
 }
 

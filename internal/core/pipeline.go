@@ -10,45 +10,41 @@ import (
 	"hipress/internal/telemetry"
 )
 
-// This file is the live plane's pipelined send engine, whose lanes are each
-// node's communication queue (Q_commu). It splits every send in two halves:
+// This file is the live plane's pipelined send engine. Its lanes are the
+// paper's communication queue (Q_commu), split per destination: every
+// directed link a→b has its own lane. It splits every send in two halves:
 //
 //   stage   — reference the payload bytes (encode output, forwarded frame,
 //             or the raw accumulator itself) on the goroutine that completed
-//             the send's last dependency, and queue it on its lane;
+//             the send's last dependency, and queue it on its link's lane;
 //   resolve — transmit and wait for acknowledgement on a lane worker, with
-//             up to Window batches of one directed link in flight at once,
-//             a batch being the lane's backlog to one peer in one frame.
+//             up to sendWindow batches of the link in flight at once, a batch
+//             being the lane's backlog in one frame.
 //
 // Bit-identity needs no copy at staging: a payload is final once its send's
 // dependencies clear (live.go, merge), however long it then waits, and the
 // ordered barrier merge on the receive side makes result bytes independent of
-// completion order; resolution is the one delivery loop on every lane shape.
+// completion order; resolution is the one delivery loop of every lane.
 //
 // What a round sends from a to b — staged transfers and acks — queues in row
 // (a, b) of one link table. Every staged payload lives in the round lease or
 // in the caller's gradients, and the lease is released only after every
 // goroutine of the round has left the round's one WaitGroup.
 
-// PipelineConfig tunes the live plane's send pipeline (LiveConfig.Pipeline).
-// The zero value reproduces the sequential engine: one lane per node, one
-// batch awaiting its acks at a time.
+// sendWindow is how many batches of one directed link may await their acks
+// at once. Lanes per link, at any window, run a raw 4-node PS round over
+// 8 MB/s links 2.9× as often as one lane per node; 4 slots over 1 keep a few
+// percent on loopback TCP (DESIGN.md, "Window protocol").
+const sendWindow = 4
+
+// PipelineConfig is ignored, every field of it: a link's lane always runs
+// sendWindow batches (Window), its acks always coalesce up to the frame cap
+// (AckBatch, see flushAcks), and staging always runs ahead of the window,
+// copying nothing (OverlapEncode). The type stays only because bench/ names
+// it — ROADMAP Benchmark v2 (e) deletes it.
 type PipelineConfig struct {
-	// Window is the per-directed-link sliding window: how many batches (a
-	// lane's backlog to one peer in one frame, see bulkBytes) of one src→dst
-	// link may await their acks at once. ≤ 1 keeps the sequential shape — one
-	// send lane per node, one batch at a time; ≥ 2 gives every directed link
-	// its own lane with Window slots, so serialization and ack RTTs overlap
-	// across and within links. Result bytes are identical for every Window.
-	Window int
-	// AckBatch is ignored: a link's pending acks always coalesce, as many to
-	// a frame as the transport's frame cap allows (sendEngine.flushAcks).
-	// The field stays only because bench/ names it — ROADMAP Benchmark v2
-	// (e) deletes it.
-	AckBatch int
-	// OverlapEncode is ignored: staging always runs ahead of the window, and
-	// copies nothing. The field stays only because bench/ names it — ROADMAP
-	// Benchmark v2 (e) deletes it.
+	Window        int
+	AckBatch      int
 	OverlapEncode bool
 }
 
@@ -98,12 +94,13 @@ func (s *slab[T]) release() {
 // dispatcher gathers a bulk frame's acks, is its own. drainFn and ackFn start
 // workers on eng, the round's engine. waiters, guarded by the engine mutex,
 // is the lane's free list of ack waiters: one per worker it ever ran at once,
-// so at most the window, each put back with its channel empty.
+// so at most sendWindow, each put back with its channel empty.
 type link struct {
 	queue   []pendingSend // queue[head:] waits; both reset when it empties
 	head    int
-	workers int // goroutines currently resolving this lane, ≤ window
-	depth   int // high-water mark of queued + resolving
+	workers int          // goroutines currently resolving this lane, ≤ sendWindow
+	depth   int          // high-water mark of queued + resolving
+	wire    atomic.Int64 // payload bytes sent and not yet acked, counted when autotuned (attempt)
 	sends   slab[pendingSend]
 	entries slab[netsim.BulkEntry]
 
@@ -136,14 +133,14 @@ func (l *link) reset() {
 }
 
 // take pops the non-empty lane's next batch — its head and each following
-// send to the same peer while their payloads stay within bulkBytes, the count
-// within a frame's u16 and the bulk frame within frameCap — and the frame its
-// first attempt transmits (a bulk frame for two or more). The caller holds
-// the engine mutex.
+// send (to the same peer: a lane is one link's) while their payloads stay
+// within bulkBytes, the count within a frame's u16 and the bulk frame within
+// frameCap — and the frame its first attempt transmits (a bulk frame for two
+// or more). The caller holds the engine mutex.
 func (l *link) take(frameCap int) ([]pendingSend, netsim.Message) {
 	q := l.queue[l.head:]
 	k, size, names := 1, len(q[0].msg.Payload), len(q[0].msg.Gradient)
-	for ; k < len(q) && k < 1<<16-1 && q[k].msg.To == q[0].msg.To; k++ {
+	for ; k < len(q) && k < 1<<16-1; k++ {
 		m := &q[k].msg
 		if size+len(m.Payload) > bulkBytes ||
 			netsim.BulkFrameLen(q[0].msg.Gradient, k+1, names+len(m.Gradient), size+len(m.Payload)) > frameCap {
@@ -189,13 +186,11 @@ func (l *link) waiter() (w *laneWaiter) {
 
 // sendEngine runs one round on its plan's link table and is the only route
 // from a ready send task to the wire: staged when its dependencies clear,
-// queued on its row, resolved inside that row's window. A send queues on row
-// (Node, Peer) when Window ≥ 2, on row (Node, Node) otherwise — no live DAG
-// sends to itself — one lane per node.
+// queued on row (Node, Peer), resolved inside that row's window. No live
+// DAG sends to itself, so the diagonal rows stay empty.
 type sendEngine struct {
 	r        *liveRound
 	n        int
-	window   int
 	frameCap int // the longest frame the transport carries (link.take, flushAcks)
 
 	mu    sync.Mutex // guards every row's send lane
@@ -211,11 +206,10 @@ type sendEngine struct {
 
 // newSendEngine starts the engine of round r over links, an n·n link table
 // whose rows are empty; frames of any length fit until frameCap is set.
-func newSendEngine(r *liveRound, n int, links []link, cfg PipelineConfig) *sendEngine {
+func newSendEngine(r *liveRound, n int, links []link) *sendEngine {
 	e := &sendEngine{
 		r:        r,
 		n:        n,
-		window:   max(cfg.Window, 1),
 		frameCap: math.MaxInt,
 		links:    links,
 		began:    time.Now(), //hipress:wallclock engine-relative monotonic base for ack latencies
@@ -236,8 +230,8 @@ func newSendEngine(r *liveRound, n int, links []link, cfg PipelineConfig) *sendE
 }
 
 // submit stages a ready send task on the calling goroutine (liveRound.route)
-// and queues it on its lane, starting a lane worker when its window has a
-// free slot.
+// and queues it on its link's lane, starting a lane worker when the window
+// has a free slot.
 func (e *sendEngine) submit(t *Task) error {
 	r := e.r
 	start := r.trc.Now()
@@ -245,19 +239,15 @@ func (e *sendEngine) submit(t *Task) error {
 	if err != nil {
 		return err
 	}
-	dst := t.Node
-	if e.window > 1 {
-		dst = t.Peer
-	}
 	p := pendingSend{t: t, msg: msg, start: start,
 		x: &r.xfer[r.recvIdx[wireKey{t.Grad, msg.Step, msg.To, msg.From}]]}
-	l := &e.links[t.Node*e.n+dst]
+	l := &e.links[t.Node*e.n+t.Peer]
 	e.startNs.CompareAndSwap(0, e.sinceNs())
 	e.mu.Lock()
 	l.queue = append(l.queue, p)
 	waiting := len(l.queue) - l.head
 	l.depth = max(l.depth, waiting+l.workers)
-	for idle := waiting; idle > 0 && l.workers < e.window; idle-- {
+	for idle := waiting; idle > 0 && l.workers < sendWindow; idle-- {
 		l.workers++
 		r.wg.Add(1)
 		go l.drainFn()
@@ -268,8 +258,8 @@ func (e *sendEngine) submit(t *Task) error {
 
 // drain is one window slot's worker: it resolves staged transfers in lane
 // FIFO order, a batch at a time (link.take), and exits when the lane empties
-// or the round unwinds. Workers per lane never exceed the window, so at most
-// Window batches of one lane are between transmit and ack at any moment.
+// or the round unwinds. Workers per lane never exceed sendWindow, so at most
+// sendWindow batches of one link are between transmit and ack at any moment.
 func (e *sendEngine) drain(l *link) {
 	defer e.r.wg.Done()
 	r := e.r

@@ -34,15 +34,17 @@ func wireChaosTCP() *netsim.TCPOptions {
 }
 
 // TestPipelineWindowBitIdentity is the send engine's acceptance table: for
-// each strategy and algorithm, every (window, transport) arm — including real
-// TCP and TCP under wire chaos — must produce per-round digests byte-identical
-// to the classic sequential engine on the chan transport, and the chan and
-// TCP arms must do so with bulk frames on the wire. Result bytes are a
-// pure function of the plan epoch; the window, ack batching, and completion
-// order never leak into them — nor, for the stochastic compressors (terngrad,
-// graddrop), into the random draws: each encode's stream is keyed by (round,
-// node, pipeline position), so these arms are also the schedule perturbation
-// that would expose a draw taken in execution order.
+// each strategy and algorithm, every transport arm — including real TCP and
+// TCP under wire chaos — must produce per-round digests byte-identical to
+// the one engine on the chan transport, and the chan and TCP arms must do
+// so with bulk frames on the wire. Result bytes are a pure function of the
+// plan epoch; ack batching and completion order never leak into them — nor,
+// for the stochastic compressors (terngrad, graddrop), into the random
+// draws: each encode's stream is keyed by (round, node, pipeline position),
+// so these arms are also the schedule perturbation that would expose a draw
+// taken in execution order. The wN arms set the ignored
+// PipelineConfig.Window to N: no value of it may change a byte, and each
+// arm runs its row once more under another schedule.
 func TestPipelineWindowBitIdentity(t *testing.T) {
 	const n, rounds = 3, 2
 	transports := []struct {
@@ -67,8 +69,7 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 				// get a hop convicted before they get through.
 				sizes["w1"] = 2200
 			}
-			// Reference: the zero-value Pipeline config — the sequential
-			// engine — on the chan transport.
+			// Reference: the one engine on the chan transport.
 			ref := tcpParityConfig()
 			ref.Strategy, ref.Algo = strat, algo
 			want, _ := runSizedDigests(t, ref, n, rounds, sizes)
@@ -77,22 +78,20 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 					// Not a property of the engine: on a ring each node acks
 					// one neighbour only, and under this cut rate the static
 					// scoreboard convicts an innocent hop (policy abort) at
-					// every window.
+					// every run.
 					continue
 				}
 				for _, window := range []int{1, 2, 4, 8} {
 					t.Run(fmt.Sprintf("%v/%s/%s/w%d", strat, algo, tr.name, window), func(t *testing.T) {
 						cfg := tcpParityConfig()
 						cfg.Strategy, cfg.Algo = strat, algo
-						cfg.Pipeline = PipelineConfig{
-							Window: window, OverlapEncode: window > 1,
-						}
+						cfg.Pipeline = PipelineConfig{Window: window}
 						tr.mutate(&cfg)
 						got, healths := runSizedDigests(t, cfg, n, rounds, sizes)
 						health := healths[len(healths)-1]
 						for i := range want {
 							if got[i] != want[i] {
-								t.Fatalf("round %d: digest %016x != sequential chan reference %016x (health %+v)",
+								t.Fatalf("round %d: digest %016x != chan reference %016x (health %+v)",
 									i, got[i], want[i], health)
 							}
 						}
@@ -129,7 +128,6 @@ func TestPipelineWindowBitIdentity(t *testing.T) {
 func TestPipelineAckWorkersExitCleanly(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	cfg := tcpParityConfig()
-	cfg.Pipeline = PipelineConfig{Window: 4, OverlapEncode: true}
 	_, health := runDigests(t, cfg, 3, 3)
 	if health.SendWallNs <= 0 || health.MaxLinkQueueDepth < 1 {
 		t.Fatalf("pipelined round missing engine health evidence: %+v", health)
@@ -190,7 +188,7 @@ func (g *gatedTransport) frames() []netsim.Message {
 func TestAckPlaneCoalescesBacklog(t *testing.T) {
 	gt := newGatedTransport()
 	r := &liveRound{tr: gt, rs: &roundState{}, doneCh: make(chan struct{})}
-	a := newSendEngine(r, 2, make([]link, 4), PipelineConfig{})
+	a := newSendEngine(r, 2, make([]link, 4))
 
 	ack := func(grad string, step int) netsim.Message {
 		return netsim.Message{From: 1, To: 0, Gradient: grad, Step: step, Attempt: 1, Ack: true}
@@ -250,7 +248,6 @@ func TestAckPlaneCoalescesBacklog(t *testing.T) {
 // stops happening.
 func TestAckPlaneDispatchRoundTrip(t *testing.T) {
 	cfg := tcpParityConfig()
-	cfg.Pipeline = PipelineConfig{Window: 8, OverlapEncode: true}
 	// A modest bandwidth cap holds data frames on the wire long enough for
 	// ack backlogs to form deterministically behind them.
 	cfg.Chaos = &netsim.ChaosConfig{Seed: 3,
@@ -290,11 +287,11 @@ func buildRound(t *testing.T, lc *LiveCluster, grads []map[string][]float32) *ro
 	return p
 }
 
-// TestLinkTableRows pins what one round leaves in its link table: staged
-// sends queued on exactly the diagonal rows (v, v) in the per-node shape and
-// on exactly the DAG's send links otherwise; acks queued on exactly the
-// reversed links of acked transfers, never on the diagonal; and, after
-// teardown, every queue empty, no worker counted and no engine kept on any row.
+// TestLinkTableRows pins what one round leaves in its link table, whatever
+// the ignored PipelineConfig says: staged sends queued on exactly the DAG's
+// send links (Node, Peer); acks queued on exactly the reversed links of acked
+// transfers, never on the diagonal; and, after teardown, every queue empty,
+// no worker counted and no engine kept on any row.
 func TestLinkTableRows(t *testing.T) {
 	const n = 3
 	// No retransmit can fire in these clean rounds, so no duplicate re-ack
@@ -334,13 +331,9 @@ func TestLinkTableRows(t *testing.T) {
 						sends[LinkKey{Src: tk.Node, Dst: tk.Peer}] = true
 					}
 				}
-				perNode := cfg.Pipeline.Window <= 1
 				for i := range r.pipe.links {
 					l, key := &r.pipe.links[i], LinkKey{Src: i / n, Dst: i % n}
 					wantSends := sends[key]
-					if perNode {
-						wantSends = key.Src == key.Dst
-					}
 					if got := l.depth > 0; got != wantSends {
 						t.Errorf("row %v carried sends = %v, want %v", key, got, wantSends)
 					}
@@ -364,7 +357,7 @@ func TestLinkTableRows(t *testing.T) {
 func TestHeartbeatFromUnknownNodeIgnored(t *testing.T) {
 	gt := newGatedTransport()
 	r := &liveRound{tr: gt, rs: &roundState{}, doneCh: make(chan struct{})}
-	r.pipe = newSendEngine(r, 2, make([]link, 4), PipelineConfig{})
+	r.pipe = newSendEngine(r, 2, make([]link, 4))
 	for _, from := range []int{-1, 2, 1 << 20} {
 		r.dispatchMsg(&nodeRT{id: 0}, &netsim.Message{From: from, To: 0, Gradient: "hb", Heartbeat: true})
 	}

@@ -35,7 +35,7 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 		t.Run(c.transport, func(t *testing.T) {
 			lc, err := NewLiveCluster(n, LiveConfig{Strategy: StrategyPS, Parts: 1,
 				Algo: "dgc", ErrorFeedback: true, Params: compress.Params{"ratio": 0.01},
-				Transport: c.transport, Pipeline: PipelineConfig{Window: 4}})
+				Transport: c.transport})
 			if err != nil {
 				t.Fatal(err)
 			}

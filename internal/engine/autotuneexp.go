@@ -46,9 +46,9 @@ var atGrads = []struct {
 
 // atDropChaos caps every link's goodput, emulating the fabric degradation,
 // plus rare seeded loss and duplication so reseeded runs differ in timing
-// and retransmissions. Loss is kept rare because chaos rolls are a pure
-// function of message identity, which repeats across rounds: a higher rate
-// would tax every round with the same RTO-recovered drops and blur the
+// and retransmissions. Each round samples fresh rolls (the live cluster
+// mixes the round index into the seed); loss is kept rare because a higher
+// rate would tax every round with RTO-recovered drops and blur the
 // serialization cost the experiment isolates.
 func atDropChaos(seed uint64, bytesPerSec float64) *netsim.ChaosConfig {
 	return &netsim.ChaosConfig{Seed: seed,

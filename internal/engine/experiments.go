@@ -28,7 +28,7 @@ func Experiments() []string {
 		"fig9", "fig10", "fig11", "fig12a", "fig12b", "fig13",
 		"micro", "kernels", "jitter", "strategies", "wire",
 		"chaos", "plan-robustness", "trace", "recovery", "stragglers",
-		"autotune", "tcpchaos", "pipeline",
+		"autotune", "tcpchaos",
 	}
 }
 
@@ -98,8 +98,6 @@ func RunExperiment(id string, scale float64) (*Table, error) {
 		return AutotuneExp(scale)
 	case "tcpchaos":
 		return TCPChaosExp()
-	case "pipeline":
-		return PipelineExp(scale)
 	default:
 		return nil, fmt.Errorf("engine: unknown experiment %q (have %v)", id, Experiments())
 	}
