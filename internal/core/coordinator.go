@@ -32,8 +32,13 @@ type Batch struct {
 }
 
 // Batcher accumulates pending sends per link and closes batches on a size
-// threshold or window timeout. It is driven by an external clock (the DES
-// engine or a wall clock) through the `now` arguments.
+// threshold or window timeout. The timing plane's event engine drives it
+// through the `now` arguments.
+//
+// Deadlines are kept in open order: one Window serves every queue and `now`
+// never decreases from one call to the next, so queues opened later never
+// expire earlier. NextDeadline therefore reads the oldest open queue, and
+// FlushDue walks only the prefix of queues that are due.
 type Batcher struct {
 	// Threshold closes a batch once its payload bytes reach it.
 	Threshold int64
@@ -42,12 +47,17 @@ type Batcher struct {
 	Window float64
 
 	queues map[LinkKey]*linkQueue
+	// opened holds the queues in the order they opened; one closed by Add
+	// or Flush stays until it reaches the front.
+	opened []*linkQueue
 }
 
 type linkQueue struct {
+	link     LinkKey
 	sends    []PendingSend
 	bytes    int64
 	openedAt float64
+	closed   bool
 }
 
 // NewBatcher returns a batcher with the given size threshold (bytes) and
@@ -62,8 +72,9 @@ func NewBatcher(threshold int64, window float64) *Batcher {
 func (b *Batcher) Add(s PendingSend, now float64) (Batch, bool) {
 	q := b.queues[s.Link]
 	if q == nil {
-		q = &linkQueue{openedAt: now}
+		q = &linkQueue{link: s.Link, openedAt: now}
 		b.queues[s.Link] = q
+		b.opened = append(b.opened, q)
 	}
 	q.sends = append(q.sends, s)
 	q.bytes += s.Bytes
@@ -80,28 +91,23 @@ func (b *Batcher) Flush(link LinkKey) Batch { return b.close(link) }
 func (b *Batcher) close(link LinkKey) Batch {
 	q := b.queues[link]
 	delete(b.queues, link)
+	q.closed = true
 	return Batch{Link: link, Sends: q.sends, Bytes: q.bytes}
 }
 
 // FlushDue closes and returns every queue whose window expired by now.
 func (b *Batcher) FlushDue(now float64) []Batch {
 	var out []Batch
-	var due []LinkKey
-	for l, q := range b.queues {
-		if now >= q.openedAt+b.Window {
-			due = append(due, l)
-		}
+	for d, ok := b.NextDeadline(); ok && now >= d; d, ok = b.NextDeadline() {
+		out = append(out, b.close(b.opened[0].link))
 	}
 	// Deterministic order for reproducible simulations.
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].Src != due[j].Src {
-			return due[i].Src < due[j].Src
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Link.Src != out[j].Link.Src {
+			return out[i].Link.Src < out[j].Link.Src
 		}
-		return due[i].Dst < due[j].Dst
+		return out[i].Link.Dst < out[j].Link.Dst
 	})
-	for _, l := range due {
-		out = append(out, b.close(l))
-	}
 	return out
 }
 
@@ -112,15 +118,16 @@ func (b *Batcher) FlushAll() []Batch {
 }
 
 // NextDeadline returns the earliest open-queue expiry, or ok=false when no
-// queues are open. The DES executor schedules its flush timer here.
+// queues are open. The DES executor schedules its flush timer here. Closed
+// queues at the head of the open order are dropped on the way.
 func (b *Batcher) NextDeadline() (float64, bool) {
-	earliest, ok := inf, false
-	for _, q := range b.queues {
-		if d := q.openedAt + b.Window; d < earliest {
-			earliest, ok = d, true
-		}
+	for len(b.opened) > 0 && b.opened[0].closed {
+		b.opened = b.opened[1:]
 	}
-	return earliest, ok
+	if len(b.opened) == 0 {
+		return inf, false
+	}
+	return b.opened[0].openedAt + b.Window, true
 }
 
 const inf = 1e300

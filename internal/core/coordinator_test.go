@@ -56,6 +56,60 @@ func TestBatcherFlushSpecificLink(t *testing.T) {
 	}
 }
 
+// A link whose queue was flushed leaves a stale entry in the open order;
+// when the link reopens, its deadline is the new queue's, and each batch
+// comes out once.
+func TestBatcherReopenedLinkSkipsStaleEntry(t *testing.T) {
+	b := NewBatcher(1<<30, 1)
+	a, c := LinkKey{0, 1}, LinkKey{2, 3}
+	b.Add(PendingSend{TaskID: 1, Link: a, Bytes: 10}, 0)
+	b.Add(PendingSend{TaskID: 2, Link: c, Bytes: 10}, 0.5)
+	if got := b.Flush(a); len(got.Sends) != 1 || got.Sends[0].TaskID != 1 {
+		t.Fatalf("Flush = %+v", got)
+	}
+	b.Add(PendingSend{TaskID: 3, Link: a, Bytes: 10}, 0.75)
+	if d, ok := b.NextDeadline(); !ok || d != 1.5 {
+		t.Fatalf("NextDeadline = %v, %v; want 1.5 (the stale entry's 1.0 skipped)", d, ok)
+	}
+	due := b.FlushDue(1.5)
+	if len(due) != 1 || due[0].Link != c || len(due[0].Sends) != 1 || due[0].Sends[0].TaskID != 2 {
+		t.Fatalf("FlushDue(1.5) = %+v, want link %v's batch alone", due, c)
+	}
+	if d, ok := b.NextDeadline(); !ok || d != 1.75 {
+		t.Fatalf("NextDeadline = %v, %v; want 1.75 (the reopened queue)", d, ok)
+	}
+	due = b.FlushDue(1.75)
+	if len(due) != 1 || due[0].Link != a || len(due[0].Sends) != 1 || due[0].Sends[0].TaskID != 3 {
+		t.Fatalf("FlushDue(1.75) = %+v, want the reopened queue's batch alone", due)
+	}
+	if _, ok := b.NextDeadline(); ok {
+		t.Fatalf("deadline with no queue open")
+	}
+	if got := b.FlushAll(); len(got) != 0 {
+		t.Fatalf("FlushAll returned %d batches already taken", len(got))
+	}
+}
+
+// Queues due at the same now come out sorted by (Src, Dst), whatever order
+// they opened in.
+func TestBatcherFlushDueSortsLinks(t *testing.T) {
+	b := NewBatcher(1<<30, 1)
+	links := []LinkKey{{2, 1}, {0, 3}, {1, 0}}
+	for i, l := range links {
+		b.Add(PendingSend{TaskID: i, Link: l, Bytes: 10}, float64(i)*0.25)
+	}
+	due := b.FlushDue(1.5)
+	want := []LinkKey{{0, 3}, {1, 0}, {2, 1}}
+	if len(due) != len(want) {
+		t.Fatalf("FlushDue = %+v, want %d batches", due, len(want))
+	}
+	for i := range want {
+		if due[i].Link != want[i] {
+			t.Fatalf("FlushDue order %v at %d, want %v", due[i].Link, i, want[i])
+		}
+	}
+}
+
 // Property: every send added eventually comes out exactly once through some
 // combination of threshold closes and FlushAll.
 func TestQuickBatcherConservation(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"hipress/internal/gpu"
 	"hipress/internal/netsim"
@@ -173,22 +172,12 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 
 	batcher := NewBatcher(cfg.BatchBytes, cfg.BatchWindow)
 	timerArmed := false
-	// Per-endpoint indexes of links with queued sends, so batch-completion
-	// flushing is O(links touching this node), not O(all pending links).
-	waitSrc := make([]map[LinkKey]struct{}, x.n)
-	waitDst := make([]map[LinkKey]struct{}, x.n)
-	for i := range waitSrc {
-		waitSrc[i] = map[LinkKey]struct{}{}
-		waitDst[i] = map[LinkKey]struct{}{}
-	}
-	markWaiting := func(l LinkKey) {
-		waitSrc[l.Src][l] = struct{}{}
-		waitDst[l.Dst][l] = struct{}{}
-	}
-	clearWaiting := func(l LinkKey) {
-		delete(waitSrc[l.Src], l)
-		delete(waitDst[l.Dst], l)
-	}
+	// waiting[src*n+dst] marks a link whose queued sends wait for it to go
+	// idle.
+	n := x.n
+	waiting := make([]bool, n*n)
+	markWaiting := func(l LinkKey) { waiting[l.Src*n+l.Dst] = true }
+	clearWaiting := func(l LinkKey) { waiting[l.Src*n+l.Dst] = false }
 
 	var dispatch func(now float64, id int)
 	completeAt := func(id int, t float64) {
@@ -274,32 +263,28 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 	}
 
 	tryFlushEndpoints = func(now float64, src, dst int) {
-		flush := func(set map[LinkKey]struct{}) {
-			// Collect first (dispatchBatch mutates the indexes) and sort:
-			// map iteration order would make simulated makespans vary
-			// run-to-run, and the repository promises determinism.
-			var ready []LinkKey
-			for l := range set {
-				if linkIdle(now, l) {
+		// Scan row src (ascending Dst), then column dst (ascending Src).
+		// Each scan checks idleness before any of its batches books a link.
+		var buf [16]LinkKey
+		for col := 0; col < 2; col++ {
+			ready := buf[:0]
+			for k := 0; k < n; k++ {
+				l := LinkKey{src, k}
+				if col == 1 {
+					l = LinkKey{k, dst}
+				}
+				if waiting[l.Src*n+l.Dst] && linkIdle(now, l) {
 					ready = append(ready, l)
 				}
 			}
-			sort.Slice(ready, func(i, j int) bool {
-				if ready[i].Src != ready[j].Src {
-					return ready[i].Src < ready[j].Src
-				}
-				return ready[i].Dst < ready[j].Dst
-			})
 			for _, l := range ready {
-				if _, still := waitSrc[l.Src][l]; !still {
+				if !waiting[l.Src*n+l.Dst] {
 					continue
 				}
 				clearWaiting(l)
 				dispatchBatch(now, batcher.Flush(l))
 			}
 		}
-		flush(waitSrc[src])
-		flush(waitDst[dst])
 	}
 
 	var armTimer func(now float64)

@@ -9,8 +9,6 @@
 // occupancy, not of queueing-theoretic detail.
 package sim
 
-import "container/heap"
-
 // Time is simulated seconds since the start of the run.
 type Time = float64
 
@@ -21,30 +19,23 @@ type event struct {
 	fn  func(Time)
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the engine's strict total order: timestamp, then scheduling
+// order. Because no two events compare equal, every correct heap pops the
+// same sequence.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine owns the virtual clock and the pending event set.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events eventHeap
+	now Time
+	seq uint64
+	// events is a binary min-heap under event.before, kept by hand on the
+	// value slice so that scheduling and popping box nothing.
+	events []event
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -62,21 +53,71 @@ func (e *Engine) At(t Time, fn func(Time)) {
 		panic("sim: scheduling into the past")
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn})
+	e.up(len(e.events) - 1)
 }
-
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d float64, fn func(Time)) { e.At(e.now+d, fn) }
 
 // Run executes events in timestamp order until none remain, returning the
 // final clock value (the makespan of whatever was simulated).
 func (e *Engine) Run() Time {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
+		ev := e.pop()
 		e.now = ev.at
 		ev.fn(ev.at)
 	}
 	return e.now
+}
+
+// pop removes and returns the earliest event. The vacated slot is zeroed so
+// the backing array does not keep a finished run's closures alive.
+func (e *Engine) pop() event {
+	h := e.events
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h[n] = event{}
+	e.events = h[:n]
+	if n > 0 {
+		e.down(0)
+	}
+	return top
+}
+
+// up restores the heap order after the event at i was appended.
+func (e *Engine) up(i int) {
+	h := e.events
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+// down restores the heap order after the event at i was replaced.
+func (e *Engine) down(i int) {
+	h := e.events
+	n := len(h)
+	ev := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = ev
 }
 
 // Pending returns the number of not-yet-executed events; useful for tests
@@ -120,17 +161,6 @@ func (r *Resource) FreeAt() Time { return r.freeAt }
 
 // BusyTime returns the total seconds of occupation accepted so far.
 func (r *Resource) BusyTime() float64 { return r.busy }
-
-// Exec is the canonical "run work on a resource" helper: it books dur
-// seconds on r no earlier than `from`, and schedules done(end) at the work's
-// completion. It returns the booked (start, end).
-func Exec(e *Engine, r *Resource, from Time, dur float64, done func(Time)) (Time, Time) {
-	start, end := r.Acquire(from, dur)
-	if done != nil {
-		e.At(end, done)
-	}
-	return start, end
-}
 
 // Span records one occupied interval, used to build utilization timelines.
 type Span struct {

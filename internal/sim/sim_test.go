@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"container/heap"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -43,7 +45,7 @@ func TestNestedScheduling(t *testing.T) {
 	var hits []Time
 	e.At(1, func(now Time) {
 		hits = append(hits, now)
-		e.After(2, func(now Time) { hits = append(hits, now) })
+		e.At(now+2, func(now Time) { hits = append(hits, now) })
 	})
 	e.Run()
 	if len(hits) != 2 || hits[0] != 1 || hits[1] != 3 {
@@ -114,8 +116,10 @@ func TestExecSchedulesCompletion(t *testing.T) {
 	e := NewEngine()
 	r := NewResource("link")
 	var completions []Time
-	Exec(e, r, 0, 5, func(now Time) { completions = append(completions, now) })
-	Exec(e, r, 0, 5, func(now Time) { completions = append(completions, now) })
+	for i := 0; i < 2; i++ {
+		_, end := r.Acquire(0, 5)
+		e.At(end, func(now Time) { completions = append(completions, now) })
+	}
 	end := e.Run()
 	if end != 10 {
 		t.Fatalf("makespan %v, want 10 (serialized)", end)
@@ -125,11 +129,15 @@ func TestExecSchedulesCompletion(t *testing.T) {
 	}
 }
 
+// Work booked with no completion callback schedules nothing.
 func TestExecNilDone(t *testing.T) {
 	e := NewEngine()
 	r := NewResource("x")
-	if _, end := Exec(e, r, 1, 2, nil); end != 3 {
-		t.Fatalf("Exec end = %v, want 3", end)
+	if _, end := r.Acquire(1, 2); end != 3 {
+		t.Fatalf("Acquire end = %v, want 3", end)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after booking alone", e.Pending())
 	}
 	e.Run()
 }
@@ -189,5 +197,128 @@ func TestQuickAllEventsExecute(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refEngine is the engine as it was before the typed heap: container/heap
+// over a boxed eventHeap. It is the oracle TestEngineMatchesReference holds
+// the engine to.
+type refEngine struct {
+	now    Time
+	seq    uint64
+	events eventHeap
+}
+
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+func (e *refEngine) At(t Time, fn func(Time)) {
+	if t < e.now {
+		panic("sim: scheduling into the past")
+	}
+	e.seq++
+	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+}
+
+func (e *refEngine) Run() Time {
+	for len(e.events) > 0 {
+		ev := heap.Pop(&e.events).(event)
+		e.now = ev.at
+		ev.fn(ev.at)
+	}
+	return e.now
+}
+
+// scheduler is what the differential test drives on both engines.
+type scheduler interface {
+	At(t Time, fn func(Time))
+	Run() Time
+}
+
+// randomSchedule seeds eng with a random cascade that grows until it has
+// scheduled minEvents events, runs it, and returns the order in which the
+// callbacks ran with the final clock. Timestamps come from a small set so
+// that ties are common, and callbacks schedule more events both at now and
+// later.
+func randomSchedule(eng scheduler, seed int64, minEvents int) ([]int, Time) {
+	rng := rand.New(rand.NewSource(seed))
+	var order []int
+	next := 0
+	var schedule func(at Time)
+	schedule = func(at Time) {
+		id := next
+		next++
+		eng.At(at, func(now Time) {
+			order = append(order, id)
+			if next >= minEvents {
+				return
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				if rng.Intn(3) == 0 {
+					schedule(now)
+				} else {
+					schedule(now + Time(1+rng.Intn(4))*0.25)
+				}
+			}
+		})
+	}
+	for i := 0; i < 64; i++ {
+		schedule(Time(rng.Intn(8)) * 0.25)
+	}
+	return order, eng.Run()
+}
+
+func TestEngineMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		got, gotEnd := randomSchedule(NewEngine(), seed, 10000)
+		want, wantEnd := randomSchedule(&refEngine{}, seed, 10000)
+		if len(got) < 10000 {
+			t.Fatalf("seed %d: only %d events ran", seed, len(got))
+		}
+		if gotEnd != wantEnd {
+			t.Fatalf("seed %d: final clock %v, reference %v", seed, gotEnd, wantEnd)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d callbacks ran, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: callback %d is event %d, reference event %d", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// Scheduling and running events allocates nothing per event: a run of 4,096
+// events sharing one callback may allocate only the heap's backing array as
+// it grows.
+func TestEngineSchedulingAllocs(t *testing.T) {
+	count := 0
+	fn := func(Time) { count++ }
+	allocs := testing.AllocsPerRun(5, func() {
+		e := NewEngine()
+		for i := 0; i < 4096; i++ {
+			e.At(Time(i%97), fn)
+		}
+		e.Run()
+	})
+	if allocs > 16 {
+		t.Fatalf("%v allocations to schedule and run 4,096 events, want at most 16 (the heap's growth)", allocs)
 	}
 }
