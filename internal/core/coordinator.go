@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file implements the batching half of the compression-aware bulk
 // synchronization's global coordinator (§3.2) for the timing plane: queued
@@ -38,7 +41,8 @@ type Batch struct {
 // Deadlines are kept in open order: one Window serves every queue and `now`
 // never decreases from one call to the next, so queues opened later never
 // expire earlier. NextDeadline therefore reads the oldest open queue, and
-// FlushDue walks only the prefix of queues that are due.
+// FlushDue walks only the prefix of queues that are due. A link's queue is
+// reused once it closes, and so is a batch's Sends once recycle hands it back.
 type Batcher struct {
 	// Threshold closes a batch once its payload bytes reach it.
 	Threshold int64
@@ -47,17 +51,23 @@ type Batcher struct {
 	Window float64
 
 	queues map[LinkKey]*linkQueue
-	// opened holds the queues in the order they opened; one closed by Add
-	// or Flush stays until it reaches the front.
-	opened []*linkQueue
+	// opened holds the queues in the order they opened, each with the count
+	// of its opens; an entry whose queue closed since stays until the front.
+	opened []openedQueue
+	spare  [][]PendingSend
 }
 
 type linkQueue struct {
 	link     LinkKey
-	sends    []PendingSend
+	sends    []PendingSend // none while the queue is closed
 	bytes    int64
 	openedAt float64
-	closed   bool
+	opens    int
+}
+
+type openedQueue struct {
+	q     *linkQueue
+	opens int
 }
 
 // NewBatcher returns a batcher with the given size threshold (bytes) and
@@ -72,41 +82,44 @@ func NewBatcher(threshold int64, window float64) *Batcher {
 func (b *Batcher) Add(s PendingSend, now float64) (Batch, bool) {
 	q := b.queues[s.Link]
 	if q == nil {
-		q = &linkQueue{link: s.Link, openedAt: now}
+		q = &linkQueue{link: s.Link}
 		b.queues[s.Link] = q
-		b.opened = append(b.opened, q)
+	}
+	if len(q.sends) == 0 {
+		q.openedAt, q.opens = now, q.opens+1
+		if k := len(b.spare); k > 0 {
+			q.sends, b.spare = b.spare[k-1], b.spare[:k-1]
+		}
+		b.opened = append(b.opened, openedQueue{q, q.opens})
 	}
 	q.sends = append(q.sends, s)
 	q.bytes += s.Bytes
 	if q.bytes >= b.Threshold {
-		return b.close(s.Link), true
+		return b.Flush(s.Link), true
 	}
 	return Batch{}, false
 }
 
-// Flush closes and returns the batch queued for link, which must exist.
-func (b *Batcher) Flush(link LinkKey) Batch { return b.close(link) }
-
-// close removes and returns the batch for link.
-func (b *Batcher) close(link LinkKey) Batch {
+// Flush closes and returns the batch queued for link, which must be open.
+func (b *Batcher) Flush(link LinkKey) Batch {
 	q := b.queues[link]
-	delete(b.queues, link)
-	q.closed = true
-	return Batch{Link: link, Sends: q.sends, Bytes: q.bytes}
+	out := Batch{Link: link, Sends: q.sends, Bytes: q.bytes}
+	q.sends, q.bytes = nil, 0
+	return out
 }
 
-// FlushDue closes and returns every queue whose window expired by now.
+// recycle hands back a delivered batch's Sends for a later batch to fill.
+func (b *Batcher) recycle(sends []PendingSend) { b.spare = append(b.spare, sends[:0]) }
+
+// FlushDue closes and returns every queue whose window expired by now,
+// sorted by link for reproducible simulations.
 func (b *Batcher) FlushDue(now float64) []Batch {
 	var out []Batch
 	for d, ok := b.NextDeadline(); ok && now >= d; d, ok = b.NextDeadline() {
-		out = append(out, b.close(b.opened[0].link))
+		out = append(out, b.Flush(b.opened[0].q.link))
 	}
-	// Deterministic order for reproducible simulations.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Link.Src != out[j].Link.Src {
-			return out[i].Link.Src < out[j].Link.Src
-		}
-		return out[i].Link.Dst < out[j].Link.Dst
+	slices.SortFunc(out, func(x, y Batch) int {
+		return cmp.Or(cmp.Compare(x.Link.Src, y.Link.Src), cmp.Compare(x.Link.Dst, y.Link.Dst))
 	})
 	return out
 }
@@ -118,16 +131,16 @@ func (b *Batcher) FlushAll() []Batch {
 }
 
 // NextDeadline returns the earliest open-queue expiry, or ok=false when no
-// queues are open. The DES executor schedules its flush timer here. Closed
-// queues at the head of the open order are dropped on the way.
+// queues are open. The DES executor schedules its flush timer here. Entries
+// of closed queues at the head of the open order are dropped on the way.
 func (b *Batcher) NextDeadline() (float64, bool) {
-	for len(b.opened) > 0 && b.opened[0].closed {
+	for len(b.opened) > 0 && (len(b.opened[0].q.sends) == 0 || b.opened[0].q.opens != b.opened[0].opens) {
 		b.opened = b.opened[1:]
 	}
 	if len(b.opened) == 0 {
 		return inf, false
 	}
-	return b.opened[0].openedAt + b.Window, true
+	return b.opened[0].q.openedAt + b.Window, true
 }
 
 const inf = 1e300

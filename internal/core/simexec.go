@@ -179,13 +179,14 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 	markWaiting := func(l LinkKey) { waiting[l.Src*n+l.Dst] = true }
 	clearWaiting := func(l LinkKey) { waiting[l.Src*n+l.Dst] = false }
 
+	// Every event is a func value built here once per Run (dispatch,
+	// complete, batchDone, timerFires) and a task ID or inflight slot.
 	var dispatch func(now float64, id int)
-	completeAt := func(id int, t float64) {
+	complete := func(t float64, id int) {
 		finish[id] = t
 		var buf [8]int
 		for _, r := range g.Complete(id, buf[:0]) {
-			r := r
-			eng.At(t, func(now float64) { dispatch(now, r) })
+			eng.At(t, dispatch, r)
 		}
 	}
 
@@ -199,7 +200,7 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 	// contention honest (receivers serialize) without convoying the sender's
 	// idle uplink behind a busy receiver.
 	tr := cfg.Tracer
-	transfer := func(now float64, src, dst int, bytes int64, label string, nsends int, done func(float64)) {
+	transfer := func(now float64, src, dst int, bytes int64, label string, nsends int, done func(float64, int), arg int) {
 		if !cfg.Chaos.Empty() {
 			// A downed link defers the transfer past the outage window(s);
 			// DeferStart only ever moves time forward, so scheduling stays
@@ -240,26 +241,36 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 				Start: downStart, Dur: downEnd - downStart, Flow: flow,
 			}.With(telemetry.Num("bytes", float64(bytes))))
 		}
-		eng.At(end, done)
+		eng.At(end, done, arg)
 	}
 
+	var inflight []Batch // batches on the wire, at the slot batchDone gets
+	var free []int       // inflight slots to reuse
 	var tryFlushEndpoints func(now float64, src, dst int)
-	dispatchBatch := func(now float64, b Batch) {
-		sends := b.Sends
-		link := b.Link
-		label := "batch"
-		if len(sends) == 1 {
-			label = g.Tasks[sends[0].TaskID].Grad
+	batchDone := func(t float64, slot int) {
+		b := inflight[slot]
+		inflight[slot] = Batch{}
+		free = append(free, slot)
+		for _, s := range b.Sends {
+			complete(t, s.TaskID)
 		}
-		transfer(now, link.Src, link.Dst, b.Bytes, label, len(sends), func(t float64) {
-			for _, s := range sends {
-				completeAt(s.TaskID, t)
-			}
-			// The link just freed: give queues waiting on either endpoint
-			// their time slot (the coordinator's "select a group of
-			// network-idle nodes to join each time slot").
-			tryFlushEndpoints(t, link.Src, link.Dst)
-		})
+		batcher.recycle(b.Sends)
+		// The link just freed: give queues waiting on either endpoint their
+		// time slot (the coordinator's "select a group of network-idle nodes
+		// to join each time slot").
+		tryFlushEndpoints(t, b.Link.Src, b.Link.Dst)
+	}
+	dispatchBatch := func(now float64, b Batch) {
+		label := "batch"
+		if len(b.Sends) == 1 {
+			label = g.Tasks[b.Sends[0].TaskID].Grad
+		}
+		if len(free) == 0 {
+			free, inflight = append(free, len(inflight)), append(inflight, Batch{})
+		}
+		slot := free[len(free)-1]
+		free, inflight[slot] = free[:len(free)-1], b
+		transfer(now, b.Link.Src, b.Link.Dst, b.Bytes, label, len(b.Sends), batchDone, slot)
 	}
 
 	tryFlushEndpoints = func(now float64, src, dst int) {
@@ -278,9 +289,6 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 				}
 			}
 			for _, l := range ready {
-				if !waiting[l.Src*n+l.Dst] {
-					continue
-				}
 				clearWaiting(l)
 				dispatchBatch(now, batcher.Flush(l))
 			}
@@ -288,6 +296,14 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 	}
 
 	var armTimer func(now float64)
+	timerFires := func(t float64, _ int) {
+		timerArmed = false
+		for _, b := range batcher.FlushDue(t) {
+			clearWaiting(b.Link)
+			dispatchBatch(t, b)
+		}
+		armTimer(t)
+	}
 	armTimer = func(now float64) {
 		deadline, ok := batcher.NextDeadline()
 		if !ok || timerArmed {
@@ -297,14 +313,7 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 		if deadline < now {
 			deadline = now
 		}
-		eng.At(deadline, func(t float64) {
-			timerArmed = false
-			for _, b := range batcher.FlushDue(t) {
-				clearWaiting(b.Link)
-				dispatchBatch(t, b)
-			}
-			armTimer(t)
-		})
+		eng.At(deadline, timerFires, 0)
 	}
 
 	// scaleComp applies the multicore-kernel model: the launch+dispatch
@@ -355,7 +364,7 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 			}
 			tr.Record(s)
 		}
-		eng.At(end, func(t float64) { completeAt(id, t) })
+		eng.At(end, complete, id)
 	}
 
 	dispatch = func(now float64, id int) {
@@ -371,38 +380,32 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 					Start: end - dur, Dur: dur,
 				})
 			}
-			eng.At(end, func(tt float64) { completeAt(id, tt) })
+			eng.At(end, complete, id)
 
-		case KEncode:
-			dur := scaleComp(cfg.CompDev.EncodeTime(t.Algo, t.Bytes) + cfg.Dispatch)
+		case KEncode, KDecode:
+			kernel := cfg.CompDev.EncodeTime
+			if t.Kind == KDecode {
+				kernel = cfg.CompDev.DecodeTime
+			}
+			dur := scaleComp(kernel(t.Algo, t.Bytes) + cfg.Dispatch)
 			if cfg.PCIeCross {
 				dur += float64(t.Bytes) / gpu.PCIeBW
 			}
 			if cfg.ExtraCopies {
 				dur += cfg.CompDev.CopyTime(t.Bytes)
 			}
-			compKernel(now, id, t.Node, dur, false)
-
-		case KDecode:
-			dur := scaleComp(cfg.CompDev.DecodeTime(t.Algo, t.Bytes) + cfg.Dispatch)
-			if cfg.PCIeCross {
-				dur += float64(t.Bytes) / gpu.PCIeBW
-			}
-			if cfg.ExtraCopies {
-				dur += cfg.CompDev.CopyTime(t.Bytes)
-			}
-			compKernel(now, id, t.Node, dur, true)
+			compKernel(now, id, t.Node, dur, t.Kind == KDecode)
 
 		case KMerge:
 			if t.Bytes == 0 {
-				completeAt(id, now) // barrier
+				complete(now, id) // barrier
 				return
 			}
 			compKernel(now, id, t.Node, scaleComp(cfg.CompDev.MergeTime(t.Bytes)), false)
 
 		case KSend:
 			if t.Node == t.Peer {
-				completeAt(id, now) // intra-node: no network
+				complete(now, id) // intra-node: no network
 				return
 			}
 			if cfg.BulkComm {
@@ -422,11 +425,11 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 				}
 				return
 			}
-			transfer(now, t.Node, t.Peer, t.Bytes, t.Grad, 1, func(tt float64) { completeAt(id, tt) })
+			transfer(now, t.Node, t.Peer, t.Bytes, t.Grad, 1, complete, id)
 
 		case KRecv:
 			// The matching send carried the wire time; receipt is free.
-			completeAt(id, now)
+			complete(now, id)
 
 		default:
 			panic(fmt.Sprintf("core: unknown task kind %v", t.Kind))
@@ -434,14 +437,13 @@ func (x *SimExecutor) Run(g *Graph) SimResult {
 	}
 
 	for _, r := range g.Roots() {
-		r := r
-		eng.At(0, func(now float64) { dispatch(now, r) })
+		eng.At(0, dispatch, r)
 	}
 	makespan := eng.Run()
 
-	// Drain any batches still open (sends that never reached threshold and
-	// whose timer... the timer always fires within the run; a non-empty
-	// batcher here means the timer logic failed).
+	// A batch closes on its size threshold, an idle link or its window timer,
+	// which stays armed while any batch is open: one still queued after the
+	// run means the timer logic failed.
 	if leftover := batcher.FlushAll(); len(leftover) > 0 {
 		panic(fmt.Sprintf("core: %d batches left undelivered after run", len(leftover)))
 	}

@@ -87,24 +87,44 @@ type Task struct {
 
 // Graph is a synchronization DAG over one or more gradients. One executor at a
 // time writes its dependency counters, and nothing else; a reused graph is
-// first reset to its initial counts (roundPlan keeps a copy).
+// first reset to its initial counts (roundPlan keeps a copy). Tasks live in
+// chunks that are never regrown, so every *Task in Tasks stays valid.
 type Graph struct {
 	Tasks []*Task
+	chunk []Task // the chunk Add fills
+	slab  []int  // free out-edge slots, carved two per task by Dep
 }
+
+// taskChunk keeps a chunk (Task ≈ 144 B) under Go's 32 KiB large-object size.
+const taskChunk = 128
 
 // NewGraph returns an empty DAG.
 func NewGraph() *Graph { return &Graph{} }
 
-// Add appends a task and returns its graph index.
+// Add copies *t into the graph, sets t.ID and returns it: later changes to *t
+// do not reach the graph, whose copy is g.Tasks[t.ID].
 func (g *Graph) Add(t *Task) int {
+	if len(g.chunk) == cap(g.chunk) {
+		g.chunk = make([]Task, 0, taskChunk)
+	}
 	t.ID = len(g.Tasks)
-	g.Tasks = append(g.Tasks, t)
+	g.chunk = append(g.chunk, *t)
+	g.Tasks = append(g.Tasks, &g.chunk[len(g.chunk)-1])
 	return t.ID
 }
 
 // Dep records that task `after` cannot start before task `before` finishes.
+// A task's first two out-edges fill slab slots, capped so a third append
+// moves them to an array of their own.
 func (g *Graph) Dep(before, after int) {
-	g.Tasks[before].outs = append(g.Tasks[before].outs, after)
+	b := g.Tasks[before]
+	if b.outs == nil {
+		if len(g.slab) < 2 {
+			g.slab = make([]int, 2*taskChunk)
+		}
+		b.outs, g.slab = g.slab[:0:2], g.slab[2:]
+	}
+	b.outs = append(b.outs, after)
 	g.Tasks[after].deps++
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestKindStringsAndQueues(t *testing.T) {
 	cases := map[Kind]string{
@@ -126,5 +129,73 @@ func TestOuts(t *testing.T) {
 	g.Dep(a, b)
 	if o := g.Outs(a); len(o) != 1 || o[0] != b {
 		t.Fatalf("Outs = %v", o)
+	}
+}
+
+// Tasks live in fixed chunks: a *Task taken before a chunk boundary is still
+// g.Tasks[i], fields intact, after many more Adds.
+func TestTaskPointersSurviveChunks(t *testing.T) {
+	g := NewGraph()
+	var early []*Task
+	for i := 0; i < taskChunk+1; i++ {
+		g.Add(&Task{Kind: KSend, Node: i, Grad: fmt.Sprint("g", i), Bytes: int64(i)})
+		early = append(early, g.Tasks[i])
+	}
+	for i := 0; i < 1000; i++ {
+		g.Dep(i%len(early), g.Add(&Task{Kind: KRecv}))
+	}
+	for i, p := range early {
+		if p != g.Tasks[i] {
+			t.Fatalf("task %d moved: %p, g.Tasks holds %p", i, p, g.Tasks[i])
+		}
+		if p.ID != i || p.Node != i || p.Kind != KSend || p.Grad != fmt.Sprint("g", i) || p.Bytes != int64(i) {
+			t.Fatalf("task %d fields changed: %+v", i, *p)
+		}
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Out-edges past the two carved slots keep insertion order, and growing one
+// task's edges does not touch its neighbour's in the slab.
+func TestOutsKeepOrderPastCarvedSlots(t *testing.T) {
+	g := NewGraph()
+	a, b := g.Add(&Task{}), g.Add(&Task{})
+	var want []int
+	for i := 0; i < 7; i++ {
+		want = append(want, g.Add(&Task{}))
+	}
+	g.Dep(a, want[0]) // a's slots, then b's, are carved next to each other
+	g.Dep(b, want[0])
+	for _, o := range want[1:] {
+		g.Dep(a, o)
+	}
+	g.Dep(b, want[1])
+	got := g.Outs(a)
+	if len(got) != len(want) {
+		t.Fatalf("Outs(a) = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Outs(a) = %v, want %v", got, want)
+		}
+	}
+	if o := g.Outs(b); len(o) != 2 || o[0] != want[0] || o[1] != want[1] {
+		t.Fatalf("Outs(b) = %v, want %v", o, want[:2])
+	}
+}
+
+// Add copies its argument: changing it afterwards does not change the graph.
+func TestAddCopiesTask(t *testing.T) {
+	g := NewGraph()
+	arg := &Task{Kind: KEncode, Node: 3, Grad: "w", Bytes: 64}
+	id := g.Add(arg)
+	if arg.ID != id {
+		t.Fatalf("argument ID = %d, want %d", arg.ID, id)
+	}
+	arg.Node, arg.Grad, arg.Bytes = 9, "other", 1
+	if got := g.Tasks[id]; got == arg || got.Node != 3 || got.Grad != "w" || got.Bytes != 64 {
+		t.Fatalf("graph task followed its argument: %+v", *got)
 	}
 }

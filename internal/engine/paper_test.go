@@ -98,23 +98,43 @@ func TestPaperPanelsBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineRun times one timing-plane iteration of Bert-large (399
-// gradients) under HiPress-PS at 128 GPUs: graph construction, the event
-// loop, the batcher and the executor's link scheduling.
-func BenchmarkEngineRun(b *testing.B) {
+// bertLargePS is one timing-plane iteration of Bert-large (399 gradients)
+// under HiPress-PS at 128 GPUs: graph construction, the event loop, the
+// batcher and the executor's link scheduling.
+func bertLargePS(tb testing.TB) func() {
 	cl := EC2Cluster(16)
 	m, err := models.ByName("bert-large")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg, err := PresetFor("hipress-ps", "onebit", cl, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return func() {
+		if _, err := Run(cl, m, cfg); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEngineRun(b *testing.B) {
+	run := bertLargePS(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cl, m, cfg); err != nil {
-			b.Fatal(err)
-		}
+		run()
+	}
+}
+
+// The timing plane allocates per graph, not per task or per event: tasks
+// live in chunks, out-edges in a slab, events carry an argument instead of a
+// closure, and the batcher reuses its queues. The bound is the 30,400
+// allocations per run measured on this configuration, plus 10 %.
+func TestEngineRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts; alloc assertion only valid without it")
+	}
+	if allocs := testing.AllocsPerRun(2, bertLargePS(t)); allocs > 33440 {
+		t.Fatalf("%.0f allocations per Bert-large engine.Run, want at most 33,440", allocs)
 	}
 }

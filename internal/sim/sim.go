@@ -12,11 +12,12 @@ package sim
 // Time is simulated seconds since the start of the run.
 type Time = float64
 
-// event is one scheduled callback.
+// event is one scheduled callback with its argument.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among equal timestamps
-	fn  func(Time)
+	fn  func(Time, int)
+	arg int
 }
 
 // before is the engine's strict total order: timestamp, then scheduling
@@ -45,15 +46,15 @@ func NewEngine() *Engine { return &Engine{} }
 // the event being executed.
 func (e *Engine) Now() Time { return e.now }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would silently reorder causality, which in a task-graph
-// simulation always indicates a bug upstream.
-func (e *Engine) At(t Time, fn func(Time)) {
+// At schedules fn(t, arg) at absolute virtual time t; a long-lived fn (not
+// a closure per call) schedules without allocating. Scheduling in the past
+// panics: it would silently reorder causality, which always indicates a bug.
+func (e *Engine) At(t Time, fn func(Time, int), arg int) {
 	if t < e.now {
 		panic("sim: scheduling into the past")
 	}
 	e.seq++
-	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn})
+	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn, arg: arg})
 	e.up(len(e.events) - 1)
 }
 
@@ -63,7 +64,7 @@ func (e *Engine) Run() Time {
 	for len(e.events) > 0 {
 		ev := e.pop()
 		e.now = ev.at
-		ev.fn(ev.at)
+		ev.fn(ev.at, ev.arg)
 	}
 	return e.now
 }
@@ -120,8 +121,7 @@ func (e *Engine) down(i int) {
 	h[i] = ev
 }
 
-// Pending returns the number of not-yet-executed events; useful for tests
-// asserting quiescence.
+// Pending returns the number of not-yet-executed events (tests: quiescence).
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Resource is a serial FIFO resource (a GPU stream, one direction of a
