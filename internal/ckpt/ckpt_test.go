@@ -52,6 +52,25 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeSizesExactly: Encode allocates its buffer once, at its final
+// length — an empty snapshot, the sample, and one holding a large tensor.
+func TestEncodeSizesExactly(t *testing.T) {
+	big := sampleSnapshot(9)
+	big.Tensors["big"] = make([]float32, 1<<16)
+	for _, s := range []*Snapshot{{}, sampleSnapshot(1), big} {
+		buf, err := Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(buf) != len(buf) {
+			t.Fatalf("Encode returned %d bytes in a %d-byte buffer", len(buf), cap(buf))
+		}
+		if allocs := testing.AllocsPerRun(5, func() { _, _ = Encode(s) }); allocs > float64(5+len(s.Residuals)) {
+			t.Fatalf("Encode made %.0f allocations, want one buffer and one key list per map", allocs)
+		}
+	}
+}
+
 // TestDecodeRejectsCorruption: every single-bit flip and every truncation of
 // a valid checkpoint must yield *CorruptCheckpointError — never a panic, and
 // never a silently-wrong Snapshot.

@@ -127,6 +127,33 @@ func (w *writer) f32s(v []float32) {
 	}
 }
 
+// encodedLen is the exact length Encode writes for s, so its buffer is
+// allocated once, at its final size.
+func encodedLen(s *Snapshot) int {
+	n := 4 + 2 + 2 + 8 + 2 + len(s.Algo) // header, step, algo
+	n += 2 + 2 + 4 + 2 + 2 + 4           // the five section counts, the CRC
+	for k := range s.Params {
+		n += 2 + len(k) + 8
+	}
+	for k := range s.RNG {
+		n += 2 + len(k) + 8
+	}
+	tensors := func(m map[string][]float32) {
+		for k, v := range m {
+			n += 2 + len(k) + 4 + 4*len(v)
+		}
+	}
+	tensors(s.Tensors)
+	for _, node := range s.Residuals {
+		n += 4
+		tensors(node)
+	}
+	for k, v := range s.Meta {
+		n += 2 + len(k) + 2 + len(v)
+	}
+	return n
+}
+
 // maxName bounds string keys so a u16 length prefix always suffices.
 const maxName = 1<<16 - 1
 
@@ -139,7 +166,7 @@ func Encode(s *Snapshot) ([]byte, error) {
 	if len(s.Algo) > maxName {
 		return nil, fmt.Errorf("ckpt: algo name too long (%d bytes)", len(s.Algo))
 	}
-	w := &writer{buf: make([]byte, 0, 1024)}
+	w := &writer{buf: make([]byte, 0, encodedLen(s))}
 	w.u32(Magic)
 	w.u16(Version)
 	w.u16(0) // reserved

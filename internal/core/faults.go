@@ -155,6 +155,27 @@ func (e *PeerFailureError) Error() string {
 	return s
 }
 
+// ResultBufferError rejects a SyncRoundInto destination before the round
+// runs: Node's map (-1: dst itself) is nil or the wrong count, or its entry
+// Name is missing, not a gradient of the round, the wrong length, or shares
+// memory with an input or another destination.
+type ResultBufferError struct {
+	Node   int
+	Name   string // "" when the fault is the map itself
+	Reason string
+}
+
+// Error implements error.
+func (e *ResultBufferError) Error() string {
+	switch {
+	case e.Node < 0:
+		return "core: SyncRoundInto dst: " + e.Reason
+	case e.Name == "":
+		return fmt.Sprintf("core: SyncRoundInto dst[%d]: %s", e.Node, e.Reason)
+	}
+	return fmt.Sprintf("core: SyncRoundInto dst[%d][%q]: %s", e.Node, e.Name, e.Reason)
+}
+
 // RoundHealth reports how a live round actually went: the fault plane's
 // observability surface.
 type RoundHealth struct {

@@ -60,7 +60,7 @@ func BuildHalvingDoubling(g *Graph, topo *Topology, s GradSync) ([]int, error) {
 	if err := s.normalize(n); err != nil {
 		return nil, err
 	}
-	done := make([][]int, n)
+	done := doneSets(n, s.Parts)
 
 	for p := 0; p < s.Parts; p++ {
 		lo, hi := PartRange(s.Elems, s.Parts, p)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -8,10 +9,12 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"hipress/internal/compress"
 	"hipress/internal/kernels"
@@ -157,6 +160,10 @@ type LiveCluster struct {
 	rounds        int64
 	epochSwitches int64
 	plan          atomic.Pointer[roundPlan]
+
+	// spans is SyncRoundInto's overlap-check scratch, guarded by spanMu.
+	spanMu sync.Mutex
+	spans  []memSpan
 }
 
 // Validate is the single definition of the constraints between LiveConfig
@@ -324,7 +331,8 @@ type nodeRT struct {
 	id, n  int
 	lay    *roundLayout
 	local  [][]float32 // by gradient: this node's freshly computed gradients; never written
-	result [][]float32 // by gradient: fully synchronized gradients, made on first touch
+	result [][]float32 // by gradient: fully synchronized gradients, the caller's or carved on first touch
+	slab   []float32   // the allocating form's result memory, lay.elems long, made on first touch
 	parts  []partRT    // by slot
 	in     []wireBuf   // by slot·n+peer: the payload last received from peer
 	qcomp  chan int
@@ -334,7 +342,7 @@ type nodeRT struct {
 	// (accumulators, encoded payloads, adopted receive buffers). It is guarded
 	// by mu like the tables and released wholesale at round teardown — after
 	// every worker goroutine has exited and results have been assembled into
-	// independently allocated slices — so payloads stay valid while the
+	// result, which no lease backs — so payloads stay valid while the
 	// transport or a retrying sender still references them, and steady-state
 	// rounds allocate nothing.
 	lease kernels.Lease
@@ -349,6 +357,8 @@ func (rt *nodeRT) inbox(t *Task, peer int) *wireBuf { return &rt.in[rt.lay.slot(
 // SyncRound synchronizes one set of gradients: grads[v][name] is node v's
 // local gradient. It returns, per node, the aggregated (summed, not
 // averaged) gradients. All nodes must present identical names and lengths.
+// A node's results are carved from one slab, so keeping any of them keeps
+// all of that node's alive; SyncRoundInto writes into memory the caller owns.
 func (lc *LiveCluster) SyncRound(grads []map[string][]float32) ([]map[string][]float32, error) {
 	out, _, err := lc.SyncRoundContext(context.Background(), grads)
 	return out, err
@@ -361,6 +371,27 @@ func (lc *LiveCluster) SyncRound(grads []map[string][]float32) ([]map[string][]f
 // exclusions, and chaos counters. The health report is non-nil whenever
 // the round started executing, even on error.
 func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string][]float32) ([]map[string][]float32, *RoundHealth, error) {
+	return lc.syncRound(ctx, grads, nil)
+}
+
+// SyncRoundInto is SyncRoundContext writing node v's aggregated gradients
+// into dst[v][name] instead of returning them. dst must hold, for every node,
+// a slice of the gradient's length under each of its names and no other, and
+// no dst slice may share memory with an input or with another dst slice; a
+// *ResultBufferError rejects it before anything runs. On success every
+// element of every dst slice is overwritten; on error dst holds unspecified
+// values. The cluster keeps no reference to dst after the return.
+func (lc *LiveCluster) SyncRoundInto(ctx context.Context, grads, dst []map[string][]float32) (*RoundHealth, error) {
+	if len(dst) != lc.n {
+		return nil, &ResultBufferError{Node: -1, Reason: fmt.Sprintf("%d result maps for %d nodes", len(dst), lc.n)}
+	}
+	_, health, err := lc.syncRound(ctx, grads, dst)
+	return health, err
+}
+
+// syncRound runs one round of either form: into dst when it is non-nil,
+// otherwise into one slab per node, returned as maps.
+func (lc *LiveCluster) syncRound(ctx context.Context, grads, dst []map[string][]float32) ([]map[string][]float32, *RoundHealth, error) {
 	if len(grads) != lc.n {
 		return nil, nil, fmt.Errorf("core: SyncRound got %d gradient sets for %d nodes", len(grads), lc.n)
 	}
@@ -386,6 +417,11 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 			}
 		}
 	}
+	if dst != nil {
+		if err := lc.checkDst(grads, dst, names); err != nil {
+			return nil, nil, err
+		}
+	}
 
 	// The round barrier: a staged epoch switch takes effect here, before the
 	// round's plan is chosen, so every task of one round runs under exactly
@@ -396,22 +432,99 @@ func (lc *LiveCluster) SyncRoundContext(ctx context.Context, grads []map[string]
 		return nil, nil, err
 	}
 
-	r, health, err := lc.run(ctx, p, grads, round)
+	r, health, err := lc.run(ctx, p, grads, dst, round)
 	if r != nil {
 		defer r.release()
 	}
 	if err != nil {
 		return nil, health, err
 	}
-	out, err := r.assemble(health)
-	if err != nil {
+	if err := r.assemble(health); err != nil {
 		return nil, health, err
+	}
+	if dst == nil {
+		dst = r.results()
 	}
 	lc.epochMu.Lock()
 	lc.rounds++
 	lc.epochMu.Unlock()
 	lc.observeAndTune(ep, health, round, p.sizes)
-	return out, health, nil
+	return dst, health, nil
+}
+
+// memSpan is one slice's address range in checkDst's overlap sweep: node v's
+// input or destination for gradient gi.
+type memSpan struct {
+	lo, hi uintptr
+	v, gi  int
+	dst    bool
+}
+
+// checkDst holds dst to SyncRoundInto's contract against the round's sorted
+// names and node 0's lengths. Overlaps are found by one sweep over every
+// slice's address range sorted by start: a range meets an earlier one exactly
+// when it starts before the furthest end seen so far, and only meetings that
+// involve a destination count.
+func (lc *LiveCluster) checkDst(grads, dst []map[string][]float32, names []string) error {
+	lc.spanMu.Lock()
+	defer lc.spanMu.Unlock()
+	s := lc.spans[:0]
+	add := func(b []float32, v, gi int, dst bool) {
+		if lo := uintptr(unsafe.Pointer(unsafe.SliceData(b))); len(b) > 0 {
+			s = append(s, memSpan{lo, lo + 4*uintptr(len(b)), v, gi, dst})
+		}
+	}
+	for v, m := range dst {
+		if m == nil {
+			return &ResultBufferError{Node: v, Reason: "nil map"}
+		}
+		for gi, name := range names {
+			d, ok := m[name]
+			if !ok {
+				return &ResultBufferError{Node: v, Name: name, Reason: "missing"}
+			}
+			if len(d) != len(grads[0][name]) {
+				return &ResultBufferError{Node: v, Name: name, Reason: fmt.Sprintf("%d elements, the gradient has %d", len(d), len(grads[0][name]))}
+			}
+			add(grads[v][name], v, gi, false)
+			add(d, v, gi, true)
+		}
+		for name := range m {
+			if len(m) == len(names) {
+				break // m holds every name and nothing else
+			}
+			if _, ok := slices.BinarySearch(names, name); !ok {
+				return &ResultBufferError{Node: v, Name: name, Reason: "not a gradient of this round"}
+			}
+		}
+	}
+	lc.spans = s
+	slices.SortFunc(s, func(a, b memSpan) int { return cmp.Compare(a.lo, b.lo) })
+	reach, reachDst := -1, -1 // the earlier span ending furthest; the same among destinations
+	for i := range s {
+		c := &s[i]
+		hit := reachDst
+		if c.dst {
+			hit = reach
+		}
+		if hit >= 0 && c.lo < s[hit].hi {
+			d, o, what := c, &s[hit], "input grads"
+			if !d.dst {
+				d, o = o, d
+			}
+			if o.dst {
+				what = "dst"
+			}
+			return &ResultBufferError{Node: d.v, Name: names[d.gi], Reason: fmt.Sprintf("overlaps %s[%d][%q]", what, o.v, names[o.gi])}
+		}
+		if reach < 0 || c.hi > s[reach].hi {
+			reach = i
+		}
+		if c.dst && (reachDst < 0 || c.hi > s[reachDst].hi) {
+			reachDst = i
+		}
+	}
+	return nil
 }
 
 // roundPlan is what a round derives before its first task executes, a pure
@@ -681,16 +794,19 @@ func (r *liveRound) route(id int) {
 }
 
 // onPeerDead follows a new conviction (healthPlane.convict reported it, so
-// once per victim): per policy it either aborts the round with a typed error
+// once per victim) on the from→to transfer whose deadline expired: per policy
+// it either aborts the round with a typed error carrying that link's evidence
 // or sweeps the victim's armed recvs so the surviving DAG drains (their
 // downstream tasks skip via route/Q_comp drainer checks and the merge barrier
 // accounts the exclusion).
-func (r *liveRound) onPeerDead(victim int) {
+func (r *liveRound) onPeerDead(victim, from, to int) {
 	if r.trc.Enabled() {
 		r.traceEvent(fmt.Sprintf("peer-dead node%d (%v)", victim, r.lc.cfg.OnPeerFail), "fault", victim)
 	}
 	if r.lc.cfg.OnPeerFail != DegradeExclude || r.epoch.Strategy != StrategyPS {
-		r.fail(&PeerFailureError{Node: -1, Peer: victim, Attempts: r.hp.attemptBudget(),
+		ev := r.hp.evidence(from, to)
+		r.fail(&PeerFailureError{Node: from, Peer: to, Attempts: r.hp.attemptBudget(),
+			LastRTT: ev.LastRTT, SamplesSeen: ev.Samples, Phi: ev.Phi, Reconnects: ev.Reconnects,
 			Reason: fmt.Sprintf("failure detector convicted node %d (policy %v)", victim, r.lc.cfg.OnPeerFail)})
 		return
 	}
@@ -739,7 +855,7 @@ func queueSizes(g *Graph, n int) (comp []int, inbox int) {
 // run executes the plan's DAG with real data and returns the torn-down round,
 // whose leases the caller releases once it has assembled the results. The
 // round is nil only when it never started.
-func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string][]float32, round int64) (*liveRound, *RoundHealth, error) {
+func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads, dst []map[string][]float32, round int64) (*liveRound, *RoundHealth, error) {
 	n, g, lay := lc.n, p.g, p.lay
 	started := time.Now() //hipress:wallclock round-duration telemetry for RoundHealth
 	var tr netsim.Transport
@@ -789,6 +905,9 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 		rt.result = gradSlab[(2*v+1)*ng : (2*v+2)*ng]
 		for gi := range lay.grads {
 			rt.local[gi] = grads[v][lay.grads[gi].name]
+			if dst != nil {
+				rt.result[gi] = dst[v][lay.grads[gi].name]
+			}
 		}
 		rt.parts = partSlab[v*ns : (v+1)*ns]
 		rt.in = inSlab[v*ns*n : (v+1)*ns*n]
@@ -912,25 +1031,23 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads []map[string
 
 // release returns every buffer the round leased to the arena: after teardown,
 // when no goroutine still references a payload, and after assembly, which
-// copies into fresh result slices.
+// copies accumulators into the results.
 func (r *liveRound) release() {
 	for v := range r.nodes {
 		r.nodes[v].lease.Release()
 	}
 }
 
-// assemble builds the round's results: partitions decoded in phase 2 were
+// assemble completes the round's results: partitions decoded in phase 2 were
 // written into result directly; the aggregate-holding node copies from acc.
 // In a degraded round, a partition no aggregate ever reached falls back to
 // the node's own local gradient (scaled to sum magnitude when renormalizing)
 // and is reported as unsynced.
-func (r *liveRound) assemble(health *RoundHealth) ([]map[string][]float32, error) {
+func (r *liveRound) assemble(health *RoundHealth) error {
 	n, lay := r.lc.n, r.lay
-	out := make([]map[string][]float32, n)
 	degraded := r.hp.anyDead()
 	for v := 0; v < n; v++ {
 		rt := &r.nodes[v]
-		out[v] = make(map[string][]float32, len(lay.grads))
 		for gi := range lay.grads {
 			gl := &lay.grads[gi]
 			res := rt.resultSlice(gi)
@@ -955,15 +1072,26 @@ func (r *liveRound) assemble(health *RoundHealth) ([]map[string][]float32, error
 					continue
 				}
 				if ps.acc == nil {
-					return nil, fmt.Errorf("core: node %d has neither result nor accumulator for %s/p%d", v, gl.name, p)
+					return fmt.Errorf("core: node %d has neither result nor accumulator for %s/p%d", v, gl.name, p)
 				}
 				copy(res[lo:hi], ps.acc)
 			}
-			out[v][gl.name] = res
 		}
 	}
 	sort.Strings(health.UnsyncedParts)
-	return out, nil
+	return nil
+}
+
+// results maps each node's assembled results by name, for the allocating form.
+func (r *liveRound) results() []map[string][]float32 {
+	out := make([]map[string][]float32, len(r.nodes))
+	for v := range out {
+		out[v] = make(map[string][]float32, len(r.lay.grads))
+		for gi := range r.lay.grads {
+			out[v][r.lay.grads[gi].name] = r.nodes[v].result[gi]
+		}
+	}
+	return out
 }
 
 // dispatch is the per-node receive loop. A TCP message arrives owning the
@@ -1219,7 +1347,7 @@ func (r *liveRound) attempt(batch []pendingSend, msg netsim.Message, attempt int
 		case <-timer.C:
 			victim, newly := hp.verdict(msg.From, msg.To, attempt, r.rs)
 			if newly {
-				r.onPeerDead(victim)
+				r.onPeerDead(victim, msg.From, msg.To)
 			}
 			return false, victim >= 0
 		}
@@ -1295,11 +1423,17 @@ func (r *liveRound) replyHeartbeat(node int, msg netsim.Message) {
 func packStep(step, part int) int       { return step | part<<20 }
 func unpackStep(s int) (step, part int) { return s & (1<<20 - 1), s >> 20 }
 
-// resultSlice returns the node's result buffer for gradient gi, allocating
-// lazily.
+// resultSlice returns the node's result buffer for gradient gi: the caller's,
+// or carved capacity-capped from the node's slab, which the first touch makes
+// — on the node's own goroutines, so the nodes' slabs are made and zeroed in
+// parallel.
 func (rt *nodeRT) resultSlice(gi int) []float32 {
 	if rt.result[gi] == nil {
-		rt.result[gi] = make([]float32, rt.lay.grads[gi].elems)
+		if rt.slab == nil {
+			rt.slab = make([]float32, rt.lay.elems)
+		}
+		gl := &rt.lay.grads[gi]
+		rt.result[gi] = rt.slab[gl.off : gl.off+gl.elems : gl.off+gl.elems]
 	}
 	return rt.result[gi]
 }

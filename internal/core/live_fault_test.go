@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,6 +200,41 @@ func TestLiveBlackoutAbortTyped(t *testing.T) {
 				t.Fatalf("abort took %v, deadline was 20s", elapsed)
 			}
 		})
+	}
+}
+
+// TestStaticConvictionCarriesEvidence: a conviction by the static scoreboard
+// aborts the round with the convicting transfer's link evidence, as an
+// exhausted attempt budget does. A clean round first gives every link RTT
+// samples; then node 1 is blacked out, the healthy nodes' acked transfers
+// outscore it, and the error names the transfer's endpoints and carries the
+// samples, the RTT and the φ that were on record.
+func TestStaticConvictionCarriesEvidence(t *testing.T) {
+	lc, err := NewLiveCluster(3, LiveConfig{Strategy: StrategyPS, Parts: 3, Retry: fastRetry,
+		RoundTimeout: 20 * time.Second, OnPeerFail: DegradeAbort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads, _ := makeGrads(3, 3, map[string]int{"w": 300})
+	if _, err := lc.SyncRound(grads); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.SetChaos(&netsim.ChaosConfig{Seed: 1, NodeDown: map[int]bool{1: true}}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = lc.SyncRound(grads)
+	var pf *PeerFailureError
+	if !errors.As(err, &pf) {
+		t.Fatalf("blackout round ended in %v, want a *PeerFailureError", err)
+	}
+	if !strings.Contains(pf.Reason, "failure detector convicted node 1") {
+		t.Fatalf("the round did not end in the scoreboard's conviction: %v", err)
+	}
+	if pf.Node == pf.Peer || (pf.Node != 1 && pf.Peer != 1) || pf.Node < 0 {
+		t.Fatalf("the error names %d→%d, not a transfer of node 1: %v", pf.Node, pf.Peer, err)
+	}
+	if pf.SamplesSeen == 0 || pf.LastRTT <= 0 || !strings.Contains(err.Error(), "link evidence") {
+		t.Fatalf("the conviction carries no link evidence: %+v (%v)", pf, err)
 	}
 }
 

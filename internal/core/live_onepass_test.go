@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"hipress/internal/compress"
 	"hipress/internal/netsim"
@@ -56,7 +58,7 @@ func TestMergeAfterStageFailsRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = lc.run(context.Background(), p, grads, 0)
+	_, _, err = lc.run(context.Background(), p, grads, nil, 0)
 	if !errors.Is(err, errMergeAfterStage) {
 		t.Fatalf("round error = %v, want errMergeAfterStage", err)
 	}
@@ -304,6 +306,40 @@ func TestRoundAliasingAndInputImmutability(t *testing.T) {
 				if got := digestRound(out2); got != want[1] {
 					t.Fatalf("overwriting the inputs after the return changed the results: %016x != %016x", got, want[1])
 				}
+
+				// The Into form on a fresh cluster: round 1 into poisoned dst1
+				// leaves the inputs as they were; scribbling dst1 moves nothing
+				// round 2 writes into dst2; and once the caller drops dst1,
+				// nothing the cluster keeps holds it alive.
+				li, err := NewLiveCluster(n, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				grads, _ = makeGrads(77, n, arm.sizes)
+				dst1, backing := carveDst(grads)
+				dst2, _ := carveDst(grads)
+				for i, dst := range [][]map[string][]float32{dst1, dst2} {
+					poison(dst)
+					if _, err := li.SyncRoundInto(context.Background(), grads, dst); err != nil {
+						t.Fatal(err)
+					}
+					if got := digestRound(grads); got != before {
+						t.Fatalf("Into round %d modified its inputs", i+1)
+					}
+					if got := digestRound(dst); got != want[i] {
+						t.Fatalf("Into round %d digest %016x != reference %016x", i+1, got, want[i])
+					}
+					poison(dst1)
+				}
+				kept := weak.Make(&backing[0])
+				dst1, backing = nil, nil
+				for i := 0; i < 3 && kept.Value() != nil; i++ {
+					runtime.GC()
+				}
+				if kept.Value() != nil {
+					t.Fatal("the cluster retained a round's destinations after it returned")
+				}
+				runtime.KeepAlive(li)
 			})
 		}
 	}

@@ -317,7 +317,7 @@ func TestLinkTableRows(t *testing.T) {
 				grads, _ := makeGrads(9, n, sizes)
 				p := buildRound(t, lc, grads)
 				g := p.g
-				r, _, err := lc.run(context.Background(), p, grads, 0)
+				r, _, err := lc.run(context.Background(), p, grads, nil, 0)
 				if r != nil {
 					defer r.release()
 				}

@@ -70,13 +70,15 @@ func PartRange(elems, parts, p int) (lo, hi int) {
 }
 
 // gradLayout is one gradient's row of a roundLayout: its geometry under the
-// round's plan and the first of its parts consecutive slots.
+// round's plan, the first of its parts consecutive slots, and where its
+// elements start in a node's result slab.
 type gradLayout struct {
 	name  string
 	elems int
 	parts int    // the plan's K clamped to [1, elems], as normalize clamps it
 	algo  string // "" = raw
 	slot0 int
+	off   int
 }
 
 // span is PartRange over the gradient's own geometry.
@@ -93,6 +95,7 @@ func (gl *gradLayout) span(p int) (lo, hi int) { return PartRange(gl.elems, gl.p
 type roundLayout struct {
 	grads []gradLayout
 	slots int
+	elems int // every gradient's elements: one node's result slab
 }
 
 func newRoundLayout(gradients int) *roundLayout {
@@ -104,8 +107,8 @@ func newRoundLayout(gradients int) *roundLayout {
 func (l *roundLayout) add(name string, elems, parts int, algo string) GradSync {
 	parts = max(1, min(parts, elems))
 	gi := len(l.grads)
-	l.grads = append(l.grads, gradLayout{name: name, elems: elems, parts: parts, algo: algo, slot0: l.slots})
-	l.slots += parts
+	l.grads = append(l.grads, gradLayout{name: name, elems: elems, parts: parts, algo: algo, slot0: l.slots, off: l.elems})
+	l.slots, l.elems = l.slots+parts, l.elems+elems
 	return GradSync{Name: name, Index: gi, Elems: elems, Parts: parts, Algo: algo}
 }
 
@@ -224,7 +227,7 @@ func BuildRing(g *Graph, topo *Topology, s GradSync) ([]int, error) {
 	}
 	// done[v] collects every task that must finish before node v holds the
 	// full gradient; we join them per node at the end.
-	done := make([][]int, n)
+	done := doneSets(n, s.Parts)
 
 	for p := 0; p < s.Parts; p++ {
 		lo, hi := PartRange(s.Elems, s.Parts, p)
@@ -292,7 +295,7 @@ func BuildPS(g *Graph, topo *Topology, s GradSync) ([]int, error) {
 	if err := s.normalize(n); err != nil {
 		return nil, err
 	}
-	done := make([][]int, n)
+	done := doneSets(n, s.Parts)
 	var merges []int
 
 	for p := 0; p < s.Parts; p++ {
@@ -340,6 +343,16 @@ func BuildPS(g *Graph, topo *Topology, s GradSync) ([]int, error) {
 		}
 	}
 	return joinPerNode(g, &s, done), nil
+}
+
+// doneSets carves every node's completion set from one slab: a node finishes
+// at most one task per partition.
+func doneSets(n, parts int) [][]int {
+	done, slab := make([][]int, n), make([]int, n*parts)
+	for v := range done {
+		done[v] = slab[v*parts : v*parts : (v+1)*parts]
+	}
+	return done
 }
 
 // joinPerNode collapses each node's completion set into a single terminal

@@ -7,6 +7,7 @@
 package trainer
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -208,16 +209,16 @@ func TrainLinear(task *LinearTask, cfg Config) (*Curve, []float32, error) {
 		return nil, nil, err
 	}
 
-	// Per-worker gradient buffers and the grads maps are allocated once and
-	// reused every iteration (SyncRound reads them during the round only and
-	// returns freshly allocated results), so the step loop stays off the
-	// allocator. Values are identical to per-iteration allocation — resume
+	// Per-worker gradient buffers, the results they synchronize into and
+	// both maps are allocated once and reused every iteration (a round reads
+	// grads and writes dst during the round only), so the step loop stays off
+	// the allocator. Values are identical to per-iteration allocation — resume
 	// bit-identity is unaffected.
-	grads := make([]map[string][]float32, cfg.Workers)
+	grads, dst := make([]map[string][]float32, cfg.Workers), make([]map[string][]float32, cfg.Workers)
 	gbuf := make([][]float32, cfg.Workers)
 	for v := range gbuf {
 		gbuf[v] = make([]float32, dim)
-		grads[v] = map[string][]float32{"w": gbuf[v]}
+		grads[v], dst[v] = map[string][]float32{"w": gbuf[v]}, map[string][]float32{"w": make([]float32, dim)}
 	}
 	for it := startIt; it < cfg.Iters; it++ {
 		if cfg.FaultHook != nil {
@@ -244,12 +245,11 @@ func TrainLinear(task *LinearTask, cfg Config) (*Curve, []float32, error) {
 				copy(g, localVel[v])
 			}
 		}
-		out, err := lc.SyncRound(grads)
-		if err != nil {
+		if _, err := lc.SyncRoundInto(context.Background(), grads, dst); err != nil {
 			return nil, nil, err
 		}
 		// All nodes hold identical aggregates (BSP); apply the mean.
-		step := out[0]["w"]
+		step := dst[0]["w"]
 		if cfg.Momentum > 0 && !cfg.MomentumCorrection {
 			// Conventional momentum on the synchronized gradient.
 			tensor.Scale(globalVel, float32(cfg.Momentum))
@@ -291,13 +291,13 @@ type mlp struct {
 	w1, b1, w2, b2 []float32
 }
 
+// newMLP initializes a network's parameters from rng; with a nil rng it is
+// zero, parameter-shaped storage for gradients and their aggregates.
 func newMLP(in, hidden int, rng *tensor.RNG) *mlp {
-	m := &mlp{
-		in: in, hidden: hidden,
-		w1: make([]float32, in*hidden),
-		b1: make([]float32, hidden),
-		w2: make([]float32, hidden),
-		b2: make([]float32, 1),
+	m := &mlp{in: in, hidden: hidden, w1: make([]float32, in*hidden),
+		b1: make([]float32, hidden), w2: make([]float32, hidden), b2: make([]float32, 1)}
+	if rng == nil {
+		return m
 	}
 	rng.FillNormal(m.w1, 1/math.Sqrt(float64(in)))
 	rng.FillNormal(m.w2, 1/math.Sqrt(float64(hidden)))
@@ -387,17 +387,13 @@ func TrainMLP(task *MLPTask, cfg Config) (*Curve, error) {
 
 	curve := &Curve{}
 	x := make([]float32, task.In)
-	// Per-worker gradient accumulators allocated once, zeroed per iteration
-	// (see TrainLinear: SyncRound does not retain its inputs).
+	// Per-worker gradient accumulators and results allocated once, the
+	// accumulators zeroed per iteration (see TrainLinear).
 	gw := make([]*mlp, cfg.Workers)
-	grads := make([]map[string][]float32, cfg.Workers)
+	grads, dst := make([]map[string][]float32, cfg.Workers), make([]map[string][]float32, cfg.Workers)
 	for v := range gw {
-		gw[v] = &mlp{in: task.In, hidden: task.Hidden,
-			w1: make([]float32, task.In*task.Hidden),
-			b1: make([]float32, task.Hidden),
-			w2: make([]float32, task.Hidden),
-			b2: make([]float32, 1)}
-		grads[v] = gw[v].gradsMap()
+		gw[v] = newMLP(task.In, task.Hidden, nil)
+		grads[v], dst[v] = gw[v].gradsMap(), newMLP(task.In, task.Hidden, nil).gradsMap()
 	}
 	for it := startIt; it < cfg.Iters; it++ {
 		if cfg.FaultHook != nil {
@@ -418,15 +414,14 @@ func TrainMLP(task *MLPTask, cfg Config) (*Curve, error) {
 				student.grads(x, y, hid, g, 1/float32(cfg.Batch))
 			}
 		}
-		out, err := lc.SyncRound(grads)
-		if err != nil {
+		if _, err := lc.SyncRoundInto(context.Background(), grads, dst); err != nil {
 			return nil, err
 		}
 		step := -float32(cfg.LR / float64(cfg.Workers))
-		tensor.AXPY(student.w1, step, out[0]["w1"])
-		tensor.AXPY(student.b1, step, out[0]["b1"])
-		tensor.AXPY(student.w2, step, out[0]["w2"])
-		tensor.AXPY(student.b2, step, out[0]["b2"])
+		tensor.AXPY(student.w1, step, dst[0]["w1"])
+		tensor.AXPY(student.b1, step, dst[0]["b1"])
+		tensor.AXPY(student.w2, step, dst[0]["w2"])
+		tensor.AXPY(student.b2, step, dst[0]["b2"])
 		if it%cfg.EvalEvery == 0 || it == cfg.Iters-1 {
 			curve.Iters = append(curve.Iters, it)
 			curve.Losses = append(curve.Losses, mse())
