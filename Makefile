@@ -89,9 +89,9 @@ bench:
 # quotes: each of core, compress, netsim and trainer may shrink below its
 # LOC_BUDGET_<pkg> (lower the budget to the new count in the PR that does it)
 # and fails the target when it grows past it.
-LOC_BUDGET_core := 6125
+LOC_BUDGET_core := 5993
 LOC_BUDGET_compress := 2862
-LOC_BUDGET_netsim := 2060
+LOC_BUDGET_netsim := 2057
 LOC_BUDGET_trainer := 855
 
 loc:

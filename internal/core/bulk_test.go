@@ -173,9 +173,9 @@ func TestBulkFrameCap(t *testing.T) {
 		}
 		batched++
 	}
-	if r.runErr != nil || batched < 2 || r.rs.ackBatched != acks-1 {
+	if r.runErr != nil || batched < 2 || r.rs.h.AckBatched != acks-1 {
 		t.Fatalf("round error %v, %d coalesced frames acking %d: want none, ≥ 2 frames acking the %d queued",
-			r.runErr, batched, r.rs.ackBatched, acks-1)
+			r.runErr, batched, r.rs.h.AckBatched, acks-1)
 	}
 }
 
@@ -275,9 +275,9 @@ func TestBulkLateAckSettlesBatchMates(t *testing.T) {
 			t.Fatalf("sent %+v, want the bulk frame and then the head transfer alone at attempts %v, nothing more",
 				ht.sent, retried)
 		}
-		if r.rs.retries != int64(len(retried)) || r.rs.succ[0] != 3 || r.rs.succ[1] != 3 || len(w.ack) != 0 {
+		if r.rs.h.Retries != int64(len(retried)) || r.rs.succ[0] != 3 || r.rs.succ[1] != 3 || len(w.ack) != 0 {
 			t.Fatalf("%d retries, scoreboard %v, %d tokens left: want %d retries, each transfer credited once, none",
-				r.rs.retries, r.rs.succ, len(w.ack), len(retried))
+				r.rs.h.Retries, r.rs.succ, len(w.ack), len(retried))
 		}
 	}
 
@@ -331,8 +331,8 @@ func TestBulkLateAckSettlesBatchMates(t *testing.T) {
 		if len(ht.sent) != 3 || ht.sent[1].Gradient != batch[0].msg.Gradient || ht.sent[2].Gradient != batch[2].msg.Gradient {
 			t.Fatalf("sent %+v, want the bulk frame, then transfers 0 and 2 alone", ht.sent)
 		}
-		if r.rs.retries != 2 || r.rs.succ[0] != 3 || r.rs.succ[1] != 3 {
-			t.Fatalf("%d retries, scoreboard %v: want 2 retries, each transfer credited once", r.rs.retries, r.rs.succ)
+		if r.rs.h.Retries != 2 || r.rs.succ[0] != 3 || r.rs.succ[1] != 3 {
+			t.Fatalf("%d retries, scoreboard %v: want 2 retries, each transfer credited once", r.rs.h.Retries, r.rs.succ)
 		}
 	})
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hipress/internal/netsim"
@@ -214,7 +213,7 @@ type RoundHealth struct {
 	// to the node's local gradient because no aggregate reached them.
 	UnsyncedParts []string
 	// Renormalized records whether surviving aggregates were rescaled by
-	// n/(n-excluded).
+	// n/(n-excluded): LiveConfig.Renormalize with ExcludedContribs > 0.
 	Renormalized bool
 	// SendWallNs is the wall-clock span (ns) from the round's first staged
 	// send to its last resolved one — the measured communication floor the
@@ -281,24 +280,16 @@ type transfer struct {
 }
 
 // roundState is what a round's fault plane keeps that is per-round by nature:
-// the success scoreboard the failure detector judges by
-// (healthPlane.scoreboard) and the RoundHealth counters. What is known about
-// a peer — convicted, suspected, carried in excluded — lives in the health
-// plane's peer table, not here. mu guards succ and transfer.ack only.
+// the RoundHealth the round returns and the success scoreboard the failure
+// detector judges by (healthPlane.scoreboard). What is known about a peer —
+// convicted, suspected, carried in excluded — lives in the health plane's peer
+// table, not here. h's counters are added to atomically while the round runs
+// and read once its goroutines have exited; the rest of h is filled then. mu
+// guards succ and transfer.ack only.
 type roundState struct {
+	h    RoundHealth
 	mu   sync.Mutex
 	succ []int // acknowledged transfers credited to each endpoint
-
-	// Counters (atomic): see RoundHealth.
-	retries          int64
-	duplicates       int64
-	corruptDrops     int64
-	reconnects       int64
-	skipped          int64
-	excludedContribs int64
-	ackBatched       int64
-	bulkFrames       int64
-	renormalized     int32
 }
 
 func newRoundState(n int) *roundState {
@@ -370,21 +361,4 @@ func (rs *roundState) fewerAcked(from, to int) int {
 		return to
 	}
 	return -1
-}
-
-// health snapshots the counters into a RoundHealth; the peer lists are the
-// health plane's to fill (healthPlane.roundEnd).
-func (rs *roundState) health(elapsed time.Duration) *RoundHealth {
-	return &RoundHealth{
-		Elapsed:          elapsed,
-		Retries:          atomic.LoadInt64(&rs.retries),
-		Duplicates:       atomic.LoadInt64(&rs.duplicates),
-		CorruptDrops:     atomic.LoadInt64(&rs.corruptDrops),
-		Reconnects:       atomic.LoadInt64(&rs.reconnects),
-		SkippedTasks:     atomic.LoadInt64(&rs.skipped),
-		ExcludedContribs: atomic.LoadInt64(&rs.excludedContribs),
-		Renormalized:     atomic.LoadInt32(&rs.renormalized) != 0,
-		AckBatched:       atomic.LoadInt64(&rs.ackBatched),
-		BulkFrames:       atomic.LoadInt64(&rs.bulkFrames),
-	}
 }

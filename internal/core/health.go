@@ -22,7 +22,7 @@ import (
 // It is also the only store of what the live plane knows about a peer — the
 // peer table below. The failure detector's verdicts, the lifecycle and
 // elastic membership (rejoin.go) are this one state machine; RoundHealth's
-// peer lists and LiveCluster.PeerStates are read off it.
+// peer lists and LiveCluster.HealthStates are read off it.
 //
 // Peer lifecycle:
 //
@@ -98,13 +98,8 @@ type HealthConfig struct {
 	Adaptive bool
 	// HeartbeatEvery sends idle liveness probes on every live link at
 	// this period so the detector keeps accruing arrivals between data
-	// transfers. Zero disables heartbeats.
+	// transfers; it requires Adaptive. Zero disables heartbeats.
 	HeartbeatEvery time.Duration
-	// Now, when non-nil, supplies the plane's timestamps (a virtual
-	// clock). Live rounds still wait on wall timers; Now only stamps
-	// detector observations and RTT samples, which is what tests and the
-	// fuzz harness drive deterministically.
-	Now func() time.Duration
 }
 
 // The health plane's fixed parameters.
@@ -274,19 +269,6 @@ func (d *phiDetector) phi(now float64) float64 {
 	return p
 }
 
-// linkEvidence is the RTT/φ evidence snapshot surfaced in
-// PeerFailureError so operators can distinguish "dead" from "mistuned
-// timeout".
-type linkEvidence struct {
-	LastRTT time.Duration
-	Samples int
-	Phi     float64
-	// Reconnects counts connection-lifecycle failures (socket-plane redial
-	// budgets exhausted) observed against the peer this round — evidence a
-	// conviction can cite alongside the φ score.
-	Reconnects int64
-}
-
 // peer is one row of the peer table: everything the live plane knows about
 // one peer, across rounds and within the current one. Everything but state
 // and reconn is guarded by healthPlane.mu.
@@ -325,6 +307,10 @@ type healthPlane struct {
 	// constants, held here so in-package tests can shrink them.
 	maxRTO, bootstrapRTO time.Duration
 	maxAttempts          int
+	// now, when non-nil, replaces the wall clock behind the plane's
+	// timestamps: in-package tests and the fuzz harness drive detector
+	// observations and RTT samples on a virtual clock through it.
+	now func() time.Duration
 	// retry is the static policy the delivery loop falls back on when the
 	// plane is passive (cfg.Adaptive unset).
 	retry RetryPolicy
@@ -362,7 +348,7 @@ func newHealthPlane(n int, cfg *HealthConfig, retry RetryPolicy, elastic bool, t
 		n:            n,
 		autoRevive:   !elastic,
 		probation:    1,
-		birth:        time.Now(), //hipress:wallclock phi-detector epoch base; virtual clock injectable via cfg.Now
+		birth:        time.Now(), //hipress:wallclock phi-detector epoch base; tests inject a virtual clock through hp.now
 		tel:          tel,
 		links:        make([]rttEstimator, n*n),
 		peers:        make([]peer, n),
@@ -381,11 +367,11 @@ func newHealthPlane(n int, cfg *HealthConfig, retry RetryPolicy, elastic bool, t
 	return hp
 }
 
-// clock returns the plane's current timestamp (virtual when cfg.Now is
-// injected, wall-clock since birth otherwise).
+// clock returns the plane's current timestamp (virtual when a test set
+// hp.now, wall-clock since birth otherwise).
 func (hp *healthPlane) clock() time.Duration {
-	if hp.cfg.Now != nil {
-		return hp.cfg.Now()
+	if hp.now != nil {
+		return hp.now()
 	}
 	return time.Since(hp.birth) //hipress:wallclock RTT/failure-detection clock, not on the result-bytes path
 }
@@ -656,11 +642,11 @@ func (hp *healthPlane) rejoin(v int) (donor int, err error) {
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
 	if st := hp.stateOf(v); st != HealthDead {
-		return -1, fmt.Errorf("core: node %d is %v, only convicted peers can rejoin", v, st.peerState())
+		return -1, fmt.Errorf("core: node %d is %v, only convicted peers can rejoin", v, st)
 	}
 	donor = -1
 	for u := range hp.peers {
-		if u != v && hp.stateOf(u).peerState() == PeerHealthy {
+		if st := hp.stateOf(u); u != v && (st == HealthHealthy || st == HealthSlow) {
 			donor = u
 			break
 		}
@@ -810,22 +796,24 @@ func (hp *healthPlane) medianPositiveLocked(xs []float64) float64 {
 	return pos[len(pos)/2]
 }
 
-// evidence snapshots the from→to link's RTT history and the peer's φ for
-// failure-error reporting.
-func (hp *healthPlane) evidence(from, to int) linkEvidence {
+// failure is the live plane's one *PeerFailureError: node from gave up on
+// peer to after the attempt budget, for reason, and the error carries the
+// from→to link's RTT history, the peer's φ and its reconnect failures, so a
+// report tells "dead" from "mistuned timeout".
+func (hp *healthPlane) failure(from, to int, reason string) *PeerFailureError {
+	err := &PeerFailureError{Node: from, Peer: to, Attempts: hp.attemptBudget(), Reason: reason}
 	if from < 0 || to < 0 || from >= hp.n || to >= hp.n {
-		return linkEvidence{}
+		return err
 	}
 	now := hp.seconds()
 	hp.mu.Lock()
 	defer hp.mu.Unlock()
 	e := &hp.links[from*hp.n+to]
-	return linkEvidence{
-		LastRTT:    time.Duration(e.last * float64(time.Second)),
-		Samples:    e.samples,
-		Phi:        hp.peers[to].det.phi(now),
-		Reconnects: hp.peers[to].reconn.Load(),
-	}
+	err.LastRTT = time.Duration(e.last * float64(time.Second))
+	err.SamplesSeen = e.samples
+	err.Phi = hp.peers[to].det.phi(now)
+	err.Reconnects = hp.peers[to].reconn.Load()
+	return err
 }
 
 // observeReconnect records a socket-plane connection-lifecycle failure

@@ -10,8 +10,8 @@ import (
 // returned advance function moves the clock forward.
 func virtualPlane(n int, cfg HealthConfig) (*healthPlane, func(time.Duration)) {
 	now := time.Duration(0)
-	cfg.Now = func() time.Duration { return now }
 	hp := newHealthPlane(n, &cfg, RetryPolicy{}, false, nil)
+	hp.now = func() time.Duration { return now }
 	return hp, func(d time.Duration) { now += d }
 }
 
@@ -282,9 +282,9 @@ func TestAdaptiveRTO(t *testing.T) {
 		t.Fatalf("learned rto = %v, want srtt+4·rttvar of a steady 10ms link", got)
 	}
 
-	// evidence snapshots the link history.
-	ev := hp.evidence(0, 1)
-	if ev.Samples != 4 || ev.LastRTT != 10*time.Millisecond {
+	// A failure error carries the link history.
+	ev := hp.failure(0, 1, "test")
+	if ev.SamplesSeen != 4 || ev.LastRTT != 10*time.Millisecond {
 		t.Fatalf("evidence = %+v, want 4 samples of 10ms", ev)
 	}
 }
@@ -299,8 +299,8 @@ func TestDeliveryPolicyAnswers(t *testing.T) {
 	retry := RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 9 * time.Millisecond}.withDefaults()
 
 	t.Run("static", func(t *testing.T) {
-		cfg := HealthConfig{Now: func() time.Duration { return 0 }}
-		hp := newHealthPlane(3, &cfg, retry, false, nil)
+		hp := newHealthPlane(3, &HealthConfig{}, retry, false, nil)
+		hp.now = func() time.Duration { return 0 }
 		hp.roundStart()
 		for i := 0; i < 8; i++ {
 			hp.observeRTT(0, 1, time.Millisecond) // learned RTTs must not move the static deadlines
@@ -397,8 +397,8 @@ func FuzzPhiDetector(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, ops []byte, elastic bool) {
 		now := time.Duration(0)
-		cfg := HealthConfig{Adaptive: true, Now: func() time.Duration { return now }}
-		hp := newHealthPlane(3, &cfg, RetryPolicy{}, elastic, nil)
+		hp := newHealthPlane(3, &HealthConfig{Adaptive: true}, RetryPolicy{}, elastic, nil)
+		hp.now = func() time.Duration { return now }
 		hp.roundStart()
 		rs := newRoundState(3)
 

@@ -191,6 +191,9 @@ func (c *LiveConfig) Validate() error {
 	if c.Retry.MaxAttempts > 1<<15 {
 		return &ConfigError{"Retry.MaxAttempts", fmt.Sprintf("%d exceeds 32768 (the static budget, 2·MaxAttempts attempts, must fit the wire's 16-bit attempt number)", c.Retry.MaxAttempts)}
 	}
+	if h := c.Health; h != nil && h.HeartbeatEvery > 0 && !h.Adaptive {
+		return &ConfigError{"Health.HeartbeatEvery", "heartbeats feed the φ detectors, which only the adaptive policy consults; set Health.Adaptive"}
+	}
 	return nil
 }
 
@@ -749,7 +752,7 @@ func (r *liveRound) completeTask(id int) {
 // completeSkipped completes a task without executing it (dead peer made it
 // moot) and counts the skip.
 func (r *liveRound) completeSkipped(id int) {
-	atomic.AddInt64(&r.rs.skipped, 1)
+	atomic.AddInt64(&r.rs.h.SkippedTasks, 1)
 	r.completeTask(id)
 }
 
@@ -804,10 +807,7 @@ func (r *liveRound) onPeerDead(victim, from, to int) {
 		r.traceEvent(fmt.Sprintf("peer-dead node%d (%v)", victim, r.lc.cfg.OnPeerFail), "fault", victim)
 	}
 	if r.lc.cfg.OnPeerFail != DegradeExclude || r.epoch.Strategy != StrategyPS {
-		ev := r.hp.evidence(from, to)
-		r.fail(&PeerFailureError{Node: from, Peer: to, Attempts: r.hp.attemptBudget(),
-			LastRTT: ev.LastRTT, SamplesSeen: ev.Samples, Phi: ev.Phi, Reconnects: ev.Reconnects,
-			Reason: fmt.Sprintf("failure detector convicted node %d (policy %v)", victim, r.lc.cfg.OnPeerFail)})
+		r.fail(r.hp.failure(from, to, fmt.Sprintf("failure detector convicted node %d (policy %v)", victim, r.lc.cfg.OnPeerFail)))
 		return
 	}
 	r.gmu.Lock()
@@ -979,7 +979,7 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads, dst []map[s
 			defer r.wg.Done()
 			r.dispatch(rt)
 		}()
-		if lc.health.cfg.Adaptive && lc.health.cfg.HeartbeatEvery > 0 {
+		if lc.health.cfg.HeartbeatEvery > 0 {
 			r.wg.Add(1)
 			go func() { // idle liveness probes feeding the φ detectors
 				defer r.wg.Done()
@@ -1011,7 +1011,9 @@ func (lc *LiveCluster) run(ctx context.Context, p *roundPlan, grads, dst []map[s
 	}
 	r.pipe.close()
 
-	health := r.rs.health(time.Since(started)) //hipress:wallclock round-duration telemetry for RoundHealth
+	health := &r.rs.h
+	health.Elapsed = time.Since(started) //hipress:wallclock round-duration telemetry for RoundHealth
+	health.Renormalized = lc.cfg.Renormalize && health.ExcludedContribs > 0
 	health.EpochVersion = p.epoch.Version
 	health.SendWallNs = r.pipe.sendWallNs()
 	health.MaxLinkQueueDepth = r.pipe.maxDepth()
@@ -1182,7 +1184,7 @@ func (r *liveRound) recvData(rt *nodeRT, msg *netsim.Message, lease *kernels.Lea
 	}
 	if sum != msg.Sum {
 		// Drop silently: no ack means the sender retransmits.
-		atomic.AddInt64(&r.rs.corruptDrops, 1)
+		atomic.AddInt64(&r.rs.h.CorruptDrops, 1)
 		if r.trc.Enabled() {
 			r.traceEvent(fmt.Sprintf("corrupt-drop %s←%d", msg.Gradient, msg.From), "chaos", rt.id)
 		}
@@ -1208,7 +1210,7 @@ func (r *liveRound) recvData(rt *nodeRT, msg *netsim.Message, lease *kernels.Lea
 	}
 	if dup {
 		// Duplicate (retransmission or injected dup): re-acked, discard.
-		atomic.AddInt64(&r.rs.duplicates, 1)
+		atomic.AddInt64(&r.rs.h.Duplicates, 1)
 		if r.trc.Enabled() {
 			r.traceEvent(fmt.Sprintf("dup-drop %s←%d", msg.Gradient, msg.From), "dedup", rt.id)
 		}
@@ -1265,10 +1267,7 @@ func (r *liveRound) deliver(batch []pendingSend, msg netsim.Message, w *laneWait
 		}
 		for attempt := 1; ; attempt++ {
 			if attempt == budget {
-				ev := r.hp.evidence(msg.From, msg.To)
-				return &PeerFailureError{Node: msg.From, Peer: msg.To, Attempts: budget,
-					LastRTT: ev.LastRTT, SamplesSeen: ev.Samples, Phi: ev.Phi, Reconnects: ev.Reconnects,
-					Reason: "no acknowledgement within the attempt budget and the failure detector stayed inconclusive"}
+				return r.hp.failure(msg.From, msg.To, "no acknowledgement within the attempt budget and the failure detector stayed inconclusive")
 			}
 			settled, stop := r.attempt(batch[i:i+1], batch[i].msg, attempt, w)
 			if stop {
@@ -1294,7 +1293,7 @@ func (r *liveRound) attempt(batch []pendingSend, msg netsim.Message, attempt int
 	}
 	msg.Attempt = attempt
 	if attempt > 0 {
-		atomic.AddInt64(&r.rs.retries, 1)
+		atomic.AddInt64(&r.rs.h.Retries, 1)
 		if r.trc.Enabled() {
 			r.traceEvent(fmt.Sprintf("retry %s→%d #%d", msg.Gradient, msg.To, attempt), "retry", msg.From)
 		}
@@ -1370,7 +1369,7 @@ func (r *liveRound) noteSendError(msg netsim.Message, err error) {
 	if !errors.As(err, &cerr) {
 		return
 	}
-	atomic.AddInt64(&r.rs.reconnects, 1)
+	atomic.AddInt64(&r.rs.h.Reconnects, 1)
 	r.hp.observeReconnect(msg.To)
 	if r.trc.Enabled() {
 		r.traceEvent(fmt.Sprintf("reconnect %d→%d failed (gen %d, %d redials)",
@@ -1620,7 +1619,7 @@ func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, codec compress.Compresso
 	}
 	ps := rt.part(t)
 	if excluded > 0 {
-		atomic.AddInt64(&r.rs.excludedContribs, int64(excluded))
+		atomic.AddInt64(&r.rs.h.ExcludedContribs, int64(excluded))
 		if excluded == lc.n-1 {
 			// No merge made an accumulator: the aggregate is the server's own
 			// contribution.
@@ -1633,7 +1632,6 @@ func (r *liveRound) mergeBarrierPS(rt *nodeRT, t *Task, codec compress.Compresso
 			for i := range ps.acc {
 				ps.acc[i] *= scale
 			}
-			atomic.StoreInt32(&r.rs.renormalized, 1)
 		}
 	}
 	// Record that this node holds the partition's true aggregate: assembly

@@ -319,6 +319,8 @@ func TestLiveConfigValidate(t *testing.T) {
 		{"elastic with abort", LiveConfig{Strategy: StrategyPS, Elastic: true}, "Elastic"},
 		{"elastic on a ring", LiveConfig{Strategy: StrategyRing, OnPeerFail: DegradeExclude, Elastic: true}, "OnPeerFail"},
 		{"adaptive health plane", LiveConfig{Health: &HealthConfig{Adaptive: true}}, ""},
+		{"heartbeats on the adaptive plane", LiveConfig{Health: &HealthConfig{Adaptive: true, HeartbeatEvery: time.Millisecond}}, ""},
+		{"heartbeats on the static plane", LiveConfig{Health: &HealthConfig{HeartbeatEvery: time.Millisecond}}, "Health.HeartbeatEvery"},
 		{"static budget at the wire's attempt limit", LiveConfig{Retry: RetryPolicy{MaxAttempts: 32768}}, ""},
 		{"static budget past the wire's attempt limit", LiveConfig{Retry: RetryPolicy{MaxAttempts: 32769}}, "Retry.MaxAttempts"},
 		{"partitions at the epoch frame's limit", LiveConfig{Parts: 4096}, ""},

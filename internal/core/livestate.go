@@ -10,9 +10,7 @@ import "fmt"
 // compressors leave nothing to export: every encode's draws are derived from
 // (round, node, pipeline position) in execComp, so restoring the round index
 // (RestoreEpoch) restores them. internal/ckpt persists what these methods
-// export; internal/trainer calls them around Save/Resume; elastic rejoin
-// (rejoin.go) reuses ImportNodeState to hand a returning peer a healthy
-// peer's residuals.
+// export; internal/trainer calls them around Save/Resume.
 
 // ExportState snapshots the cluster's error-feedback residuals: residuals[v]
 // is node v's export (nil when the cluster runs without error feedback).
@@ -50,28 +48,4 @@ func (lc *LiveCluster) ImportState(residuals []map[string][]float32) error {
 		}
 	}
 	return nil
-}
-
-// ImportNodeState overwrites a single node's residual store with a deep copy
-// of res — the state-resync step of elastic rejoin, where a returning peer
-// adopts a healthy donor's residuals instead of rejoining with stale (or
-// zero) deferred mass. No-op for clusters without error feedback.
-func (lc *LiveCluster) ImportNodeState(v int, res map[string][]float32) error {
-	if v < 0 || v >= lc.n {
-		return fmt.Errorf("core: ImportNodeState node %d out of range [0,%d)", v, lc.n)
-	}
-	if lc.ef == nil || lc.ef[v] == nil {
-		return nil
-	}
-	lc.ef[v].SetResiduals(res)
-	return nil
-}
-
-// NodeResiduals exports one node's residual map (deep copy), or nil without
-// error feedback — the donor half of elastic state resync.
-func (lc *LiveCluster) NodeResiduals(v int) map[string][]float32 {
-	if v < 0 || v >= lc.n || lc.ef == nil || lc.ef[v] == nil {
-		return nil
-	}
-	return lc.ef[v].Residuals()
 }

@@ -17,15 +17,47 @@ import (
 type membershipModel struct {
 	elastic     bool
 	need, round int
-	state       []PeerState
+	state       []memberState
 	clean, last []int
 
 	dead, suspected, preseeded []bool
 }
 
+// memberState is a peer's position in the membership model: its HealthState
+// with what membership does not care about folded away (a Slow peer is a full
+// member).
+type memberState int
+
+const (
+	memberHealthy memberState = iota
+	memberSuspected
+	memberConvicted
+	memberProbation
+)
+
+// memberStates projects the cluster's health states onto the model's, all
+// healthy when elastic membership is off.
+func memberStates(lc *LiveCluster) []memberState {
+	out := make([]memberState, lc.n)
+	if !lc.cfg.Elastic {
+		return out
+	}
+	for v, st := range lc.HealthStates() {
+		switch st {
+		case HealthSuspect:
+			out[v] = memberSuspected
+		case HealthDead:
+			out[v] = memberConvicted
+		case HealthProbation:
+			out[v] = memberProbation
+		}
+	}
+	return out
+}
+
 func newMembershipModel(n int, elastic bool) *membershipModel {
 	return &membershipModel{elastic: elastic, need: 2,
-		state: make([]PeerState, n), clean: make([]int, n), last: make([]int, n)}
+		state: make([]memberState, n), clean: make([]int, n), last: make([]int, n)}
 }
 
 // roundStart is newRoundState followed by preseedExcluded.
@@ -36,7 +68,7 @@ func (m *membershipModel) roundStart() (carried []int) {
 		return nil
 	}
 	for v, st := range m.state {
-		if st == PeerConvicted {
+		if st == memberConvicted {
 			carried = append(carried, v)
 			m.dead[v], m.preseeded[v] = true, true
 		}
@@ -92,13 +124,13 @@ func (m *membershipModel) roundEnd(clean bool) (h RoundHealth) {
 			h.MembershipExcluded = append(h.MembershipExcluded, v)
 		}
 		if m.dead[v] && !m.preseeded[v] {
-			m.state[v] = PeerConvicted
+			m.state[v] = memberConvicted
 			m.clean[v] = 0
 		}
 		switch m.state[v] {
-		case PeerConvicted:
+		case memberConvicted:
 			// Stays excluded until RequestRejoin.
-		case PeerProbation:
+		case memberProbation:
 			if m.suspected[v] || !clean {
 				m.clean[v] = 0 // suspicion or a failed round resets progress
 				h.ProbationPeers = append(h.ProbationPeers, v)
@@ -107,20 +139,20 @@ func (m *membershipModel) roundEnd(clean bool) (h RoundHealth) {
 			m.clean[v]++
 			m.last[v] = m.round
 			if m.clean[v] >= m.need {
-				m.state[v] = PeerHealthy
+				m.state[v] = memberHealthy
 				h.RejoinedPeers = append(h.RejoinedPeers, v)
 			} else {
 				h.ProbationPeers = append(h.ProbationPeers, v)
 			}
-		case PeerSuspected:
+		case memberSuspected:
 			m.last[v] = m.round
 			if !m.suspected[v] && clean {
-				m.state[v] = PeerHealthy
+				m.state[v] = memberHealthy
 			}
-		default: // PeerHealthy
+		default: // memberHealthy
 			m.last[v] = m.round
 			if m.suspected[v] {
-				m.state[v] = PeerSuspected
+				m.state[v] = memberSuspected
 			}
 		}
 	}
@@ -132,12 +164,12 @@ func (m *membershipModel) rejoin(v int) error {
 	if !m.elastic {
 		return fmt.Errorf("not elastic")
 	}
-	if m.state[v] != PeerConvicted {
+	if m.state[v] != memberConvicted {
 		return fmt.Errorf("node %d is %v", v, m.state[v])
 	}
 	for u := range m.state {
-		if u != v && m.state[u] == PeerHealthy {
-			m.state[v], m.clean[v], m.last[v] = PeerProbation, 0, m.last[u]
+		if u != v && m.state[u] == memberHealthy {
+			m.state[v], m.clean[v], m.last[v] = memberProbation, 0, m.last[u]
 			return nil
 		}
 	}
@@ -148,7 +180,7 @@ func (m *membershipModel) rejoin(v int) error {
 // with the same seeded event sequences — convictions, scoreboard verdicts over
 // tied and untied scores, clean and failed round ends, rejoin requests —
 // elastic and not, and holds them equal at every round boundary: what
-// PeerStates projects and every peer list of RoundHealth. The one pinned
+// memberStates projects and every peer list of RoundHealth. The one pinned
 // difference is the round counter: the model's advances (and stamps its
 // healthy peers) through failed rounds, PeerRound counts completed ones.
 func TestPeerLifecycleMatchesMembershipModel(t *testing.T) {
@@ -223,9 +255,9 @@ func TestPeerLifecycleMatchesMembershipModel(t *testing.T) {
 					fail(round, "RequestRejoin(%d) = %v, model %v", v, got, want)
 				}
 			}
-			for v, st := range lc.PeerStates() {
+			for v, st := range memberStates(lc) {
 				if st != m.state[v] {
-					fail(round, "PeerStates() = %v, model %v", lc.PeerStates(), m.state)
+					fail(round, "memberStates(lc) = %v, model %v", memberStates(lc), m.state)
 				}
 				peer, cluster := lc.PeerRound(v)
 				if !elastic {

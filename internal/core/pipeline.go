@@ -286,7 +286,7 @@ func (e *sendEngine) drain(l *link) {
 		batch, msg := l.take(e.frameCap)
 		e.mu.Unlock()
 		if len(msg.Bulk) > 0 {
-			atomic.AddInt64(&r.rs.bulkFrames, 1)
+			atomic.AddInt64(&r.rs.h.BulkFrames, 1)
 		}
 
 		in := e.inflight.Add(int64(len(batch)))
@@ -450,7 +450,7 @@ func (e *sendEngine) flushAcks(l *link, msgs []netsim.Message) {
 		l.seq++
 		batched := netsim.Message{From: chunk[0].From, To: chunk[0].To, Ack: true,
 			Step: l.seq, Attempt: n, AckBatch: refs}
-		atomic.AddInt64(&r.rs.ackBatched, int64(n))
+		atomic.AddInt64(&r.rs.h.AckBatched, int64(n))
 		if err := r.tr.Send(batched); err != nil {
 			r.noteSendError(batched, err)
 		}

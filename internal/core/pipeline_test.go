@@ -225,7 +225,7 @@ func TestAckPlaneCoalescesBacklog(t *testing.T) {
 			t.Fatalf("batched key %d = %+v, want %+v", i, ref, want)
 		}
 	}
-	if got := r.rs.ackBatched; got != 5 {
+	if got := r.rs.h.AckBatched; got != 5 {
 		t.Fatalf("ackBatched counter = %d, want 5 (only coalesced acks count)", got)
 	}
 

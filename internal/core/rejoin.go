@@ -18,59 +18,9 @@ import (
 // full membership.
 //
 // The state behind all of it is the health plane's peer table (health.go,
-// which also draws the lifecycle); nothing here keeps a copy.
-
-// PeerState is one peer's position in the elastic membership lifecycle: a
-// projection of its HealthState that folds away what membership does not
-// care about (a Slow peer is a full member).
-type PeerState int
-
-const (
-	// PeerHealthy is full membership: the peer participates normally.
-	PeerHealthy PeerState = iota
-	// PeerSuspected means the detector gathered inconclusive evidence
-	// against the peer; it still participates, and a clean round clears the
-	// suspicion.
-	PeerSuspected
-	// PeerConvicted means the failure detector convicted the peer; it is
-	// excluded from every subsequent round until it requests rejoin.
-	PeerConvicted
-	// PeerProbation means the peer rejoined after a conviction and is
-	// participating under observation; probationRounds clean rounds promote
-	// it back to PeerHealthy, a new conviction sends it back to
-	// PeerConvicted.
-	PeerProbation
-)
-
-// peerState is the projection.
-func (s HealthState) peerState() PeerState {
-	switch s {
-	case HealthSuspect:
-		return PeerSuspected
-	case HealthDead:
-		return PeerConvicted
-	case HealthProbation:
-		return PeerProbation
-	default: // Healthy, Slow
-		return PeerHealthy
-	}
-}
-
-// String implements fmt.Stringer.
-func (s PeerState) String() string {
-	switch s {
-	case PeerHealthy:
-		return "healthy"
-	case PeerSuspected:
-		return "suspected"
-	case PeerConvicted:
-		return "convicted"
-	case PeerProbation:
-		return "probation"
-	default:
-		return fmt.Sprintf("PeerState(%d)", int(s))
-	}
-}
+// which also draws the lifecycle); nothing here keeps a copy. Its one reader
+// is LiveCluster.HealthStates: a Healthy or Slow peer is a full member, a
+// Dead one is excluded.
 
 // Elastic membership metric families.
 const (
@@ -78,22 +28,6 @@ const (
 	MetricRejoins            = "hipress_rejoins_total"
 	MetricMembershipExcluded = "hipress_membership_excluded_rounds_total"
 )
-
-// Elastic reports whether cross-round membership is active.
-func (lc *LiveCluster) Elastic() bool { return lc.cfg.Elastic }
-
-// PeerStates returns a snapshot of every peer's membership state (all
-// PeerHealthy when elastic membership is disabled).
-func (lc *LiveCluster) PeerStates() []PeerState {
-	out := make([]PeerState, lc.n)
-	if !lc.cfg.Elastic {
-		return out
-	}
-	for v := range out {
-		out[v] = lc.health.stateOf(v).peerState()
-	}
-	return out
-}
 
 // PeerRound returns the last completed round peer v fully participated in
 // (the "round counter" a rejoining peer resyncs from its donor), and the
@@ -128,8 +62,8 @@ func (lc *LiveCluster) RequestRejoin(v int) error {
 	}
 	// State resync: adopt the donor's residual store so the rejoining
 	// peer's error-feedback state is consistent with the survivors'.
-	if err := lc.ImportNodeState(v, lc.NodeResiduals(donor)); err != nil {
-		return err
+	if lc.ef != nil && lc.ef[v] != nil {
+		lc.ef[v].SetResiduals(lc.ef[donor].Residuals())
 	}
 	if tr := lc.cfg.Telemetry.T(); tr.Enabled() {
 		tr.Event(fmt.Sprintf("rejoin-request node%d (donor node%d)", v, donor), "rejoin", v, "net", tr.Now())

@@ -55,7 +55,7 @@ func TestElasticRejoinLifecycle(t *testing.T) {
 
 	// Round 1: blackout → detector convicts node 3 mid-round.
 	h := round(101)
-	if got := lc.PeerStates(); got[3] != PeerConvicted {
+	if got := lc.HealthStates(); got[3] != HealthDead {
 		t.Fatalf("after blackout round, peer states = %v, want node3 convicted", got)
 	}
 	if len(h.MembershipExcluded) != 0 {
@@ -100,12 +100,13 @@ func TestElasticRejoinLifecycle(t *testing.T) {
 	if err := lc.RequestRejoin(3); err != nil {
 		t.Fatal(err)
 	}
-	if got := lc.PeerStates(); got[3] != PeerProbation {
+	if got := lc.HealthStates(); got[3] != HealthProbation {
 		t.Fatalf("after RequestRejoin, peer states = %v, want node3 probation", got)
 	}
 	// Residual resync: node 3's store must now equal the donor's (node 0),
 	// bitwise.
-	donorRes, peerRes := lc.NodeResiduals(0), lc.NodeResiduals(3)
+	res := lc.ExportState()
+	donorRes, peerRes := res[0], res[3]
 	if len(donorRes) == 0 {
 		t.Fatal("donor has no residual state — EF rounds should have accumulated some")
 	}
@@ -144,8 +145,8 @@ func TestElasticRejoinLifecycle(t *testing.T) {
 	if !reflect.DeepEqual(h.RejoinedPeers, []int{3}) || len(h.ProbationPeers) != 0 {
 		t.Fatalf("probation 2/2: probation=%v rejoined=%v, want [] / [3]", h.ProbationPeers, h.RejoinedPeers)
 	}
-	for v, st := range lc.PeerStates() {
-		if st != PeerHealthy {
+	for v, st := range lc.HealthStates() {
+		if st != HealthHealthy && st != HealthSlow {
 			t.Fatalf("after promotion, node %d is %v, want healthy", v, st)
 		}
 	}
@@ -237,7 +238,7 @@ func TestElasticProbationResetOnReconviction(t *testing.T) {
 	if !reflect.DeepEqual(h.ExcludedPeers, []int{3}) {
 		t.Fatalf("re-blackout round excluded %v, want [3]", h.ExcludedPeers)
 	}
-	if got := lc.PeerStates(); got[3] != PeerConvicted {
+	if got := lc.HealthStates(); got[3] != HealthDead {
 		t.Fatalf("probation peer not re-convicted: %v", got)
 	}
 	// Recovery still works after the second conviction.

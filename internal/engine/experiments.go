@@ -20,16 +20,68 @@ import (
 // the output where the paper states them, so EXPERIMENTS.md's
 // paper-vs-measured comparison regenerates mechanically.
 
+// experiment is one id and how it runs at a scale in (0, 1]; scale shrinks
+// iteration-heavy experiments, 1.0 reproduces the full configuration.
+type experiment struct {
+	id  string
+	run func(scale float64) (*Table, error)
+}
+
+// fixed adapts an experiment that has no scale.
+func fixed(f func() (*Table, error)) func(float64) (*Table, error) {
+	return func(float64) (*Table, error) { return f() }
+}
+
+// throughput is one Fig. 7/8 panel: model trained with algo under systems.
+func throughput(id, model, algo string, systems ...string) experiment {
+	return experiment{id, fixed(func() (*Table, error) { return ThroughputExp(id, model, algo, systems) })}
+}
+
+// experiments is every experiment in run order, the one list Experiments and
+// RunExperiment read. It is built per call, not held in a package variable,
+// so a binary that never asks for an experiment does not link them all.
+func experiments() []experiment {
+	return []experiment{
+		{"table1", fixed(Table1Exp)},
+		{"table3", fixed(func() (*Table, error) { return Table3Exp(), nil })},
+		{"table5", fixed(Table5Exp)},
+		{"table6", fixed(func() (*Table, error) { return Table6Exp(), nil })},
+		{"table7", fixed(Table7Exp)},
+		throughput("fig7a", "vgg19", "onebit", "byteps", "ring", "byteps-oss", "hipress-ps", "hipress-ring"),
+		throughput("fig7b", "resnet50", "dgc", "byteps", "ring", "ring-oss", "hipress-ring"),
+		throughput("fig7c", "ugatit", "terngrad", "byteps", "ring", "hipress-ps"),
+		throughput("fig8a", "bert-large", "onebit", "byteps", "ring", "byteps-oss", "hipress-ps", "hipress-ring"),
+		throughput("fig8b", "transformer", "dgc", "byteps", "ring", "ring-oss", "hipress-ring"),
+		throughput("fig8c", "lstm", "terngrad", "byteps", "ring", "hipress-ps"),
+		{"fig9", fixed(Fig9Exp)},
+		{"fig10", fixed(Fig10Exp)},
+		{"fig11", fixed(Fig11Exp)},
+		{"fig12a", fixed(Fig12aExp)},
+		{"fig12b", fixed(Fig12bExp)},
+		{"fig13", Fig13Exp},
+		{"micro", fixed(MicroExp)},
+		{"kernels", KernelsExp},
+		{"jitter", fixed(JitterExp)},
+		{"strategies", fixed(StrategiesExp)},
+		{"wire", fixed(WireExp)},
+		{"chaos", fixed(func() (*Table, error) { return ChaosExp("") })},
+		{"plan-robustness", fixed(PlanRobustnessExp)},
+		{"trace", fixed(TraceExp)},
+		{"recovery", fixed(RecoveryExp)},
+		{"stragglers", StragglersExp},
+		{"autotune", AutotuneExp},
+		{"tcpchaos", fixed(TCPChaosExp)},
+	}
+}
+
 // Experiments lists the available experiment ids in run order.
 func Experiments() []string {
-	return []string{
-		"table1", "table3", "table5", "table6", "table7",
-		"fig7a", "fig7b", "fig7c", "fig8a", "fig8b", "fig8c",
-		"fig9", "fig10", "fig11", "fig12a", "fig12b", "fig13",
-		"micro", "kernels", "jitter", "strategies", "wire",
-		"chaos", "plan-robustness", "trace", "recovery", "stragglers",
-		"autotune", "tcpchaos",
+	all := experiments()
+	ids := make([]string, len(all))
+	for i, e := range all {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // RunExperiment dispatches an experiment by id. scale (0..1] shrinks
@@ -39,68 +91,12 @@ func RunExperiment(id string, scale float64) (*Table, error) {
 	if scale <= 0 || scale > 1 {
 		scale = 1
 	}
-	switch id {
-	case "table1":
-		return Table1Exp()
-	case "table3":
-		return Table3Exp(), nil
-	case "table5":
-		return Table5Exp()
-	case "table6":
-		return Table6Exp(), nil
-	case "table7":
-		return Table7Exp()
-	case "fig7a":
-		return ThroughputExp("fig7a", "vgg19", "onebit", []string{"byteps", "ring", "byteps-oss", "hipress-ps", "hipress-ring"})
-	case "fig7b":
-		return ThroughputExp("fig7b", "resnet50", "dgc", []string{"byteps", "ring", "ring-oss", "hipress-ring"})
-	case "fig7c":
-		return ThroughputExp("fig7c", "ugatit", "terngrad", []string{"byteps", "ring", "hipress-ps"})
-	case "fig8a":
-		return ThroughputExp("fig8a", "bert-large", "onebit", []string{"byteps", "ring", "byteps-oss", "hipress-ps", "hipress-ring"})
-	case "fig8b":
-		return ThroughputExp("fig8b", "transformer", "dgc", []string{"byteps", "ring", "ring-oss", "hipress-ring"})
-	case "fig8c":
-		return ThroughputExp("fig8c", "lstm", "terngrad", []string{"byteps", "ring", "hipress-ps"})
-	case "fig9":
-		return Fig9Exp()
-	case "fig10":
-		return Fig10Exp()
-	case "fig11":
-		return Fig11Exp()
-	case "fig12a":
-		return Fig12aExp()
-	case "fig12b":
-		return Fig12bExp()
-	case "fig13":
-		return Fig13Exp(scale)
-	case "micro":
-		return MicroExp()
-	case "kernels":
-		return KernelsExp(scale)
-	case "jitter":
-		return JitterExp()
-	case "strategies":
-		return StrategiesExp()
-	case "wire":
-		return WireExp()
-	case "chaos":
-		return ChaosExp("")
-	case "plan-robustness":
-		return PlanRobustnessExp()
-	case "trace":
-		return TraceExp()
-	case "recovery":
-		return RecoveryExp()
-	case "stragglers":
-		return StragglersExp(scale)
-	case "autotune":
-		return AutotuneExp(scale)
-	case "tcpchaos":
-		return TCPChaosExp()
-	default:
-		return nil, fmt.Errorf("engine: unknown experiment %q (have %v)", id, Experiments())
+	for _, e := range experiments() {
+		if e.id == id {
+			return e.run(scale)
+		}
 	}
+	return nil, fmt.Errorf("engine: unknown experiment %q (have %v)", id, Experiments())
 }
 
 // Table1Exp reproduces Table 1: scaling efficiency and communication ratio

@@ -145,14 +145,15 @@ func RecoveryExp() (*Table, error) {
 			fmt.Sprintf("%.1fms", float64(h.Elapsed.Microseconds())/1000))
 	}
 
-	states := lc.PeerStates()
-	allHealthy := true
+	// A Healthy or Slow peer is a full member.
+	states := lc.HealthStates()
+	allMembers := true
 	for _, st := range states {
-		if st != core.PeerHealthy {
-			allHealthy = false
+		if st != core.HealthHealthy && st != core.HealthSlow {
+			allMembers = false
 		}
 	}
-	if !allHealthy {
+	if !allMembers {
 		return nil, fmt.Errorf("engine: recovery lifecycle did not converge, peer states %v", states)
 	}
 	t.Notes = append(t.Notes,

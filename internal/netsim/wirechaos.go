@@ -142,9 +142,6 @@ func (w *wireChaos) hash(l Link, gen uint32, salt uint64) uint64 {
 	return splitmix64(h ^ uint64(gen))
 }
 
-// wireRoll maps a hash to [0, 1).
-func wireRoll(h uint64) float64 { return float64(h>>11) / (1 << 53) }
-
 // wrap decorates a dialed connection with this link+generation's planned
 // faults. Returns c unchanged when chaos is off or nothing is planned.
 func (w *wireChaos) wrap(c net.Conn, l Link, gen uint32) net.Conn {
@@ -153,16 +150,16 @@ func (w *wireChaos) wrap(c net.Conn, l Link, gen uint32) net.Conn {
 	}
 	wc := &wireConn{Conn: c, chaos: w, link: l}
 	planned := false
-	if wireRoll(w.hash(l, gen, 0xd30c_0001)) < w.cfg.CutProb {
+	if roll(w.hash(l, gen, 0xd30c_0001)) < w.cfg.CutProb {
 		span := w.cfg.CutAfterMax - w.cfg.CutAfterMin + 1
 		wc.cutAt = w.cfg.CutAfterMin + int(w.hash(l, gen, 0xd30c_0002)%uint64(span))
 		planned = true
 	}
-	if wireRoll(w.hash(l, gen, 0xd30c_0003)) < w.cfg.CorruptProb {
+	if roll(w.hash(l, gen, 0xd30c_0003)) < w.cfg.CorruptProb {
 		wc.corruptAt = helloLen + int(w.hash(l, gen, 0xd30c_0004)%uint64(w.cfg.CorruptWindow))
 		planned = true
 	}
-	if wireRoll(w.hash(l, gen, 0xd30c_0005)) < w.cfg.StallProb {
+	if roll(w.hash(l, gen, 0xd30c_0005)) < w.cfg.StallProb {
 		wc.stallAt = true
 		planned = true
 	}
