@@ -90,7 +90,7 @@ bench:
 # LOC_BUDGET_<pkg> (lower the budget to the new count in the PR that does it)
 # and fails the target when it grows past it.
 LOC_BUDGET_core := 5993
-LOC_BUDGET_compress := 2862
+LOC_BUDGET_compress := 2783
 LOC_BUDGET_netsim := 2057
 LOC_BUDGET_trainer := 855
 

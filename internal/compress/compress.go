@@ -147,6 +147,64 @@ const (
 func putF32(buf []byte, x float32) { binary.LittleEndian.PutUint32(buf, math.Float32bits(x)) }
 func getF32(buf []byte) float32    { return math.Float32frombits(binary.LittleEndian.Uint32(buf)) }
 
+// --- (index, value) payload ----------------------------------------------------
+
+// DGC and GradDrop share one sparse layout (little-endian), the payload of
+// CompLL's concat(kept) / extract + scatter:
+//
+//	header(8) | k uint32 | k × (index uint32) | k × (value float32)
+
+// ivSize returns the length of a k-entry (index, value) payload.
+func ivSize(k int) int { return headerSize + 4 + 8*k }
+
+// keep returns how many of n elements a keep fraction ratio in (0,1]
+// transmits: at least one, so every gradient makes some progress.
+func keep(ratio float64, n int) int {
+	if n == 0 {
+		return 0
+	}
+	return min(max(int(ratio*float64(n)), 1), n)
+}
+
+// ivFrame lays out the header and count of a k-entry payload for an
+// n-element gradient in dst and returns it with its index and value bodies.
+func ivFrame(dst []byte, algo uint16, n, k int) (out, idxBody, valBody []byte) {
+	out = ensurePayload(dst, ivSize(k))
+	putHeader(out, payloadMagic, algo, n)
+	binary.LittleEndian.PutUint32(out[headerSize:], uint32(k))
+	return out, out[headerSize+4 : headerSize+4+4*k], out[headerSize+4+4*k:]
+}
+
+// ivDecode validates an (index, value) payload of algorithm algo against
+// len(dst), then scatters it: dst[idx] += value, into a dst cleared
+// chunk-parallel first unless add. The k ≪ n survivors scatter serially.
+func ivDecode(algo uint16, name string, dst []float32, payload []byte, add bool) error {
+	n := len(dst)
+	if err := checkHeader(payload, payloadMagic, algo, n); err != nil {
+		return err
+	}
+	if len(payload) < headerSize+4 {
+		return errSize(name, len(payload), headerSize+4)
+	}
+	k := int(binary.LittleEndian.Uint32(payload[headerSize:]))
+	if want := ivSize(k); len(payload) != want {
+		return errSize(name, len(payload), want)
+	}
+	if !add {
+		zeroF32(dst)
+	}
+	idxBody := payload[headerSize+4:]
+	valBody := payload[headerSize+4+4*k:]
+	for j := 0; j < k; j++ {
+		idx := int(binary.LittleEndian.Uint32(idxBody[4*j:]))
+		if idx >= n {
+			return fmt.Errorf("compress: %s index %d out of range %d", name, idx, n)
+		}
+		dst[idx] += getF32(valBody[4*j:])
+	}
+	return nil
+}
+
 // --- registry ----------------------------------------------------------------
 
 // Params carries algorithm-specific knobs (the paper's "algorithm-specific

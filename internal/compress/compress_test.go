@@ -323,8 +323,8 @@ func TestDGCSurvivorCountExact(t *testing.T) {
 				nonzero++
 			}
 		}
-		if nonzero != d.k(n) {
-			t.Fatalf("ratio %g: %d nonzero decoded, want %d", ratio, nonzero, d.k(n))
+		if nonzero != keep(d.ratio, n) {
+			t.Fatalf("ratio %g: %d nonzero decoded, want %d", ratio, nonzero, keep(d.ratio, n))
 		}
 	}
 }
@@ -663,9 +663,6 @@ func TestSizeErrorMessage(t *testing.T) {
 	msg := e.Error()
 	if !strings.Contains(msg, "3") || !strings.Contains(msg, "-14") || !strings.Contains(msg, "x") {
 		t.Fatalf("unhelpful SizeError: %q", msg)
-	}
-	if itoa(0) != "0" {
-		t.Fatalf("itoa(0) = %q", itoa(0))
 	}
 }
 

@@ -26,9 +26,7 @@ import (
 // speedup reported in §4.4, and the histogram formulation makes the statistic
 // order-independent so parallel output is bit-identical to serial.
 //
-// Payload layout (little-endian):
-//
-//	header(8) | k uint32 | k × (index uint32) | k × (value float32)
+// The payload is the (index, value) layout shared with GradDrop (ivFrame).
 type DGC struct {
 	ratio float64
 }
@@ -48,24 +46,8 @@ func (d *DGC) Name() string { return fmt.Sprintf("dgc-%g", d.ratio) }
 // Ratio returns the configured keep fraction.
 func (d *DGC) Ratio() float64 { return d.ratio }
 
-// k returns the number of kept elements for an n-element gradient: at least
-// one so every gradient makes some progress.
-func (d *DGC) k(n int) int {
-	if n == 0 {
-		return 0
-	}
-	k := int(d.ratio * float64(n))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
 // CompressedSize implements Compressor.
-func (d *DGC) CompressedSize(n int) int { return headerSize + 4 + 8*d.k(n) }
+func (d *DGC) CompressedSize(n int) int { return ivSize(keep(d.ratio, n)) }
 
 // EncodeInto implements Compressor: the chunked kernel. The k-th largest
 // |value|, T, is found over magnitude bit patterns (for non-negative IEEE-754
@@ -99,10 +81,8 @@ func (d *DGC) EncodeFused(dst []byte, grad, residual []float32) ([]byte, error) 
 
 func (d *DGC) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	n := len(grad)
-	k := d.k(n)
-	out := ensurePayload(dst, d.CompressedSize(n))
-	putHeader(out, payloadMagic, algoDGC, n)
-	binary.LittleEndian.PutUint32(out[headerSize:], uint32(k))
+	k := keep(d.ratio, n)
+	out, idxBody, valBody := ivFrame(dst, algoDGC, n, k)
 	if k == 0 {
 		return out, nil
 	}
@@ -181,8 +161,7 @@ func (d *DGC) encode(dst []byte, grad, res []float32) ([]byte, error) {
 		return nil, fmt.Errorf("compress: dgc selected %d above + %d ties of %d (internal error)", above, tieOff, k)
 	}
 	op.aboveTotal = above
-	op.idxBody = out[headerSize+4:]
-	op.valBody = out[headerSize+4+4*k:]
+	op.idxBody, op.valBody = idxBody, valBody
 	op.unfilled.Store(false)
 	op.run(dgcWrite)
 	if op.unfilled.Load() {
@@ -193,49 +172,12 @@ func (d *DGC) encode(dst []byte, grad, res []float32) ([]byte, error) {
 
 // DecodeInto implements Compressor: chunk-parallel zero, serial scatter.
 func (d *DGC) DecodeInto(dst []float32, payload []byte) error {
-	k, err := d.validate(payload, len(dst))
-	if err != nil {
-		return err
-	}
-	zeroF32(dst)
-	return d.scatter(payload, dst, k)
+	return ivDecode(algoDGC, "dgc", dst, payload, false)
 }
 
 // DecodeAdd implements DecodeAdder.
 func (d *DGC) DecodeAdd(payload []byte, dst []float32) error {
-	k, err := d.validate(payload, len(dst))
-	if err != nil {
-		return err
-	}
-	return d.scatter(payload, dst, k)
-}
-
-func (d *DGC) validate(payload []byte, n int) (int, error) {
-	if err := checkHeader(payload, payloadMagic, algoDGC, n); err != nil {
-		return 0, err
-	}
-	if len(payload) < headerSize+4 {
-		return 0, errSize("dgc", len(payload), headerSize+4)
-	}
-	k := int(binary.LittleEndian.Uint32(payload[headerSize:]))
-	if want := headerSize + 4 + 8*k; len(payload) != want {
-		return 0, errSize("dgc", len(payload), want)
-	}
-	return k, nil
-}
-
-func (d *DGC) scatter(payload []byte, dst []float32, k int) error {
-	n := len(dst)
-	idxBody := payload[headerSize+4:]
-	valBody := payload[headerSize+4+4*k:]
-	for j := 0; j < k; j++ {
-		idx := int(binary.LittleEndian.Uint32(idxBody[4*j:]))
-		if idx >= n {
-			return fmt.Errorf("compress: dgc index %d out of range %d", idx, n)
-		}
-		dst[idx] += getF32(valBody[4*j:])
-	}
-	return nil
+	return ivDecode(algoDGC, "dgc", dst, payload, true)
 }
 
 // --- chunked kernel ----------------------------------------------------------

@@ -67,15 +67,25 @@ func mustDGC(t *testing.T, ratio float64) Compressor {
 	return d
 }
 
+func mustGradDrop(t *testing.T, ratio float64, seed uint64) Compressor {
+	t.Helper()
+	g, err := NewGradDrop(ratio, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestGoldenExactBytes pins the complete payloads byte for byte.
 func TestGoldenExactBytes(t *testing.T) {
 	cases := map[string]struct {
 		c    Compressor
 		want string
 	}{
-		"onebit":   {Onebit{}, "11c50100080000003333933f000090bfad"},
-		"tbq-0.5":  {NewTBQ(0.5), "11c50200080000000000003f06000000000000000100008002000000050000000600008007000000"},
-		"dgc-0.25": {mustDGC(t, 0.25), "11c504000800000002000000050000000100000000004040000010c0"},
+		"onebit":        {Onebit{}, "11c50100080000003333933f000090bfad"},
+		"tbq-0.5":       {NewTBQ(0.5), "11c50200080000000000003f06000000000000000100008002000000050000000600008007000000"},
+		"dgc-0.25":      {mustDGC(t, 0.25), "11c504000800000002000000050000000100000000004040000010c0"},
+		"graddrop-0.25": {mustGradDrop(t, 0.25, 1), "11c5050008000000020000000100000005000000000010c000004040"},
 	}
 	for name, cse := range cases {
 		payload, err := Encode(cse.c, goldenInput)

@@ -17,11 +17,8 @@ import (
 // tensors. Dropped mass is carried by ErrorFeedback.
 //
 // Because the threshold is sampled, the number of survivors is approximate
-// (unlike DGC's exact top-k); the payload stores the actual count.
-//
-// Payload layout (little-endian):
-//
-//	header(8) | k uint32 | k × (index uint32) | k × (value float32)
+// (unlike DGC's exact top-k); the payload, the (index, value) layout shared
+// with DGC (ivFrame), stores the actual count.
 type GradDrop struct {
 	ratio float64
 	rng   *tensor.RNG
@@ -51,13 +48,7 @@ func (g *GradDrop) Ratio() float64 { return g.ratio }
 
 // CompressedSize implements Compressor. The survivor count is approximate by
 // design; this reports the expected size, which the phantom plane uses.
-func (g *GradDrop) CompressedSize(n int) int {
-	k := int(g.ratio * float64(n))
-	if k < 1 && n > 0 {
-		k = 1
-	}
-	return headerSize + 4 + 8*k
-}
+func (g *GradDrop) CompressedSize(n int) int { return ivSize(keep(g.ratio, n)) }
 
 // samplePool recycles the threshold-estimation scratch so steady-state
 // encodes allocate nothing.
@@ -109,7 +100,7 @@ func (g *GradDrop) threshold(grad []float32) float32 {
 
 // MaxEncodedSize reports the worst-case payload length (every element
 // survives the sampled threshold) — the capacity to lease for EncodeInto.
-func (g *GradDrop) MaxEncodedSize(n int) int { return headerSize + 4 + 8*n }
+func (g *GradDrop) MaxEncodedSize(n int) int { return ivSize(n) }
 
 // EncodeInto implements Compressor: threshold estimation stays sequential
 // (it samples ≤ sampleSize elements), while the
@@ -131,9 +122,7 @@ func (g *GradDrop) EncodeFused(dst []byte, grad, residual []float32) ([]byte, er
 func (g *GradDrop) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	n := len(grad)
 	if n == 0 {
-		out := ensurePayload(dst, headerSize+4)
-		putHeader(out, payloadMagic, algoGradDrop, 0)
-		binary.LittleEndian.PutUint32(out[headerSize:], 0)
+		out, _, _ := ivFrame(dst, algoGradDrop, 0, 0)
 		return out, nil
 	}
 	chunks := kernels.NumChunks(n)
@@ -165,22 +154,17 @@ func (g *GradDrop) encode(dst []byte, grad, res []float32) ([]byte, error) {
 	if k == 0 {
 		// Degenerate all-zero (or threshold-above-max) gradient: send the
 		// single first element so progress is never silently lost.
-		out := ensurePayload(dst, headerSize+4+8)
-		putHeader(out, payloadMagic, algoGradDrop, n)
-		binary.LittleEndian.PutUint32(out[headerSize:], 1)
-		binary.LittleEndian.PutUint32(out[headerSize+4:], 0)
-		putF32(out[headerSize+8:], src[0])
+		out, idxBody, valBody := ivFrame(dst, algoGradDrop, n, 1)
+		binary.LittleEndian.PutUint32(idxBody, 0)
+		putF32(valBody, src[0])
 		if res != nil {
 			res[0] = 0 // decode reproduces v[0] exactly
 		}
 		op.release()
 		return out, nil
 	}
-	out := ensurePayload(dst, headerSize+4+8*k)
-	putHeader(out, payloadMagic, algoGradDrop, n)
-	binary.LittleEndian.PutUint32(out[headerSize:], uint32(k))
-	op.idxBody = out[headerSize+4:]
-	op.valBody = out[headerSize+4+4*k:]
+	out, idxBody, valBody := ivFrame(dst, algoGradDrop, n, k)
+	op.idxBody, op.valBody = idxBody, valBody
 	op.phase = gdropWrite
 	kernels.Default().Run(chunks, op)
 	op.release()
@@ -189,49 +173,12 @@ func (g *GradDrop) encode(dst []byte, grad, res []float32) ([]byte, error) {
 
 // DecodeInto implements Compressor: chunk-parallel zero, serial scatter.
 func (g *GradDrop) DecodeInto(dst []float32, payload []byte) error {
-	k, err := g.validate(payload, len(dst))
-	if err != nil {
-		return err
-	}
-	zeroF32(dst)
-	return g.scatter(payload, dst, k)
+	return ivDecode(algoGradDrop, "graddrop", dst, payload, false)
 }
 
 // DecodeAdd implements DecodeAdder.
 func (g *GradDrop) DecodeAdd(payload []byte, dst []float32) error {
-	k, err := g.validate(payload, len(dst))
-	if err != nil {
-		return err
-	}
-	return g.scatter(payload, dst, k)
-}
-
-func (g *GradDrop) validate(payload []byte, n int) (int, error) {
-	if err := checkHeader(payload, payloadMagic, algoGradDrop, n); err != nil {
-		return 0, err
-	}
-	if len(payload) < headerSize+4 {
-		return 0, errSize("graddrop", len(payload), headerSize+4)
-	}
-	k := int(binary.LittleEndian.Uint32(payload[headerSize:]))
-	if want := headerSize + 4 + 8*k; len(payload) != want {
-		return 0, errSize("graddrop", len(payload), want)
-	}
-	return k, nil
-}
-
-func (g *GradDrop) scatter(payload []byte, dst []float32, k int) error {
-	n := len(dst)
-	idxBody := payload[headerSize+4:]
-	valBody := payload[headerSize+4+4*k:]
-	for j := 0; j < k; j++ {
-		idx := int(binary.LittleEndian.Uint32(idxBody[4*j:]))
-		if idx >= n {
-			return fmt.Errorf("compress: graddrop index %d out of range %d", idx, n)
-		}
-		dst[idx] += getF32(valBody[4*j:])
-	}
-	return nil
+	return ivDecode(algoGradDrop, "graddrop", dst, payload, true)
 }
 
 // --- chunked kernel ----------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strconv"
 	"testing"
 
 	"hipress/internal/kernels"
@@ -13,9 +14,10 @@ import (
 // Differential gate for the branch-free kernels: for raw float32 bit
 // patterns — NaNs with several payloads, ±Inf, ±0, denormals, constant
 // inputs, everything tied at the threshold — payload bytes, error-feedback
-// residual bits, DecodeInto/DecodeAdd outputs and error-vs-success must equal
-// the scalar loops in reference_test.go, fused and unfused, for one and two
-// workers, across two consecutive encodes on one residual.
+// residual bits, onebit's, DGC's and GradDrop's DecodeInto/DecodeAdd outputs
+// and error-vs-success must equal the scalar loops in reference_test.go, fused
+// and unfused, for one and two workers, across two consecutive encodes on one
+// residual.
 
 // specialBits are the float32 bit patterns where a bit trick and a float
 // compare are most likely to part ways.
@@ -125,6 +127,14 @@ func mkDGCDiff(ratio float64) func(testing.TB) (Compressor, func(grad, res []flo
 	}
 }
 
+// refDecoders maps an algorithm id to the scalar decode / decode-add its
+// DecodeInto and DecodeAdd are held to.
+var refDecoders = map[uint16]func(dst []float32, payload []byte, add bool){
+	algoOnebit:   refOnebitDecode,
+	algoDGC:      refIVDecode,
+	algoGradDrop: refIVDecode,
+}
+
 // checkKernelsMatchReference encodes grads (consecutive gradients of one
 // length, sharing one residual when fused) through every rewritten kernel and
 // its reference and fails on the first difference.
@@ -143,7 +153,7 @@ func checkKernelsMatchReference(t testing.TB, label string, grads [][]float32) {
 				for round, grad := range grads {
 					where := func() string {
 						return label + "/" + a.name + map[bool]string{false: "/unfused", true: "/fused"}[fused] +
-							"/w" + itoa(workers) + "/n" + itoa(n) + "/round" + itoa(round)
+							"/w" + strconv.Itoa(workers) + "/n" + strconv.Itoa(n) + "/round" + strconv.Itoa(round)
 					}
 					dst := make([]byte, MaxEncodedSize(c, n))
 					var got []byte
@@ -167,14 +177,16 @@ func checkKernelsMatchReference(t testing.TB, label string, grads [][]float32) {
 						t.Fatalf("%s: residual[%d] = %08x, reference %08x", where(), i,
 							math.Float32bits(res[i]), math.Float32bits(refRes[i]))
 					}
-					if a.name != "onebit" {
-						continue // only onebit's decode loops were rewritten
+					refDecode := refDecoders[binary.LittleEndian.Uint16(want[2:])]
+					if refDecode == nil {
+						continue // tbq's decode loops were not rewritten
 					}
 					dec, refDec := make([]float32, n), make([]float32, n)
+					copy(dec, grad) // DecodeInto must overwrite what dst held
 					if err := c.DecodeInto(dec, got); err != nil {
 						t.Fatalf("%s: DecodeInto: %v", where(), err)
 					}
-					refOnebitDecode(refDec, want, false)
+					refDecode(refDec, want, false)
 					if i := sameBits(dec, refDec); i >= 0 {
 						t.Fatalf("%s: DecodeInto[%d] = %08x, reference %08x", where(), i,
 							math.Float32bits(dec[i]), math.Float32bits(refDec[i]))
@@ -184,7 +196,7 @@ func checkKernelsMatchReference(t testing.TB, label string, grads [][]float32) {
 					if err := DecodeAdd(c, got, dec); err != nil {
 						t.Fatalf("%s: DecodeAdd: %v", where(), err)
 					}
-					refOnebitDecode(refDec, want, true)
+					refDecode(refDec, want, true)
 					if i := sameBits(dec, refDec); i >= 0 {
 						t.Fatalf("%s: DecodeAdd[%d] = %08x, reference %08x", where(), i,
 							math.Float32bits(dec[i]), math.Float32bits(refDec[i]))

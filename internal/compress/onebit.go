@@ -3,6 +3,7 @@ package compress
 import (
 	"math"
 	"math/bits"
+	"strconv"
 	"sync"
 
 	"hipress/internal/kernels"
@@ -325,7 +326,7 @@ type SizeError struct {
 
 func (e *SizeError) Error() string {
 	return "compress: " + e.Algo + " payload size mismatch: got " +
-		itoa(e.Got) + ", want " + itoa(e.Want)
+		strconv.Itoa(e.Got) + ", want " + strconv.Itoa(e.Want)
 }
 
 // Unwrap lets errors.Is(err, ErrTruncatedPayload) match payloads shorter
@@ -336,27 +337,4 @@ func (e *SizeError) Unwrap() error {
 		return ErrTruncatedPayload
 	}
 	return nil
-}
-
-// itoa avoids pulling fmt into the hot path for error construction.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -159,10 +159,8 @@ func (o OSSDGC) DecodeInto(dst []float32, payload []byte) error {
 // though byte order of survivors may differ.
 func (o OSSDGC) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
 	n := len(grad)
-	k := o.DGC.k(n)
-	out := make([]byte, o.DGC.CompressedSize(n))
-	putHeader(out, payloadMagic, algoDGC, n)
-	binary.LittleEndian.PutUint32(out[headerSize:], uint32(k))
+	k := keep(o.DGC.ratio, n)
+	out, idxBody, valBody := ivFrame(nil, algoDGC, n, k)
 	if k == 0 {
 		return append(dst[:0], out...), nil
 	}
@@ -179,8 +177,6 @@ func (o OSSDGC) EncodeInto(dst []byte, grad []float32) ([]byte, error) {
 	})
 	sel := order[:k]
 	sort.Ints(sel)
-	idxBody := out[headerSize+4:]
-	valBody := out[headerSize+4+4*k:]
 	for j, idx := range sel {
 		binary.LittleEndian.PutUint32(idxBody[4*j:], uint32(idx))
 		putF32(valBody[4*j:], grad[idx])

@@ -84,11 +84,29 @@ func refOnebitDecode(dst []float32, payload []byte, add bool) {
 	}
 }
 
+// refIVDecode is the old DGC and GradDrop decode / decode-add over an
+// already-validated (index, value) payload: zero dst unless adding, then the
+// serial scatter.
+func refIVDecode(dst []float32, payload []byte, add bool) {
+	if !add {
+		for i := range dst {
+			dst[i] = 0
+		}
+	}
+	k := int(binary.LittleEndian.Uint32(payload[headerSize:]))
+	idxBody := payload[headerSize+4:]
+	valBody := payload[headerSize+4+4*k:]
+	for j := 0; j < k; j++ {
+		idx := int(binary.LittleEndian.Uint32(idxBody[4*j:]))
+		dst[idx] += getF32(valBody[4*j:])
+	}
+}
+
 // refDGCEncode is the old DGC encode: a v-store sweep, four masked histogram
 // sweeps, a float-compare count sweep, and the write sweep.
 func refDGCEncode(d *DGC, grad, res []float32) ([]byte, error) {
 	n := len(grad)
-	k := d.k(n)
+	k := keep(d.ratio, n)
 	out := make([]byte, d.CompressedSize(n))
 	putHeader(out, payloadMagic, algoDGC, n)
 	binary.LittleEndian.PutUint32(out[headerSize:], uint32(k))

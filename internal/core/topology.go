@@ -8,7 +8,7 @@
 // The package is deliberately independent of any particular execution
 // substrate: the same task graphs run on the discrete-event timing plane
 // (SimExecutor) for cluster-scale experiments and on the live goroutine
-// plane (TaskManager + LiveExecutor) for real compressed training.
+// plane (LiveCluster) for real compressed training.
 package core
 
 import "fmt"

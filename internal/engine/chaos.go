@@ -80,11 +80,17 @@ func ChaosExp(spec string) (*Table, error) {
 	return t, nil
 }
 
-// PlanRobustnessExp renders core.PlanRobustness as a full RobustnessReport
-// table: for each strategy and noise level, every report field, so the
-// hipress-bench plan-robustness subcommand exposes the raw study (JitterExp
-// is the condensed figure-style view).
-func PlanRobustnessExp() (*Table, error) {
+// robustnessRow is one strategy and noise level of the profiling-noise study.
+type robustnessRow struct {
+	strat  core.Strategy
+	jitter float64
+	rep    core.RobustnessReport
+}
+
+// planRobustnessStudy runs the profiling-noise study JitterExp and
+// PlanRobustnessExp both render: SeCoPa's onebit plans for EC2 16n, PS then
+// ring, at four noise levels of 40 trials each (seed 7).
+func planRobustnessStudy() ([]robustnessRow, error) {
 	ob, err := compress.New("onebit", nil)
 	if err != nil {
 		return nil, err
@@ -92,6 +98,25 @@ func PlanRobustnessExp() (*Table, error) {
 	dev := gpu.NewDevice(gpu.V100)
 	fab := netsim.EC2100G()
 	sizes := []int64{16 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 392 << 20}
+	var rows []robustnessRow
+	for _, strat := range []core.Strategy{core.StrategyPS, core.StrategyRing} {
+		p := newPlanner(strat, 16, dev, fab, "onebit", ob)
+		for _, jitter := range []float64{0.05, 0.10, 0.25, 0.50} {
+			rows = append(rows, robustnessRow{strat, jitter, core.PlanRobustness(p, sizes, jitter, 40, 7)})
+		}
+	}
+	return rows, nil
+}
+
+// PlanRobustnessExp renders core.PlanRobustness as a full RobustnessReport
+// table: for each strategy and noise level, every report field, so the
+// hipress-bench plan-robustness subcommand exposes the raw study (JitterExp
+// is the condensed figure-style view).
+func PlanRobustnessExp() (*Table, error) {
+	study, err := planRobustnessStudy()
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:  "Plan robustness: SeCoPa decisions under profiling noise (onebit, EC2 16n)",
 		Header: []string{"strategy", "noise", "trials", "decisions", "flipped-compress", "changed-K", "stable", "mean-cost-penalty"},
@@ -100,17 +125,13 @@ func PlanRobustnessExp() (*Table, error) {
 			"penalty = mean extra sync cost of mis-profiled plans under the noise-free model",
 		},
 	}
-	for _, strat := range []core.Strategy{core.StrategyPS, core.StrategyRing} {
-		p := newPlanner(strat, 16, dev, fab, "onebit", ob)
-		for _, jitter := range []float64{0.05, 0.10, 0.25, 0.50} {
-			rep := core.PlanRobustness(p, sizes, jitter, 40, 7)
-			t.AddRow(strat.String(),
-				fmt.Sprintf("±%.0f%%", 100*jitter),
-				rep.Trials, rep.Total,
-				rep.FlippedCompress, rep.ChangedParts,
-				fmt.Sprintf("%.1f%%", 100*rep.StableFraction()),
-				fmt.Sprintf("%.2f%%", 100*rep.MeanCostPenalty))
-		}
+	for _, r := range study {
+		t.AddRow(r.strat.String(),
+			fmt.Sprintf("±%.0f%%", 100*r.jitter),
+			r.rep.Trials, r.rep.Total,
+			r.rep.FlippedCompress, r.rep.ChangedParts,
+			fmt.Sprintf("%.1f%%", 100*r.rep.StableFraction()),
+			fmt.Sprintf("%.2f%%", 100*r.rep.MeanCostPenalty))
 	}
 	return t, nil
 }

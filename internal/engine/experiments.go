@@ -793,13 +793,10 @@ func WireExp() (*Table, error) {
 // measurement noise, and what do mis-profiled plans cost under the true
 // model?
 func JitterExp() (*Table, error) {
-	ob, err := compress.New("onebit", nil)
+	study, err := planRobustnessStudy()
 	if err != nil {
 		return nil, err
 	}
-	dev := gpu.NewDevice(gpu.V100)
-	fab := netsim.EC2100G()
-	sizes := []int64{16 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 392 << 20}
 	t := &Table{
 		Title:  "§3.3 future work: SeCoPa plan stability under profiling noise (onebit, EC2 16n)",
 		Header: []string{"strategy", "noise", "stable-plans", "flipped-compress", "changed-K", "true-cost-penalty"},
@@ -808,16 +805,12 @@ func JitterExp() (*Table, error) {
 			"penalty = extra sync time of the mis-profiled plan under the noise-free cost model",
 		},
 	}
-	for _, strat := range []core.Strategy{core.StrategyPS, core.StrategyRing} {
-		p := newPlanner(strat, 16, dev, fab, "onebit", ob)
-		for _, jitter := range []float64{0.05, 0.10, 0.25, 0.50} {
-			rep := core.PlanRobustness(p, sizes, jitter, 40, 7)
-			t.AddRow(strat.String(),
-				fmt.Sprintf("±%.0f%%", 100*jitter),
-				fmt.Sprintf("%.1f%%", 100*rep.StableFraction()),
-				rep.FlippedCompress, rep.ChangedParts,
-				fmt.Sprintf("%.2f%%", 100*rep.MeanCostPenalty))
-		}
+	for _, r := range study {
+		t.AddRow(r.strat.String(),
+			fmt.Sprintf("±%.0f%%", 100*r.jitter),
+			fmt.Sprintf("%.1f%%", 100*r.rep.StableFraction()),
+			r.rep.FlippedCompress, r.rep.ChangedParts,
+			fmt.Sprintf("%.2f%%", 100*r.rep.MeanCostPenalty))
 	}
 	return t, nil
 }
