@@ -51,10 +51,14 @@ fuzz:
 # Kill/resume bit-identity held by repetition rather than by one lucky run:
 # the contract (a resumed run is the uninterrupted run, stochastic compressors
 # included) was once broken about one run in 300, one in 7 under the race
-# detector's scheduling. ≈ 1 min.
+# detector's scheduling. The MLP table runs too: its workers compute their
+# gradients at once on the kernel pool, and a resumed run must still be the
+# uninterrupted one whichever worker finishes first. ≈ 1.5 min.
 stress:
 	$(GO) test ./internal/trainer -run 'TestKillResumeBitIdentical$$' -count 200
 	$(GO) test -race ./internal/trainer -run 'TestKillResumeBitIdentical$$' -count 20
+	$(GO) test ./internal/trainer -run 'TestKillResumeBitIdenticalMLP$$' -count 50
+	$(GO) test -race ./internal/trainer -run 'TestKillResumeBitIdenticalMLP$$' -count 10
 
 # Contracts held by repetition on one scheduler thread. The elastic rejoin
 # lifecycle: the test was tier-1's one known flake while it asserted a retry
@@ -69,12 +73,15 @@ stress:
 # bulk frame's transfer retried alone. The round plan cache: rounds reuse one plan, a round cut off part-way hands it back
 # part-way, and the next take restores it — counters, link and transfer
 # tables. The root package twice in one process: a test that registers a
-# compressor must not trip the registry's duplicate check on its rerun.
+# compressor must not trip the registry's duplicate check on its rerun. The
+# training loops' pinned curves on one thread, where the kernel pool runs a
+# step's workers inline: the serial schedule must give the pinned digests.
 # ≈ 1.5 min.
 flake:
 	GOMAXPROCS=1 $(GO) test ./internal/core -run 'TestElasticRejoinLifecycle$$' -count 200
 	GOMAXPROCS=1 $(GO) test ./internal/core -run '^(TestPipelineAckWorkersExitCleanly|TestAckPlaneCoalescesBacklog|TestLinkTableRows|TestAckRendezvousReuse|TestBulkLateAckSettlesBatchMates)$$' -count 100
 	GOMAXPROCS=1 $(GO) test ./internal/core -run 'TestRoundPlanReuse$$' -count 100
+	GOMAXPROCS=1 $(GO) test ./internal/trainer -run 'TestPinnedCurves$$' -count 5
 	$(GO) test -count=2 .
 
 # The gate used before committing: vet + the invariant suite + full
@@ -92,7 +99,7 @@ bench:
 LOC_BUDGET_core := 5993
 LOC_BUDGET_compress := 2783
 LOC_BUDGET_netsim := 2057
-LOC_BUDGET_trainer := 855
+LOC_BUDGET_trainer := 894
 
 loc:
 	@for d in internal/*/; do \

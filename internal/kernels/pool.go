@@ -22,6 +22,11 @@
 //
 //   - Ops are pooled structs implementing the Op interface rather than
 //     closures, so the steady-state Run path performs no heap allocation.
+//
+// The pool has two clients: the compression kernels, whose chunks are fixed
+// slices of a tensor, and internal/trainer, whose chunks are data-parallel
+// workers (one worker's batch gradient per chunk) and shares of its held-out
+// loss evaluation.
 package kernels
 
 import (
@@ -177,6 +182,11 @@ func (p *Pool) work() {
 // min(workers+caller, GOMAXPROCS, SetWorkers limit, chunks); with
 // parallelism 1 (or chunks<=1) the op runs inline on the caller with no
 // synchronization at all. Run does not allocate.
+//
+// An Op must not call Run on the pool it runs on: a parallel Run holds mu
+// until its last chunk completes, so a nested parallel Run blocks on mu
+// forever. Ops are leaves — the compress kernels, the trainer's per-worker
+// gradient and loss passes — and Runs from separate goroutines queue on mu.
 func (p *Pool) Run(chunks int, op Op) {
 	if chunks <= 0 {
 		return

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 
 	"hipress/internal/ckpt"
@@ -153,7 +154,7 @@ func (cr *ckptRunner) snapshot(step int) *ckpt.Snapshot {
 	meta := map[string]string{"task": cr.task, "workers": strconv.Itoa(cr.cfg.Workers)}
 	captureEpoch(meta, cr.lc)
 	return &ckpt.Snapshot{
-		Step: step, Algo: cr.cfg.Algo, Params: cloneParams(cr.cfg.Params),
+		Step: step, Algo: cr.cfg.Algo, Params: maps.Clone(cr.cfg.Params),
 		Tensors: tensors, Residuals: cr.lc.ExportState(), RNG: rng,
 		Meta: meta,
 	}
@@ -223,18 +224,6 @@ func restoreEpoch(snap *ckpt.Snapshot, lc *core.LiveCluster) error {
 		return fmt.Errorf("trainer: checkpoint epoch round: %w", err)
 	}
 	return lc.RestoreEpoch(ep, round)
-}
-
-// cloneParams copies compressor params into the snapshot's float map.
-func cloneParams(p map[string]float64) map[string]float64 {
-	if len(p) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
 }
 
 // restoreTensor copies a named snapshot tensor into dst, demanding an exact

@@ -4,6 +4,12 @@
 // real compression. It validates the paper's Fig. 13 claim — compression-
 // enabled training converges to the same quality, in less (simulated) wall
 // time — end to end, with actual compressed bytes on the wire.
+//
+// The workers compute at once: each step's gradient pass is one Op on the
+// kernel pool (internal/kernels), which is the pool's second client after
+// the compression kernels, with one chunk per worker. A worker owns its data
+// stream, accumulator, velocity and scratch, and only reads the model, so a
+// step's results are those of computing the workers in turn.
 package trainer
 
 import (
@@ -14,6 +20,7 @@ import (
 
 	"hipress/internal/compress"
 	"hipress/internal/core"
+	"hipress/internal/kernels"
 	"hipress/internal/telemetry"
 	"hipress/internal/tensor"
 )
@@ -186,7 +193,6 @@ func TrainLinear(task *LinearTask, cfg Config) (*Curve, []float32, error) {
 	}
 
 	curve := &Curve{}
-	x := make([]float32, dim)
 	// Momentum state: per-worker velocities when momentum correction is on
 	// (each worker compresses its own velocity), one global velocity
 	// otherwise (momentum applied after synchronization).
@@ -209,16 +215,17 @@ func TrainLinear(task *LinearTask, cfg Config) (*Curve, []float32, error) {
 		return nil, nil, err
 	}
 
-	// Per-worker gradient buffers, the results they synchronize into and
-	// both maps are allocated once and reused every iteration (a round reads
-	// grads and writes dst during the round only), so the step loop stays off
-	// the allocator. Values are identical to per-iteration allocation — resume
-	// bit-identity is unaffected.
+	// Per-worker gradient and sample buffers, the results they synchronize
+	// into and both maps are allocated once and reused every iteration (a
+	// round reads grads and writes dst during the round only), so the step
+	// loop stays off the allocator. Values are identical to per-iteration
+	// allocation — resume bit-identity is unaffected.
 	grads, dst := make([]map[string][]float32, cfg.Workers), make([]map[string][]float32, cfg.Workers)
-	gbuf := make([][]float32, cfg.Workers)
-	for v := range gbuf {
-		gbuf[v] = make([]float32, dim)
-		grads[v], dst[v] = map[string][]float32{"w": gbuf[v]}, map[string][]float32{"w": make([]float32, dim)}
+	pass := &linearStep{task: task, cfg: &cfg, w: w, rngs: workerRNG, vel: localVel,
+		g: make([][]float32, cfg.Workers), x: make([][]float32, cfg.Workers)}
+	for v := range pass.g {
+		pass.g[v], pass.x[v] = make([]float32, dim), make([]float32, dim)
+		grads[v], dst[v] = map[string][]float32{"w": pass.g[v]}, map[string][]float32{"w": make([]float32, dim)}
 	}
 	for it := startIt; it < cfg.Iters; it++ {
 		if cfg.FaultHook != nil {
@@ -226,25 +233,9 @@ func TrainLinear(task *LinearTask, cfg Config) (*Curve, []float32, error) {
 				return nil, nil, err
 			}
 		}
-		for v := 0; v < cfg.Workers; v++ {
-			g := gbuf[v]
-			clear(g)
-			rng := workerRNG[v]
-			for b := 0; b < cfg.Batch; b++ {
-				y := task.sample(rng, x)
-				pred := tensor.Dot(x, w)
-				resid := float32(pred) - y
-				// ∂/∂w of (w·x − y)² / 2 = (w·x − y)·x
-				tensor.AXPY(g, resid/float32(cfg.Batch), x)
-			}
-			if cfg.Momentum > 0 && cfg.MomentumCorrection {
-				// DGC momentum correction: u ← m·u + g locally; the
-				// velocity is what gets (sparsely) synchronized.
-				tensor.Scale(localVel[v], float32(cfg.Momentum))
-				tensor.Add(localVel[v], g)
-				copy(g, localVel[v])
-			}
-		}
+		// The pass calls no compress kernel, so it never calls Run on the
+		// pool it runs on (see kernels.Pool.Run).
+		kernels.Default().Run(cfg.Workers, pass)
 		if _, err := lc.SyncRoundInto(context.Background(), grads, dst); err != nil {
 			return nil, nil, err
 		}
@@ -266,6 +257,34 @@ func TrainLinear(task *LinearTask, cfg Config) (*Curve, []float32, error) {
 		}
 	}
 	return curve, w, nil
+}
+
+// linearStep is one TrainLinear step's gradient pass as a kernels.Op: chunk
+// v is worker v, which clears its accumulator and runs its batch.
+type linearStep struct {
+	task      *LinearTask
+	cfg       *Config
+	w         []float32
+	rngs      []*tensor.RNG
+	g, x, vel [][]float32
+}
+
+func (s *linearStep) RunChunk(v int) {
+	g, x, rng := s.g[v], s.x[v], s.rngs[v]
+	clear(g)
+	for b := 0; b < s.cfg.Batch; b++ {
+		y := s.task.sample(rng, x)
+		resid := float32(tensor.Dot(x, s.w)) - y
+		// ∂/∂w of (w·x − y)² / 2 = (w·x − y)·x
+		tensor.AXPY(g, resid/float32(s.cfg.Batch), x)
+	}
+	if s.cfg.Momentum > 0 && s.cfg.MomentumCorrection {
+		// DGC momentum correction: u ← m·u + g locally; the velocity is
+		// what gets (sparsely) synchronized.
+		tensor.Scale(s.vel[v], float32(s.cfg.Momentum))
+		tensor.Add(s.vel[v], g)
+		copy(g, s.vel[v])
+	}
 }
 
 // --- two-layer MLP task ------------------------------------------------------
@@ -359,23 +378,24 @@ func TrainMLP(task *MLPTask, cfg Config) (*Curve, error) {
 		workerRNG[v] = tensor.NewRNG(cfg.Seed*4099 + uint64(v) + 13)
 	}
 
+	// Per-worker state allocated once (see TrainLinear); the evaluation reuses
+	// the step's hidden buffers, as the two run one after the other.
+	pass := &mlpStep{teacher: task.teacher, student: student, batch: cfg.Batch, rngs: workerRNG,
+		g: make([]*mlp, cfg.Workers), x: make([][]float32, cfg.Workers), hid: make([][]float32, cfg.Workers)}
+	grads, dst := make([]map[string][]float32, cfg.Workers), make([]map[string][]float32, cfg.Workers)
+	for v := range pass.g {
+		pass.g[v], pass.x[v], pass.hid[v] = newMLP(task.In, task.Hidden, nil), make([]float32, task.In), make([]float32, task.Hidden)
+		grads[v], dst[v] = pass.g[v].gradsMap(), newMLP(task.In, task.Hidden, nil).gradsMap()
+	}
+
 	evalRNG := tensor.NewRNG(cfg.Seed + 555)
 	const evalN = 200
-	evalX := make([][]float32, evalN)
-	evalY := make([]float32, evalN)
-	hid := make([]float32, task.Hidden)
-	for i := range evalX {
-		evalX[i] = make([]float32, task.In)
-		evalRNG.FillNormal(evalX[i], 1)
-		evalY[i] = task.teacher.forward(evalX[i], hid)
-	}
-	mse := func() float64 {
-		var sum float64
-		for i := range evalX {
-			d := float64(student.forward(evalX[i], hid) - evalY[i])
-			sum += d * d
-		}
-		return sum / evalN
+	eval := &mlpEval{student: student, x: make([][]float32, evalN), y: make([]float32, evalN),
+		sq: make([]float64, evalN), hid: pass.hid}
+	for i := range eval.x {
+		eval.x[i] = make([]float32, task.In)
+		evalRNG.FillNormal(eval.x[i], 1)
+		eval.y[i] = task.teacher.forward(eval.x[i], pass.hid[0])
 	}
 
 	// Recovery plane: see TrainLinear. The MLP snapshot carries the four
@@ -386,34 +406,13 @@ func TrainMLP(task *MLPTask, cfg Config) (*Curve, error) {
 	}
 
 	curve := &Curve{}
-	x := make([]float32, task.In)
-	// Per-worker gradient accumulators and results allocated once, the
-	// accumulators zeroed per iteration (see TrainLinear).
-	gw := make([]*mlp, cfg.Workers)
-	grads, dst := make([]map[string][]float32, cfg.Workers), make([]map[string][]float32, cfg.Workers)
-	for v := range gw {
-		gw[v] = newMLP(task.In, task.Hidden, nil)
-		grads[v], dst[v] = gw[v].gradsMap(), newMLP(task.In, task.Hidden, nil).gradsMap()
-	}
 	for it := startIt; it < cfg.Iters; it++ {
 		if cfg.FaultHook != nil {
 			if err := cfg.FaultHook(it); err != nil {
 				return nil, err
 			}
 		}
-		for v := 0; v < cfg.Workers; v++ {
-			g := gw[v]
-			clear(g.w1)
-			clear(g.b1)
-			clear(g.w2)
-			clear(g.b2)
-			rng := workerRNG[v]
-			for b := 0; b < cfg.Batch; b++ {
-				rng.FillNormal(x, 1)
-				y := task.teacher.forward(x, hid)
-				student.grads(x, y, hid, g, 1/float32(cfg.Batch))
-			}
-		}
+		kernels.Default().Run(cfg.Workers, pass) // calls no compress kernel (see TrainLinear)
 		if _, err := lc.SyncRoundInto(context.Background(), grads, dst); err != nil {
 			return nil, err
 		}
@@ -424,13 +423,64 @@ func TrainMLP(task *MLPTask, cfg Config) (*Curve, error) {
 		tensor.AXPY(student.b2, step, dst[0]["b2"])
 		if it%cfg.EvalEvery == 0 || it == cfg.Iters-1 {
 			curve.Iters = append(curve.Iters, it)
-			curve.Losses = append(curve.Losses, mse())
+			curve.Losses = append(curve.Losses, eval.mse())
 		}
 		if err := cr.maybeSave(it); err != nil {
 			return nil, err
 		}
 	}
 	return curve, nil
+}
+
+// mlpStep is one TrainMLP step's gradient pass as a kernels.Op: chunk v is
+// worker v, which clears its accumulator and runs its batch.
+type mlpStep struct {
+	teacher, student *mlp
+	batch            int
+	rngs             []*tensor.RNG
+	g                []*mlp
+	x, hid           [][]float32
+}
+
+func (s *mlpStep) RunChunk(v int) {
+	g, x, hid, rng := s.g[v], s.x[v], s.hid[v], s.rngs[v]
+	clear(g.w1)
+	clear(g.b1)
+	clear(g.w2)
+	clear(g.b2)
+	for b := 0; b < s.batch; b++ {
+		rng.FillNormal(x, 1)
+		y := s.teacher.forward(x, hid)
+		s.student.grads(x, y, hid, g, 1/float32(s.batch))
+	}
+}
+
+// mlpEval is TrainMLP's held-out loss as a kernels.Op: chunk c writes the
+// squared errors of its contiguous share of the samples into sq, through its
+// own hidden buffer, and mse sums sq in sample order on the caller, so the
+// loss bits are those of one serial pass.
+type mlpEval struct {
+	student *mlp
+	x, hid  [][]float32 // hid: one per chunk
+	y       []float32
+	sq      []float64
+}
+
+func (e *mlpEval) RunChunk(c int) {
+	n, k := len(e.x), len(e.hid)
+	for i := c * n / k; i < (c+1)*n/k; i++ {
+		d := float64(e.student.forward(e.x[i], e.hid[c]) - e.y[i])
+		e.sq[i] = d * d
+	}
+}
+
+func (e *mlpEval) mse() float64 {
+	kernels.Default().Run(len(e.hid), e) // calls no compress kernel (see TrainLinear)
+	var sum float64
+	for _, d := range e.sq {
+		sum += d
+	}
+	return sum / float64(len(e.sq))
 }
 
 // SeedSweep runs TrainLinear across several seeds and reports the mean and

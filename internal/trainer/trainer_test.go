@@ -1,10 +1,14 @@
 package trainer
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
+	"hipress/internal/compress"
 	"hipress/internal/core"
+	"hipress/internal/kernels"
 )
 
 func TestConfigDefaults(t *testing.T) {
@@ -285,5 +289,79 @@ func TestSeedSweepOverlap(t *testing.T) {
 	}
 	if _, _, err := SeedSweep(task, base, nil); err == nil {
 		t.Error("empty seed list accepted")
+	}
+}
+
+// curveDigest is FNV-1a over a run's recorded iterations, the bits of their
+// losses and the bits of the final weights (nil for the MLP).
+func curveDigest(c *Curve, w []float32) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for i, it := range c.Iters {
+		binary.LittleEndian.PutUint64(b[:], uint64(it))
+		h.Write(b[:])
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.Losses[i]))
+		h.Write(b[:])
+	}
+	for _, x := range w {
+		binary.LittleEndian.PutUint32(b[:4], math.Float32bits(x))
+		h.Write(b[:4])
+	}
+	return h.Sum64()
+}
+
+// TestPinnedCurves holds both training loops to digests recorded when every
+// worker's gradients were computed in turn on the caller's goroutine. The
+// literals are never edited: a step that computes workers concurrently must
+// reproduce the serial schedule's loss bits exactly, and so must the same
+// step run with the kernel pool capped to one worker.
+func TestPinnedCurves(t *testing.T) {
+	mlpTask := NewMLPTask(64, 128, 9)
+	linTask := NewLinearTask(48, 0.05, 9)
+	base := Config{Workers: 4, Strategy: core.StrategyPS, LR: 0.05, Batch: 8, Iters: 60, EvalEvery: 1, Seed: 9}
+	cases := []struct {
+		name   string
+		linear bool
+		cfg    func(c *Config)
+		want   uint64
+	}{
+		{"mlp-terngrad-ef", false, func(c *Config) {
+			c.Algo, c.ErrorFeedback = "terngrad", true
+		}, 0x733718efde455631},
+		{"mlp-dgc-ef", false, func(c *Config) {
+			c.Algo, c.Params, c.ErrorFeedback = "dgc", compress.Params{"ratio": 0.05}, true
+		}, 0xd611e64a7fb6190c},
+		{"mlp-exact", false, func(*Config) {}, 0xb08d1c2d5fc984ca},
+		{"linear-dgc-momentum-correction", true, func(c *Config) {
+			c.Algo, c.Params, c.ErrorFeedback = "dgc", compress.Params{"ratio": 0.1}, true
+			c.Momentum, c.MomentumCorrection = 0.9, true
+		}, 0x2527ebeb1240e6a6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.cfg(&cfg)
+			run := func() uint64 {
+				if tc.linear {
+					curve, w, err := TrainLinear(linTask, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return curveDigest(curve, w)
+				}
+				curve, err := TrainMLP(mlpTask, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return curveDigest(curve, nil)
+			}
+			if got := run(); got != tc.want {
+				t.Errorf("digest %016x, pinned %016x", got, tc.want)
+			}
+			defer kernels.SetWorkers(kernels.SetWorkers(1))
+			if got := run(); got != tc.want {
+				t.Errorf("one pool worker: digest %016x, pinned %016x", got, tc.want)
+			}
+		})
 	}
 }
